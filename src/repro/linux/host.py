@@ -37,7 +37,9 @@ from repro.tcp.wire import Segment
 
 _EPHEMERAL_PORT_START = 32768
 
-ConnKey = tuple[int, IPv4Address, int]
+#: Socket demux key: ``(local_port, remote address integer, remote_port)``
+#: — all plain ints, so the per-packet lookup hashes and compares in C.
+ConnKey = tuple[int, int, int]
 
 
 class Host:
@@ -189,15 +191,18 @@ class Host:
 
     def socket_closed(self, sock: TcpSocket) -> None:
         """Called by sockets on teardown to deregister themselves."""
-        key = (sock.local_port, sock.remote_address, sock.remote_port)
+        key = (sock.local_port, sock.remote_address.value, sock.remote_port)
         registered = self._sockets.get(key)
         if registered is sock:
             del self._sockets[key]
 
     def _register(self, sock: TcpSocket) -> None:
-        key = (sock.local_port, sock.remote_address, sock.remote_port)
+        key = (sock.local_port, sock.remote_address.value, sock.remote_port)
         if key in self._sockets:
-            raise TcpError(f"socket collision on {key}")
+            raise TcpError(
+                f"socket collision on {sock.local_port} <- "
+                f"{sock.remote_address}:{sock.remote_port}"
+            )
         self._sockets[key] = sock
 
     def reboot(self) -> None:
@@ -231,8 +236,9 @@ class Host:
         if not isinstance(segment, Segment):
             self.packets_unmatched += 1
             return
-        key = (segment.dst_port, packet.src, segment.src_port)
-        sock = self._sockets.get(key)
+        sock = self._sockets.get(
+            (segment.dst_port, packet.src.value, segment.src_port)
+        )
         if sock is not None:
             sock.handle_segment(segment)
             return

@@ -33,42 +33,43 @@ def _parse_dotted_quad(text: str) -> int:
 
 @total_ordering
 class IPv4Address:
-    """An immutable IPv4 address."""
+    """An IPv4 address, immutable by convention.
 
-    __slots__ = ("_value",)
+    ``value`` (the address as an integer) is a plain slot, not a property:
+    the fabric and the socket demux key their per-packet tables by it.
+    Never assign it after construction — addresses are dict keys.
+    """
+
+    __slots__ = ("value",)
 
     def __init__(self, value: "int | str | IPv4Address") -> None:
         if isinstance(value, IPv4Address):
-            self._value = value._value
+            self.value: int = value.value
         elif isinstance(value, str):
-            self._value = _parse_dotted_quad(value)
+            self.value = _parse_dotted_quad(value)
         elif isinstance(value, int):
             if not 0 <= value <= _MAX_IPV4:
                 raise AddressError(f"address integer out of range: {value}")
-            self._value = value
+            self.value = value
         else:
             raise AddressError(f"cannot build address from {type(value).__name__}")
 
-    @property
-    def value(self) -> int:
-        return self._value
-
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
-            return self._value == other._value
+            return self.value == other.value
         return NotImplemented
 
     def __lt__(self, other: "IPv4Address") -> bool:
-        return self._value < other._value
+        return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return hash(self.value)
 
     def __str__(self) -> str:
-        v = self._value
+        v = self.value
         return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.net.loss import LossModel, NoLoss
@@ -54,17 +54,12 @@ class LinkStats:
         return self.packets_dropped / self.packets_offered
 
 
-@dataclass(slots=True)
-class _QueuedPacket:
-    packet: Packet
-    deliver: DeliverCallback = field(repr=False)
-
-
 class Link:
     """One unidirectional link."""
 
-    # One Link object per path direction, three callbacks per packet:
-    # keep instances dict-free and the counter handles one load away.
+    # One Link object per path direction, two timers per packet
+    # (serialization, then propagation): keep instances dict-free and the
+    # counter handles one load away.
     __slots__ = (
         "_sim", "bandwidth_bps", "propagation_delay", "queue_limit_packets",
         "_loss", "_rng", "name", "stats", "_queue", "_transmitting",
@@ -97,7 +92,8 @@ class Link:
         self._rng = rng if rng is not None else random.Random(0)
         self.name = name
         self.stats = LinkStats()
-        self._queue: deque[_QueuedPacket] = deque()
+        #: Waiting ``(packet, deliver)`` pairs, later the timers' arguments.
+        self._queue: deque[tuple[Packet, DeliverCallback]] = deque()
         self._transmitting = False
         #: Fault-injection state (see repro.faults): an administratively
         #: "down" link drops every packet; degradation scales the usable
@@ -161,32 +157,27 @@ class Link:
             stats.packets_dropped_queue += 1
             self._m_dropped_queue.inc()
             return False
-        queue.append(_QueuedPacket(packet, deliver))
+        queue.append((packet, deliver))
         depth = len(queue)
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if self._obs_on:
             self._g_queue_depth.set(depth)
         if not self._transmitting:
+            self._transmitting = True
             self._start_next_transmission()
         return True
 
     def _start_next_transmission(self) -> None:
+        """Put the head of the (non-empty) queue on the wire."""
         queue = self._queue
-        if not queue:
-            self._transmitting = False
-            if self._obs_on:
-                self._g_queue_depth.set(0)
-            return
-        self._transmitting = True
-        item = queue.popleft()
+        packet, deliver = queue.popleft()
         if self._obs_on:
             self._g_queue_depth.set(len(queue))
-        tx_time = self.serialization_time(item.packet.size_bytes)
-        self._sim.schedule_fire(tx_time, self._finish_transmission, item)
+        tx_time = self.serialization_time(packet.size_bytes)
+        self._sim.schedule_fire(tx_time, self._finish_transmission, packet, deliver)
 
-    def _finish_transmission(self, item: _QueuedPacket) -> None:
-        packet = item.packet
+    def _finish_transmission(self, packet: Packet, deliver: DeliverCallback) -> None:
         if not self.up:
             # The link failed while this packet was on the wire.
             self.stats.packets_dropped_down += 1
@@ -195,17 +186,21 @@ class Link:
             self.stats.packets_dropped_loss += 1
             self._m_dropped_loss.inc()
         else:
-            packet.sent_at = self._sim.now
-            self._sim.schedule_fire(
-                self.propagation_delay + self.extra_delay, self._deliver, item
-            )
-        self._start_next_transmission()
+            delay = self.propagation_delay + self.extra_delay
+            self._sim.schedule_fire(delay, self._deliver, packet, deliver)
+        if self._queue:
+            self._start_next_transmission()
+        else:
+            self._transmitting = False
+            if self._obs_on:
+                self._g_queue_depth.set(0)
 
-    def _deliver(self, item: _QueuedPacket) -> None:
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += item.packet.size_bytes
+    def _deliver(self, packet: Packet, deliver: DeliverCallback) -> None:
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += packet.size_bytes
         self._m_delivered.inc()
-        item.deliver(item.packet)
+        deliver(packet)
 
     # ------------------------------------------------------------------
     # fault injection (see repro.faults)

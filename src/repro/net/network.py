@@ -10,6 +10,11 @@ the path — the observation Riptide exploits.
 Hosts attach by address.  ``send`` resolves ``(src, dst)`` to the trunk
 between their zones (intra-zone traffic takes a fast local path) and the
 trunk delivers to the destination host's ``receive_packet``.
+
+The resolution is remembered per address pair, keyed (like the host
+table) by address *integers* so per-packet lookups hash in C.  The memo
+only points at a :class:`~repro.net.link.Link`: what faults change is
+read from the link at each packet's own time.
 """
 
 from __future__ import annotations
@@ -68,8 +73,13 @@ class Network:
         self._zones: list[Prefix] = []
         self._trunks: dict[tuple[Prefix, Prefix], Link] = {}
         self._duplexes: dict[frozenset[Prefix], DuplexLink] = {}
-        self._hosts: dict[IPv4Address, AttachedHost] = {}
+        #: Attached hosts by address integer.
+        self._hosts: dict[int, AttachedHost] = {}
         self._zone_cache: dict[IPv4Address, Prefix | None] = {}
+        #: ``(src, dst)`` address integers -> the link that carries the
+        #: pair, or None for an intra-zone hop.  Only successful
+        #: resolutions are kept; dropped whenever zones or trunks change.
+        self._paths: dict[tuple[int, int], Link | None] = {}
         self._intra_zone_delay = intra_zone_delay
         self.packets_to_unknown_host = 0
 
@@ -88,6 +98,7 @@ class Network:
                 raise NetworkError(f"zone {prefix} overlaps existing zone {existing}")
         self._zones.append(prefix)
         self._zone_cache.clear()
+        self._paths.clear()
 
     def connect_zones(
         self,
@@ -117,6 +128,7 @@ class Network:
         self._duplexes[key] = duplex
         self._trunks[(zone_a, zone_b)] = duplex.forward
         self._trunks[(zone_b, zone_a)] = duplex.reverse
+        self._paths.clear()
         return duplex
 
     def trunk_between(self, zone_a: Prefix, zone_b: Prefix) -> DuplexLink | None:
@@ -145,15 +157,15 @@ class Network:
 
     def attach(self, host: AttachedHost) -> None:
         """Attach a host; its address must be unique on the fabric."""
-        if host.address in self._hosts:
+        if host.address.value in self._hosts:
             raise NetworkError(f"address {host.address} already attached")
-        self._hosts[host.address] = host
+        self._hosts[host.address.value] = host
 
     def detach(self, address: IPv4Address) -> None:
-        self._hosts.pop(address, None)
+        self._hosts.pop(address.value, None)
 
     def host_at(self, address: IPv4Address) -> AttachedHost | None:
-        return self._hosts.get(address)
+        return self._hosts.get(address.value)
 
     def zone_of(self, address: IPv4Address) -> Prefix | None:
         """The zone containing ``address`` (cached per address)."""
@@ -169,22 +181,34 @@ class Network:
 
     def send(self, packet: Packet) -> None:
         """Inject a packet; it is delivered (or dropped) asynchronously."""
-        src_zone = self.zone_of(packet.src)
-        dst_zone = self.zone_of(packet.dst)
-        if src_zone is None or dst_zone is None:
-            raise NoRouteError(
-                f"no zone for {packet.src if src_zone is None else packet.dst}"
+        key = (packet.src.value, packet.dst.value)
+        try:
+            trunk = self._paths[key]
+        except KeyError:
+            # Raises for an unroutable pair, so a failure is never memoised.
+            trunk = self._paths[key] = self._resolve(packet.src, packet.dst)
+        if trunk is None:
+            self._sim.schedule_fire(
+                self._intra_zone_delay, self._deliver_local, packet
             )
+        else:
+            trunk.transmit(packet, self._deliver_local)
+
+    def _resolve(self, src: IPv4Address, dst: IPv4Address) -> Link | None:
+        """The link carrying ``src`` → ``dst``; None within one zone."""
+        src_zone = self.zone_of(src)
+        dst_zone = self.zone_of(dst)
+        if src_zone is None or dst_zone is None:
+            raise NoRouteError(f"no zone for {src if src_zone is None else dst}")
         if src_zone == dst_zone:
-            self._sim.schedule(self._intra_zone_delay, self._deliver_local, packet)
-            return
+            return None
         trunk = self._trunks.get((src_zone, dst_zone))
         if trunk is None:
             raise NoRouteError(f"no trunk from zone {src_zone} to zone {dst_zone}")
-        trunk.transmit(packet, self._deliver_local)
+        return trunk
 
     def _deliver_local(self, packet: Packet) -> None:
-        host = self._hosts.get(packet.dst)
+        host = self._hosts.get(packet.dst.value)
         if host is None:
             self.packets_to_unknown_host += 1
             return

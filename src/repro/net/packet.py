@@ -19,7 +19,7 @@ _next_packet_id = _packet_ids.__next__
 class Packet:
     """An addressed datagram with a wire size."""
 
-    __slots__ = ("packet_id", "src", "dst", "size_bytes", "payload", "sent_at")
+    __slots__ = ("packet_id", "src", "dst", "size_bytes", "payload")
 
     def __init__(
         self,
@@ -35,7 +35,6 @@ class Packet:
         self.dst = dst
         self.size_bytes = int(size_bytes)
         self.payload = payload
-        self.sent_at: float | None = None
 
     def __repr__(self) -> str:
         return (

@@ -153,8 +153,8 @@ class Simulator:
         consumed per call, whichever path scheduled it), but no
         :class:`Event` is allocated, so the timer cannot be cancelled.
         Use for hot-path timers no caller ever cancels — a link's
-        serialization and propagation timers fire three times per packet
-        and never need a handle.
+        serialization and propagation timers fire twice per packet and
+        never need a handle.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay:.6f}s in the past")

@@ -41,6 +41,9 @@ class RttEstimator:
         self._rttvar: float = 0.0
         self._backoff_exponent = 0
         self._samples = 0
+        #: Current retransmission timeout, including backoff: read on every
+        #: ACK, so stored and refreshed where its inputs change.  Read-only.
+        self.rto = self._compute_rto()
 
     @property
     def srtt(self) -> float | None:
@@ -55,9 +58,7 @@ class RttEstimator:
     def samples(self) -> int:
         return self._samples
 
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, including backoff."""
+    def _compute_rto(self) -> float:
         if self._srtt is None:
             base = self._initial_rto
         else:
@@ -78,6 +79,7 @@ class RttEstimator:
             self._srtt = (1 - _ALPHA) * self._srtt + _ALPHA * rtt
         self._samples += 1
         self._backoff_exponent = 0
+        self.rto = self._compute_rto()
 
     def back_off(self) -> None:
         """Double the RTO after a retransmission timeout.
@@ -87,9 +89,12 @@ class RttEstimator:
         """
         if self._backoff_exponent < self._max_backoff_exponent:
             self._backoff_exponent += 1
+            self.rto = self._compute_rto()
 
     def reset_backoff(self) -> None:
-        self._backoff_exponent = 0
+        if self._backoff_exponent:
+            self._backoff_exponent = 0
+            self.rto = self._compute_rto()
 
     def __repr__(self) -> str:
         srtt = f"{self._srtt * 1e3:.1f}ms" if self._srtt is not None else "-"

@@ -116,7 +116,7 @@ class TcpSocket:
         "_snd_una", "_snd_nxt", "_snd_buf_end", "_pending_marks",
         "_rtx_queue", "_peer_rwnd_bytes", "_dupacks", "_in_recovery",
         "_recover_seq", "_recovery_inflation", "_fin_queued", "_fin_sent",
-        "_rto_event",
+        "_rto_event", "_rto_deadline",
         "_rcv_nxt", "_ooo", "_recv_marks", "_adv_wnd_bytes",
         "_peer_fin_received", "_delack_event", "_segments_since_ack",
         "on_established", "on_message", "on_closed", "on_error",
@@ -175,6 +175,10 @@ class TcpSocket:
         self._recovery_inflation = 0
         self._fin_queued = False
         self._fin_sent = False
+        #: The retransmission timer: a deadline (None = disarmed) beside
+        #: at most one pending kernel event.  A restart only moves the
+        #: deadline; the event, firing early, re-schedules itself there.
+        self._rto_deadline: float | None = None
         self._rto_event: Event | None = None
 
         # --- receive side ------------------------------------------------
@@ -399,9 +403,6 @@ class TcpSocket:
 
         if segment.payload_bytes > 0 or segment.fin:
             self._process_incoming_data(segment)
-        elif segment.is_ack and self._peer_fin_received is False:
-            # Pure ACK: nothing further to do.
-            pass
 
     def _handle_syn_phase(self, segment: Segment) -> None:
         if self.state is TcpState.SYN_SENT and segment.is_ack:
@@ -418,15 +419,16 @@ class TcpSocket:
 
     def _become_established(self) -> None:
         self.state = TcpState.ESTABLISHED
-        self.established_at = self._sim.now
+        now = self._sim.now
+        self.established_at = now
         self._m_opened.inc()
         if self._flow is not None:
             self._flow.is_client = self.is_client
-            self._flow.established_at = self._sim.now
-            self._flow.syn_rtt = self._sim.now - self.created_at
+            self._flow.established_at = now
+            self._flow.syn_rtt = now - self.created_at
         if self._obs_on:
             self._trace.record(
-                self._sim.now,
+                now,
                 EventType.CONN_OPENED,
                 self._host.name,
                 remote=str(self.remote_address),
@@ -479,7 +481,7 @@ class TcpSocket:
                 self._on_partial_ack()
         else:
             self._dupacks = 0
-            self.cc.on_ack(self._sim.now, acked_bytes, self._rtt.srtt)
+            self.cc.on_ack(now, acked_bytes, self._rtt.srtt)
             if self._flow_ss_pending:
                 self._note_ss_exit()
 
@@ -789,9 +791,13 @@ class TcpSocket:
     def _send_data_segment(self, size: int) -> None:
         seq = self._snd_nxt
         end = seq + size
-        marks = tuple(
-            mark for mark in self._pending_marks if seq < mark.end_seq <= end
-        )
+        # Marks are queued in sequence order, so unless the first one ends
+        # inside this segment none does and there is nothing to trim.
+        marks: tuple[MessageMark, ...] = ()
+        pending = self._pending_marks
+        if pending and pending[0].end_seq <= end:
+            marks = tuple(mark for mark in pending if seq < mark.end_seq <= end)
+            self._pending_marks = [mark for mark in pending if mark.end_seq > end]
         segment = Segment(
             src_port=self.local_port,
             dst_port=self.remote_port,
@@ -804,19 +810,8 @@ class TcpSocket:
         )
         self._snd_nxt = end
         self._rtx_queue.append(
-            _SentSegment(
-                seq=seq,
-                end_seq=end,
-                payload_bytes=size,
-                syn=False,
-                fin=False,
-                marks=marks,
-                last_sent_at=self._sim.now,
-            )
+            _SentSegment(seq, end, size, False, False, marks, self._sim.now)
         )
-        self._pending_marks = [
-            mark for mark in self._pending_marks if mark.end_seq > end
-        ]
         self._emit(segment)
 
     def _send_fin(self) -> None:
@@ -837,18 +832,9 @@ class TcpSocket:
         elif self.state is TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
         self._rtx_queue.append(
-            _SentSegment(
-                seq=seq,
-                end_seq=seq + 1,
-                payload_bytes=0,
-                syn=False,
-                fin=True,
-                marks=(),
-                last_sent_at=self._sim.now,
-            )
+            _SentSegment(seq, seq + 1, 0, False, True, (), self._sim.now)
         )
         self._emit(segment)
-        self._arm_rto_if_unarmed()
 
     def _send_control(self, syn: bool, with_ack: bool) -> None:
         seq = self._snd_nxt
@@ -864,15 +850,7 @@ class TcpSocket:
         if syn:
             self._snd_nxt = seq + 1
             self._rtx_queue.append(
-                _SentSegment(
-                    seq=seq,
-                    end_seq=seq + 1,
-                    payload_bytes=0,
-                    syn=True,
-                    fin=False,
-                    marks=(),
-                    last_sent_at=self._sim.now,
-                )
+                _SentSegment(seq, seq + 1, 0, True, False, (), self._sim.now)
             )
         self._emit(segment)
 
@@ -909,8 +887,7 @@ class TcpSocket:
             payload=segment,
         )
         self.segments_sent += 1
-        self.last_activity_at = self._sim.now
-        self.last_send_at = self._sim.now
+        self.last_activity_at = self.last_send_at = self._sim.now
         self._host.send_packet(packet)
 
     def _note_peer_window(self, segment: Segment) -> None:
@@ -922,20 +899,35 @@ class TcpSocket:
     # ------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_event = self._sim.schedule(self._rtt.rto, self._on_rto)
+        """(Re)start the timer: it now expires one RTO from now.
+
+        A deadline at or after the pending event is only stored.  An
+        *earlier* one (the RTO shrank: first RTT sample, backoff reset)
+        must replace the event, or the timeout would come late.
+        """
+        deadline = self._sim.now + self._rtt.rto
+        self._rto_deadline = deadline
+        event = self._rto_event
+        if event is not None:
+            if deadline >= event.time:
+                return
+            self._sim.cancel(event)
+        self._rto_event = self._sim.schedule_at(deadline, self._on_rto)
 
     def _arm_rto_if_unarmed(self) -> None:
-        if self._rto_event is None and self._rtx_queue:
+        if self._rto_deadline is None and self._rtx_queue:
             self._arm_rto()
 
     def _rearm_or_cancel_rto(self) -> None:
-        self._cancel_rto()
         if self._rtx_queue:
             self._rtt.reset_backoff()
-            self._rto_event = self._sim.schedule(self._rtt.rto, self._on_rto)
+            self._arm_rto()
+        else:
+            self._cancel_rto()
 
     def _cancel_rto(self) -> None:
+        """Disarm, and take the pending event off the heap with it."""
+        self._rto_deadline = None
         if self._rto_event is not None:
             self._sim.cancel(self._rto_event)
             self._rto_event = None
@@ -946,14 +938,21 @@ class TcpSocket:
 
     def _on_rto(self) -> None:
         self._rto_event = None
-        if not self._rtx_queue:
+        deadline = self._rto_deadline
+        if deadline is None:
             return
+        now = self._sim.now
+        if now < deadline:
+            # ACKs pushed the deadline back since this event was set.
+            self._rto_event = self._sim.schedule_at(deadline, self._on_rto)
+            return
+        self._rto_deadline = None
         self.rtos_fired += 1
         self._consecutive_rtos += 1
         self._m_rtos.inc()
         if self._obs_on:
             self._trace.record(
-                self._sim.now,
+                now,
                 EventType.RTO_FIRED,
                 self._host.name,
                 remote=str(self.remote_address),
@@ -969,7 +968,7 @@ class TcpSocket:
             # tcp_syn_retries / tcp_retries2 limits.
             self._error("connect timeout" if in_handshake else "transfer timeout")
             return
-        self.cc.on_retransmit_timeout(self._sim.now)
+        self.cc.on_retransmit_timeout(now)
         self._in_recovery = False
         self._recovery_inflation = 0
         self._dupacks = 0

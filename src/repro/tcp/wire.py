@@ -8,7 +8,7 @@ delivered in order — the moment the paper's probes time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -25,39 +25,61 @@ class MessageMark:
     size_bytes: int
 
 
-@dataclass(frozen=True)
 class Segment:
     """One TCP segment.
 
     ``seq`` numbers the first payload byte (or the SYN/FIN itself);
     ``ack`` is the cumulative acknowledgement, valid when ``is_ack``.
-    ``rwnd_bytes`` is the advertised receive window.
+    ``rwnd_bytes`` is the advertised receive window.  ``sack_blocks`` are
+    the (start, end) ranges the receiver holds above the cumulative ACK
+    (RFC 2018; max 4 blocks).  ``end_seq`` is the first sequence number
+    *after* this segment.
+
+    Immutable by convention: one is built per packet, so this is a
+    slotted plain class, not a frozen dataclass.  Nothing mutates,
+    compares or copies a segment after construction, and nothing may
+    start to — the receiver is handed the very object the sender built.
     """
 
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    payload_bytes: int = 0
-    syn: bool = False
-    fin: bool = False
-    rst: bool = False
-    is_ack: bool = False
-    rwnd_bytes: int = 0
-    marks: tuple[MessageMark, ...] = field(default=())
-    #: Selective acknowledgement blocks: (start, end) sequence ranges the
-    #: receiver holds above the cumulative ACK (RFC 2018; max 4 blocks).
-    sack_blocks: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = (
+        "src_port", "dst_port", "seq", "ack", "payload_bytes", "syn", "fin",
+        "rst", "is_ack", "rwnd_bytes", "marks", "sack_blocks", "end_seq",
+    )
+
+    def __init__(
+        self,
+        src_port: int,
+        dst_port: int,
+        seq: int,
+        ack: int,
+        payload_bytes: int = 0,
+        syn: bool = False,
+        fin: bool = False,
+        rst: bool = False,
+        is_ack: bool = False,
+        rwnd_bytes: int = 0,
+        marks: tuple[MessageMark, ...] = (),
+        sack_blocks: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.payload_bytes = payload_bytes
+        self.syn = syn
+        self.fin = fin
+        self.rst = rst
+        self.is_ack = is_ack
+        self.rwnd_bytes = rwnd_bytes
+        self.marks = marks
+        self.sack_blocks = sack_blocks
+        # SYN and FIN each consume one sequence number (bools add as 0/1).
+        self.end_seq = seq + payload_bytes + syn + fin
 
     @property
     def seq_space(self) -> int:
         """Sequence numbers consumed: payload plus one each for SYN/FIN."""
-        return self.payload_bytes + (1 if self.syn else 0) + (1 if self.fin else 0)
-
-    @property
-    def end_seq(self) -> int:
-        """First sequence number *after* this segment."""
-        return self.seq + self.seq_space
+        return self.end_seq - self.seq
 
     def describe(self) -> str:
         flags = "".join(
@@ -74,3 +96,5 @@ class Segment:
             f"[{flags or '.'} seq={self.seq} ack={self.ack} "
             f"len={self.payload_bytes} rwnd={self.rwnd_bytes}]"
         )
+
+    __repr__ = describe

@@ -99,3 +99,39 @@ class TestReboot:
         bed.sim.run(until=bed.sim.now + 6.0)
         assert client_agent.learned_window_for(key) is None
         assert bed.client.initcwnd_for(bed.server.address) == 10
+
+
+class TestSocketDemuxIndex:
+    """The integer-keyed demux table is dropped with the sockets."""
+
+    def test_reboot_leaves_no_stale_socket_reachable(self):
+        from repro.net import Packet
+        from repro.tcp import Segment, TcpError
+
+        bed = make_testbed()
+        client = bed.client.address
+        syn = Segment(src_port=40000, dst_port=80, seq=0, ack=0, syn=True)
+        bed.server.create_server_socket(80, client, 40000).accept_syn(syn)
+        with pytest.raises(TcpError, match="socket collision"):
+            bed.server.create_server_socket(80, client, 40000)
+        stray = Segment(src_port=40000, dst_port=80, seq=1, ack=1, is_ack=True)
+        bed.server.reboot()
+        bed.server.receive_packet(Packet(client, bed.server.address, 40, stray))
+        assert bed.server.packets_unmatched == 1
+
+        # The same (port, peer, peer port) registers again and is the one
+        # the demux now finds.
+        fresh = bed.server.create_server_socket(80, client, 40000)
+        fresh.accept_syn(syn)
+        bed.server.receive_packet(Packet(client, bed.server.address, 40, stray))
+        assert fresh.segments_received == 1
+        assert bed.server.packets_unmatched == 1
+
+    def test_connections_work_on_both_sides_of_a_reboot(self):
+        bed = make_testbed()
+        assert request_response(bed, response_bytes=20_000).completed
+        bed.server.reboot()
+        bed.client.reboot()
+        result = request_response(bed, response_bytes=20_000)
+        assert result.completed
+        assert bed.server.socket_count() == 1

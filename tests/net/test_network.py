@@ -132,3 +132,88 @@ class TestAttachment:
         fabric.attach(host)
         assert fabric.host_at(host.address) is host
         assert fabric.host_at(IPv4Address("10.0.0.2")) is None
+
+
+ZONE_C = Prefix.parse("10.2.0.0/24")
+
+
+class TestPathMemo:
+    """The integer-keyed path memo and host index follow the fabric."""
+
+    def test_trunk_added_after_traffic_is_used_by_next_send(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        b = FakeHost("10.1.0.1")
+        c = FakeHost("10.2.0.1")
+        for host in (a, b, c):
+            fabric.attach(host)
+        fabric.send(Packet(a.address, b.address, 100))
+        with pytest.raises(NoRouteError, match="no zone for 10.2.0.1"):
+            fabric.send(Packet(a.address, c.address, 100))
+        fabric.add_zone(ZONE_C)
+        with pytest.raises(NoRouteError, match="no trunk from zone 10.0.0.0/24"):
+            fabric.send(Packet(a.address, c.address, 100))
+        fabric.connect_zones(ZONE_A, ZONE_C, PathSpec(propagation_delay=0.010))
+        fabric.send(Packet(a.address, c.address, 100))
+        fabric.send(Packet(c.address, a.address, 100))
+        sim.run_until_idle()
+        assert (len(a.received), len(b.received), len(c.received)) == (1, 1, 1)
+
+    def test_unroutable_sends_raise_every_time(self, sim, streams):
+        network = Network(sim, streams)
+        network.add_zone(ZONE_A)
+        network.add_zone(ZONE_B)
+        a = FakeHost("10.0.0.1")
+        network.attach(a)
+        for _ in range(3):
+            with pytest.raises(NoRouteError, match="no zone for 192.168.0.1"):
+                network.send(Packet(a.address, IPv4Address("192.168.0.1"), 100))
+            with pytest.raises(NoRouteError, match="no zone for 192.168.0.1"):
+                network.send(Packet(IPv4Address("192.168.0.1"), a.address, 100))
+            with pytest.raises(NoRouteError, match="no trunk from zone"):
+                network.send(Packet(a.address, IPv4Address("10.1.0.1"), 100))
+        assert sim.pending_events == 0
+
+    def test_reattached_address_delivers_to_the_new_host(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        old = FakeHost("10.1.0.1")
+        fabric.attach(a)
+        fabric.attach(old)
+        fabric.send(Packet(a.address, old.address, 100))
+        sim.run_until_idle()
+        fabric.detach(old.address)
+        fabric.send(Packet(a.address, old.address, 100))
+        sim.run_until_idle()
+        assert fabric.packets_to_unknown_host == 1
+        new = FakeHost("10.1.0.1")
+        fabric.attach(new)
+        fabric.send(Packet(a.address, new.address, 100))
+        sim.run_until_idle()
+        assert (len(old.received), len(new.received)) == (1, 1)
+
+    def test_detach_mid_flight_counts_unknown_host(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        b = FakeHost("10.1.0.1")
+        fabric.attach(a)
+        fabric.attach(b)
+        fabric.send(Packet(a.address, b.address, 100))
+        fabric.detach(b.address)
+        sim.run_until_idle()
+        assert fabric.packets_to_unknown_host == 1
+        assert b.received == []
+
+    def test_link_state_is_read_from_the_link_not_the_memo(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        b = FakeHost("10.1.0.1")
+        fabric.attach(a)
+        fabric.attach(b)
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        trunk = fabric.trunk_between(ZONE_A, ZONE_B)
+        trunk.set_down()
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        assert trunk.forward.stats.packets_dropped_down == 1
+        trunk.set_up()
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        assert len(b.received) == 2
