@@ -1,0 +1,174 @@
+"""Golden fixture for the paired-study sequence and what is built on it.
+
+``tests/data/study_golden.json`` records sha256 digests of the artifacts
+every study family produces — the tournament leaderboard (clean, chaos
+and fluid cells), the hybrid differential (both arms, two seeds) and the
+chaos study, alert and forensic reports — so that a change to *how* the
+study sequence is written can be shown to leave what it computes alone.
+It is the sibling of ``tests/tcp/test_packet_path_golden.py``, which
+pins the per-packet path and the probe and lossy-agent studies' stores.
+
+Everything is driven through the CLI or a public entry point, under the
+``--fast`` clock, so the digests also pin what ``--fast`` means.
+
+This module is both the test and the generator.  When behaviour is
+*meant* to change, refresh the fixture and commit it with the change::
+
+    PYTHONPATH=src python tests/experiments/test_study_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+from typing import Any
+
+from repro.analysis.export import flows_to_jsonl, trace_to_json
+from repro.cli import _run_captured, main
+from repro.experiments.hybrid import HybridStudyConfig, run_differential
+from repro.obs import alert_report_to_json, build_alert_report, build_report, capture, report_to_json
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "study_golden.json"
+
+#: A learner and the fixed-window control: the two ends of the zoo.
+TOURNAMENT_POLICIES = ("ewma", "iw10")
+DIFFERENTIAL_SEEDS = (7, 42)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli_stdout(argv: list[str]) -> str:
+    """What ``python -m repro <argv>`` prints, minus its wall-time line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    return "".join(line for line in lines if "completed in" not in line)
+
+
+def build_tournament() -> dict[str, Any]:
+    """``repro tournament --fast``: 2 policies x all 5 scenario columns."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "leaderboard.json"
+        markdown = _cli_stdout(
+            ["tournament", "--fast", "--policies", *TOURNAMENT_POLICIES, "--out", str(path)]
+        )
+        artifact = path.read_text()
+    cells = json.loads(artifact)["cells"]
+    return {
+        "leaderboard_json_sha256": _sha256(artifact),
+        "leaderboard_markdown_sha256": _sha256(markdown),
+        "cells": [f"{cell['policy']}/{cell['scenario']}" for cell in cells],
+        "events_processed": sum(cell["events_processed"] for cell in cells),
+    }
+
+
+def _probe_rows(arm: Any) -> list[list[object]]:
+    return [
+        [
+            probe.source_pop,
+            probe.destination_pop,
+            probe.size_bytes,
+            probe.new_connection,
+            repr(probe.total_time) if probe.completed else None,
+        ]
+        for probe in arm.probes.results
+    ]
+
+
+def build_hybrid_differential() -> dict[str, Any]:
+    """``hybrid.run_differential`` at two seeds: both arms, every store."""
+    digests = {}
+    for seed in DIFFERENTIAL_SEEDS:
+        with capture() as obs:
+            result = run_differential(HybridStudyConfig(seed=seed))
+        arms = {"packet": result.packet, "hybrid": result.hybrid}
+        digests[str(seed)] = {
+            "advisories_sha256": _sha256(
+                json.dumps(
+                    {
+                        name: sorted([*key, window] for key, window in arm.advisories.items())
+                        for name, arm in arms.items()
+                    }
+                )
+            ),
+            "probe_rows_sha256": _sha256(
+                json.dumps({name: _probe_rows(arm) for name, arm in arms.items()})
+            ),
+            "events_processed": {name: arm.events_processed for name, arm in arms.items()},
+            "flows_sha256": _sha256(flows_to_jsonl(obs.flows)),
+            "trace_sha256": _sha256(trace_to_json(obs.trace)),
+            "report_sha256": _sha256(result.report()),
+        }
+    return digests
+
+
+def build_chaos_reports() -> dict[str, Any]:
+    """The chaos verbs under ``--fast``: study, alert and forensic reports.
+
+    ``repro alerts`` and ``repro report`` print these two JSON documents
+    from a capture each; one capture serves both here.
+    """
+    with contextlib.redirect_stderr(io.StringIO()):
+        obs, _ = _run_captured("chaos_lossy_agent", fast=True)
+    return {
+        "chaos_partition_study_sha256": _sha256(
+            _cli_stdout(["run", "--faults", "chaos_partition", "--fast"])
+        ),
+        "chaos_flaky_tools_study_sha256": _sha256(
+            _cli_stdout(["run", "chaos_flaky_tools", "--fast"])
+        ),
+        "chaos_lossy_agent_alerts_sha256": _sha256(
+            alert_report_to_json(build_alert_report(obs.alerts, experiment="chaos_lossy_agent"))
+        ),
+        "chaos_lossy_agent_report_sha256": _sha256(
+            report_to_json(build_report(obs, experiment="chaos_lossy_agent")) + "\n"
+        ),
+    }
+
+
+SECTIONS = {
+    "tournament_fast": build_tournament,
+    "hybrid_differential": build_hybrid_differential,
+    "chaos_reports_fast": build_chaos_reports,
+}
+
+
+def render(section: Any) -> str:
+    return json.dumps(section, indent=1, sort_keys=True)
+
+
+def _golden() -> dict[str, Any]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_tournament_matches_golden():
+    built = build_tournament()
+    assert len(built["cells"]) == 2 * 5
+    assert built == _golden()["tournament_fast"]
+
+
+def test_hybrid_differential_matches_golden():
+    assert build_hybrid_differential() == _golden()["hybrid_differential"]
+
+
+def test_chaos_reports_match_golden():
+    assert build_chaos_reports() == _golden()["chaos_reports_fast"]
+
+
+def test_fixture_file_is_canonical():
+    """The committed bytes are exactly what the generator would write."""
+    assert set(_golden()) == set(SECTIONS)
+    assert GOLDEN_PATH.read_text() == render(_golden()) + "\n"
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(render({name: build() for name, build in SECTIONS.items()}) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
