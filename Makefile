@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck bench bench-guard bench-figs bench-fast examples clean
+.PHONY: install test lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -22,16 +22,11 @@ lint:
 typecheck:
 	$(PYTHON) -m mypy
 
-# Tracked perf baseline (kernel events/s, timer churn, full-stack
-# transfer, probe study, sweep, fluid step, hybrid agreement) ->
-# BENCH_004.json with ratios against the committed BENCH_003.json.
+# The repo benchmark (bench/README.md): four workloads, host time per
+# simulated MB plus a per-layer table; a full run appends
+# bench/history.jsonl.
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench
-
-# Same, but fail if kernel or fluid-step events/s regresses below
-# BENCH_003.json.
-bench-guard:
-	PYTHONPATH=src $(PYTHON) -m repro bench --guard
+	python3 bench/run.py
 
 # Paper figure/table regeneration benchmarks (pytest-benchmark).
 bench-figs:

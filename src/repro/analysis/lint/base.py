@@ -10,11 +10,11 @@ file into findings.  Rules come in two shapes:
   documented" is only decidable once the whole tree has been scanned.
 
 Scoping: the determinism rules only make sense inside simulation code —
-``repro.bench`` measuring wall time is the point of that module, not a
-bug.  Each rule declares the module prefixes it exempts; files that do
-not resolve to a ``repro.*`` module at all (rule fixtures in tests,
-scratch scripts) are linted with every rule, which is what lets the
-fixture corpus prove each rule fires.
+``repro.cli`` timing a run for its progress line is not a bug.  Each
+rule declares the module prefixes it exempts; files that do not resolve
+to a ``repro.*`` module at all (rule fixtures in tests, scratch scripts)
+are linted with every rule, which is what lets the fixture corpus prove
+each rule fires.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Rule:
 
     code: ClassVar[str]
     summary: ClassVar[str]
-    #: Module prefixes this rule does not apply to (``repro.bench`` is
+    #: Module prefixes this rule does not apply to (``repro.cli`` is
     #: allowed to read the wall clock; the linter does not lint itself).
     exempt_modules: ClassVar[tuple[str, ...]] = ()
 

@@ -8,9 +8,9 @@ bug the serial-vs-parallel bit-identity guarantee cannot survive.  Sim
 code draws time from ``Simulator.now`` and randomness from a named
 :class:`repro.sim.rand.RandomStreams` stream instead.
 
-``repro.cli``, ``repro.bench`` and ``repro.parallel`` are exempt: wall
-time there *measures the machine* (progress lines, benchmark scores,
-worker poll timeouts) and never feeds simulation state.
+``repro.cli`` and ``repro.parallel`` are exempt: wall time there
+*measures the machine* (progress lines, worker poll timeouts) and never
+feeds simulation state.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class Det001WallClockEntropy(Rule):
     )
     exempt_modules = (
         "repro.cli",
-        "repro.bench",
         "repro.parallel",
         "repro.analysis",
         "repro.testing",

@@ -37,7 +37,6 @@ class Det004InterproceduralTaint(Rule):
     )
     exempt_modules = (
         "repro.cli",
-        "repro.bench",
         "repro.parallel",
         "repro.analysis",
         "repro.testing",

@@ -59,7 +59,6 @@ class Obs001TaxonomyDrift(Rule):
     code = "OBS001"
     summary = "metric/trace/span name out of sync with docs/ARCHITECTURE.md"
     exempt_modules = (
-        "repro.bench",      # scratch instruments for throughput scoring
         "repro.testing",
         "repro.analysis.lint",
     )

@@ -77,7 +77,6 @@ class Sim001KernelInvariants(Rule):
     )
     exempt_modules = (
         "repro.cli",
-        "repro.bench",
         "repro.parallel",
         "repro.analysis",
         "repro.testing",

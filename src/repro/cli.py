@@ -18,8 +18,6 @@
     python -m repro report chaos_lossy_agent  # tail-latency attribution report
     python -m repro alerts chaos_lossy_agent --check  # SLO burn-rate alerts
     python -m repro watch chaos_lossy_agent   # replay the run as live frames
-    python -m repro bench                # perf baseline -> BENCH_005.json
-    python -m repro bench --smoke --guard  # CI: fail on kernel regression
     python -m repro lint src/            # determinism/sim-invariant analyzer
 
 ``run`` prints the same rows/series the corresponding paper figure or
@@ -48,30 +46,26 @@ import sys
 import time
 
 from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.registry import Experiment
 from repro.obs import capture
 
-#: Reduced-scale keyword arguments per experiment for ``--fast``.
-_FAST_OVERRIDES: dict[str, dict] = {
-    "fig02": {"samples": 20_000},
-    "fig03": {"samples": 20_000},
-    "fig04": {"points": 100},
-    "fig10": {
-        "c_max_values": (50, 100, 250),
-        "topology_codes": ("LHR", "AMS", "JFK", "NRT", "SYD"),
-        "duration": 20.0,
-        "warmup": 5.0,
-    },
-    "fig11": {"duration": 45.0},
-    # Keep the full 34-PoP topology but shrink the population and clock:
-    # the CI scale-smoke job runs this to exercise the whole fluid path.
-    "hybrid": {"flows_per_pair": 100.0, "warmup": 3.0, "duration": 10.0},
-}
-
-#: Fast mode for the paired-study experiments shrinks the shared config.
-_FAST_STUDY_IDS = ("fig12_14", "fig15_16", "edge_cases")
-
-#: The chaos studies (also reachable via ``run --faults <scenario>``).
-_CHAOS_IDS = ("chaos_lossy_agent", "chaos_partition", "chaos_flaky_tools")
+def _add_scale_flags(
+    parser: argparse.ArgumentParser,
+    identical: str = "output is byte-identical to serial",
+) -> None:
+    """``--fast`` and ``--workers``, as every verb that runs an experiment takes them."""
+    parser.add_argument(
+        "--fast",
+        action="store_true",
+        help="reduced-scale run (smaller topology / fewer samples)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help=f"fan independent simulation arms across N worker processes ({identical})",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,69 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the paired chaos study for a fault scenario "
         "(see `repro faults` for the list)",
     )
-    run_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(experiments that support it; results are identical to serial)",
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the perf baseline and write it to a JSON file",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output JSON path (default: BENCH_005.json)",
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker count for the sweep section (default: 4)",
-    )
-    bench_parser.add_argument(
-        "--seeds",
-        type=int,
-        default=8,
-        metavar="N",
-        help="seed count for the sweep section (default: 8)",
-    )
-    bench_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="one short round of each section (CI smoke)",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="prior bench artifact to compute ratios against "
-        "(default: BENCH_004.json when present)",
-    )
-    bench_parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="exit non-zero if kernel or fluid-step events/s regresses "
-        "below the baseline artifact",
-    )
-    bench_parser.add_argument(
-        "--guard-min-ratio",
-        type=float,
-        default=1.0,
-        metavar="R",
-        help="guard floor as a fraction of the baseline kernel events/s "
-        "(default: 1.0)",
+    _add_scale_flags(
+        run_parser, "experiments that support it; results are identical to serial"
     )
 
     lint_parser = subparsers.add_parser(
@@ -291,19 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics_parser.add_argument(
         "experiment_id", help="e.g. fig10 or fig10_cmax_sweep"
     )
-    metrics_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    metrics_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
+    _add_scale_flags(metrics_parser)
     metrics_parser.add_argument(
         "--json",
         action="store_true",
@@ -333,19 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flows_parser.add_argument(
         "experiment_id", help="e.g. fig12_14 or chaos_lossy_agent"
     )
-    flows_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    flows_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
+    _add_scale_flags(flows_parser)
     flows_parser.add_argument(
         "--json",
         action="store_true",
@@ -378,19 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
-    report_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    report_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
+    _add_scale_flags(report_parser)
     report_parser.add_argument(
         "--json",
         action="store_true",
@@ -434,19 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     alerts_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
-    alerts_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    alerts_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
+    _add_scale_flags(alerts_parser)
     alerts_parser.add_argument(
         "--json",
         action="store_true",
@@ -476,19 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     watch_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
-    watch_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    watch_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(the frames are byte-identical to serial)",
-    )
+    _add_scale_flags(watch_parser, "the frames are byte-identical to serial")
     watch_parser.add_argument(
         "--interval",
         type=float,
@@ -552,40 +425,19 @@ def _normalize_experiment_id(experiment_id: str) -> str:
     return experiment_id  # let get_experiment raise its usual error
 
 
-def _fast_kwargs(experiment_id: str) -> dict[str, object]:
-    """Reduced-scale overrides for one experiment (``--fast``)."""
-    if experiment_id in _FAST_STUDY_IDS:
-        from repro.experiments.scenarios import ProbeStudyConfig
-
-        return {
-            "config": ProbeStudyConfig(
-                topology_codes=("LHR", "AMS", "JFK", "NRT", "SYD"),
-                warmup=10.0,
-                duration=30.0,
+def _run_kwargs(exp: Experiment, fast: bool, workers: int) -> dict[str, object]:
+    """Keyword arguments for ``exp.run`` under ``--fast`` / ``--workers``."""
+    kwargs = dict(exp.fast) if fast else {}
+    if workers > 1:
+        if exp.supports_workers:
+            kwargs["workers"] = workers
+        else:
+            print(
+                f"note: {exp.experiment_id} has no independent simulation arms; "
+                "running serially",
+                file=sys.stderr,
             )
-        }
-    if experiment_id in _CHAOS_IDS:
-        from repro.experiments.chaos import ChaosStudyConfig
-
-        return {"config": ChaosStudyConfig(warmup=8.0, duration=30.0)}
-    if experiment_id == "tournament":
-        return {"config": _fast_tournament_config()}
-    return dict(_FAST_OVERRIDES.get(experiment_id, {}))
-
-
-def _fast_tournament_config(
-    policies: tuple[str, ...] = (), scenarios: tuple[str, ...] = ()
-):
-    """The reduced-clock tournament config (``--fast``)."""
-    from repro.experiments.tournament import TournamentConfig
-
-    return TournamentConfig(
-        policies=policies,
-        scenarios=scenarios,
-        warmup=3.0,
-        duration=10.0,
-        probe_interval=2.0,
-    )
+    return kwargs
 
 
 def _cmd_run_list() -> int:
@@ -607,19 +459,14 @@ def _cmd_run_list() -> int:
     return 0
 
 
-def _cmd_run(experiment_id: str, fast: bool, workers: int = 1) -> int:
+def _cmd_run(
+    experiment_id: str, fast: bool, workers: int = 1, banner: str | None = None
+) -> int:
     exp = get_experiment(experiment_id)
-    kwargs = _fast_kwargs(experiment_id) if fast else {}
-    if workers > 1:
-        if exp.supports_workers:
-            kwargs["workers"] = workers
-        else:
-            print(
-                f"note: {experiment_id} has no independent simulation arms; "
-                "running serially",
-                file=sys.stderr,
-            )
-    if exp.simulation_backed:
+    kwargs = _run_kwargs(exp, fast, workers)
+    if banner is not None:
+        print(banner)
+    elif exp.simulation_backed:
         print(f"running {experiment_id} (full simulation; this takes a while)...")
     started = time.perf_counter()
     result = exp.run(**kwargs)
@@ -630,26 +477,20 @@ def _cmd_run(experiment_id: str, fast: bool, workers: int = 1) -> int:
 
 
 def _cmd_run_faults(scenario_name: str, fast: bool, workers: int) -> int:
-    """Run the paired chaos study for one fault scenario."""
-    from dataclasses import replace
+    """Run the paired chaos study for one fault scenario.
 
-    from repro.experiments.chaos import ChaosStudyConfig, run_chaos_study
+    Every scenario is registered as the experiment of the same name.
+    """
     from repro.faults import get_scenario
 
     scenario = get_scenario(scenario_name)
-    config = ChaosStudyConfig(scenario=scenario.name)
-    if fast:
-        config = replace(config, warmup=8.0, duration=30.0)
-    print(
-        f"running chaos scenario {scenario.name} "
-        "(paired control/Riptide simulation; this takes a while)..."
+    return _cmd_run(
+        scenario.name,
+        fast,
+        workers,
+        banner=f"running chaos scenario {scenario.name} "
+        "(paired control/Riptide simulation; this takes a while)...",
     )
-    started = time.perf_counter()
-    result = run_chaos_study(config, workers=workers)
-    elapsed = time.perf_counter() - started
-    print(result.report())
-    print(f"\n[{scenario.name} completed in {elapsed:.1f}s]")
-    return 0
 
 
 def _cmd_tournament(
@@ -661,16 +502,16 @@ def _cmd_tournament(
     markdown_path: str | None,
 ) -> int:
     """Race the policy zoo; print and optionally write the leaderboard."""
+    from dataclasses import replace
+
     from repro.experiments.tournament import TournamentConfig, run_tournament
 
-    selected_policies = tuple(policies) if policies else ()
-    selected_scenarios = tuple(scenarios) if scenarios else ()
-    if fast:
-        config = _fast_tournament_config(selected_policies, selected_scenarios)
-    else:
-        config = TournamentConfig(
-            policies=selected_policies, scenarios=selected_scenarios
-        )
+    base = get_experiment("tournament").fast["config"] if fast else TournamentConfig()
+    config = replace(
+        base,
+        policies=tuple(policies) if policies else (),
+        scenarios=tuple(scenarios) if scenarios else (),
+    )
     try:
         cell_count = len(config.resolved_policies()) * len(
             config.resolved_scenarios()
@@ -780,16 +621,7 @@ def _run_captured(
     from them) are byte-identical between serial and ``--workers N``.
     """
     exp = get_experiment(experiment_id)
-    kwargs = _fast_kwargs(experiment_id) if fast else {}
-    if workers > 1:
-        if exp.supports_workers:
-            kwargs["workers"] = workers
-        else:
-            print(
-                f"note: {experiment_id} has no independent simulation arms; "
-                "running serially",
-                file=sys.stderr,
-            )
+    kwargs = _run_kwargs(exp, fast, workers)
     if exp.simulation_backed:
         print(
             f"running {experiment_id} under {what} capture "
@@ -800,17 +632,33 @@ def _run_captured(
     with capture() as instrumentation:
         exp.run(**kwargs)
     elapsed = time.perf_counter() - started
+    _warn_truncation(instrumentation)
     return instrumentation, elapsed
 
 
-def _warn_trace_truncation(instrumentation) -> None:
-    dropped = instrumentation.trace.dropped
-    if dropped > 0:
-        print(
-            f"warning: trace ring dropped {dropped} oldest events "
-            f"(retained {len(instrumentation.trace)}); totals stay exact",
-            file=sys.stderr,
-        )
+def _warn_truncation(instrumentation) -> None:
+    """Say on stderr which bounded stores kept only part of the run.
+
+    Everything a verb prints is computed from what the stores retained,
+    so a saturated store makes it a report on a prefix of the run (the
+    trace ring: a suffix).  Stderr only — the artifacts stay byte-stable.
+    """
+    stores = {
+        "trace ring": instrumentation.trace,
+        "flow log": instrumentation.flows,
+        "span log": instrumentation.spans,
+        "timeline": instrumentation.timeline,
+        "tsdb": instrumentation.tsdb,
+        "alert log": instrumentation.alerts,
+    }
+    for name, store in stores.items():
+        if store.dropped > 0:
+            print(
+                f"warning: {name} dropped {store.dropped} of "
+                f"{len(store) + store.dropped} records "
+                f"(retained {len(store)})",
+                file=sys.stderr,
+            )
 
 
 def _cmd_metrics(
@@ -853,7 +701,6 @@ def _cmd_metrics(
             ):
                 print(f"{event_type.value:<{width}}  {count}")
         print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    _warn_trace_truncation(instrumentation)
     if csv_path is not None:
         from repro.analysis.export import write_csv
 
@@ -913,7 +760,6 @@ def _cmd_flows(
             + "  ".join(f"{k}={v}" for k, v in sorted(by_state.items()))
         )
         print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    _warn_trace_truncation(instrumentation)
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as handle:
             handle.write(flows_to_jsonl(flows, since=since, until=until))
@@ -1083,54 +929,6 @@ def _cmd_watch(
     return 0
 
 
-def _cmd_bench(
-    out: str | None,
-    workers: int,
-    seeds: int,
-    smoke: bool,
-    baseline: str | None,
-    guard: bool,
-    guard_min_ratio: float,
-) -> int:
-    from repro.bench import (
-        DEFAULT_BASELINE,
-        DEFAULT_OUTPUT,
-        format_bench,
-        guard_regression,
-        load_baseline,
-        run_bench,
-        write_bench,
-    )
-
-    baseline_path = baseline if baseline is not None else DEFAULT_BASELINE
-    print("running perf baseline (this takes a while)...", file=sys.stderr)
-    payload = run_bench(
-        workers=workers, seeds=seeds, smoke=smoke, baseline_path=baseline_path
-    )
-    path = write_bench(payload, out if out is not None else DEFAULT_OUTPUT)
-    print(format_bench(payload))
-    print(f"\nbench written to {path}", file=sys.stderr)
-    if guard:
-        prior = load_baseline(baseline_path)
-        if prior is None:
-            print(
-                f"error: --guard needs a readable baseline artifact at "
-                f"{baseline_path}",
-                file=sys.stderr,
-            )
-            return 2
-        failures = guard_regression(payload, prior, min_ratio=guard_min_ratio)
-        for failure in failures:
-            print(f"bench guard: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(
-            f"bench guard: kernel throughput holds against {baseline_path}",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -1182,16 +980,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.command == "faults":
         return _cmd_faults(args.duration)
-    if args.command == "bench":
-        return _cmd_bench(
-            args.out,
-            args.workers,
-            args.seeds,
-            args.smoke,
-            args.baseline,
-            args.guard,
-            args.guard_min_ratio,
-        )
     if args.command == "metrics":
         try:
             return _cmd_metrics(

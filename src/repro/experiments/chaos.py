@@ -21,34 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from statistics import median
 
-
-from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.probes import ProbeFleet, ProbeResultSet
+from repro.analysis.tables import format_table
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
-from repro.faults.engine import FaultInjector
+from repro.experiments.scenarios import (
+    StudyArm,
+    StudyConfig,
+    StudySummary,
+    control_and_riptide,
+    run_arm_pair,
+)
 from repro.faults.scenarios import ChaosScenario, ExpectedAlert, get_scenario
-from repro.obs.slo import AlertEpisode, source_matches_arm
-from repro.tcp.constants import TcpConfig
+from repro.obs.slo import AlertEpisode
 
 #: Fractional slack on the median verdict: "matches" means within this.
 VERDICT_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
-class ChaosStudyConfig:
+class ChaosStudyConfig(StudyConfig):
     """Knobs for a paired chaos study."""
 
     scenario: str = "chaos_lossy_agent"
-    seed: int = 42
-    #: Simulated seconds of organic traffic before probing and faults.
-    warmup: float = 20.0
-    #: Simulated seconds of probing; the fault schedule is scaled to it.
     duration: float = 90.0
-    probe_interval: float = 6.0
-    organic_rate: float = 3.0
-    close_probability: float = 0.35
-    probe_churn: float = 0.4
     #: The chaos arms enable the safety guard — it is the resilience
     #: policy under test — on top of the evaluation's prefix granularity.
     riptide: RiptideConfig = field(
@@ -56,76 +50,6 @@ class ChaosStudyConfig:
             granularity="prefix", prefix_length=16, safety_guard=True
         )
     )
-    cluster: ClusterConfig = field(
-        default_factory=lambda: ClusterConfig(
-            tcp=TcpConfig(default_initrwnd=300, slow_start_after_idle=False)
-        )
-    )
-
-
-@dataclass
-class ChaosArmRun:
-    """One live arm of a chaos study."""
-
-    cluster: CdnCluster
-    fleet: ProbeFleet
-    injector: FaultInjector
-    riptide_enabled: bool
-
-    def summary(self) -> "ChaosArmSummary":
-        """Detach the picklable measurements from the live cluster."""
-        agents = self.cluster.all_agents()
-        # Only this arm's alert episodes: a serial run captures both arms
-        # into one shared log, so filter by the arm-qualified source.
-        label = self.cluster.config.label
-        alerts = tuple(
-            episode
-            for episode in self.cluster.sim.obs.alerts.episodes()
-            if source_matches_arm(episode.source, label)
-        )
-        return ChaosArmSummary(
-            alerts=alerts,
-            fleet=self.fleet.result_set(),
-            riptide_enabled=self.riptide_enabled,
-            faults_injected=self.injector.injected,
-            faults_cleared=self.injector.cleared,
-            guard_trips=sum(agent.stats.guard_trips for agent in agents),
-            crashes=sum(agent.stats.crashes for agent in agents),
-            poll_failures=sum(agent.stats.poll_failures for agent in agents),
-            tool_errors=sum(agent.stats.tool_errors for agent in agents),
-            tool_retries=sum(agent.stats.tool_retries for agent in agents),
-            learned_routes=sum(
-                len(agent.learned_table()) for agent in agents
-            ),
-            events_processed=self.cluster.sim.events_processed,
-        )
-
-
-@dataclass
-class ChaosArmSummary:
-    """One arm's measurements, detached from its simulator."""
-
-    fleet: ProbeResultSet
-    riptide_enabled: bool
-    faults_injected: int
-    faults_cleared: int
-    guard_trips: int
-    crashes: int
-    poll_failures: int
-    tool_errors: int
-    tool_retries: int
-    learned_routes: int
-    events_processed: int
-    #: This arm's SLO alert episodes (begin order, arm-filtered).
-    alerts: tuple[AlertEpisode, ...] = ()
-
-
-ChaosArm = ChaosArmRun | ChaosArmSummary
-
-
-def _arm_counters(arm: ChaosArm) -> "ChaosArmSummary":
-    """Both arm flavours viewed as a summary (live arms are detached)."""
-    return arm if isinstance(arm, ChaosArmSummary) else arm.summary()
 
 
 def check_expected_alert(
@@ -146,55 +70,15 @@ def check_expected_alert(
     return True, detail
 
 
-def run_chaos_arm(
-    config: ChaosStudyConfig, riptide_enabled: bool
-) -> ChaosArmRun:
-    """Build and run one arm under the scenario's fault schedule.
-
-    Both arms share seed, topology, workloads, probe schedule *and
-    faults*; only whether Riptide runs differs.
-    """
+def chaos_study_arms(config: ChaosStudyConfig) -> tuple[StudyArm, StudyArm]:
+    """The ``(control, riptide)`` arms, both under the scenario's faults."""
     scenario = get_scenario(config.scenario)
-    topology = sub_topology(scenario.pop_codes)
-    cluster_config = replace(
-        config.cluster,
-        seed=config.seed,
-        riptide=config.riptide,
-        label="riptide" if riptide_enabled else "control",
-    )
-    cluster = CdnCluster(topology, cluster_config)
-    from repro.cdn.workload import OrganicWorkloadConfig
-
-    workload_config = OrganicWorkloadConfig(
-        rate_per_second=config.organic_rate,
-        close_probability=config.close_probability,
-    )
-    codes = cluster.pop_codes
-    for code in codes:
-        cluster.add_organic_workload(
-            code, [c for c in codes if c != code], workload_config
-        )
-    if riptide_enabled:
-        cluster.start_riptide()
-    cluster.run(config.warmup)
-    fleet = cluster.make_probe_fleet(
-        [scenario.source_pop],
-        interval=config.probe_interval,
-        host_indices=[1],
-        churn_probability=config.probe_churn,
-    )
-    cluster.start_timeline_sampler()
-    cluster.start_slo()
-    fleet.start(initial_delay=0.0)
-    injector = FaultInjector(cluster, scenario.build(config.duration))
-    injector.arm()
-    cluster.run(config.duration)
-    cluster.sync_flows()
-    return ChaosArmRun(
-        cluster=cluster,
-        fleet=fleet,
-        injector=injector,
-        riptide_enabled=riptide_enabled,
+    return control_and_riptide(
+        config,
+        pop_codes=scenario.pop_codes,
+        source_pops=(scenario.source_pop,),
+        fault_scenario=scenario.name,
+        slo=True,
     )
 
 
@@ -204,10 +88,10 @@ class ChaosStudyResult:
 
     scenario: ChaosScenario
     duration: float
-    control: ChaosArm
-    riptide: ChaosArm
+    control: StudySummary
+    riptide: StudySummary
 
-    def _times(self, arm: ChaosArm, new_only: bool) -> list[float]:
+    def _times(self, arm: StudySummary, new_only: bool) -> list[float]:
         return arm.fleet.completion_times(new_connections_only=new_only)
 
     def median_gain(self, new_only: bool = True) -> float | None:
@@ -235,17 +119,12 @@ class ChaosStudyResult:
             return True
         return gain >= -VERDICT_TOLERANCE
 
-    def _arm_alerts(self, arm_label: str) -> tuple[AlertEpisode, ...]:
-        arm = self.riptide if arm_label == "riptide" else self.control
-        return _arm_counters(arm).alerts
-
     def alert_assertion_results(self) -> list[tuple[ExpectedAlert, bool, str]]:
         """Each scenario expectation judged against the matching arm."""
         results = []
         for expectation in self.scenario.expected_alerts:
-            ok, detail = check_expected_alert(
-                expectation, self._arm_alerts(expectation.arm)
-            )
+            arm = self.riptide if expectation.arm == "riptide" else self.control
+            ok, detail = check_expected_alert(expectation, arm.alerts)
             results.append((expectation, ok, detail))
         return results
 
@@ -255,10 +134,7 @@ class ChaosStudyResult:
         return all(ok for _, ok, _ in self.alert_assertion_results())
 
     def report(self) -> str:
-        from repro.analysis.tables import format_table
-
-        control = _arm_counters(self.control)
-        riptide = _arm_counters(self.riptide)
+        control, riptide = self.control, self.riptide
         rows = []
         for label, new_only in (("all probes", False), ("new connections", True)):
             control_times = self._times(self.control, new_only)
@@ -332,31 +208,14 @@ def run_chaos_study(
 ) -> ChaosStudyResult:
     """Run control and Riptide arms under the same fault schedule.
 
-    With ``workers`` > 1 the two independent arms run in forked worker
-    processes (:mod:`repro.parallel`) and come back as detached
-    summaries — byte-identical measurements to the serial path.
+    The result carries detached summaries whether the arms ran serially
+    or in forked workers (:func:`~repro.experiments.scenarios.run_arm_pair`).
     """
     config = config if config is not None else ChaosStudyConfig()
     scenario = get_scenario(config.scenario)
-    if workers > 1:
-        from repro.parallel import run_tasks
-
-        control, riptide = run_tasks(
-            [
-                lambda: run_chaos_arm(config, riptide_enabled=False).summary(),
-                lambda: run_chaos_arm(config, riptide_enabled=True).summary(),
-            ],
-            workers=min(workers, 2),
-            labels=[
-                f"{scenario.name}:control",
-                f"{scenario.name}:riptide",
-            ],
-        )
-    else:
-        # Detach summaries on the serial path too: the result carries the
-        # same types either way, and the live clusters can be collected.
-        control = run_chaos_arm(config, riptide_enabled=False).summary()
-        riptide = run_chaos_arm(config, riptide_enabled=True).summary()
+    control, riptide = run_arm_pair(
+        scenario.name, chaos_study_arms(config), workers
+    )
     return ChaosStudyResult(
         scenario=scenario,
         duration=config.duration,

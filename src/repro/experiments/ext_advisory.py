@@ -22,7 +22,7 @@ from repro.analysis.tables import format_table
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
+from repro.experiments.scenarios import add_organic_mesh, sub_topology
 
 SHIFT_FETCH_BYTES = 150_000
 
@@ -80,12 +80,7 @@ def _run_arm(
         riptide=RiptideConfig(granularity="prefix", prefix_length=16),
     )
     cluster = CdnCluster(topology, cluster_config)
-    cluster.add_organic_workload(
-        "LHR", ["JFK"], OrganicWorkloadConfig(rate_per_second=4.0)
-    )
-    cluster.add_organic_workload(
-        "JFK", ["LHR"], OrganicWorkloadConfig(rate_per_second=4.0)
-    )
+    add_organic_mesh(cluster, OrganicWorkloadConfig(rate_per_second=4.0))
     if riptide_on:
         cluster.start_riptide()
     cluster.run(25.0)

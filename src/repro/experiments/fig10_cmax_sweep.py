@@ -19,7 +19,11 @@ from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.topology import Topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import EVALUATION_POP_CODES, sub_topology
+from repro.experiments.scenarios import (
+    EVALUATION_POP_CODES,
+    add_organic_mesh,
+    sub_topology,
+)
 
 PAPER_CMAX_VALUES = (50, 100, 150, 200, 250)
 
@@ -80,10 +84,7 @@ def run_single(
     cluster = CdnCluster(
         topology, replace(ClusterConfig(seed=seed), riptide=riptide_config)
     )
-    workload = OrganicWorkloadConfig(rate_per_second=organic_rate)
-    codes = cluster.pop_codes
-    for code in codes:
-        cluster.add_organic_workload(code, [c for c in codes if c != code], workload)
+    add_organic_mesh(cluster, OrganicWorkloadConfig(rate_per_second=organic_rate))
     if c_max is not None:
         started = cluster.start_riptide()
     else:

@@ -16,7 +16,7 @@ from repro.analysis.tables import format_cdf_rows
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
+from repro.experiments.scenarios import add_organic_mesh, sub_topology
 
 #: Probe-only vantage / organic ("busiest in the network") vantage.
 PROBE_ONLY_POP = "ARN"
@@ -97,13 +97,11 @@ def run(
     codes = cluster.pop_codes
     # Organic traffic everywhere except the probe-only PoP (and nobody
     # fetches *from* it either, so its links see only probe traffic).
-    busy_codes = [c for c in codes if c != PROBE_ONLY_POP]
-    for code in busy_codes:
-        cluster.add_organic_workload(
-            code,
-            [c for c in busy_codes if c != code],
-            OrganicWorkloadConfig(rate_per_second=organic_rate),
-        )
+    add_organic_mesh(
+        cluster,
+        OrganicWorkloadConfig(rate_per_second=organic_rate),
+        codes=[c for c in codes if c != PROBE_ONLY_POP],
+    )
     started = cluster.start_riptide()
     cluster.run(warmup)
     # Every PoP probes every other (Section IV-A), so the probe-only PoP

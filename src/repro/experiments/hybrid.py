@@ -47,7 +47,14 @@ from repro.cdn.probes import PAPER_PROBE_SIZES, ProbeResultSet, RTT_BUCKETS
 from repro.cdn.topology import build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
+from repro.experiments.scenarios import (
+    PacketMesh,
+    StudyArm,
+    StudyConfig,
+    StudySummary,
+    run_arm_pair,
+    run_study_arm,
+)
 from repro.sim.fluid import FluidConfig
 from repro.tcp.constants import DEFAULT_MSS, TcpConfig
 
@@ -87,118 +94,30 @@ def mean_object_segments(
 
 
 @dataclass(frozen=True)
-class HybridStudyConfig:
-    """One seeded small-scale scenario, runnable in either mode."""
+class HybridStudyConfig(StudyConfig):
+    """One seeded small-scale scenario, runnable in either mode.
+
+    The fluid arm derives its drift/churn from the packet arm's organic
+    rate, close probability and object cap.
+    """
 
     topology_codes: tuple[str, ...] = DIFFERENTIAL_POP_CODES
     source_pops: tuple[str, ...] = ("LHR",)
-    seed: int = 42
     warmup: float = 15.0
     duration: float = 45.0
     probe_interval: float = 5.0
-    #: Packet-arm organic traffic per source host (fetches/second); the
-    #: fluid arm derives its drift/churn from the same numbers.
-    organic_rate: float = 3.0
-    close_probability: float = 0.35
     #: Cap on fetched object size.  Kept moderate so the learned windows
     #: sit *between* the floor and c_max — a discriminating regime where
     #: the two arms could actually disagree.
     max_object_bytes: int = 120_000
-    probe_churn: float = 0.4
     #: Segments a fetch *request* adds to the client-side socket.
     request_segments: float = 1.0
     fluid: FluidConfig = field(default_factory=FluidConfig)
-    riptide: RiptideConfig = field(
-        default_factory=lambda: RiptideConfig(granularity="prefix", prefix_length=16)
-    )
-    cluster: ClusterConfig = field(
-        default_factory=lambda: ClusterConfig(
-            tcp=TcpConfig(default_initrwnd=300, slow_start_after_idle=False)
-        )
-    )
 
 
-@dataclass
-class HybridArmSummary:
-    """One arm of the differential, detached from its simulator."""
-
-    mode: str
-    #: (pop_code, destination prefix) -> learned window on host 0's agent.
-    advisories: dict[tuple[str, str], int]
-    probes: ProbeResultSet
-    learned_routes: int
-    events_processed: int
-    fluid_flows: float
-    fluid_steps: int
-
-
-def run_arm(config: HybridStudyConfig, mode: str) -> HybridArmSummary:
-    """Run one seeded arm: ``mode`` is ``"packet"`` or ``"hybrid"``.
-
-    Both arms share seed, topology, Riptide config and the (packet
-    granular) probe schedule; only the background population's substrate
-    differs.
-    """
-    if mode not in ("packet", "hybrid"):
-        raise ValueError(f"mode must be 'packet' or 'hybrid', got {mode!r}")
-    topology = sub_topology(config.topology_codes)
-    cluster = CdnCluster(
-        topology,
-        replace(
-            config.cluster,
-            seed=config.seed,
-            riptide=config.riptide,
-            label=mode,
-        ),
-    )
-    codes = cluster.pop_codes
-    cluster.start_riptide()
-    if mode == "packet":
-        workload_config = OrganicWorkloadConfig(
-            rate_per_second=config.organic_rate,
-            close_probability=config.close_probability,
-            max_object_bytes=config.max_object_bytes,
-        )
-        for code in codes:
-            cluster.add_organic_workload(
-                code, [c for c in codes if c != code], workload_config
-            )
-    else:
-        _add_mirror_populations(cluster, config)
-    cluster.run(config.warmup)
-    fleet = cluster.make_probe_fleet(
-        list(config.source_pops),
-        interval=config.probe_interval,
-        host_indices=[1],
-        churn_probability=config.probe_churn,
-    )
-    cluster.start_timeline_sampler()
-    fleet.start(initial_delay=0.0)
-    cluster.run(config.duration)
-    cluster.sync_flows()
-    advisories: dict[tuple[str, str], int] = {}
-    for code in codes:
-        agent = cluster.agents(code)[0]
-        for prefix, window in sorted(
-            agent.learned_table().windows().items(), key=lambda kv: str(kv[0])
-        ):
-            advisories[(code, str(prefix))] = window
-    fluid = cluster.fluid
-    return HybridArmSummary(
-        mode=mode,
-        advisories=advisories,
-        probes=fleet.result_set(),
-        learned_routes=sum(
-            len(agent.learned_table()) for agent in cluster.all_agents()
-        ),
-        events_processed=cluster.sim.events_processed,
-        fluid_flows=fluid.total_flows() if fluid is not None else 0.0,
-        fluid_steps=fluid.steps if fluid is not None else 0,
-    )
-
-
-def _add_mirror_populations(cluster: CdnCluster, config: HybridStudyConfig) -> None:
-    """Register fluid cohorts mirroring the packet arm's organic mesh.
+@dataclass(frozen=True)
+class FluidMirror:
+    """Fluid cohorts mirroring the organic mesh the packet arm would run.
 
     For each host 0 and each remote PoP, two cohorts reproduce what the
     packet arm's ``ss`` polls would show toward that prefix: the serving
@@ -206,54 +125,87 @@ def _add_mirror_populations(cluster: CdnCluster, config: HybridStudyConfig) -> N
     objects) and the fetching sockets (one per remote address, windows
     grown only by requests).
     """
-    sizes = FileSizeDistribution.production_cdn()
-    mean_segments = mean_object_segments(sizes, config.max_object_bytes)
-    codes = cluster.pop_codes
-    for code in codes:
-        others = [c for c in codes if c != code]
-        n_addresses = sum(
-            len(cluster.pop(c).server_addresses()) for c in others
-        )
-        rate_per_address = config.organic_rate / n_addresses
-        churn = rate_per_address * config.close_probability
-        for dest in others:
-            # Serving side: the remote PoP's one workload client fetches
-            # whole objects from this host.  The socket is idle between
-            # fetches, so its send rate — and therefore its loss
-            # exposure — is the fetch schedule's, not w/rtt.
-            serve_rate = rate_per_address * mean_segments
-            cluster.add_fluid_traffic(
-                code,
-                [dest],
-                flows_per_destination=1.0,
-                growth_segments_per_sec=serve_rate,
-                send_segments_per_flow_per_sec=serve_rate,
-                churn_per_flow_per_sec=churn,
-                config=config.fluid,
+
+    request_segments: float
+    fluid: FluidConfig
+
+    def register(self, cluster: CdnCluster, arm: StudyArm) -> None:
+        sizes = FileSizeDistribution.production_cdn()
+        mean_segments = mean_object_segments(sizes, arm.max_object_bytes)
+        codes = cluster.pop_codes
+        for code in codes:
+            others = [c for c in codes if c != code]
+            n_addresses = sum(
+                len(cluster.pop(c).server_addresses()) for c in others
             )
-            # Fetching side: this host's workload client holds one
-            # connection per remote address, grown by request segments.
-            fetch_rate = rate_per_address * config.request_segments
-            cluster.add_fluid_traffic(
-                code,
-                [dest],
-                flows_per_destination=float(
-                    len(cluster.pop(dest).server_addresses())
-                ),
-                growth_segments_per_sec=fetch_rate,
-                send_segments_per_flow_per_sec=fetch_rate,
-                churn_per_flow_per_sec=churn,
-                is_client=True,
-                config=config.fluid,
-            )
+            rate_per_address = arm.organic_rate / n_addresses
+            churn = rate_per_address * arm.close_probability
+            for dest in others:
+                # Serving side: the remote PoP's one workload client fetches
+                # whole objects from this host.  The socket is idle between
+                # fetches, so its send rate — and therefore its loss
+                # exposure — is the fetch schedule's, not w/rtt.
+                serve_rate = rate_per_address * mean_segments
+                cluster.add_fluid_traffic(
+                    code,
+                    [dest],
+                    flows_per_destination=1.0,
+                    growth_segments_per_sec=serve_rate,
+                    send_segments_per_flow_per_sec=serve_rate,
+                    churn_per_flow_per_sec=churn,
+                    config=self.fluid,
+                )
+                # Fetching side: this host's workload client holds one
+                # connection per remote address, grown by request segments.
+                fetch_rate = rate_per_address * self.request_segments
+                cluster.add_fluid_traffic(
+                    code,
+                    [dest],
+                    flows_per_destination=float(
+                        len(cluster.pop(dest).server_addresses())
+                    ),
+                    growth_segments_per_sec=fetch_rate,
+                    send_segments_per_flow_per_sec=fetch_rate,
+                    churn_per_flow_per_sec=churn,
+                    is_client=True,
+                    config=self.fluid,
+                )
+
+
+def differential_arm(config: HybridStudyConfig, mode: str) -> StudyArm:
+    """One seeded arm: ``mode`` is ``"packet"`` or ``"hybrid"``.
+
+    Both arms share seed, topology, Riptide config and the (packet
+    granular) probe schedule; only the background population's substrate
+    differs.
+    """
+    backgrounds = {
+        "packet": PacketMesh(),
+        "hybrid": FluidMirror(config.request_segments, config.fluid),
+    }
+    if mode not in backgrounds:
+        raise ValueError(f"mode must be 'packet' or 'hybrid', got {mode!r}")
+    return config.arm(
+        pop_codes=config.topology_codes,
+        source_pops=config.source_pops,
+        label=mode,
+        riptide_enabled=True,
+        max_object_bytes=config.max_object_bytes,
+        background=backgrounds[mode],
+    )
+
+
+def run_arm(config: HybridStudyConfig, mode: str) -> StudySummary:
+    """Run one arm of the differential and detach its measurements."""
+    return run_study_arm(differential_arm(config, mode)).summary()
 
 
 @dataclass
 class HybridDifferentialResult:
     """Packet vs hybrid agreement on learning and probe anchors."""
 
-    packet: HybridArmSummary
-    hybrid: HybridArmSummary
+    packet: StudySummary
+    hybrid: StudySummary
 
     # -- learner agreement ---------------------------------------------
 
@@ -285,10 +237,10 @@ class HybridDifferentialResult:
         deltas: dict[tuple[int, str], float] = {}
         for size in PAPER_PROBE_SIZES:
             for bucket in BUCKET_LABELS:
-                packet_times = self.packet.probes.completion_times(
+                packet_times = self.packet.fleet.completion_times(
                     size_bytes=size, bucket=bucket
                 )
-                hybrid_times = self.hybrid.probes.completion_times(
+                hybrid_times = self.hybrid.fleet.completion_times(
                     size_bytes=size, bucket=bucket
                 )
                 if not packet_times or not hybrid_times:
@@ -323,7 +275,7 @@ class HybridDifferentialResult:
             )
             return fast / len(results)
 
-        return fraction(self.packet.probes), fraction(self.hybrid.probes)
+        return fraction(self.packet.fleet), fraction(self.hybrid.fleet)
 
     def first_window_fraction_delta(self) -> float:
         """Worst absolute disagreement of the Figure 3-style fractions."""
@@ -368,22 +320,12 @@ def run_differential(
     them in forked workers (bit-identical results, same order).
     """
     config = config if config is not None else HybridStudyConfig()
-    if workers > 1:
-        from repro.parallel import run_tasks
-
-        packet, hybrid = run_tasks(
-            [
-                lambda: run_arm(config, "packet"),
-                lambda: run_arm(config, "hybrid"),
-            ],
-            workers=min(workers, 2),
-            labels=["hybrid-study:packet", "hybrid-study:hybrid"],
-        )
-        return HybridDifferentialResult(packet=packet, hybrid=hybrid)
-    return HybridDifferentialResult(
-        packet=run_arm(config, "packet"),
-        hybrid=run_arm(config, "hybrid"),
+    packet, hybrid = run_arm_pair(
+        "hybrid-study",
+        (differential_arm(config, "packet"), differential_arm(config, "hybrid")),
+        workers,
     )
+    return HybridDifferentialResult(packet=packet, hybrid=hybrid)
 
 
 # ----------------------------------------------------------------------

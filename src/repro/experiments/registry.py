@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.experiments import (
     chaos,
@@ -23,6 +24,7 @@ from repro.experiments import (
     table2_pops,
     tournament,
 )
+from repro.experiments.scenarios import ProbeStudyConfig
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,24 @@ class Experiment:
     #: Chaos scenario this experiment pairs with (``repro faults``), when
     #: its simulation runs under an injected fault schedule.
     fault_scenario: str | None = None
+    #: Keyword arguments ``run`` takes for a reduced-scale run
+    #: (``--fast``): a smaller topology, fewer samples or a shorter clock.
+    fast: Mapping[str, Any] = field(default_factory=dict)
+
+
+#: The reduced evaluation footprint: one PoP per RTT bucket from LHR.
+_FAST_POP_CODES = ("LHR", "AMS", "JFK", "NRT", "SYD")
+
+_FAST_PROBE_STUDY = {
+    "config": ProbeStudyConfig(
+        topology_codes=_FAST_POP_CODES, warmup=10.0, duration=30.0
+    )
+}
+
+#: Each chaos runner pins its own scenario onto the config it is given.
+_FAST_CHAOS_STUDY = {
+    "config": chaos.ChaosStudyConfig(warmup=8.0, duration=30.0)
+}
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -50,18 +70,21 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Production CDN file-size distribution (54% exceed IW10)",
             fig02_filesizes.run,
             simulation_backed=False,
+            fast={"samples": 20_000},
         ),
         Experiment(
             "fig03",
             "RTTs to complete transfers under IW 10/25/50/100",
             fig03_rtt_cdf.run,
             simulation_backed=False,
+            fast={"samples": 20_000},
         ),
         Experiment(
             "fig04",
             "Theoretical RTT reduction vs file size for IW 25/50/100",
             fig04_theoretical_gain.run,
             simulation_backed=False,
+            fast={"points": 100},
         ),
         Experiment(
             "fig05",
@@ -87,12 +110,19 @@ EXPERIMENTS: dict[str, Experiment] = {
             fig10_cmax_sweep.run,
             simulation_backed=True,
             supports_workers=True,
+            fast={
+                "c_max_values": (50, 100, 250),
+                "topology_codes": _FAST_POP_CODES,
+                "duration": 20.0,
+                "warmup": 5.0,
+            },
         ),
         Experiment(
             "fig11",
             "Probe-only vs organic-traffic PoP window profiles",
             fig11_traffic_profiles.run,
             simulation_backed=True,
+            fast={"duration": 45.0},
         ),
         Experiment(
             "fig12_14",
@@ -100,6 +130,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             fig12_14_probe_times.run,
             simulation_backed=True,
             supports_workers=True,
+            fast=_FAST_PROBE_STUDY,
         ),
         Experiment(
             "fig15_16",
@@ -107,6 +138,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             fig15_16_percentile_gain.run,
             simulation_backed=True,
             supports_workers=True,
+            fast=_FAST_PROBE_STUDY,
         ),
         Experiment(
             "edge_cases",
@@ -114,12 +146,17 @@ EXPERIMENTS: dict[str, Experiment] = {
             edge_cases.run,
             simulation_backed=True,
             supports_workers=True,
+            fast=_FAST_PROBE_STUDY,
         ),
         Experiment(
             "hybrid",
             "Mean-field hybrid: 34 PoPs, 10^6 open background flows per window",
             hybrid.run,
             simulation_backed=True,
+            # Keep the full 34-PoP topology but shrink the population and
+            # clock: the CI scale-smoke job runs this to exercise the whole
+            # fluid path.
+            fast={"flows_per_pair": 100.0, "warmup": 3.0, "duration": 10.0},
         ),
         Experiment(
             "ext_diurnal",
@@ -140,6 +177,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             simulation_backed=True,
             supports_workers=True,
             fault_scenario="chaos_lossy_agent",
+            fast=_FAST_CHAOS_STUDY,
         ),
         Experiment(
             "chaos_partition",
@@ -148,6 +186,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             simulation_backed=True,
             supports_workers=True,
             fault_scenario="chaos_partition",
+            fast=_FAST_CHAOS_STUDY,
         ),
         Experiment(
             "chaos_flaky_tools",
@@ -156,13 +195,19 @@ EXPERIMENTS: dict[str, Experiment] = {
             simulation_backed=True,
             supports_workers=True,
             fault_scenario="chaos_flaky_tools",
+            fast=_FAST_CHAOS_STUDY,
         ),
         Experiment(
             "tournament",
             "Policy zoo tournament: every window policy x every scenario",
-            tournament.run,
+            tournament.run_tournament,
             simulation_backed=True,
             supports_workers=True,
+            fast={
+                "config": tournament.TournamentConfig(
+                    warmup=3.0, duration=10.0, probe_interval=2.0
+                )
+            },
         ),
     )
 }

@@ -1,4 +1,10 @@
-"""Shared scenario builders for the simulation-backed experiments.
+"""The study arm every simulation-backed study runs, and its builders.
+
+Section IV is one experiment shape: identical hosts and traffic, arms
+that differ in one thing, diagnostic probes bucketed by RTT.
+:class:`StudyArm` describes one arm and :func:`run_study_arm` runs it;
+the probe, chaos, hybrid-differential and tournament studies differ only
+in the arms they describe.
 
 The paper evaluates on the production 34-PoP CDN over 12-20 hours.  The
 simulated counterpart compresses wall-clock (probes every few seconds
@@ -10,14 +16,18 @@ the number of samples shrinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Protocol
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.probes import ProbeFleet, ProbeResultSet
 from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
+from repro.faults.engine import FaultInjector
+from repro.faults.scenarios import get_scenario
+from repro.obs.slo import AlertEpisode, source_matches_arm
+from repro.parallel import run_tasks
 from repro.tcp.constants import TcpConfig
 
 #: The two vantage PoPs of Section IV-B: one European, one North American.
@@ -55,16 +65,30 @@ def sub_topology(codes: tuple[str, ...] = EVALUATION_POP_CODES) -> Topology:
     )
 
 
-@dataclass(frozen=True)
-class ProbeStudyConfig:
-    """Knobs for a paired (control vs Riptide) probe study."""
+def add_organic_mesh(
+    cluster: CdnCluster,
+    workload_config: OrganicWorkloadConfig,
+    codes: list[str] | None = None,
+) -> None:
+    """Organic fetches from host 0 of every PoP to every other PoP.
 
-    topology_codes: tuple[str, ...] = EVALUATION_POP_CODES
-    source_pops: tuple[str, ...] = (EU_SOURCE, NA_SOURCE)
+    ``codes`` restricts the mesh to a subset of the cluster's PoPs (the
+    rest neither fetch nor serve organic traffic).
+    """
+    codes = cluster.pop_codes if codes is None else codes
+    for code in codes:
+        # A PoP never fetches from itself: the cluster skips it.
+        cluster.add_organic_workload(code, codes, workload_config)
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """The knobs every paired study shares; each family adds its own."""
+
     seed: int = 42
-    #: Simulated seconds of organic traffic before probing starts.
+    #: Simulated seconds of organic traffic before probing (and faults).
     warmup: float = 20.0
-    #: Simulated seconds of probing.
+    #: Simulated seconds of probing; fault schedules are scaled to it.
     duration: float = 60.0
     #: Seconds between probe rounds (the paper's "hourly", compressed).
     probe_interval: float = 6.0
@@ -93,92 +117,260 @@ class ProbeStudyConfig:
         )
     )
 
+    def arm(self, **specifics: Any) -> "StudyArm":
+        """One arm of this study: the shared knobs plus ``specifics``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(StudyConfig)}
+        return StudyArm(**shared, **specifics)
+
+
+@dataclass(frozen=True)
+class ProbeStudyConfig(StudyConfig):
+    """Knobs for a paired (control vs Riptide) probe study."""
+
+    topology_codes: tuple[str, ...] = EVALUATION_POP_CODES
+    source_pops: tuple[str, ...] = (EU_SOURCE, NA_SOURCE)
+
+
+class Background(Protocol):
+    """The traffic a study's probes ride alongside."""
+
+    def register(self, cluster: CdnCluster, arm: "StudyArm") -> None:
+        """Attach (and start) the background traffic on a fresh cluster."""
+
+
+@dataclass(frozen=True)
+class PacketMesh:
+    """Packet-granular organic fetches between every pair of PoPs."""
+
+    #: Mean-field flows per PoP pair sharing every trunk with the mesh
+    #: (0 = none).
+    fluid_flows_per_pair: float = 0.0
+
+    def register(self, cluster: CdnCluster, arm: "StudyArm") -> None:
+        add_organic_mesh(
+            cluster,
+            OrganicWorkloadConfig(
+                rate_per_second=arm.organic_rate,
+                close_probability=arm.close_probability,
+                max_object_bytes=arm.max_object_bytes,
+            ),
+        )
+        if self.fluid_flows_per_pair > 0:
+            for code in cluster.pop_codes:
+                cluster.add_fluid_traffic(
+                    code,
+                    cluster.pop_codes,
+                    flows_per_destination=self.fluid_flows_per_pair,
+                )
+
+
+@dataclass(frozen=True, kw_only=True)
+class StudyArm(StudyConfig):
+    """One arm of a study, fully described: what :func:`run_study_arm` runs.
+
+    The arms of one study share everything but the field under test —
+    Riptide on or off (probe, chaos), the background substrate (hybrid
+    differential), the window policy inside ``riptide`` (tournament).
+    """
+
+    pop_codes: tuple[str, ...]
+    #: PoPs whose dedicated host (host 1) issues the diagnostic probes.
+    source_pops: tuple[str, ...]
+    #: Deployment tag: prefixes host names, scopes the SLO engine and
+    #: keeps two same-topology arms separable under one capture.
+    label: str
+    #: Whether the Riptide agents run (off = the IW10 control group).
+    riptide_enabled: bool
+    #: Chaos scenario whose fault schedule runs during probing.
+    fault_scenario: str | None = None
+    #: Whether the burn-rate SLO engine evaluates the run.
+    slo: bool = False
+    #: Cap on the size of an organically fetched object.
+    max_object_bytes: int = OrganicWorkloadConfig.max_object_bytes
+    background: Background = field(default_factory=PacketMesh)
+
+
+#: Per-agent resilience and route counters a summary totals over the arm.
+_AGENT_COUNTERS = (
+    "guard_trips",
+    "crashes",
+    "poll_failures",
+    "tool_errors",
+    "tool_retries",
+    "routes_installed",
+    "routes_expired",
+)
+
 
 @dataclass
-class ProbeStudyRun:
-    """One arm (control or Riptide) of a probe study."""
+class StudyRun:
+    """One live arm: the cluster it ran on and what was attached to it."""
 
+    arm: StudyArm
     cluster: CdnCluster
     fleet: ProbeFleet
-    riptide_enabled: bool
+    #: The armed fault schedule (None when the arm names no scenario).
+    injector: FaultInjector | None
 
-    def summary(self) -> "ProbeArmSummary":
+    @property
+    def riptide_enabled(self) -> bool:
+        return self.arm.riptide_enabled
+
+    def summary(self) -> "StudySummary":
         """Detach the picklable measurements from the live cluster."""
-        return ProbeArmSummary(
+        cluster = self.cluster
+        agents = cluster.all_agents()
+        advisories: dict[tuple[str, str], int] = {}
+        for code in cluster.pop_codes:
+            windows = cluster.agents(code)[0].learned_table().windows()
+            for prefix, window in sorted(windows.items(), key=lambda kv: str(kv[0])):
+                advisories[(code, str(prefix))] = window
+        # Only this arm's alert episodes: a serial run captures both arms
+        # into one shared log, so filter by the arm-qualified source.
+        alerts = tuple(
+            episode
+            for episode in cluster.sim.obs.alerts.episodes()
+            if source_matches_arm(episode.source, self.arm.label)
+        )
+        fluid = cluster.fluid
+        return StudySummary(
+            riptide_enabled=self.arm.riptide_enabled,
             fleet=self.fleet.result_set(),
-            riptide_enabled=self.riptide_enabled,
-            learned_routes=sum(
-                len(agent.learned_table()) for agent in self.cluster.all_agents()
-            ),
-            events_processed=self.cluster.sim.events_processed,
+            learned_routes=sum(len(agent.learned_table()) for agent in agents),
+            events_processed=cluster.sim.events_processed,
+            advisories=advisories,
+            alerts=alerts,
+            faults_injected=self.injector.injected if self.injector else 0,
+            faults_cleared=self.injector.cleared if self.injector else 0,
+            fluid_flows=fluid.total_flows() if fluid is not None else 0.0,
+            fluid_steps=fluid.steps if fluid is not None else 0,
+            **{
+                name: sum(getattr(agent.stats, name) for agent in agents)
+                for name in _AGENT_COUNTERS
+            },
         )
 
 
 @dataclass
-class ProbeArmSummary:
+class StudySummary:
     """The measurements of one arm, detached from its simulator.
 
     This is what a parallel worker ships back to the parent process: the
     probe results (behind the same ``fleet`` accessors the figure
-    harnesses use on a live run) plus the headline run counters.  The
-    live cluster — sockets, callbacks, the event heap — stays in the
-    worker and is discarded with it.
+    harnesses use on a live run) plus the run's counters.  The live
+    cluster — sockets, callbacks, the event heap — stays in the worker
+    and is discarded with it.
     """
 
-    fleet: ProbeResultSet
     riptide_enabled: bool
+    fleet: ProbeResultSet
     learned_routes: int
     events_processed: int
+    #: (pop_code, destination prefix) -> learned window on host 0's agent.
+    advisories: dict[tuple[str, str], int]
+    #: This arm's SLO alert episodes (begin order, arm-filtered).
+    alerts: tuple[AlertEpisode, ...]
+    faults_injected: int
+    faults_cleared: int
+    fluid_flows: float
+    fluid_steps: int
+    guard_trips: int
+    crashes: int
+    poll_failures: int
+    tool_errors: int
+    tool_retries: int
+    routes_installed: int
+    routes_expired: int
 
 
 #: What the figure harnesses actually consume: a live arm (serial path)
 #: or a detached summary (parallel path) — both expose ``fleet``
 #: accessors and ``riptide_enabled``.
-ProbeStudyArm = ProbeStudyRun | ProbeArmSummary
+ProbeStudyArm = StudyRun | StudySummary
 
 
-def run_probe_arm(config: ProbeStudyConfig, riptide_enabled: bool) -> ProbeStudyRun:
-    """Build and run one arm of the paired study.
+def run_study_arm(arm: StudyArm) -> StudyRun:
+    """Build and run one arm: the one copy of the study sequence.
 
-    Both arms share the seed, topology, workload schedule and probe
-    schedule; the only difference is whether Riptide agents run.
+    Background traffic warms the deployment (and teaches Riptide, where
+    it runs) before anything is measured.  Probes then run from a
+    dedicated machine (host 1) in each source PoP, mirroring the paper's
+    diagnostic fleet riding alongside organic traffic; a fraction of
+    idle probe connections churns away before each round, so the probe
+    population mixes warm reuse with the fresh connections Riptide
+    jump-starts.  Faults are armed with the first probe round, so their
+    schedule is relative to the start of probing.
     """
-    topology = sub_topology(config.topology_codes)
-    cluster_config = replace(
-        config.cluster,
-        seed=config.seed,
-        riptide=config.riptide,
-        label="riptide" if riptide_enabled else "control",
+    cluster = CdnCluster(
+        sub_topology(arm.pop_codes),
+        replace(arm.cluster, seed=arm.seed, riptide=arm.riptide, label=arm.label),
     )
-    cluster = CdnCluster(topology, cluster_config)
-    workload_config = OrganicWorkloadConfig(
-        rate_per_second=config.organic_rate,
-        close_probability=config.close_probability,
-    )
-    codes = cluster.pop_codes
-    for code in codes:
-        cluster.add_organic_workload(
-            code, [c for c in codes if c != code], workload_config
-        )
-    if riptide_enabled:
+    arm.background.register(cluster, arm)
+    if arm.riptide_enabled:
         cluster.start_riptide()
-    cluster.run(config.warmup)
-    # Probes run from a dedicated machine (host 1) in each source PoP,
-    # mirroring the paper's diagnostic fleet riding alongside organic
-    # traffic.  A fraction of idle probe connections churns away before
-    # each round, so the probe population mixes warm reuse with the
-    # fresh connections Riptide jump-starts.
+    cluster.run(arm.warmup)
     fleet = cluster.make_probe_fleet(
-        list(config.source_pops),
-        interval=config.probe_interval,
+        list(arm.source_pops),
+        interval=arm.probe_interval,
         host_indices=[1],
-        churn_probability=config.probe_churn,
+        churn_probability=arm.probe_churn,
     )
     cluster.start_timeline_sampler()
+    if arm.slo:
+        cluster.start_slo()
     fleet.start(initial_delay=0.0)
-    cluster.run(config.duration)
+    injector = None
+    if arm.fault_scenario is not None:
+        schedule = get_scenario(arm.fault_scenario).build(arm.duration)
+        injector = FaultInjector(cluster, schedule)
+        injector.arm()
+    cluster.run(arm.duration)
     cluster.sync_flows()
-    return ProbeStudyRun(cluster=cluster, fleet=fleet, riptide_enabled=riptide_enabled)
+    return StudyRun(arm=arm, cluster=cluster, fleet=fleet, injector=injector)
+
+
+def run_arm_pair(
+    study: str, arms: tuple[StudyArm, StudyArm], workers: int = 1
+) -> tuple[StudySummary, StudySummary]:
+    """Run the two arms of ``study``; detached summaries, in arm order.
+
+    The arms are fully independent simulations, so with ``workers`` > 1
+    they run concurrently in forked worker processes
+    (:mod:`repro.parallel`) — byte-identical measurements to the serial
+    path, whose live clusters can be collected as soon as each arm ends.
+    """
+    first, second = run_tasks(
+        [lambda arm=arm: run_study_arm(arm).summary() for arm in arms],
+        workers=min(workers, 2),
+        labels=[f"{study}:{arm.label}" for arm in arms],
+    )
+    return first, second
+
+
+def control_and_riptide(
+    config: StudyConfig, **specifics: Any
+) -> tuple[StudyArm, StudyArm]:
+    """The ``(control, riptide)`` arms of a paired study.
+
+    Both share seed, topology, workload and probe schedule; the only
+    difference is whether the Riptide agents run.
+    """
+    control, riptide = (
+        config.arm(
+            label="riptide" if enabled else "control",
+            riptide_enabled=enabled,
+            **specifics,
+        )
+        for enabled in (False, True)
+    )
+    return control, riptide
+
+
+def probe_study_arms(config: ProbeStudyConfig) -> tuple[StudyArm, StudyArm]:
+    """The ``(control, riptide)`` arms of the Figure 12-16 probe study."""
+    return control_and_riptide(
+        config, pop_codes=config.topology_codes, source_pops=config.source_pops
+    )
 
 
 def run_paired_probe_study(
@@ -187,26 +379,13 @@ def run_paired_probe_study(
 ) -> tuple[ProbeStudyArm, ProbeStudyArm]:
     """Run control and Riptide arms; returns ``(control, riptide)``.
 
-    The two arms share a config but are fully independent simulations,
-    so with ``workers`` > 1 they run concurrently in forked worker
-    processes and come back as detached :class:`ProbeArmSummary` objects
-    (byte-identical measurements, in the same (control, riptide) order).
-    The serial path keeps returning live :class:`ProbeStudyRun` objects
-    so callers can keep inspecting clusters and agents.
+    With ``workers`` > 1 the arms run concurrently and come back as
+    detached :class:`StudySummary` objects (:func:`run_arm_pair`).  The
+    serial path keeps returning live :class:`StudyRun` objects so
+    callers can keep inspecting clusters and agents.
     """
-    config = config if config is not None else ProbeStudyConfig()
+    arms = probe_study_arms(config if config is not None else ProbeStudyConfig())
     if workers > 1:
-        from repro.parallel import run_tasks
-
-        control, riptide = run_tasks(
-            [
-                lambda: run_probe_arm(config, riptide_enabled=False).summary(),
-                lambda: run_probe_arm(config, riptide_enabled=True).summary(),
-            ],
-            workers=min(workers, 2),
-            labels=["probe-study:control", "probe-study:riptide"],
-        )
-        return control, riptide
-    control = run_probe_arm(config, riptide_enabled=False)
-    riptide = run_probe_arm(config, riptide_enabled=True)
+        return run_arm_pair("probe-study", arms, workers)
+    control, riptide = (run_study_arm(arm) for arm in arms)
     return control, riptide

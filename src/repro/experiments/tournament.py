@@ -29,16 +29,13 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
-from repro.faults.engine import FaultInjector
+from repro.experiments.scenarios import PacketMesh, StudyArm, run_study_arm
 from repro.faults.scenarios import get_scenario
 from repro.obs import capture
 from repro.obs.report import build_report
+from repro.parallel import run_tasks
 from repro.policy import policy_names
-from repro.tcp.constants import TcpConfig
 
 #: PoPs for the scenarios without a fault schedule (clean, hybrid):
 #: the same reduced evaluation footprint the fast probe studies use.
@@ -160,75 +157,32 @@ def run_tournament_cell(
     do not depend on which process ran it.
     """
     scenario = TOURNAMENT_SCENARIOS[scenario_name]
-    riptide_config = RiptideConfig(
-        policy=policy,
-        granularity="prefix",
-        prefix_length=16,
-        safety_guard=True,
-    )
-    cluster_config = ClusterConfig(
+    arm = StudyArm(
         seed=config.seed,
+        warmup=config.warmup,
+        duration=config.duration,
+        probe_interval=config.probe_interval,
+        organic_rate=config.organic_rate,
+        close_probability=config.close_probability,
+        probe_churn=config.probe_churn,
+        riptide=RiptideConfig(
+            policy=policy,
+            granularity="prefix",
+            prefix_length=16,
+            safety_guard=True,
+        ),
+        pop_codes=scenario.pop_codes,
+        source_pops=(scenario.source_pop,),
         label=policy,
-        riptide=riptide_config,
-        tcp=TcpConfig(default_initrwnd=300, slow_start_after_idle=False),
+        riptide_enabled=True,
+        fault_scenario=scenario.chaos,
+        slo=True,
+        background=PacketMesh(fluid_flows_per_pair=scenario.fluid_flows_per_pair),
     )
     with capture() as instrumentation:
-        topology = sub_topology(list(scenario.pop_codes))
-        cluster = CdnCluster(topology, cluster_config)
-        workload_config = OrganicWorkloadConfig(
-            rate_per_second=config.organic_rate,
-            close_probability=config.close_probability,
-        )
-        codes = cluster.pop_codes
-        for code in codes:
-            cluster.add_organic_workload(
-                code, [c for c in codes if c != code], workload_config
-            )
-        cluster.start_riptide()
-        if scenario.fluid_flows_per_pair > 0:
-            for code in codes:
-                cluster.add_fluid_traffic(
-                    code,
-                    [c for c in codes if c != code],
-                    flows_per_destination=scenario.fluid_flows_per_pair,
-                )
-        cluster.run(config.warmup)
-        fleet = cluster.make_probe_fleet(
-            [scenario.source_pop],
-            interval=config.probe_interval,
-            host_indices=[1],
-            churn_probability=config.probe_churn,
-        )
-        cluster.start_timeline_sampler()
-        cluster.start_slo()
-        fleet.start(initial_delay=0.0)
-        faults_injected = 0
-        faults_cleared = 0
-        if scenario.chaos is not None:
-            injector = FaultInjector(
-                cluster, get_scenario(scenario.chaos).build(config.duration)
-            )
-            injector.arm()
-        else:
-            injector = None
-        cluster.run(config.duration)
-        cluster.sync_flows()
-        if injector is not None:
-            faults_injected = injector.injected
-            faults_cleared = injector.cleared
-        agents = cluster.all_agents()
-        times = sorted(fleet.completion_times())
-        new_times = sorted(fleet.completion_times(new_connections_only=True))
-        events_processed = cluster.sim.events_processed
-        agent_counters = {
-            "guard_trips": sum(a.stats.guard_trips for a in agents),
-            "routes_installed": sum(a.stats.routes_installed for a in agents),
-            "routes_expired": sum(a.stats.routes_expired for a in agents),
-            "poll_failures": sum(a.stats.poll_failures for a in agents),
-            "tool_errors": sum(a.stats.tool_errors for a in agents),
-            "crashes": sum(a.stats.crashes for a in agents),
-            "learned_routes": sum(len(a.learned_table()) for a in agents),
-        }
+        summary = run_study_arm(arm).summary()
+    times = sorted(summary.fleet.completion_times())
+    new_times = sorted(summary.fleet.completion_times(new_connections_only=True))
     report = build_report(
         instrumentation, experiment=f"{policy}/{scenario_name}"
     )
@@ -243,15 +197,21 @@ def run_tournament_cell(
         "new_p50_ms": _nearest_rank_ms(new_times, 50.0),
         "new_p90_ms": _nearest_rank_ms(new_times, 90.0),
         "causes": report["causes"],
-        "faults_injected": faults_injected,
-        "faults_cleared": faults_cleared,
-        "events_processed": events_processed,
+        "faults_injected": summary.faults_injected,
+        "faults_cleared": summary.faults_cleared,
+        "events_processed": summary.events_processed,
         # Burn-rate SLO judgement: episodes that reached firing in this
         # cell's capture (the cell owns exactly one cluster, so the whole
         # alert log is its own).
         "slo_violations": instrumentation.alerts.fired_count,
         "slo_resolved": instrumentation.alerts.resolved_count,
-        **agent_counters,
+        "guard_trips": summary.guard_trips,
+        "routes_installed": summary.routes_installed,
+        "routes_expired": summary.routes_expired,
+        "poll_failures": summary.poll_failures,
+        "tool_errors": summary.tool_errors,
+        "crashes": summary.crashes,
+        "learned_routes": summary.learned_routes,
     }
 
 
@@ -422,16 +382,11 @@ def run_tournament(
         )
         for policy, scenario in pairs
     ]
-    if workers > 1:
-        from repro.parallel import run_tasks
-
-        cells = run_tasks(
-            tasks,
-            workers=workers,
-            labels=[f"tournament:{p}:{s}" for p, s in pairs],
-        )
-    else:
-        cells = [task() for task in tasks]
+    cells = run_tasks(
+        tasks,
+        workers=workers,
+        labels=[f"tournament:{p}:{s}" for p, s in pairs],
+    )
     leaderboard = build_leaderboard(cells, policies, scenarios)
     return TournamentResult(
         config=config,
@@ -441,9 +396,3 @@ def run_tournament(
         leaderboard=leaderboard,
     )
 
-
-def run(
-    config: TournamentConfig | None = None, workers: int = 1
-) -> TournamentResult:
-    """Registry entry point for the ``tournament`` experiment."""
-    return run_tournament(config, workers=workers)

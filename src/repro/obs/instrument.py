@@ -122,8 +122,9 @@ def disabled() -> Iterator[Instrumentation]:
 
     Simulators created inside the block attach to a shared instrumentation
     whose ``enabled`` flag is False; their hot paths do no metric or trace
-    work at all.  Used by ``python -m repro bench`` to measure the raw
-    kernel rate, and available to bulk sweeps that only need results.
+    work at all.  Used by the benchmark's ``bulk_transfer`` workload to
+    measure the bare forwarding path, and available to bulk sweeps that
+    only need results.
     """
     instrumentation = Instrumentation(enabled=False)
     _active.append(instrumentation)

@@ -21,7 +21,7 @@ the three guarantees the serial path gives:
   parent.
 
 See ``docs/ARCHITECTURE.md`` ("Parallel execution") for the merge
-semantics, and :mod:`repro.bench` for the tracked performance baseline.
+semantics.
 """
 
 from repro.parallel.executor import (

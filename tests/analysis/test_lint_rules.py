@@ -63,11 +63,11 @@ def test_det001_silent(tmp_path, source):
     assert codes(lint_snippet(tmp_path, source)) == []
 
 
-def test_det001_exempts_bench_modules(tmp_path):
-    bench = tmp_path / "repro" / "bench.py"
-    bench.parent.mkdir()
-    bench.write_text("import time\n\ndef score():\n    return time.time()\n")
-    assert codes(run_lint([str(bench)])) == []
+def test_det001_exempts_host_timing_modules(tmp_path):
+    cli = tmp_path / "repro" / "cli.py"
+    cli.parent.mkdir()
+    cli.write_text("import time\n\ndef elapsed():\n    return time.time()\n")
+    assert codes(run_lint([str(cli)])) == []
 
 
 def test_det001_reports_position(tmp_path):

@@ -103,7 +103,7 @@ class TestDeterminism:
         def probe_rows(summary):
             return [
                 (p.size_bytes, p.destination_pop, p.total_time)
-                for p in summary.probes.completed_results()
+                for p in summary.fleet.completed_results()
             ]
 
         assert probe_rows(serial.packet) == probe_rows(forked.packet)

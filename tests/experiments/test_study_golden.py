@@ -78,7 +78,7 @@ def _probe_rows(arm: Any) -> list[list[object]]:
             probe.new_connection,
             repr(probe.total_time) if probe.completed else None,
         ]
-        for probe in arm.probes.results
+        for probe in arm.fleet.results
     ]
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from repro.experiments.multiseed import sweep_seeds
 from repro.experiments.scenarios import (
-    ProbeArmSummary,
     ProbeStudyConfig,
-    ProbeStudyRun,
+    StudyRun,
+    StudySummary,
     run_paired_probe_study,
 )
 from repro.obs import capture
@@ -68,9 +68,9 @@ class TestPairedProbeStudy:
     @needs_fork
     def test_parallel_arms_match_serial_measurements(self):
         serial_control, serial_riptide = run_paired_probe_study(TINY_STUDY)
-        assert isinstance(serial_control, ProbeStudyRun)
+        assert isinstance(serial_control, StudyRun)
         control, riptide = run_paired_probe_study(TINY_STUDY, workers=2)
-        assert isinstance(control, ProbeArmSummary)
+        assert isinstance(control, StudySummary)
         assert not control.riptide_enabled and riptide.riptide_enabled
         for parallel_arm, serial_arm in (
             (control, serial_control),

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.export import flows_to_jsonl, trace_to_json
-from repro.experiments.chaos import ChaosStudyConfig, run_chaos_arm
-from repro.experiments.scenarios import ProbeStudyConfig, run_probe_arm
+from repro.experiments.chaos import ChaosStudyConfig, chaos_study_arms
+from repro.experiments.scenarios import ProbeStudyConfig, probe_study_arms, run_study_arm
 from repro.net import BernoulliLoss, GilbertElliottLoss
 from repro.net.link import LinkStats
 from repro.net.loss import LossModel
@@ -240,9 +240,7 @@ def build_probe_study() -> dict[str, Any]:
         topology_codes=("LHR", "AMS", "JFK", "NRT", "SYD"), warmup=10.0, duration=30.0
     )
     with capture() as obs:
-        arms = [run_probe_arm(config, riptide_enabled=flag) for flag in (False, True)]
-        for arm in arms:
-            arm.cluster.sync_flows()
+        arms = [run_study_arm(arm) for arm in probe_study_arms(config)]
     return _study_digest(arms, obs)
 
 
@@ -250,7 +248,7 @@ def build_chaos_study() -> dict[str, Any]:
     """``repro run chaos_lossy_agent --fast``'s paired study."""
     config = ChaosStudyConfig(scenario="chaos_lossy_agent", warmup=8.0, duration=30.0)
     with capture() as obs:
-        arms = [run_chaos_arm(config, riptide_enabled=flag) for flag in (False, True)]
+        arms = [run_study_arm(arm) for arm in chaos_study_arms(config)]
     return _study_digest(arms, obs)
 
 

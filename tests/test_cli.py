@@ -274,6 +274,52 @@ class TestReportVerb:
         assert main(["report", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "capacities, retained, saturated",
+        [
+            (
+                dict(
+                    trace_capacity=5,
+                    flow_capacity=5,
+                    span_capacity=5,
+                    timeline_capacity=5,
+                    tsdb_capacity=5,
+                ),
+                5,
+                {"trace ring", "flow log", "span log", "timeline", "tsdb"},
+            ),
+            # On its own: the SLO engine reads the stores above, and raises
+            # nothing from five samples.
+            (dict(alert_capacity=1), 1, {"alert log"}),
+        ],
+    )
+    def test_every_saturated_store_is_named_on_stderr(
+        self, capsys, monkeypatch, capacities, retained, saturated
+    ):
+        import repro.cli as cli
+        from repro.experiments.chaos import ChaosStudyConfig, run_lossy_agent
+        from repro.obs import capture
+
+        def short_chaos():
+            return run_lossy_agent(ChaosStudyConfig(warmup=2.0, duration=12.0))
+
+        monkeypatch.setitem(
+            EXPERIMENTS,
+            "short_chaos",
+            Experiment("short_chaos", "test-only chaos study", short_chaos, False),
+        )
+        monkeypatch.setattr(cli, "capture", lambda: capture(**capacities))
+        assert main(["report", "short_chaos", "--json"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # stdout is still exactly the report
+        warnings = [
+            line.removeprefix("warning: ")
+            for line in captured.err.splitlines()
+            if line.startswith("warning: ")
+        ]
+        assert {line.split(" dropped ")[0] for line in warnings} == saturated
+        assert all(line.endswith(f"(retained {retained})") for line in warnings)
+
 
 class TestAlertsVerb:
     def test_markdown_report_by_default(self, capsys, tiny_experiment):
