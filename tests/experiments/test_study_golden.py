@@ -2,8 +2,9 @@
 
 ``tests/data/study_golden.json`` records sha256 digests of the artifacts
 every study family produces — the tournament leaderboard (clean, chaos
-and fluid cells), the hybrid differential (both arms, two seeds) and the
-chaos study, alert and forensic reports — so that a change to *how* the
+and fluid cells), the hybrid differential (both arms, two seeds), a short
+34-PoP hybrid scale run and the chaos study, alert and forensic reports —
+so that a change to *how* the
 study sequence is written can be shown to leave what it computes alone.
 It is the sibling of ``tests/tcp/test_packet_path_golden.py``, which
 pins the per-packet path and the probe and lossy-agent studies' stores.
@@ -29,14 +30,28 @@ from typing import Any
 
 from repro.analysis.export import flows_to_jsonl, trace_to_json
 from repro.cli import _run_captured, main
-from repro.experiments.hybrid import HybridStudyConfig, run_differential
-from repro.obs import alert_report_to_json, build_alert_report, build_report, capture, report_to_json
+from repro.experiments.hybrid import (
+    HybridScaleConfig,
+    HybridStudyConfig,
+    run_differential,
+    run_scale,
+)
+from repro.obs import (
+    EventType,
+    alert_report_to_json,
+    build_alert_report,
+    build_report,
+    capture,
+    report_to_json,
+)
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "study_golden.json"
 
 #: A learner and the fixed-window control: the two ends of the zoo.
 TOURNAMENT_POLICIES = ("ewma", "iw10")
 DIFFERENTIAL_SEEDS = (7, 42)
+#: The registry's ``hybrid --fast`` shape: full topology, fewer flows, 8 s.
+SCALE_CONFIG = HybridScaleConfig(seed=7, flows_per_pair=100.0, warmup=3.0, duration=5.0)
 
 
 def _sha256(text: str) -> str:
@@ -109,6 +124,33 @@ def build_hybrid_differential() -> dict[str, Any]:
     return digests
 
 
+def build_hybrid_scale() -> dict[str, Any]:
+    """``hybrid.run_scale`` on the ``--fast`` shape: the fluid/agent loop.
+
+    The learned windows are read back from the trace (the last
+    ``route_installed`` per host and destination): ``run_scale`` returns
+    only their count.
+    """
+    with capture() as obs:
+        result = run_scale(SCALE_CONFIG)
+    assert obs.trace.dropped == 0
+    learned: dict[str, dict[str, int]] = {}
+    for event in obs.trace.events(type=EventType.ROUTE_INSTALLED):
+        details = dict(event.details)
+        learned.setdefault(event.source, {})[details["destination"]] = details["window"]
+    stable = [line for line in result.report().splitlines() if "wall time" not in line]
+    return {
+        "report_sha256": _sha256("\n".join(stable)),
+        "learned_routes": result.learned_routes,
+        "learned_routes_per_host": {host: len(routes) for host, routes in learned.items()},
+        "learned_windows_sha256": _sha256(json.dumps(learned, sort_keys=True)),
+        "fluid_steps": result.fluid_steps,
+        "events_processed": result.events_processed,
+        "flows_sha256": _sha256(flows_to_jsonl(obs.flows)),
+        "trace_sha256": _sha256(trace_to_json(obs.trace)),
+    }
+
+
 def build_chaos_reports() -> dict[str, Any]:
     """The chaos verbs under ``--fast``: study, alert and forensic reports.
 
@@ -136,6 +178,7 @@ def build_chaos_reports() -> dict[str, Any]:
 SECTIONS = {
     "tournament_fast": build_tournament,
     "hybrid_differential": build_hybrid_differential,
+    "hybrid_scale_fast": build_hybrid_scale,
     "chaos_reports_fast": build_chaos_reports,
 }
 
@@ -156,6 +199,12 @@ def test_tournament_matches_golden():
 
 def test_hybrid_differential_matches_golden():
     assert build_hybrid_differential() == _golden()["hybrid_differential"]
+
+
+def test_hybrid_scale_matches_golden():
+    built = build_hybrid_scale()
+    assert sum(built["learned_routes_per_host"].values()) == built["learned_routes"]
+    assert built == _golden()["hybrid_scale_fast"]
 
 
 def test_chaos_reports_match_golden():
