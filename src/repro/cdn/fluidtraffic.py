@@ -313,6 +313,8 @@ class FluidTraffic:
             return []
         now = self._sim.now
         max_samples = self.config.ss_samples
+        ssthresh = float(self.config.max_window)
+        established = TcpState.ESTABLISHED
         snapshots: list[SocketStats] = []
         for index in indices:
             population = self._populations[index]
@@ -327,6 +329,8 @@ class FluidTraffic:
             retx_share = int(population.segments_retx_total / count)
             acked_share = int(population.bytes_acked_total / count) + 1
             entry = self._pop_host[index].initcwnd_for(remote)
+            rtt = population.rtt
+            is_client = population.is_client
             for i in range(count):
                 created = now - ages[i]
                 snapshots.append(
@@ -334,11 +338,11 @@ class FluidTraffic:
                         local_port=port_base + i,
                         remote_address=remote,
                         remote_port=FLUID_REMOTE_PORT,
-                        state=TcpState.ESTABLISHED,
+                        state=established,
                         cwnd=windows[i],
-                        ssthresh=float(self.config.max_window),
+                        ssthresh=ssthresh,
                         initial_cwnd=entry,
-                        srtt=population.rtt,
+                        srtt=rtt,
                         bytes_acked=acked_share,
                         bytes_received=0,
                         segments_sent=sent_share,
@@ -346,7 +350,7 @@ class FluidTraffic:
                         created_at=created,
                         established_at=created,
                         last_activity_at=now,
-                        is_client=population.is_client,
+                        is_client=is_client,
                     )
                 )
         return snapshots

@@ -461,8 +461,8 @@ class RiptideAgent:
                 entry.add(
                     info.segments_sent, info.segments_retransmitted, info.srtt
                 )
-            self.stats.connections_observed += 1
-            self._m_observed.inc()
+        self.stats.connections_observed += len(snapshots)
+        self._m_observed.inc(len(snapshots))
         return grouped, health
 
     def _install(self, destination: Prefix, window: int, now: float) -> None:

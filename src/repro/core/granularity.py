@@ -23,12 +23,22 @@ class DestinationGrouper:
             raise ValueError(f"prefix_length out of range: {prefix_length}")
         self.granularity = granularity
         self.prefix_length = prefix_length
+        #: Address integer -> its key.  Every poll asks again for every
+        #: open connection; the table grows to one entry per distinct
+        #: remote this agent has seen.
+        self._keys: dict[int, Prefix] = {}
 
     def key_for(self, remote: IPv4Address) -> Prefix:
         """The destination prefix a connection to ``remote`` belongs to."""
-        if self.granularity == "host":
-            return Prefix.host(remote)
-        return Prefix.containing(remote, self.prefix_length)
+        value = remote.value
+        key = self._keys.get(value)
+        if key is None:
+            if self.granularity == "host":
+                key = Prefix.host(remote)
+            else:
+                key = Prefix.containing(remote, self.prefix_length)
+            self._keys[value] = key
+        return key
 
     def __repr__(self) -> str:
         if self.granularity == "host":

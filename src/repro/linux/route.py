@@ -60,30 +60,62 @@ class RouteEntry:
 
 
 class RouteTable:
-    """Longest-prefix-match route table."""
+    """Longest-prefix-match route table.
+
+    Beside the exact-prefix map the table keeps one bucket per distinct
+    prefix length, longest first: ``(length, mask, {network int:
+    entry})``.  Two prefixes of one length never overlap, so the first
+    bucket holding ``destination & mask`` is the longest match and a
+    lookup costs one dict probe per distinct length, not one comparison
+    per route.  Every mutator goes through :meth:`_store` or
+    :meth:`delete`, which keep the two structures in step.
+    """
 
     def __init__(self) -> None:
         self._routes: dict[Prefix, RouteEntry] = {}
+        self._index: list[tuple[int, int, dict[int, RouteEntry]]] = []
 
     def __len__(self) -> int:
         return len(self._routes)
+
+    def _store(self, entry: RouteEntry) -> None:
+        prefix = entry.prefix
+        self._routes[prefix] = entry
+        length = prefix.length
+        for level in self._index:
+            if level[0] == length:
+                bucket = level[2]
+                break
+        else:
+            bucket = {}
+            self._index.append((length, prefix.mask, bucket))
+            self._index.sort(key=lambda level: -level[0])
+        bucket[prefix.network.value] = entry
 
     def add(self, entry: RouteEntry) -> None:
         """Add a route; fails if the exact prefix already exists."""
         if entry.prefix in self._routes:
             raise KeyError(f"route for {entry.prefix} already exists")
-        self._routes[entry.prefix] = entry
+        self._store(entry)
 
     def replace(self, entry: RouteEntry) -> None:
         """Add or overwrite the route for the entry's prefix."""
-        self._routes[entry.prefix] = entry
+        self._store(entry)
 
     def delete(self, prefix: Prefix) -> RouteEntry:
         """Remove and return the route for an exact prefix.
 
         Raises :class:`KeyError` when no such route exists.
         """
-        return self._routes.pop(prefix)
+        entry = self._routes.pop(prefix)
+        length = prefix.length
+        for position, (level_length, _mask, bucket) in enumerate(self._index):
+            if level_length == length:
+                del bucket[prefix.network.value]
+                if not bucket:
+                    del self._index[position]
+                break
+        return entry
 
     def get(self, prefix: Prefix) -> RouteEntry | None:
         """The route for an *exact* prefix, if present."""
@@ -91,12 +123,12 @@ class RouteTable:
 
     def lookup(self, destination: IPv4Address) -> RouteEntry | None:
         """Longest-prefix match for a destination address."""
-        best: RouteEntry | None = None
-        for prefix, entry in self._routes.items():
-            if prefix.contains(destination):
-                if best is None or prefix.length > best.prefix.length:
-                    best = entry
-        return best
+        value = destination.value
+        for _length, mask, bucket in self._index:
+            entry = bucket.get(value & mask)
+            if entry is not None:
+                return entry
+        return None
 
     def entries(self) -> list[RouteEntry]:
         """All routes, most specific first (stable order within a length)."""
@@ -123,7 +155,7 @@ class RouteTable:
         if not isinstance(initrwnd, _Keep):
             changes["initrwnd"] = initrwnd
         updated = replace(entry, **changes)
-        self._routes[prefix] = updated
+        self._store(updated)
         return updated
 
     def __repr__(self) -> str:

@@ -79,7 +79,7 @@ class IPv4Address:
 class Prefix:
     """An immutable IPv4 prefix (network address + mask length)."""
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_mask")
 
     def __init__(self, network: "int | str | IPv4Address", length: int) -> None:
         if not 0 <= length <= 32:
@@ -92,6 +92,7 @@ class Prefix:
             )
         self._network = addr
         self._length = length
+        self._mask = mask
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -124,14 +125,16 @@ class Prefix:
 
     @property
     def mask(self) -> int:
-        return _mask_for(self._length)
+        return self._mask
 
     @property
     def num_addresses(self) -> int:
         return 1 << (32 - self._length)
 
     def contains(self, address: "int | str | IPv4Address") -> bool:
-        return IPv4Address(address).value & self.mask == self._network.value
+        if not isinstance(address, IPv4Address):
+            address = IPv4Address(address)
+        return address.value & self._mask == self._network.value
 
     def contains_prefix(self, other: "Prefix") -> bool:
         """True when ``other`` is fully inside this prefix."""

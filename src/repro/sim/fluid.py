@@ -90,9 +90,23 @@ class CwndDistribution:
     tracks exact integer windows.  The histogram keeps an active
     ``[lo, hi]`` bin range so stepping costs O(spread), not O(bins) —
     AIMD populations concentrate, so the spread stays narrow.
+
+    The window total (:meth:`total_window_segments`) is read several
+    times between mutations — the step's sent counter, the engine's
+    gauges, the next step's offered load — so it is computed once and
+    kept until :meth:`add_mass`, :meth:`remove_fraction` or :meth:`step`
+    next changes the histogram.
     """
 
-    __slots__ = ("bin_width", "nbins", "_bin_mass", "_lo_bin", "_hi_bin", "flows")
+    __slots__ = (
+        "bin_width",
+        "nbins",
+        "_bin_mass",
+        "_lo_bin",
+        "_hi_bin",
+        "flows",
+        "_window_total",
+    )
 
     def __init__(self, max_window: int = 320, bin_width: int = 1) -> None:
         if max_window < 2:
@@ -105,6 +119,7 @@ class CwndDistribution:
         self._lo_bin = 0
         self._hi_bin = -1  # empty
         self.flows = 0.0
+        self._window_total: float | None = None
 
     # ------------------------------------------------------------------
     # bin/window mapping
@@ -136,6 +151,7 @@ class CwndDistribution:
         bin_index = self.window_to_bin(window)
         self._bin_mass[bin_index] += mass
         self.flows += mass
+        self._window_total = None
         if self._hi_bin < 0:
             self._lo_bin = self._hi_bin = bin_index
         else:
@@ -148,6 +164,7 @@ class CwndDistribution:
         """Remove a uniform fraction of every bin; returns mass removed."""
         if fraction <= 0.0 or self._hi_bin < 0:
             return 0.0
+        self._window_total = None
         if fraction >= 1.0:
             removed = self.flows
             mass = self._bin_mass
@@ -183,6 +200,10 @@ class CwndDistribution:
         the expected number of loss (halving) events this step — the
         retransmission mass the counters track.
         """
+        if drift_segments_per_sec < 0.0:
+            raise ValueError(
+                f"drift must be >= 0, got {drift_segments_per_sec}"
+            )
         if dt <= 0.0 or self._hi_bin < 0:
             return 0.0
         bin_width = self.bin_width
@@ -222,15 +243,24 @@ class CwndDistribution:
             else:
                 new[target] += m * (1.0 - frac)
                 new[target + 1] += m * frac
+        # The step wrote no bin below the halving target of ``lo`` and
+        # none above the drift target of ``hi``; every other bin of the
+        # fresh histogram is exactly 0.0.
+        lowest = (max(1, (self._lo_bin * bin_width + 1) >> 1) - 1) // bin_width
+        highest = min(top, self._hi_bin + whole + 1)
         self._bin_mass = new
-        self._retighten()
+        self._window_total = None
+        self._retighten(lowest, highest)
         return loss_events
 
-    def _retighten(self) -> None:
-        """Recompute the active range and total after a rebuild."""
+    def _retighten(self, first: int, last: int) -> None:
+        """Recompute the active range and total over bins ``[first, last]``.
+
+        The caller guarantees every bin outside that range is 0.0.
+        """
         mass = self._bin_mass
         lo, hi, total = 0, -1, 0.0
-        for b in range(self.nbins):
+        for b in range(first, last + 1):
             m = mass[b]
             if m > _MASS_EPSILON:
                 if hi < 0:
@@ -250,12 +280,15 @@ class CwndDistribution:
         """Sum of every flow's window — the cohort's one-RTT footprint."""
         if self._hi_bin < 0:
             return 0.0
-        bin_width = self.bin_width
-        mass = self._bin_mass
-        return sum(
-            mass[b] * (b * bin_width + 1)
-            for b in range(self._lo_bin, self._hi_bin + 1)
-        )
+        total = self._window_total
+        if total is None:
+            bin_width = self.bin_width
+            mass = self._bin_mass
+            total = self._window_total = sum(
+                mass[b] * (b * bin_width + 1)
+                for b in range(self._lo_bin, self._hi_bin + 1)
+            )
+        return total
 
     def total_send_segments_per_sec(
         self, rtt: float, send_rate_cap: float | None = None
@@ -285,9 +318,6 @@ class CwndDistribution:
         """The window at cumulative fraction ``q`` of the cohort."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return self.sample_windows(1)[0] if q == 0.5 else self._at_fraction(q)
-
-    def _at_fraction(self, q: float) -> int:
         if self._hi_bin < 0:
             return 1
         target = q * self.flows
@@ -313,7 +343,6 @@ class CwndDistribution:
         samples: list[int] = []
         mass = self._bin_mass
         total = self.flows
-        cum = 0.0
         b = self._lo_bin
         cum = mass[b]
         for i in range(count):

@@ -59,11 +59,17 @@ class TcpState(enum.Enum):
     LAST_ACK = "last-ack"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SocketStats:
     """A point-in-time snapshot of one socket — what ``ss -i`` shows.
 
     Riptide reads ``cwnd`` and ``bytes_acked`` from these snapshots.
+
+    Immutable by convention: a poll builds one per open connection (eight
+    per fluid cohort), so the dataclass is slotted rather than frozen — a
+    frozen ``__init__`` stores each of the sixteen fields through
+    ``object.__setattr__``.  A stale ``ss`` hands the same objects out
+    again; nothing may write to one.
     """
 
     local_port: int

@@ -82,6 +82,18 @@ class TestDestinationGrouper:
         b = grouper.key_for(IPv4Address("10.5.6.200"))
         assert a == b
 
+    @pytest.mark.parametrize("granularity", ["host", "prefix"])
+    def test_equal_addresses_get_equal_keys(self, granularity):
+        """Keys are remembered per address; a repeat must not drift."""
+        grouper = DestinationGrouper(granularity, prefix_length=16)
+        fresh = DestinationGrouper(granularity, prefix_length=16)
+        for text in ("10.5.6.7", "10.5.9.9", "10.6.0.1", "10.5.6.7"):
+            first = grouper.key_for(IPv4Address(text))
+            again = grouper.key_for(IPv4Address(text))
+            assert first == again == fresh.key_for(IPv4Address(text))
+            assert hash(first) == hash(again)
+            assert first.contains(IPv4Address(text))
+
     def test_invalid_granularity_rejected(self):
         with pytest.raises(ValueError):
             DestinationGrouper("asn")

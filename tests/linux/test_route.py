@@ -1,11 +1,14 @@
 """Unit and property tests for the route table."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.linux import RouteEntry, RouteTable
 from repro.net import IPv4Address, Prefix
+from repro.testing import TwoHostTestbed
 
 
 def entry(prefix: str, initcwnd: int | None = None, initrwnd: int | None = None):
@@ -149,3 +152,114 @@ def test_host_route_never_matches_other_addresses(address, other):
         assert found is None
     else:
         assert found.initcwnd == 42
+
+
+# ----------------------------------------------------------------------
+# randomized differential: the indexed table against a linear scan
+# ----------------------------------------------------------------------
+
+
+def linear_lookup(routes: dict[Prefix, RouteEntry], address: int) -> RouteEntry | None:
+    """The brute-force reference: test every route, keep the longest."""
+    best = None
+    for prefix, route in routes.items():
+        if address & prefix.mask == prefix.network.value:
+            if best is None or prefix.length > best.prefix.length:
+                best = route
+    return best
+
+
+def prefix_pool(rng: random.Random) -> list[Prefix]:
+    """Nested and sibling prefixes around a few anchors, /0 to /32."""
+    pool = [Prefix(0, 0)]
+    for _ in range(4):
+        anchor = rng.getrandbits(32)
+        for length in (8, 16, 24, 31, 32, rng.randint(1, 30)):
+            nested = Prefix.containing(anchor, length)
+            sibling = Prefix(nested.network.value ^ (1 << (32 - length)), length)
+            pool += [nested, sibling]
+    return pool
+
+
+def probe_addresses(rng: random.Random, pool: list[Prefix]) -> list[int]:
+    """Addresses inside, at the edges of and just outside pool prefixes."""
+    picks = [rng.getrandbits(32) for _ in range(4)]
+    for prefix in rng.sample(pool, 6):
+        base = prefix.network.value
+        picks += [
+            base,
+            base + rng.randrange(prefix.num_addresses),
+            (base + prefix.num_addresses) & 0xFFFFFFFF,
+            (base - 1) & 0xFFFFFFFF,
+        ]
+    return picks
+
+
+def assert_same_table(table: RouteTable, model: dict[Prefix, RouteEntry], addresses):
+    assert len(table) == len(model)
+    assert table.entries() == sorted(
+        model.values(), key=lambda e: (-e.prefix.length, e.prefix.network.value)
+    )
+    for address in addresses:
+        assert table.lookup(IPv4Address(address)) is linear_lookup(model, address)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_indexed_lookup_matches_linear_scan_under_random_mutation(seed):
+    rng = random.Random(seed)
+    pool = prefix_pool(rng)
+    table = RouteTable()
+    model: dict[Prefix, RouteEntry] = {}
+    for step in range(400):
+        prefix = rng.choice(pool)
+        route = RouteEntry(prefix=prefix, initcwnd=rng.randint(1, 300), created_at=step)
+        op = rng.choice(("add", "replace", "delete", "delete", "update"))
+        if op == "add":
+            if prefix in model:
+                with pytest.raises(KeyError):
+                    table.add(route)
+            else:
+                table.add(route)
+                model[prefix] = route
+        elif op == "replace":
+            table.replace(route)
+            model[prefix] = route
+        elif op == "delete":
+            if prefix in model:
+                assert table.delete(prefix) is model.pop(prefix)
+            else:
+                with pytest.raises(KeyError):
+                    table.delete(prefix)
+        else:
+            if prefix in model:
+                updated = table.update_attributes(prefix, initrwnd=rng.randint(1, 300))
+                assert updated.initcwnd == model[prefix].initcwnd
+                model[prefix] = updated
+            else:
+                with pytest.raises(KeyError):
+                    table.update_attributes(prefix, initcwnd=5)
+        assert_same_table(table, model, probe_addresses(rng, pool))
+    # Empty every length level, the last route of each included, then refill.
+    for prefix in list(model):
+        table.delete(prefix)
+        del model[prefix]
+        assert_same_table(table, model, probe_addresses(rng, pool))
+    assert table.lookup(IPv4Address(rng.getrandbits(32))) is None
+    for prefix in rng.sample(pool, 10):
+        model[prefix] = RouteEntry(prefix=prefix, initcwnd=7)
+        table.replace(model[prefix])
+    assert_same_table(table, model, probe_addresses(rng, pool))
+
+
+def test_reboot_wipes_the_index_with_the_table():
+    bed = TwoHostTestbed(rtt=0.080)
+    host = bed.server
+    client = bed.client.address
+    host.ip.route_replace(f"{client}/32", initcwnd=50)
+    host.ip.route_replace("0.0.0.0/0", initcwnd=20)
+    assert host.initcwnd_for(client) == 50
+    host.reboot()
+    assert host.route_table.lookup(client) is None
+    assert host.initcwnd_for(client) == host.config.default_initcwnd
+    host.ip.route_replace("0.0.0.0/0", initcwnd=30)
+    assert host.initcwnd_for(client) == 30

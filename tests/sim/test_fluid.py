@@ -7,6 +7,7 @@ is bit-deterministic.
 """
 
 import math
+import random
 
 import pytest
 
@@ -253,3 +254,119 @@ class TestFluidPopulation:
         defaults.update(kwargs)
         with pytest.raises(ValueError):
             FluidPopulation(**defaults)
+
+
+# ----------------------------------------------------------------------
+# the active-range retighten and the window-total cache, differentially
+# ----------------------------------------------------------------------
+
+
+class FullScanDistribution(CwndDistribution):
+    """The reference: retighten over every bin, whatever the step wrote."""
+
+    def _retighten(self, first, last):
+        super()._retighten(0, self.nbins - 1)
+
+
+def state_of(dist):
+    return list(dist._bin_mass), dist.flows, dist._lo_bin, dist._hi_bin
+
+
+def fresh_window_total(dist):
+    """``total_window_segments`` recomputed from the bins, no cache."""
+    if dist._hi_bin < 0:
+        return 0.0
+    return sum(
+        dist._bin_mass[b] * (b * dist.bin_width + 1)
+        for b in range(dist._lo_bin, dist._hi_bin + 1)
+    )
+
+
+@pytest.mark.parametrize("bin_width", [1, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_active_range_retighten_matches_full_scan(seed, bin_width):
+    rng = random.Random(seed)
+    fast = CwndDistribution(max_window=120, bin_width=bin_width)
+    full = FullScanDistribution(max_window=120, bin_width=bin_width)
+    reached_top = emptied = False
+    for _ in range(200):
+        # Arrivals: anywhere in range, sometimes a sliver that a lossy
+        # step splits below the trim threshold.
+        window = rng.choice((1, 2, 10, 60, 119, 120, rng.randint(1, 120)))
+        mass = rng.choice((0.0, 3e-12, 1.0, rng.uniform(0.0, 500.0)))
+        # Departures: none, some, nearly all (survivors under the trim
+        # threshold), all.
+        fraction = rng.choice((0.0, 0.0, rng.random(), 1.0 - 1e-14, 1.0))
+        dt = rng.choice((0.25, 0.5))
+        rtt = rng.choice((0.01, 0.1, 0.3))
+        loss = rng.choice((0.0, 1e-4, 0.02, 0.5))
+        # ``whole`` is 0 for the small drifts and up to 25 bins for the rest.
+        drift = rng.choice((0.0, 0.3, 2.0, 9.0, 40.0, 200.0))
+        cap = rng.choice((None, None, 5.0, 400.0))
+        results = []
+        for dist in (fast, full):
+            dist.add_mass(window, mass)
+            dist.remove_fraction(fraction)
+            results.append(dist.step(dt, rtt, loss, drift, send_rate_cap=cap))
+        assert results[0] == results[1]
+        assert state_of(fast) == state_of(full)
+        assert fast.total_window_segments() == fresh_window_total(full)
+        outside = fast._bin_mass[: fast._lo_bin] + fast._bin_mass[fast._hi_bin + 1 :]
+        assert not any(outside)
+        reached_top |= fast._hi_bin == fast.nbins - 1
+        emptied |= fast._hi_bin < 0
+    assert reached_top and emptied
+
+
+def test_slivers_under_the_trim_threshold_are_dropped():
+    dist = CwndDistribution(max_window=100)
+    dist.add_mass(50, 1.5e-12)
+    # Half a bin of drift splits the sliver into two sub-threshold halves.
+    dist.step(0.25, rtt=0.1, loss_rate=0.0, drift_segments_per_sec=2.0)
+    assert state_of(dist) == ([0.0] * 100, 0.0, 0, -1)
+
+
+def test_negative_drift_rejected():
+    dist = CwndDistribution(max_window=100)
+    dist.add_mass(50, 10.0)
+    with pytest.raises(ValueError):
+        dist.step(0.25, rtt=0.1, loss_rate=0.0, drift_segments_per_sec=-1.0)
+
+
+def test_window_total_cache_is_dropped_by_every_mutator():
+    population = FluidPopulation(
+        name="p", rtt=0.08, target_flows=300.0, entry_window=10, max_window=200
+    )
+    dist = population.distribution
+
+    def check():
+        total = fresh_window_total(dist)
+        assert dist.total_window_segments() == total
+        assert dist.mean() == (total / dist.flows if dist.flows > 0.0 else 0.0)
+        assert population.offered_bps() == total / population.rtt * population.mss * 8.0
+
+    check()
+    dist.add_mass(150, 40.0)
+    check()
+    dist.remove_fraction(0.3)
+    check()
+    dist.step(0.25, population.rtt, 0.01, 12.0)
+    check()
+    population.step(0.25, loss_rate=0.02, entry_window=30)
+    check()
+    dist.remove_fraction(1.0)
+    check()
+    dist.add_mass(5, 2.0)
+    check()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_median_quantile_is_the_single_mid_sample(seed):
+    """``quantile`` needs no special case at 0.5: same bin either way."""
+    rng = random.Random(seed)
+    dist = CwndDistribution(max_window=320, bin_width=rng.choice((1, 4)))
+    for _ in range(rng.randint(1, 6)):
+        dist.add_mass(rng.randint(1, 320), rng.uniform(0.1, 50.0))
+    for _ in range(rng.randint(0, 5)):
+        dist.step(0.25, 0.1, rng.choice((0.0, 0.01)), rng.uniform(0.0, 20.0))
+    assert dist.quantile(0.5) == dist.sample_windows(1)[0]
