@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output lint typecheck bench bench-figs bench-fast bench-output examples clean
 
 install:
 	pip install -e . --no-build-isolation

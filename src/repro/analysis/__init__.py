@@ -10,7 +10,6 @@ from repro.analysis.export import (
     trace_to_json,
     write_csv,
 )
-from repro.analysis.significance import KsComparison, ks_compare, median_shift
 from repro.analysis.stats import (
     PercentileGain,
     fraction_below,
@@ -21,15 +20,12 @@ from repro.analysis.tables import format_cdf_rows, format_table
 
 __all__ = [
     "EmpiricalCdf",
-    "KsComparison",
     "PercentileGain",
     "cdf_to_csv",
     "cdfs_to_csv",
     "format_cdf_rows",
     "format_table",
     "fraction_below",
-    "ks_compare",
-    "median_shift",
     "metrics_to_csv",
     "metrics_to_json",
     "percentile_gain_profile",

@@ -18,8 +18,8 @@ OBS001    metric/trace/span taxonomy drift against ARCHITECTURE.md
 
 The analyzer runs in two passes: pass 1 builds a whole-program
 :class:`~repro.analysis.lint.index.ProjectIndex` (per-module symbol
-tables, import/call graphs, per-function nondeterminism summaries —
-cacheable by content hash), pass 2 runs the rules against it.
+tables, import/call graphs, per-function nondeterminism summaries),
+pass 2 runs the rules against it.
 
 See the "Static analysis" section of ``docs/ARCHITECTURE.md`` for a
 motivating example per rule, and :mod:`repro.analysis.lint.engine` for
@@ -39,18 +39,12 @@ from repro.analysis.lint.engine import (
     run_lint,
     select_rules,
 )
-from repro.analysis.lint.index import (
-    INDEX_SCHEMA_VERSION,
-    ModuleIndex,
-    ProjectIndex,
-    index_module,
-)
+from repro.analysis.lint.index import ModuleIndex, ProjectIndex, index_module
 
 __all__ = [
     "ALL_RULES",
     "FileContext",
     "Finding",
-    "INDEX_SCHEMA_VERSION",
     "LINT_SCHEMA_VERSION",
     "LintResult",
     "LintUsageError",

@@ -40,13 +40,7 @@ from repro.analysis.lint.frk import (
     Frk001UnpicklableAcrossFork,
     Frk002MergeContract,
 )
-from repro.analysis.lint.index import (
-    INDEX_SCHEMA_VERSION,
-    ModuleIndex,
-    ProjectIndex,
-    content_hash,
-    index_module,
-)
+from repro.analysis.lint.index import ModuleIndex, ProjectIndex, index_module
 from repro.analysis.lint.obs001 import Obs001TaxonomyDrift
 from repro.analysis.lint.sim001 import Sim001KernelInvariants
 from repro.analysis.lint.slot001 import Slot001UndeclaredSlot
@@ -90,8 +84,6 @@ class LintResult:
     stale_baseline: list[dict[str, str]] = field(default_factory=list)
     #: Modules summarized for the whole-program index (pass 1 scope).
     indexed_modules: int = 0
-    #: Of those, how many were served from the incremental cache.
-    cached_modules: int = 0
     #: Baseline accounting (zeroes when no ``--baseline`` was given).
     baseline_used: bool = False
     baseline_entries: int = 0
@@ -113,10 +105,7 @@ class LintResult:
             "version": LINT_SCHEMA_VERSION,
             "files_scanned": self.files_scanned,
             "counts": self.counts(),
-            "index": {
-                "modules": self.indexed_modules,
-                "cached": self.cached_modules,
-            },
+            "index": {"modules": self.indexed_modules},
             "baseline": {
                 "used": self.baseline_used,
                 "entries": self.baseline_entries,
@@ -206,7 +195,7 @@ class LintResult:
         lines.append(
             f"::notice title=repro-lint::{len(self.findings)} finding(s) in "
             f"{self.files_scanned} file(s); index {self.indexed_modules} "
-            f"module(s), {self.cached_modules} cached"
+            "module(s)"
         )
         return "\n".join(lines)
 
@@ -293,40 +282,6 @@ def _inline_suppressed(line_text: str, code: str) -> bool:
     return code in {c.strip() for c in codes.split(",")}
 
 
-def _load_index_cache(cache_path: str) -> dict[str, dict[str, object]]:
-    """``abspath -> {"hash", "index"}`` entries, or empty on any damage."""
-    try:
-        with open(cache_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    if payload.get("version") != INDEX_SCHEMA_VERSION:
-        return {}
-    entries = payload.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def _write_index_cache(cache_path: str, modules: dict[str, ModuleIndex]) -> None:
-    payload = {
-        "version": INDEX_SCHEMA_VERSION,
-        "entries": {
-            abspath: {
-                "hash": mod.content_hash,
-                "index": mod.to_payload(),
-            }
-            for abspath, mod in sorted(modules.items())
-        },
-    }
-    try:
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # a read-only checkout never fails the lint run
-
-
 def _index_scope(files: list[str], root: str | None) -> list[str]:
     """Pass-1 file set: the whole ``src`` tree plus the linted files.
 
@@ -349,59 +304,28 @@ def _index_scope(files: list[str], root: str | None) -> list[str]:
 
 
 def _build_index(
-    files: list[str], root: str | None, cache_path: str | None
-) -> tuple[ProjectIndex, dict[str, tuple[str, ast.Module]], int, int]:
-    """Pass 1: summarize every module in scope, reusing cached summaries.
+    files: list[str], root: str | None
+) -> tuple[ProjectIndex, dict[str, tuple[str, ast.Module]]]:
+    """Pass 1: summarize every module in scope.
 
-    Returns ``(index, parsed, indexed, cached)`` where ``parsed`` maps
-    the lint-phase files' paths to their already-parsed trees so pass 2
-    never parses a file twice.
+    Returns ``(index, parsed)`` where ``parsed`` maps the lint-phase
+    files' paths to their already-parsed trees so pass 2 never parses a
+    file twice.
     """
-    cache = _load_index_cache(cache_path) if cache_path else {}
     lint_set = set(files)
     parsed: dict[str, tuple[str, ast.Module]] = {}
-    modules: dict[str, ModuleIndex] = {}
-    cached = 0
+    modules: list[ModuleIndex] = []
     for file_path in _index_scope(files, root):
-        abspath = os.path.abspath(file_path)
         try:
             with open(file_path, encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError:
-            continue
-        display = _display_path(file_path)
-        entry = cache.get(abspath)
-        file_hash = content_hash(source)
-        mod: ModuleIndex | None = None
-        needs_tree = file_path in lint_set
-        if (
-            entry is not None
-            and entry.get("hash") == file_hash
-            and isinstance(entry.get("index"), dict)
-        ):
-            try:
-                mod = ModuleIndex.from_payload(entry["index"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError):
-                mod = None
-            if mod is not None:
-                # Display paths depend on the invocation cwd; pin them
-                # to this run's view of the tree.
-                mod.path = display
-                mod.module = module_name_for(file_path)
-                cached += 1
-        if mod is None or needs_tree:
-            try:
-                tree = ast.parse(source, filename=file_path)
-            except SyntaxError:
-                continue  # the lint phase reports the PARSE finding
-            if needs_tree:
-                parsed[file_path] = (source, tree)
-            if mod is None:
-                mod = index_module(file_path, display, source, tree)
-        modules[abspath] = mod
-    if cache_path is not None:
-        _write_index_cache(cache_path, modules)
-    return ProjectIndex(list(modules.values())), parsed, len(modules), cached
+            tree = ast.parse(source, filename=file_path)
+        except (OSError, SyntaxError):
+            continue  # the lint phase reports the PARSE finding
+        if file_path in lint_set:
+            parsed[file_path] = (source, tree)
+        modules.append(index_module(file_path, _display_path(file_path), tree))
+    return ProjectIndex(modules), parsed
 
 
 def run_lint(
@@ -410,19 +334,12 @@ def run_lint(
     select: list[str] | None = None,
     ignore: list[str] | None = None,
     baseline_path: str | None = None,
-    cache_path: str | None = None,
 ) -> LintResult:
-    """Lint ``paths`` and return the (already suppressed) result.
-
-    ``cache_path`` enables the incremental pass-1 cache; the default of
-    None keeps programmatic runs (and the test suite) hermetic.
-    """
+    """Lint ``paths`` and return the (already suppressed) result."""
     files = collect_files(paths)
     rules: list[Rule] = [rule_cls() for rule_cls in select_rules(select, ignore)]
     root = find_project_root(files[0]) if files else None
-    index, parsed, indexed_modules, cached_modules = _build_index(
-        files, root, cache_path
-    )
+    index, parsed = _build_index(files, root)
     project = ProjectContext(root=root, index=index)
 
     findings: list[Finding] = []
@@ -469,8 +386,7 @@ def run_lint(
     result = LintResult(
         findings=[],
         files_scanned=len(files),
-        indexed_modules=indexed_modules,
-        cached_modules=cached_modules,
+        indexed_modules=len(index.modules),
     )
     baseline = load_baseline(baseline_path) if baseline_path else {}
     result.baseline_used = baseline_path is not None

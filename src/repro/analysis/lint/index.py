@@ -3,9 +3,7 @@
 Pass 1 (:func:`index_module`) is a pure function of one file's content:
 it extracts a :class:`ModuleIndex` — imports, per-function
 nondeterminism summaries (returns-tainted / sink-reaching / pure), and
-per-class fork/merge facts.  Because it depends on nothing but the
-source text, summaries are cached across invocations keyed by content
-hash (:func:`ModuleIndex.to_payload` / :func:`ModuleIndex.from_payload`).
+per-class fork/merge facts.
 
 Pass 2 (:class:`ProjectIndex`) stitches the per-module summaries into a
 whole program: it resolves call references across imports, star imports,
@@ -30,10 +28,8 @@ from __future__ import annotations
 
 import ast
 import builtins
-import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.analysis.lint.base import module_name_for
 from repro.analysis.lint.det001 import (
@@ -42,9 +38,6 @@ from repro.analysis.lint.det001 import (
     _RANDOM_FUNCS,
 )
 from repro.analysis.lint.det002 import ORDER_SENSITIVE_SINKS, _first_sink
-
-#: Bump when the summary shape changes; stale caches are discarded.
-INDEX_SCHEMA_VERSION = 1
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 _TRANSPARENT = frozenset({"list", "tuple", "reversed", "enumerate", "iter"})
@@ -197,134 +190,10 @@ class ModuleIndex:
     path: str
     module: str | None
     import_name: str
-    content_hash: str
     imports: dict[str, str] = field(default_factory=dict)
     star_imports: tuple[str, ...] = ()
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "import_name": self.import_name,
-            "content_hash": self.content_hash,
-            "imports": dict(sorted(self.imports.items())),
-            "star_imports": list(self.star_imports),
-            "functions": {
-                name: _function_payload(fn)
-                for name, fn in sorted(self.functions.items())
-            },
-            "classes": {
-                name: _class_payload(cls)
-                for name, cls in sorted(self.classes.items())
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ModuleIndex":
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            import_name=payload["import_name"],
-            content_hash=payload["content_hash"],
-            imports=dict(payload["imports"]),
-            star_imports=tuple(payload["star_imports"]),
-            functions={
-                name: _function_from_payload(raw)
-                for name, raw in payload["functions"].items()
-            },
-            classes={
-                name: _class_from_payload(raw)
-                for name, raw in payload["classes"].items()
-            },
-        )
-
-
-def _function_payload(fn: FunctionSummary) -> dict[str, Any]:
-    return {
-        "name": fn.name,
-        "lineno": fn.lineno,
-        "kind": fn.kind,
-        "calls": list(fn.calls),
-        "return_value": list(fn.return_value),
-        "return_value_via": list(fn.return_value_via),
-        "return_order": list(fn.return_order),
-        "return_order_via": list(fn.return_order_via),
-        "sink_events": [
-            [e.sink, e.line, e.col, list(e.value), list(e.value_via),
-             list(e.order), list(e.order_via)]
-            for e in fn.sink_events
-        ],
-        "loop_events": [
-            [e.sink, e.line, e.col, list(e.order), list(e.order_via)]
-            for e in fn.loop_events
-        ],
-    }
-
-
-def _function_from_payload(raw: dict[str, Any]) -> FunctionSummary:
-    return FunctionSummary(
-        name=raw["name"],
-        lineno=raw["lineno"],
-        kind=raw["kind"],
-        calls=tuple(raw["calls"]),
-        return_value=tuple(raw["return_value"]),
-        return_value_via=tuple(raw["return_value_via"]),
-        return_order=tuple(raw["return_order"]),
-        return_order_via=tuple(raw["return_order_via"]),
-        sink_events=tuple(
-            SinkEvent(e[0], e[1], e[2], tuple(e[3]), tuple(e[4]),
-                      tuple(e[5]), tuple(e[6]))
-            for e in raw["sink_events"]
-        ),
-        loop_events=tuple(
-            LoopEvent(e[0], e[1], e[2], tuple(e[3]), tuple(e[4]))
-            for e in raw["loop_events"]
-        ),
-    )
-
-
-def _class_payload(cls: ClassSummary) -> dict[str, Any]:
-    return {
-        "name": cls.name,
-        "lineno": cls.lineno,
-        "bases": list(cls.bases),
-        "methods": [list(pair) for pair in cls.methods],
-        "slots": list(cls.slots),
-        "has_slots": cls.has_slots,
-        "hazards": [list(entry) for entry in cls.hazards],
-        "store_attrs": [list(entry) for entry in cls.store_attrs],
-        "constructed": list(cls.constructed),
-        "attr_types": [list(pair) for pair in cls.attr_types],
-        "attr_kinds": [list(pair) for pair in cls.attr_kinds],
-        "writes_next_id": cls.writes_next_id,
-        "has_merge_from": cls.has_merge_from,
-        "merge_from_line": cls.merge_from_line,
-        "merge_reads_next_id": cls.merge_reads_next_id,
-        "merge_writes_next_id": cls.merge_writes_next_id,
-    }
-
-
-def _class_from_payload(raw: dict[str, Any]) -> ClassSummary:
-    return ClassSummary(
-        name=raw["name"],
-        lineno=raw["lineno"],
-        bases=tuple(raw["bases"]),
-        methods=tuple((m[0], m[1]) for m in raw["methods"]),
-        slots=tuple(raw["slots"]),
-        has_slots=raw["has_slots"],
-        hazards=tuple((h[0], h[1], h[2]) for h in raw["hazards"]),
-        store_attrs=tuple((s[0], s[1], s[2]) for s in raw["store_attrs"]),
-        constructed=tuple(raw["constructed"]),
-        attr_types=tuple((a[0], a[1]) for a in raw["attr_types"]),
-        attr_kinds=tuple((a[0], a[1]) for a in raw["attr_kinds"]),
-        writes_next_id=raw["writes_next_id"],
-        has_merge_from=raw["has_merge_from"],
-        merge_from_line=raw["merge_from_line"],
-        merge_reads_next_id=raw["merge_reads_next_id"],
-        merge_writes_next_id=raw["merge_writes_next_id"],
-    )
 
 
 def import_name_for(path: str) -> str:
@@ -941,15 +810,12 @@ class _NextIdReads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def index_module(
-    path: str, display_path: str, source: str, tree: ast.Module
-) -> ModuleIndex:
+def index_module(path: str, display_path: str, tree: ast.Module) -> ModuleIndex:
     """Pass 1: extract one module's summary (pure function of content)."""
     mod = ModuleIndex(
         path=display_path,
         module=module_name_for(path),
         import_name=import_name_for(path),
-        content_hash=content_hash(source),
     )
     tables = _SourceTables()
 
@@ -1060,7 +926,12 @@ def _index_class(mod: ModuleIndex, node: ast.ClassDef, tables: _SourceTables) ->
         name=node.name,
         lineno=node.lineno,
         bases=tuple(
-            ref for ref in (_callee_ref(base) for base in node.bases)
+            ref
+            for ref in (
+                # ``Base[int]`` names the class ``Base``.
+                _callee_ref(base.value if isinstance(base, ast.Subscript) else base)
+                for base in node.bases
+            )
             if ref is not None
         ),
         methods=tuple(sorted(methods.items())),
@@ -1077,11 +948,6 @@ def _index_class(mod: ModuleIndex, node: ast.ClassDef, tables: _SourceTables) ->
         merge_reads_next_id=facts.merge_reads_next_id,
         merge_writes_next_id=facts.merge_writes_next_id,
     )
-
-
-def content_hash(source: str) -> str:
-    """Cache key of one file's pass-1 summary."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # -- pass 2: whole-program resolution -------------------------------------

@@ -44,10 +44,12 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable
 
 from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments.registry import Experiment
-from repro.obs import capture
+from repro.obs import Instrumentation, capture
+
 
 def _add_scale_flags(
     parser: argparse.ArgumentParser,
@@ -76,9 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list all registered experiments")
+    list_parser = subparsers.add_parser("list", help="list all registered experiments")
+    list_parser.set_defaults(handler=_cmd_list)
 
     run_parser = subparsers.add_parser("run", help="run one experiment")
+    run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument(
         "experiment_id",
         nargs="?",
@@ -107,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the determinism/sim-invariant static analyzer",
     )
+    lint_parser.set_defaults(handler=_cmd_lint)
     lint_parser.add_argument(
         "paths",
         nargs="*",
@@ -125,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output format: text (default), json, or github workflow "
         "annotations",
-    )
-    lint_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk module index cache",
     )
     lint_parser.add_argument(
         "--baseline",
@@ -159,6 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "tournament",
         help="race the window-policy zoo across scenarios; emit a leaderboard",
     )
+    tournament_parser.set_defaults(handler=_cmd_tournament)
     tournament_parser.add_argument(
         "--policies",
         nargs="*",
@@ -203,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "faults",
         help="list the chaos fault scenarios and their timelines",
     )
+    faults_parser.set_defaults(handler=_cmd_faults)
     faults_parser.add_argument(
         "--duration",
         type=float,
@@ -215,12 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
     describe_parser = subparsers.add_parser(
         "describe", help="show what an experiment reproduces"
     )
+    describe_parser.set_defaults(handler=_cmd_describe)
     describe_parser.add_argument("experiment_id")
 
     metrics_parser = subparsers.add_parser(
         "metrics",
         help="run an experiment and print its metric table and trace totals",
     )
+    metrics_parser.set_defaults(handler=_cmd_metrics)
     metrics_parser.add_argument(
         "experiment_id", help="e.g. fig10 or fig10_cmax_sweep"
     )
@@ -251,6 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "flows",
         help="run an experiment and print its per-connection flow records",
     )
+    flows_parser.set_defaults(handler=_cmd_flows)
     flows_parser.add_argument(
         "experiment_id", help="e.g. fig12_14 or chaos_lossy_agent"
     )
@@ -284,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report",
         help="run an experiment and print its tail-latency attribution report",
     )
+    report_parser.set_defaults(handler=_cmd_report)
     report_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
@@ -328,6 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "alerts",
         help="run an experiment and print its SLO burn-rate alert report",
     )
+    alerts_parser.set_defaults(handler=_cmd_alerts)
     alerts_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
@@ -358,6 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "watch",
         help="run an experiment and replay it as live operator frames",
     )
+    watch_parser.set_defaults(handler=_cmd_watch)
     watch_parser.add_argument(
         "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
     )
@@ -386,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for exp in list_experiments():
         kind = "simulation" if exp.simulation_backed else "model"
         extras = []
@@ -396,16 +404,6 @@ def _cmd_list() -> int:
             extras.append(f"faults:{exp.fault_scenario}")
         tag = f" ({', '.join(extras)})" if extras else ""
         print(f"{exp.experiment_id:<18} [{kind:<10}] {exp.description}{tag}")
-    return 0
-
-
-def _cmd_describe(experiment_id: str) -> int:
-    exp = get_experiment(experiment_id)
-    print(f"id:          {exp.experiment_id}")
-    print(f"description: {exp.description}")
-    print(f"backed by:   {'full simulation' if exp.simulation_backed else 'closed-form model'}")
-    doc = sys.modules[exp.run.__module__].__doc__ or ""
-    print(f"\n{doc.strip()}")
     return 0
 
 
@@ -423,6 +421,21 @@ def _normalize_experiment_id(experiment_id: str) -> str:
         if experiment_id == module_name:
             return exp.experiment_id
     return experiment_id  # let get_experiment raise its usual error
+
+
+def _lookup(experiment_id: str) -> Experiment:
+    """The experiment an id or harness module name refers to (KeyError if none)."""
+    return get_experiment(_normalize_experiment_id(experiment_id))
+
+
+def _cmd_describe(args: argparse.Namespace) -> int:
+    exp = _lookup(args.experiment_id)
+    print(f"id:          {exp.experiment_id}")
+    print(f"description: {exp.description}")
+    print(f"backed by:   {'full simulation' if exp.simulation_backed else 'closed-form model'}")
+    doc = sys.modules[exp.run.__module__].__doc__ or ""
+    print(f"\n{doc.strip()}")
+    return 0
 
 
 def _run_kwargs(exp: Experiment, fast: bool, workers: int) -> dict[str, object]:
@@ -459,58 +472,66 @@ def _cmd_run_list() -> int:
     return 0
 
 
-def _cmd_run(
-    experiment_id: str, fast: bool, workers: int = 1, banner: str | None = None
-) -> int:
-    exp = get_experiment(experiment_id)
-    kwargs = _run_kwargs(exp, fast, workers)
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.list_experiments:
+        return _cmd_run_list()
+    experiment_id = args.experiment_id
+    banner = None
+    if args.faults is not None:
+        if experiment_id is not None:
+            print(
+                "error: give either an experiment id or --faults, not both",
+                file=sys.stderr,
+            )
+            return 2
+        from repro.faults import get_scenario
+
+        # Every scenario is registered as the experiment of the same name.
+        experiment_id = get_scenario(args.faults).name
+        banner = (
+            f"running chaos scenario {experiment_id} "
+            "(paired control/Riptide simulation; this takes a while)..."
+        )
+    elif experiment_id is None:
+        print(
+            "error: run needs an experiment id (or --faults SCENARIO)",
+            file=sys.stderr,
+        )
+        return 2
+    exp = _lookup(experiment_id)
+    kwargs = _run_kwargs(exp, args.fast, args.workers)
     if banner is not None:
         print(banner)
     elif exp.simulation_backed:
-        print(f"running {experiment_id} (full simulation; this takes a while)...")
+        print(f"running {exp.experiment_id} (full simulation; this takes a while)...")
     started = time.perf_counter()
     result = exp.run(**kwargs)
     elapsed = time.perf_counter() - started
     print(result.report())
-    print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
+    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]")
     return 0
 
 
-def _cmd_run_faults(scenario_name: str, fast: bool, workers: int) -> int:
-    """Run the paired chaos study for one fault scenario.
-
-    Every scenario is registered as the experiment of the same name.
-    """
-    from repro.faults import get_scenario
-
-    scenario = get_scenario(scenario_name)
-    return _cmd_run(
-        scenario.name,
-        fast,
-        workers,
-        banner=f"running chaos scenario {scenario.name} "
-        "(paired control/Riptide simulation; this takes a while)...",
-    )
+def _write_artifact(path: str | None, what: str, render: Callable[[], str]) -> None:
+    """An "also write X to PATH" flag: render, write and say so, if PATH was given."""
+    if path is None:
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(render())
+    print(f"{what} written to {path}", file=sys.stderr)
 
 
-def _cmd_tournament(
-    policies: list[str] | None,
-    scenarios: list[str] | None,
-    workers: int,
-    fast: bool,
-    out_path: str | None,
-    markdown_path: str | None,
-) -> int:
+def _cmd_tournament(args: argparse.Namespace) -> int:
     """Race the policy zoo; print and optionally write the leaderboard."""
     from dataclasses import replace
 
     from repro.experiments.tournament import TournamentConfig, run_tournament
 
-    base = get_experiment("tournament").fast["config"] if fast else TournamentConfig()
+    base = get_experiment("tournament").fast["config"] if args.fast else TournamentConfig()
     config = replace(
         base,
-        policies=tuple(policies) if policies else (),
-        scenarios=tuple(scenarios) if scenarios else (),
+        policies=tuple(args.policies) if args.policies else (),
+        scenarios=tuple(args.scenarios) if args.scenarios else (),
     )
     try:
         cell_count = len(config.resolved_policies()) * len(
@@ -525,37 +546,23 @@ def _cmd_tournament(
         file=sys.stderr,
     )
     started = time.perf_counter()
-    result = run_tournament(config, workers=workers)
+    result = run_tournament(config, workers=args.workers)
     elapsed = time.perf_counter() - started
     print(result.to_markdown(), end="")
     print(f"\n[tournament completed in {elapsed:.1f}s]", file=sys.stderr)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
-        print(f"leaderboard artifact written to {out_path}", file=sys.stderr)
-    if markdown_path is not None:
-        with open(markdown_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_markdown())
-        print(f"leaderboard markdown written to {markdown_path}", file=sys.stderr)
+    _write_artifact(args.out, "leaderboard artifact", result.to_json)
+    _write_artifact(args.markdown, "leaderboard markdown", result.to_markdown)
     return 0
 
 
-def _cmd_lint(
-    paths: list[str],
-    as_json: bool,
-    output_format: str | None,
-    no_cache: bool,
-    baseline: str | None,
-    select: str | None,
-    ignore: str | None,
-    list_rules: bool,
-) -> int:
+def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import ALL_RULES, LintUsageError, run_lint
 
-    if list_rules:
+    if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.code}  {rule.summary}")
         return 0
+    paths = args.paths
     if not paths:
         if not os.path.isdir("src"):
             print(
@@ -569,16 +576,13 @@ def _cmd_lint(
             return None
         return [code.strip().upper() for code in value.split(",") if code.strip()]
 
-    if output_format is None:
-        output_format = "json" if as_json else "text"
-    cache_path = None if no_cache else os.path.join(os.getcwd(), ".repro-lint-cache.json")
+    output_format = args.lint_format or ("json" if args.json else "text")
     try:
         result = run_lint(
             paths,
-            select=split(select),
-            ignore=split(ignore),
-            baseline_path=baseline,
-            cache_path=cache_path,
+            select=split(args.select),
+            ignore=split(args.ignore),
+            baseline_path=args.baseline,
         )
     except LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -592,7 +596,7 @@ def _cmd_lint(
     return 0 if result.clean else 1
 
 
-def _cmd_faults(duration: float) -> int:
+def _cmd_faults(args: argparse.Namespace) -> int:
     """List the chaos scenarios with their fault timelines."""
     from repro.faults import CHAOS_SCENARIOS
 
@@ -604,8 +608,8 @@ def _cmd_faults(duration: float) -> int:
             f"headline target {scenario.target_pop})"
         )
         print(f"  {scenario.description}")
-        print(f"  timeline over {duration:g}s of probing:")
-        print(scenario.describe(duration))
+        print(f"  timeline over {args.duration:g}s of probing:")
+        print(scenario.describe(args.duration))
         print()
     print("run one with: python -m repro run --faults <scenario>")
     return 0
@@ -613,18 +617,18 @@ def _cmd_faults(duration: float) -> int:
 
 def _run_captured(
     experiment_id: str, fast: bool, workers: int = 1, what: str = "metrics"
-):
-    """Run one experiment under an instrumentation capture.
+) -> tuple[Experiment, Instrumentation, float]:
+    """Run one experiment (by id or harness module name) under a capture.
 
     The capture uses the default capacities — the same ones parallel
     workers capture under — so the merged stores (and everything derived
     from them) are byte-identical between serial and ``--workers N``.
     """
-    exp = get_experiment(experiment_id)
+    exp = _lookup(experiment_id)
     kwargs = _run_kwargs(exp, fast, workers)
     if exp.simulation_backed:
         print(
-            f"running {experiment_id} under {what} capture "
+            f"running {exp.experiment_id} under {what} capture "
             "(full simulation; this takes a while)...",
             file=sys.stderr,
         )
@@ -633,56 +637,47 @@ def _run_captured(
         exp.run(**kwargs)
     elapsed = time.perf_counter() - started
     _warn_truncation(instrumentation)
-    return instrumentation, elapsed
+    return exp, instrumentation, elapsed
 
 
-def _warn_truncation(instrumentation) -> None:
+def _warn_truncation(instrumentation: Instrumentation) -> None:
     """Say on stderr which bounded stores kept only part of the run.
 
     Everything a verb prints is computed from what the stores retained,
     so a saturated store makes it a report on a prefix of the run (the
     trace ring: a suffix).  Stderr only — the artifacts stay byte-stable.
     """
-    stores = {
-        "trace ring": instrumentation.trace,
-        "flow log": instrumentation.flows,
-        "span log": instrumentation.spans,
-        "timeline": instrumentation.timeline,
-        "tsdb": instrumentation.tsdb,
-        "alert log": instrumentation.alerts,
-    }
-    for name, store in stores.items():
+    for name, store in instrumentation.logs():
         if store.dropped > 0:
             print(
                 f"warning: {name} dropped {store.dropped} of "
-                f"{len(store) + store.dropped} records "
+                f"{store.recorded} records "
                 f"(retained {len(store)})",
                 file=sys.stderr,
             )
 
 
-def _cmd_metrics(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    as_prom: bool,
-    csv_path: str | None,
-    trace_csv_path: str | None,
-) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.export import metrics_to_csv, metrics_to_json, trace_to_json
+    from repro.analysis.export import (
+        metrics_to_csv,
+        metrics_to_json,
+        metrics_to_prometheus,
+        trace_to_csv,
+        trace_to_json,
+    )
 
-    if as_json and as_prom:
+    if args.json and args.prom:
         print("error: give either --json or --prom, not both", file=sys.stderr)
         return 2
-    instrumentation, elapsed = _run_captured(experiment_id, fast, workers)
-    if as_prom:
-        from repro.analysis.export import metrics_to_prometheus
-
+    exp, instrumentation, elapsed = _run_captured(
+        args.experiment_id, args.fast, args.workers
+    )
+    experiment_id = exp.experiment_id
+    if args.prom:
         print(metrics_to_prometheus(instrumentation.metrics), end="")
-    elif as_json:
+    elif args.json:
         payload = {
             "experiment": experiment_id,
             "metrics": json.loads(metrics_to_json(instrumentation.metrics)),
@@ -701,35 +696,25 @@ def _cmd_metrics(
             ):
                 print(f"{event_type.value:<{width}}  {count}")
         print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    if csv_path is not None:
-        from repro.analysis.export import write_csv
-
-        write_csv(csv_path, metrics_to_csv(instrumentation.metrics))
-        print(f"metrics CSV written to {csv_path}", file=sys.stderr)
-    if trace_csv_path is not None:
-        from repro.analysis.export import trace_to_csv, write_csv
-
-        write_csv(trace_csv_path, trace_to_csv(instrumentation.trace))
-        print(f"trace CSV written to {trace_csv_path}", file=sys.stderr)
+    _write_artifact(
+        args.csv, "metrics CSV", lambda: metrics_to_csv(instrumentation.metrics)
+    )
+    _write_artifact(
+        args.trace_csv, "trace CSV", lambda: trace_to_csv(instrumentation.trace)
+    )
     return 0
 
 
-def _cmd_flows(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    jsonl_path: str | None,
-    since: float | None = None,
-    until: float | None = None,
-) -> int:
+def _cmd_flows(args: argparse.Namespace) -> int:
     from repro.analysis.export import flows_to_json, flows_to_jsonl
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="flow"
+    exp, instrumentation, elapsed = _run_captured(
+        args.experiment_id, args.fast, args.workers, what="flow"
     )
+    experiment_id = exp.experiment_id
     flows = instrumentation.flows
-    if as_json:
+    since, until = args.since, args.until
+    if args.json:
         print(flows_to_json(flows, since=since, until=until))
     else:
         records = flows.records(since=since, until=until)
@@ -741,7 +726,7 @@ def _cmd_flows(
             by_state[record.final_state] = by_state.get(record.final_state, 0) + 1
         print(f"== flow records: {experiment_id} ==")
         print(
-            f"recorded: {flows.next_id}  retained: {len(flows)}  "
+            f"recorded: {flows.recorded}  retained: {len(flows)}  "
             f"dropped: {flows.dropped}"
         )
         if since is not None or until is not None:
@@ -760,67 +745,47 @@ def _cmd_flows(
             + "  ".join(f"{k}={v}" for k, v in sorted(by_state.items()))
         )
         print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    if jsonl_path is not None:
-        with open(jsonl_path, "w", encoding="utf-8") as handle:
-            handle.write(flows_to_jsonl(flows, since=since, until=until))
-        print(f"flow records written to {jsonl_path}", file=sys.stderr)
+    _write_artifact(
+        args.jsonl,
+        "flow records",
+        lambda: flows_to_jsonl(flows, since=since, until=until),
+    )
     return 0
 
 
-def _cmd_report(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    out_path: str | None,
-    spans_path: str | None,
-    timeline_csv_path: str | None,
-    since: float | None = None,
-    until: float | None = None,
-) -> int:
-    from repro.analysis.export import (
-        spans_to_chrome_json,
-        timeline_to_csv,
-        write_csv,
-    )
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.export import spans_to_chrome_json, timeline_to_csv
     from repro.obs.report import build_report, render_report, report_to_json
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="report"
+    exp, instrumentation, elapsed = _run_captured(
+        args.experiment_id, args.fast, args.workers, what="report"
     )
     report = build_report(
-        instrumentation, experiment=experiment_id, since=since, until=until
+        instrumentation,
+        experiment=exp.experiment_id,
+        since=args.since,
+        until=args.until,
     )
-    if as_json:
+    if args.json:
         print(report_to_json(report))
     else:
         print(render_report(report))
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(report_to_json(report))
-            handle.write("\n")
-        print(f"report JSON written to {out_path}", file=sys.stderr)
-    if spans_path is not None:
-        with open(spans_path, "w", encoding="utf-8") as handle:
-            handle.write(spans_to_chrome_json(instrumentation.spans))
-            handle.write("\n")
-        print(f"Chrome trace written to {spans_path}", file=sys.stderr)
-    if timeline_csv_path is not None:
-        write_csv(timeline_csv_path, timeline_to_csv(instrumentation.timeline))
-        print(f"timeline CSV written to {timeline_csv_path}", file=sys.stderr)
+        print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]")
+    _write_artifact(args.out, "report JSON", lambda: report_to_json(report) + "\n")
+    _write_artifact(
+        args.spans,
+        "Chrome trace",
+        lambda: spans_to_chrome_json(instrumentation.spans) + "\n",
+    )
+    _write_artifact(
+        args.timeline_csv,
+        "timeline CSV",
+        lambda: timeline_to_csv(instrumentation.timeline),
+    )
     return 0
 
 
-def _cmd_alerts(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    out_path: str | None,
-    markdown_path: str | None,
-    check: bool,
-) -> int:
+def _cmd_alerts(args: argparse.Namespace) -> int:
     from repro.obs.slo import (
         alert_report_to_json,
         alert_report_to_markdown,
@@ -828,36 +793,31 @@ def _cmd_alerts(
         source_matches_arm,
     )
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="alert"
+    exp, instrumentation, elapsed = _run_captured(
+        args.experiment_id, args.fast, args.workers, what="alert"
     )
-    report = build_alert_report(
-        instrumentation.alerts, experiment=experiment_id
-    )
-    if as_json:
+    report = build_alert_report(instrumentation.alerts, experiment=exp.experiment_id)
+    if args.json:
         print(alert_report_to_json(report), end="")
     else:
         print(alert_report_to_markdown(report), end="")
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(alert_report_to_json(report))
-        print(f"alert report JSON written to {out_path}", file=sys.stderr)
-    if markdown_path is not None:
-        with open(markdown_path, "w", encoding="utf-8") as handle:
-            handle.write(alert_report_to_markdown(report))
-        print(f"alert report markdown written to {markdown_path}", file=sys.stderr)
-    if not check:
+        print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
+    _write_artifact(
+        args.out, "alert report JSON", lambda: alert_report_to_json(report)
+    )
+    _write_artifact(
+        args.markdown, "alert report markdown", lambda: alert_report_to_markdown(report)
+    )
+    if not args.check:
         return 0
 
     from repro.experiments.chaos import check_expected_alert
     from repro.faults import get_scenario
 
-    exp = get_experiment(experiment_id)
     if exp.fault_scenario is None:
         print(
             f"error: --check needs an experiment with a fault scenario; "
-            f"{experiment_id} has none",
+            f"{exp.experiment_id} has none",
             file=sys.stderr,
         )
         return 2
@@ -888,14 +848,7 @@ def _cmd_alerts(
     return 1 if failures else 0
 
 
-def _cmd_watch(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    interval: float | None,
-    as_json: bool,
-    speed: float,
-) -> int:
+def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.analysis.watch import (
         build_watch_frames,
         render_frame,
@@ -904,25 +857,26 @@ def _cmd_watch(
     )
     from repro.obs.slo import DEFAULT_SLO_WINDOW
 
-    width = interval if interval is not None else DEFAULT_SLO_WINDOW
+    width = args.interval if args.interval is not None else DEFAULT_SLO_WINDOW
     if width <= 0.0:
         print(f"error: --interval must be > 0, got {width:g}", file=sys.stderr)
         return 2
-    if speed < 0.0:
-        print(f"error: --speed must be >= 0, got {speed:g}", file=sys.stderr)
+    if args.speed < 0.0:
+        print(f"error: --speed must be >= 0, got {args.speed:g}", file=sys.stderr)
         return 2
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="watch"
+    exp, instrumentation, elapsed = _run_captured(
+        args.experiment_id, args.fast, args.workers, what="watch"
     )
+    experiment_id = exp.experiment_id
     frames = build_watch_frames(instrumentation, interval=width)
-    if as_json:
+    if args.json:
         print(watch_frames_to_json(frames, experiment=experiment_id))
-    elif speed > 0.0:
+    elif args.speed > 0.0:
         # Paced replay: identical frame lines, wall-clock spacing only.
         print(f"== watch: {experiment_id} ({len(frames)} frames) ==")
         for frame in frames:
             print(render_frame(frame), flush=True)
-            time.sleep(width / speed)
+            time.sleep(width / args.speed)
     else:
         print(render_watch(frames, experiment=experiment_id))
     print(f"\n[{experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
@@ -931,127 +885,12 @@ def _cmd_watch(
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "describe":
-        return _cmd_describe(args.experiment_id)
-    if args.command == "tournament":
-        return _cmd_tournament(
-            args.policies,
-            args.scenarios,
-            args.workers,
-            args.fast,
-            args.out,
-            args.markdown,
-        )
-    if args.command == "run":
-        try:
-            if args.list_experiments:
-                return _cmd_run_list()
-            if args.faults is not None:
-                if args.experiment_id is not None:
-                    print(
-                        "error: give either an experiment id or --faults, "
-                        "not both",
-                        file=sys.stderr,
-                    )
-                    return 2
-                return _cmd_run_faults(args.faults, args.fast, args.workers)
-            if args.experiment_id is None:
-                print(
-                    "error: run needs an experiment id (or --faults SCENARIO)",
-                    file=sys.stderr,
-                )
-                return 2
-            return _cmd_run(args.experiment_id, args.fast, args.workers)
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "lint":
-        return _cmd_lint(
-            args.paths,
-            args.json,
-            args.lint_format,
-            args.no_cache,
-            args.baseline,
-            args.select,
-            args.ignore,
-            args.list_rules,
-        )
-    if args.command == "faults":
-        return _cmd_faults(args.duration)
-    if args.command == "metrics":
-        try:
-            return _cmd_metrics(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.prom,
-                args.csv,
-                args.trace_csv,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "alerts":
-        try:
-            return _cmd_alerts(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.out,
-                args.markdown,
-                args.check,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "watch":
-        try:
-            return _cmd_watch(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.interval,
-                args.json,
-                args.speed,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "flows":
-        try:
-            return _cmd_flows(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.jsonl,
-                args.since,
-                args.until,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "report":
-        try:
-            return _cmd_report(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.out,
-                args.spans,
-                args.timeline_csv,
-                args.since,
-                args.until,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    raise AssertionError("unreachable: argparse enforces the command set")
+    try:
+        return args.handler(args)
+    except KeyError as error:
+        # get_experiment / get_scenario name the unknown id and the known ones.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,7 +1,8 @@
 """``repro.obs`` — the observability layer.
 
 Metrics (:mod:`repro.obs.metrics`), structured tracing
-(:mod:`repro.obs.trace`), per-connection flow records
+(:mod:`repro.obs.trace`), the bounded drop-newest log under the five
+record stores (:mod:`repro.obs.bounded`), per-connection flow records
 (:mod:`repro.obs.flow`), lifecycle spans (:mod:`repro.obs.span`),
 time-series snapshots (:mod:`repro.obs.timeline`), the windowed
 time-series store (:mod:`repro.obs.tsdb`), the burn-rate SLO engine

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from collections.abc import Iterator
+from typing import Any
 
 from repro.obs.flow import FlowLog
 from repro.obs.metrics import MetricsRegistry
@@ -41,7 +42,7 @@ from repro.obs.tsdb import WindowedStore
 
 
 class Instrumentation:
-    """The metrics, traces, flows, spans, timeline and tsdb of one run."""
+    """The metrics, traces, flows, spans, timeline, tsdb and alerts of one run."""
 
     def __init__(
         self,
@@ -65,30 +66,39 @@ class Instrumentation:
         #: nothing needs to special-case a disabled run.
         self.enabled = enabled
 
+    def logs(self) -> tuple[tuple[str, Any], ...]:
+        """The six record logs with their display labels, in merge order.
+
+        Each offers ``merge_from``, ``recorded``, ``dropped`` and
+        ``len()``: the trace ring drops oldest, the other five are
+        :class:`~repro.obs.bounded.BoundedLog` (drop newest).
+        """
+        return (
+            ("trace ring", self.trace),
+            ("flow log", self.flows),
+            ("span log", self.spans),
+            ("timeline", self.timeline),
+            ("tsdb", self.tsdb),
+            ("alert log", self.alerts),
+        )
+
     def merge_from(self, other: "Instrumentation") -> None:
         """Fold another run's measurements into this one.
 
         Counters add, gauges adopt the other run's last write (tracking
         the combined high-water mark), histograms merge their samples,
-        trace events append in order, and flow/span/timeline stores
-        append with dense-id renumbering — the same end state a serial
-        execution of both workloads under one capture would produce.
+        trace events append in order, and the bounded logs append with
+        dense-id renumbering — the same end state a serial execution of
+        both workloads under one capture would produce.
         """
         self.metrics.merge_from(other.metrics)
-        self.trace.merge_from(other.trace)
-        self.flows.merge_from(other.flows)
-        self.spans.merge_from(other.spans)
-        self.timeline.merge_from(other.timeline)
-        self.tsdb.merge_from(other.tsdb)
-        self.alerts.merge_from(other.alerts)
+        for (_, mine), (_, theirs) in zip(self.logs(), other.logs()):
+            mine.merge_from(theirs)
 
     def __repr__(self) -> str:
         state = "" if self.enabled else " disabled"
-        return (
-            f"<Instrumentation metrics={len(self.metrics)} "
-            f"trace={len(self.trace)} flows={len(self.flows)} "
-            f"spans={len(self.spans)}{state}>"
-        )
+        sizes = "".join(f", {label}={len(log)}" for label, log in self.logs())
+        return f"<Instrumentation metrics={len(self.metrics)}{sizes}{state}>"
 
 
 _active: list[Instrumentation] = []

@@ -196,7 +196,7 @@ def build_report(
         "causes": cause_counts,
         "slow_probes": slow_probes,
         "flows": {
-            "recorded": flows.next_id,
+            "recorded": flows.recorded,
             "retained": len(flows),
             "dropped": flows.dropped,
             "closed": closed_flows,
@@ -215,7 +215,7 @@ def build_report(
             "series": len(timeline.series_names()),
         },
         "alerts": {
-            "recorded": alerts.next_id,
+            "recorded": alerts.recorded,
             "retained": len(alerts),
             "dropped": alerts.dropped,
             "fired": alerts.fired_count,

@@ -8,14 +8,17 @@ windows, installed-route counts, active-fault counts — recorded by a
 sampler (:class:`~repro.cdn.monitors.TimelineSampler`) and exportable as
 long-format CSV.
 
-The store is bounded drop-newest with a total-recorded counter, so
-merging per-worker timelines in task order reproduces a serial run's
-retained points exactly (same scheme as :class:`~repro.obs.flow.FlowLog`).
+The store is a :class:`~repro.obs.bounded.BoundedLog` of immutable,
+id-free points; :class:`PointLog` holds the readers it shares with
+:class:`~repro.obs.tsdb.WindowedStore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
+
+from repro.obs.bounded import BoundedLog
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,36 +31,13 @@ class TimelinePoint:
     value: float
 
 
-class Timeline:
-    """All timeline points of one run, bounded drop-newest."""
+P = TypeVar("P", bound=TimelinePoint)
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._points: list[TimelinePoint] = []
-        self._recorded = 0
 
-    def record(self, time: float, source: str, series: str, value: float) -> None:
-        """Append one sample (counted but not stored past capacity)."""
-        self._recorded += 1
-        if len(self._points) < self.capacity:
-            self._points.append(TimelinePoint(time, source, series, float(value)))
+class PointLog(BoundedLog[P]):
+    """The readers the timeline and the tsdb share over their points."""
 
-    def merge_from(self, other: "Timeline") -> None:
-        """Append another timeline's retained points (drop-newest)."""
-        room = self.capacity - len(self._points)
-        self._points.extend(other._points[:room])
-        self._recorded += other._recorded
-
-    @property
-    def recorded(self) -> int:
-        """Total points ever recorded (not capacity-limited)."""
-        return self._recorded
-
-    @property
-    def dropped(self) -> int:
-        return self._recorded - len(self._points)
+    __slots__ = ()
 
     def points(
         self,
@@ -65,14 +45,14 @@ class Timeline:
         source: str | None = None,
         since: float | None = None,
         until: float | None = None,
-    ) -> list[TimelinePoint]:
-        """Retained points, optionally filtered.
+    ) -> list[P]:
+        """Retained points in recorded order, optionally filtered.
 
         ``since``/``until`` bound the sampled time, both inclusive, so a
         point exactly on either edge is kept.
         """
         selected = []
-        for point in self._points:
+        for point in self._items:
             if series is not None and point.series != series:
                 continue
             if source is not None and point.source != source:
@@ -85,14 +65,23 @@ class Timeline:
         return selected
 
     def series_names(self) -> list[str]:
-        """Distinct ``(source, series)`` pairs flattened, sorted."""
-        return sorted({f"{p.source}:{p.series}" for p in self._points})
+        """Distinct ``source:series`` names with at least one point, sorted."""
+        return sorted({f"{p.source}:{p.series}" for p in self._items})
 
-    def __len__(self) -> int:
-        return len(self._points)
+
+class Timeline(PointLog[TimelinePoint]):
+    """All timeline points of one run, bounded drop-newest."""
+
+    def __init__(self, capacity: int = 200_000) -> None:
+        super().__init__(capacity)
+
+    def record(self, time: float, source: str, series: str, value: float) -> None:
+        """Append one sample (counted but not stored past capacity)."""
+        if self._claim() is not None:
+            self._keep(TimelinePoint(time, source, series, float(value)))
 
     def __repr__(self) -> str:
         return (
-            f"<Timeline retained={len(self._points)}/{self.capacity} "
+            f"<Timeline retained={len(self)}/{self.capacity} "
             f"recorded={self._recorded} series={len(self.series_names())}>"
         )

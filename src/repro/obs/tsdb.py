@@ -3,11 +3,10 @@
 The flow/span/timeline stores answer *forensic* questions after a run;
 the SLO engine (:mod:`repro.obs.slo`) needs the *monitoring* shape of
 the same data — "what was the p90 / ratio / rate of signal X over the
-window ending now?".  :class:`WindowedStore` is the bridge: a bounded,
-drop-newest sample log (exactly the :class:`~repro.obs.timeline.Timeline`
-retention contract, so ``merge_from`` reproduces a serial run's retained
-samples byte-for-byte) with *window-aligned derivations* computed on
-read.
+window ending now?".  :class:`WindowedStore` is the bridge: a
+:class:`~repro.obs.bounded.BoundedLog` of samples (the
+:class:`~repro.obs.timeline.Timeline` point shape and readers) with
+*window-aligned derivations* computed on read.
 
 Windows are aligned to simulated time zero: sample ``t`` falls in window
 ``floor(t / window)`` for whatever width the reader chooses.  Aggregates
@@ -26,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.obs.timeline import PointLog, TimelinePoint
+
 __all__ = [
     "TsdbPoint",
     "WindowAggregate",
@@ -33,14 +34,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TsdbPoint:
+class TsdbPoint(TimelinePoint):
     """One raw sample of one series on one source."""
 
-    time: float
-    source: str
-    series: str
-    value: float
+    __slots__ = ()
 
     def window(self, width: float) -> int:
         """The aligned window index this sample falls in."""
@@ -65,83 +62,27 @@ class WindowAggregate:
         return self.total / self.count
 
 
-class WindowedStore:
+class WindowedStore(PointLog[TsdbPoint]):
     """Bounded drop-newest sample store with window-aligned readers.
 
-    Mirrors :class:`~repro.obs.timeline.Timeline` retention semantics:
-    ``record`` always counts, appends only under capacity, and
-    ``merge_from`` appends another store's retained samples in *their*
-    recorded order — the order a serial run interleaving the same tasks
-    would have produced.
+    ``record`` stores the value as given; retained samples are also
+    indexed per ``(source, series)`` key, in recorded order.
     """
 
-    __slots__ = ("capacity", "_points", "_by_key", "_recorded")
+    __slots__ = ("_by_key",)
 
     def __init__(self, capacity: int = 500_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._points: list[TsdbPoint] = []
+        super().__init__(capacity)
         self._by_key: dict[tuple[str, str], list[TsdbPoint]] = {}
-        self._recorded = 0
 
     def record(self, time: float, source: str, series: str, value: float) -> None:
         """Record one sample (drop-newest past capacity, still counted)."""
-        self._recorded += 1
-        if len(self._points) >= self.capacity:
-            return
-        point = TsdbPoint(time=time, source=source, series=series, value=value)
-        self._points.append(point)
-        self._by_key.setdefault((source, series), []).append(point)
+        if self._claim() is not None:
+            self._keep(TsdbPoint(time=time, source=source, series=series, value=value))
 
-    def merge_from(self, other: "WindowedStore") -> None:
-        """Fold another store's samples into this one, byte-identically."""
-        room = self.capacity - len(self._points)
-        for point in other._points[:room]:
-            self._points.append(point)
-            self._by_key.setdefault((point.source, point.series), []).append(point)
-        self._recorded += other._recorded
-
-    # ------------------------------------------------------------------
-    # Raw readers
-
-    @property
-    def recorded(self) -> int:
-        """Samples ever recorded, including dropped ones."""
-        return self._recorded
-
-    @property
-    def dropped(self) -> int:
-        """Samples recorded past capacity and therefore not retained."""
-        return self._recorded - len(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def points(
-        self,
-        series: str | None = None,
-        source: str | None = None,
-        since: float | None = None,
-        until: float | None = None,
-    ) -> list[TsdbPoint]:
-        """Retained samples in recorded order, optionally filtered."""
-        selected = []
-        for point in self._points:
-            if series is not None and point.series != series:
-                continue
-            if source is not None and point.source != source:
-                continue
-            if since is not None and point.time < since:
-                continue
-            if until is not None and point.time > until:
-                continue
-            selected.append(point)
-        return selected
-
-    def series_names(self) -> list[str]:
-        """Sorted ``source:series`` names with at least one sample."""
-        return sorted(f"{source}:{series}" for source, series in self._by_key)
+    def _keep(self, item: TsdbPoint) -> None:
+        super()._keep(item)
+        self._by_key.setdefault((item.source, item.series), []).append(item)
 
     def sources_for(self, series: str) -> list[str]:
         """Sorted sources that recorded at least one sample of a series."""
@@ -253,7 +194,7 @@ class WindowedStore:
 
     def __repr__(self) -> str:
         return (
-            f"<WindowedStore retained={len(self._points)}/{self.capacity} "
+            f"<WindowedStore retained={len(self)}/{self.capacity} "
             f"series={len(self._by_key)} recorded={self._recorded} "
             f"dropped={self.dropped}>"
         )

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
-    INDEX_SCHEMA_VERSION,
     LINT_SCHEMA_VERSION,
     RULE_CODES,
     LintUsageError,
@@ -24,12 +23,6 @@ from repro.cli import main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 HAZARD = "import time\n\ndef tick():\n    return time.time()\n"
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cwd(tmp_path_factory, monkeypatch):
-    """The CLI writes its index cache to the cwd; keep it out of the repo."""
-    monkeypatch.chdir(tmp_path_factory.mktemp("lint-cwd"))
 
 
 @pytest.fixture
@@ -88,7 +81,7 @@ def test_json_schema(hazard_file):
     assert payload["version"] == LINT_SCHEMA_VERSION
     assert payload["files_scanned"] == 1
     assert payload["counts"] == {"DET001": 1}
-    assert payload["index"] == {"modules": 1, "cached": 0}
+    assert payload["index"] == {"modules": 1}
     assert payload["baseline"] == {
         "used": False,
         "entries": 0,
@@ -110,46 +103,7 @@ def test_render_github(hazard_file):
     assert error.startswith("::error file=")
     assert "title=DET001" in error and ",line=4," in error
     assert notice.startswith("::notice title=repro-lint::")
-    assert "index 1 module(s), 0 cached" in notice
-
-
-# -- index cache ----------------------------------------------------------
-
-
-def test_index_cache_round_trip(tmp_path, hazard_file):
-    cache = tmp_path / "cache.json"
-    first = run_lint([str(hazard_file)], cache_path=str(cache))
-    assert (first.indexed_modules, first.cached_modules) == (1, 0)
-    second = run_lint([str(hazard_file)], cache_path=str(cache))
-    assert second.cached_modules == 1
-    assert [f.render() for f in first.findings] == [
-        f.render() for f in second.findings
-    ]
-
-
-def test_cache_invalidated_on_edit(tmp_path, hazard_file):
-    cache = tmp_path / "cache.json"
-    run_lint([str(hazard_file)], cache_path=str(cache))
-    hazard_file.write_text(HAZARD + "x = 1\n")
-    assert run_lint([str(hazard_file)], cache_path=str(cache)).cached_modules == 0
-
-
-def test_corrupt_cache_is_discarded_and_rewritten(tmp_path, hazard_file):
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    result = run_lint([str(hazard_file)], cache_path=str(cache))
-    assert result.cached_modules == 0
-    assert result.counts() == {"DET001": 1}
-    assert json.loads(cache.read_text())["version"] == INDEX_SCHEMA_VERSION
-
-
-def test_wrong_cache_version_is_discarded(tmp_path, hazard_file):
-    cache = tmp_path / "cache.json"
-    run_lint([str(hazard_file)], cache_path=str(cache))
-    payload = json.loads(cache.read_text())
-    payload["version"] = INDEX_SCHEMA_VERSION + 1
-    cache.write_text(json.dumps(payload))
-    assert run_lint([str(hazard_file)], cache_path=str(cache)).cached_modules == 0
+    assert notice.endswith("index 1 module(s)")
 
 
 # -- baseline -------------------------------------------------------------
@@ -325,16 +279,15 @@ def test_cli_format_github(hazard_file, capsys):
     assert "::notice title=repro-lint::" in out
 
 
-def test_cli_cache_default_and_no_cache(hazard_file, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    main(["lint", str(hazard_file), "--no-cache"])
-    assert not (tmp_path / ".repro-lint-cache.json").exists()
-    main(["lint", str(hazard_file)])
-    assert (tmp_path / ".repro-lint-cache.json").exists()
-    capsys.readouterr()
-    assert main(["lint", str(hazard_file), "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["index"]["cached"] == 1
+def test_cli_writes_nothing_and_has_no_cache_switch(hazard_file, tmp_path, monkeypatch):
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["lint", str(hazard_file)]) == 1
+    assert list(workdir.iterdir()) == []
+    with pytest.raises(SystemExit) as usage:
+        main(["lint", str(hazard_file), "--no-cache"])
+    assert usage.value.code == 2
 
 
 # -- self-check -----------------------------------------------------------

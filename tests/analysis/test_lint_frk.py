@@ -7,9 +7,14 @@ worker's Instrumentation back to the parent and folds stores in with
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
 
-from repro.analysis.lint import run_lint
+from repro.analysis.lint import ProjectIndex, collect_files, index_module, run_lint
+from repro.analysis.lint.frk import Frk002MergeContract, _crossing_classes
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint(tmp_path, source, select):
@@ -154,9 +159,15 @@ def test_frk002_inherited_merge_from_counts(tmp_path):
                 self._spans = []
 
 
+        class FlowLog(Mergeable[int]):
+            def __init__(self):
+                self._flows = []
+
+
         class Instrumentation:
             def __init__(self):
                 self.spans = SpanLog()
+                self.flows = FlowLog()
         """
     result = lint(tmp_path, source, ["FRK002"])
     assert result.findings == []
@@ -219,3 +230,31 @@ def test_frk_rules_span_modules(tmp_path):
     result = run_lint([str(tmp_path)], select=["FRK001"])
     (finding,) = result.findings
     assert "stores.py" in finding.path
+
+
+def test_shipped_stores_are_all_in_the_crossing_set():
+    """The rules are not vacuous on the real tree.
+
+    Every store ``Instrumentation.__init__`` registers is found, its
+    ``merge_from`` resolves (five of them through the generic
+    ``BoundedLog[...]`` base), and the base itself crosses the boundary.
+    """
+    files = collect_files([str(REPO_ROOT / "src" / "repro" / "obs")])
+    index = ProjectIndex(
+        [index_module(f, f, ast.parse(Path(f).read_text())) for f in files]
+    )
+    crossing, stores = _crossing_classes(index)
+    assert sorted(cls.name for _, cls, _, _ in stores) == [
+        "AlertLog",
+        "FlowLog",
+        "MetricsRegistry",
+        "SpanLog",
+        "Timeline",
+        "TraceLog",
+        "WindowedStore",
+    ]
+    assert all(
+        Frk002MergeContract._has_merge_from(index, mod, cls)
+        for mod, cls, _, _ in stores
+    )
+    assert "BoundedLog" in {cls.name for _, cls in crossing}

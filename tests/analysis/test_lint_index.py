@@ -9,16 +9,10 @@ call graph crosses property and classmethod edges.
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 
-from repro.analysis.lint import (
-    INDEX_SCHEMA_VERSION,
-    ModuleIndex,
-    ProjectIndex,
-    index_module,
-)
-from repro.analysis.lint.index import content_hash, import_name_for
+from repro.analysis.lint import ProjectIndex, index_module
+from repro.analysis.lint.index import import_name_for
 
 
 def build_index(tmp_path, files):
@@ -30,9 +24,8 @@ def build_index(tmp_path, files):
     modules = []
     for rel in files:
         path = tmp_path / rel
-        source = path.read_text()
         modules.append(
-            index_module(str(path), str(path), source, ast.parse(source))
+            index_module(str(path), str(path), ast.parse(path.read_text()))
         )
     return ProjectIndex(modules), {rel: str(tmp_path / rel) for rel in files}
 
@@ -221,49 +214,16 @@ def test_method_resolution_through_bases(tmp_path):
                 class Child(Base):
                     def when(self):
                         return self.stamp()
+
+                class TypedChild(Base[int]):
+                    def when(self):
+                        return self.stamp()
                 """,
         },
     )
     child_mod = index.module_for(paths["child.py"])
-    taint = index.return_taint(child_mod, "Child.when")
-    assert any("time.time()" in reason for reason in taint.value)
-
-
-# -- payload round-trip ---------------------------------------------------
-
-
-def test_payload_roundtrip_preserves_resolution(tmp_path):
-    index, paths = build_index(
-        tmp_path,
-        {
-            "pkg/__init__.py": "from pkg.impl import *\n",
-            "pkg/impl.py": """
-                import time
-
-                def tick():
-                    return time.time()
-                """,
-            "consumer.py": """
-                from pkg import tick
-
-                def wrapped():
-                    return tick()
-                """,
-        },
-    )
-    # Round-trip every module through JSON, exactly as the cache does.
-    revived = [
-        ModuleIndex.from_payload(json.loads(json.dumps(m.to_payload())))
-        for m in index.modules.values()
-    ]
-    rebuilt = ProjectIndex(revived)
-    consumer = rebuilt.module_for(paths["consumer.py"])
-    assert consumer is not None
-    taint = rebuilt.return_taint(consumer, "wrapped")
-    assert any("time.time()" in reason for reason in taint.value)
-
-
-def test_content_hash_tracks_source(tmp_path):
-    assert content_hash("x = 1\n") == content_hash("x = 1\n")
-    assert content_hash("x = 1\n") != content_hash("x = 2\n")
-    assert isinstance(INDEX_SCHEMA_VERSION, int)
+    # A subscripted base (``Base[int]``) names the same class ``Base``.
+    assert child_mod.classes["TypedChild"].bases == ("Base",)
+    for method in ("Child.when", "TypedChild.when"):
+        taint = index.return_taint(child_mod, method)
+        assert any("time.time()" in reason for reason in taint.value)

@@ -158,7 +158,7 @@ def build_chaos_reports() -> dict[str, Any]:
     from a capture each; one capture serves both here.
     """
     with contextlib.redirect_stderr(io.StringIO()):
-        obs, _ = _run_captured("chaos_lossy_agent", fast=True)
+        _, obs, _ = _run_captured("chaos_lossy_agent", fast=True)
     return {
         "chaos_partition_study_sha256": _sha256(
             _cli_stdout(["run", "--faults", "chaos_partition", "--fast"])

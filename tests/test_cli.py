@@ -29,6 +29,16 @@ class TestDescribe:
         assert "125" in out
         assert "fig05" in out
 
+    def test_unknown_experiment_errors(self, capsys):
+        assert main(["describe", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith('error: "unknown experiment')
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_accepts_harness_module_names(self, capsys):
+        assert main(["describe", "fig10_cmax_sweep"]) == 0
+        assert "id:          fig10\n" in capsys.readouterr().out
+
 
 class TestRun:
     def test_run_model_experiment(self, capsys):
@@ -432,3 +442,36 @@ class TestRunFaults:
     def test_run_without_id_or_faults_errors(self, capsys):
         assert main(["run"]) == 2
         assert "--faults" in capsys.readouterr().err
+
+
+class TestImportHygiene:
+    def test_importing_the_cli_loads_only_the_stdlib_and_repro(self):
+        """``pyproject.toml`` declares no dependencies; hold the CLI to it.
+
+        Run in a fresh interpreter, diffing ``sys.modules`` around the
+        import so whatever ``site`` preloads is not counted.
+        """
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            # multiprocessing aliases __main__ under this name on import.
+            "allowed = sys.stdlib_module_names | {'repro', '__mp_main__'}\n"
+            "print(' '.join(sorted(loaded - allowed)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert result.stdout.strip() == ""
