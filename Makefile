@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output lint typecheck bench bench-figs bench-fast bench-output examples clean
+.PHONY: install test test-output hot-path lint typecheck bench bench-figs bench-fast bench-output examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,6 +12,13 @@ test:
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+
+# Inner loop for a change to tcp/ or net/ (< 20 s): behaviour pinned byte
+# for byte (packet-path golden), the lossless slow-start oracle, the
+# frames-per-packet ceiling, and the link/fabric tests.
+hot-path:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
+		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net
 
 # Generic style (ruff) plus the codebase-specific determinism /
 # observability rules (`repro lint`, see docs/ARCHITECTURE.md).

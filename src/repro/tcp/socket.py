@@ -120,8 +120,9 @@ class TcpSocket:
         "state", "is_client", "close_on_peer_fin",
         "cc", "_rtt",
         "_snd_una", "_snd_nxt", "_snd_buf_end", "_pending_marks",
-        "_rtx_queue", "_peer_rwnd_bytes", "_dupacks", "_in_recovery",
-        "_recover_seq", "_recovery_inflation", "_fin_queued", "_fin_sent",
+        "_rtx_queue", "_sacked_bytes", "_peer_rwnd_bytes", "_dupacks",
+        "_in_recovery", "_recover_seq", "_recovery_inflation",
+        "_fin_queued", "_fin_sent",
         "_rto_event", "_rto_deadline",
         "_rcv_nxt", "_ooo", "_recv_marks", "_adv_wnd_bytes",
         "_peer_fin_received", "_delack_event", "_segments_since_ack",
@@ -174,6 +175,9 @@ class TcpSocket:
         self._snd_buf_end = 1  # data begins after the SYN's sequence slot
         self._pending_marks: list[MessageMark] = []
         self._rtx_queue: deque[_SentSegment] = deque()
+        #: Sequence space of the queued entries marked ``sacked`` — the
+        #: part of the flight that no longer occupies the pipe.
+        self._sacked_bytes = 0
         self._peer_rwnd_bytes = config.mss  # until the peer advertises
         self._dupacks = 0
         self._in_recovery = False
@@ -299,7 +303,8 @@ class TcpSocket:
             raise TcpStateError("accept_syn() requires a SYN segment")
         self.state = TcpState.SYN_RCVD
         self._rcv_nxt = segment.end_seq
-        self._note_peer_window(segment)
+        if segment.rwnd_bytes > 0:
+            self._peer_rwnd_bytes = segment.rwnd_bytes
         self._send_control(syn=True, with_ack=True)
         self._arm_rto()
 
@@ -390,31 +395,45 @@ class TcpSocket:
         if self.state is TcpState.CLOSED:
             return
         self.segments_received += 1
-        self.last_activity_at = self._sim.now
+        now = self._sim.now
+        self.last_activity_at = now
 
         if segment.rst:
             self._on_reset()
             return
 
-        self._note_peer_window(segment)
+        if segment.rwnd_bytes > 0:
+            self._peer_rwnd_bytes = segment.rwnd_bytes
 
         if segment.syn:
-            self._handle_syn_phase(segment)
+            self._handle_syn_phase(segment, now)
             return
 
         if segment.is_ack:
-            if self._config.sack and segment.sack_blocks:
+            if segment.sack_blocks and self._config.sack:
                 self._process_sack_blocks(segment.sack_blocks)
-            self._process_ack(segment.ack)
+            ack = segment.ack
+            if self._snd_una < ack <= self._snd_nxt:
+                self._on_new_ack(ack, now)
+            elif (
+                ack == self._snd_una
+                and ack < self._snd_nxt
+                and self.state
+                in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.CLOSE_WAIT,
+                    TcpState.LAST_ACK)
+            ):
+                self._on_duplicate_ack()
+            # Anything else acks data never sent, or is stale: ignored.
 
         if segment.payload_bytes > 0 or segment.fin:
             self._process_incoming_data(segment)
 
-    def _handle_syn_phase(self, segment: Segment) -> None:
+    def _handle_syn_phase(self, segment: Segment, now: float) -> None:
         if self.state is TcpState.SYN_SENT and segment.is_ack:
             # SYN-ACK: our SYN (seq slot 0) is acknowledged.
             self._rcv_nxt = segment.end_seq
-            self._process_ack(segment.ack)
+            if self._snd_una < segment.ack <= self._snd_nxt:
+                self._on_new_ack(segment.ack, now)
             self._become_established()
             self._send_pure_ack()
             self._try_send()
@@ -448,30 +467,18 @@ class TcpSocket:
     # ACK processing (sender side)
     # ------------------------------------------------------------------
 
-    def _process_ack(self, ack: int) -> None:
-        if ack > self._snd_nxt:
-            return  # acks data we never sent; ignore
-        if ack > self._snd_una:
-            self._on_new_ack(ack)
-        elif (
-            ack == self._snd_una
-            and self.bytes_unacked > 0
-            and self.state
-            in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.CLOSE_WAIT,
-                TcpState.LAST_ACK)
-        ):
-            self._on_duplicate_ack()
-
-    def _on_new_ack(self, ack: int) -> None:
+    def _on_new_ack(self, ack: int, now: float) -> None:
+        """``snd_una < ack <= snd_nxt``: the cumulative ACK moved forward."""
         acked_bytes = 0
         rtt_sample: float | None = None
         rtx_queue = self._rtx_queue
-        now = self._sim.now
         while rtx_queue and rtx_queue[0].end_seq <= ack:
             entry = rtx_queue.popleft()
             acked_bytes += entry.payload_bytes
             if not entry.retransmitted:
                 rtt_sample = now - entry.last_sent_at
+            if entry.sacked:
+                self._sacked_bytes -= entry.end_seq - entry.seq
         self._snd_una = ack
         self._consecutive_rtos = 0
         if rtt_sample is not None:
@@ -491,8 +498,22 @@ class TcpSocket:
             if self._flow_ss_pending:
                 self._note_ss_exit()
 
-        self._manage_fin_acknowledgement(ack)
-        self._rearm_or_cancel_rto()
+        if self._fin_sent:
+            self._manage_fin_acknowledgement(ack)
+        if rtx_queue:
+            # Restart the timer.  A sample has already cleared any backoff
+            # (``add_sample``); otherwise it is cleared here, after the
+            # recovery step above has armed with the backed-off value.
+            if rtt_sample is None:
+                self._rtt.reset_backoff()
+            deadline = now + self._rtt.rto
+            event = self._rto_event
+            if event is not None and deadline >= event.time:
+                self._rto_deadline = deadline  # the usual case: only moves
+            else:
+                self._arm_rto()
+        else:
+            self._cancel_rto()
         self._try_send()
 
     def _on_duplicate_ack(self) -> None:
@@ -559,12 +580,10 @@ class TcpSocket:
             for start, end in blocks:
                 if start <= entry.seq and entry.end_seq <= end:
                     entry.sacked = True
+                    self._sacked_bytes += entry.end_seq - entry.seq
                     break
         if self._in_recovery:
             self._retransmit_sack_holes()
-
-    def _sacked_bytes(self) -> int:
-        return sum(e.end_seq - e.seq for e in self._rtx_queue if e.sacked)
 
     def _retransmit_sack_holes(self) -> None:
         """Retransmit segments deemed lost (simplified RFC 6675).
@@ -598,8 +617,7 @@ class TcpSocket:
             self._retransmit_entry(entry)
 
     def _manage_fin_acknowledgement(self, ack: int) -> None:
-        if not self._fin_sent:
-            return
+        """A new ACK arrived after our FIN went out: did it cover the FIN?"""
         fin_acked = ack >= self._snd_nxt and not self._rtx_queue
         if not fin_acked:
             return
@@ -628,9 +646,23 @@ class TcpSocket:
         self._absorb_in_order(segment)
         while self._rcv_nxt in self._ooo:
             self._absorb_in_order(self._ooo.pop(self._rcv_nxt))
-        self._deliver_completed_messages()
-        self._maybe_transition_on_fin()
-        self._schedule_ack(segment)
+        if self._recv_marks:
+            self._deliver_completed_messages()
+        if self._peer_fin_received:
+            self._maybe_transition_on_fin()
+        # Acknowledge now, or hold the ACK for a second segment or the
+        # delayed-ACK timer.  ``_ooo`` is read only here, after delivery
+        # and the FIN transition: either may have torn the socket down.
+        if segment.fin or self._ooo or not self._config.delayed_ack:
+            self._send_pure_ack()
+            return
+        self._segments_since_ack += 1
+        if self._segments_since_ack >= 2:
+            self._send_pure_ack()
+        elif self._delack_event is None:
+            self._delack_event = self._sim.schedule(
+                DELAYED_ACK_TIMEOUT, self._on_delayed_ack_timer
+            )
 
     def _absorb_in_order(self, segment: Segment) -> None:
         delivered = segment.end_seq - self._rcv_nxt
@@ -649,8 +681,6 @@ class TcpSocket:
         )
 
     def _deliver_completed_messages(self) -> None:
-        if not self._recv_marks:
-            return
         ready = sorted(seq for seq in self._recv_marks if seq <= self._rcv_nxt)
         for seq in ready:
             mark = self._recv_marks.pop(seq)
@@ -659,8 +689,7 @@ class TcpSocket:
                 self.on_message(self, mark.payload, mark.size_bytes)
 
     def _maybe_transition_on_fin(self) -> None:
-        if not self._peer_fin_received:
-            return
+        """The peer's FIN has been absorbed: move the state machine."""
         if self.state is TcpState.ESTABLISHED:
             self.state = TcpState.CLOSE_WAIT
             if self.close_on_peer_fin:
@@ -676,36 +705,30 @@ class TcpSocket:
     # ACK emission
     # ------------------------------------------------------------------
 
-    def _schedule_ack(self, segment: Segment) -> None:
-        if segment.fin or self._ooo or not self._config.delayed_ack:
-            self._send_pure_ack()
-            return
-        self._segments_since_ack += 1
-        if self._segments_since_ack >= 2:
-            self._send_pure_ack()
-            return
-        if self._delack_event is None:
-            self._delack_event = self._sim.schedule(
-                DELAYED_ACK_TIMEOUT, self._on_delayed_ack_timer
-            )
-
     def _on_delayed_ack_timer(self) -> None:
         self._delack_event = None
         if self._segments_since_ack > 0:
             self._send_pure_ack()
 
     def _send_pure_ack(self) -> None:
-        self._cancel_delack()
+        self._segments_since_ack = 0
+        if self._delack_event is not None:
+            self._cancel_delack()
+        # One per received data segment: built positionally (a keyword
+        # call costs a name match per field) and sent without the
+        # ``_emit`` hop.  Fields in order: ports, seq, ack, payload_bytes,
+        # syn, fin, rst, is_ack, rwnd_bytes, marks, sack_blocks.
         segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self._snd_nxt,
-            ack=self._rcv_nxt,
-            is_ack=True,
-            rwnd_bytes=self._adv_wnd_bytes,
-            sack_blocks=self._current_sack_blocks(),
+            self.local_port, self.remote_port, self._snd_nxt, self._rcv_nxt,
+            0, False, False, False, True, self._adv_wnd_bytes, (),
+            self._current_sack_blocks() if self._ooo else (),
         )
-        self._emit(segment)
+        self.segments_sent += 1
+        self.last_activity_at = self.last_send_at = self._sim.now
+        host = self._host
+        host.send_packet(
+            Packet(host.address, self.remote_address, TCP_HEADER_BYTES, segment)
+        )
 
     #: RFC 2018 caps the option at 3-4 blocks; we use 4.
     MAX_SACK_BLOCKS = 4
@@ -741,60 +764,65 @@ class TcpSocket:
 
     def _bytes_in_flight(self) -> int:
         """Outstanding bytes; SACKed data no longer occupies the pipe."""
-        in_flight = self.bytes_unacked
-        if self._config.sack:
-            in_flight -= self._sacked_bytes()
-        return in_flight
+        return self._snd_nxt - self._snd_una - self._sacked_bytes
 
     def _try_send(self) -> None:
-        if self.state not in (
-            TcpState.ESTABLISHED,
-            TcpState.CLOSE_WAIT,
-            TcpState.FIN_WAIT_1,
+        state = self.state
+        if (
+            state is not TcpState.ESTABLISHED
+            and state is not TcpState.CLOSE_WAIT
+            and state is not TcpState.FIN_WAIT_1
         ):
             return
-        self._maybe_restart_after_idle()
-        mss = self._config.mss
         sent_any = False
-        # The window and pipe estimate only change on ACK/loss events,
-        # never on our own transmissions, so compute them once and track
-        # in-flight growth locally instead of re-deriving per segment.
-        window = self._effective_window_bytes()
-        in_flight = self._bytes_in_flight()
-        while self._snd_nxt < self._snd_buf_end:
-            remaining = self._snd_buf_end - self._snd_nxt
-            size = min(mss, remaining)
-            if window - in_flight < size:
-                break
-            self._send_data_segment(size)
-            in_flight += size
-            sent_any = True
-        if (
-            self._fin_queued
-            and not self._fin_sent
-            and self._snd_nxt == self._snd_buf_end
-        ):
+        buf_end = self._snd_buf_end
+        snd_nxt = self._snd_nxt
+        if snd_nxt < buf_end:
+            now = self._sim.now
+            # A fresh burst (nothing in flight, data sent before) may
+            # first have to collapse the window: before it is read.
+            if (
+                snd_nxt == self._snd_una
+                and snd_nxt > 1
+                and self._config.slow_start_after_idle
+            ):
+                self._restart_after_idle(now)
+            # The window and pipe estimate only change on ACK/loss events,
+            # never on our own transmissions, so compute them once and
+            # track the remaining room locally.
+            room = self._effective_window_bytes() - self._bytes_in_flight()
+            mss = self._config.mss
+            while snd_nxt < buf_end:
+                size = buf_end - snd_nxt
+                if size > mss:
+                    size = mss
+                if room < size:
+                    break
+                self._send_data_segment(size, now)
+                snd_nxt += size
+                room -= size
+                sent_any = True
+        if self._fin_queued and not self._fin_sent and snd_nxt == buf_end:
             self._send_fin()
             sent_any = True
-        if sent_any:
-            self._arm_rto_if_unarmed()
+        if sent_any and self._rto_deadline is None and self._rtx_queue:
+            self._arm_rto()
 
-    def _maybe_restart_after_idle(self) -> None:
+    def _restart_after_idle(self, now: float) -> None:
         """RFC 2861: collapse the window of a long-idle connection back to
-        its initial (route-resolved) value before a fresh burst."""
-        if not self._config.slow_start_after_idle:
-            return
-        if self.bytes_unacked > 0 or self._snd_nxt >= self._snd_buf_end:
-            return
-        if self._snd_nxt <= 1:
-            return  # never sent data; the initial window already applies
+        its initial (route-resolved) value before a fresh burst.
+
+        Called with nothing in flight and unsent data queued behind data
+        already sent (a connection that never sent starts from its
+        initial window anyway).
+        """
         # Like the kernel's lsndtime check: idleness is measured from our
         # last transmission, not from the peer's latest packet.
-        idle = self._sim.now - self.last_send_at
+        idle = now - self.last_send_at
         if idle > self._rtt.rto and self.cc.cwnd > self.cc.initial_cwnd:
             self.cc.cwnd = float(self.cc.initial_cwnd)
 
-    def _send_data_segment(self, size: int) -> None:
+    def _send_data_segment(self, size: int, now: float) -> None:
         seq = self._snd_nxt
         end = seq + size
         # Marks are queued in sequence order, so unless the first one ends
@@ -804,21 +832,19 @@ class TcpSocket:
         if pending and pending[0].end_seq <= end:
             marks = tuple(mark for mark in pending if seq < mark.end_seq <= end)
             self._pending_marks = [mark for mark in pending if mark.end_seq > end]
-        segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self._rcv_nxt,
-            payload_bytes=size,
-            is_ack=True,
-            rwnd_bytes=self._adv_wnd_bytes,
-            marks=marks,
-        )
         self._snd_nxt = end
-        self._rtx_queue.append(
-            _SentSegment(seq, end, size, False, False, marks, self._sim.now)
+        self._rtx_queue.append(_SentSegment(seq, end, size, False, False, marks, now))
+        # Positional and without the ``_emit`` hop, like ``_send_pure_ack``.
+        segment = Segment(
+            self.local_port, self.remote_port, seq, self._rcv_nxt,
+            size, False, False, False, True, self._adv_wnd_bytes, marks,
         )
-        self._emit(segment)
+        self.segments_sent += 1
+        self.last_activity_at = self.last_send_at = now
+        host = self._host
+        host.send_packet(
+            Packet(host.address, self.remote_address, TCP_HEADER_BYTES + size, segment)
+        )
 
     def _send_fin(self) -> None:
         seq = self._snd_nxt
@@ -886,6 +912,9 @@ class TcpSocket:
         self._emit(segment)
 
     def _emit(self, segment: Segment) -> None:
+        """Send a control segment or a retransmission (the per-packet
+        senders, ``_send_data_segment`` and ``_send_pure_ack``, do this
+        inline)."""
         packet = Packet(
             src=self._host.address,
             dst=self.remote_address,
@@ -895,10 +924,6 @@ class TcpSocket:
         self.segments_sent += 1
         self.last_activity_at = self.last_send_at = self._sim.now
         self._host.send_packet(packet)
-
-    def _note_peer_window(self, segment: Segment) -> None:
-        if segment.rwnd_bytes > 0:
-            self._peer_rwnd_bytes = segment.rwnd_bytes
 
     # ------------------------------------------------------------------
     # RTO timer
@@ -919,17 +944,6 @@ class TcpSocket:
                 return
             self._sim.cancel(event)
         self._rto_event = self._sim.schedule_at(deadline, self._on_rto)
-
-    def _arm_rto_if_unarmed(self) -> None:
-        if self._rto_deadline is None and self._rtx_queue:
-            self._arm_rto()
-
-    def _rearm_or_cancel_rto(self) -> None:
-        if self._rtx_queue:
-            self._rtt.reset_backoff()
-            self._arm_rto()
-        else:
-            self._cancel_rto()
 
     def _cancel_rto(self) -> None:
         """Disarm, and take the pending event off the heap with it."""
@@ -1009,6 +1023,7 @@ class TcpSocket:
         self._cancel_rto()
         self._cancel_delack()
         self._rtx_queue.clear()
+        self._sacked_bytes = 0
         self._ooo.clear()
         self._host.socket_closed(self)
         if notify and self.on_closed is not None:

@@ -89,7 +89,17 @@ class TestSsTool:
         request_response(testbed, response_bytes=5000)
         lines = testbed.client.ss.format_lines()
         assert len(lines) == 1
-        assert "cwnd:" in lines[0]
+        assert " cubic cwnd:" in lines[0]
+
+    def test_format_lines_names_the_configured_algorithm(self):
+        config = TcpConfig(congestion_control="reno")
+        bed = TwoHostTestbed(client_config=config, server_config=config)
+        bed.serve_echo()
+        request_response(bed, response_bytes=5000)
+        lines = bed.server.ss.format_lines()
+        assert len(lines) == 1
+        assert " reno cwnd:" in lines[0]
+        assert "cubic" not in lines[0]
 
     def test_poll_counter(self, testbed):
         testbed.client.ss.tcp_info()

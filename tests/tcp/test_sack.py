@@ -1,8 +1,10 @@
 """Tests for selective acknowledgements (RFC 2018-style)."""
 
+import random
+
 import pytest
 
-from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
@@ -114,6 +116,56 @@ class TestSackRecovery:
         # SACK should rarely lose; allow a small tolerance for seeds
         # where loss happens to hit the SACK run harder.
         assert run(True) <= run(False) * 1.25
+
+
+class TestSackedBytesCounter:
+    """The running pipe discount always equals a recount of the queue."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "loss",
+        [BernoulliLoss(0.04), GilbertElliottLoss(0.02, 0.3, loss_bad=0.3)],
+        ids=["bernoulli", "gilbert-elliott"],
+    )
+    def test_counter_equals_the_recount_at_every_stop(self, loss, seed):
+        rng = random.Random(seed)
+        config = TcpConfig(
+            sack=True, default_initrwnd=300, delayed_ack=rng.random() < 0.5
+        )
+        bed = TwoHostTestbed(
+            rtt=rng.uniform(0.01, 0.2),
+            bandwidth_bps=rng.choice([10e6, 50e6, 1e9]),
+            queue_limit_packets=rng.choice([24, 64, 1024]),
+            loss_model=loss,
+            seed=seed,
+            client_config=config,
+            server_config=config,
+        )
+        bed.serve_echo()
+        bed.server.ip.route_replace(
+            TwoHostTestbed.CLIENT_ZONE, initcwnd=rng.choice([10, 46, 100])
+        )
+        size = rng.randrange(150_000, 600_000)
+        received: list[int] = []
+        client = bed.client.connect(
+            bed.server.address,
+            80,
+            on_established=lambda sock: sock.send_message(("get", size), 200),
+            on_message=lambda sock, payload, n: received.append(n),
+        )
+        largest = 0
+        while not received and bed.sim.pending_events:
+            bed.sim.run(max_events=50)
+            for sock in (client, *bed.server.sockets()):
+                recount = sum(
+                    entry.end_seq - entry.seq
+                    for entry in sock._rtx_queue
+                    if entry.sacked
+                )
+                assert sock._sacked_bytes == recount
+                largest = max(largest, recount)
+        assert received == [size]
+        assert largest > 0  # the cell did exercise selective acknowledgement
 
 
 class TestSackWithRiptide:
