@@ -196,3 +196,39 @@ class TestFig10Sweep:
         assert set(parallel.cdfs) == set(serial.cdfs)
         for key in serial.cdfs:
             assert parallel.cdfs[key].values == serial.cdfs[key].values
+
+
+class TestHashSeedIndependence:
+    def test_metrics_and_trace_bytes_equal_under_two_hash_seeds(self):
+        """No output may depend on ``str``/``bytes`` hashing.
+
+        Set iteration order over strings changes with ``PYTHONHASHSEED``;
+        the goldens only ever see the one seed pytest happened to start
+        with.  Two child interpreters with different fixed seeds must
+        print the same metric table and trace — every recorded event in
+        kernel order, the output most sensitive to who scheduled first —
+        byte for byte.
+        """
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "repro", "metrics", "chaos_lossy_agent",
+                 "--fast", "--json"],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0], "metrics printed nothing"
+        assert outputs[0] == outputs[1], (
+            "hash-seed dependent: `repro metrics chaos_lossy_agent --fast "
+            "--json` differs between PYTHONHASHSEED=1 and PYTHONHASHSEED=2"
+        )
