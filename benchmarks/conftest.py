@@ -1,10 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure harness.
 
-Each benchmark regenerates one of the paper's tables or figures and
-prints the same rows/series the paper reports (run with ``-s`` to see
-them).  Simulation-backed benchmarks execute one full run per benchmark
-round; the heavy paired probe study is shared by the three analyses that
-consume it (Figures 12-14, 15-16 and the Section IV-D edge cases).
+Each module regenerates one of the paper's tables or figures, prints
+the same rows/series the paper reports (run with ``-s`` to see them)
+and asserts the figure's shape.  Nothing here is timed — ``bench/`` is
+the benchmark.  The heavy paired probe study is shared by the three
+analyses that consume it (Figures 12-14, 15-16 and the Section IV-D
+edge cases).
 """
 
 from __future__ import annotations
@@ -16,10 +17,5 @@ from repro.experiments.scenarios import ProbeStudyConfig, run_paired_probe_study
 
 @pytest.fixture(scope="session")
 def paired_probe_study():
-    """One control+Riptide probe study shared across benchmark modules."""
+    """One control+Riptide probe study shared across figure modules."""
     return run_paired_probe_study(ProbeStudyConfig())
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Execute ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -6,7 +6,6 @@ use identical slow start) while steady-state growth differs.
 """
 
 import pytest
-from conftest import run_once
 
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
@@ -46,8 +45,8 @@ def run_ablation() -> dict:
     }
 
 
-def test_ablation_congestion_control(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_congestion_control():
+    result = run_ablation()
     print("\nAblation: congestion control")
     for cc in ("cubic", "reno"):
         cold = result["cold"][cc]

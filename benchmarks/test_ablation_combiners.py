@@ -6,8 +6,6 @@ the conservative one.  This ablation runs the same host with synthetic
 connection mixes under each combiner and compares the learned windows.
 """
 
-from conftest import run_once
-
 from repro.core import RiptideAgent, RiptideConfig
 from repro.net import Prefix
 from repro.tcp import TcpConfig
@@ -41,8 +39,8 @@ def run_ablation() -> dict:
     return {name: learned_window(name) for name in ("average", "max", "traffic_weighted")}
 
 
-def test_ablation_combiners(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_combiners():
+    result = run_ablation()
     print("\nAblation: combiner -> learned window")
     for name, window in result.items():
         print(f"  {name}: {window}")

@@ -6,8 +6,6 @@ route table.  This ablation fetches from a host the learning agent never
 served before — only the prefix mode can jump-start that connection.
 """
 
-from conftest import run_once
-
 from repro.cdn.cluster import CdnCluster, ClusterConfig, with_riptide_config
 from repro.cdn.topology import Topology, build_paper_topology
 
@@ -37,8 +35,8 @@ def run_ablation() -> dict:
     return {g: run_arm(g) for g in ("host", "prefix")}
 
 
-def test_ablation_granularity(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_granularity():
+    result = run_ablation()
     print("\nAblation: granularity")
     for name, data in result.items():
         print(

@@ -8,8 +8,6 @@ observation sequence and compares stability and responsiveness.
 
 import statistics
 
-from conftest import run_once
-
 from repro.core import make_history_policy
 
 
@@ -32,8 +30,8 @@ def run_ablation() -> dict:
     }
 
 
-def test_ablation_history_policies(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_history_policies():
+    result = run_ablation()
     print("\nAblation: history policy under churn")
     for name, data in result.items():
         final = data["degrade_trace"][-1]

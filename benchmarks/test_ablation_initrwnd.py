@@ -6,8 +6,6 @@ avoid this limitation, the initrwnd must be increased to accommodate the
 maximum initial congestion window, c_max."
 """
 
-from conftest import run_once
-
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
@@ -33,8 +31,8 @@ def run_ablation() -> dict:
     }
 
 
-def test_ablation_initrwnd_coupling(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_initrwnd_coupling():
+    result = run_ablation()
     print("\nAblation: initrwnd coupling (100 KB, 100 ms RTT)")
     for name, value in result.items():
         print(f"  {name}: {value * 1000:.0f}ms")

@@ -9,8 +9,6 @@ the resulting transfer times (which must be identical — the mechanism
 differs, the policy does not).
 """
 
-from conftest import run_once
-
 from repro.core import KernelModeAgent, RiptideAgent, RiptideConfig
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
@@ -46,8 +44,8 @@ def run_ablation() -> dict:
     }
 
 
-def test_ablation_kernel_mode(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_kernel_mode():
+    result = run_ablation()
     print("\nAblation: user-space routes vs kernel hook")
     for name, data in result.items():
         print(

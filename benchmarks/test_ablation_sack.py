@@ -5,8 +5,6 @@ ablation shows what the SACK option buys on lossy paths — multi-loss
 windows recover in one round trip instead of one round trip per hole.
 """
 
-from conftest import run_once
-
 from repro.net.loss import BernoulliLoss
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
@@ -37,8 +35,8 @@ def run_ablation() -> dict:
     }
 
 
-def test_ablation_sack_recovery(benchmark):
-    result = run_once(benchmark, run_ablation)
+def test_ablation_sack_recovery():
+    result = run_ablation()
     mean_newreno = sum(result["newreno"]) / len(result["newreno"])
     mean_sack = sum(result["sack"]) / len(result["sack"])
     print("\nAblation: 400KB over a 2%-loss path (mean of 8 seeds)")

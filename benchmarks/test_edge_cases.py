@@ -1,13 +1,11 @@
 """Section IV-D benchmark: best/worst-case probe times per destination."""
 
-from conftest import run_once
-
 from repro.experiments import edge_cases
 
 
-def test_edge_cases_minimum_and_maximum(benchmark, paired_probe_study):
+def test_edge_cases_minimum_and_maximum(paired_probe_study):
     control, riptide = paired_probe_study
-    result = run_once(benchmark, edge_cases.build_result, control, riptide)
+    result = edge_cases.build_result(control, riptide)
     print("\n" + result.report())
     # Paper: the best cases were already completing in the minimum RTTs,
     # so most destinations show (near) zero change in their minimum.

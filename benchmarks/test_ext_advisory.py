@@ -6,13 +6,11 @@ benchmark stages the crowding: a fleet of connections opens to the same
 destination at the same instant, each at the learned initcwnd.
 """
 
-from conftest import run_once
-
 from repro.experiments import ext_advisory
 
 
-def test_ext_advisory_load_shift(benchmark):
-    result = run_once(benchmark, ext_advisory.run)
+def test_ext_advisory_load_shift():
+    result = ext_advisory.run()
     print("\n" + result.report())
     control = result.arms["control"]
     riptide = result.arms["riptide"]

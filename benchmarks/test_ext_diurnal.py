@@ -5,13 +5,11 @@ Riptide's "effectiveness ... minimal": valleys longer than the TTL expire
 the learned routes, so the first fetch of each peak pays full slow start.
 """
 
-from conftest import run_once
-
 from repro.experiments import ext_diurnal
 
 
-def test_ext_diurnal_relearning_penalty(benchmark):
-    result = run_once(benchmark, ext_diurnal.run)
+def test_ext_diurnal_relearning_penalty():
+    result = ext_diurnal.run()
     print("\n" + result.report())
     # The first post-valley fetch starts from the kernel default and is
     # substantially slower than a mid-peak fetch on learned routes.

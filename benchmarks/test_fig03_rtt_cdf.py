@@ -3,8 +3,8 @@
 from repro.experiments import fig03_rtt_cdf
 
 
-def test_fig03_rtts_to_complete(benchmark):
-    result = benchmark(fig03_rtt_cdf.run, samples=100_000)
+def test_fig03_rtts_to_complete():
+    result = fig03_rtt_cdf.run(samples=100_000)
     print("\n" + result.report())
     # Paper anchors: +31% first-RTT completions at IW50; 15% need more
     # than one RTT at IW100.

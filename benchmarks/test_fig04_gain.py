@@ -3,8 +3,8 @@
 from repro.experiments import fig04_theoretical_gain
 
 
-def test_fig04_theoretical_gain(benchmark):
-    result = benchmark(fig04_theoretical_gain.run)
+def test_fig04_theoretical_gain():
+    result = fig04_theoretical_gain.run()
     print("\n" + result.report())
     # Paper: gains concentrate between 15 KB and 1 MB and diminish after.
     assert result.gain_at(100, 10_000) == 0.0

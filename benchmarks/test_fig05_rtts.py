@@ -3,8 +3,8 @@
 from repro.experiments import fig05_rtt_distribution
 
 
-def test_fig05_rtt_distribution(benchmark):
-    result = benchmark(fig05_rtt_distribution.run)
+def test_fig05_rtt_distribution():
+    result = fig05_rtt_distribution.run()
     print("\n" + result.report())
     # Paper anchor: the median pairwise RTT exceeds 125 ms.
     assert result.cdf.median > 0.125

@@ -3,8 +3,8 @@
 from repro.experiments import fig06_transfer_time_model
 
 
-def test_fig06_transfer_time_model(benchmark):
-    result = benchmark(fig06_transfer_time_model.run)
+def test_fig06_transfer_time_model():
+    result = fig06_transfer_time_model.run()
     print("\n" + result.report())
     # Paper anchor: median IW10 penalty vs IW100 exceeds 280 ms.
     assert result.median_penalty_vs_100() > 0.280

@@ -4,18 +4,11 @@ Regenerates the sweep over c_max in {50, 100, 150, 200, 250} plus the
 no-Riptide control group on the evaluation sub-topology.
 """
 
-from conftest import run_once
-
 from repro.experiments import fig10_cmax_sweep
 
 
-def test_fig10_cmax_sweep(benchmark):
-    result = run_once(
-        benchmark,
-        fig10_cmax_sweep.run,
-        duration=40.0,
-        warmup=10.0,
-    )
+def test_fig10_cmax_sweep():
+    result = fig10_cmax_sweep.run(duration=40.0, warmup=10.0)
     print("\n" + result.report())
     # Shape anchors: Riptide raises the median window substantially over
     # the control group (paper: ~100% at the lowest setting) ...

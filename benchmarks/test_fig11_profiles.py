@@ -1,12 +1,10 @@
 """Figure 11 benchmark: probe-only vs organic-traffic PoP windows."""
 
-from conftest import run_once
-
 from repro.experiments import fig11_traffic_profiles
 
 
-def test_fig11_traffic_profiles(benchmark):
-    result = run_once(benchmark, fig11_traffic_profiles.run)
+def test_fig11_traffic_profiles():
+    result = fig11_traffic_profiles.run()
     print("\n" + result.report())
     # Shape anchors: the organic PoP reaches c_max for a large fraction
     # of connections (paper: 44%), the probe-only PoP essentially never

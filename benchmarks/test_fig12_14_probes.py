@@ -5,16 +5,12 @@ Figure 15-16 and edge-case benchmarks reuse the same runs for their
 analyses.
 """
 
-from conftest import run_once
-
 from repro.experiments import fig12_14_probe_times
 
 
-def test_fig12_14_probe_completion_times(benchmark, paired_probe_study):
+def test_fig12_14_probe_completion_times(paired_probe_study):
     control, riptide = paired_probe_study
-    result = run_once(
-        benchmark, fig12_14_probe_times.build_result, control, riptide
-    )
+    result = fig12_14_probe_times.build_result(control, riptide)
     print("\n" + result.report())
     # Shape anchors: 10 KB probes are untouched (they already fit in the
     # default window); 50 KB probes improve over part of the CDF

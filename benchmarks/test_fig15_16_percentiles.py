@@ -1,16 +1,12 @@
 """Figures 15-16 benchmark: fraction of gain by percentile."""
 
-from conftest import run_once
-
 from repro.experiments import fig15_16_percentile_gain
 from repro.experiments.scenarios import EU_SOURCE, NA_SOURCE
 
 
-def test_fig15_16_percentile_gain(benchmark, paired_probe_study):
+def test_fig15_16_percentile_gain(paired_probe_study):
     control, riptide = paired_probe_study
-    result = run_once(
-        benchmark, fig15_16_percentile_gain.build_result, control, riptide
-    )
+    result = fig15_16_percentile_gain.build_result(control, riptide)
     print("\n" + result.report())
     # Shape anchors: substantial upper-percentile gains for the 50 KB
     # probes (paper: up to ~30% EU / ~21% NA) ...

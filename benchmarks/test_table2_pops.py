@@ -3,8 +3,8 @@
 from repro.experiments import table2_pops
 
 
-def test_table2_pop_census(benchmark):
-    result = benchmark(table2_pops.run)
+def test_table2_pop_census():
+    result = table2_pops.run()
     print("\n" + result.report())
     assert result.matches_paper
     assert result.total == 34

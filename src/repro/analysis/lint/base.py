@@ -20,12 +20,8 @@ each rule fires.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar
-
-if TYPE_CHECKING:
-    from repro.analysis.lint.index import ModuleIndex, ProjectIndex
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -37,16 +33,6 @@ class Finding:
     path: str
     line: int
     col: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line/column so that unrelated edits
-        above a suppressed finding do not churn the baseline file.
-        """
-        raw = f"{self.code}::{self.path}::{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -60,10 +46,6 @@ class FileContext:
     module: str | None
     tree: ast.Module
     source_lines: list[str] = field(default_factory=list)
-    #: The whole-program index (pass 2), when the engine built one.
-    index: ProjectIndex | None = None
-    #: This file's own pass-1 summary, when the engine built the index.
-    module_index: ModuleIndex | None = None
 
     def finding(
         self, code: str, node: ast.AST, message: str
@@ -85,10 +67,6 @@ class ProjectContext:
     root: str | None
     #: Repo-relative paths of every file scanned in this run.
     scanned: list[str] = field(default_factory=list)
-    #: The whole-program index (covers the index scope, a superset of
-    #: ``scanned`` — project rules must still filter findings to
-    #: ``scanned`` paths).
-    index: ProjectIndex | None = None
 
     def scanned_module(self, suffix: str) -> bool:
         """True when a scanned file path ends with ``suffix``.

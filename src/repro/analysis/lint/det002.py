@@ -12,14 +12,6 @@ serial and ``--workers N`` runs.  Wrapping the iterable in ``sorted()``
 The rule is deliberately conservative about *sinks*: loops that only
 increment counters or write gauges are order-insensitive (those merges
 are commutative) and are not flagged.
-
-When the engine provides the project index, the rule also resolves
-*dict views of call results*: ``for k, v in self._group().items()`` is
-conservative-flagged per-file, but if ``_group`` resolves in the index
-and its return carries no order taint, the insertion order is proven
-deterministic and the finding is dropped.  (A resolvable *tainted*
-return is DET004's finding — per-channel ownership keeps every hazard
-reported exactly once.)
 """
 
 from __future__ import annotations
@@ -55,22 +47,6 @@ class Det002UnorderedIteration(Rule):
         visitor = _Visitor(ctx)
         visitor.visit(ctx.tree)
         return visitor.findings
-
-
-def _call_ref(node: ast.expr) -> str | None:
-    """Dotted callee ref when ``node`` is a plain call, else None."""
-    if not isinstance(node, ast.Call):
-        return None
-    parts: list[str] = []
-    func: ast.expr = node.func
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if not isinstance(func, ast.Name):
-        return None
-    parts.append(func.id)
-    parts.reverse()
-    return ".".join(parts)
 
 
 def _classify(node: ast.expr, bindings: dict[str, str]) -> str | None:
@@ -131,10 +107,6 @@ class _Visitor(ast.NodeVisitor):
         self.ctx = ctx
         self.findings: list[Finding] = []
         self._scopes: list[dict[str, str]] = [{}]
-        #: name -> callee ref of the call it was bound from, per scope —
-        #: what lets the index prove a dict view deterministic.
-        self._call_bindings: list[dict[str, str]] = [{}]
-        self._class_stack: list[str] = []
 
     @property
     def _bindings(self) -> dict[str, str]:
@@ -144,10 +116,8 @@ class _Visitor(ast.NodeVisitor):
 
     def _visit_scope(self, node: ast.AST) -> None:
         self._scopes.append({})
-        self._call_bindings.append({})
         self.generic_visit(node)
         self._scopes.pop()
-        self._call_bindings.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_scope(node)
@@ -159,89 +129,42 @@ class _Visitor(ast.NodeVisitor):
         self._visit_scope(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
         self._visit_scope(node)
-        self._class_stack.pop()
 
     # -- binding inference ------------------------------------------------
 
+    def _bind(self, target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            kind = _classify(value, self._bindings)
+            if kind in ("set", "dict"):
+                self._bindings[target.id] = kind
+            else:
+                self._bindings.pop(target.id, None)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            # ``a, b = compute()`` rebinds both names to unknown kinds.
+            for elt in target.elts:
+                if isinstance(elt, ast.Name):
+                    self._bindings.pop(elt.id, None)
+
     def visit_Assign(self, node: ast.Assign) -> None:
-        kind = _classify(node.value, self._bindings)
-        call_ref = _call_ref(node.value)
-        targets = list(node.targets)
-        if (
-            len(targets) == 1
-            and isinstance(targets[0], (ast.Tuple, ast.List))
-            and call_ref is not None
-        ):
-            # ``a, b = self._compute()`` — both names come from the call.
-            targets = list(targets[0].elts)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if kind in ("set", "dict"):
-                    self._bindings[target.id] = kind
-                else:
-                    self._bindings.pop(target.id, None)
-                if call_ref is not None:
-                    self._call_bindings[-1][target.id] = call_ref
-                else:
-                    self._call_bindings[-1].pop(target.id, None)
+        for target in node.targets:
+            self._bind(target, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name) and node.value is not None:
-            kind = _classify(node.value, self._bindings)
-            if kind in ("set", "dict"):
-                self._bindings[node.target.id] = kind
-            else:
-                self._bindings.pop(node.target.id, None)
-            call_ref = _call_ref(node.value)
-            if call_ref is not None:
-                self._call_bindings[-1][node.target.id] = call_ref
-            else:
-                self._call_bindings[-1].pop(node.target.id, None)
+        if node.value is not None:
+            self._bind(node.target, node.value)
         self.generic_visit(node)
 
     # -- the rule ---------------------------------------------------------
 
     def visit_For(self, node: ast.For) -> None:
         kind = _classify(node.iter, self._bindings)
-        if kind is not None and not self._proven_deterministic(node.iter, kind):
+        if kind is not None:
             sink = _first_sink(list(node.body))
             if sink is not None:
                 self._report(node.iter, kind, sink)
         self.generic_visit(node)
-
-    def _proven_deterministic(self, iterable: ast.expr, kind: str) -> bool:
-        """Index-resolved dict views of untainted calls are not hazards.
-
-        Applies only to ``dict view`` classifications whose receiver is
-        bound from a call the project index can resolve: if the resolved
-        return carries order taint the finding belongs to DET004, and if
-        it carries none the insertion order is a pure function of the
-        run — either way the conservative per-file finding would be
-        noise.  Unresolvable receivers keep it.
-        """
-        if kind != "dict view" or self.ctx.index is None:
-            return False
-        mod = self.ctx.module_index
-        if mod is None:
-            return False
-        if not isinstance(iterable, ast.Call) or not isinstance(
-            iterable.func, ast.Attribute
-        ):
-            return False
-        receiver = iterable.func.value
-        ref: str | None = None
-        if isinstance(receiver, ast.Name):
-            ref = self._call_bindings[-1].get(receiver.id)
-        elif isinstance(receiver, ast.Call):
-            ref = _call_ref(receiver)
-        if ref is None:
-            return False
-        scope_class = self._class_stack[-1] if self._class_stack else None
-        order = self.ctx.index.call_order_taint(mod, scope_class, ref)
-        return order is not None
 
     def _visit_comprehension(
         self, node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp
@@ -253,9 +176,7 @@ class _Visitor(ast.NodeVisitor):
             elements = [node.elt]
         for generator in node.generators:
             kind = _classify(generator.iter, self._bindings)
-            if kind is not None and not self._proven_deterministic(
-                generator.iter, kind
-            ):
+            if kind is not None:
                 sink = _first_sink(elements)
                 if sink is not None:
                     self._report(generator.iter, kind, sink)

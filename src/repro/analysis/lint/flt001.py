@@ -10,8 +10,9 @@ both order and grouping — on every derivation path that feeds a
 byte-compared artifact.
 
 The rule is scoped to those derivation packages (``repro.obs``,
-``repro.analysis``) rather than exempting a blocklist, and uses the
-project index's per-class attribute evidence to decide floatness:
+``repro.analysis``) rather than exempting a blocklist, and decides
+floatness from evidence in the file itself — each class's attribute
+annotations and the values its own methods assign:
 
 * ``sum(xs)`` fires when ``xs`` is float-evidenced — an attribute
   annotated ``list[float]``, an attribute assigned from float-producing
@@ -28,9 +29,10 @@ rule owns the determinism contract.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
+from typing import TypeGuard
 
 from repro.analysis.lint.base import FileContext, Finding, Rule
-from repro.analysis.lint.index import ClassSummary, ModuleIndex, _value_kind
 
 #: Annotations that evidence a float sequence / float scalar.
 _FLOAT_SEQ_MARKERS = ("list[float]", "tuple[float", "Sequence[float]", "set[float]")
@@ -62,48 +64,136 @@ class Flt001FloatIdentity(Rule):
         return visitor.findings
 
 
-def _attr_is_float_seq(cls: ClassSummary | None, attr: str) -> bool:
-    if cls is None:
-        return False
-    annotation = cls.attr_type(attr)
-    if annotation is not None:
-        return any(marker in annotation for marker in _FLOAT_SEQ_MARKERS)
-    return cls.attr_kind(attr) == "float_seq"
+def _value_kind(node: ast.expr) -> str | None:
+    """Shallow type evidence: float / int / float_seq."""
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool):
+            return None
+        if isinstance(node.value, float):
+            return "float"
+        if isinstance(node.value, int):
+            return "int"
+        return None
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id == "float":
+                return "float"
+            if func.id == "int":
+                return "int"
+            if func.id in ("sorted", "list") and node.args:
+                inner = _value_kind(node.args[0])
+                if inner in ("float", "float_seq"):
+                    return "float_seq"
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        if _value_kind(node.elt) == "float":
+            return "float_seq"
+    if isinstance(node, (ast.List, ast.Tuple)) and node.elts:
+        kinds = {_value_kind(elt) for elt in node.elts}
+        if kinds == {"float"}:
+            return "float_seq"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return "float"
+    return None
 
 
-def _attr_is_float(cls: ClassSummary | None, attr: str) -> bool:
-    if cls is None:
-        return False
-    annotation = cls.attr_type(attr)
-    if annotation is not None:
-        return annotation == "float"
-    return cls.attr_kind(attr) == "float"
+def _statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements of a function body in source order, compound bodies
+    included; nested function and class definitions are not entered."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While, ast.If)):
+            yield from _statements(stmt.body + stmt.orelse)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            yield from _statements(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            yield from _statements(stmt.body + stmt.orelse + stmt.finalbody)
+            for handler in stmt.handlers:
+                yield from _statements(handler.body)
+
+
+def _is_self_attr(node: ast.expr) -> TypeGuard[ast.Attribute]:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    )
+
+
+class _ClassFacts:
+    """Float evidence for one class's attributes, from its own body.
+
+    An annotation (class-level or ``self.x: T = ...``) decides when
+    there is one; otherwise the first value a method assigns does.
+    """
+
+    def __init__(self, body: list[ast.stmt]) -> None:
+        self.attr_types: dict[str, str] = {}
+        self.attr_kinds: dict[str, str] = {}
+        for item in body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                self.attr_types[item.target.id] = ast.unparse(item.annotation)
+                kind = _value_kind(item.value) if item.value is not None else None
+                if kind is not None:
+                    self.attr_kinds[item.target.id] = kind
+        for item in body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._scan_method(item)
+
+    def _scan_method(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        local_kinds: dict[str, str] = {}
+        for stmt in _statements(node.body):
+            if isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    self._bind(target, stmt.value, local_kinds)
+            elif isinstance(stmt, ast.AnnAssign):
+                if stmt.value is not None:
+                    self._bind(stmt.target, stmt.value, local_kinds)
+                if _is_self_attr(stmt.target):
+                    self.attr_types[stmt.target.attr] = ast.unparse(stmt.annotation)
+
+    def _bind(
+        self, target: ast.expr, value: ast.expr, local_kinds: dict[str, str]
+    ) -> None:
+        kind = _value_kind(value)
+        if isinstance(target, ast.Name):
+            if kind is not None:
+                local_kinds[target.id] = kind
+            else:
+                local_kinds.pop(target.id, None)
+        elif _is_self_attr(target):
+            if kind is None and isinstance(value, ast.Name):
+                kind = local_kinds.get(value.id)
+            if kind is not None:
+                self.attr_kinds.setdefault(target.attr, kind)
+
+    def is_float_seq(self, attr: str) -> bool:
+        annotation = self.attr_types.get(attr)
+        if annotation is not None:
+            return any(marker in annotation for marker in _FLOAT_SEQ_MARKERS)
+        return self.attr_kinds.get(attr) == "float_seq"
+
+    def is_float(self, attr: str) -> bool:
+        annotation = self.attr_types.get(attr)
+        if annotation is not None:
+            return annotation == "float"
+        return self.attr_kinds.get(attr) == "float"
 
 
 class _Visitor(ast.NodeVisitor):
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
         self.findings: list[Finding] = []
-        self._class_stack: list[str] = []
+        #: Innermost class last; outside any class there is no evidence.
+        self._class_stack: list[_ClassFacts] = [_ClassFacts([])]
         #: local name -> inferred kind, per function scope.
         self._scopes: list[dict[str, str]] = [{}]
         self._loop_depth = 0
 
-    def _module_class(self, name: str) -> ClassSummary | None:
-        mod: ModuleIndex | None = self.ctx.module_index
-        if mod is None:
-            return None
-        return mod.classes.get(name)
-
-    def _current_class(self) -> ClassSummary | None:
-        if not self._class_stack:
-            return None
-        return self._module_class(self._class_stack[-1])
-
     # -- scope / class tracking -------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
+        self._class_stack.append(_ClassFacts(node.body))
         self.generic_visit(node)
         self._class_stack.pop()
 
@@ -178,7 +268,7 @@ class _Visitor(ast.NodeVisitor):
             return self._scopes[-1].get(node.id) == "float_seq"
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "self":
-                return _attr_is_float_seq(self._current_class(), node.attr)
+                return self._class_stack[-1].is_float_seq(node.attr)
             return False
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
             return self._is_float_element(node.elt)
@@ -202,7 +292,7 @@ class _Visitor(ast.NodeVisitor):
             return True
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "self":
-                return _attr_is_float(self._current_class(), node.attr)
+                return self._class_stack[-1].is_float(node.attr)
         if isinstance(node, ast.Name):
             return self._scopes[-1].get(node.id) == "float"
         return False
@@ -221,5 +311,5 @@ class _Visitor(ast.NodeVisitor):
         ):
             if _value_kind(node.value) == "int":
                 return False
-            return _attr_is_float(self._current_class(), target.attr)
+            return self._class_stack[-1].is_float(target.attr)
         return False

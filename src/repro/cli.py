@@ -132,12 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "annotations",
     )
     lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="JSON baseline of fingerprints to suppress (stale entries fail)",
-    )
-    lint_parser.add_argument(
         "--select",
         metavar="CODES",
         default=None,
@@ -582,7 +576,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             paths,
             select=split(args.select),
             ignore=split(args.ignore),
-            baseline_path=args.baseline,
         )
     except LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -342,11 +342,9 @@ class RiptideAgent:
             self._tap_health(health, now)
         # Deterministic despite the dict view: ``grouped`` preserves the
         # ss-snapshot row order, which is itself a pure function of the
-        # run.  The project index proves it — ``_observe_and_group``
-        # resolves with an untainted return, so DET002 accepts the loop
-        # without an ignore.  Sorting here would reorder installs/trace
-        # emission and change pinned outputs for no correctness gain.
-        for destination, observations in grouped.items():
+        # run.  Sorting here would reorder installs/trace emission and
+        # change pinned outputs for no correctness gain.
+        for destination, observations in grouped.items():  # lint: ignore[DET002]
             if self._guard is not None:
                 reason = self._guard.observe(destination, health[destination], now)
                 if reason is not None:
@@ -393,10 +391,8 @@ class RiptideAgent:
         """
         host_name = self.host.name
         # Snapshot-row order, a pure function of the run (see the decide
-        # loop above).  Unlike that loop, ``health`` arrives here as a
-        # parameter, so the per-file rule cannot see its provenance; the
-        # index proves the only call site passes ``_observe_and_group``'s
-        # untainted return, and this ignore records that proof.
+        # loop above): the only call site passes ``_observe_and_group``'s
+        # ``health``, built in the same row order as ``grouped``.
         for destination, path in health.items():  # lint: ignore[DET002]
             sent = path.segments_sent
             retransmitted = path.segments_retransmitted

@@ -154,7 +154,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             hybrid.run,
             simulation_backed=True,
             # Keep the full 34-PoP topology but shrink the population and
-            # clock: the CI scale-smoke job runs this to exercise the whole
+            # clock: the study golden digests this shape to pin the whole
             # fluid path.
             fast={"flows_per_pair": 100.0, "warmup": 3.0, "duration": 10.0},
         ),

@@ -1,4 +1,4 @@
-"""Engine-level tests for ``repro lint``: CLI, JSON schema, baselines.
+"""Engine-level tests for ``repro lint``: CLI, JSON schema, selection.
 
 The self-check at the bottom is the PR's acceptance gate: the shipped
 tree must lint clean, so the analyzer stays a required CI job rather
@@ -81,20 +81,14 @@ def test_json_schema(hazard_file):
     assert payload["version"] == LINT_SCHEMA_VERSION
     assert payload["files_scanned"] == 1
     assert payload["counts"] == {"DET001": 1}
-    assert payload["index"] == {"modules": 1}
-    assert payload["baseline"] == {
-        "used": False,
-        "entries": 0,
-        "matched_by_code": {},
-        "near_stale": 0,
+    assert payload["suppressed_inline"] == 0
+    assert set(payload) == {
+        "version", "files_scanned", "counts", "suppressed_inline", "findings"
     }
-    assert payload["suppressed"] == {"inline": 0, "baseline": 0}
-    assert payload["stale_baseline"] == []
     (finding,) = payload["findings"]
-    assert set(finding) == {"code", "message", "path", "line", "col", "fingerprint"}
+    assert set(finding) == {"code", "message", "path", "line", "col"}
     assert finding["code"] == "DET001"
     assert finding["line"] == 4
-    assert isinstance(finding["fingerprint"], str) and finding["fingerprint"]
 
 
 def test_render_github(hazard_file):
@@ -103,106 +97,7 @@ def test_render_github(hazard_file):
     assert error.startswith("::error file=")
     assert "title=DET001" in error and ",line=4," in error
     assert notice.startswith("::notice title=repro-lint::")
-    assert notice.endswith("index 1 module(s)")
-
-
-# -- baseline -------------------------------------------------------------
-
-
-def write_baseline(tmp_path, entries):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 1, "entries": entries}))
-    return path
-
-
-def test_baseline_suppresses_matching_findings(tmp_path, hazard_file):
-    fingerprint = run_lint([str(hazard_file)]).findings[0].fingerprint
-    baseline = write_baseline(
-        tmp_path, [{"fingerprint": fingerprint, "reason": "tracked debt"}]
-    )
-    result = run_lint([str(hazard_file)], baseline_path=str(baseline))
-    assert result.findings == []
-    assert result.suppressed_baseline == 1
-    assert result.stale_baseline == []
-    assert result.clean
-
-
-def test_baseline_summary_line(tmp_path, hazard_file):
-    fingerprint = run_lint([str(hazard_file)]).findings[0].fingerprint
-    baseline = write_baseline(
-        tmp_path, [{"fingerprint": fingerprint, "reason": "tracked debt"}]
-    )
-    result = run_lint([str(hazard_file)], baseline_path=str(baseline))
-    assert result.baseline_used
-    assert result.baseline_entries == 1
-    assert result.baseline_counts == {"DET001": 1}
-    # Matched exactly once: the next fix strands this entry.
-    assert result.baseline_near_stale == 1
-    summary = result.baseline_summary()
-    assert summary == (
-        "baseline: 1 entry, matched by code: DET001=1, "
-        "1 nearing staleness, 0 stale"
-    )
-    assert summary in result.render_text()
-    payload = json.loads(result.to_json())
-    assert payload["baseline"] == {
-        "used": True,
-        "entries": 1,
-        "matched_by_code": {"DET001": 1},
-        "near_stale": 1,
-    }
-
-
-def test_baseline_entry_matched_twice_is_not_near_stale(tmp_path):
-    target = tmp_path / "two.py"
-    target.write_text("import time\n\ndef a():\n    return time.time()\n")
-    findings = run_lint([str(target)]).findings
-    assert len(findings) == 1
-    # Duplicate the hazard so one fingerprint matches two findings.
-    target.write_text(
-        "import time\n\ndef a():\n    return time.time()\n"
-        "\ndef b():\n    return time.time()\n"
-    )
-    findings = run_lint([str(target)]).findings
-    fingerprints = {f.fingerprint for f in findings}
-    baseline = write_baseline(
-        tmp_path,
-        [{"fingerprint": fp, "reason": "debt"} for fp in fingerprints],
-    )
-    result = run_lint([str(target)], baseline_path=str(baseline))
-    assert result.findings == []
-    if len(fingerprints) == 1:
-        assert result.baseline_near_stale == 0
-    else:
-        assert result.baseline_near_stale == len(fingerprints)
-
-
-def test_stale_baseline_entry_fails_the_run(tmp_path, hazard_file):
-    hazard_file.write_text("def tick(sim):\n    return sim.now\n")  # fixed!
-    baseline = write_baseline(
-        tmp_path, [{"fingerprint": "00" * 8, "reason": "was fixed"}]
-    )
-    result = run_lint([str(hazard_file)], baseline_path=str(baseline))
-    assert result.findings == []
-    assert result.stale_baseline == [
-        {"fingerprint": "00" * 8, "reason": "was fixed"}
-    ]
-    assert not result.clean
-    assert "stale entry" in result.render_text()
-
-
-def test_baseline_entry_requires_reason(tmp_path, hazard_file):
-    baseline = write_baseline(tmp_path, [{"fingerprint": "ab" * 8}])
-    with pytest.raises(LintUsageError, match="reason"):
-        run_lint([str(hazard_file)], baseline_path=str(baseline))
-
-
-def test_fingerprint_survives_line_moves(tmp_path, hazard_file):
-    before = run_lint([str(hazard_file)]).findings[0]
-    hazard_file.write_text("# a new comment line\n" + HAZARD)
-    after = run_lint([str(hazard_file)]).findings[0]
-    assert before.line != after.line
-    assert before.fingerprint == after.fingerprint
+    assert notice.endswith("1 finding(s) in 1 file(s)")
 
 
 # -- CLI ------------------------------------------------------------------

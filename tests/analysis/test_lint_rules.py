@@ -184,6 +184,32 @@ def test_det002_inline_ignore(tmp_path):
     assert result.suppressed_inline == 1
 
 
+@pytest.mark.parametrize(
+    ("comment", "suppressed"),
+    [
+        ("# lint: ignore", True),
+        ("# lint: ignore - host clock, never feeds sim state", True),
+        ("# lint: ignore[DET001]", True),
+        ("# lint: ignore[det001]", True),  # case-insensitive, as --select is
+        ("# lint: ignore[DET002, DET001]", True),
+        ("# lint: ignore[DET001,]", True),
+        ("# lint: ignore [DET001]", True),
+        ("# lint: ignore[DET002]", False),
+        # A bracket that is not a code list suppresses nothing — it must
+        # never widen into a bare ``# lint: ignore``.
+        ("# lint: ignore[DET002", False),
+        ("# lint: ignore[DET001", False),
+        ("# lint: ignore[DET002;DET003]", False),
+        ("# lint: ignore[]", False),
+    ],
+)
+def test_inline_ignore_bracket_is_a_code_list_or_nothing(tmp_path, comment, suppressed):
+    source = f"import time\n\ndef tick():\n    return time.time()  {comment}\n"
+    result = lint_snippet(tmp_path, source)
+    assert codes(result) == ([] if suppressed else ["DET001"])
+    assert result.suppressed_inline == int(suppressed)
+
+
 # -- DET003: identity ordering --------------------------------------------
 
 

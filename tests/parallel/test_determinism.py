@@ -216,17 +216,21 @@ class TestHashSeedIndependence:
         import repro
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
-        outputs = [
-            subprocess.run(
+        children = [
+            subprocess.Popen(
                 [sys.executable, "-m", "repro", "metrics", "chaos_lossy_agent",
                  "--fast", "--json"],
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-                check=True,
-                timeout=120,
-            ).stdout
+            )
             for seed in ("1", "2")
         ]
+        outputs = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err.decode()
+            outputs.append(out)
         assert outputs[0], "metrics printed nothing"
         assert outputs[0] == outputs[1], (
             "hash-seed dependent: `repro metrics chaos_lossy_agent --fast "
