@@ -6,16 +6,20 @@ stack learns from; their offered load pressures the shared trunk; the
 link's loss model and outages feed back into the cohort dynamics.
 """
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.crosstraffic import filler_addresses
 from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, FluidTraffic
 from repro.cdn.topology import Topology, build_paper_topology
+from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
 from repro.sim.fluid import FluidConfig
 from repro.tcp.constants import TcpConfig
-from repro.tcp.socket import TcpState
+from repro.tcp.socket import SocketStats, TcpState
 
 
 def topology(codes=("LHR", "JFK", "NRT")):
@@ -151,6 +155,175 @@ class TestSsSynthesis:
         learned = dict(agent.learned_table().windows())
         assert learned, "agent learned nothing from fluid cohorts"
         assert all(w >= 10 for w in learned.values())
+
+
+# ----------------------------------------------------------------------
+# ss rows, differentially against the keyword-built reference
+# ----------------------------------------------------------------------
+
+
+def keyword_socket_row(sock):
+    """PR 14's ``TcpSocket.stats_snapshot``, verbatim: one keyword per field."""
+    return SocketStats(
+        local_port=sock.local_port,
+        remote_address=sock.remote_address,
+        remote_port=sock.remote_port,
+        state=sock.state,
+        cwnd=sock.cc.cwnd_segments,
+        ssthresh=sock.cc.ssthresh,
+        initial_cwnd=sock.cc.initial_cwnd,
+        srtt=sock._rtt.srtt,
+        bytes_acked=sock.bytes_acked,
+        bytes_received=sock.bytes_received,
+        segments_sent=sock.segments_sent,
+        segments_retransmitted=sock.segments_retransmitted,
+        created_at=sock.created_at,
+        established_at=sock.established_at,
+        last_activity_at=sock.last_activity_at,
+        is_client=sock.is_client,
+    )
+
+
+def keyword_fluid_rows(engine, host):
+    """PR 14's ``FluidTraffic.socket_stats_for``, verbatim.
+
+    The sampled windows and ages come from the shipped population;
+    ``tests/sim/test_fluid.py`` holds those to their own references.
+    """
+    indices = engine._by_host.get(host.address)
+    if not indices:
+        return []
+    now = engine._sim.now
+    max_samples = engine.config.ss_samples
+    ssthresh = float(engine.config.max_window)
+    established = TcpState.ESTABLISHED
+    snapshots = []
+    for index in indices:
+        population = engine._populations[index]
+        if population.flows <= 0.0:
+            continue
+        count = min(max_samples, max(1, round(population.flows)))
+        remote = engine._pop_remote[index]
+        port_base = engine._pop_port_base[index]
+        windows = population.distribution.sample_windows(count)
+        ages = population.sample_ages(count, now)
+        sent_share = int(population.segments_sent_total / count)
+        retx_share = int(population.segments_retx_total / count)
+        acked_share = int(population.bytes_acked_total / count) + 1
+        entry = engine._pop_host[index].initcwnd_for(remote)
+        rtt = population.rtt
+        is_client = population.is_client
+        for i in range(count):
+            created = now - ages[i]
+            snapshots.append(
+                SocketStats(
+                    local_port=port_base + i,
+                    remote_address=remote,
+                    remote_port=FLUID_REMOTE_PORT,
+                    state=established,
+                    cwnd=windows[i],
+                    ssthresh=ssthresh,
+                    initial_cwnd=entry,
+                    srtt=rtt,
+                    bytes_acked=acked_share,
+                    bytes_received=0,
+                    segments_sent=sent_share,
+                    segments_retransmitted=retx_share,
+                    created_at=created,
+                    established_at=created,
+                    last_activity_at=now,
+                    is_client=is_client,
+                )
+            )
+    return snapshots
+
+
+def reference_tcp_info(engine, host, established_only, outgoing_only, created_after):
+    """PR 14's ``SsTool.tcp_info`` filter loops, verbatim, over the rows above."""
+    snapshots = []
+    for sock in host.sockets():
+        if established_only and sock.state is not TcpState.ESTABLISHED:
+            continue
+        if outgoing_only and not sock.is_client:
+            continue
+        if created_after is not None and sock.created_at < created_after:
+            continue
+        snapshots.append(keyword_socket_row(sock))
+    for stats in keyword_fluid_rows(engine, host):
+        if established_only and stats.state is not TcpState.ESTABLISHED:
+            continue
+        if outgoing_only and not stats.is_client:
+            continue
+        if created_after is not None and stats.created_at < created_after:
+            continue
+        snapshots.append(stats)
+    return snapshots
+
+
+def as_tuples(rows):
+    return [dataclasses.astuple(row) for row in rows]
+
+
+def test_ss_rows_match_keyword_reference_under_every_filter(cluster):
+    """Real sockets (both directions, closing ones too) and three fluid
+    cohorts — churning outgoing, eternal incoming, a two-flow one — on
+    one host, polled under all eight filter combinations and ``partial``."""
+    engine = cluster.fluid_traffic()
+    host = cluster.hosts("LHR")[0]
+    engine.add_population(
+        host, cluster.server_address("JFK"), target_flows=50.0,
+        churn_per_flow_per_sec=0.5, is_client=True,
+    )
+    engine.add_population(host, cluster.server_address("NRT"), target_flows=40.0)
+    engine.add_population(
+        host, cluster.server_address("NRT", 1), target_flows=2.0,
+        churn_per_flow_per_sec=0.02, is_client=True,
+    )
+    workload = OrganicWorkloadConfig(
+        rate_per_second=8.0, close_probability=0.5, max_object_bytes=100_000
+    )
+    cluster.add_organic_workload("LHR", ["JFK", "NRT"], workload)
+    cluster.add_organic_workload("JFK", ["LHR"], workload)
+    host.ip.route_replace(f"{cluster.server_address('JFK')}/32", initcwnd=33)
+    dropped = set()
+    for _ in range(6):
+        cluster.run(0.7)
+        recent = cluster.sim.now - 1.0
+        everything = reference_tcp_info(engine, host, False, False, None)
+        fluid_from = len(host.sockets())
+        assert 0 < fluid_from < len(everything)
+        for established_only, outgoing_only, created_after in itertools.product(
+            (True, False), (False, True), (None, recent)
+        ):
+            filters = dict(
+                established_only=established_only,
+                outgoing_only=outgoing_only,
+                created_after=created_after,
+            )
+            expected = reference_tcp_info(engine, host, **filters)
+            assert as_tuples(host.ss.tcp_info(**filters)) == as_tuples(expected)
+            host.ss.set_fault("partial")
+            assert as_tuples(host.ss.tcp_info(**filters)) == as_tuples(expected[::2])
+            host.ss.clear_fault()
+        # Which filter bits removed a real socket / a fluid row this round.
+        for name, filters in (
+            ("established", (True, False, None)),
+            ("outgoing", (False, True, None)),
+            ("recent", (False, False, recent)),
+        ):
+            kept = as_tuples(reference_tcp_info(engine, host, *filters))
+            for kind, rows in (
+                ("socket", everything[:fluid_from]),
+                ("fluid", everything[fluid_from:]),
+            ):
+                if any(dataclasses.astuple(row) not in kept for row in rows):
+                    dropped.add((name, kind))
+    # Fluid rows are always established; the other two filters drop both kinds.
+    assert dropped == {
+        ("established", "socket"),
+        ("outgoing", "socket"), ("outgoing", "fluid"),
+        ("recent", "socket"), ("recent", "fluid"),
+    }
 
 
 class TestLinkCoupling:

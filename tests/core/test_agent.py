@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import RiptideAgent, RiptideConfig
-from repro.net import Prefix
+from repro.core.combiners import Observation
+from repro.core.guard import PathHealth
+from repro.net import IPv4Address, Prefix
 from repro.tcp import TcpConfig
+from repro.tcp.socket import SocketStats, TcpState
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100
@@ -276,3 +279,72 @@ class TestGranularityIntegration:
         # The EWMA walks up toward the observed large window.
         assert windows[-1] >= windows[0]
         assert windows[-1] > 10
+
+
+# ----------------------------------------------------------------------
+# _observe_and_group, differentially against per-row grouping
+# ----------------------------------------------------------------------
+
+
+def ss_row(remote, cwnd, port, sent=100, retransmitted=3, srtt=0.05, acked=5000):
+    return SocketStats(
+        port, remote, 8080, TcpState.ESTABLISHED, cwnd, 320.0, 10, srtt,
+        acked, 0, sent, retransmitted, 0.0, 0.0, 1.0, True,
+    )
+
+
+def group_per_row(agent, rows):
+    """The reference: one ``key_for`` and one ``setdefault`` per row."""
+    grouped, health = {}, {}
+    for info in rows:
+        key = agent._grouper.key_for(info.remote_address)
+        grouped.setdefault(key, []).append(
+            Observation(cwnd=info.cwnd, bytes_acked=info.bytes_acked, srtt=info.srtt)
+        )
+        health.setdefault(key, PathHealth()).add(
+            info.segments_sent, info.segments_retransmitted, info.srtt
+        )
+    return grouped, health
+
+
+@pytest.mark.parametrize("safety_guard", [True, False])
+@pytest.mark.parametrize(
+    "granularity", [{"granularity": "host"}, {"granularity": "prefix", "prefix_length": 16}]
+)
+def test_observe_and_group_matches_per_row_grouping(granularity, safety_guard):
+    bed = make_testbed()
+    agent = RiptideAgent(
+        bed.server, RiptideConfig(safety_guard=safety_guard, **granularity)
+    )
+    a = IPv4Address("10.7.0.1")
+    a_again = IPv4Address("10.7.0.1")  # equal to ``a``, another object
+    b = IPv4Address("10.8.0.1")
+    a_neighbour = IPv4Address("10.7.9.9")  # inside a's /16
+    c = IPv4Address("10.9.0.1")
+    # Runs of one remote (a cohort's rows, a peer's sockets), then the
+    # remotes interleaved A, B, A, an equal address that is a different
+    # object, a second address of A's /16, a single-row run, a row
+    # without an RTT sample.
+    remotes = [a, a, a, b, b, a, a_again, a_neighbour, a_neighbour, c, b, a]
+    rows = [
+        ss_row(
+            remote, cwnd=10 + 3 * i, port=50000 + i, sent=100 + 7 * i,
+            retransmitted=i % 4, srtt=None if i == 9 else 0.01 * (i + 1),
+            acked=1000 * i,
+        )
+        for i, remote in enumerate(remotes)
+    ]
+    bed.server.ss.tcp_info = lambda **filters: rows
+    grouped, health = agent._observe_and_group()
+    expected_grouped, expected_health = group_per_row(agent, rows)
+    if not safety_guard:
+        expected_health = {}
+    assert list(grouped) == list(expected_grouped)  # same keys, same order
+    assert grouped == expected_grouped
+    assert list(health) == list(expected_health)
+    assert health == expected_health
+    distinct = 3 if granularity["granularity"] == "prefix" else 4
+    assert len(grouped) == distinct
+    assert sum(len(group) for group in grouped.values()) == len(rows)
+    assert agent.stats.connections_observed == len(rows)
+    assert agent._observe_and_group()[0] == expected_grouped  # and again, warm

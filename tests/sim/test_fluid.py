@@ -370,3 +370,340 @@ def test_median_quantile_is_the_single_mid_sample(seed):
     for _ in range(rng.randint(0, 5)):
         dist.step(0.25, 0.1, rng.choice((0.0, 0.01)), rng.uniform(0.0, 20.0))
     assert dist.quantile(0.5) == dist.sample_windows(1)[0]
+
+
+# ----------------------------------------------------------------------
+# the cohort step, differentially against the five-pass reference
+# ----------------------------------------------------------------------
+
+
+class FivePassDistribution:
+    """The reference histogram: PR 14's mutators and read-outs, verbatim.
+
+    Per step it walks the active bins five times — the scatter (window
+    and half-bin arithmetic per bin), ``_retighten``, ``remove_fraction``
+    and, after ``add_mass``, the generator behind
+    ``total_window_segments``.  Kept here, not in ``src/``, so the shipped
+    step can be reshaped freely as long as every float stays the same.
+    """
+
+    def __init__(self, max_window=320, bin_width=1):
+        self.bin_width = bin_width
+        self.nbins = (max_window + bin_width - 1) // bin_width
+        self._bin_mass = [0.0] * self.nbins
+        self._lo_bin = 0
+        self._hi_bin = -1
+        self.flows = 0.0
+        self._window_total = None
+
+    def window_to_bin(self, window):
+        bin_index = (window - 1) // self.bin_width
+        if bin_index < 0:
+            return 0
+        if bin_index >= self.nbins:
+            return self.nbins - 1
+        return bin_index
+
+    def bin_to_window(self, bin_index):
+        return bin_index * self.bin_width + 1
+
+    def add_mass(self, window, mass):
+        if mass <= 0.0:
+            return
+        bin_index = self.window_to_bin(window)
+        self._bin_mass[bin_index] += mass
+        self.flows += mass
+        self._window_total = None
+        if self._hi_bin < 0:
+            self._lo_bin = self._hi_bin = bin_index
+        else:
+            if bin_index < self._lo_bin:
+                self._lo_bin = bin_index
+            if bin_index > self._hi_bin:
+                self._hi_bin = bin_index
+
+    def remove_fraction(self, fraction):
+        if fraction <= 0.0 or self._hi_bin < 0:
+            return 0.0
+        self._window_total = None
+        if fraction >= 1.0:
+            removed = self.flows
+            mass = self._bin_mass
+            for b in range(self._lo_bin, self._hi_bin + 1):
+                mass[b] = 0.0
+            self._lo_bin, self._hi_bin = 0, -1
+            self.flows = 0.0
+            return removed
+        keep = 1.0 - fraction
+        removed = self.flows * fraction
+        mass = self._bin_mass
+        for b in range(self._lo_bin, self._hi_bin + 1):
+            mass[b] *= keep
+        self.flows *= keep
+        return removed
+
+    def step(self, dt, rtt, loss_rate, drift_segments_per_sec, send_rate_cap=None):
+        if dt <= 0.0 or self._hi_bin < 0:
+            return 0.0
+        bin_width = self.bin_width
+        nbins = self.nbins
+        top = nbins - 1
+        mass = self._bin_mass
+        new = [0.0] * nbins
+        shift = drift_segments_per_sec * dt / bin_width
+        whole = int(shift)
+        frac = shift - whole
+        loss_scale = loss_rate * dt / rtt
+        cap_q = (
+            loss_rate * send_rate_cap * dt if send_rate_cap is not None else None
+        )
+        loss_events = 0.0
+        for b in range(self._lo_bin, self._hi_bin + 1):
+            m = mass[b]
+            if m <= 0.0:
+                continue
+            w = b * bin_width + 1
+            q = loss_scale * w
+            if cap_q is not None and q > cap_q:
+                q = cap_q
+            if q >= 1.0:
+                q = 1.0
+            if q > 0.0:
+                halved = m * q
+                loss_events += halved
+                m -= halved
+                half_bin = (max(1, w >> 1) - 1) // bin_width
+                new[half_bin] += halved
+            if m <= 0.0:
+                continue
+            target = b + whole
+            if target >= top:
+                new[top] += m
+            else:
+                new[target] += m * (1.0 - frac)
+                new[target + 1] += m * frac
+        lowest = (max(1, (self._lo_bin * bin_width + 1) >> 1) - 1) // bin_width
+        highest = min(top, self._hi_bin + whole + 1)
+        self._bin_mass = new
+        self._window_total = None
+        self._retighten(lowest, highest)
+        return loss_events
+
+    def _retighten(self, first, last):
+        mass = self._bin_mass
+        lo, hi, total = 0, -1, 0.0
+        for b in range(first, last + 1):
+            m = mass[b]
+            if m > 1e-12:
+                if hi < 0:
+                    lo = b
+                hi = b
+                total += m
+            elif m > 0.0:
+                mass[b] = 0.0
+        self._lo_bin, self._hi_bin = lo, hi
+        self.flows = total
+
+    def total_window_segments(self):
+        if self._hi_bin < 0:
+            return 0.0
+        total = self._window_total
+        if total is None:
+            bin_width = self.bin_width
+            mass = self._bin_mass
+            total = self._window_total = sum(
+                mass[b] * (b * bin_width + 1)
+                for b in range(self._lo_bin, self._hi_bin + 1)
+            )
+        return total
+
+    def total_send_segments_per_sec(self, rtt, send_rate_cap=None):
+        if self._hi_bin < 0:
+            return 0.0
+        if send_rate_cap is None:
+            return self.total_window_segments() / rtt
+        bin_width = self.bin_width
+        mass = self._bin_mass
+        total = 0.0
+        for b in range(self._lo_bin, self._hi_bin + 1):
+            rate = (b * bin_width + 1) / rtt
+            if rate > send_rate_cap:
+                rate = send_rate_cap
+            total += mass[b] * rate
+        return total
+
+    def sample_windows(self, count):
+        if self._hi_bin < 0:
+            return [1] * count
+        samples = []
+        mass = self._bin_mass
+        total = self.flows
+        b = self._lo_bin
+        cum = mass[b]
+        for i in range(count):
+            target = (i + 0.5) / count * total
+            while cum < target and b < self._hi_bin:
+                b += 1
+                cum += mass[b]
+            samples.append(self.bin_to_window(b))
+        return samples
+
+
+class FivePassPopulation:
+    """The reference cohort: PR 14's ``step`` and ``sample_ages``, verbatim."""
+
+    def __init__(
+        self, rtt, target_flows, entry_window, max_window, bin_width,
+        growth, send_cap, churn, mss=1460, created_at=0.0,
+    ):
+        self.rtt = float(rtt)
+        self.mss = int(mss)
+        self.distribution = FivePassDistribution(max_window, bin_width)
+        self.target_flows = float(target_flows)
+        self.growth_segments_per_sec = growth
+        self.send_segments_per_flow_per_sec = send_cap
+        self.churn_per_flow_per_sec = float(churn)
+        self.created_at = float(created_at)
+        self.segments_sent_total = 0.0
+        self.segments_retx_total = 0.0
+        self.bytes_acked_total = 0.0
+        self.loss_events_total = 0.0
+        self.steps = 0
+        self.distribution.add_mass(entry_window, self.target_flows)
+
+    def offered_bps(self):
+        rate = self.distribution.total_send_segments_per_sec(
+            self.rtt, self.send_segments_per_flow_per_sec
+        )
+        return rate * self.mss * 8.0
+
+    def step(self, dt, loss_rate, entry_window):
+        dist = self.distribution
+        loss_events = dist.step(
+            dt,
+            self.rtt,
+            loss_rate,
+            self.growth_segments_per_sec,
+            self.send_segments_per_flow_per_sec,
+        )
+        if self.churn_per_flow_per_sec > 0.0:
+            departing = 1.0 - math.exp(-self.churn_per_flow_per_sec * dt)
+            dist.remove_fraction(departing)
+        deficit = self.target_flows - dist.flows
+        if deficit > 0.0:
+            dist.add_mass(entry_window, deficit)
+        sent = (
+            dist.total_send_segments_per_sec(
+                self.rtt, self.send_segments_per_flow_per_sec
+            )
+            * dt
+        )
+        retx = loss_events
+        self.segments_sent_total += sent + retx
+        self.segments_retx_total += retx
+        self.loss_events_total += loss_events
+        self.bytes_acked_total += sent * self.mss
+        self.steps += 1
+
+    def sample_ages(self, count, now):
+        lifetime = max(0.0, now - self.created_at)
+        rate = self.churn_per_flow_per_sec
+        if rate <= 0.0:
+            return [lifetime] * count
+        ages = []
+        for i in range(count):
+            q = (i + 0.5) / count
+            ages.append(min(lifetime, -math.log(1.0 - q) / rate))
+        return ages
+
+
+def counters_of(population):
+    return (
+        population.segments_sent_total,
+        population.segments_retx_total,
+        population.bytes_acked_total,
+        population.loss_events_total,
+        population.steps,
+    )
+
+
+#: (growth seg/s, send cap, churn /s) per cohort shape.  At dt 0.25/0.5
+#: growth 0.3 keeps ``whole`` at 0 for both bin widths and 40 makes it
+#: 2..20 bins; churn 400 makes ``departing`` round to exactly 1.0.
+COHORT_SHAPES = [
+    (0.0, None, 0.0),
+    (0.3, None, 0.02),
+    (40.0, None, 0.5),
+    (2.0, 5.0, 0.02),
+    (40.0, 5.0, 400.0),
+    (9.0, 400.0, 0.0),
+    (0.3, None, 400.0),
+]
+
+
+@pytest.mark.parametrize("bin_width", [1, 4])
+@pytest.mark.parametrize("shape", range(len(COHORT_SHAPES)))
+def test_cohort_step_matches_five_pass_reference(shape, bin_width):
+    growth, cap, churn = COHORT_SHAPES[shape]
+    rng = random.Random(1000 * shape + bin_width)
+    rtt = rng.choice((0.01, 0.08, 0.3))
+    shipped = FluidPopulation(
+        "p", rtt=rtt, target_flows=900.0, entry_window=10, max_window=120,
+        bin_width=bin_width, growth_segments_per_sec=growth,
+        send_segments_per_flow_per_sec=cap, churn_per_flow_per_sec=churn,
+        created_at=3.0,
+    )
+    reference = FivePassPopulation(
+        rtt, 900.0, 10, 120, bin_width, growth, cap, churn, created_at=3.0
+    )
+    assert 1.0 - math.exp(-400.0 * 0.25) == 1.0
+    now = 3.0
+    entry = 10
+    saturated = emptied = slivers = False
+    for step in range(160):
+        if step % 40 == 20:
+            # A Riptide install (or its expiry) moves the entry window.
+            entry = rng.choice((1, 10, 46, 100, 120, 500))
+        # Loss: none, the link model's floor, congestion, the congestion
+        # cap, and a downed link, where every bin's ``q`` saturates at 1.
+        loss = rng.choice((0.0, 0.0, 1e-4, 1e-4, 0.02, 0.5, 1.0))
+        dt = rng.choice((0.25, 0.5, 0.5, 0.0))
+        poke = rng.choice(("none",) * 8 + ("sliver", "empty"))
+        sliver_window = rng.choice((1, 60, 120))
+        for population in (shipped, reference):
+            if poke == "sliver":
+                # Mass that a lossy or drifting step splits into pieces
+                # below the trim threshold.
+                population.distribution.add_mass(sliver_window, 1.5e-12)
+            elif poke == "empty":
+                population.distribution.remove_fraction(1.0)
+            population.step(dt, loss, entry)
+        now += dt
+        saturated |= loss == 1.0 and dt > 0.0 and poke != "empty"
+        emptied |= poke == "empty"
+        slivers |= poke == "sliver"
+        assert state_of(shipped.distribution) == state_of(reference.distribution)
+        assert counters_of(shipped) == counters_of(reference)
+        assert shipped.offered_bps() == reference.offered_bps()
+        assert (
+            shipped.distribution.sample_windows(8)
+            == reference.distribution.sample_windows(8)
+        )
+        for count in (8, 3):
+            assert shipped.sample_ages(count, now) == reference.sample_ages(count, now)
+    assert saturated and emptied and slivers
+
+
+def test_departing_everything_then_refilling_matches_reference():
+    """``departing >= 1``: the cohort empties and re-enters at the entry window."""
+    shipped = FluidPopulation(
+        "p", rtt=0.1, target_flows=50.0, entry_window=10, max_window=100,
+        growth_segments_per_sec=8.0, churn_per_flow_per_sec=400.0,
+    )
+    reference = FivePassPopulation(0.1, 50.0, 10, 100, 1, 8.0, None, 400.0)
+    for entry in (10, 10, 64, 64, 3):
+        for population in (shipped, reference):
+            population.step(0.25, 0.01, entry)
+        assert state_of(shipped.distribution) == state_of(reference.distribution)
+        assert counters_of(shipped) == counters_of(reference)
+        assert shipped.distribution.sample_windows(8) == [entry] * 8
