@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output hot-path lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output hot-path background-plane lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -19,6 +19,17 @@ test-output:
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net
+
+# Inner loop for a change to the background plane — sim/fluid.py,
+# cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the
+# five-pass cohort oracle, the keyword ss-row and per-row grouping
+# references, the ss tool tests, the frames-per-row / per-cohort-step
+# ceiling, and the 34-PoP run_scale cell of the study golden.
+background-plane:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_fluid.py \
+		tests/cdn/test_fluidtraffic.py tests/core/test_agent.py \
+		tests/linux/test_tools.py tests/cdn/test_background_plane_frames.py \
+		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden"
 
 # Generic style (ruff) plus the codebase-specific determinism /
 # observability rules (`repro lint`, see docs/ARCHITECTURE.md).

@@ -333,24 +333,26 @@ class FluidTraffic:
             is_client = population.is_client
             for i in range(count):
                 created = now - ages[i]
+                # Positional, in SocketStats field order: a keyword call
+                # costs a name match per field, eight rows per cohort.
                 snapshots.append(
                     SocketStats(
-                        local_port=port_base + i,
-                        remote_address=remote,
-                        remote_port=FLUID_REMOTE_PORT,
-                        state=established,
-                        cwnd=windows[i],
-                        ssthresh=ssthresh,
-                        initial_cwnd=entry,
-                        srtt=rtt,
-                        bytes_acked=acked_share,
-                        bytes_received=0,
-                        segments_sent=sent_share,
-                        segments_retransmitted=retx_share,
-                        created_at=created,
-                        established_at=created,
-                        last_activity_at=now,
-                        is_client=is_client,
+                        port_base + i,  # local_port
+                        remote,
+                        FLUID_REMOTE_PORT,
+                        established,
+                        windows[i],  # cwnd
+                        ssthresh,
+                        entry,  # initial_cwnd
+                        rtt,  # srtt
+                        acked_share,  # bytes_acked
+                        0,  # bytes_received
+                        sent_share,  # segments_sent
+                        retx_share,  # segments_retransmitted
+                        created,  # created_at
+                        created,  # established_at
+                        now,  # last_activity_at
+                        is_client,
                     )
                 )
         return snapshots

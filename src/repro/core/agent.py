@@ -34,7 +34,7 @@ from repro.core.observed import LearnedTable
 from repro.core.trend import TrendDetector
 from repro.linux.errors import ToolError
 from repro.linux.host import Host
-from repro.net.addresses import Prefix
+from repro.net.addresses import IPv4Address, Prefix
 from repro.obs.span import Span
 from repro.policy import EwmaPolicy, WindowPolicy, finalize_window, make_policy
 from repro.obs.trace import EventType
@@ -337,7 +337,7 @@ class RiptideAgent:
                 )
         routes_touched_before = self.stats.routes_installed
         grouped, health = self._observe_and_group()
-        observed = sum(len(observations) for observations in grouped.values())
+        observed = sum(map(len, grouped.values()))
         if self._obs_on and health:
             self._tap_health(health, now)
         # Deterministic despite the dict view: ``grouped`` preserves the
@@ -441,22 +441,29 @@ class RiptideAgent:
         grouped: dict[Prefix, list[Observation]] = {}
         health: dict[Prefix, PathHealth] = {}
         track_health = self._guard is not None
+        key_for = self._grouper.key_for
+        # Rows arrive in runs of one remote (a cohort's samples share its
+        # address object, a peer's sockets sit together), so the group is
+        # looked up when the address *object* changes, not per row.  A run
+        # that resumes later (A, B, A) finds its group again: keys keep
+        # first-row insertion order, rows keep snapshot order.
+        run_remote: IPv4Address | None = None
         for info in snapshots:
-            key = self._grouper.key_for(info.remote_address)
-            grouped.setdefault(key, []).append(
-                Observation(
-                    cwnd=info.cwnd,
-                    bytes_acked=info.bytes_acked,
-                    srtt=info.srtt,
-                )
-            )
+            remote = info.remote_address
+            if remote is not run_remote:
+                run_remote = remote
+                key = key_for(remote)
+                observations = grouped.get(key)
+                if observations is None:
+                    observations = grouped[key] = []
+                    if track_health:
+                        path = health[key] = PathHealth()
+                elif track_health:
+                    path = health[key]
+            srtt = info.srtt
+            observations.append(Observation(info.cwnd, info.bytes_acked, srtt))
             if track_health:
-                entry = health.get(key)
-                if entry is None:
-                    entry = health[key] = PathHealth()
-                entry.add(
-                    info.segments_sent, info.segments_retransmitted, info.srtt
-                )
+                path.add(info.segments_sent, info.segments_retransmitted, srtt)
         self.stats.connections_observed += len(snapshots)
         self._m_observed.inc(len(snapshots))
         return grouped, health

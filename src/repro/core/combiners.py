@@ -20,9 +20,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
-    """One connection's contribution to a destination group."""
+    """One connection's contribution to a destination group.
+
+    Slotted, immutable by convention, like the
+    :class:`~repro.tcp.socket.SocketStats` row it is read from: the agent
+    builds one per row per poll, and a frozen ``__init__`` stores each
+    field through ``object.__setattr__``.  Nothing may write to one.
+    """
 
     cwnd: int
     bytes_acked: int = 0

@@ -11,7 +11,8 @@ modelling how ``ss`` actually misbehaves on a loaded box:
 * ``"error"`` — the invocation fails outright (:class:`ToolError`);
 * ``"empty"`` — the poll returns no sockets at all;
 * ``"stale"`` — the poll returns the *previous* successful snapshot
-  (a wedged collector re-serving cached data);
+  taken under the same filters (a wedged collector re-serving cached
+  data; it never serves one caller another caller's filters);
 * ``"partial"`` — only every other socket makes it into the output
   (truncated output, the paper agent's skip-and-continue case).
 """
@@ -52,7 +53,9 @@ class SsTool:
         self.polls = 0
         self.faulted_polls = 0
         self._fault_mode: str | None = None
-        self._last_good: list[SocketStats] = []
+        #: Last successful snapshot per (established_only, outgoing_only,
+        #: created_after): what a ``stale`` poll with those filters re-serves.
+        self._last_good: dict[tuple[bool, bool, float | None], list[SocketStats]] = {}
 
     # ------------------------------------------------------------------
     # fault injection
@@ -86,6 +89,7 @@ class SsTool:
     ) -> list[SocketStats]:
         """Snapshots of all live sockets matching the filters."""
         self.polls += 1
+        filters = (established_only, outgoing_only, created_after)
         mode = self._fault_mode
         if mode is not None:
             self.faulted_polls += 1
@@ -94,28 +98,32 @@ class SsTool:
             if mode == "empty":
                 return []
             if mode == "stale":
-                return list(self._last_good)
+                return list(self._last_good.get(filters, ()))
+        established = TcpState.ESTABLISHED
         snapshots = []
         for sock in self._host.sockets():
-            if established_only and sock.state is not TcpState.ESTABLISHED:
+            if established_only and sock.state is not established:
                 continue
             if outgoing_only and not sock.is_client:
                 continue
             if created_after is not None and sock.created_at < created_after:
                 continue
             snapshots.append(sock.stats_snapshot())
+        filtering = filters != (False, False, None)
         for source in self._host.fluid_sources:
-            for stats in source.socket_stats():
-                if established_only and stats.state is not TcpState.ESTABLISHED:
-                    continue
-                if outgoing_only and not stats.is_client:
-                    continue
-                if created_after is not None and stats.created_at < created_after:
-                    continue
-                snapshots.append(stats)
+            rows = source.socket_stats()
+            if filtering:
+                rows = [
+                    stats
+                    for stats in rows
+                    if (not established_only or stats.state is established)
+                    and (not outgoing_only or stats.is_client)
+                    and (created_after is None or stats.created_at >= created_after)
+                ]
+            snapshots.extend(rows)
         if mode == "partial":
             return snapshots[::2]
-        self._last_good = snapshots
+        self._last_good[filters] = snapshots
         return snapshots
 
     def format_lines(self, **filters: Any) -> list[str]:

@@ -77,9 +77,13 @@ class IPv4Address:
 
 
 class Prefix:
-    """An immutable IPv4 prefix (network address + mask length)."""
+    """An immutable IPv4 prefix (network address + mask length).
 
-    __slots__ = ("_network", "_length", "_mask")
+    Prefixes key every per-poll grouping dict, so the hash is computed
+    once, at construction.
+    """
+
+    __slots__ = ("_network", "_length", "_mask", "_hash")
 
     def __init__(self, network: "int | str | IPv4Address", length: int) -> None:
         if not 0 <= length <= 32:
@@ -93,6 +97,7 @@ class Prefix:
         self._network = addr
         self._length = length
         self._mask = mask
+        self._hash = hash((addr, length))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -152,7 +157,7 @@ class Prefix:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self._network}/{self._length}"

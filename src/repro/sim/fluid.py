@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "FluidConfig",
@@ -81,6 +83,21 @@ class FluidConfig:
 _MASS_EPSILON = 1e-12
 
 
+@lru_cache(maxsize=None)
+def _bin_tables(nbins: int, bin_width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per bin: its window and the bin a halved flow lands in (one pair
+    per discretization, shared by every cohort of a run)."""
+    windows = tuple(b * bin_width + 1 for b in range(nbins))
+    half_bins = tuple((max(1, w >> 1) - 1) // bin_width for w in windows)
+    return windows, half_bins
+
+
+@lru_cache(maxsize=None)
+def _age_quantiles(count: int) -> tuple[float, ...]:
+    """``-log(1 - q)`` at the ``count`` mid-quantiles ``q = (i + 0.5) / count``."""
+    return tuple(-math.log(1.0 - (i + 0.5) / count) for i in range(count))
+
+
 class CwndDistribution:
     """A discretized congestion-window histogram for one flow cohort.
 
@@ -89,7 +106,9 @@ class CwndDistribution:
     sampling) is the lower edge ``b * bin_width + 1``, so ``bin_width=1``
     tracks exact integer windows.  The histogram keeps an active
     ``[lo, hi]`` bin range so stepping costs O(spread), not O(bins) —
-    AIMD populations concentrate, so the spread stays narrow.
+    AIMD populations concentrate, so the spread stays narrow — and a
+    step is two sweeps of that range: the scatter, then one that trims,
+    totals and applies churn together.
 
     The window total (:meth:`total_window_segments`) is read several
     times between mutations — the step's sent counter, the engine's
@@ -106,6 +125,8 @@ class CwndDistribution:
         "_hi_bin",
         "flows",
         "_window_total",
+        "_windows",
+        "_half_bins",
     )
 
     def __init__(self, max_window: int = 320, bin_width: int = 1) -> None:
@@ -120,6 +141,7 @@ class CwndDistribution:
         self._hi_bin = -1  # empty
         self.flows = 0.0
         self._window_total: float | None = None
+        self._windows, self._half_bins = _bin_tables(self.nbins, bin_width)
 
     # ------------------------------------------------------------------
     # bin/window mapping
@@ -188,6 +210,7 @@ class CwndDistribution:
         loss_rate: float,
         drift_segments_per_sec: float,
         send_rate_cap: float | None = None,
+        departing_fraction: float = 0.0,
     ) -> float:
         """Advance the cohort by ``dt`` seconds.
 
@@ -196,7 +219,10 @@ class CwndDistribution:
         surviving flow.  A flow's loss exposure scales with what it
         actually *sends*: one window per RTT for a bulk flow, capped at
         ``send_rate_cap`` segments/s for request/response flows that sit
-        idle between fetches (exposure far below ``w/rtt``).  Returns
+        idle between fetches (exposure far below ``w/rtt``).
+        ``departing_fraction`` of every bin then leaves (connection
+        churn over the step), exactly as :meth:`remove_fraction` would
+        take it, in the sweep that recomputes the active range.  Returns
         the expected number of loss (halving) events this step — the
         retransmission mass the counters track.
         """
@@ -206,14 +232,16 @@ class CwndDistribution:
             )
         if dt <= 0.0 or self._hi_bin < 0:
             return 0.0
-        bin_width = self.bin_width
         nbins = self.nbins
         top = nbins - 1
         mass = self._bin_mass
+        windows = self._windows
+        half_bins = self._half_bins
         new = [0.0] * nbins
-        shift = drift_segments_per_sec * dt / bin_width
+        shift = drift_segments_per_sec * dt / self.bin_width
         whole = int(shift)
         frac = shift - whole
+        stay = 1.0 - frac
         loss_scale = loss_rate * dt / rtt
         cap_q = (
             loss_rate * send_rate_cap * dt if send_rate_cap is not None else None
@@ -223,8 +251,7 @@ class CwndDistribution:
             m = mass[b]
             if m <= 0.0:
                 continue
-            w = b * bin_width + 1
-            q = loss_scale * w
+            q = loss_scale * windows[b]
             if cap_q is not None and q > cap_q:
                 q = cap_q
             if q >= 1.0:
@@ -233,30 +260,44 @@ class CwndDistribution:
                 halved = m * q
                 loss_events += halved
                 m -= halved
-                half_bin = (max(1, w >> 1) - 1) // bin_width
-                new[half_bin] += halved
+                new[half_bins[b]] += halved
             if m <= 0.0:
                 continue
             target = b + whole
             if target >= top:
                 new[top] += m
             else:
-                new[target] += m * (1.0 - frac)
+                new[target] += m * stay
                 new[target + 1] += m * frac
+        self._window_total = None
+        if departing_fraction >= 1.0:
+            # Everyone leaves: the scatter only counted the loss events.
+            self._bin_mass = [0.0] * nbins
+            self._lo_bin, self._hi_bin = 0, -1
+            self.flows = 0.0
+            return loss_events
         # The step wrote no bin below the halving target of ``lo`` and
         # none above the drift target of ``hi``; every other bin of the
         # fresh histogram is exactly 0.0.
-        lowest = (max(1, (self._lo_bin * bin_width + 1) >> 1) - 1) // bin_width
         highest = min(top, self._hi_bin + whole + 1)
         self._bin_mass = new
-        self._window_total = None
-        self._retighten(lowest, highest)
+        self._retighten(
+            half_bins[self._lo_bin],
+            highest,
+            1.0 - departing_fraction if departing_fraction > 0.0 else 1.0,
+        )
         return loss_events
 
-    def _retighten(self, first: int, last: int) -> None:
+    def _retighten(self, first: int, last: int, keep: float = 1.0) -> None:
         """Recompute the active range and total over bins ``[first, last]``.
 
         The caller guarantees every bin outside that range is 0.0.
+        ``keep`` is the share of flows churn leaves behind, applied in
+        the same sweep: bins are trimmed on their mass before churn,
+        each kept bin becomes its mass times ``keep`` and ``flows`` the
+        loop's total times ``keep`` — bit for bit what a
+        :meth:`remove_fraction` pass after the sweep would leave — and a
+        ``keep`` of 1.0 changes nothing.
         """
         mass = self._bin_mass
         lo, hi, total = 0, -1, 0.0
@@ -267,10 +308,11 @@ class CwndDistribution:
                     lo = b
                 hi = b
                 total += m
+                mass[b] = m * keep
             elif m > 0.0:
                 mass[b] = 0.0
         self._lo_bin, self._hi_bin = lo, hi
-        self.flows = total
+        self.flows = total * keep
 
     # ------------------------------------------------------------------
     # read-out
@@ -282,11 +324,9 @@ class CwndDistribution:
             return 0.0
         total = self._window_total
         if total is None:
-            bin_width = self.bin_width
-            mass = self._bin_mass
+            lo, stop = self._lo_bin, self._hi_bin + 1
             total = self._window_total = sum(
-                mass[b] * (b * bin_width + 1)
-                for b in range(self._lo_bin, self._hi_bin + 1)
+                map(mul, self._bin_mass[lo:stop], self._windows[lo:stop])
             )
         return total
 
@@ -298,11 +338,11 @@ class CwndDistribution:
             return 0.0
         if send_rate_cap is None:
             return self.total_window_segments() / rtt
-        bin_width = self.bin_width
+        windows = self._windows
         mass = self._bin_mass
         total = 0.0
         for b in range(self._lo_bin, self._hi_bin + 1):
-            rate = (b * bin_width + 1) / rtt
+            rate = windows[b] / rtt
             if rate > send_rate_cap:
                 rate = send_rate_cap
             total += mass[b] * rate
@@ -342,6 +382,7 @@ class CwndDistribution:
             return [1] * count
         samples: list[int] = []
         mass = self._bin_mass
+        windows = self._windows
         total = self.flows
         b = self._lo_bin
         cum = mass[b]
@@ -350,7 +391,7 @@ class CwndDistribution:
             while cum < target and b < self._hi_bin:
                 b += 1
                 cum += mass[b]
-            samples.append(self.bin_to_window(b))
+            samples.append(windows[b])
         return samples
 
     def __repr__(self) -> str:
@@ -467,16 +508,15 @@ class FluidPopulation:
     def step(self, dt: float, loss_rate: float, entry_window: int) -> None:
         """Advance the cohort: drift/halve, churn out, refill at entry."""
         dist = self.distribution
+        churn = self.churn_per_flow_per_sec
         loss_events = dist.step(
             dt,
             self.rtt,
             loss_rate,
             self.growth_segments_per_sec,
             self.send_segments_per_flow_per_sec,
+            1.0 - math.exp(-churn * dt) if churn > 0.0 else 0.0,
         )
-        if self.churn_per_flow_per_sec > 0.0:
-            departing = 1.0 - math.exp(-self.churn_per_flow_per_sec * dt)
-            dist.remove_fraction(departing)
         deficit = self.target_flows - dist.flows
         if deficit > 0.0:
             dist.add_mass(entry_window, deficit)
@@ -511,11 +551,7 @@ class FluidPopulation:
         rate = self.churn_per_flow_per_sec
         if rate <= 0.0:
             return [lifetime] * count
-        ages: list[float] = []
-        for i in range(count):
-            q = (i + 0.5) / count
-            ages.append(min(lifetime, -math.log(1.0 - q) / rate))
-        return ages
+        return [min(lifetime, x / rate) for x in _age_quantiles(count)]
 
     def __repr__(self) -> str:
         return (

@@ -65,11 +65,12 @@ class SocketStats:
 
     Riptide reads ``cwnd`` and ``bytes_acked`` from these snapshots.
 
-    Immutable by convention: a poll builds one per open connection (eight
-    per fluid cohort), so the dataclass is slotted rather than frozen — a
-    frozen ``__init__`` stores each of the sixteen fields through
-    ``object.__setattr__``.  A stale ``ss`` hands the same objects out
-    again; nothing may write to one.
+    Slotted, immutable by convention: a poll builds one per open
+    connection (eight per fluid cohort), so the dataclass is slotted
+    rather than frozen — a frozen ``__init__`` stores each of the sixteen
+    fields through ``object.__setattr__`` — and both row builders pass
+    the fields positionally, in the order declared here.  A stale ``ss``
+    hands the same objects out again; nothing may write to one.
     """
 
     local_port: int
@@ -367,23 +368,25 @@ class TcpSocket:
 
     def stats_snapshot(self) -> SocketStats:
         """The ``ss``-visible view of this socket."""
+        cc = self.cc
+        # Positional, in SocketStats field order, like the fluid rows.
         return SocketStats(
-            local_port=self.local_port,
-            remote_address=self.remote_address,
-            remote_port=self.remote_port,
-            state=self.state,
-            cwnd=self.cc.cwnd_segments,
-            ssthresh=self.cc.ssthresh,
-            initial_cwnd=self.cc.initial_cwnd,
-            srtt=self._rtt.srtt,
-            bytes_acked=self.bytes_acked,
-            bytes_received=self.bytes_received,
-            segments_sent=self.segments_sent,
-            segments_retransmitted=self.segments_retransmitted,
-            created_at=self.created_at,
-            established_at=self.established_at,
-            last_activity_at=self.last_activity_at,
-            is_client=self.is_client,
+            self.local_port,
+            self.remote_address,
+            self.remote_port,
+            self.state,
+            cc.cwnd_segments,
+            cc.ssthresh,
+            cc.initial_cwnd,
+            self._rtt.srtt,
+            self.bytes_acked,
+            self.bytes_received,
+            self.segments_sent,
+            self.segments_retransmitted,
+            self.created_at,
+            self.established_at,
+            self.last_activity_at,
+            self.is_client,
         )
 
     # ------------------------------------------------------------------

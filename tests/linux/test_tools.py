@@ -101,6 +101,24 @@ class TestSsTool:
         assert " reno cwnd:" in lines[0]
         assert "cubic" not in lines[0]
 
+    def test_stale_poll_serves_its_own_filters(self, testbed):
+        """A wedged ``ss`` re-serves the last good snapshot taken under the
+        *same* filters — not whatever another caller polled last (an
+        agent polling ``outgoing_only`` after a sampler's ``created_after``
+        poll used to be handed the sampler's incoming sockets)."""
+        request_response(testbed, response_bytes=5000)
+        ss = testbed.server.ss  # its one socket is incoming
+        assert ss.tcp_info(outgoing_only=True) == []
+        sampled = ss.tcp_info(created_after=0.0)
+        assert len(sampled) == 1 and not sampled[0].is_client
+        ss.set_fault("stale")
+        assert ss.tcp_info(outgoing_only=True) == []
+        assert ss.tcp_info(created_after=0.0) == sampled
+        assert ss.tcp_info(created_after=0.0) is not sampled  # a copy, as before
+        # A combination never polled successfully has nothing to re-serve.
+        assert ss.tcp_info(established_only=False) == []
+        assert ss.faulted_polls == 4
+
     def test_poll_counter(self, testbed):
         testbed.client.ss.tcp_info()
         testbed.client.ss.tcp_info()

@@ -264,8 +264,8 @@ class TestFluidPopulation:
 class FullScanDistribution(CwndDistribution):
     """The reference: retighten over every bin, whatever the step wrote."""
 
-    def _retighten(self, first, last):
-        super()._retighten(0, self.nbins - 1)
+    def _retighten(self, first, last, keep=1.0):
+        super()._retighten(0, self.nbins - 1, keep)
 
 
 def state_of(dist):
