@@ -20,10 +20,13 @@ This module is both the test and the generator.  When behaviour is
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any
@@ -204,6 +207,82 @@ def test_hybrid_differential_matches_golden():
 def test_hybrid_scale_matches_golden():
     built = build_hybrid_scale()
     assert sum(built["learned_routes_per_host"].values()) == built["learned_routes"]
+    assert built == _golden()["hybrid_scale_fast"]
+
+
+def neumaier_sum(iterable: Any, /, start: Any = 0) -> Any:
+    """``sum`` as CPython 3.12 computes it, step for step (``bltinmodule.c``).
+
+    Exact ints add as ints; from the first float partial on, every float
+    item goes through Neumaier's compensated step, an int item is added
+    plainly, anything else ends the compensated run for good; the
+    compensation is folded in once, at the end, when it is finite.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+            if type(total) is float:
+                break
+        else:
+            return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is float:
+            partial = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - partial) + item
+            else:
+                compensation += (item - partial) + total
+            total = partial
+        elif isinstance(item, int):
+            total += float(item)
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            total = total + item
+            for rest in items:
+                total = total + rest
+            return total
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_hybrid_scale_matches_golden_under_compensated_sum(monkeypatch):
+    """The fixture holds on either side of 3.12's change to ``sum``.
+
+    The goldens were recorded on 3.11, whose ``sum`` over floats is a
+    plain left-to-right loop; from 3.12 it is Neumaier-compensated, and
+    CI runs 3.10 and 3.12.  Two bare float sums sit on this cell's
+    behaviour path (the per-link offered load in ``cdn/fluidtraffic.py``,
+    the cohort window total in ``sim/fluid.py``).  With ``builtins.sum``
+    swapped for the 3.12 algorithm the cell must still match: if a
+    future change makes some reduction here ill-conditioned enough to
+    show the difference, this fails on every interpreter instead of on
+    one CI leg.
+    """
+    calls = {"float": 0}
+
+    def counting_sum(iterable, /, start=0):
+        result = neumaier_sum(iterable, start)
+        calls["float"] += type(result) is float
+        return result
+
+    cancelling = [1e16, 1.0, -1e16]
+    assert neumaier_sum(cancelling) == 1.0
+    assert neumaier_sum([1, 2, 3]) == 6 and type(neumaier_sum([1, 2, 3])) is int
+    assert neumaier_sum([0.1] * 10) == neumaier_sum([0.1] * 9, 0.1) == 1.0
+    assert neumaier_sum([[1], [2]], []) == [1, 2]
+    if sys.version_info >= (3, 12):
+        assert sum(cancelling) == 1.0
+    else:
+        assert sum(cancelling) == 0.0
+    monkeypatch.setattr(builtins, "sum", counting_sum)
+    built = build_hybrid_scale()
+    monkeypatch.undo()
+    assert calls["float"] > 1_000
     assert built == _golden()["hybrid_scale_fast"]
 
 

@@ -134,6 +134,37 @@ class TestMetrics:
         assert "tcp_connections_opened" in metric_names
         assert payload["trace"]["totals"]["conn_opened"] >= 1
 
+    def test_metrics_json_is_the_encoding_of_the_assembled_payload(
+        self, capsys, tiny_experiment
+    ):
+        """Stdout, byte for byte, is one ``json.dumps`` of the wrapper dict."""
+        from repro.analysis.export import metrics_to_json, trace_to_json
+        from repro.obs import capture
+
+        assert main(["metrics", "tiny", "--json"]) == 0
+        printed = capsys.readouterr().out
+        with capture() as instrumentation:
+            _tiny_simulation()
+        payload = {
+            "experiment": "tiny",
+            "metrics": json.loads(metrics_to_json(instrumentation.metrics)),
+            "trace": json.loads(trace_to_json(instrumentation.trace)),
+        }
+        assert payload["metrics"] and payload["trace"]["events"]
+        assert printed == json.dumps(payload, indent=2) + "\n"
+
+    def test_metrics_json_of_a_run_that_records_nothing(self, capsys):
+        """Empty stores splice as ``[]`` and ``{}``, not as open brackets."""
+        assert main(["metrics", "table2", "--json"]) == 0
+        payload = {
+            "experiment": "table2",
+            "metrics": [],
+            "trace": {
+                "recorded": 0, "retained": 0, "dropped": 0, "totals": {}, "events": [],
+            },
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
     def test_metrics_csv_written(self, capsys, tiny_experiment, tmp_path):
         target = tmp_path / "metrics.csv"
         assert main(["metrics", "tiny", "--csv", str(target)]) == 0
