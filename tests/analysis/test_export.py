@@ -476,6 +476,20 @@ class TestTraceJsonMatchesWholePayload:
         log.record(1e-9, EventType.FAULT_INJECTED, "", **AWKWARD_DETAILS)
         self._check(log)
 
+    @pytest.mark.parametrize("events", [63, 64, 65, 128, 129, 300])
+    def test_many_events(self, events):
+        """However the encoder is fed, the seams between feeds must not show."""
+        from repro.obs import EventType, TraceLog
+
+        log = TraceLog()
+        types = list(EventType)
+        for index in range(events):
+            details = AWKWARD_DETAILS if index % 50 == 7 else {"n": index}
+            log.record(
+                index * 0.125, types[index % len(types)], f"host{index % 5}", **details
+            )
+        self._check(log)
+
     def test_merged_logs(self):
         from repro.obs import EventType, TraceLog
 
@@ -574,6 +588,22 @@ class TestSpansJsonMatchesWholePayload:
         log.end(span, float("inf"), nested="overwritten at end", span_id="shadow")
         self._check(log)
 
+    @pytest.mark.parametrize("spans", [63, 64, 65, 128, 129, 300])
+    def test_many_spans(self, spans):
+        from repro.obs import SpanLog
+
+        log = SpanLog()
+        parent = None
+        for index in range(spans):
+            span = log.begin(
+                index * 0.5, f"s{index % 3}", "agent", f"host{index % 7}",
+                parent=parent if index % 4 == 1 else None, n=index,
+            )
+            if index % 9:
+                log.end(span, index * 0.5 + 0.25, done=[index, None])
+            parent = span
+        self._check(log)
+
     def test_past_capacity(self):
         from repro.obs import SpanLog
 
@@ -636,6 +666,18 @@ class TestFlowsMatchWholePayload:
         assert flows_to_jsonl(log, since=5.0) != flows_to_jsonl(log)
         assert flows_to_jsonl(log, until=0.5) == ""
 
+    @pytest.mark.parametrize("flows", [63, 64, 65, 128, 129, 300])
+    def test_many_records(self, flows):
+        from repro.obs import FlowLog
+
+        log = FlowLog()
+        for index in range(flows):
+            _begin_flow(
+                log, index, opened_at=index * 0.05,
+                closed_at=index * 0.05 + 1.0 if index % 3 else None,
+            )
+        self._check(log)
+
     def test_past_capacity(self):
         from repro.obs import FlowLog
 
@@ -689,3 +731,17 @@ class TestMetricsJsonMatchesWholePayload:
         self._check(registry)
         self._check(registry, percentiles=(25.0, 99.9))
         self._check(registry, percentiles=())
+
+    @pytest.mark.parametrize("instruments", [63, 64, 65, 128, 129, 300])
+    def test_many_instruments(self, instruments):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for index in range(instruments):
+            if index % 3 == 0:
+                registry.counter("c", shard=str(index)).inc(index)
+            elif index % 3 == 1:
+                registry.gauge("g", shard=str(index)).set(index / 7)
+            else:
+                registry.histogram("h", shard=str(index)).observe(index / 3)
+        self._check(registry)
