@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output hot-path background-plane lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output hot-path background-plane forensics lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -30,6 +30,17 @@ background-plane:
 		tests/cdn/test_fluidtraffic.py tests/core/test_agent.py \
 		tests/linux/test_tools.py tests/cdn/test_background_plane_frames.py \
 		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden"
+
+# Inner loop for a change to the forensic plane — obs/ stores and records,
+# analysis/export.py, the metrics/flows/report verbs (< 15 s): every
+# exporter held `==` against the whole-payload encoding, the bytes-live-
+# per-byte-written ceiling, the store tests, the three verbs' CLI cases,
+# and the chaos-report cell of the study golden.
+forensics:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/analysis/test_export.py \
+		tests/analysis/test_export_working_set.py tests/obs \
+		"tests/experiments/test_study_golden.py::test_chaos_reports_match_golden"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k "metrics or flows or report"
 
 # Generic style (ruff) plus the codebase-specific determinism /
 # observability rules (`repro lint`, see docs/ARCHITECTURE.md).

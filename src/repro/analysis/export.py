@@ -14,6 +14,7 @@ import io
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import islice
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.obs.flow import FlowLog
@@ -21,6 +22,44 @@ from repro.obs.metrics import DEFAULT_PERCENTILES, MetricsRegistry, format_label
 from repro.obs.span import SpanLog
 from repro.obs.timeline import Timeline
 from repro.obs.trace import TraceLog
+
+#: One encoder per layout, built once (``json.dumps`` builds one per call).
+_PRETTY = json.JSONEncoder(indent=2).encode
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+#: Records handed to ``_PRETTY`` per call.  Each call rebuilds the
+#: encoder's closures (~2 us), which one record a call does not repay;
+#: a run this short still keeps the live tokens to tens of kilobytes.
+_RUN = 64
+
+
+def _record_array(records: Iterable[Mapping[str, object]], depth: int = 1) -> str:
+    """The ``indent=2`` JSON array of ``records`` as it reads ``depth`` levels down.
+
+    Byte for byte what ``json.dumps(document, indent=2)`` writes for a
+    list of these records sitting ``depth`` containers deep, but encoded
+    a short run of records at a time: ``indent=2`` selects the
+    pure-Python encoder, which holds every token of its input as a list
+    element until the final join, so encoding a whole store in one call
+    costs ~9 bytes live per byte written.  Here each run is built,
+    encoded as a top-level list, stripped of its brackets and shifted
+    right, and only its text is kept.  The shift is a plain ``replace``
+    on newlines, which is safe because JSON escapes every control
+    character inside a string: a newline in encoded text is always
+    layout.
+    """
+    closing = "\n" + "  " * depth
+    source = iter(records)
+    runs = iter(lambda: list(islice(source, _RUN)), [])  # until one comes back empty
+    body = ",".join(_PRETTY(run)[1:-2].replace("\n", closing) for run in runs)
+    return f"[{body}{closing}]" if body else "[]"
+
+
+def _with_records(
+    head: Mapping[str, object], key: str, records: Iterable[Mapping[str, object]]
+) -> str:
+    """The ``indent=2`` text of ``{**head, key: [*records]}``."""
+    # The encoded head ends "\n}": reopen it for one last member.
+    return f'{_PRETTY(head)[:-2]},\n  "{key}": {_record_array(records)}\n}}'
 
 
 def rows_to_csv(
@@ -89,16 +128,18 @@ def metrics_to_json(
     percentiles: Iterable[float] = DEFAULT_PERCENTILES,
 ) -> str:
     """One registry as a JSON document (one object per instrument)."""
-    payload = [
-        {
-            "kind": row.kind,
-            "metric": row.name,
-            "labels": dict(row.labels),
-            **dict(row.fields),
-        }
-        for row in registry.snapshot(percentiles)
-    ]
-    return json.dumps(payload, indent=2)
+    return _record_array(
+        (
+            {
+                "kind": row.kind,
+                "metric": row.name,
+                "labels": dict(row.labels),
+                **dict(row.fields),
+            }
+            for row in registry.snapshot(percentiles)
+        ),
+        depth=0,
+    )
 
 
 def _prom_escape(value: str) -> str:
@@ -114,6 +155,8 @@ def _prom_labels(labels: Iterable[tuple[str, str]]) -> str:
 
 
 def _prom_value(value: float) -> str:
+    if not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
@@ -183,24 +226,24 @@ def metrics_to_prometheus(
 
 def trace_to_json(log: TraceLog) -> str:
     """A trace log's totals and retained events as a JSON document."""
-    payload = {
+    head = {
         "recorded": log.recorded,
         "retained": len(log),
         "dropped": log.dropped,
         "totals": {event_type.value: count for event_type, count in sorted(
             log.totals().items(), key=lambda item: item[0].value
         )},
-        "events": [
-            {
-                "time": event.time,
-                "type": event.type.value,
-                "source": event.source,
-                "details": {k: v for k, v in event.details},
-            }
-            for event in log.events()
-        ],
     }
-    return json.dumps(payload, indent=2)
+    events = (
+        {
+            "time": event.time,
+            "type": event.type.value,
+            "source": event.source,
+            "details": dict(event.details),
+        }
+        for event in log.events()
+    )
+    return _with_records(head, "events", events)
 
 
 def trace_to_csv(log: TraceLog) -> str:
@@ -222,11 +265,12 @@ def flows_to_jsonl(
     until: float | None = None,
 ) -> str:
     """Flow records as JSON Lines (one compact object per connection)."""
-    records = flows.records(since=since, until=until)
-    return "\n".join(
-        json.dumps(record.to_dict(), separators=(",", ":"))
-        for record in records
-    ) + ("\n" if records else "")
+    lines = [
+        _COMPACT(record.to_dict())
+        for record in flows.records(since=since, until=until)
+    ]
+    lines.append("")  # every line ends in a newline; no records, no text
+    return "\n".join(lines)
 
 
 def flows_to_json(
@@ -241,14 +285,13 @@ def flows_to_json(
     sim-time window when one is given.
     """
     records = flows.records(since=since, until=until)
-    payload = {
+    head = {
         "recorded": flows.recorded,
         "retained": len(flows),
         "dropped": flows.dropped,
         "selected": len(records),
-        "flows": [record.to_dict() for record in records],
     }
-    return json.dumps(payload, indent=2)
+    return _with_records(head, "flows", (record.to_dict() for record in records))
 
 
 def spans_to_chrome_json(spans: SpanLog) -> str:
@@ -257,11 +300,8 @@ def spans_to_chrome_json(spans: SpanLog) -> str:
     Loadable directly in Perfetto / ``chrome://tracing``: the object
     format with a ``traceEvents`` array and a display unit.
     """
-    payload = {
-        "traceEvents": spans.to_chrome_trace(),
-        "displayTimeUnit": "ms",
-    }
-    return json.dumps(payload, indent=2)
+    events = _record_array(spans.iter_chrome_trace())
+    return f'{{\n  "traceEvents": {events},\n  "displayTimeUnit": "ms"\n}}'
 
 
 def timeline_to_csv(timeline: Timeline) -> str:

@@ -671,12 +671,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.prom:
         print(metrics_to_prometheus(instrumentation.metrics), end="")
     elif args.json:
-        payload = {
-            "experiment": experiment_id,
-            "metrics": json.loads(metrics_to_json(instrumentation.metrics)),
-            "trace": json.loads(trace_to_json(instrumentation.trace)),
-        }
-        print(json.dumps(payload, indent=2))
+        # Both documents are ``indent=2`` text already; shifted one level
+        # (a newline in JSON text is always layout) they read exactly as
+        # they would inside one encoding of the wrapper.
+        metrics = metrics_to_json(instrumentation.metrics).replace("\n", "\n  ")
+        trace = trace_to_json(instrumentation.trace).replace("\n", "\n  ")
+        print(
+            f'{{\n  "experiment": {json.dumps(experiment_id)},\n'
+            f'  "metrics": {metrics},\n  "trace": {trace}\n}}'
+        )
     else:
         print(f"== metrics: {experiment_id} ==")
         print(instrumentation.metrics.render_table())

@@ -18,6 +18,7 @@ renumbers span ids *and* parent references.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.obs.bounded import BoundedLog
@@ -121,11 +122,16 @@ class SpanLog(BoundedLog[Span]):
         return selected
 
     def to_chrome_trace(self) -> list[dict[str, object]]:
+        """Every span as a Chrome trace-event object, in one list."""
+        return list(self.iter_chrome_trace())
+
+    def iter_chrome_trace(self) -> Iterator[dict[str, object]]:
         """Spans as Chrome trace-event objects (``ts``/``dur`` in µs).
 
         Completed spans become phase ``"X"`` events; spans still open
         become phase ``"B"`` events.  Sources map to ``tid`` tracks in
-        sorted order so the layout is deterministic.
+        sorted order so the layout is deterministic.  One event at a
+        time, so an exporter never holds the whole list.
         """
         tids = {
             source: tid
@@ -133,12 +139,11 @@ class SpanLog(BoundedLog[Span]):
                 sorted({span.source for span in self._items}), start=1
             )
         }
-        events: list[dict[str, object]] = []
         for span in self._items:
             args: dict[str, object] = {"span_id": span.span_id}
             if span.parent_id is not None:
                 args["parent_id"] = span.parent_id
-            args.update({key: value for key, value in span.details})
+            args.update(span.details)
             event = {
                 "name": span.name,
                 "cat": span.category,
@@ -150,8 +155,7 @@ class SpanLog(BoundedLog[Span]):
             }
             if span.end is not None:
                 event["dur"] = (span.end - span.begin) * 1e6
-            events.append(event)
-        return events
+            yield event
 
     def __repr__(self) -> str:
         open_count = sum(1 for span in self._items if span.end is None)

@@ -43,7 +43,7 @@ class EventType(enum.Enum):
     ALERT_RESOLVED = "alert_resolved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One recorded event."""
 

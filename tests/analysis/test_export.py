@@ -212,6 +212,28 @@ class TestPrometheusExposition:
 
         assert metrics_to_prometheus(MetricsRegistry()) == ""
 
+    def test_non_finite_values_use_the_format_spellings(self):
+        """One sample at infinity must not cost the whole exposition."""
+        from repro.analysis.export import metrics_to_prometheus
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.gauge("unbounded").set(float("inf"))
+        registry.gauge("bottomless").set(float("-inf"))
+        registry.gauge("undefined").set(float("nan"))
+        registry.gauge("finite").set(2.0)
+        histogram = registry.histogram("stalled_for")
+        for value in (0.5, float("inf"), float("inf")):
+            histogram.observe(value)
+        lines = metrics_to_prometheus(registry).splitlines()
+        assert "unbounded +Inf" in lines
+        assert "bottomless -Inf" in lines
+        assert "undefined NaN" in lines
+        assert "finite 2" in lines
+        assert 'stalled_for{quantile="0.5"} +Inf' in lines
+        assert "stalled_for_sum +Inf" in lines
+        assert "stalled_for_count 3" in lines
+
 
 class TestTransferTrace:
     def test_records_transfers(self):
@@ -281,10 +303,8 @@ class TestTransferTrace:
 # reference; every comparison is ``==`` on the text.
 
 
-def reference_metrics_to_json(registry, percentiles=None):
+def reference_metrics_to_json(registry, percentiles):
     import json
-
-    from repro.obs.metrics import DEFAULT_PERCENTILES
 
     payload = [
         {
@@ -293,9 +313,7 @@ def reference_metrics_to_json(registry, percentiles=None):
             "labels": dict(row.labels),
             **dict(row.fields),
         }
-        for row in registry.snapshot(
-            DEFAULT_PERCENTILES if percentiles is None else percentiles
-        )
+        for row in registry.snapshot(percentiles)
     ]
     return json.dumps(payload, indent=2)
 
@@ -691,13 +709,13 @@ class TestFlowsMatchWholePayload:
 class TestMetricsJsonMatchesWholePayload:
     def _check(self, registry, percentiles=None):
         from repro.analysis.export import metrics_to_json
+        from repro.obs.metrics import DEFAULT_PERCENTILES
 
         if percentiles is None:
-            assert metrics_to_json(registry) == reference_metrics_to_json(registry)
+            shipped, percentiles = metrics_to_json(registry), DEFAULT_PERCENTILES
         else:
-            assert metrics_to_json(registry, percentiles) == (
-                reference_metrics_to_json(registry, percentiles)
-            )
+            shipped = metrics_to_json(registry, percentiles)
+        assert shipped == reference_metrics_to_json(registry, percentiles)
 
     def test_empty_registry(self):
         from repro.analysis.export import metrics_to_json
