@@ -15,10 +15,12 @@ test-output:
 
 # Inner loop for a change to tcp/ or net/ (< 20 s): behaviour pinned byte
 # for byte (packet-path golden), the lossless slow-start oracle, the
-# frames-per-packet ceiling, and the link/fabric tests.
+# frames-per-packet ceiling, the link/fabric tests (the link-stream order
+# oracle among them), and the bytes-per-trunk-direction ceiling.
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
-		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net
+		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
+		tests/cdn/test_fabric_footprint.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,
 # cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the

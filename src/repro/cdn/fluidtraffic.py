@@ -218,19 +218,32 @@ class FluidTraffic:
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
+    #
+    # Float totals here are explicit left-to-right loops from the integer
+    # 0, which is what ``sum`` computes through 3.11.  From 3.12 ``sum``
+    # is compensated; these feed serialization times and exported gauges,
+    # which must hold the same bits on every interpreter.
 
     def total_flows(self) -> float:
-        return sum(p.flows for p in self._populations)
+        total: float = 0
+        for population in self._populations:
+            total += population.flows
+        return total
 
     def total_offered_bps(self) -> float:
-        return sum(p.offered_bps() for p in self._populations)
+        total: float = 0
+        for population in self._populations:
+            total += population.offered_bps()
+        return total
 
     def mean_window(self) -> float:
         """Flow-weighted mean congestion window across all cohorts."""
         flows = self.total_flows()
         if flows <= 0.0:
             return 0.0
-        weighted = sum(p.distribution.total_window_segments() for p in self._populations)
+        weighted: float = 0
+        for population in self._populations:
+            weighted += population.distribution.total_window_segments()
         return weighted / flows
 
     def link_loss_rate(self, link: Link) -> float:
@@ -262,7 +275,9 @@ class FluidTraffic:
             offered = link.stats.bytes_offered
             packet_bps = (offered - state.last_bytes_offered) * 8.0 / dt
             state.last_bytes_offered = offered
-            fluid_bps = sum(p.offered_bps() for p in state.populations)
+            fluid_bps: float = 0
+            for population in state.populations:
+                fluid_bps += population.offered_bps()
             total_bps = packet_bps + fluid_bps
             congestion = 0.0
             if total_bps > capacity:

@@ -22,11 +22,17 @@ from collections.abc import Callable
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
+from repro.sim.rand import RandomStreams
 
 DeliverCallback = Callable[[Packet], None]
 
+#: What every direction's queue slot holds until ``transmit`` accepts a
+#: packet there and puts a deque of the direction's own in its place:
+#: empty to every reader, and nothing is ever appended to it.
+_NO_QUEUE: deque[tuple[Packet, DeliverCallback]] = deque(maxlen=0)
 
-@dataclass
+
+@dataclass(slots=True)
 class LinkStats:
     """Counters accumulated over the lifetime of a link direction."""
 
@@ -59,10 +65,13 @@ class Link:
 
     # One Link object per path direction, two timers per packet
     # (serialization, then propagation): keep instances dict-free and the
-    # counter handles one load away.
+    # counter handles one load away.  A full mesh builds a thousand
+    # directions and a scale run sends packets over a tenth of them, so
+    # what only a packet needs — the loss generator (2.5 KB of Mersenne
+    # state) and the queue — is built by the first packet that needs it.
     __slots__ = (
         "_sim", "bandwidth_bps", "propagation_delay", "queue_limit_packets",
-        "_loss", "_rng", "name", "stats", "_queue", "_transmitting",
+        "_loss", "_rng", "_streams", "name", "stats", "_queue", "_transmitting",
         "_obs_on", "_m_delivered", "_m_dropped_queue", "_m_dropped_loss",
         "_g_queue_depth", "up", "bandwidth_scale", "extra_delay",
         "_loss_override", "_m_dropped_down", "fluid_bps",
@@ -77,6 +86,7 @@ class Link:
         loss_model: LossModel | None = None,
         rng: random.Random | None = None,
         name: str = "link",
+        streams: RandomStreams | None = None,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
@@ -89,11 +99,16 @@ class Link:
         self.propagation_delay = float(propagation_delay)
         self.queue_limit_packets = int(queue_limit_packets)
         self._loss = loss_model if loss_model is not None else NoLoss()
-        self._rng = rng if rng is not None else random.Random(0)
+        #: The generator loss draws consume: ``rng`` when one was handed
+        #: in, else the stream ``loss:<name>`` of ``streams``, resolved by
+        #: the first draw.  A stream is a function of ``(master_seed,
+        #: name)`` alone, so when it is resolved moves no draw.
+        self._rng = rng
+        self._streams = streams
         self.name = name
         self.stats = LinkStats()
         #: Waiting ``(packet, deliver)`` pairs, later the timers' arguments.
-        self._queue: deque[tuple[Packet, DeliverCallback]] = deque()
+        self._queue = _NO_QUEUE
         self._transmitting = False
         #: Fault-injection state (see repro.faults): an administratively
         #: "down" link drops every packet; degradation scales the usable
@@ -157,6 +172,8 @@ class Link:
             stats.packets_dropped_queue += 1
             self._m_dropped_queue.inc()
             return False
+        if queue is _NO_QUEUE:
+            queue = self._queue = deque()
         queue.append((packet, deliver))
         depth = len(queue)
         if depth > stats.max_queue_depth:
@@ -182,7 +199,9 @@ class Link:
             # The link failed while this packet was on the wire.
             self.stats.packets_dropped_down += 1
             self._m_dropped_down.inc()
-        elif (self._loss_override or self._loss).should_drop(self._rng):
+        elif (self._loss_override or self._loss).should_drop(
+            self._rng or self._loss_stream()
+        ):
             self.stats.packets_dropped_loss += 1
             self._m_dropped_loss.inc()
         else:
@@ -194,6 +213,12 @@ class Link:
             self._transmitting = False
             if self._obs_on:
                 self._g_queue_depth.set(0)
+
+    def _loss_stream(self) -> random.Random:
+        """Resolve the generator of this direction's first loss draw."""
+        streams = self._streams or RandomStreams(0)
+        rng = self._rng = streams.stream("loss:" + self.name)
+        return rng
 
     def _deliver(self, packet: Packet, deliver: DeliverCallback) -> None:
         stats = self.stats
@@ -272,7 +297,8 @@ class DuplexLink:
     """A symmetric pair of :class:`Link` directions between two ends.
 
     The loss model is cloned so each direction has independent channel
-    state; each direction also gets its own RNG stream.
+    state; each direction also gets its own RNG stream (``loss:<name>:fwd``
+    and ``loss:<name>:rev`` of ``streams`` unless generators are given).
     """
 
     __slots__ = ("name", "forward", "reverse")
@@ -287,6 +313,7 @@ class DuplexLink:
         rng_forward: random.Random | None = None,
         rng_reverse: random.Random | None = None,
         name: str = "duplex",
+        streams: RandomStreams | None = None,
     ) -> None:
         template = loss_model if loss_model is not None else NoLoss()
         self.name = name
@@ -298,6 +325,7 @@ class DuplexLink:
             template.clone(),
             rng_forward,
             name=f"{name}:fwd",
+            streams=streams,
         )
         self.reverse = Link(
             sim,
@@ -307,6 +335,7 @@ class DuplexLink:
             template.clone(),
             rng_reverse,
             name=f"{name}:rev",
+            streams=streams,
         )
 
     @property

@@ -121,9 +121,8 @@ class Network:
             spec.propagation_delay,
             spec.queue_limit_packets,
             spec.loss_model,
-            rng_forward=self._streams.stream(f"loss:{name}:fwd"),
-            rng_reverse=self._streams.stream(f"loss:{name}:rev"),
             name=name,
+            streams=self._streams,
         )
         self._duplexes[key] = duplex
         self._trunks[(zone_a, zone_b)] = duplex.forward

@@ -31,11 +31,14 @@ five-pass cohort step,     15.89 / 31.50   16.18 / 41.86   14.37 / 40.81
 one group lookup per row
 two-sweep cohort step,     11.51 / 18.07   11.79 / 28.43   10.00 / 28.01
 one group lookup per run
+the engine's four float    11.51 / 16.07   11.79 / 22.30   10.00 / 22.01
+sums as explicit loops
 =========================  ==============  ==============  ==============
 
-What is left per cohort step under ``capture`` is mostly the engine's
-three gauges and the per-link load sum: five generator expressions over
-the populations, a frame per item each.
+The last row took the per-link load sum and the three gauge totals of
+``cdn/fluidtraffic.py`` from generator expressions (a frame per item)
+to left-to-right loops, which also pins their bits across interpreters
+(3.12's ``sum`` is compensated).
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ COHORT_STEPS = 720
 #: (frames per observed row, frames per cohort step) by instrumentation
 #: mode; see the table above.  The margin is for interpreter versions
 #: (3.12 inlines comprehensions), not for new helper hops.
-CEILINGS = {"disabled": (12.8, 20.0), "capture": (13.1, 31.0)}
+CEILINGS = {"disabled": (12.8, 18.0), "capture": (13.1, 25.0)}
 
 
 @dataclass

@@ -17,16 +17,31 @@ recorded ceiling.  It is the sibling of ``tests/tcp/test_hot_path_frames.py``,
 ``tests/analysis/test_export_working_set.py`` for the fabric.
 
 The direction count is pinned beside the figure: a smaller fabric must
-never be a trunk dropped in disguise.
+never be a trunk dropped in disguise.  And after a short run with
+traffic on a few trunks, the directions holding a loss generator must be
+exactly the directions a packet was offered to — the saving is "built by
+the first packet that needs it", not "built never".
 
 Re-measure (prints the figure and the build time)::
 
     PYTHONPATH=src python tests/cdn/test_fabric_footprint.py
 
-Measured on CPython 3.11: 4,964 bytes per direction (5,569,724 B in
-all; best of five builds outside ``tracemalloc`` 27-32 ms) — 2,560 of
-them the Mersenne state of a ``random.Random`` seeded per direction at
-connect time and 760 an empty ``deque``.
+Measured on CPython 3.11, the whole cluster under ``tracemalloc`` and
+the best of five builds outside it:
+
+=====================================  ===============  ==========  ========
+                                       bytes/direction  bytes       build
+=====================================  ===============  ==========  ========
+generator seeded and deque allocated   4,964            5,569,724   27-32 ms
+per direction at connect time
+both built by the direction's first    1,159            1,300,158   12 ms
+packet, ``LinkStats`` slotted
+=====================================  ===============  ==========  ========
+
+A ``random.Random`` is 2,560 bytes of Mersenne state and an empty
+``deque`` 760; a direction without them is a ``Link`` (208), its
+``LinkStats`` (96), its loss-model clone, its name and its entries in
+the fabric's two tables.
 """
 
 from __future__ import annotations
@@ -37,17 +52,18 @@ import tracemalloc
 
 from repro.cdn.cluster import CdnCluster
 from repro.cdn.topology import build_paper_topology
+from repro.net import Link
 
 #: Ordered PoP pairs of the 34-PoP full mesh.
 DIRECTIONS = 34 * 33
 
-#: Bytes per trunk direction; see the figures above.  The margin is for
+#: Bytes per trunk direction; see the table above.  The margin is for
 #: interpreter versions (object sizes move a little), not for a new
 #: per-direction object: a generator costs 2,560, a deque 760.
-CEILING = 5_200
+CEILING = 1_400
 
 
-def links(cluster: CdnCluster) -> list:
+def links(cluster: CdnCluster) -> list[Link]:
     """Every trunk direction of ``cluster``'s fabric."""
     prefixes = [pop.prefix for pop in cluster.topology.pops]
     found = [
@@ -75,6 +91,17 @@ def test_bytes_per_trunk_direction() -> None:
     traced, cluster = build_under_tracemalloc()
     assert len(links(cluster)) == DIRECTIONS
     assert traced / DIRECTIONS <= CEILING
+
+
+def test_a_generator_for_every_direction_a_packet_crossed_and_no_other() -> None:
+    cluster = CdnCluster(build_paper_topology())
+    assert not any(link._rng for link in links(cluster))
+    cluster.add_organic_workload("LHR", ["JFK", "NRT", "SYD"])
+    cluster.add_organic_workload("GRU", ["FRA"])
+    cluster.run(2.0)
+    used = {link.name for link in links(cluster) if link.stats.packets_offered > 0}
+    assert 2 <= len(used) <= 8
+    assert {link.name for link in links(cluster) if link._rng is not None} == used
 
 
 if __name__ == "__main__":

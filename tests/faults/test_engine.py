@@ -16,8 +16,10 @@ from repro.faults import (
     PopPartition,
     SsFault,
 )
+from repro.net import IPv4Address, Link, Packet
 from repro.net.errors import NetworkError
 from repro.obs.trace import EventType
+from repro.sim import RandomStreams
 
 POPS = ("LHR", "JFK", "NRT")
 
@@ -114,6 +116,110 @@ class TestNetworkFaults:
         )
         with pytest.raises(NetworkError, match="no trunks"):
             injector.arm()
+
+
+class Sink:
+    """A bare host keeping the index each arriving packet carries."""
+
+    def __init__(self, address: IPv4Address) -> None:
+        self.address = address
+        self.received: list[int] = []
+
+    def receive_packet(self, packet: Packet) -> None:
+        self.received.append(packet.payload)
+
+
+class TestFaultsOnColdTrunks:
+    """Faults aimed at a trunk no packet has crossed: a direction builds its
+    loss generator and its queue with its first packet, and the fault entry
+    points must find it whole before that."""
+
+    SEED = 7
+
+    @staticmethod
+    def sinks(cluster: CdnCluster, *codes: str) -> list[Sink]:
+        found = []
+        for code in codes:
+            sink = Sink(IPv4Address(int(cluster.pop(code).prefix.network) + 200))
+            cluster.network.attach(sink)
+            found.append(sink)
+        return found
+
+    @staticmethod
+    def directions(cluster: CdnCluster, a: str, b: str) -> tuple[Link, Link]:
+        duplex = trunk(cluster, a, b)
+        return duplex.forward, duplex.reverse
+
+    @classmethod
+    def assert_carries_traffic_cleanly(cls, cluster: CdnCluster) -> None:
+        """Organic LHR -> NRT transfers get through, nothing was counted as
+        dropped on a down link, and no auditor saw a divergence."""
+        cluster.add_organic_workload("LHR", ["NRT"])
+        cluster.run(5.0)
+        for direction in cls.directions(cluster, "LHR", "NRT"):
+            assert direction.stats.packets_delivered > 0
+            assert direction.stats.packets_dropped_down == 0
+        auditors = cluster.all_auditors()
+        assert all(auditor.checks_run > 0 for auditor in auditors)
+        assert [auditor.divergences_found for auditor in auditors] == [0] * len(auditors)
+
+    def test_loss_storm_draws_from_the_directions_own_stream(self):
+        cluster = tiny_cluster(self.SEED)
+        cluster.start_riptide()
+        make_injector(
+            cluster, LossStorm(pop="NRT", at=1.0, duration=2.0, loss_probability=0.3)
+        )
+        source, sink = self.sinks(cluster, "LHR", "NRT")
+        link = cluster.network.link_from(
+            cluster.pop("LHR").prefix, cluster.pop("NRT").prefix
+        )
+        cluster.run(1.5)
+        assert link.stats.packets_offered == 0
+        storm = link.effective_loss_model
+        assert storm is not link._loss
+        # Unconsulted so far, so its clone starts where the storm does.
+        storm_replay, configured_replay = storm.clone(), link._loss.clone()
+
+        def burst(indices: range) -> None:
+            for index in indices:
+                cluster.network.send(
+                    Packet(source.address, sink.address, 1000, payload=index)
+                )
+
+        burst(range(300))
+        cluster.run(1.0)
+        stream = RandomStreams(self.SEED).stream("loss:" + link.name)
+        under_storm = [
+            index for index in range(300) if not storm_replay.should_drop(stream)
+        ]
+        assert sink.received == under_storm
+        assert 150 < len(under_storm) < 270
+        cluster.run(1.0)
+        assert link.effective_loss_model is link._loss
+        burst(range(300, 600))
+        cluster.run(0.5)
+        after_storm = [
+            index for index in range(300, 600)
+            if not configured_replay.should_drop(stream)
+        ]
+        assert sink.received == under_storm + after_storm
+        self.assert_carries_traffic_cleanly(cluster)
+
+    def test_link_flap_purges_nothing_and_carries_traffic_afterwards(self):
+        cluster = tiny_cluster(self.SEED)
+        cluster.start_riptide()
+        make_injector(
+            cluster, LinkFlap(pop_a="LHR", pop_b="NRT", at=1.0, duration=2.0)
+        )
+        cluster.run(1.5)
+        assert not trunk(cluster, "LHR", "NRT").up
+        for direction in self.directions(cluster, "LHR", "NRT"):
+            assert direction.queue_depth == 0
+            assert direction.stats.packets_offered == 0
+            assert direction.stats.packets_dropped_down == 0
+        cluster.run(2.0)
+        assert trunk(cluster, "LHR", "NRT").up
+        self.assert_carries_traffic_cleanly(cluster)
 
 
 class TestToolFaults:

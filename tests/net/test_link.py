@@ -148,6 +148,23 @@ class TestDuplexLink:
         )
         assert duplex.forward._loss is not duplex.reverse._loss
 
+    def test_directions_built_without_generators_lose_different_packets(self, sim):
+        """Regression: both directions fell back to ``random.Random(0)`` and
+        lost the identical packet indices."""
+        duplex = DuplexLink(sim, 1e9, 0.0, 5000, BernoulliLoss(0.3))
+        delivered: dict[str, list[int]] = {"fwd": [], "rev": []}
+        for index in range(2000):
+            duplex.forward.transmit(
+                make_packet(100), lambda p, i=index: delivered["fwd"].append(i)
+            )
+            duplex.reverse.transmit(
+                make_packet(100), lambda p, i=index: delivered["rev"].append(i)
+            )
+        sim.run_until_idle()
+        for indices in delivered.values():
+            assert 1300 < len(indices) < 1500
+        assert delivered["fwd"] != delivered["rev"]
+
 
 class TestQueueDepthGauge:
     """Regression: the link_queue_depth gauge was set on enqueue only, so
