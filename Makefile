@@ -7,8 +7,9 @@ PYTHON ?= python
 install:
 	pip install -e . --no-build-isolation
 
+# --durations: the slowest-tests list ROADMAP item 5(a) tracks, on every run.
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ --durations=15
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

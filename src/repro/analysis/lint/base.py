@@ -120,16 +120,3 @@ def module_name_for(path: str) -> str | None:
     if tail[-1] == "__init__":
         tail = tail[:-1]
     return ".".join(tail)
-
-
-def rightmost_name(node: ast.expr) -> str | None:
-    """The trailing identifier of a name/attribute chain.
-
-    ``self._spans`` -> ``_spans``; ``sim`` -> ``sim``; anything else
-    (calls, subscripts) -> None.
-    """
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None

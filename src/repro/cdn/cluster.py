@@ -63,7 +63,6 @@ class _PopDeployment:
     servers: list[TransferServer]
     clients: list[TransferClient]
     agents: list[RiptideAgent]
-    auditors: list[Auditor]
 
 
 class CdnCluster:
@@ -112,7 +111,7 @@ class CdnCluster:
         return BernoulliLoss(self.config.loss_probability)
 
     def _deploy_pop(self, pop: PoP) -> None:
-        hosts, servers, clients, agents, auditors = [], [], [], [], []
+        hosts, servers, clients, agents = [], [], [], []
         label = self.config.label
         for index, address in enumerate(pop.server_addresses()):
             name = f"{pop.code}-{index}"
@@ -129,13 +128,9 @@ class CdnCluster:
             agent = RiptideAgent(host, self.config.riptide)
             # Every agent audits its learned table against the route table
             # at the start of each poll tick (see repro.obs.audit).
-            auditor = Auditor(agent)
-            agent.attach_auditor(auditor)
+            agent.attach_auditor(Auditor(agent))
             agents.append(agent)
-            auditors.append(auditor)
-        self._pops[pop.code] = _PopDeployment(
-            pop, hosts, servers, clients, agents, auditors
-        )
+        self._pops[pop.code] = _PopDeployment(pop, hosts, servers, clients, agents)
 
     # ------------------------------------------------------------------
     # accessors
@@ -163,9 +158,6 @@ class CdnCluster:
     def all_agents(self) -> list[RiptideAgent]:
         return [agent for dep in self._pops.values() for agent in dep.agents]
 
-    def all_auditors(self) -> list[Auditor]:
-        return [auditor for dep in self._pops.values() for auditor in dep.auditors]
-
     @property
     def instrumentation(self) -> Instrumentation:
         """This deployment's metrics registry and trace log."""
@@ -192,11 +184,6 @@ class CdnCluster:
             for agent in self._deployment(code).agents:
                 agent.start()
         return started_at
-
-    def stop_riptide(self) -> None:
-        for agent in self.all_agents():
-            if agent.running:
-                agent.stop()
 
     # ------------------------------------------------------------------
     # workloads and measurement

@@ -10,7 +10,6 @@ reproduce that regime.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -49,35 +48,6 @@ class ConstantProfile(RateProfile):
     @property
     def max_factor(self) -> float:
         return self.value
-
-
-@dataclass(frozen=True)
-class SinusoidalProfile(RateProfile):
-    """A smooth day/night cycle.
-
-    The factor oscillates between ``floor`` and ``peak`` with the given
-    ``period`` (one simulated "day"), starting at the peak.
-    """
-
-    period: float
-    floor: float = 0.1
-    peak: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if not 0 <= self.floor <= self.peak:
-            raise ValueError("require 0 <= floor <= peak")
-
-    def factor(self, now: float) -> float:
-        phase = math.cos(2.0 * math.pi * now / self.period)
-        midpoint = (self.peak + self.floor) / 2.0
-        amplitude = (self.peak - self.floor) / 2.0
-        return midpoint + amplitude * phase
-
-    @property
-    def max_factor(self) -> float:
-        return self.peak
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class FileSizeDistribution:
         """The distribution calibrated to the paper's Figure 2."""
         return cls()
 
-    @property
-    def median_bytes(self) -> float:
-        return math.exp(self.mu)
-
     def sample(self, rng: random.Random) -> int:
         """Draw one object size."""
         size = rng.lognormvariate(self.mu, self.sigma)

@@ -1,11 +1,9 @@
 """Mean-field background traffic: 10^6 open flows without 10^6 sockets.
 
-:class:`FluidTraffic` is the hybrid engine's cdn-side half, a sibling of
-:class:`~repro.cdn.crosstraffic.CrossTraffic`: where cross-traffic pumps
-real filler packets through one link, fluid traffic carries whole
-*populations* of background TCP flows as analytic cwnd distributions
-(:class:`~repro.sim.fluid.FluidPopulation`) and only touches the packet
-world through two narrow couplings:
+:class:`FluidTraffic` is the hybrid engine's cdn-side half: it carries
+whole *populations* of background TCP flows as analytic cwnd
+distributions (:class:`~repro.sim.fluid.FluidPopulation`) and only
+touches the packet world through two narrow couplings:
 
 * **link pressure** — each population's aggregate send rate is applied
   to the directional :class:`~repro.net.link.Link` its data crosses
@@ -245,13 +243,6 @@ class FluidTraffic:
         for population in self._populations:
             weighted += population.distribution.total_window_segments()
         return weighted / flows
-
-    def link_loss_rate(self, link: Link) -> float:
-        """The smoothed loss rate currently driving cohorts on ``link``."""
-        state = self._link_index.get(link.name)
-        if state is None:
-            return link.effective_loss_model.mean_loss_rate()
-        return state.smoothed_loss
 
     # ------------------------------------------------------------------
     # stepping

@@ -74,10 +74,6 @@ class CwndSampler:
     def stop(self) -> None:
         self._process.stop()
 
-    def set_created_after(self, threshold: float) -> None:
-        """Only sample connections created at or after ``threshold``."""
-        self._created_after = threshold
-
     def cwnd_values(self) -> list[int]:
         """All sampled window sizes (the Figure 10/11 population)."""
         return [sample.cwnd for sample in self.samples]

@@ -70,12 +70,6 @@ class Topology:
         if len(set(codes)) != len(codes):
             raise ValueError("duplicate PoP codes in topology")
 
-    def pop_by_code(self, code: str) -> PoP:
-        for pop in self.pops:
-            if pop.code == code:
-                return pop
-        raise KeyError(f"no PoP with code {code!r}")
-
     def continent_counts(self) -> dict[str, int]:
         """Table II: PoP count per continent."""
         counts: dict[str, int] = {}
@@ -96,12 +90,6 @@ class Topology:
     def all_pair_rtts(self) -> list[float]:
         """RTTs of all unordered pairs — the Figure 5 population."""
         return [self.rtt(a, b) for a, b in self.pairs()]
-
-    def rtts_from(self, origin: PoP) -> dict[str, float]:
-        """RTT from one PoP to every other, keyed by destination code."""
-        return {
-            pop.code: self.rtt(origin, pop) for pop in self.pops if pop is not origin
-        }
 
 
 def build_paper_topology(

@@ -593,6 +593,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     """List the chaos scenarios with their fault timelines."""
     from repro.faults import CHAOS_SCENARIOS
 
+    if args.duration <= 0.0:
+        print(f"error: --duration must be > 0, got {args.duration:g}", file=sys.stderr)
+        return 2
     for scenario in CHAOS_SCENARIOS.values():
         print(scenario.name)
         print(
@@ -789,7 +792,15 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         source_matches_arm,
     )
 
-    exp, instrumentation, elapsed = _run_captured(
+    exp = _lookup(args.experiment_id)
+    if args.check and exp.fault_scenario is None:
+        print(
+            f"error: --check needs an experiment with a fault scenario; "
+            f"{exp.experiment_id} has none",
+            file=sys.stderr,
+        )
+        return 2
+    _, instrumentation, elapsed = _run_captured(
         args.experiment_id, args.fast, args.workers, what="alert"
     )
     report = build_alert_report(instrumentation.alerts, experiment=exp.experiment_id)
@@ -810,13 +821,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     from repro.experiments.chaos import check_expected_alert
     from repro.faults import get_scenario
 
-    if exp.fault_scenario is None:
-        print(
-            f"error: --check needs an experiment with a fault scenario; "
-            f"{exp.experiment_id} has none",
-            file=sys.stderr,
-        )
-        return 2
     scenario = get_scenario(exp.fault_scenario)
     if not scenario.expected_alerts:
         print(

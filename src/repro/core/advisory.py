@@ -61,10 +61,6 @@ class AdvisoryController:
         self._advisories.append(advisory)
         return advisory
 
-    def clear(self) -> None:
-        """Drop all advisories immediately."""
-        self._advisories.clear()
-
     def scale_at(self, now: float) -> float:
         """The most conservative active scale (1.0 when none active).
 
@@ -74,9 +70,6 @@ class AdvisoryController:
         if not self._advisories:
             return 1.0
         return min(a.scale for a in self._advisories)
-
-    def active_advisories(self, now: float) -> list[Advisory]:
-        return [a for a in self._advisories if a.active(now)]
 
     def __repr__(self) -> str:
         return f"<AdvisoryController advisories={len(self._advisories)}>"

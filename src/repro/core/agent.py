@@ -31,12 +31,11 @@ from repro.core.config import RiptideConfig
 from repro.core.granularity import DestinationGrouper
 from repro.core.guard import PathHealth, SafetyGuard
 from repro.core.observed import LearnedTable
-from repro.core.trend import TrendDetector
 from repro.linux.errors import ToolError
 from repro.linux.host import Host
 from repro.net.addresses import IPv4Address, Prefix
 from repro.obs.span import Span
-from repro.policy import EwmaPolicy, WindowPolicy, finalize_window, make_policy
+from repro.policy import WindowPolicy, finalize_window, make_policy
 from repro.obs.trace import EventType
 from repro.sim.process import PeriodicProcess
 
@@ -254,15 +253,6 @@ class RiptideAgent:
         self.auditor = auditor
 
     @property
-    def window_policy(self) -> WindowPolicy:
-        return self._policy
-
-    @property
-    def trend_detector(self) -> TrendDetector | None:
-        policy = self._policy
-        return policy.trend if isinstance(policy, EwmaPolicy) else None
-
-    @property
     def safety_guard(self) -> SafetyGuard | None:
         return self._guard
 
@@ -290,18 +280,6 @@ class RiptideAgent:
             reason=reason,
         )
         return advisory
-
-    def clear_advisories(self) -> None:
-        now = self.host.sim.now
-        if self._advisories.scale_at(now) < 1.0:
-            self._trace.record(
-                now, EventType.ADVISORY_END, self.host.name, reason="cleared"
-            )
-            self._last_advisory_scale = 1.0
-        self._advisories.clear()
-
-    def current_advisory_scale(self) -> float:
-        return self._advisories.scale_at(self.host.sim.now)
 
     # ------------------------------------------------------------------
     # Algorithm 1

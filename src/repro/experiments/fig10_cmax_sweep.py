@@ -24,6 +24,7 @@ from repro.experiments.scenarios import (
     add_organic_mesh,
     sub_topology,
 )
+from repro.parallel import run_tasks
 
 PAPER_CMAX_VALUES = (50, 100, 150, 200, 250)
 
@@ -123,18 +124,11 @@ def run(
             organic_rate=organic_rate, seed=seed,
         )
 
-    if workers > 1:
-        from repro.parallel import run_tasks
-
-        results = run_tasks(
-            [make_task(c_max) for c_max in arms],
-            workers=workers,
-            labels=[
-                "fig10:control" if c is None else f"fig10:c_max={c}" for c in arms
-            ],
-        )
-    else:
-        results = [make_task(c_max)() for c_max in arms]
+    results = run_tasks(
+        [make_task(c_max) for c_max in arms],
+        workers=workers,
+        labels=["fig10:control" if c is None else f"fig10:c_max={c}" for c in arms],
+    )
     cdfs: dict[int, EmpiricalCdf] = {
         (CONTROL if c_max is None else c_max): cdf
         for c_max, cdf in zip(arms, results, strict=True)

@@ -9,24 +9,9 @@ routes beat prefix routes beat the default route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address, Prefix
-
-
-class _Keep:
-    """Sentinel: leave an attribute as it is (see ``KEEP``)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return "KEEP"
-
-
-#: Default for :meth:`RouteTable.update_attributes` arguments: an
-#: attribute not passed explicitly keeps its current value.  ``None``
-#: remains meaningful as an explicit "clear this attribute" — the two
-#: must not be conflated, or updating ``initcwnd`` silently wipes an
-#: existing ``initrwnd``.
-KEEP = _Keep()
 
 
 @dataclass(frozen=True)
@@ -136,27 +121,6 @@ class RouteTable:
             self._routes.values(),
             key=lambda e: (-e.prefix.length, e.prefix.network.value),
         )
-
-    def update_attributes(
-        self,
-        prefix: Prefix,
-        initcwnd: "int | None | _Keep" = KEEP,
-        initrwnd: "int | None | _Keep" = KEEP,
-    ) -> RouteEntry:
-        """Modify window attributes of an existing route in place.
-
-        Attributes not passed keep their current value; pass ``None``
-        explicitly to clear one (restore the sysctl default).
-        """
-        entry = self._routes[prefix]
-        changes: dict[str, int | None] = {}
-        if not isinstance(initcwnd, _Keep):
-            changes["initcwnd"] = initcwnd
-        if not isinstance(initrwnd, _Keep):
-            changes["initrwnd"] = initrwnd
-        updated = replace(entry, **changes)
-        self._store(updated)
-        return updated
 
     def __repr__(self) -> str:
         return f"<RouteTable routes={len(self._routes)}>"

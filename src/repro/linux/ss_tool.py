@@ -19,7 +19,7 @@ modelling how ``ss`` actually misbehaves on a loaded box:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.linux.errors import ToolError
 from repro.tcp.socket import SocketStats, TcpState
@@ -125,24 +125,6 @@ class SsTool:
             return snapshots[::2]
         self._last_good[filters] = snapshots
         return snapshots
-
-    def format_lines(self, **filters: Any) -> list[str]:
-        """Human-readable lines approximating ``ss -ti`` output.
-
-        ``filters`` are :meth:`tcp_info`'s.  The congestion-control name
-        is the host's configured one: every socket on a host runs it.
-        """
-        algorithm = self._host.config.congestion_control
-        lines = []
-        for info in self.tcp_info(**filters):
-            srtt = f"{info.srtt * 1e3:.1f}" if info.srtt is not None else "-"
-            lines.append(
-                f"{info.state.value:<12} {self._host.address}:{info.local_port}"
-                f" -> {info.remote_address}:{info.remote_port}"
-                f" {algorithm} cwnd:{info.cwnd} rtt:{srtt}ms"
-                f" bytes_acked:{info.bytes_acked}"
-            )
-        return lines
 
     def __repr__(self) -> str:
         fault = f" fault={self._fault_mode}" if self._fault_mode else ""

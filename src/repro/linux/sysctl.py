@@ -8,7 +8,7 @@ so examples and experiments read like operations runbooks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from repro.tcp.constants import TcpConfig
 
@@ -40,14 +40,6 @@ class Sysctl:
     def set(self, name: str, value) -> None:
         field = self._lookup(name)
         self._config = replace(self._config, **{field: value})
-
-    def names(self) -> list[str]:
-        return sorted(_NAME_TO_FIELD)
-
-    def dump(self) -> dict[str, object]:
-        """All tunables as ``{linux_name: value}``."""
-        values = asdict(self._config)
-        return {name: values[field] for name, field in _NAME_TO_FIELD.items()}
 
     @staticmethod
     def _lookup(name: str) -> str:

@@ -8,7 +8,6 @@ mask arithmetic, mirroring how the kernel FIB behaves when Riptide installs
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import total_ordering
 
 from repro.net.errors import AddressError
@@ -144,12 +143,6 @@ class Prefix:
     def contains_prefix(self, other: "Prefix") -> bool:
         """True when ``other`` is fully inside this prefix."""
         return other._length >= self._length and self.contains(other._network)
-
-    def addresses(self) -> Iterator[IPv4Address]:
-        """Iterate every address in the prefix (small prefixes only)."""
-        base = self._network.value
-        for offset in range(self.num_addresses):
-            yield IPv4Address(base + offset)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Prefix):

@@ -51,10 +51,6 @@ class PathSpec:
     queue_limit_packets: int = 1024
     loss_model: LossModel = field(default_factory=NoLoss)
 
-    @property
-    def base_rtt(self) -> float:
-        return 2.0 * self.propagation_delay
-
 
 class Network:
     """Zones, trunks and hosts wired together over one simulator."""
@@ -86,10 +82,6 @@ class Network:
     @property
     def sim(self) -> Simulator:
         return self._sim
-
-    @property
-    def zones(self) -> tuple[Prefix, ...]:
-        return tuple(self._zones)
 
     def add_zone(self, prefix: Prefix) -> None:
         """Register an address zone (a PoP's prefix)."""
@@ -159,9 +151,6 @@ class Network:
         if host.address.value in self._hosts:
             raise NetworkError(f"address {host.address} already attached")
         self._hosts[host.address.value] = host
-
-    def detach(self, address: IPv4Address) -> None:
-        self._hosts.pop(address.value, None)
 
     def host_at(self, address: IPv4Address) -> AttachedHost | None:
         return self._hosts.get(address.value)

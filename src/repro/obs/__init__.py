@@ -50,7 +50,7 @@ from repro.obs.slo import (
 from repro.obs.span import Span, SpanLog
 from repro.obs.timeline import Timeline, TimelinePoint
 from repro.obs.trace import EventType, TraceEvent, TraceLog
-from repro.obs.tsdb import TsdbPoint, WindowAggregate, WindowedStore
+from repro.obs.tsdb import TsdbPoint, WindowedStore
 
 __all__ = [
     "ATTRIBUTION_CAUSES",
@@ -79,7 +79,6 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "TsdbPoint",
-    "WindowAggregate",
     "WindowedStore",
     "active_instrumentation",
     "alert_report_to_json",

@@ -121,10 +121,6 @@ class SpanLog(BoundedLog[Span]):
             selected.append(span)
         return selected
 
-    def to_chrome_trace(self) -> list[dict[str, object]]:
-        """Every span as a Chrome trace-event object, in one list."""
-        return list(self.iter_chrome_trace())
-
     def iter_chrome_trace(self) -> Iterator[dict[str, object]]:
         """Spans as Chrome trace-event objects (``ts``/``dur`` in µs).
 

@@ -23,13 +23,11 @@ derivations are defined on append order and documented as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.obs.timeline import PointLog, TimelinePoint
 
 __all__ = [
     "TsdbPoint",
-    "WindowAggregate",
     "WindowedStore",
 ]
 
@@ -42,24 +40,6 @@ class TsdbPoint(TimelinePoint):
     def window(self, width: float) -> int:
         """The aligned window index this sample falls in."""
         return math.floor(self.time / width)
-
-
-@dataclass(frozen=True, slots=True)
-class WindowAggregate:
-    """Read-time aggregate of one window of one ``(source, series)``."""
-
-    index: int
-    count: int
-    total: float
-    minimum: float
-    maximum: float
-    #: Last *recorded* value in the window (append order == time order
-    #: for the single-writer keys every producer uses).
-    last: float
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count
 
 
 class WindowedStore(PointLog[TsdbPoint]):
@@ -104,22 +84,6 @@ class WindowedStore(PointLog[TsdbPoint]):
         if not run:
             return []
         return [p.value for p in run if p.window(window) == index]
-
-    def aggregate(
-        self, source: str, series: str, index: int, window: float
-    ) -> WindowAggregate | None:
-        """Aggregate one window; None when it holds no samples."""
-        values = self.window_values(source, series, index, window)
-        if not values:
-            return None
-        return WindowAggregate(
-            index=index,
-            count=len(values),
-            total=math.fsum(values),
-            minimum=min(values),
-            maximum=max(values),
-            last=values[-1],
-        )
 
     def last(self, source: str, series: str, index: int, window: float) -> float | None:
         """Last recorded value in a window; None when empty."""

@@ -53,7 +53,6 @@ class EwmaPolicy(WindowPolicy):
         self._history: HistoryPolicy = make_history_policy(
             config.history, config.alpha, config.history_window
         )
-        #: Exposed for introspection (``RiptideAgent.trend_detector``).
         self.trend: TrendDetector | None = _make_trend(config)
 
     def decide(

@@ -533,13 +533,6 @@ class FluidPopulation:
         self.bytes_acked_total += sent * self.mss
         self.steps += 1
 
-    def mean_flow_age(self, now: float) -> float:
-        """Expected age of an open flow (exponential churn, capped)."""
-        lifetime = now - self.created_at
-        if self.churn_per_flow_per_sec <= 0.0:
-            return lifetime
-        return min(lifetime, 1.0 / self.churn_per_flow_per_sec)
-
     def sample_ages(self, count: int, now: float) -> list[float]:
         """Deterministic flow ages at mid-quantiles of the churn process.
 

@@ -11,12 +11,10 @@ prescribes.
 from repro.tcp.cc.base import CongestionControl
 from repro.tcp.cc.cubic import Cubic
 from repro.tcp.cc.reno import Reno
-from repro.tcp.cc.vegas import Vegas
 
 _REGISTRY = {
     "reno": Reno,
     "cubic": Cubic,
-    "vegas": Vegas,
 }
 
 
@@ -34,18 +32,9 @@ def make_congestion_control(
     return cls(initial_cwnd=initial_cwnd, mss=mss)
 
 
-def register_congestion_control(name: str, cls: type[CongestionControl]) -> None:
-    """Register a custom congestion control implementation."""
-    if not issubclass(cls, CongestionControl):
-        raise TypeError(f"{cls!r} is not a CongestionControl subclass")
-    _REGISTRY[name] = cls
-
-
 __all__ = [
     "CongestionControl",
     "Cubic",
     "Reno",
-    "Vegas",
     "make_congestion_control",
-    "register_congestion_control",
 ]

@@ -76,11 +76,6 @@ class Segment:
         # SYN and FIN each consume one sequence number (bools add as 0/1).
         self.end_seq = seq + payload_bytes + syn + fin
 
-    @property
-    def seq_space(self) -> int:
-        """Sequence numbers consumed: payload plus one each for SYN/FIN."""
-        return self.end_seq - self.seq
-
     def describe(self) -> str:
         flags = "".join(
             token

@@ -235,62 +235,6 @@ class TestPrometheusExposition:
         assert "stalled_for_count 3" in lines
 
 
-class TestTransferTrace:
-    def test_records_transfers(self):
-        from repro.cdn.trace import TransferTrace
-        from repro.cdn.transfer import TransferClient, TransferServer
-        from repro.testing import TwoHostTestbed
-
-        bed = TwoHostTestbed(rtt=0.050)
-        TransferServer(bed.server)
-        client = TransferClient(bed.client)
-        trace = TransferTrace()
-        trace.attach(client, source_label="test-client")
-        client.fetch(bed.server.address, 10_000)
-        client.fetch(bed.server.address, 20_000)
-        bed.sim.run(until=5.0)
-        assert len(trace.completed()) == 2
-        assert trace.completion_times(size_bytes=10_000)
-        record = trace.records[0]
-        assert record.source == "test-client"
-        assert record.initial_cwnd == 10
-
-    def test_records_failures(self):
-        from repro.cdn.trace import TransferTrace
-        from repro.cdn.transfer import TransferClient, TransferServer
-        from repro.testing import TwoHostTestbed
-
-        bed = TwoHostTestbed(rtt=0.050)
-        TransferServer(bed.server)
-        client = TransferClient(bed.client)
-        trace = TransferTrace()
-        trace.attach(client)
-        client.fetch(bed.server.address, 500_000)
-        bed.sim.run(until=0.3)
-        for sock in bed.client.sockets():
-            sock.abort()
-        bed.sim.run(until=2.0)
-        assert len(trace.failed()) == 1
-        assert trace.failed()[0].failed_reason
-
-    def test_csv_round_trip(self):
-        from repro.cdn.trace import TransferTrace
-        from repro.cdn.transfer import TransferClient, TransferServer
-        from repro.testing import TwoHostTestbed
-
-        bed = TwoHostTestbed(rtt=0.050)
-        TransferServer(bed.server)
-        client = TransferClient(bed.client)
-        trace = TransferTrace()
-        trace.attach(client)
-        client.fetch(bed.server.address, 10_000)
-        bed.sim.run(until=5.0)
-        parsed = parse(trace.to_csv())
-        assert parsed[0] == list(TransferTrace.CSV_HEADERS)
-        assert len(parsed) == 2
-        assert parsed[1][3] == "10000"
-
-
 # ----------------------------------------------------------------------
 # Whole-payload references for the record-list documents
 # ----------------------------------------------------------------------
@@ -553,7 +497,7 @@ class TestSpansJsonMatchesWholePayload:
     def _check(self, log):
         from repro.analysis.export import spans_to_chrome_json
 
-        assert log.to_chrome_trace() == reference_chrome_trace(log)
+        assert list(log.iter_chrome_trace()) == reference_chrome_trace(log)
         assert spans_to_chrome_json(log) == reference_spans_to_chrome_json(log)
 
     def test_empty_log(self):

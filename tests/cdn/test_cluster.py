@@ -56,11 +56,6 @@ class TestRiptideControl:
         assert all(agent.running for agent in cluster.agents("LHR"))
         assert not any(agent.running for agent in cluster.agents("JFK"))
 
-    def test_stop_riptide(self, cluster):
-        cluster.start_riptide()
-        cluster.stop_riptide()
-        assert not any(agent.running for agent in cluster.all_agents())
-
     def test_riptide_learns_from_organic_traffic(self, cluster):
         cluster.add_organic_workload("LHR", ["JFK"])
         cluster.start_riptide()

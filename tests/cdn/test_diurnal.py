@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn.diurnal import ConstantProfile, OnOffProfile, SinusoidalProfile
+from repro.cdn.diurnal import ConstantProfile, OnOffProfile
 from repro.cdn.filesizes import FileSizeDistribution
 from repro.cdn.transfer import TransferClient, TransferServer
 from repro.cdn.workload import OrganicWorkload, OrganicWorkloadConfig
@@ -19,24 +19,6 @@ class TestProfiles:
     def test_constant_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantProfile(-0.1)
-
-    def test_sinusoidal_peaks_and_troughs(self):
-        profile = SinusoidalProfile(period=100.0, floor=0.2, peak=1.0)
-        assert profile.factor(0.0) == pytest.approx(1.0)
-        assert profile.factor(50.0) == pytest.approx(0.2)
-        assert profile.factor(100.0) == pytest.approx(1.0)
-        assert profile.max_factor == 1.0
-
-    def test_sinusoidal_bounded(self):
-        profile = SinusoidalProfile(period=37.0, floor=0.1, peak=0.9)
-        for t in range(0, 200, 3):
-            assert 0.1 - 1e-9 <= profile.factor(float(t)) <= 0.9 + 1e-9
-
-    def test_sinusoidal_validation(self):
-        with pytest.raises(ValueError):
-            SinusoidalProfile(period=0.0)
-        with pytest.raises(ValueError):
-            SinusoidalProfile(period=10.0, floor=0.9, peak=0.5)
 
     def test_on_off_cycles(self):
         profile = OnOffProfile(on_duration=10.0, off_duration=5.0)

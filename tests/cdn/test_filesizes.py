@@ -30,7 +30,7 @@ class TestCalibration:
         assert dist.fraction_exceeding(100 * 1460) == pytest.approx(0.15, abs=0.02)
 
     def test_median_is_about_18kb(self, dist):
-        assert dist.median_bytes == pytest.approx(18_300, rel=0.05)
+        assert dist.quantile(0.5) == pytest.approx(18_300, rel=0.05)
 
 
 class TestSampling:

@@ -12,7 +12,6 @@ import itertools
 import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.crosstraffic import filler_addresses
 from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, FluidTraffic
 from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
@@ -351,20 +350,16 @@ class TestLinkCoupling:
             link.set_fluid_load(-1.0)
 
     def test_overload_raises_loss_rate(self, cluster):
-        engine, pop = add_population(
+        _, pop = add_population(
             cluster, flows=100_000.0, growth_segments_per_sec=50.0
         )
-        trunk = cluster.network.link_from(
-            cluster.pop("LHR").prefix, cluster.pop("JFK").prefix
-        )
-        baseline = trunk.effective_loss_model.mean_loss_rate()
         cluster.run(10.0)
-        assert engine.link_loss_rate(trunk) > baseline
-        # Congestion holds the cohort's windows down.
+        # Congestion holds the cohort's windows down (1.0 here; 130 for an
+        # uncongested 50-flow cohort).
         assert pop.mean_window() < 50
 
     def test_link_down_collapses_cohort(self, cluster):
-        engine, pop = add_population(
+        _, pop = add_population(
             cluster, flows=50.0, growth_segments_per_sec=20.0
         )
         cluster.run(5.0)
@@ -374,7 +369,6 @@ class TestLinkCoupling:
         )
         trunk.set_down()
         cluster.run(2.0)
-        assert engine.link_loss_rate(trunk) == 1.0
         assert pop.mean_window() < grown
         assert trunk.fluid_bps == 0.0
 
@@ -425,32 +419,6 @@ class TestObservability:
             names = set(cluster.sim.obs.timeline.series_names())
             assert "cluster:fluid_flows_open" in names
             assert "cluster:fluid_mean_cwnd" in names
-
-
-class TestFillerAddresses:
-    def test_distinct_per_instance_name(self):
-        a_src, a_dst = filler_addresses("cross-traffic")
-        b_src, b_dst = filler_addresses("storm-JFK")
-        assert {a_src, a_dst} & {b_src, b_dst} == set()
-        assert a_src != a_dst
-
-    def test_stable_across_calls(self):
-        assert filler_addresses("x") == filler_addresses("x")
-
-    def test_addresses_in_test_net(self):
-        src, dst = filler_addresses("any-name-at-all")
-        assert str(src).startswith("192.0.2.")
-        assert str(dst).startswith("192.0.2.")
-
-    def test_instance_uses_derived_addresses(self, sim):
-        from repro.cdn.crosstraffic import CrossTraffic
-        from repro.net.link import Link
-
-        link = Link(sim, bandwidth_bps=10e6, propagation_delay=0.001)
-        source = CrossTraffic(sim, link, rate_bps=1e6, name="storm-A")
-        assert (source.filler_src, source.filler_dst) == filler_addresses(
-            "storm-A"
-        )
 
 
 class TestEngineValidation:

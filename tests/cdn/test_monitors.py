@@ -70,19 +70,6 @@ class TestCreatedAfter:
         assert len(filtered.samples) >= 1
         assert len(unfiltered.samples) == 2 * len(filtered.samples)
 
-    def test_set_created_after_applies_to_later_ticks(self):
-        bed = make_testbed()
-        request_response(bed, response_bytes=100_000, deadline=5.0)
-        sampler = CwndSampler(bed.sim, [bed.server], interval=1.0)
-        sampler.start()
-        bed.sim.run(until=bed.sim.now + 2.5)
-        seen = len(sampler.samples)
-        assert seen >= 1
-        # Everything now on the host predates the new threshold.
-        sampler.set_created_after(bed.sim.now + 1e9)
-        bed.sim.run(until=bed.sim.now + 3.0)
-        assert len(sampler.samples) == seen
-
 
 class TestDataBearingOnly:
     def test_idle_connections_are_skipped(self):

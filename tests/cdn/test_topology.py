@@ -64,12 +64,6 @@ class TestPaperTopology:
         assert len(set(codes)) == 34
         assert len(set(prefixes)) == 34
 
-    def test_pop_by_code(self):
-        topo = build_paper_topology()
-        assert topo.pop_by_code("LHR").city == "London"
-        with pytest.raises(KeyError):
-            topo.pop_by_code("XXX")
-
     def test_all_pairs_count(self):
         rtts = build_paper_topology().all_pair_rtts()
         assert len(rtts) == 34 * 33 // 2
@@ -84,13 +78,6 @@ class TestPaperTopology:
         topo = build_paper_topology()
         a, b = topo.pops[0], topo.pops[20]
         assert topo.rtt(a, b) == topo.rtt(b, a)
-
-    def test_rtts_from_excludes_self(self):
-        topo = build_paper_topology()
-        origin = topo.pop_by_code("LHR")
-        rtts = topo.rtts_from(origin)
-        assert "LHR" not in rtts
-        assert len(rtts) == 33
 
     def test_duplicate_codes_rejected(self):
         topo = build_paper_topology()

@@ -28,19 +28,6 @@ class TestAdvisoryController:
         controller.advise(scale=0.4, duration=10.0, now=0.0)
         assert controller.scale_at(1.0) == 0.4
 
-    def test_clear(self):
-        controller = AdvisoryController()
-        controller.advise(scale=0.5, duration=10.0, now=0.0)
-        controller.clear()
-        assert controller.scale_at(1.0) == 1.0
-
-    def test_active_advisories_listing(self):
-        controller = AdvisoryController()
-        controller.advise(scale=0.5, duration=10.0, now=0.0, reason="lb-shift")
-        active = controller.active_advisories(5.0)
-        assert len(active) == 1
-        assert active[0].reason == "lb-shift"
-
     @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5])
     def test_invalid_scale_rejected(self, scale):
         with pytest.raises(ValueError):
@@ -56,7 +43,6 @@ class TestAdvisoryController:
         controller = AdvisoryController()
         for i in range(100):
             controller.advise(scale=0.5, duration=1.0, now=float(i * 10))
-        assert len(controller.active_advisories(990.5)) == 1
         assert len(controller._advisories) == 1
 
     def test_advise_keeps_live_entries(self):
@@ -143,7 +129,6 @@ class TestAgentIntegration:
         bed.sim.run(until=bed.sim.now + 2.0)
         scaled = agent.learned_window_for(key)
         assert scaled == 50
-        assert agent.current_advisory_scale() == 0.5
 
     def test_advisory_scales_after_clamping(self):
         """The advisory scales the *clamped* window (module doc contract).
@@ -175,13 +160,26 @@ class TestAgentIntegration:
         bed.sim.run(until=bed.sim.now + 3.0)
         key = Prefix.host(bed.client.address)
         assert agent.learned_window_for(key) == 100
-        assert agent.current_advisory_scale() == 1.0
+
+    @staticmethod
+    def learned_after_collapse(**trend) -> int | None:
+        """Grow a fat window, replace it with a tiny connection, and
+        return what the agent has learned for the client afterwards."""
+        bed = make_testbed()
+        # history="none" isolates the trend mechanism.
+        config = RiptideConfig(update_interval=0.5, history="none", **trend)
+        agent = RiptideAgent(bed.server, config)
+        agent.start()
+        first = request_response(bed, response_bytes=1_000_000)
+        bed.sim.run(until=bed.sim.now + 2.0)
+        first.socket.close()
+        bed.sim.run(until=bed.sim.now + 1.0)
+        request_response(bed, response_bytes=2_000)
+        bed.sim.run(until=bed.sim.now + 2.0)
+        return agent.learned_window_for(Prefix.host(bed.client.address))
 
     def test_trend_detection_penalises_collapse(self):
-        bed = make_testbed()
-        config = RiptideConfig(
-            update_interval=0.5,
-            history="none",  # isolate the trend mechanism
+        penalised = self.learned_after_collapse(
             trend_detection=True,
             trend_drop_threshold=0.5,
             trend_penalty=0.5,
@@ -189,24 +187,8 @@ class TestAgentIntegration:
             # the hold must outlive that for the final assertion.
             trend_hold=240.0,
         )
-        agent = RiptideAgent(bed.server, config)
-        agent.start()
-        # Grow a fat window, then replace it with a tiny connection.
-        first = request_response(bed, response_bytes=1_000_000)
-        bed.sim.run(until=bed.sim.now + 2.0)
-        first.socket.close()
-        bed.sim.run(until=bed.sim.now + 1.0)
-        request_response(bed, response_bytes=2_000)
-        bed.sim.run(until=bed.sim.now + 2.0)
-        key = Prefix.host(bed.client.address)
-        assert agent.trend_detector is not None
-        assert agent.trend_detector.triggers >= 1
-        # With history=none the learned value would be ~10; the penalty
-        # halves it further, but c_min clamps at 10 — so assert via the
-        # detector state rather than the clamped value.
-        assert agent.trend_detector.in_penalty(key, bed.sim.now)
+        assert penalised == 50
 
     def test_trend_disabled_by_default(self):
-        bed = make_testbed()
-        agent = RiptideAgent(bed.server, RiptideConfig())
-        assert agent.trend_detector is None
+        # The same collapse costs nothing: the window stays at c_max.
+        assert self.learned_after_collapse() == 100

@@ -38,8 +38,10 @@ class TestSubTopology:
         from repro.cdn.probes import rtt_bucket
 
         topo = sub_topology(EVALUATION_POP_CODES)
-        origin = topo.pop_by_code("LHR")
-        buckets = {rtt_bucket(rtt) for rtt in topo.rtts_from(origin).values()}
+        origin = next(pop for pop in topo.pops if pop.code == "LHR")
+        buckets = {
+            rtt_bucket(topo.rtt(origin, pop)) for pop in topo.pops if pop is not origin
+        }
         assert buckets == {"<50ms", "51-100ms", "101-150ms", ">150ms"}
 
 

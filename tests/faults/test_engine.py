@@ -159,7 +159,7 @@ class TestFaultsOnColdTrunks:
         for direction in cls.directions(cluster, "LHR", "NRT"):
             assert direction.stats.packets_delivered > 0
             assert direction.stats.packets_dropped_down == 0
-        auditors = cluster.all_auditors()
+        auditors = [agent.auditor for agent in cluster.all_agents()]
         assert all(auditor.checks_run > 0 for auditor in auditors)
         assert [auditor.divergences_found for auditor in auditors] == [0] * len(auditors)
 

@@ -94,29 +94,6 @@ class TestRouteTable:
         lengths = [e.prefix.length for e in table.entries()]
         assert lengths == [32, 24, 0]
 
-    def test_update_attributes(self):
-        table = RouteTable()
-        table.add(entry("10.0.0.0/24", initcwnd=10))
-        table.update_attributes(Prefix.parse("10.0.0.0/24"), initcwnd=70)
-        assert table.lookup(IPv4Address("10.0.0.1")).initcwnd == 70
-
-    def test_update_attributes_preserves_unspecified(self):
-        """Regression: updating one attribute used to clobber the rest."""
-        table = RouteTable()
-        table.add(entry("10.0.0.0/24", initcwnd=10, initrwnd=200))
-        table.update_attributes(Prefix.parse("10.0.0.0/24"), initcwnd=70)
-        updated = table.lookup(IPv4Address("10.0.0.1"))
-        assert updated.initcwnd == 70
-        assert updated.initrwnd == 200
-
-    def test_update_attributes_explicit_none_still_clears(self):
-        table = RouteTable()
-        table.add(entry("10.0.0.0/24", initcwnd=10, initrwnd=200))
-        table.update_attributes(Prefix.parse("10.0.0.0/24"), initrwnd=None)
-        updated = table.lookup(IPv4Address("10.0.0.1"))
-        assert updated.initcwnd == 10  # untouched
-        assert updated.initrwnd is None  # explicitly cleared
-
     def test_get_exact_prefix_only(self):
         table = RouteTable()
         table.add(entry("10.0.0.0/24", initcwnd=10))
@@ -213,7 +190,7 @@ def test_indexed_lookup_matches_linear_scan_under_random_mutation(seed):
     for step in range(400):
         prefix = rng.choice(pool)
         route = RouteEntry(prefix=prefix, initcwnd=rng.randint(1, 300), created_at=step)
-        op = rng.choice(("add", "replace", "delete", "delete", "update"))
+        op = rng.choice(("add", "replace", "delete", "delete"))
         if op == "add":
             if prefix in model:
                 with pytest.raises(KeyError):
@@ -224,20 +201,11 @@ def test_indexed_lookup_matches_linear_scan_under_random_mutation(seed):
         elif op == "replace":
             table.replace(route)
             model[prefix] = route
-        elif op == "delete":
-            if prefix in model:
-                assert table.delete(prefix) is model.pop(prefix)
-            else:
-                with pytest.raises(KeyError):
-                    table.delete(prefix)
+        elif prefix in model:
+            assert table.delete(prefix) is model.pop(prefix)
         else:
-            if prefix in model:
-                updated = table.update_attributes(prefix, initrwnd=rng.randint(1, 300))
-                assert updated.initcwnd == model[prefix].initcwnd
-                model[prefix] = updated
-            else:
-                with pytest.raises(KeyError):
-                    table.update_attributes(prefix, initcwnd=5)
+            with pytest.raises(KeyError):
+                table.delete(prefix)
         assert_same_table(table, model, probe_addresses(rng, pool))
     # Empty every length level, the last route of each included, then refill.
     for prefix in list(model):

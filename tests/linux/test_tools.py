@@ -85,22 +85,6 @@ class TestSsTool:
         server_info = testbed.server.ss.tcp_info()
         assert server_info[0].cwnd > 10  # slow start grew past IW10
 
-    def test_format_lines(self, testbed):
-        request_response(testbed, response_bytes=5000)
-        lines = testbed.client.ss.format_lines()
-        assert len(lines) == 1
-        assert " cubic cwnd:" in lines[0]
-
-    def test_format_lines_names_the_configured_algorithm(self):
-        config = TcpConfig(congestion_control="reno")
-        bed = TwoHostTestbed(client_config=config, server_config=config)
-        bed.serve_echo()
-        request_response(bed, response_bytes=5000)
-        lines = bed.server.ss.format_lines()
-        assert len(lines) == 1
-        assert " reno cwnd:" in lines[0]
-        assert "cubic" not in lines[0]
-
     def test_stale_poll_serves_its_own_filters(self, testbed):
         """A wedged ``ss`` re-serves the last good snapshot taken under the
         *same* filters — not whatever another caller polled last (an
@@ -139,11 +123,6 @@ class TestSysctl:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             Sysctl().get("net.ipv4.nonsense")
-
-    def test_dump_lists_all(self):
-        dump = Sysctl().dump()
-        assert "net.ipv4.tcp_congestion_control" in dump
-        assert len(dump) == len(Sysctl().names())
 
     def test_invalid_value_rejected_via_config_validation(self):
         sysctl = Sysctl()

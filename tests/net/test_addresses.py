@@ -88,15 +88,6 @@ class TestPrefix:
         assert Prefix.parse("10.0.0.0/30").num_addresses == 4
         assert Prefix.parse("10.0.0.1/32").num_addresses == 1
 
-    def test_addresses_iteration(self):
-        addresses = list(Prefix.parse("10.0.0.0/30").addresses())
-        assert [str(a) for a in addresses] == [
-            "10.0.0.0",
-            "10.0.0.1",
-            "10.0.0.2",
-            "10.0.0.3",
-        ]
-
     def test_equality_and_hash(self):
         assert Prefix.parse("10.0.0.0/24") == Prefix.parse("10.0.0.0/24")
         assert Prefix.parse("10.0.0.0/24") != Prefix.parse("10.0.0.0/25")

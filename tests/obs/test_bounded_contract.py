@@ -133,7 +133,7 @@ def _span_view(log: SpanLog) -> dict:
             (s.span_id, s.parent_id, s.name, s.source, s.begin, s.end, s.details)
             for s in log.spans()
         ],
-        "chrome": log.to_chrome_trace(),
+        "chrome": list(log.iter_chrome_trace()),
         "open": [s.span_id for s in log.spans(open_only=True)],
         "total": log.next_id,
     }

@@ -85,7 +85,7 @@ class TestChromeTrace:
         closed = log.begin(1.0, "probe", "probe", "cli", arm="riptide")
         log.end(closed, 1.25, completed=True)
         log.begin(2.0, "guard-hold", "guard", "srv")
-        events = self._validated(log.to_chrome_trace())
+        events = self._validated(list(log.iter_chrome_trace()))
         assert len(events) == 2
         x, b = events
         assert (x["ph"], b["ph"]) == ("X", "B")
@@ -97,7 +97,7 @@ class TestChromeTrace:
         log = SpanLog()
         log.begin(0.0, "b", "agent", "host-b")
         log.begin(0.0, "a", "agent", "host-a")
-        events = log.to_chrome_trace()
+        events = list(log.iter_chrome_trace())
         # tids follow sorted source order, not begin order.
         assert [e["tid"] for e in events] == [2, 1]
 
@@ -107,7 +107,7 @@ class TestChromeTrace:
         child = log.begin(0.0, "guard", "guard", "srv", parent=tick)
         log.end(tick, 1.0)
         log.end(child, 1.0)
-        events = log.to_chrome_trace()
+        events = list(log.iter_chrome_trace())
         assert events[1]["args"]["parent_id"] == tick.span_id
         assert "parent_id" not in events[0]["args"]
 

@@ -88,9 +88,6 @@ class TestCapacityAndMerge:
         merged.merge_from(first)
         merged.merge_from(second)
         assert merged.window_sum("s", "x", 0, 5.0) == serial.window_sum("s", "x", 0, 5.0)
-        agg_m = merged.aggregate("s", "x", 0, 5.0)
-        agg_s = serial.aggregate("s", "x", 0, 5.0)
-        assert agg_m == agg_s
 
 
 class TestWindowDerivations:
@@ -99,17 +96,14 @@ class TestWindowDerivations:
         assert WindowedStore.window_index(4.999, 5.0) == 0
         assert WindowedStore.window_index(5.0, 5.0) == 1
 
-    def test_aggregate_and_last(self):
+    def test_last_is_the_last_recorded_value(self):
         store = WindowedStore()
         store.record(1.0, "s", "x", 3.0)
         store.record(2.0, "s", "x", 1.0)
         store.record(6.0, "s", "x", 9.0)
-        agg = store.aggregate("s", "x", 0, 5.0)
-        assert agg is not None
-        assert (agg.count, agg.minimum, agg.maximum, agg.last) == (2, 1.0, 3.0, 1.0)
-        assert agg.mean == 2.0
+        assert store.last("s", "x", 0, 5.0) == 1.0
         assert store.last("s", "x", 1, 5.0) == 9.0
-        assert store.aggregate("s", "x", 2, 5.0) is None
+        assert store.last("s", "x", 2, 5.0) is None
 
     def test_percentile_nearest_rank(self):
         store = WindowedStore()

@@ -7,7 +7,6 @@ makes ``--workers N`` safe to use on any experiment.
 
 import pytest
 
-from repro.experiments.multiseed import sweep_seeds
 from repro.experiments.scenarios import (
     ProbeStudyConfig,
     StudyRun,
@@ -15,7 +14,7 @@ from repro.experiments.scenarios import (
     run_paired_probe_study,
 )
 from repro.obs import capture
-from repro.parallel import fork_available
+from repro.parallel import WorkerFailure, fork_available, run_tasks
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
@@ -43,23 +42,25 @@ def _transfer_time(seed: int) -> float:
 class TestSweepSeeds:
     @needs_fork
     def test_parallel_sweep_bit_identical_to_serial(self):
-        seeds = [1, 2, 3, 4, 5]
-        serial = sweep_seeds("transfer_time", seeds, _transfer_time, workers=1)
-        parallel = sweep_seeds("transfer_time", seeds, _transfer_time, workers=4)
-        assert parallel.values == serial.values  # bit-for-bit, same order
-        assert parallel.seeds == serial.seeds
+        tasks = [lambda seed=seed: _transfer_time(seed) for seed in (1, 2, 3, 4, 5)]
+        serial = run_tasks(tasks, workers=1)
+        parallel = run_tasks(tasks, workers=4)
+        assert parallel == serial  # bit-for-bit, same order
 
     @needs_fork
     def test_failing_seed_surfaces_with_its_label(self):
-        from repro.parallel import WorkerFailure
-
         def metric(seed: int) -> float:
             if seed == 3:
                 raise ValueError("seed 3 exploded")
             return float(seed)
 
+        seeds = [1, 2, 3, 4]
         with pytest.raises(WorkerFailure, match=r"m\[seed=3\]") as info:
-            sweep_seeds("m", [1, 2, 3, 4], metric, workers=2)
+            run_tasks(
+                [lambda seed=seed: metric(seed) for seed in seeds],
+                workers=2,
+                labels=[f"m[seed={seed}]" for seed in seeds],
+            )
         assert info.value.original_type == "ValueError"
         assert "seed 3 exploded" in str(info.value)
 
@@ -196,6 +197,18 @@ class TestFig10Sweep:
         assert set(parallel.cdfs) == set(serial.cdfs)
         for key in serial.cdfs:
             assert parallel.cdfs[key].values == serial.cdfs[key].values
+
+    def test_failing_arm_is_named_on_the_serial_path(self, monkeypatch):
+        from repro.experiments import fig10_cmax_sweep
+
+        def run_single(c_max, topology, **kwargs):
+            if c_max == 100:
+                raise RuntimeError("arm exploded")
+
+        monkeypatch.setattr(fig10_cmax_sweep, "run_single", run_single)
+        with pytest.raises(WorkerFailure, match=r"fig10:c_max=100") as info:
+            fig10_cmax_sweep.run(c_max_values=(50, 100), workers=1)
+        assert info.value.original_type == "RuntimeError"
 
 
 class TestHashSeedIndependence:
