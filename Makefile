@@ -17,11 +17,12 @@ test-output:
 # Inner loop for a change to tcp/ or net/ (< 20 s): behaviour pinned byte
 # for byte (packet-path golden), the lossless slow-start oracle, the
 # frames-per-packet ceiling, the link/fabric tests (the link-stream order
-# oracle among them), and the bytes-per-trunk-direction ceiling.
+# oracle among them), the bytes-per-trunk-direction ceiling and the
+# bytes-per-idle-pooled-connection ceiling.
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
-		tests/cdn/test_fabric_footprint.py
+		tests/cdn/test_fabric_footprint.py tests/tcp/test_connection_footprint.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,
 # cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the
@@ -37,11 +38,11 @@ background-plane:
 # Inner loop for a change to the forensic plane — obs/ stores and records,
 # analysis/export.py, the metrics/flows/report verbs (< 15 s): every
 # exporter held `==` against the whole-payload encoding, the bytes-live-
-# per-byte-written ceiling, the store tests, the three verbs' CLI cases,
-# and the chaos-report cell of the study golden.
+# per-byte-written ceiling, the store tests, the bytes-per-record ceiling,
+# the three verbs' CLI cases, and the chaos-report cell of the study golden.
 forensics:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/analysis/test_export.py \
-		tests/analysis/test_export_working_set.py tests/obs \
+		tests/analysis/test_export_working_set.py tests/obs/test_record_footprint.py tests/obs \
 		"tests/experiments/test_study_golden.py::test_chaos_reports_match_golden"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k "metrics or flows or report"
 

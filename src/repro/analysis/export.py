@@ -239,7 +239,7 @@ def trace_to_json(log: TraceLog) -> str:
             "time": event.time,
             "type": event.type.value,
             "source": event.source,
-            "details": dict(event.details),
+            "details": event.details,
         }
         for event in log.events()
     )
@@ -254,7 +254,7 @@ def trace_to_csv(log: TraceLog) -> str:
     """
     rows = []
     for event in log.events():
-        details = " ".join(f"{k}={v}" for k, v in event.details)
+        details = " ".join(f"{k}={v}" for k, v in event.details.items())
         rows.append((f"{event.time:.9g}", event.type.value, event.source, details))
     return rows_to_csv(("time", "type", "source", "details"), rows)
 

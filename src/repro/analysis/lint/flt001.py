@@ -9,18 +9,27 @@ one pass, even though both are "correct".  The tsdb/export contract
 both order and grouping — on every derivation path that feeds a
 byte-compared artifact.
 
-The rule is scoped to those derivation packages (``repro.obs``,
-``repro.analysis``) rather than exempting a blocklist, and decides
-floatness from evidence in the file itself — each class's attribute
-annotations and the values its own methods assign:
+The rule names the packages it covers rather than exempting a
+blocklist, and decides floatness from evidence in the file itself — each
+class's attribute annotations and the values its own methods assign:
 
 * ``sum(xs)`` fires when ``xs`` is float-evidenced — an attribute
   annotated ``list[float]``, an attribute assigned from float-producing
   expressions, or a comprehension whose element is a float expression.
-  ``sum(1 for ...)`` and integer counters never fire.
+  ``sum(1 for ...)`` and integer counters never fire.  This check also
+  covers the behaviour packages ``repro.sim``, ``repro.cdn`` and
+  ``repro.core``: since 3.12 the builtin ``sum`` of floats is
+  compensated (Neumaier), so the same bare ``sum`` returns a different
+  last ulp on 3.10 and on 3.12, and on a behaviour path that difference
+  moves the simulation itself.
 * ``acc += x`` fires for a running float accumulator: a local
   initialized to a float literal and incremented in a loop, or a
-  float-annotated ``self`` attribute incremented in a method.
+  float-annotated ``self`` attribute incremented in a method.  This check
+  stays with the derivation packages.  A left-to-right ``+=`` loop is
+  bit-stable on every interpreter, so in ``repro.sim`` and ``repro.core``
+  (eleven such loops in ``sim/fluid.py``, ``core/guard.py`` and
+  ``core/combiners.py``) it breaks nothing, and its ``math.fsum`` advice
+  would change the simulated values both goldens pin.
 
 Unknown types stay silent (optimistic) — mypy owns type errors; this
 rule owns the determinism contract.
@@ -41,27 +50,35 @@ _FLOAT_SEQ_MARKERS = ("list[float]", "tuple[float", "Sequence[float]", "set[floa
 class Flt001FloatIdentity(Rule):
     code = "FLT001"
     summary = (
-        "bare sum()/+= float accumulation on a derivation path; the "
-        "byte-identity contract requires math.fsum"
+        "bare float sum() (or += on a derivation path) is grouping- and "
+        "interpreter-sensitive in the last ulp; use math.fsum"
     )
-    #: Inclusion scope: only the derivation packages (and fixtures).
-    _included = ("repro.obs", "repro.analysis")
+    #: Packages the ``sum()`` check covers; a file outside ``repro`` (a
+    #: rule fixture) gets both checks.
+    _included = ("repro.obs", "repro.analysis", "repro.sim", "repro.cdn", "repro.core")
+    #: Inclusion scope of the ``+=`` check: the derivation packages.
+    _accumulation_included = ("repro.obs", "repro.analysis")
     exempt_modules = ("repro.analysis.lint",)
 
     def applies_to(self, module: str | None) -> bool:
         if module is None:
             return True
-        if not super().applies_to(module):
-            return False
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self._included
-        )
+        return super().applies_to(module) and _within(module, self._included)
 
     def visit_file(self, ctx: FileContext) -> list[Finding]:
-        visitor = _Visitor(ctx)
+        visitor = _Visitor(
+            ctx,
+            accumulation=ctx.module is None
+            or _within(ctx.module, self._accumulation_included),
+        )
         visitor.visit(ctx.tree)
         return visitor.findings
+
+
+def _within(module: str, packages: tuple[str, ...]) -> bool:
+    return any(
+        module == prefix or module.startswith(prefix + ".") for prefix in packages
+    )
 
 
 def _value_kind(node: ast.expr) -> str | None:
@@ -181,8 +198,10 @@ class _ClassFacts:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, ctx: FileContext) -> None:
+    def __init__(self, ctx: FileContext, accumulation: bool) -> None:
         self.ctx = ctx
+        #: Whether the ``+=`` check runs on this file.
+        self.accumulation = accumulation
         self.findings: list[Finding] = []
         #: Innermost class last; outside any class there is no evidence.
         self._class_stack: list[_ClassFacts] = [_ClassFacts([])]
@@ -250,7 +269,11 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, ast.Add) and self._is_float_accumulator(node):
+        if (
+            self.accumulation
+            and isinstance(node.op, ast.Add)
+            and self._is_float_accumulator(node)
+        ):
             self.findings.append(
                 self.ctx.finding(
                     "FLT001",

@@ -260,7 +260,7 @@ class ProbeFleet:
 
         def on_complete(result: TransferResult) -> None:
             if result.completed:
-                histogram.observe(result.total_time, t=result.completed_at)
+                histogram.observe(result.total_time)
                 if self._obs_on:
                     # SLO tap: fleet-wide completion latency, windowed by
                     # the probe_latency_p90 signal.

@@ -260,7 +260,7 @@ class TransferClient:
         srtt = conn.socket.srtt
         bucket = rtt_bucket(srtt) if srtt is not None else "unknown"
         self._metrics.histogram("transfer_completion_time", bucket=bucket).observe(
-            result.total_time, t=result.completed_at
+            result.total_time
         )
         if on_complete is not None:
             on_complete(result)

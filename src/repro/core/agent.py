@@ -346,7 +346,7 @@ class RiptideAgent:
         # plus route commands issued — the in-simulation analogue of the
         # paper's "external program monitoring all open connections" load.
         self._h_poll_cost.observe(
-            observed + (self.stats.routes_installed - routes_touched_before), t=now
+            observed + (self.stats.routes_installed - routes_touched_before)
         )
         if self._poll_span is not None:
             self._spans.end(

@@ -14,6 +14,17 @@ from repro.net.errors import AddressError
 
 _MAX_IPV4 = 0xFFFFFFFF
 
+#: The text of every address and prefix formatted so far, one string per
+#: value: flow records, trace and span details and route names all hold
+#: ``str()`` of an address, and a run formats the same few hundred host
+#: addresses and PoP prefixes over and over.  The text is a function of
+#: the value alone, so sharing the tables across runs changes no result;
+#: they grow with the distinct values formatted.  Keyed by integers, like
+#: the per-packet tables: a ``Prefix`` key would cost a Python-level
+#: ``__hash__`` frame per lookup.
+_ADDRESS_TEXT: dict[int, str] = {}
+_PREFIX_TEXT: dict[tuple[int, int], str] = {}
+
 
 def _parse_dotted_quad(text: str) -> int:
     parts = text.split(".")
@@ -69,7 +80,12 @@ class IPv4Address:
 
     def __str__(self) -> str:
         v = self.value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        text = _ADDRESS_TEXT.get(v)
+        if text is None:
+            text = _ADDRESS_TEXT[v] = (
+                f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+            )
+        return text
 
     def __repr__(self) -> str:
         return f"IPv4Address('{self}')"
@@ -153,7 +169,11 @@ class Prefix:
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self._network}/{self._length}"
+        key = (self._network.value, self._length)
+        text = _PREFIX_TEXT.get(key)
+        if text is None:
+            text = _PREFIX_TEXT[key] = f"{self._network}/{self._length}"
+        return text
 
     def __repr__(self) -> str:
         return f"Prefix.parse('{self}')"

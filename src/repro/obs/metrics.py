@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and sim-time-aware histograms.
+"""The metrics registry: counters, gauges and histograms.
 
 The paper's evaluation is driven entirely by live measurement (Section IV
 samples congestion windows every minute with ``ss``); an operator only
@@ -76,25 +76,18 @@ class Histogram:
     Observation is O(1) append; the sample list is sorted lazily on the
     first ordered read (percentile/min/max/values) after new samples
     arrive, so quantiles stay exact rather than bucket-approximated
-    without hot paths paying an O(n) insertion per sample.  Each
-    observation may carry the simulation time it was taken at;
-    :meth:`observed_between` slices the distribution by sim-time window,
-    which is what lets one histogram serve both whole-run and
-    warmup-excluded readouts.
+    without hot paths paying an O(n) insertion per sample.  A sample is
+    its value alone: one float and its list slot.
     """
 
     name: str
     labels: LabelSet = ()
     _samples: list[float] = field(default_factory=list)
-    _timed: list[tuple[float, float]] = field(default_factory=list)
     _dirty: bool = False
 
-    def observe(self, value: float, t: float | None = None) -> None:
-        value = float(value)
-        self._samples.append(value)
+    def observe(self, value: float) -> None:
+        self._samples.append(float(value))
         self._dirty = True
-        if t is not None:
-            self._timed.append((t, value))
 
     def _ordered(self) -> list[float]:
         """The samples, sorted in place (re-sorted only when dirty)."""
@@ -145,13 +138,6 @@ class Histogram:
         ordered = self._ordered()
         rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
         return ordered[rank]
-
-    def observed_between(self, start: float, end: float) -> list[float]:
-        """Values observed with sim-time ``t`` in ``[start, end)``.
-
-        Only samples recorded with an explicit ``t`` participate.
-        """
-        return [v for t, v in self._timed if start <= t < end]
 
     def values(self) -> list[float]:
         """All samples, sorted ascending."""
@@ -214,11 +200,10 @@ class MetricsRegistry:
         order reproduces exactly the registry a serial execution of those
         runs under one shared instrumentation would have built: counters
         add; gauges adopt the other registry's last-written value and the
-        combined high-water mark; histograms merge their sorted samples
-        and append timed samples in order.  (Histogram ``sum``/``mean``
-        are ``math.fsum`` over the samples — independent of both order
-        and worker grouping — so every derived statistic is exact, not
-        just counts, values and percentiles.)
+        combined high-water mark; histograms merge their samples.
+        (Histogram ``sum``/``mean`` are ``math.fsum`` over the samples —
+        independent of both order and worker grouping — so every derived
+        statistic is exact, not just counts, values and percentiles.)
         """
         for key, counter in other._counters.items():
             mine = self._counters.get(key)
@@ -243,7 +228,6 @@ class MetricsRegistry:
                 mine = self._histograms[key] = Histogram(histogram.name, key[1])
             mine._samples.extend(histogram._samples)
             mine._dirty = bool(mine._samples)
-            mine._timed.extend(histogram._timed)
 
     # -- readout ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ renumbers span ids *and* parent references.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.obs.bounded import BoundedLog
 
@@ -37,17 +37,16 @@ class Span:
     begin: float
     end: float | None = None
     parent_id: int | None = None
-    details: tuple[tuple[str, object], ...] = ()
+    #: The keyword dict of the :meth:`SpanLog.begin` call, updated by
+    #: :meth:`SpanLog.end`; immutable by convention otherwise.
+    details: dict[str, object] = field(default_factory=dict)
 
     @property
     def duration(self) -> float | None:
         return None if self.end is None else self.end - self.begin
 
     def detail(self, key: str, default: object = None) -> object:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
+        return self.details.get(key, default)
 
 
 class SpanLog(BoundedLog[Span]):
@@ -76,13 +75,17 @@ class SpanLog(BoundedLog[Span]):
             source=source,
             begin=time,
             parent_id=parent.span_id if parent is not None else None,
-            details=tuple(details.items()),
+            details=details,
         )
         self._keep(span)
         return span
 
     def end(self, span: Span | None, time: float, **details: object) -> None:
-        """Close a span, appending any closing details.
+        """Close a span, adding any closing details.
+
+        A key given to both ``begin`` and ``end`` keeps one value, the
+        closing one, at the position the opening call gave it: that is
+        what :meth:`Span.detail` returns and what the exporters show.
 
         Accepts None (a span that was dropped at begin) so call sites
         never need to guard.
@@ -91,7 +94,7 @@ class SpanLog(BoundedLog[Span]):
             return
         span.end = time
         if details:
-            span.details = span.details + tuple(details.items())
+            span.details.update(details)
 
     def _renumber(self, item: Span, offset: int) -> None:
         item.span_id += offset

@@ -45,21 +45,23 @@ class EventType(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One recorded event."""
+    """One recorded event.
+
+    ``details`` is the keyword dict the :meth:`TraceLog.record` call
+    built, kept as it is: immutable by convention, nothing may write to
+    it after the call returns.
+    """
 
     time: float
     type: EventType
     source: str
-    details: tuple[tuple[str, object], ...] = ()
+    details: dict[str, object] = field(default_factory=dict)
 
     def detail(self, key: str, default: object = None) -> object:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
+        return self.details.get(key, default)
 
     def format(self) -> str:
-        detail_text = " ".join(f"{k}={v}" for k, v in self.details)
+        detail_text = " ".join(f"{k}={v}" for k, v in self.details.items())
         return f"[{self.time:.6f}] {self.type.value} {self.source} {detail_text}".rstrip()
 
 
@@ -80,9 +82,7 @@ class TraceLog:
         self, time: float, type: EventType, source: str, **details: object
     ) -> TraceEvent:
         """Append one event (oldest events fall off past ``capacity``)."""
-        event = TraceEvent(
-            time=time, type=type, source=source, details=tuple(details.items())
-        )
+        event = TraceEvent(time=time, type=type, source=source, details=details)
         self._events.append(event)
         self._totals[type] += 1
         return event

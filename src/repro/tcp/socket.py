@@ -109,6 +109,15 @@ class _SentSegment:
     rexmit_in_recovery: bool = False
 
 
+#: What every socket's retransmission-queue slot holds while nothing is in
+#: flight: the first send puts a deque of the socket's own in its place,
+#: and the ACK that empties that deque (or teardown) puts this one back.
+#: Empty to every reader, and nothing is ever appended to it.  An idle
+#: pooled connection, the common state of a back-office connection, then
+#: holds no 760-byte empty deque on either side.
+_NO_RTX: deque[_SentSegment] = deque(maxlen=0)
+
+
 class TcpSocket:
     """One endpoint of a TCP connection."""
 
@@ -175,7 +184,7 @@ class TcpSocket:
         self._snd_nxt = 0
         self._snd_buf_end = 1  # data begins after the SYN's sequence slot
         self._pending_marks: list[MessageMark] = []
-        self._rtx_queue: deque[_SentSegment] = deque()
+        self._rtx_queue = _NO_RTX
         #: Sequence space of the queued entries marked ``sacked`` — the
         #: part of the flight that no longer occupies the pipe.
         self._sacked_bytes = 0
@@ -463,8 +472,12 @@ class TcpSocket:
                 initial_cwnd=self.cc.initial_cwnd,
                 is_client=self.is_client,
             )
-        if self.on_established is not None:
-            self.on_established(self)
+        # One-shot: dropped once it fires, so a pooled connection does
+        # not keep its first exchange (the callback's closure) alive.
+        callback = self.on_established
+        if callback is not None:
+            self.on_established = None
+            callback(self)
 
     # ------------------------------------------------------------------
     # ACK processing (sender side)
@@ -482,6 +495,8 @@ class TcpSocket:
                 rtt_sample = now - entry.last_sent_at
             if entry.sacked:
                 self._sacked_bytes -= entry.end_seq - entry.seq
+        if not rtx_queue:
+            self._rtx_queue = _NO_RTX  # everything acked: give the deque back
         self._snd_una = ack
         self._consecutive_rtos = 0
         if rtt_sample is not None:
@@ -503,7 +518,9 @@ class TcpSocket:
 
         if self._fin_sent:
             self._manage_fin_acknowledgement(ack)
-        if rtx_queue:
+        # Re-read: a callback above may have sent (a queue of its own) or
+        # torn the socket down (the shared empty one).
+        if self._rtx_queue:
             # Restart the timer.  A sample has already cleared any backoff
             # (``add_sample``); otherwise it is cleared here, after the
             # recovery step above has armed with the backed-off value.
@@ -836,7 +853,10 @@ class TcpSocket:
             marks = tuple(mark for mark in pending if seq < mark.end_seq <= end)
             self._pending_marks = [mark for mark in pending if mark.end_seq > end]
         self._snd_nxt = end
-        self._rtx_queue.append(_SentSegment(seq, end, size, False, False, marks, now))
+        rtx_queue = self._rtx_queue
+        if rtx_queue is _NO_RTX:
+            rtx_queue = self._rtx_queue = deque()
+        rtx_queue.append(_SentSegment(seq, end, size, False, False, marks, now))
         # Positional and without the ``_emit`` hop, like ``_send_pure_ack``.
         segment = Segment(
             self.local_port, self.remote_port, seq, self._rcv_nxt,
@@ -866,6 +886,8 @@ class TcpSocket:
             self.state = TcpState.FIN_WAIT_1
         elif self.state is TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
+        if self._rtx_queue is _NO_RTX:
+            self._rtx_queue = deque()
         self._rtx_queue.append(
             _SentSegment(seq, seq + 1, 0, False, True, (), self._sim.now)
         )
@@ -884,6 +906,8 @@ class TcpSocket:
         )
         if syn:
             self._snd_nxt = seq + 1
+            if self._rtx_queue is _NO_RTX:
+                self._rtx_queue = deque()
             self._rtx_queue.append(
                 _SentSegment(seq, seq + 1, 0, True, False, (), self._sim.now)
             )
@@ -1015,7 +1039,7 @@ class TcpSocket:
 
     def _teardown(self, notify: bool) -> None:
         if self.established_at is not None:
-            self._h_cwnd_at_close.observe(self.cc.cwnd_segments, t=self._sim.now)
+            self._h_cwnd_at_close.observe(self.cc.cwnd_segments)
         if self._flow is not None:
             self._flow.final_state = self.state.value
             self._flow.closed_at = self._sim.now
@@ -1025,7 +1049,7 @@ class TcpSocket:
         self.state = TcpState.CLOSED
         self._cancel_rto()
         self._cancel_delack()
-        self._rtx_queue.clear()
+        self._rtx_queue = _NO_RTX
         self._sacked_bytes = 0
         self._ooo.clear()
         self._host.socket_closed(self)

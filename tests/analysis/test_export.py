@@ -277,7 +277,7 @@ def reference_trace_to_json(log):
                 "time": event.time,
                 "type": event.type.value,
                 "source": event.source,
-                "details": {k: v for k, v in event.details},
+                "details": {k: v for k, v in event.details.items()},
             }
             for event in log.events()
         ],
@@ -321,7 +321,7 @@ def reference_chrome_trace(spans):
         args = {"span_id": span.span_id}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        args.update({key: value for key, value in span.details})
+        args.update({key: value for key, value in span.details.items()})
         event = {
             "name": span.name,
             "cat": span.category,

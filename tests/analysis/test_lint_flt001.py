@@ -15,8 +15,10 @@ from repro.analysis.lint import run_lint
 from repro.analysis.lint.flt001 import Flt001FloatIdentity
 
 
-def lint(tmp_path, source):
-    (tmp_path / "derive.py").write_text(textwrap.dedent(source))
+def lint(tmp_path, source, module="derive.py"):
+    path = tmp_path / module
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source))
     return run_lint([str(tmp_path)], select=["FLT001"])
 
 
@@ -142,10 +144,40 @@ def test_dense_id_increment_is_silent(tmp_path):
 
 
 def test_flt001_scope_is_derivation_paths():
+    """Derivation packages get both checks; sim/cdn/core the sum() one."""
     rule = Flt001FloatIdentity()
     assert rule.applies_to(None)
     assert rule.applies_to("repro.obs.metrics")
     assert rule.applies_to("repro.analysis.cdf")
     assert not rule.applies_to("repro.analysis.lint.engine")
     assert not rule.applies_to("repro.policy.zoo")
-    assert not rule.applies_to("repro.core.agent")
+    for module in ("repro.sim.fluid", "repro.cdn.probes", "repro.core.agent"):
+        assert rule.applies_to(module)
+
+
+BEHAVIOUR_SOURCE = """
+def mean_rtt(samples):
+    rtts = [float(sample) for sample in samples]
+    return sum(rtts) / len(rtts)
+
+
+def total_rtt(samples):
+    acc = 0.0
+    for sample in samples:
+        acc += float(sample)
+    return acc
+"""
+
+
+def test_behaviour_package_sum_fires_and_running_sum_is_silent(tmp_path):
+    """3.12's compensated sum() moves a behaviour path's last ulp; a
+    left-to-right += loop is bit-stable on every interpreter."""
+    result = lint(tmp_path, BEHAVIOUR_SOURCE, module="repro/cdn/rtts.py")
+    (finding,) = result.findings
+    assert "math.fsum" in finding.message
+    assert finding.line == 4
+
+
+def test_a_running_sum_fires_in_a_derivation_package(tmp_path):
+    result = lint(tmp_path, BEHAVIOUR_SOURCE, module="repro/obs/rtts.py")
+    assert [f.line for f in result.findings] == [4, 10]

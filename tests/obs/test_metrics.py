@@ -83,15 +83,6 @@ class TestHistogram:
         assert histogram.percentile(100.0) == 5.0
         assert histogram.values() == [0.5, 1.0, 3.0, 4.0, 5.0]
 
-    def test_observed_between_slices_by_sim_time(self):
-        histogram = Histogram("h")
-        histogram.observe(1.0, t=0.0)
-        histogram.observe(2.0, t=5.0)
-        histogram.observe(3.0, t=10.0)
-        histogram.observe(99.0)  # untimed: never in a window
-        assert histogram.observed_between(0.0, 10.0) == [1.0, 2.0]
-        assert histogram.observed_between(5.0, 11.0) == [2.0, 3.0]
-
     def test_registry_merge_keeps_ordered_reads_correct(self):
         from repro.obs import MetricsRegistry
 

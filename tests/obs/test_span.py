@@ -18,6 +18,18 @@ class TestBeginEnd:
         assert span.detail("completed") is True
         assert span.detail("absent", default="d") == "d"
 
+    def test_a_key_given_at_begin_and_end_keeps_the_closing_value(self):
+        log = SpanLog()
+        span = log.begin(0.0, "probe", "probe", "cli", state="open", size=10)
+        log.end(span, 1.0, done=True, state="closed")
+        assert span.detail("state") == "closed"
+        assert list(span.details.items()) == [
+            ("state", "closed"), ("size", 10), ("done", True)
+        ]
+        (event,) = log.iter_chrome_trace()
+        assert event["args"]["state"] == span.detail("state")
+        assert list(event["args"]) == ["span_id", "state", "size", "done"]
+
     def test_parent_causality(self):
         log = SpanLog()
         tick = log.begin(0.0, "agent poll", "agent", "srv")
