@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output hot-path background-plane forensics lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output hot-path background-plane forensics cold-start lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -45,6 +45,15 @@ forensics:
 		tests/analysis/test_export_working_set.py tests/obs/test_record_footprint.py tests/obs \
 		"tests/experiments/test_study_golden.py::test_chaos_reports_match_golden"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k "metrics or flows or report"
+
+# What a process pays before it simulates anything (< 5 s): the import
+# hygiene tests (stdlib only, every module reached, a serial run loads
+# neither the fork pool nor the experiment registry), then the 15 largest
+# cumulative rows of `python -X importtime -c "import repro.cli"` in us.
+cold-start:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k TestImportHygiene
+	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
+		| sort -t'|' -k2 -n -r | head -15
 
 # Generic style (ruff) plus the codebase-specific determinism /
 # observability rules (`repro lint`, see docs/ARCHITECTURE.md).

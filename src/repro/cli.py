@@ -46,8 +46,7 @@ import sys
 import time
 from collections.abc import Callable
 
-from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
-from repro.experiments.registry import Experiment
+from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
 from repro.obs import Instrumentation, capture
 
 

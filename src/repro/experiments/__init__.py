@@ -3,9 +3,6 @@
 Every module exposes ``run(...)`` returning a result object with a
 ``report()`` method that prints the same rows/series the paper reports.
 ``repro.experiments.registry`` maps experiment ids (``fig02`` ... ``fig16``,
-``table2``, ``edge_cases``) to their runners.
+``table2``, ``edge_cases``) to their runners; importing it loads every
+harness, so the package itself imports nothing.
 """
-
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
-
-__all__ = ["EXPERIMENTS", "get_experiment", "list_experiments"]

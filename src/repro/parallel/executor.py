@@ -13,20 +13,20 @@ Scheduling is static round-robin (worker ``w`` runs tasks ``w``,
 ``w + W``, ...): with deterministic per-task cost it keeps the load
 balanced, and it lets the parent attribute every task to a worker so a
 worker that dies without reporting is converted into per-task failures
-instead of blocking the collection loop forever.
+instead of blocking the collection loop forever.  The fork machinery
+is imported by the first forked run; a serial run never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import queue as queue_mod
-import traceback
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.instrument import Instrumentation, active_instrumentation, capture
+
+if TYPE_CHECKING:
+    import multiprocessing.queues
 
 #: Seconds between liveness checks while waiting for worker results.
 _POLL_INTERVAL = 0.2
@@ -60,6 +60,8 @@ class WorkerFailure(RuntimeError):
 
 def fork_available() -> bool:
     """Whether this platform supports the ``fork`` start method."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -132,47 +134,41 @@ def _run_serial(tasks: list[Callable[[], Any]], labels: list[str]) -> list[Any]:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(
-    worker_id: int,
-    stride: int,
-    tasks: list[Callable[[], Any]],
-    results: multiprocessing.queues.Queue,
-) -> None:
-    for index in range(worker_id, len(tasks), stride):
-        try:
-            with capture() as instrumentation:
-                result = tasks[index]()
-            payload = pickle.dumps(("ok", result, instrumentation))
-        except BaseException as error:  # report, keep serving later tasks
-            payload = pickle.dumps(
-                ("err", type(error).__name__, str(error), traceback.format_exc())
-            )
-        results.put((index, payload))
-
-
 def _run_forked(
     tasks: list[Callable[[], Any]],
     labels: list[str],
     workers: int,
     merge_into: Instrumentation | None,
 ) -> list[Any]:
+    import multiprocessing
+    import pickle
+    import traceback
+
     context = multiprocessing.get_context("fork")
     result_queue = context.Queue()
+    assignment = {w: list(range(w, len(tasks), workers)) for w in range(workers)}
+
+    def worker_main(worker_id: int) -> None:
+        for index in assignment[worker_id]:
+            try:
+                with capture() as instrumentation:
+                    result = tasks[index]()
+                payload = pickle.dumps(("ok", result, instrumentation))
+            except BaseException as error:  # report, keep serving later tasks
+                payload = pickle.dumps(
+                    ("err", type(error).__name__, str(error), traceback.format_exc())
+                )
+            result_queue.put((index, payload))
+
     processes = {}
-    assignment = {}
     for worker_id in range(workers):
-        assignment[worker_id] = list(range(worker_id, len(tasks), workers))
-        process = context.Process(
-            target=_worker_main,
-            args=(worker_id, workers, tasks, result_queue),
-            daemon=True,
-        )
+        process = context.Process(target=worker_main, args=(worker_id,), daemon=True)
         process.start()
         processes[worker_id] = process
 
     outcomes: dict[int, tuple[Any, ...]] = {}
     try:
-        _collect(len(tasks), result_queue, processes, assignment, labels, outcomes)
+        _collect(len(tasks), result_queue, processes, assignment, outcomes)
     finally:
         for process in processes.values():
             process.join(timeout=5.0)
@@ -189,25 +185,23 @@ def _collect(
     result_queue: multiprocessing.queues.Queue,
     processes: dict[int, multiprocessing.Process],
     assignment: dict[int, list[int]],
-    labels: list[str],
     outcomes: dict[int, tuple[Any, ...]],
 ) -> None:
     """Drain worker results, converting dead workers into failures."""
-
-    def absorb(index: int, payload: bytes) -> None:
-        outcomes[index] = pickle.loads(payload)
+    import pickle
+    import queue
 
     while len(outcomes) < count:
         try:
             index, payload = result_queue.get(timeout=_POLL_INTERVAL)
-        except queue_mod.Empty:
+        except queue.Empty:
             dead = [w for w, p in processes.items() if not p.is_alive()]
             # A worker may die after flushing results: drain before blaming.
             try:
                 while True:
                     index, payload = result_queue.get_nowait()
-                    absorb(index, payload)
-            except queue_mod.Empty:
+                    outcomes[index] = pickle.loads(payload)
+            except queue.Empty:
                 pass
             for worker_id in dead:
                 process = processes[worker_id]
@@ -221,7 +215,7 @@ def _collect(
                             None,
                         )
             continue
-        absorb(index, payload)
+        outcomes[index] = pickle.loads(payload)
 
 
 def _resolve(

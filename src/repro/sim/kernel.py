@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from heapq import heappop, heappush
+from math import isnan
 from typing import Any
 
 from repro.obs.instrument import Instrumentation, instrumentation_for_new_simulator
@@ -101,10 +102,10 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns an :class:`Event` handle whose ``cancel()`` prevents the
-        callback from firing.  ``delay`` must be non-negative.
+        callback from firing.  ``delay`` must be non-negative (not NaN).
         """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay:.6f}s in the past")
+        if not delay >= 0:  # also false for NaN, which `delay < 0` lets through
+            raise SchedulingError(f"cannot schedule after a delay of {delay}s")
         seq = self._seq
         self._seq = seq + 1
         time = self._now + delay
@@ -125,9 +126,9 @@ class Simulator:
         *args: Any,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
-                f"cannot schedule at t={time:.6f} before now={self._now:.6f}"
+                f"cannot schedule at t={time} before now={self._now:.6f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -156,8 +157,8 @@ class Simulator:
         serialization and propagation timers fire twice per packet and
         never need a handle.
         """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay:.6f}s in the past")
+        if not delay >= 0:
+            raise SchedulingError(f"cannot schedule after a delay of {delay}s")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._qheap, (self._now + delay, seq, None, callback, args))
@@ -192,6 +193,10 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("run() called re-entrantly from an event handler")
+        if until is not None and isnan(until):
+            raise SchedulingError("cannot run until t=nan")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         executed = 0
         # Hot loop: it works directly on the queue's entry heap — one

@@ -29,7 +29,7 @@ class PeriodicProcess:
         callback: Callable[[], None],
         name: str = "periodic",
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
         self._sim = sim
         self._interval = float(interval)

@@ -168,7 +168,7 @@ class TestScaleScenario:
         assert result.flows_min == pytest.approx(34 * 33 * 25.0, rel=1e-6)
 
     def test_registered_in_the_experiment_registry(self):
-        from repro.experiments import get_experiment
+        from repro.experiments.registry import get_experiment
 
         experiment = get_experiment("hybrid")
         assert experiment.simulation_backed

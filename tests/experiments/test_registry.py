@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 
 
 class TestRegistry:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.tournament import (
     TOURNAMENT_SCENARIOS,
     TournamentConfig,

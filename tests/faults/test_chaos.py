@@ -1,5 +1,7 @@
 """End-to-end chaos scenarios: Riptide must hold up under faults."""
 
+import pytest
+
 from repro.experiments.chaos import (
     ChaosStudyConfig,
     check_expected_alert,
@@ -91,9 +93,15 @@ class TestExpectedAlertContract:
         assert not ok
 
 
+@pytest.fixture(scope="module")
+def fast_study():
+    """One ``run_chaos_study(FAST)``, shared by the tests that only read it."""
+    return run_chaos_study(FAST)
+
+
 class TestChaosEndToEnd:
-    def test_lossy_agent_scenario_riptide_holds_up(self):
-        result = run_chaos_study(FAST)
+    def test_lossy_agent_scenario_riptide_holds_up(self, fast_study):
+        result = fast_study
         # Both arms saw the same fault schedule.
         assert result.control.faults_injected == result.riptide.faults_injected
         assert result.riptide.faults_injected >= 1
@@ -120,8 +128,8 @@ class TestChaosEndToEnd:
         assert "SLO alerts (riptide arm)" in report
         assert "expected [riptide]" in report
 
-    def test_same_seed_is_bit_identical(self):
-        first = run_chaos_study(FAST)
+    def test_same_seed_is_bit_identical(self, fast_study):
+        first = fast_study
         second = run_chaos_study(FAST)
         assert first.riptide.guard_trips == second.riptide.guard_trips
         assert (

@@ -43,6 +43,17 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_fire", "schedule_at"])
+    def test_nan_time_rejected(self, sim, method):
+        """NaN passes a `< 0` check; let in, it fires first and sets now=nan."""
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SchedulingError):
+            getattr(sim, method)(float("nan"), fired.append, "nan")
+        sim.run_until_idle()
+        assert fired == ["a"]
+        assert sim.now == 1.0
+
     def test_handlers_can_schedule_more_events(self, sim):
         fired = []
 
@@ -85,6 +96,22 @@ class TestRunControl:
         sim.run(max_events=4)
         assert sim.events_processed == 4
         assert sim.pending_events == 6
+
+    def test_run_until_nan_rejected(self, sim):
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
+
+    def test_negative_max_events_rejected(self, sim):
+        """-1 is the run loop's "unbounded" sentinel, so it must not get in."""
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run(max_events=-1)
+        assert sim.events_processed == 0
+        sim.run(max_events=0)
+        assert sim.events_processed == 0
 
     def test_reentrant_run_rejected(self, sim):
         def nested() -> None:

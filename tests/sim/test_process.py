@@ -74,3 +74,5 @@ class TestPeriodicProcess:
             PeriodicProcess(sim, 0.0, lambda: None)
         with pytest.raises(SchedulingError):
             PeriodicProcess(sim, -1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            PeriodicProcess(sim, float("nan"), lambda: None)
