@@ -47,9 +47,10 @@ forensics:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k "metrics or flows or report"
 
 # What a process pays before it simulates anything (< 5 s): the import
-# hygiene tests (stdlib only, every module reached, a serial run loads
-# neither the fork pool nor the experiment registry), then the 15 largest
-# cumulative rows of `python -X importtime -c "import repro.cli"` in us.
+# hygiene tests (stdlib only, every module reached, every config field set
+# by a shipped entry point, a serial run loads neither the fork pool nor
+# the experiment registry), then the 15 largest cumulative rows of
+# `python -X importtime -c "import repro.cli"` in us.
 cold-start:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k TestImportHygiene
 	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \

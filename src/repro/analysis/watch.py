@@ -53,7 +53,7 @@ def build_watch_frames(
     probe fleet over the window, and the alert episodes pending/firing
     as of the window's end.
     """
-    if interval <= 0.0:
+    if not interval > 0.0:
         raise ValueError(f"watch interval must be > 0, got {interval}")
     trace = instrumentation.trace
     tsdb = instrumentation.tsdb

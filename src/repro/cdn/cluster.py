@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, replace
 
 from repro.cdn.filesizes import FileSizeDistribution
 from repro.cdn.fluidtraffic import FluidTraffic
-from repro.cdn.monitors import CwndSampler, SloEvaluator, TimelineSampler
+from repro.cdn.monitors import (
+    TIMELINE_SAMPLE_INTERVAL,
+    CwndSampler,
+    SloEvaluator,
+    TimelineSampler,
+)
 from repro.cdn.pop import PoP
 from repro.cdn.probes import ProbeFleet
 from repro.cdn.topology import Topology
@@ -324,13 +329,9 @@ class CdnCluster:
         )
 
     def start_timeline_sampler(
-        self, interval: float | None = None
+        self, interval: float = TIMELINE_SAMPLE_INTERVAL
     ) -> "TimelineSampler | None":
-        """Start the Figure 7/8 timeline sampler (no-op when obs is off).
-
-        The cadence defaults to ``riptide.timeline_sample_interval`` so
-        experiments align sampling and SLO windows from one config knob.
-        """
+        """Start the Figure 7/8 timeline sampler (no-op when obs is off)."""
         if not self.sim.obs.enabled:
             return None
         sampler = TimelineSampler(self, interval=interval)
@@ -341,7 +342,7 @@ class CdnCluster:
         self,
         specs: "tuple[SloSpec, ...] | None" = None,
         rules: "tuple[BurnRateRule, ...] | None" = None,
-        interval: float | None = None,
+        interval: float = TIMELINE_SAMPLE_INTERVAL,
     ) -> "SloEvaluator | None":
         """Start the burn-rate SLO engine (no-op when obs is off).
 

@@ -35,7 +35,7 @@ from repro.linux.host import Host
 from repro.net.addresses import IPv4Address
 from repro.net.link import Link
 from repro.net.network import Network
-from repro.sim.fluid import FluidConfig, FluidPopulation
+from repro.sim.fluid import MAX_WINDOW, FluidConfig, FluidPopulation
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.tcp.socket import SocketStats, TcpState
@@ -50,6 +50,13 @@ _FLUID_PORT_BASE = 50000
 
 #: Hard cap on the congestion loss term (beyond this AIMD is dead anyway).
 _MAX_LOSS_RATE = 0.5
+
+#: EWMA weight of the newest per-link loss estimate (stability of the
+#: congestion feedback loop; 1.0 = no smoothing).
+_LOSS_SMOOTHING = 0.5
+
+#: Synthetic ``ss`` snapshots generated per population per poll.
+SS_SAMPLES = 8
 
 
 class _HostFluidSource:
@@ -163,7 +170,6 @@ class FluidTraffic:
             rtt=rtt,
             target_flows=target_flows,
             entry_window=entry_window,
-            max_window=self.config.max_window,
             bin_width=self.config.bin_width,
             growth_segments_per_sec=growth_segments_per_sec,
             send_segments_per_flow_per_sec=send_segments_per_flow_per_sec,
@@ -175,9 +181,7 @@ class FluidTraffic:
         self._populations.append(population)
         self._pop_host.append(host)
         self._pop_remote.append(remote)
-        self._pop_port_base.append(
-            _FLUID_PORT_BASE + index * self.config.ss_samples
-        )
+        self._pop_port_base.append(_FLUID_PORT_BASE + index * SS_SAMPLES)
         link_state: _LinkState | None = None
         if link is not None:
             link_state = self._link_index.get(link.name)
@@ -250,7 +254,6 @@ class FluidTraffic:
 
     def _step(self) -> None:
         dt = self.config.cadence
-        smoothing = self.config.loss_smoothing
         # Pass 1: refresh each link's loss estimate from what the *last*
         # interval actually carried (packet bytes observed on the link
         # plus the fluid load it was charged with), then re-apply the
@@ -277,7 +280,7 @@ class FluidTraffic:
             if raw > _MAX_LOSS_RATE:
                 raw = _MAX_LOSS_RATE
             state.smoothed_loss = (
-                state.smoothed_loss + smoothing * (raw - state.smoothed_loss)
+                state.smoothed_loss + _LOSS_SMOOTHING * (raw - state.smoothed_loss)
             )
             link.set_fluid_load(fluid_bps)
         # Pass 2: advance every cohort against its link's loss rate,
@@ -305,10 +308,10 @@ class FluidTraffic:
         """Synthesized ``ss`` snapshots for every cohort on ``host``.
 
         Each population contributes snapshots at evenly spaced quantiles
-        of its cwnd distribution — ``min(config.ss_samples,
-        round(flows))`` of them, so a two-flow cohort weighs like two
-        sockets in the learner's average (matching the packet arm) while
-        a million-flow cohort still costs only ``ss_samples`` rows.
+        of its cwnd distribution — ``min(SS_SAMPLES, round(flows))`` of
+        them, so a two-flow cohort weighs like two sockets in the
+        learner's average (matching the packet arm) while a million-flow
+        cohort still costs only ``SS_SAMPLES`` rows.
         Cumulative sent/retransmitted counters split evenly across the
         samples so the safety guard's per-poll deltas reflect the
         cohort's true loss rate.  Deterministic: same state, same
@@ -318,8 +321,8 @@ class FluidTraffic:
         if not indices:
             return []
         now = self._sim.now
-        max_samples = self.config.ss_samples
-        ssthresh = float(self.config.max_window)
+        max_samples = SS_SAMPLES
+        ssthresh = float(MAX_WINDOW)
         established = TcpState.ESTABLISHED
         snapshots: list[SocketStats] = []
         for index in indices:

@@ -32,6 +32,10 @@ from repro.sim.process import PeriodicProcess
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cdn.cluster import CdnCluster
 
+#: Simulated seconds between :class:`TimelineSampler` snapshots, and the
+#: default :class:`SloEvaluator` cadence, so SLO windows and sampling align.
+TIMELINE_SAMPLE_INTERVAL = 2.0
+
 
 @dataclass(frozen=True)
 class CwndSample:
@@ -81,10 +85,7 @@ class CwndSampler:
     def _sample(self) -> None:
         now = self._sim.now
         for host in self._hosts:
-            infos = host.ss.tcp_info(
-                established_only=True,
-                created_after=self._created_after,
-            )
+            infos = host.ss.tcp_info(created_after=self._created_after)
             for info in infos:
                 if self._data_bearing_only and info.bytes_acked == 0:
                     continue
@@ -112,9 +113,9 @@ class TimelineSampler:
     seeded random streams — the per-run results stay identical.
     """
 
-    def __init__(self, cluster: "CdnCluster", interval: float | None = None) -> None:
-        if interval is None:
-            interval = cluster.config.riptide.timeline_sample_interval
+    def __init__(
+        self, cluster: "CdnCluster", interval: float = TIMELINE_SAMPLE_INTERVAL
+    ) -> None:
         self._cluster = cluster
         self._sim = cluster.sim
         self._timeline = cluster.sim.obs.timeline
@@ -189,10 +190,8 @@ class SloEvaluator:
         self,
         cluster: "CdnCluster",
         engine: SloEngine,
-        interval: float | None = None,
+        interval: float = TIMELINE_SAMPLE_INTERVAL,
     ) -> None:
-        if interval is None:
-            interval = cluster.config.riptide.timeline_sample_interval
         self._sim = cluster.sim
         self.engine = engine
         self._process = PeriodicProcess(

@@ -41,6 +41,7 @@ run.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -48,6 +49,36 @@ from collections.abc import Callable
 
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
 from repro.obs import Instrumentation, capture
+
+
+def _checked(
+    convert: Callable[[str], float], accept: Callable[[float], bool], what: str
+) -> Callable[[str], float]:
+    """An argparse ``type=``: ``convert`` the text and insist on ``accept``.
+
+    A value it refuses makes argparse exit 2 before the verb does any work.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value > 0, "a positive integer")
+_POSITIVE = _checked(
+    float, lambda value: math.isfinite(value) and value > 0, "a finite number > 0"
+)
+_NON_NEGATIVE = _checked(
+    float, lambda value: math.isfinite(value) and value >= 0, "a finite number >= 0"
+)
+_FINITE = _checked(float, math.isfinite, "a finite number")
 
 
 def _add_scale_flags(
@@ -62,7 +93,7 @@ def _add_scale_flags(
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_POSITIVE_INT,
         default=1,
         metavar="N",
         help=f"fan independent simulation arms across N worker processes ({identical})",
@@ -118,15 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/)",
     )
     lint_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as JSON (alias for --format json)",
-    )
-    lint_parser.add_argument(
         "--format",
-        dest="lint_format",
         choices=("text", "json", "github"),
-        default=None,
+        default="text",
         help="output format: text (default), json, or github workflow "
         "annotations",
     )
@@ -167,19 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="scenario columns (default: the full matrix)",
     )
-    tournament_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the matrix cells across N worker processes "
-        "(the leaderboard is byte-identical to serial)",
-    )
-    tournament_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced clock per cell (shorter warmup and probing)",
-    )
+    _add_scale_flags(tournament_parser, "the leaderboard is byte-identical to serial")
     tournament_parser.add_argument(
         "--out",
         metavar="PATH",
@@ -200,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults_parser.set_defaults(handler=_cmd_faults)
     faults_parser.add_argument(
         "--duration",
-        type=float,
+        type=_POSITIVE,
         default=90.0,
         metavar="SECONDS",
         help="probing duration the printed timelines are scaled to "
@@ -265,14 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     flows_parser.add_argument(
         "--since",
-        type=float,
+        type=_FINITE,
         default=None,
         metavar="T",
         help="only flows alive at or after sim-time T seconds",
     )
     flows_parser.add_argument(
         "--until",
-        type=float,
+        type=_FINITE,
         default=None,
         metavar="T",
         help="only flows opened at or before sim-time T seconds",
@@ -310,14 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--since",
-        type=float,
+        type=_FINITE,
         default=None,
         metavar="T",
         help="attribute only probes overlapping sim-time >= T seconds",
     )
     report_parser.add_argument(
         "--until",
-        type=float,
+        type=_FINITE,
         default=None,
         metavar="T",
         help="attribute only probes overlapping sim-time <= T seconds",
@@ -365,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scale_flags(watch_parser, "the frames are byte-identical to serial")
     watch_parser.add_argument(
         "--interval",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="frame width in sim seconds (default: the SLO window, 5)",
@@ -377,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch_parser.add_argument(
         "--speed",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.0,
         metavar="R",
         help="replay pacing: sleep interval/R wall seconds between frames "
@@ -569,7 +582,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return None
         return [code.strip().upper() for code in value.split(",") if code.strip()]
 
-    output_format = args.lint_format or ("json" if args.json else "text")
     try:
         result = run_lint(
             paths,
@@ -579,9 +591,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if output_format == "json":
+    if args.format == "json":
         print(result.to_json())
-    elif output_format == "github":
+    elif args.format == "github":
         print(result.render_github())
     else:
         print(result.render_text())
@@ -592,9 +604,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     """List the chaos scenarios with their fault timelines."""
     from repro.faults import CHAOS_SCENARIOS
 
-    if args.duration <= 0.0:
-        print(f"error: --duration must be > 0, got {args.duration:g}", file=sys.stderr)
-        return 2
     for scenario in CHAOS_SCENARIOS.values():
         print(scenario.name)
         print(
@@ -857,12 +866,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs.slo import DEFAULT_SLO_WINDOW
 
     width = args.interval if args.interval is not None else DEFAULT_SLO_WINDOW
-    if width <= 0.0:
-        print(f"error: --interval must be > 0, got {width:g}", file=sys.stderr)
-        return 2
-    if args.speed < 0.0:
-        print(f"error: --speed must be >= 0, got {args.speed:g}", file=sys.stderr)
-        return 2
     exp, instrumentation, elapsed = _run_captured(
         args.experiment_id, args.fast, args.workers, what="watch"
     )

@@ -37,7 +37,6 @@ from repro.core.history import (
 )
 from repro.core.kernel_mode import KernelModeAgent
 from repro.core.observed import LearnedEntry, LearnedTable
-from repro.core.trend import TrendDetector
 
 __all__ = [
     "Advisory",
@@ -60,7 +59,6 @@ __all__ = [
     "RiptideConfig",
     "SafetyGuard",
     "TrafficWeightedCombiner",
-    "TrendDetector",
     "WindowedHistory",
     "make_combiner",
     "make_history_policy",

@@ -20,9 +20,8 @@ their route, restoring the kernel default of 10.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from collections.abc import Callable, MutableSequence
+from dataclasses import dataclass
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.core.advisory import Advisory, AdvisoryController
@@ -42,6 +41,12 @@ from repro.sim.process import PeriodicProcess
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.audit import Auditor
 
+#: Resilience: retries of a failed tool command (``ip route``) before the
+#: ladder gives up; the next poll tick still self-heals.
+TOOL_RETRY_LIMIT = 3
+#: Seconds before the first retry; doubles per attempt.
+TOOL_RETRY_BACKOFF = 0.5
+
 
 @dataclass
 class AgentStats:
@@ -60,21 +65,12 @@ class AgentStats:
     tool_retries: int = 0
     guard_trips: int = 0
     crashes: int = 0
-    #: ``(time, window)`` per install when recording is enabled.  A
-    #: bounded deque when the agent was given ``window_history_limit``.
-    window_history: MutableSequence[tuple[float, int]] = field(default_factory=list)
 
 
 class RiptideAgent:
     """One host's Riptide process."""
 
-    def __init__(
-        self,
-        host: Host,
-        config: RiptideConfig | None = None,
-        record_window_history: bool = False,
-        window_history_limit: int | None = None,
-    ) -> None:
+    def __init__(self, host: Host, config: RiptideConfig | None = None) -> None:
         self.host = host
         self.config = config if config is not None else RiptideConfig()
         self._policy: WindowPolicy = make_policy(self.config.policy, self.config)
@@ -83,25 +79,11 @@ class RiptideAgent:
         )
         self._learned = LearnedTable(self.config.ttl)
         self._advisories = AdvisoryController()
-        self._guard: SafetyGuard | None = None
-        if self.config.safety_guard:
-            self._guard = SafetyGuard(
-                loss_threshold=self.config.guard_loss_threshold,
-                rtt_factor=self.config.guard_rtt_factor,
-                min_segments=self.config.guard_min_segments,
-                hold=self.config.guard_hold,
-            )
+        self._guard = SafetyGuard() if self.config.safety_guard else None
         self._process = PeriodicProcess(
             host.sim, self.config.update_interval, self._tick, name="riptide"
         )
-        self._record_window_history = record_window_history
         self.stats = AgentStats()
-        if window_history_limit is not None:
-            if window_history_limit < 1:
-                raise ValueError(
-                    f"window_history_limit must be >= 1, got {window_history_limit}"
-                )
-            self.stats.window_history = deque(maxlen=window_history_limit)
         self.started_at: float | None = None
         #: Optional consistency auditor, run at the start of every tick.
         self.auditor: "Auditor | None" = None
@@ -188,9 +170,9 @@ class RiptideAgent:
         """Kill the agent process abruptly — no cleanup, no goodbyes.
 
         Everything the *process* held in memory is gone: the learned
-        table, history, trend state, advisories and guard holds.  The
-        routes it installed SURVIVE — they live in the kernel FIB, not
-        the process — so until a restarted agent relearns the paths, new
+        table, history, advisories and guard holds.  The routes it
+        installed SURVIVE — they live in the kernel FIB, not the process
+        — so until a restarted agent relearns the paths, new
         connections keep using windows nobody is maintaining.  The
         restarted agent self-heals: :meth:`_install` reinstalls whenever
         the actual route diverges from what it computes, and the TTL
@@ -401,10 +383,7 @@ class RiptideAgent:
         snapshot are used, the rest age toward their TTL.
         """
         try:
-            snapshots = self.host.ss.tcp_info(
-                established_only=True,
-                outgoing_only=self.config.outgoing_only,
-            )
+            snapshots = self.host.ss.tcp_info()
         except ToolError as error:
             self.stats.poll_failures += 1
             self._m_poll_failures.inc()
@@ -470,8 +449,6 @@ class RiptideAgent:
                     window=window,
                     previous=previous.window if previous is not None else None,
                 )
-        if self._record_window_history:
-            self.stats.window_history.append((now, window))
 
     # ------------------------------------------------------------------
     # resilience: bounded retry-with-backoff on tool errors
@@ -484,14 +461,9 @@ class RiptideAgent:
             return True
         except ToolError as error:
             self._note_tool_error("replace", destination, error)
-            if self.config.tool_retry_limit > 0:
-                self.host.sim.schedule(
-                    self.config.tool_retry_backoff,
-                    self._retry_install,
-                    destination,
-                    window,
-                    1,
-                )
+            self.host.sim.schedule(
+                TOOL_RETRY_BACKOFF, self._retry_install, destination, window, 1
+            )
             return False
 
     def _retry_install(self, destination: Prefix, window: int, attempt: int) -> None:
@@ -508,9 +480,9 @@ class RiptideAgent:
             self._apply_window(destination, window)
         except ToolError as error:
             self._note_tool_error("replace", destination, error)
-            if attempt < self.config.tool_retry_limit:
+            if attempt < TOOL_RETRY_LIMIT:
                 self.host.sim.schedule(
-                    self.config.tool_retry_backoff * (2.0 ** attempt),
+                    TOOL_RETRY_BACKOFF * (2.0 ** attempt),
                     self._retry_install,
                     destination,
                     window,
@@ -541,9 +513,9 @@ class RiptideAgent:
             return  # nothing left to withdraw
         except ToolError as error:
             self._note_tool_error("del", destination, error)
-            if attempt < self.config.tool_retry_limit:
+            if attempt < TOOL_RETRY_LIMIT:
                 self.host.sim.schedule(
-                    self.config.tool_retry_backoff * (2.0 ** attempt),
+                    TOOL_RETRY_BACKOFF * (2.0 ** attempt),
                     self._retry_withdraw,
                     destination,
                     attempt + 1,
@@ -636,8 +608,7 @@ class RiptideAgent:
         mechanism the paper deploys; :class:`~repro.core.kernel_mode.
         KernelModeAgent` overrides this with an in-kernel hook.
         """
-        initrwnd = self.config.c_max if self.config.set_initrwnd else None
-        self.host.ip.route_replace(destination, initcwnd=window, initrwnd=initrwnd)
+        self.host.ip.route_replace(destination, initcwnd=window)
 
     def _expire(self, now: float) -> None:
         for entry in self._learned.pop_expired(now):
@@ -669,13 +640,9 @@ class RiptideAgent:
             pass
         except ToolError as error:
             self._note_tool_error("del", destination, error)
-            if self.config.tool_retry_limit > 0:
-                self.host.sim.schedule(
-                    self.config.tool_retry_backoff,
-                    self._retry_withdraw,
-                    destination,
-                    1,
-                )
+            self.host.sim.schedule(
+                TOOL_RETRY_BACKOFF, self._retry_withdraw, destination, 1
+            )
             return False
         return True
 

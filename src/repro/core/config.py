@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 VALID_COMBINERS = ("average", "max", "traffic_weighted")
-VALID_HISTORY = ("ewma", "windowed", "none")
 VALID_GRANULARITY = ("host", "prefix")
 #: Window-decision policies (the zoo in ``repro.policy``).  Duplicated
 #: from ``repro.policy.registry`` — importing it here would be a cycle;
@@ -51,61 +50,23 @@ class RiptideConfig:
     policy: str = "ewma"
     #: How simultaneous observations to one destination are combined.
     combiner: str = "average"
-    #: How new values fold into per-destination history.
-    history: str = "ewma"
-    #: Window size for the "windowed" history policy.
-    history_window: int = 10
     #: Route granularity: per-host /32 routes or broader prefixes.
     granularity: str = "host"
     #: Prefix length used when granularity is "prefix".
     prefix_length: int = 16
-    #: Also set initrwnd on installed routes (Section III-C suggests the
-    #: receive window must cover c_max; deployments may do this once,
-    #: host-wide, instead).
-    set_initrwnd: bool = False
-    #: Only learn from outgoing (client) connections when True; the paper
-    #: observes all open connections.
-    outgoing_only: bool = False
-    #: Section V extension: when a destination's combined window collapses
-    #: suddenly, penalise its initial window beyond what the smoothing
-    #: would do ("aggressively decrease the initial windows").
-    trend_detection: bool = False
-    #: Fractional single-tick drop that counts as a collapse.
-    trend_drop_threshold: float = 0.5
-    #: Multiplier applied to the final window while the penalty holds.
-    trend_penalty: float = 0.5
-    #: Seconds the penalty stays in force after a trigger.
-    trend_hold: float = 10.0
-    #: Resilience: bounded retries when a tool command (``ip route``)
-    #: fails.  0 disables retries; the next poll tick still self-heals.
-    tool_retry_limit: int = 3
-    #: Base backoff before the first retry; doubles per attempt.
-    tool_retry_backoff: float = 0.5
     #: Resilience: the safety guard withdraws the learned route of any
     #: destination whose observed loss or RTT spikes, restoring the
     #: kernel default IW10 until the path looks healthy again.
     safety_guard: bool = False
-    #: Retransmit fraction (per poll window) that trips the guard.
-    guard_loss_threshold: float = 0.15
-    #: Multiple of the destination's smoothed-RTT baseline that trips it.
-    guard_rtt_factor: float = 3.0
-    #: Minimum segments sent in the poll window before loss is judged.
-    guard_min_segments: int = 20
-    #: Seconds a tripped destination stays at the kernel default.
-    guard_hold: float = 30.0
-    #: Observability: seconds between :class:`~repro.cdn.monitors.
-    #: TimelineSampler` snapshots (and the default SLO evaluation
-    #: cadence), so SLO windows and sampling align per-experiment.
-    timeline_sample_interval: float = 2.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.update_interval <= 0:
+        if not self.update_interval > 0:
             raise ValueError(
                 f"update_interval must be positive, got {self.update_interval}"
             )
-        if self.ttl <= 0:
+        if not self.ttl > 0:
             raise ValueError(f"ttl must be positive, got {self.ttl}")
         if self.c_min < 1:
             raise ValueError(f"c_min must be >= 1, got {self.c_min}")
@@ -123,15 +84,6 @@ class RiptideConfig:
                 f"unknown combiner {self.combiner!r}; expected one of "
                 f"{', '.join(VALID_COMBINERS)}"
             )
-        if self.history not in VALID_HISTORY:
-            raise ValueError(
-                f"unknown history policy {self.history!r}; expected one of "
-                f"{', '.join(VALID_HISTORY)}"
-            )
-        if self.history_window < 1:
-            raise ValueError(
-                f"history_window must be >= 1, got {self.history_window}"
-            )
         if self.granularity not in VALID_GRANULARITY:
             raise ValueError(
                 f"unknown granularity {self.granularity!r}; expected one of "
@@ -140,50 +92,6 @@ class RiptideConfig:
         if not 0 <= self.prefix_length <= 32:
             raise ValueError(
                 f"prefix_length out of range: {self.prefix_length}"
-            )
-        if not 0.0 < self.trend_drop_threshold < 1.0:
-            raise ValueError(
-                f"trend_drop_threshold must be in (0, 1), got "
-                f"{self.trend_drop_threshold}"
-            )
-        if not 0.0 < self.trend_penalty <= 1.0:
-            raise ValueError(
-                f"trend_penalty must be in (0, 1], got {self.trend_penalty}"
-            )
-        if self.trend_hold <= 0:
-            raise ValueError(
-                f"trend_hold must be positive, got {self.trend_hold}"
-            )
-        if self.tool_retry_limit < 0:
-            raise ValueError(
-                f"tool_retry_limit must be >= 0, got {self.tool_retry_limit}"
-            )
-        if self.tool_retry_backoff <= 0:
-            raise ValueError(
-                f"tool_retry_backoff must be positive, got "
-                f"{self.tool_retry_backoff}"
-            )
-        if not 0.0 < self.guard_loss_threshold < 1.0:
-            raise ValueError(
-                f"guard_loss_threshold must be in (0, 1), got "
-                f"{self.guard_loss_threshold}"
-            )
-        if self.guard_rtt_factor <= 1.0:
-            raise ValueError(
-                f"guard_rtt_factor must be > 1, got {self.guard_rtt_factor}"
-            )
-        if self.guard_min_segments < 1:
-            raise ValueError(
-                f"guard_min_segments must be >= 1, got {self.guard_min_segments}"
-            )
-        if self.guard_hold <= 0:
-            raise ValueError(
-                f"guard_hold must be positive, got {self.guard_hold}"
-            )
-        if self.timeline_sample_interval <= 0:
-            raise ValueError(
-                f"timeline_sample_interval must be positive, got "
-                f"{self.timeline_sample_interval}"
             )
 
     def clamp(self, window: float) -> int:

@@ -28,19 +28,8 @@ from repro.net.addresses import IPv4Address, Prefix
 class KernelModeAgent(RiptideAgent):
     """Algorithm 1 driving a kernel hook instead of the route table."""
 
-    def __init__(
-        self,
-        host: Host,
-        config: RiptideConfig | None = None,
-        record_window_history: bool = False,
-        window_history_limit: int | None = None,
-    ) -> None:
-        super().__init__(
-            host,
-            config,
-            record_window_history,
-            window_history_limit=window_history_limit,
-        )
+    def __init__(self, host: Host, config: RiptideConfig | None = None) -> None:
+        super().__init__(host, config)
         self._windows: dict[Prefix, int] = {}
         # Bind once: Python creates a fresh bound-method object on every
         # attribute access, so identity checks need a stable reference.

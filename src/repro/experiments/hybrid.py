@@ -110,9 +110,6 @@ class HybridStudyConfig(StudyConfig):
     #: sit *between* the floor and c_max — a discriminating regime where
     #: the two arms could actually disagree.
     max_object_bytes: int = 120_000
-    #: Segments a fetch *request* adds to the client-side socket.
-    request_segments: float = 1.0
-    fluid: FluidConfig = field(default_factory=FluidConfig)
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,8 @@ class FluidMirror:
     packet arm's ``ss`` polls would show toward that prefix: the serving
     sockets (one per remote fetching client, windows grown by whole
     objects) and the fetching sockets (one per remote address, windows
-    grown only by requests).
+    grown only by requests, one segment each).
     """
-
-    request_segments: float
-    fluid: FluidConfig
 
     def register(self, cluster: CdnCluster, arm: StudyArm) -> None:
         sizes = FileSizeDistribution.production_cdn()
@@ -153,11 +147,11 @@ class FluidMirror:
                     growth_segments_per_sec=serve_rate,
                     send_segments_per_flow_per_sec=serve_rate,
                     churn_per_flow_per_sec=churn,
-                    config=self.fluid,
                 )
                 # Fetching side: this host's workload client holds one
-                # connection per remote address, grown by request segments.
-                fetch_rate = rate_per_address * self.request_segments
+                # connection per remote address, grown by one request
+                # segment per fetch.
+                fetch_rate = rate_per_address
                 cluster.add_fluid_traffic(
                     code,
                     [dest],
@@ -168,7 +162,6 @@ class FluidMirror:
                     send_segments_per_flow_per_sec=fetch_rate,
                     churn_per_flow_per_sec=churn,
                     is_client=True,
-                    config=self.fluid,
                 )
 
 
@@ -181,7 +174,7 @@ def differential_arm(config: HybridStudyConfig, mode: str) -> StudyArm:
     """
     backgrounds = {
         "packet": PacketMesh(),
-        "hybrid": FluidMirror(config.request_segments, config.fluid),
+        "hybrid": FluidMirror(),
     }
     if mode not in backgrounds:
         raise ValueError(f"mode must be 'packet' or 'hybrid', got {mode!r}")
@@ -332,6 +325,9 @@ def run_differential(
 # the 34-PoP / 10^6-flow scale scenario
 # ----------------------------------------------------------------------
 
+#: The scale run's fluid discretization: half-second steps, 4-segment bins.
+SCALE_FLUID = FluidConfig(cadence=0.5, bin_width=4)
+
 
 @dataclass(frozen=True)
 class HybridScaleConfig:
@@ -352,9 +348,6 @@ class HybridScaleConfig:
     #: The sampled packet-granular slice: organic fetch rate on each
     #: source PoP riding the same (fluid-pressured) trunks.
     organic_rate: float = 1.0
-    fluid: FluidConfig = field(
-        default_factory=lambda: FluidConfig(cadence=0.5, bin_width=4)
-    )
     riptide: RiptideConfig = field(
         default_factory=lambda: RiptideConfig(
             granularity="prefix", prefix_length=16, update_interval=2.0
@@ -440,7 +433,7 @@ def run_scale(config: HybridScaleConfig | None = None) -> HybridScaleResult:
             flows_per_destination=config.flows_per_pair,
             growth_segments_per_sec=config.growth_segments_per_sec,
             churn_per_flow_per_sec=config.churn_per_flow_per_sec,
-            config=config.fluid,
+            config=SCALE_FLUID,
         )
     # The sampled packet-granular slice: real flows sharing the trunks.
     workload_config = OrganicWorkloadConfig(

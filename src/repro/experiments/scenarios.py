@@ -52,6 +52,12 @@ EVALUATION_POP_CODES = (
 )
 
 
+#: Fraction of idle probe connections closed before each probe round.
+#: Reproduces the paper's probe population: most probes reuse an existing
+#: connection (unchanged by Riptide), the rest open cold.
+PROBE_CHURN = 0.4
+
+
 def sub_topology(codes: tuple[str, ...] = EVALUATION_POP_CODES) -> Topology:
     """The paper topology restricted to a set of PoP codes."""
     full = build_paper_topology()
@@ -96,10 +102,6 @@ class StudyConfig:
     organic_rate: float = 3.0
     #: Probability a connection closes after a fetch (churn).
     close_probability: float = 0.35
-    #: Fraction of idle probe connections closed before each probe round.
-    #: Reproduces the paper's probe population: most probes reuse an
-    #: existing connection (unchanged by Riptide), the rest open cold.
-    probe_churn: float = 0.4
     #: The evaluation uses prefix granularity — one learned route per
     #: remote PoP /16 — so organic traffic between any pair of machines
     #: teaches the initcwnd used for probe responses to that PoP
@@ -313,7 +315,7 @@ def run_study_arm(arm: StudyArm) -> StudyRun:
         list(arm.source_pops),
         interval=arm.probe_interval,
         host_indices=[1],
-        churn_probability=arm.probe_churn,
+        churn_probability=PROBE_CHURN,
     )
     cluster.start_timeline_sampler()
     if arm.slo:

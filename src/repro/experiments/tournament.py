@@ -112,7 +112,6 @@ class TournamentConfig:
     probe_interval: float = 3.0
     organic_rate: float = 3.0
     close_probability: float = 0.35
-    probe_churn: float = 0.4
 
     def resolved_policies(self) -> tuple[str, ...]:
         selected = self.policies if self.policies else policy_names()
@@ -164,7 +163,6 @@ def run_tournament_cell(
         probe_interval=config.probe_interval,
         organic_rate=config.organic_rate,
         close_probability=config.close_probability,
-        probe_churn=config.probe_churn,
         riptide=RiptideConfig(
             policy=policy,
             granularity="prefix",

@@ -13,7 +13,6 @@ from repro.linux.host import Host
 from repro.linux.ip_tool import IpRouteTool
 from repro.linux.route import RouteEntry, RouteTable
 from repro.linux.ss_tool import SS_FAULT_MODES, SsTool
-from repro.linux.sysctl import Sysctl
 
 __all__ = [
     "Host",
@@ -22,6 +21,5 @@ __all__ = [
     "RouteTable",
     "SS_FAULT_MODES",
     "SsTool",
-    "Sysctl",
     "ToolError",
 ]

@@ -29,7 +29,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.tcp.constants import TcpConfig
+from repro.tcp.constants import DEFAULT_INIT_CWND, TcpConfig
 from repro.tcp.errors import TcpError
 from repro.tcp.listener import AcceptCallback, TcpListener
 from repro.tcp.socket import TcpSocket
@@ -105,7 +105,7 @@ class Host:
         route = self.route_table.lookup(destination)
         if route is not None and route.initcwnd is not None:
             return route.initcwnd, "route"
-        return self.config.default_initcwnd, "default"
+        return DEFAULT_INIT_CWND, "default"
 
     def initrwnd_for(self, destination: IPv4Address) -> int:
         """Initial receive window (segments) advertised to ``destination``."""

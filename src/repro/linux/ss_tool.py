@@ -1,9 +1,9 @@
 """An ``ss``-shaped socket statistics interface.
 
 Riptide "polls the congestion window of all open connections via the ss
-utility".  :meth:`SsTool.tcp_info` returns snapshots of the host's live
-sockets; filters mirror the flags the agent would pass on a real server
-(established-only, outgoing-only, created-after).
+utility".  :meth:`SsTool.tcp_info` returns snapshots of the host's
+established sockets (``ss -t state established``), optionally only those
+created after a given time.
 
 The tool carries an injectable fault surface (see :mod:`repro.faults`)
 modelling how ``ss`` actually misbehaves on a loaded box:
@@ -11,8 +11,8 @@ modelling how ``ss`` actually misbehaves on a loaded box:
 * ``"error"`` — the invocation fails outright (:class:`ToolError`);
 * ``"empty"`` — the poll returns no sockets at all;
 * ``"stale"`` — the poll returns the *previous* successful snapshot
-  taken under the same filters (a wedged collector re-serving cached
-  data; it never serves one caller another caller's filters);
+  taken under the same ``created_after`` (a wedged collector re-serving
+  cached data; it never serves one caller another caller's filter);
 * ``"partial"`` — only every other socket makes it into the output
   (truncated output, the paper agent's skip-and-continue case).
 """
@@ -38,8 +38,8 @@ class SyntheticSocketSource(Protocol):
     (``host.fluid_sources``) so mean-field cohorts show up in ``ss``
     output exactly like packet-granular sockets — the Riptide agent,
     the EWMA learner and the safety guard stay byte-for-byte unchanged.
-    Returned snapshots carry real ``state``/``is_client``/``created_at``
-    fields; the tool applies its usual filters to them.
+    Every returned snapshot is of an established socket and carries a
+    real ``created_at``, which the tool's ``created_after`` filter reads.
     """
 
     def socket_stats(self) -> list[SocketStats]: ...
@@ -53,9 +53,9 @@ class SsTool:
         self.polls = 0
         self.faulted_polls = 0
         self._fault_mode: str | None = None
-        #: Last successful snapshot per (established_only, outgoing_only,
-        #: created_after): what a ``stale`` poll with those filters re-serves.
-        self._last_good: dict[tuple[bool, bool, float | None], list[SocketStats]] = {}
+        #: Last successful snapshot per ``created_after``: what a ``stale``
+        #: poll with that filter re-serves.
+        self._last_good: dict[float | None, list[SocketStats]] = {}
 
     # ------------------------------------------------------------------
     # fault injection
@@ -81,15 +81,10 @@ class SsTool:
     # observation
     # ------------------------------------------------------------------
 
-    def tcp_info(
-        self,
-        established_only: bool = True,
-        outgoing_only: bool = False,
-        created_after: float | None = None,
-    ) -> list[SocketStats]:
-        """Snapshots of all live sockets matching the filters."""
+    def tcp_info(self, created_after: float | None = None) -> list[SocketStats]:
+        """Snapshots of the established sockets created at or after
+        ``created_after`` (all of them when it is ``None``)."""
         self.polls += 1
-        filters = (established_only, outgoing_only, created_after)
         mode = self._fault_mode
         if mode is not None:
             self.faulted_polls += 1
@@ -98,32 +93,23 @@ class SsTool:
             if mode == "empty":
                 return []
             if mode == "stale":
-                return list(self._last_good.get(filters, ()))
+                return list(self._last_good.get(created_after, ()))
         established = TcpState.ESTABLISHED
         snapshots = []
         for sock in self._host.sockets():
-            if established_only and sock.state is not established:
-                continue
-            if outgoing_only and not sock.is_client:
+            if sock.state is not established:
                 continue
             if created_after is not None and sock.created_at < created_after:
                 continue
             snapshots.append(sock.stats_snapshot())
-        filtering = filters != (False, False, None)
         for source in self._host.fluid_sources:
             rows = source.socket_stats()
-            if filtering:
-                rows = [
-                    stats
-                    for stats in rows
-                    if (not established_only or stats.state is established)
-                    and (not outgoing_only or stats.is_client)
-                    and (created_after is None or stats.created_at >= created_after)
-                ]
+            if created_after is not None:
+                rows = [stats for stats in rows if stats.created_at >= created_after]
             snapshots.extend(rows)
         if mode == "partial":
             return snapshots[::2]
-        self._last_good[filters] = snapshots
+        self._last_good[created_after] = snapshots
         return snapshots
 
     def __repr__(self) -> str:

@@ -128,27 +128,19 @@ class SloSpec:
     name: str
     description: str
     signal: SloSignal
-    #: A window is *bad* when the signal crosses this value.
+    #: A window is *bad* when the signal rises above this value.
     threshold: float
-    #: ``"above"``: bad when value > threshold; ``"below"``: bad when <.
-    comparison: str = "above"
     #: Error budget — the tolerated fraction of bad windows.
     objective: float = 0.05
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("name must be non-empty")
-        if self.comparison not in ("above", "below"):
-            raise ValueError(
-                f"comparison must be 'above' or 'below', got {self.comparison!r}"
-            )
         if not 0.0 < self.objective <= 1.0:
             raise ValueError(f"objective must be in (0, 1], got {self.objective}")
 
     def window_is_bad(self, value: float) -> bool:
-        if self.comparison == "above":
-            return value > self.threshold
-        return value < self.threshold
+        return value > self.threshold
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,9 +2,8 @@
 
 :class:`EwmaPolicy` is the pre-refactor agent decision step moved
 verbatim behind the :class:`~repro.policy.base.WindowPolicy` protocol —
-combiner, history smoothing and optional trend detection in the same
-order with the same arithmetic, so paired probe studies stay
-bit-identical.
+combiner, then EWMA history, with the same arithmetic, so paired probe
+studies stay bit-identical.
 
 :class:`PercentilePolicy` replaces the mean-of-means with a
 per-destination percentile of the sampled windows: a p90 learner jumps
@@ -23,8 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.core.combiners import Combiner, Observation, make_combiner
-from repro.core.history import HistoryPolicy, make_history_policy
-from repro.core.trend import TrendDetector
+from repro.core.history import EwmaHistory
 from repro.net.addresses import Prefix
 from repro.policy.base import WindowPolicy
 
@@ -32,48 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import RiptideConfig
 
 
-def _make_trend(config: "RiptideConfig") -> TrendDetector | None:
-    if not config.trend_detection:
-        return None
-    return TrendDetector(
-        drop_threshold=config.trend_drop_threshold,
-        penalty=config.trend_penalty,
-        hold=config.trend_hold,
-    )
-
-
 class EwmaPolicy(WindowPolicy):
-    """The paper's learner: combiner -> history EWMA -> trend penalty."""
+    """The paper's learner: combiner -> history EWMA."""
 
     name = "ewma"
 
     def __init__(self, config: "RiptideConfig") -> None:
-        self._config = config
         self._combiner: Combiner = make_combiner(config.combiner)
-        self._history: HistoryPolicy = make_history_policy(
-            config.history, config.alpha, config.history_window
-        )
-        self.trend: TrendDetector | None = _make_trend(config)
+        self._history = EwmaHistory(config.alpha)
 
     def decide(
         self, destination: Prefix, samples: list[Observation], now: float
     ) -> float:
-        candidate = self._combiner.combine(samples)
-        final = self._history.update(destination, candidate)
-        if self.trend is not None:
-            final *= self.trend.observe(destination, candidate, now)
-        return final
+        return self._history.update(destination, self._combiner.combine(samples))
 
     def forget(self, destination: Prefix) -> None:
         self._history.forget(destination)
-        if self.trend is not None:
-            self.trend.forget(destination)
 
     def reset(self) -> None:
-        self._history = make_history_policy(
-            self._config.history, self._config.alpha, self._config.history_window
-        )
-        self.trend = _make_trend(self._config)
+        self._history = EwmaHistory(self._history.alpha)
 
 
 class PercentilePolicy(WindowPolicy):

@@ -45,7 +45,11 @@ __all__ = [
     "FluidConfig",
     "CwndDistribution",
     "FluidPopulation",
+    "MAX_WINDOW",
 ]
+
+#: Largest representable congestion window (the receive-window cap).
+MAX_WINDOW = 320
 
 
 @dataclass(frozen=True)
@@ -54,29 +58,14 @@ class FluidConfig:
 
     #: Simulated seconds between fluid steps (the coarse cadence).
     cadence: float = 0.25
-    #: Largest representable congestion window (the receive-window cap).
-    max_window: int = 320
     #: Histogram bin width in segments (1 = exact integer windows).
     bin_width: int = 1
-    #: EWMA weight of the newest per-link loss estimate (stability of the
-    #: congestion feedback loop; 1.0 = no smoothing).
-    loss_smoothing: float = 0.5
-    #: Synthetic ``ss`` snapshots generated per population per poll.
-    ss_samples: int = 8
 
     def __post_init__(self) -> None:
-        if self.cadence <= 0:
+        if not self.cadence > 0:
             raise ValueError(f"cadence must be positive, got {self.cadence}")
-        if self.max_window < 2:
-            raise ValueError(f"max_window must be >= 2, got {self.max_window}")
         if self.bin_width < 1:
             raise ValueError(f"bin_width must be >= 1, got {self.bin_width}")
-        if not 0.0 < self.loss_smoothing <= 1.0:
-            raise ValueError(
-                f"loss_smoothing must be in (0, 1], got {self.loss_smoothing}"
-            )
-        if self.ss_samples < 1:
-            raise ValueError(f"ss_samples must be >= 1, got {self.ss_samples}")
 
 
 #: Bin masses below this are trimmed when the active range is updated.
@@ -129,7 +118,7 @@ class CwndDistribution:
         "_half_bins",
     )
 
-    def __init__(self, max_window: int = 320, bin_width: int = 1) -> None:
+    def __init__(self, max_window: int = MAX_WINDOW, bin_width: int = 1) -> None:
         if max_window < 2:
             raise ValueError(f"max_window must be >= 2, got {max_window}")
         if bin_width < 1:
@@ -445,7 +434,7 @@ class FluidPopulation:
         rtt: float,
         target_flows: float,
         entry_window: int,
-        max_window: int = 320,
+        max_window: int = MAX_WINDOW,
         bin_width: int = 1,
         growth_segments_per_sec: float | None = None,
         send_segments_per_flow_per_sec: float | None = None,

@@ -42,14 +42,15 @@ DELAYED_ACK_TIMEOUT = 0.040
 class TcpConfig:
     """Host-wide TCP tunables (the simulated sysctl surface).
 
-    ``default_initcwnd`` applies when no route overrides it — Riptide's
-    whole job is to install per-destination route overrides on top of this
-    default.  ``default_initrwnd`` is the receive-side counterpart that
-    Section III-C requires to be raised to at least ``c_max``.
+    A new connection starts at :data:`DEFAULT_INIT_CWND` unless a route
+    overrides it — Riptide's whole job is to install per-destination route
+    overrides on top of that default.  ``default_initrwnd`` is the
+    receive-side counterpart that Section III-C requires to be raised to
+    at least ``c_max``.  Retransmission timeouts use :data:`MIN_RTO`,
+    :data:`MAX_RTO` and :data:`INITIAL_RTO`.
     """
 
     mss: int = DEFAULT_MSS
-    default_initcwnd: int = DEFAULT_INIT_CWND
     default_initrwnd: int = DEFAULT_INIT_RWND
     rmem_max_bytes: int = 6 * 1024 * 1024
     congestion_control: str = "cubic"
@@ -63,22 +64,13 @@ class TcpConfig:
     #: reproduction (the calibrated experiments use NewReno recovery);
     #: enable to recover multi-loss windows without RTOs.
     sack: bool = False
-    min_rto: float = MIN_RTO
-    max_rto: float = MAX_RTO
-    initial_rto: float = INITIAL_RTO
 
     def __post_init__(self) -> None:
         if self.mss <= 0:
             raise ValueError(f"mss must be positive, got {self.mss}")
-        if self.default_initcwnd < 1:
-            raise ValueError(
-                f"default_initcwnd must be >= 1, got {self.default_initcwnd}"
-            )
         if self.default_initrwnd < 1:
             raise ValueError(
                 f"default_initrwnd must be >= 1, got {self.default_initrwnd}"
             )
         if self.rmem_max_bytes < self.mss:
             raise ValueError("rmem_max_bytes must hold at least one segment")
-        if self.min_rto <= 0 or self.max_rto < self.min_rto:
-            raise ValueError("require 0 < min_rto <= max_rto")

@@ -173,11 +173,7 @@ class TcpSocket:
         self.cc = make_congestion_control(
             config.congestion_control, initial_cwnd, config.mss
         )
-        self._rtt = RttEstimator(
-            min_rto=config.min_rto,
-            max_rto=config.max_rto,
-            initial_rto=config.initial_rto,
-        )
+        self._rtt = RttEstimator()
 
         # --- send side -------------------------------------------------
         self._snd_una = 0

@@ -113,7 +113,7 @@ def test_cli_exit_codes(tmp_path, hazard_file, capsys):
 
 
 def test_cli_json_output(hazard_file, capsys):
-    assert main(["lint", str(hazard_file), "--json"]) == 1
+    assert main(["lint", str(hazard_file), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == {"DET001": 1}
 

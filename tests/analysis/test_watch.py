@@ -64,8 +64,9 @@ class TestBuildFrames:
         assert build_watch_frames(Instrumentation()) == []
 
     def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            build_watch_frames(Instrumentation(), interval=0.0)
+        for interval in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                build_watch_frames(Instrumentation(), interval=interval)
 
 
 class TestRendering:

@@ -7,16 +7,15 @@ link's loss model and outages feed back into the cohort dynamics.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, FluidTraffic
+from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, SS_SAMPLES, FluidTraffic
 from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.sim.fluid import FluidConfig
+from repro.sim.fluid import MAX_WINDOW
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
 
@@ -94,9 +93,9 @@ class TestSsSynthesis:
         _, pop = add_population(cluster, flows=50.0)
         cluster.run(1.0)
         host = cluster.hosts("LHR")[0]
-        stats = host.ss.tcp_info(established_only=True)
+        stats = host.ss.tcp_info()
         fluid_rows = [s for s in stats if s.remote_port == FLUID_REMOTE_PORT]
-        assert len(fluid_rows) == FluidConfig().ss_samples
+        assert len(fluid_rows) == SS_SAMPLES
         row = fluid_rows[0]
         assert row.state is TcpState.ESTABLISHED
         assert row.remote_address == cluster.server_address("JFK")
@@ -113,18 +112,6 @@ class TestSsSynthesis:
         ]
         # A two-flow cohort weighs like two sockets, not ss_samples.
         assert len(rows) == 2
-
-    def test_outgoing_only_filter_respects_is_client(self, cluster):
-        add_population(cluster, flows=10.0, is_client=True)
-        add_population(cluster, dest="NRT", flows=10.0, is_client=False)
-        cluster.run(1.0)
-        host = cluster.hosts("LHR")[0]
-        outgoing = [
-            s for s in host.ss.tcp_info(outgoing_only=True)
-            if s.remote_port == FLUID_REMOTE_PORT
-        ]
-        assert outgoing
-        assert all(s.is_client for s in outgoing)
 
     def test_counters_split_across_samples(self, cluster):
         _, pop = add_population(cluster, flows=50.0)
@@ -193,8 +180,8 @@ def keyword_fluid_rows(engine, host):
     if not indices:
         return []
     now = engine._sim.now
-    max_samples = engine.config.ss_samples
-    ssthresh = float(engine.config.max_window)
+    max_samples = SS_SAMPLES
+    ssthresh = float(MAX_WINDOW)
     established = TcpState.ESTABLISHED
     snapshots = []
     for index in indices:
@@ -237,21 +224,17 @@ def keyword_fluid_rows(engine, host):
     return snapshots
 
 
-def reference_tcp_info(engine, host, established_only, outgoing_only, created_after):
-    """PR 14's ``SsTool.tcp_info`` filter loops, verbatim, over the rows above."""
+def reference_tcp_info(engine, host, created_after):
+    """``SsTool.tcp_info``'s filter, one test per row, over the rows above."""
     snapshots = []
     for sock in host.sockets():
-        if established_only and sock.state is not TcpState.ESTABLISHED:
-            continue
-        if outgoing_only and not sock.is_client:
+        if sock.state is not TcpState.ESTABLISHED:
             continue
         if created_after is not None and sock.created_at < created_after:
             continue
         snapshots.append(keyword_socket_row(sock))
     for stats in keyword_fluid_rows(engine, host):
-        if established_only and stats.state is not TcpState.ESTABLISHED:
-            continue
-        if outgoing_only and not stats.is_client:
+        if stats.state is not TcpState.ESTABLISHED:
             continue
         if created_after is not None and stats.created_at < created_after:
             continue
@@ -266,7 +249,7 @@ def as_tuples(rows):
 def test_ss_rows_match_keyword_reference_under_every_filter(cluster):
     """Real sockets (both directions, closing ones too) and three fluid
     cohorts — churning outgoing, eternal incoming, a two-flow one — on
-    one host, polled under all eight filter combinations and ``partial``."""
+    one host, polled with and without ``created_after`` and ``partial``."""
     engine = cluster.fluid_traffic()
     host = cluster.hosts("LHR")[0]
     engine.add_population(
@@ -288,41 +271,23 @@ def test_ss_rows_match_keyword_reference_under_every_filter(cluster):
     for _ in range(6):
         cluster.run(0.7)
         recent = cluster.sim.now - 1.0
-        everything = reference_tcp_info(engine, host, False, False, None)
-        fluid_from = len(host.sockets())
-        assert 0 < fluid_from < len(everything)
-        for established_only, outgoing_only, created_after in itertools.product(
-            (True, False), (False, True), (None, recent)
-        ):
-            filters = dict(
-                established_only=established_only,
-                outgoing_only=outgoing_only,
-                created_after=created_after,
-            )
-            expected = reference_tcp_info(engine, host, **filters)
-            assert as_tuples(host.ss.tcp_info(**filters)) == as_tuples(expected)
+        sockets = [keyword_socket_row(sock) for sock in host.sockets()]
+        fluid = keyword_fluid_rows(engine, host)
+        assert sockets and fluid
+        for created_after in (None, recent):
+            expected = reference_tcp_info(engine, host, created_after)
+            assert as_tuples(host.ss.tcp_info(created_after)) == as_tuples(expected)
             host.ss.set_fault("partial")
-            assert as_tuples(host.ss.tcp_info(**filters)) == as_tuples(expected[::2])
+            assert as_tuples(host.ss.tcp_info(created_after)) == as_tuples(expected[::2])
             host.ss.clear_fault()
-        # Which filter bits removed a real socket / a fluid row this round.
-        for name, filters in (
-            ("established", (True, False, None)),
-            ("outgoing", (False, True, None)),
-            ("recent", (False, False, recent)),
-        ):
-            kept = as_tuples(reference_tcp_info(engine, host, *filters))
-            for kind, rows in (
-                ("socket", everything[:fluid_from]),
-                ("fluid", everything[fluid_from:]),
-            ):
+            # Which kind of row the poll left out this round: without
+            # ``created_after`` only the unestablished sockets go.
+            kept = as_tuples(expected)
+            for kind, rows in (("socket", sockets), ("fluid", fluid)):
                 if any(dataclasses.astuple(row) not in kept for row in rows):
-                    dropped.add((name, kind))
-    # Fluid rows are always established; the other two filters drop both kinds.
-    assert dropped == {
-        ("established", "socket"),
-        ("outgoing", "socket"), ("outgoing", "fluid"),
-        ("recent", "socket"), ("recent", "fluid"),
-    }
+                    dropped.add((created_after is not None, kind))
+    # Fluid rows are always established; a recent-only poll drops both kinds.
+    assert dropped == {(False, "socket"), (True, "socket"), (True, "fluid")}
 
 
 class TestLinkCoupling:

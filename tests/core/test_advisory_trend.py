@@ -1,8 +1,8 @@
-"""Tests for the Section V extensions: advisories and trend detection."""
+"""Tests for the Section V operational advisories."""
 
 import pytest
 
-from repro.core import Advisory, AdvisoryController, RiptideAgent, RiptideConfig, TrendDetector
+from repro.core import Advisory, AdvisoryController, RiptideAgent, RiptideConfig
 from repro.net import Prefix
 from repro.tcp import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
@@ -53,55 +53,6 @@ class TestAdvisoryController:
         # The short advisory expired at t=51; the long ones survive.
         assert len(controller._advisories) == 2
         assert controller.scale_at(70.0) == 0.6
-
-
-class TestTrendDetector:
-    def test_steady_values_no_penalty(self):
-        detector = TrendDetector(drop_threshold=0.5)
-        assert detector.observe("d", 100.0, now=0.0) == 1.0
-        assert detector.observe("d", 95.0, now=1.0) == 1.0
-        assert detector.triggers == 0
-
-    def test_collapse_triggers_penalty(self):
-        detector = TrendDetector(drop_threshold=0.5, penalty=0.5, hold=10.0)
-        detector.observe("d", 100.0, now=0.0)
-        assert detector.observe("d", 20.0, now=1.0) == 0.5
-        assert detector.triggers == 1
-        assert detector.in_penalty("d", 5.0)
-
-    def test_penalty_expires_after_hold(self):
-        detector = TrendDetector(drop_threshold=0.5, penalty=0.5, hold=10.0)
-        detector.observe("d", 100.0, now=0.0)
-        detector.observe("d", 20.0, now=1.0)
-        assert detector.observe("d", 21.0, now=12.0) == 1.0
-        assert not detector.in_penalty("d", 12.0)
-
-    def test_keys_independent(self):
-        detector = TrendDetector()
-        detector.observe("a", 100.0, now=0.0)
-        detector.observe("a", 10.0, now=1.0)
-        assert detector.observe("b", 10.0, now=1.0) == 1.0
-
-    def test_forget(self):
-        detector = TrendDetector()
-        detector.observe("d", 100.0, now=0.0)
-        detector.observe("d", 10.0, now=1.0)
-        detector.forget("d")
-        assert detector.observe("d", 10.0, now=2.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"drop_threshold": 0.0},
-            {"drop_threshold": 1.0},
-            {"penalty": 0.0},
-            {"penalty": 1.5},
-            {"hold": 0.0},
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TrendDetector(**kwargs)
 
 
 def make_testbed():
@@ -160,35 +111,3 @@ class TestAgentIntegration:
         bed.sim.run(until=bed.sim.now + 3.0)
         key = Prefix.host(bed.client.address)
         assert agent.learned_window_for(key) == 100
-
-    @staticmethod
-    def learned_after_collapse(**trend) -> int | None:
-        """Grow a fat window, replace it with a tiny connection, and
-        return what the agent has learned for the client afterwards."""
-        bed = make_testbed()
-        # history="none" isolates the trend mechanism.
-        config = RiptideConfig(update_interval=0.5, history="none", **trend)
-        agent = RiptideAgent(bed.server, config)
-        agent.start()
-        first = request_response(bed, response_bytes=1_000_000)
-        bed.sim.run(until=bed.sim.now + 2.0)
-        first.socket.close()
-        bed.sim.run(until=bed.sim.now + 1.0)
-        request_response(bed, response_bytes=2_000)
-        bed.sim.run(until=bed.sim.now + 2.0)
-        return agent.learned_window_for(Prefix.host(bed.client.address))
-
-    def test_trend_detection_penalises_collapse(self):
-        penalised = self.learned_after_collapse(
-            trend_detection=True,
-            trend_drop_threshold=0.5,
-            trend_penalty=0.5,
-            # The helper runs a full 60 s deadline after each exchange, so
-            # the hold must outlive that for the final assertion.
-            trend_hold=240.0,
-        )
-        assert penalised == 50
-
-    def test_trend_disabled_by_default(self):
-        # The same collapse costs nothing: the window stays at c_max.
-        assert self.learned_after_collapse() == 100

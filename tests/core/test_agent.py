@@ -6,6 +6,7 @@ from repro.core import RiptideAgent, RiptideConfig
 from repro.core.combiners import Observation
 from repro.core.guard import PathHealth
 from repro.net import IPv4Address, Prefix
+from repro.obs.trace import EventType
 from repro.tcp import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
 from repro.testing import TwoHostTestbed, request_response
@@ -197,55 +198,20 @@ class TestAgentLifecycle:
         assert agent.stats.routes_installed >= 1
 
     def test_window_history_recording(self):
+        """Every install is on the trace with its window, in time order."""
         bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(update_interval=0.5),
-            record_window_history=True,
-        )
+        agent = RiptideAgent(bed.server, RiptideConfig(update_interval=0.5))
         agent.start()
         request_response(bed, response_bytes=300_000)
         bed.sim.run(until=bed.sim.now + 2.0)
-        assert len(agent.stats.window_history) > 0
-
-    def test_window_history_limit_bounds_growth(self):
-        bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(update_interval=0.25),
-            record_window_history=True,
-            window_history_limit=5,
+        installs = bed.sim.obs.trace.events(
+            type=EventType.ROUTE_INSTALLED, source=bed.server.name
         )
-        agent.start()
-        request_response(bed, response_bytes=1_000_000)
-        bed.sim.run(until=bed.sim.now + 10.0)
-        assert agent.stats.polls > 5  # enough ticks to overflow the cap
-        assert len(agent.stats.window_history) == 5
-        # The bounded history keeps the newest samples, oldest evicted.
-        times = [t for t, _ in agent.stats.window_history]
+        assert len(installs) == agent.stats.routes_installed >= 1
+        times = [event.time for event in installs]
         assert times == sorted(times)
-        assert times[0] > 0.25
-
-    def test_unbounded_history_keeps_everything(self):
-        bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(update_interval=0.25),
-            record_window_history=True,
-        )
-        agent.start()
-        request_response(bed, response_bytes=1_000_000)
-        bed.sim.run(until=bed.sim.now + 10.0)
-        assert len(agent.stats.window_history) > 5
-
-    def test_invalid_window_history_limit_rejected(self):
-        bed = make_testbed()
-        with pytest.raises(ValueError, match="window_history_limit"):
-            RiptideAgent(
-                bed.server,
-                RiptideConfig(),
-                window_history_limit=0,
-            )
+        route = bed.server.ip.route_get(bed.client.address)
+        assert route.initcwnd == installs[-1].detail("window")
 
 
 class TestGranularityIntegration:
@@ -268,14 +234,15 @@ class TestGranularityIntegration:
     def test_ewma_converges_upward_over_ticks(self):
         bed = make_testbed()
         agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(update_interval=0.25, alpha=0.7),
-            record_window_history=True,
+            bed.server, RiptideConfig(update_interval=0.25, alpha=0.7)
         )
         agent.start()
         request_response(bed, response_bytes=1_000_000)
         bed.sim.run(until=bed.sim.now + 5.0)
-        windows = [w for _, w in agent.stats.window_history]
+        windows = [
+            event.detail("window")
+            for event in bed.sim.obs.trace.events(type=EventType.ROUTE_INSTALLED)
+        ]
         # The EWMA walks up toward the observed large window.
         assert windows[-1] >= windows[0]
         assert windows[-1] > 10

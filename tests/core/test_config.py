@@ -15,7 +15,7 @@ class TestDefaults:
         assert config.c_max == 100  # chosen after Figure 10
         assert config.c_min == 10  # the Linux default window
         assert config.combiner == "average"
-        assert config.history == "ewma"
+        assert config.policy == "ewma"
 
 
 class TestValidation:
@@ -29,12 +29,12 @@ class TestValidation:
             {"c_min": 0},
             {"c_max": 5, "c_min": 10},
             {"combiner": "median"},
-            {"history": "kalman"},
-            {"history_window": 0},
             {"granularity": "asn"},
             {"prefix_length": 40},
-            {"timeline_sample_interval": 0.0},
-            {"timeline_sample_interval": -2.0},
+            {"update_interval": float("nan")},
+            {"ttl": float("nan")},
+            {"policy": "magic"},
+            {"prefix_length": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -42,9 +42,8 @@ class TestValidation:
             RiptideConfig(**kwargs)
 
     def test_valid_variants_accepted(self):
-        RiptideConfig(combiner="max", history="none", granularity="prefix")
-        RiptideConfig(combiner="traffic_weighted", history="windowed")
-        assert RiptideConfig(timeline_sample_interval=0.5).timeline_sample_interval == 0.5
+        RiptideConfig(combiner="max", granularity="prefix")
+        RiptideConfig(combiner="traffic_weighted", policy="p90")
 
 
 class TestClamp:

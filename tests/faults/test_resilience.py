@@ -1,6 +1,7 @@
 """Agent-side resilience policies under injected tool and path faults."""
 
 from repro.core import RiptideAgent, RiptideConfig
+from repro.core.agent import TOOL_RETRY_LIMIT
 from repro.net import Prefix
 from repro.net.loss import BernoulliLoss
 from repro.obs.trace import EventType
@@ -23,14 +24,7 @@ def make_testbed():
 class TestToolRetry:
     def test_install_retries_after_ip_fault_clears(self):
         bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(
-                update_interval=5.0,
-                tool_retry_limit=3,
-                tool_retry_backoff=0.5,
-            ),
-        )
+        agent = RiptideAgent(bed.server, RiptideConfig(update_interval=5.0))
         request_response(bed, response_bytes=500_000)  # grow the window
         bed.server.ip.set_fault()
         agent.start()  # first tick in 5s fails its install
@@ -49,40 +43,20 @@ class TestToolRetry:
 
     def test_retries_give_up_after_the_limit(self):
         bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(
-                update_interval=5.0,
-                tool_retry_limit=2,
-                tool_retry_backoff=0.5,
-            ),
-        )
+        agent = RiptideAgent(bed.server, RiptideConfig(update_interval=5.0))
         request_response(bed, response_bytes=500_000)
         bed.server.ip.set_fault()
         agent.start()
         start = bed.sim.now
-        # Tick at +5s, retries at +5.5s and +6.5s, then the ladder ends;
-        # stop before the next tick at +10s re-runs the install path.
+        # Tick at +5s, retries at +5.5s, +6.5s and +8.5s, then the ladder
+        # ends; stop before the next tick at +10s re-runs the install path.
         bed.sim.run(until=start + 9.5)
-        assert agent.stats.tool_retries == 2
+        assert agent.stats.tool_retries == TOOL_RETRY_LIMIT == 3
         assert bed.server.ip.route_get(bed.client.address) is None
         # The next healthy tick self-heals without any retry state.
         bed.server.ip.clear_fault()
         bed.sim.run(until=start + 11.0)
         assert bed.server.ip.route_get(bed.client.address) is not None
-
-    def test_zero_retry_limit_disables_the_ladder(self):
-        bed = make_testbed()
-        agent = RiptideAgent(
-            bed.server,
-            RiptideConfig(update_interval=5.0, tool_retry_limit=0),
-        )
-        request_response(bed, response_bytes=500_000)
-        bed.server.ip.set_fault()
-        agent.start()
-        bed.sim.run(until=bed.sim.now + 9.0)
-        assert agent.stats.tool_errors >= 1
-        assert agent.stats.tool_retries == 0
 
 
 class TestPollFailures:
@@ -135,14 +109,7 @@ class TestCrashRecovery:
 
 
 class TestSafetyGuard:
-    GUARD_CONFIG = RiptideConfig(
-        update_interval=0.5,
-        safety_guard=True,
-        guard_loss_threshold=0.10,
-        guard_rtt_factor=2.0,
-        guard_min_segments=10,
-        guard_hold=20.0,
-    )
+    GUARD_CONFIG = RiptideConfig(update_interval=0.5, safety_guard=True)
 
     def _learn_big_window(self, bed, agent):
         request_response(bed, response_bytes=500_000)
@@ -176,7 +143,7 @@ class TestSafetyGuard:
         bed.trunk.set_loss_override(BernoulliLoss(0.25))
         storm = [
             request_response(bed, response_bytes=120_000, deadline=5.0)
-            for _ in range(2)
+            for _ in range(4)
         ]
         assert agent.safety_guard.holding(key, bed.sim.now)
         # Healthy path again, but the hold pins the destination: no
@@ -189,7 +156,7 @@ class TestSafetyGuard:
         request_response(bed, response_bytes=300_000, deadline=3.0)
         assert agent.learned_window_for(key) is None
         # After the hold lapses the destination can be learned again.
-        bed.sim.run(until=bed.sim.now + 25.0)
+        bed.sim.run(until=bed.sim.now + agent.safety_guard.hold + 5.0)
         request_response(bed, response_bytes=500_000)
         bed.sim.run(until=bed.sim.now + 2.0)
         assert agent.learned_window_for(key) is not None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.linux import RouteEntry, RouteTable
 from repro.net import IPv4Address, Prefix
+from repro.tcp.constants import DEFAULT_INIT_CWND
 from repro.testing import TwoHostTestbed
 
 
@@ -228,6 +229,6 @@ def test_reboot_wipes_the_index_with_the_table():
     assert host.initcwnd_for(client) == 50
     host.reboot()
     assert host.route_table.lookup(client) is None
-    assert host.initcwnd_for(client) == host.config.default_initcwnd
+    assert host.initcwnd_for(client) == DEFAULT_INIT_CWND
     host.ip.route_replace("0.0.0.0/0", initcwnd=30)
     assert host.initcwnd_for(client) == 30

@@ -1,10 +1,13 @@
-"""Unit tests for the ip/ss tool façades and sysctl."""
+"""Unit tests for the ip/ss tool façades, sysctl and the host."""
+
+import dataclasses
 
 import pytest
 
-from repro.linux import Host, Sysctl
+from repro.linux import Host
 from repro.net import IPv4Address, Prefix
 from repro.tcp import TcpConfig
+from repro.tcp.constants import DEFAULT_INIT_CWND
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -69,11 +72,6 @@ class TestSsTool:
         assert infos[0].remote_address == testbed.server.address
         assert infos[0].cwnd >= 1
 
-    def test_outgoing_only_filter(self, testbed):
-        request_response(testbed, response_bytes=5000)
-        assert len(testbed.client.ss.tcp_info(outgoing_only=True)) == 1
-        assert len(testbed.server.ss.tcp_info(outgoing_only=True)) == 0
-
     def test_created_after_filter(self, testbed):
         request_response(testbed, response_bytes=5000)
         now = testbed.sim.now
@@ -87,20 +85,21 @@ class TestSsTool:
 
     def test_stale_poll_serves_its_own_filters(self, testbed):
         """A wedged ``ss`` re-serves the last good snapshot taken under the
-        *same* filters — not whatever another caller polled last (an
-        agent polling ``outgoing_only`` after a sampler's ``created_after``
-        poll used to be handed the sampler's incoming sockets)."""
+        *same* ``created_after`` — not whatever another caller polled last
+        (an agent's unfiltered poll after a sampler's ``created_after`` poll
+        used to be handed the sampler's snapshot)."""
         request_response(testbed, response_bytes=5000)
-        ss = testbed.server.ss  # its one socket is incoming
-        assert ss.tcp_info(outgoing_only=True) == []
-        sampled = ss.tcp_info(created_after=0.0)
-        assert len(sampled) == 1 and not sampled[0].is_client
+        ss = testbed.server.ss
+        everything = ss.tcp_info()
+        assert len(everything) == 1
+        later = testbed.sim.now + 1.0
+        assert ss.tcp_info(created_after=later) == []
         ss.set_fault("stale")
-        assert ss.tcp_info(outgoing_only=True) == []
-        assert ss.tcp_info(created_after=0.0) == sampled
-        assert ss.tcp_info(created_after=0.0) is not sampled  # a copy, as before
-        # A combination never polled successfully has nothing to re-serve.
-        assert ss.tcp_info(established_only=False) == []
+        assert ss.tcp_info(created_after=later) == []
+        assert ss.tcp_info() == everything
+        assert ss.tcp_info() is not everything  # a copy, as before
+        # A filter never polled successfully has nothing to re-serve.
+        assert ss.tcp_info(created_after=0.0) == []
         assert ss.faulted_polls == 4
 
     def test_poll_counter(self, testbed):
@@ -110,24 +109,22 @@ class TestSsTool:
 
 
 class TestSysctl:
+    """The host-wide ``TcpConfig``, the simulated sysctl surface."""
+
     def test_defaults_match_linux(self):
-        sysctl = Sysctl()
-        assert sysctl.get("net.ipv4.tcp_initcwnd_default") == 10
-        assert sysctl.get("net.ipv4.tcp_congestion_control") == "cubic"
+        config = TcpConfig()
+        assert DEFAULT_INIT_CWND == 10
+        assert config.congestion_control == "cubic"
 
     def test_set_produces_new_config(self):
-        sysctl = Sysctl()
-        sysctl.set("net.ipv4.tcp_initrwnd_default", 256)
-        assert sysctl.config.default_initrwnd == 256
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            Sysctl().get("net.ipv4.nonsense")
+        config = TcpConfig()
+        raised = dataclasses.replace(config, default_initrwnd=256)
+        assert raised.default_initrwnd == 256
+        assert config.default_initrwnd == 20
 
     def test_invalid_value_rejected_via_config_validation(self):
-        sysctl = Sysctl()
         with pytest.raises(ValueError):
-            sysctl.set("net.ipv4.tcp_initcwnd_default", 0)
+            dataclasses.replace(TcpConfig(), default_initrwnd=0)
 
 
 class TestHost:
@@ -153,6 +150,5 @@ class TestHost:
         assert testbed.server.packets_unmatched == 1
 
     def test_custom_config_respected(self):
-        bed = TwoHostTestbed(client_config=TcpConfig(default_initcwnd=42))
-        sock = bed.client.connect(bed.server.address, 80)
-        assert sock.cc.initial_cwnd == 42
+        bed = TwoHostTestbed(client_config=TcpConfig(default_initrwnd=42))
+        assert bed.client.initrwnd_for(bed.server.address) == 42

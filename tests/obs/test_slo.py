@@ -75,9 +75,9 @@ class TestValidation:
         "kwargs",
         [
             {"name": ""},
-            {"comparison": "near"},
             {"objective": 0.0},
             {"objective": 1.5},
+            {"objective": float("nan")},
         ],
     )
     def test_bad_spec_rejected(self, kwargs):

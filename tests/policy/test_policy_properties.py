@@ -17,7 +17,7 @@ from repro.sim.rand import RandomStreams
 CONFIGS = [
     RiptideConfig(),
     RiptideConfig(c_min=4, c_max=32),
-    RiptideConfig(c_min=10, c_max=300, alpha=0.5, trend_detection=False),
+    RiptideConfig(c_min=10, c_max=300, alpha=0.5),
 ]
 
 DESTINATIONS = [

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.combiners import Observation, make_combiner
 from repro.core.config import VALID_POLICIES, RiptideConfig
-from repro.core.history import make_history_policy
-from repro.core.trend import TrendDetector
+from repro.core.history import EwmaHistory
 from repro.net import Prefix
 from repro.policy import (
     HOST_CLASS_WINDOWS,
@@ -76,25 +75,16 @@ class TestStaticPolicies:
 class TestEwmaPolicy:
     def test_matches_manual_pipeline(self):
         # The refactored policy must reproduce the pre-refactor agent
-        # arithmetic exactly: combine -> history.update -> trend multiply.
-        config = RiptideConfig(alpha=0.7, trend_detection=True)
+        # arithmetic exactly: combine -> EWMA history update.
+        config = RiptideConfig(alpha=0.7)
         policy = EwmaPolicy(config)
         combiner = make_combiner(config.combiner)
-        history = make_history_policy(
-            config.history, config.alpha, config.history_window
-        )
-        trend = TrendDetector(
-            drop_threshold=config.trend_drop_threshold,
-            penalty=config.trend_penalty,
-            hold=config.trend_hold,
-        )
+        history = EwmaHistory(config.alpha)
         streams = [obs(40, 60), obs(80), obs(10), obs(12, 14, 16), obs(90)]
         now = 0.0
         for samples in streams:
             now += 1.0
-            candidate = combiner.combine(samples)
-            expected = history.update(DEST, candidate)
-            expected *= trend.observe(DEST, candidate, now)
+            expected = history.update(DEST, combiner.combine(samples))
             assert policy.decide(DEST, samples, now) == expected
 
     def test_forget_restarts_history(self):

@@ -18,17 +18,15 @@ class TestFluidConfig:
     def test_defaults_validate(self):
         config = FluidConfig()
         assert config.cadence == 0.25
-        assert config.max_window == 320
+        assert config.bin_width == 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"cadence": 0.0},
-            {"max_window": 1},
             {"bin_width": 0},
-            {"loss_smoothing": 0.0},
-            {"loss_smoothing": 1.5},
-            {"ss_samples": 0},
+            {"cadence": float("nan")},
+            {"cadence": -0.25},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -12,6 +12,7 @@ import test_packet_path_golden as golden
 
 from repro.obs.trace import EventType
 from repro.tcp import Segment, TcpConfig
+from repro.tcp.constants import MIN_RTO
 from repro.tcp.socket import TcpSocket
 from repro.testing import TwoHostTestbed, request_response
 
@@ -75,7 +76,7 @@ class TestDeadlineMovesEarlier:
             client._rtt.back_off()
         client._arm_rto()
         far = client._rto_event.time
-        assert far == pytest.approx(bed.sim.now + 16 * client.config.min_rto)
+        assert far == pytest.approx(bed.sim.now + 16 * MIN_RTO)
         bed.sim.run(until=bed.sim.now + 1.5 * RTT)
         assert client._rto_event.time < far
         assert client._rto_deadline < far
@@ -87,8 +88,8 @@ class TestHeapTrafficPerAck:
             rtt=RTT,
             bandwidth_bps=1e6,
             client_config=TcpConfig(default_initrwnd=300),
-            server_config=TcpConfig(default_initcwnd=60),
         )
+        bed.server.ip.route_replace(f"{bed.client.address}/32", initcwnd=60)
         client, server = connected_pair(bed)
         server.send_message("response", 60 * server.config.mss)
         pending, cancels = bed.sim.pending_events, cancelled(bed)
@@ -144,7 +145,7 @@ class TestTeardownLeavesNoTimer:
         if how != "close":
             # Only packets already on the wire outlive the sockets — no
             # timer keeps the simulation alive for another RTO.
-            assert bed.sim.now - torn_down_at < client.config.min_rto
+            assert bed.sim.now - torn_down_at < MIN_RTO
 
 
 class TestRetryLimit:
