@@ -47,10 +47,12 @@ forensics:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k "metrics or flows or report"
 
 # What a process pays before it simulates anything (< 5 s): the import
-# hygiene tests (stdlib only, every module reached, every config field set
-# by a shipped entry point, a serial run loads neither the fork pool nor
-# the experiment registry), then the 15 largest cumulative rows of
-# `python -X importtime -c "import repro.cli"` in us.
+# hygiene tests (stdlib only, a serial run loads neither the fork pool nor
+# the experiment registry, and the three reachability invariants: every
+# module reached, every dataclass field and every defaulted parameter set
+# by a shipped entry point, every CLI option used outside the tests), then
+# the 15 largest cumulative rows of `python -X importtime -c "import repro.cli"`
+# in us.
 cold-start:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k TestImportHygiene
 	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \

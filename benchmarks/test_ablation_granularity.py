@@ -20,7 +20,7 @@ def run_arm(granularity: str) -> dict:
         ),
     )
     # Organic traffic teaches JFK's host 0 about LHR's host 0 only.
-    cluster.add_organic_workload("LHR", ["JFK"], host_index=0)
+    cluster.add_organic_workload("LHR", ["JFK"])
     cluster.start_riptide()
     cluster.run(25.0)
     # A brand-new consumer: LHR host 2 cold-fetches 100 KB from JFK.

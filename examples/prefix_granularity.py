@@ -26,7 +26,7 @@ def run_arm(granularity: str) -> None:
         ),
     )
     # Only LHR host 0 talks to JFK; hosts 1 and 2 are silent bystanders.
-    cluster.add_organic_workload("LHR", ["JFK"], host_index=0)
+    cluster.add_organic_workload("LHR", ["JFK"])
     cluster.start_riptide()
     cluster.run(25.0)
 

@@ -79,10 +79,10 @@ def rows_to_csv(
     return buffer.getvalue()
 
 
-def cdf_to_csv(cdf: EmpiricalCdf, points: int = 200, label: str = "value") -> str:
+def cdf_to_csv(cdf: EmpiricalCdf, points: int = 200) -> str:
     """One CDF as ``(value, cumulative_fraction)`` pairs."""
     return rows_to_csv(
-        (label, "cumulative_fraction"),
+        ("value", "cumulative_fraction"),
         [(f"{value:.9g}", f"{fraction:.6f}") for value, fraction in cdf.series(points)],
     )
 
@@ -90,7 +90,6 @@ def cdf_to_csv(cdf: EmpiricalCdf, points: int = 200, label: str = "value") -> st
 def cdfs_to_csv(
     cdfs: Mapping[str, EmpiricalCdf],
     points: int = 200,
-    label: str = "value",
 ) -> str:
     """Several CDFs in long format: ``series, value, cumulative_fraction``."""
     if not cdfs:
@@ -99,7 +98,7 @@ def cdfs_to_csv(
     for name, cdf in cdfs.items():
         for value, fraction in cdf.series(points):
             rows.append((name, f"{value:.9g}", f"{fraction:.6f}"))
-    return rows_to_csv(("series", label, "cumulative_fraction"), rows)
+    return rows_to_csv(("series", "value", "cumulative_fraction"), rows)
 
 
 def write_csv(path: str, content: str) -> None:
@@ -108,13 +107,10 @@ def write_csv(path: str, content: str) -> None:
         handle.write(content)
 
 
-def metrics_to_csv(
-    registry: MetricsRegistry,
-    percentiles: Iterable[float] = DEFAULT_PERCENTILES,
-) -> str:
+def metrics_to_csv(registry: MetricsRegistry) -> str:
     """One registry in long format: ``kind, metric, labels, field, value``."""
     rows = []
-    for row in registry.snapshot(percentiles):
+    for row in registry.snapshot():
         for field_name, value in row.fields:
             rows.append(
                 (row.kind, row.name, format_labels(row.labels), field_name,
@@ -123,10 +119,7 @@ def metrics_to_csv(
     return rows_to_csv(("kind", "metric", "labels", "field", "value"), rows)
 
 
-def metrics_to_json(
-    registry: MetricsRegistry,
-    percentiles: Iterable[float] = DEFAULT_PERCENTILES,
-) -> str:
+def metrics_to_json(registry: MetricsRegistry) -> str:
     """One registry as a JSON document (one object per instrument)."""
     return _record_array(
         (
@@ -136,7 +129,7 @@ def metrics_to_json(
                 "labels": dict(row.labels),
                 **dict(row.fields),
             }
-            for row in registry.snapshot(percentiles)
+            for row in registry.snapshot()
         ),
         depth=0,
     )
@@ -162,10 +155,7 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def metrics_to_prometheus(
-    registry: MetricsRegistry,
-    percentiles: Iterable[float] = DEFAULT_PERCENTILES,
-) -> str:
+def metrics_to_prometheus(registry: MetricsRegistry) -> str:
     """One registry in the Prometheus text exposition format.
 
     Counters and gauges export their current value; histograms export as
@@ -178,7 +168,6 @@ def metrics_to_prometheus(
     order — the output is a deterministic artifact, suitable for byte
     comparison in CI.
     """
-    levels = tuple(percentiles)
     lines: list[str] = []
     counters = registry.counters()
     if counters:
@@ -205,7 +194,7 @@ def metrics_to_prometheus(
             lines.append(f"# TYPE {histogram.name} summary")
         labels = tuple(histogram.labels)
         if histogram.count:
-            for level in levels:
+            for level in DEFAULT_PERCENTILES:
                 quantile = _prom_value(level / 100.0)
                 quantile_labels = _prom_labels(
                     (*labels, ("quantile", quantile))
@@ -244,19 +233,6 @@ def trace_to_json(log: TraceLog) -> str:
         for event in log.events()
     )
     return _with_records(head, "events", events)
-
-
-def trace_to_csv(log: TraceLog) -> str:
-    """Retained trace events in long format: ``time, type, source, details``.
-
-    Details are flattened ``k=v`` pairs joined with spaces (one column),
-    keeping one row per event regardless of each event type's fields.
-    """
-    rows = []
-    for event in log.events():
-        details = " ".join(f"{k}={v}" for k, v in event.details.items())
-        rows.append((f"{event.time:.9g}", event.type.value, event.source, details))
-    return rows_to_csv(("time", "type", "source", "details"), rows)
 
 
 def flows_to_jsonl(

@@ -131,23 +131,14 @@ class LintResult:
         return "\n".join(lines)
 
 
-def select_rules(
-    select: list[str] | None = None, ignore: list[str] | None = None
-) -> list[type[Rule]]:
-    """Validate ``--select``/``--ignore`` code lists against the registry."""
-    for code in (select or []) + (ignore or []):
+def select_rules(select: list[str] | None = None) -> list[type[Rule]]:
+    """The rules a ``--select`` code list names (all of them without one),
+    validated against the registry."""
+    for code in select or []:
         if code not in RULE_CODES:
             known = ", ".join(RULE_CODES)
             raise LintUsageError(f"unknown rule code {code!r} (known: {known})")
-    chosen = [
-        rule
-        for rule in ALL_RULES
-        if (not select or rule.code in select)
-        and (not ignore or rule.code not in ignore)
-    ]
-    if not chosen:
-        raise LintUsageError("selection leaves no rules to run")
-    return chosen
+    return [rule for rule in ALL_RULES if not select or rule.code in select]
 
 
 def collect_files(paths: list[str]) -> list[str]:
@@ -199,11 +190,10 @@ def run_lint(
     paths: list[str],
     *,
     select: list[str] | None = None,
-    ignore: list[str] | None = None,
 ) -> LintResult:
     """Lint ``paths`` and return the (already suppressed) result."""
     files = collect_files(paths)
-    rules: list[Rule] = [rule_cls() for rule_cls in select_rules(select, ignore)]
+    rules: list[Rule] = [rule_cls() for rule_cls in select_rules(select)]
     project = ProjectContext(root=find_project_root(files[0]) if files else None)
 
     findings: list[Finding] = []

@@ -42,19 +42,16 @@ def _episode_status(episode: AlertEpisode, now: float) -> str | None:
     return "pending"
 
 
-def build_watch_frames(
-    instrumentation: Instrumentation,
-    interval: float = DEFAULT_SLO_WINDOW,
-) -> list[dict[str, Any]]:
+def build_watch_frames(instrumentation: Instrumentation) -> list[dict[str, Any]]:
     """The run as a list of frame dicts, one per aligned window.
 
-    Each frame covers ``[index * interval, (index + 1) * interval)`` and
-    reports: trace events recorded in the window, probe-latency p90 per
-    probe fleet over the window, and the alert episodes pending/firing
-    as of the window's end.
+    Each frame covers ``[index * interval, (index + 1) * interval)`` for
+    ``interval`` the SLO engine's ``DEFAULT_SLO_WINDOW``, and reports:
+    trace events recorded in the window, probe-latency p90 per probe fleet
+    over the window, and the alert episodes pending/firing as of the
+    window's end.
     """
-    if not interval > 0.0:
-        raise ValueError(f"watch interval must be > 0, got {interval}")
+    interval = DEFAULT_SLO_WINDOW
     trace = instrumentation.trace
     tsdb = instrumentation.tsdb
     timeline = instrumentation.timeline

@@ -12,12 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.cdn.filesizes import FileSizeDistribution
 from repro.cdn.fluidtraffic import FluidTraffic
-from repro.cdn.monitors import (
-    TIMELINE_SAMPLE_INTERVAL,
-    CwndSampler,
-    SloEvaluator,
-    TimelineSampler,
-)
+from repro.cdn.monitors import CwndSampler, SloEvaluator, TimelineSampler
 from repro.cdn.pop import PoP
 from repro.cdn.probes import ProbeFleet
 from repro.cdn.topology import Topology
@@ -30,7 +25,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.network import Network, PathSpec
 from repro.obs import Auditor, Instrumentation
-from repro.obs.slo import BurnRateRule, SloEngine, SloSpec
+from repro.obs.slo import SloEngine, default_burn_rules, default_slos
 from repro.sim.fluid import FluidConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rand import RandomStreams
@@ -181,11 +176,11 @@ class CdnCluster:
     # Riptide control
     # ------------------------------------------------------------------
 
-    def start_riptide(self, pop_codes: list[str] | None = None) -> float:
-        """Start agents (all PoPs by default).  Returns the start time —
-        pass it to samplers as ``created_after`` per the paper's method."""
+    def start_riptide(self) -> float:
+        """Start every PoP's agents.  Returns the start time — pass it to
+        samplers as ``created_after`` per the paper's method."""
         started_at = self.sim.now
-        for code in pop_codes if pop_codes is not None else self.pop_codes:
+        for code in self.pop_codes:
             for agent in self._deployment(code).agents:
                 agent.start()
         return started_at
@@ -200,9 +195,8 @@ class CdnCluster:
         destination_pops: list[str],
         workload_config: OrganicWorkloadConfig | None = None,
         sizes: FileSizeDistribution | None = None,
-        host_index: int = 0,
     ) -> OrganicWorkload:
-        """Attach (and start) organic traffic from one host of a PoP."""
+        """Attach (and start) organic traffic from a PoP's first host."""
         deployment = self._deployment(source_pop)
         destinations = []
         for code in destination_pops:
@@ -213,10 +207,10 @@ class CdnCluster:
             )
         workload = OrganicWorkload(
             sim=self.sim,
-            client=deployment.clients[host_index],
+            client=deployment.clients[0],
             destinations=destinations,
             sizes=sizes if sizes is not None else FileSizeDistribution.production_cdn(),
-            rng=self.streams.stream(f"organic:{source_pop}:{host_index}"),
+            rng=self.streams.stream(f"organic:{source_pop}:0"),
             config=workload_config,
             name=f"organic:{source_pop}",
         )
@@ -244,11 +238,10 @@ class CdnCluster:
         growth_segments_per_sec: float | None = None,
         send_segments_per_flow_per_sec: float | None = None,
         churn_per_flow_per_sec: float = 0.0,
-        host_index: int = 0,
         is_client: bool = False,
         config: FluidConfig | None = None,
     ) -> FluidTraffic:
-        """Attach mean-field background cohorts from one host of a PoP.
+        """Attach mean-field background cohorts from a PoP's first host.
 
         The hybrid-mode sibling of :meth:`add_organic_workload`: one
         :class:`~repro.sim.fluid.FluidPopulation` per destination PoP
@@ -259,7 +252,7 @@ class CdnCluster:
         """
         engine = self.fluid_traffic(config)
         deployment = self._deployment(source_pop)
-        host = deployment.hosts[host_index]
+        host = deployment.hosts[0]
         for code in destination_pops:
             if code == source_pop:
                 continue
@@ -277,7 +270,6 @@ class CdnCluster:
     def make_probe_fleet(
         self,
         source_pops: list[str],
-        target_pops: list[str] | None = None,
         interval: float = 10.0,
         sizes: tuple[int, ...] | None = None,
         host_indices: list[int] | None = None,
@@ -287,8 +279,8 @@ class CdnCluster:
         """Build the Section IV-A probe infrastructure.
 
         Sources are the hosts at ``host_indices`` (default: host 0) in
-        each listed PoP; targets default to every PoP in the cluster
-        (one server each).
+        each listed PoP; targets are every PoP in the cluster (one server
+        each).
         """
         def rtt_lookup(src_code: str, dst_code: str) -> float:
             return self.topology.rtt(self.pop(src_code), self.pop(dst_code))
@@ -308,7 +300,7 @@ class CdnCluster:
             deployment = self._deployment(code)
             for index in host_indices if host_indices is not None else [0]:
                 fleet.add_source(deployment.pop, deployment.clients[index])
-        for code in target_pops if target_pops is not None else self.pop_codes:
+        for code in self.pop_codes:
             fleet.add_target(self.pop(code), self.server_address(code))
         return fleet
 
@@ -328,27 +320,21 @@ class CdnCluster:
             self.sim, hosts, interval=interval, created_after=created_after
         )
 
-    def start_timeline_sampler(
-        self, interval: float = TIMELINE_SAMPLE_INTERVAL
-    ) -> "TimelineSampler | None":
+    def start_timeline_sampler(self) -> "TimelineSampler | None":
         """Start the Figure 7/8 timeline sampler (no-op when obs is off)."""
         if not self.sim.obs.enabled:
             return None
-        sampler = TimelineSampler(self, interval=interval)
+        sampler = TimelineSampler(self)
         sampler.start(initial_delay=0.0)
         return sampler
 
-    def start_slo(
-        self,
-        specs: "tuple[SloSpec, ...] | None" = None,
-        rules: "tuple[BurnRateRule, ...] | None" = None,
-        interval: float = TIMELINE_SAMPLE_INTERVAL,
-    ) -> "SloEvaluator | None":
+    def start_slo(self) -> "SloEvaluator | None":
         """Start the burn-rate SLO engine (no-op when obs is off).
 
-        Builds an :class:`~repro.obs.slo.SloEngine` over this run's
-        windowed store, scoped to this cluster's arm label, and evaluates
-        it on the timeline-sampler cadence (overridable via ``interval``).
+        Builds an :class:`~repro.obs.slo.SloEngine` with the default SLOs
+        and burn rules over this run's windowed store, scoped to this
+        cluster's arm label, and evaluates it on the timeline-sampler
+        cadence.
         """
         if not self.sim.obs.enabled:
             return None
@@ -359,11 +345,11 @@ class CdnCluster:
             obs.trace,
             obs.spans,
             obs.alerts,
-            specs=specs,
-            rules=rules,
+            specs=default_slos(),
+            rules=default_burn_rules(),
             arm=self.config.label,
         )
-        evaluator = SloEvaluator(self, engine, interval=interval)
+        evaluator = SloEvaluator(self, engine)
         evaluator.start(initial_delay=0.0)
         return evaluator
 

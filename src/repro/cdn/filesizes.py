@@ -37,18 +37,8 @@ MAX_OBJECT_BYTES = 2 * 1024**3
 
 @dataclass(frozen=True)
 class FileSizeDistribution:
-    """A clamped log-normal over object sizes in bytes."""
-
-    mu: float = PAPER_MU
-    sigma: float = PAPER_SIGMA
-    min_bytes: int = MIN_OBJECT_BYTES
-    max_bytes: int = MAX_OBJECT_BYTES
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0 < self.min_bytes < self.max_bytes:
-            raise ValueError("require 0 < min_bytes < max_bytes")
+    """The log-normal of ``PAPER_MU``/``PAPER_SIGMA`` over object sizes in
+    bytes, clamped to ``[MIN_OBJECT_BYTES, MAX_OBJECT_BYTES]``."""
 
     @classmethod
     def production_cdn(cls) -> "FileSizeDistribution":
@@ -57,8 +47,8 @@ class FileSizeDistribution:
 
     def sample(self, rng: random.Random) -> int:
         """Draw one object size."""
-        size = rng.lognormvariate(self.mu, self.sigma)
-        return int(min(max(size, self.min_bytes), self.max_bytes))
+        size = rng.lognormvariate(PAPER_MU, PAPER_SIGMA)
+        return int(min(max(size, MIN_OBJECT_BYTES), MAX_OBJECT_BYTES))
 
     def sample_many(self, rng: random.Random, count: int) -> list[int]:
         if count < 0:
@@ -69,7 +59,7 @@ class FileSizeDistribution:
         """P(object size <= size_bytes) for the unclamped log-normal."""
         if size_bytes <= 0:
             return 0.0
-        z = (math.log(size_bytes) - self.mu) / self.sigma
+        z = (math.log(size_bytes) - PAPER_MU) / PAPER_SIGMA
         return _STANDARD_NORMAL.cdf(z)
 
     def quantile(self, p: float) -> float:
@@ -77,7 +67,7 @@ class FileSizeDistribution:
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p}")
         z = _STANDARD_NORMAL.inv_cdf(p)
-        return math.exp(self.mu + self.sigma * z)
+        return math.exp(PAPER_MU + PAPER_SIGMA * z)
 
     def fraction_exceeding(self, size_bytes: float) -> float:
         """P(object size > size_bytes) — e.g. the paper's 54 % above 15 KB."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.linux.host import Host
 from repro.net.addresses import IPv4Address
 from repro.net.link import Link
-from repro.net.network import Network
+from repro.net.network import INTRA_ZONE_DELAY, Network
 from repro.sim.fluid import MAX_WINDOW, FluidConfig, FluidPopulation
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
@@ -132,7 +132,6 @@ class FluidTraffic:
         send_segments_per_flow_per_sec: float | None = None,
         churn_per_flow_per_sec: float = 0.0,
         is_client: bool = False,
-        rtt: float | None = None,
     ) -> FluidPopulation:
         """Register a background cohort from ``host`` toward ``remote``.
 
@@ -158,11 +157,10 @@ class FluidTraffic:
                     f"no trunk from zone {src_zone} to zone {dst_zone} "
                     f"for fluid population {host.name}->{remote}"
                 )
-        if rtt is None:
-            if link is not None:
-                rtt = 2.0 * (link.propagation_delay + link.extra_delay)
-            else:
-                rtt = 2.0 * Network.DEFAULT_INTRA_ZONE_DELAY
+        if link is not None:
+            rtt = 2.0 * (link.propagation_delay + link.extra_delay)
+        else:
+            rtt = 2.0 * INTRA_ZONE_DELAY
         entry_window = host.initcwnd_for(remote)
         index = len(self._populations)
         population = FluidPopulation(

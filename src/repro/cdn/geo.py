@@ -16,10 +16,10 @@ from dataclasses import dataclass
 #: Speed of light in fibre, km/s (roughly 2/3 of c).
 FIBRE_KM_PER_SECOND = 200_000.0
 
-#: Default path-inflation factor over the great circle.  Calibrated so
-#: the 34-PoP topology satisfies both Figure 5 (median pairwise RTT just
-#: above 125 ms) and Figure 6 (median IW10 penalty above 280 ms).
-DEFAULT_PATH_INFLATION = 1.65
+#: Path-inflation factor over the great circle.  Calibrated so the 34-PoP
+#: topology satisfies both Figure 5 (median pairwise RTT just above
+#: 125 ms) and Figure 6 (median IW10 penalty above 280 ms).
+PATH_INFLATION = 1.65
 
 #: Floor for very close PoPs (metro interconnect, equipment latency).
 MIN_RTT_SECONDS = 0.002
@@ -52,19 +52,12 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * earth_radius_km * math.asin(math.sqrt(h))
 
 
-def rtt_between(
-    a: GeoPoint,
-    b: GeoPoint,
-    inflation: float = DEFAULT_PATH_INFLATION,
-    min_rtt: float = MIN_RTT_SECONDS,
-) -> float:
+def rtt_between(a: GeoPoint, b: GeoPoint) -> float:
     """Round-trip time in seconds between two locations.
 
-    ``distance * inflation`` out and back at fibre speed, floored at
-    ``min_rtt`` for co-located or metro-distance pairs.
+    ``distance * PATH_INFLATION`` out and back at fibre speed, floored at
+    ``MIN_RTT_SECONDS`` for co-located or metro-distance pairs.
     """
-    if inflation <= 0:
-        raise ValueError(f"inflation must be positive, got {inflation}")
     distance_km = haversine_km(a, b)
-    one_way = distance_km * inflation / FIBRE_KM_PER_SECOND
-    return max(2.0 * one_way, min_rtt)
+    one_way = distance_km * PATH_INFLATION / FIBRE_KM_PER_SECOND
+    return max(2.0 * one_way, MIN_RTT_SECONDS)

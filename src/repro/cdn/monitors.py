@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cdn.cluster import CdnCluster
 
 #: Simulated seconds between :class:`TimelineSampler` snapshots, and the
-#: default :class:`SloEvaluator` cadence, so SLO windows and sampling align.
+#: :class:`SloEvaluator` cadence, so SLO windows and sampling align.
 TIMELINE_SAMPLE_INTERVAL = 2.0
 
 
@@ -57,14 +57,12 @@ class CwndSampler:
         hosts: list[Host],
         interval: float = 60.0,
         created_after: float | None = None,
-        data_bearing_only: bool = True,
     ) -> None:
         if not hosts:
             raise ValueError("sampler needs at least one host")
         self._sim = sim
         self._hosts = list(hosts)
         self._created_after = created_after
-        self._data_bearing_only = data_bearing_only
         self._process = PeriodicProcess(sim, interval, self._sample, name="cwnd-sampler")
         self.samples: list[CwndSample] = []
 
@@ -87,7 +85,7 @@ class CwndSampler:
         for host in self._hosts:
             infos = host.ss.tcp_info(created_after=self._created_after)
             for info in infos:
-                if self._data_bearing_only and info.bytes_acked == 0:
+                if info.bytes_acked == 0:  # only data-bearing connections
                     continue
                 self.samples.append(
                     CwndSample(
@@ -113,9 +111,7 @@ class TimelineSampler:
     seeded random streams — the per-run results stay identical.
     """
 
-    def __init__(
-        self, cluster: "CdnCluster", interval: float = TIMELINE_SAMPLE_INTERVAL
-    ) -> None:
+    def __init__(self, cluster: "CdnCluster") -> None:
         self._cluster = cluster
         self._sim = cluster.sim
         self._timeline = cluster.sim.obs.timeline
@@ -124,7 +120,7 @@ class TimelineSampler:
         self._cluster_source = f"{label}:cluster" if label else "cluster"
         self._g_faults = cluster.sim.obs.metrics.gauge("faults_active")
         self._process = PeriodicProcess(
-            cluster.sim, interval, self._sample, name="timeline-sampler"
+            cluster.sim, TIMELINE_SAMPLE_INTERVAL, self._sample, name="timeline-sampler"
         )
 
     @property
@@ -180,22 +176,18 @@ class TimelineSampler:
 class SloEvaluator:
     """Drives an :class:`~repro.obs.slo.SloEngine` on a sim-time cadence.
 
-    A read-only companion to :class:`TimelineSampler`: every ``interval``
-    simulated seconds it asks the engine to re-derive burn rates from the
-    windowed store and walk the alert lifecycle.  Protocol behaviour and
-    the seeded random streams are untouched.
+    A read-only companion to :class:`TimelineSampler`: every
+    ``TIMELINE_SAMPLE_INTERVAL`` simulated seconds it asks the engine to
+    re-derive burn rates from the windowed store and walk the alert
+    lifecycle.  Protocol behaviour and the seeded random streams are
+    untouched.
     """
 
-    def __init__(
-        self,
-        cluster: "CdnCluster",
-        engine: SloEngine,
-        interval: float = TIMELINE_SAMPLE_INTERVAL,
-    ) -> None:
+    def __init__(self, cluster: "CdnCluster", engine: SloEngine) -> None:
         self._sim = cluster.sim
         self.engine = engine
         self._process = PeriodicProcess(
-            cluster.sim, interval, self._evaluate, name="slo-evaluator"
+            cluster.sim, TIMELINE_SAMPLE_INTERVAL, self._evaluate, name="slo-evaluator"
         )
 
     @property

@@ -6,7 +6,7 @@ census), an address prefix (its network zone) and a number of servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cdn.geo import GeoPoint
 from repro.net.addresses import IPv4Address, Prefix

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cdn.geo import DEFAULT_PATH_INFLATION, GeoPoint, rtt_between
+from repro.cdn.geo import GeoPoint, rtt_between
 from repro.cdn.pop import PoP
 from repro.net.addresses import Prefix
 
@@ -63,7 +63,6 @@ class Topology:
     """An immutable set of PoPs with derived pairwise RTTs."""
 
     pops: tuple[PoP, ...]
-    path_inflation: float = DEFAULT_PATH_INFLATION
 
     def __post_init__(self) -> None:
         codes = [pop.code for pop in self.pops]
@@ -79,7 +78,7 @@ class Topology:
 
     def rtt(self, a: PoP, b: PoP) -> float:
         """Base RTT between two PoPs in seconds."""
-        return rtt_between(a.location, b.location, inflation=self.path_inflation)
+        return rtt_between(a.location, b.location)
 
     def pairs(self):
         """All unordered PoP pairs."""
@@ -92,10 +91,7 @@ class Topology:
         return [self.rtt(a, b) for a, b in self.pairs()]
 
 
-def build_paper_topology(
-    servers_per_pop: int = 2,
-    path_inflation: float = DEFAULT_PATH_INFLATION,
-) -> Topology:
+def build_paper_topology(servers_per_pop: int = 2) -> Topology:
     """The 34-PoP deployment with Table II's continental census.
 
     Each PoP ``i`` owns the zone ``10.<i>.0.0/16``; servers sit at the
@@ -113,4 +109,4 @@ def build_paper_topology(
                 server_count=servers_per_pop,
             )
         )
-    return Topology(pops=tuple(pops), path_inflation=path_inflation)
+    return Topology(pops=tuple(pops))

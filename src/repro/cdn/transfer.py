@@ -78,12 +78,11 @@ class TransferResult:
 class TransferServer:
     """The serving side: listens and answers get-requests."""
 
-    def __init__(self, host: Host, port: int = TRANSFER_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.port = port
         self.requests_served = 0
         self.bytes_served = 0
-        host.listen(port, on_accept=self._on_accept)
+        host.listen(TRANSFER_PORT, on_accept=self._on_accept)
 
     def _on_accept(self, sock: TcpSocket) -> None:
         sock.on_message = self._on_message
@@ -98,7 +97,10 @@ class TransferServer:
         sock.send_message(("data", transfer_id, response_bytes), response_bytes)
 
     def __repr__(self) -> str:
-        return f"<TransferServer {self.host.address}:{self.port} served={self.requests_served}>"
+        return (
+            f"<TransferServer {self.host.address}:{TRANSFER_PORT} "
+            f"served={self.requests_served}>"
+        )
 
 
 @dataclass
@@ -111,9 +113,8 @@ class _PooledConnection:
 class TransferClient:
     """The requesting side: a connection pool plus fetch API."""
 
-    def __init__(self, host: Host, port: int = TRANSFER_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.port = port
         self._pool: dict[IPv4Address, list[_PooledConnection]] = {}
         self._inflight: dict[int, tuple[TransferResult, Callable | None, _PooledConnection]] = {}
         self.transfers_started = 0
@@ -221,7 +222,7 @@ class TransferClient:
 
         sock = self.host.connect(
             destination,
-            self.port,
+            TRANSFER_PORT,
             on_established=on_established,
             on_message=self._on_message,
             on_closed=self._on_closed,

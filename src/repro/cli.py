@@ -46,20 +46,24 @@ import os
 import sys
 import time
 from collections.abc import Callable
+from typing import TypeVar
 
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
 from repro.obs import Instrumentation, capture
 
 
+_T = TypeVar("_T")
+
+
 def _checked(
-    convert: Callable[[str], float], accept: Callable[[float], bool], what: str
-) -> Callable[[str], float]:
+    convert: Callable[[str], _T], accept: Callable[[_T], bool], what: str
+) -> Callable[[str], _T]:
     """An argparse ``type=``: ``convert`` the text and insist on ``accept``.
 
     A value it refuses makes argparse exit 2 before the verb does any work.
     """
 
-    def parse(text: str) -> float:
+    def parse(text: str) -> _T:
         try:
             value = convert(text)
             if accept(value):
@@ -79,6 +83,13 @@ _NON_NEGATIVE = _checked(
     float, lambda value: math.isfinite(value) and value >= 0, "a finite number >= 0"
 )
 _FINITE = _checked(float, math.isfinite, "a finite number")
+#: A file an "also write X to PATH" option fills after the run: a typo in
+#: its directory fails before the run rather than after it.
+_ARTIFACT_PATH = _checked(
+    str,
+    lambda path: os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path),
+    "a file in an existing directory",
+)
 
 
 def _add_scale_flags(
@@ -162,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (e.g. DET001,SLOT001)",
     )
     lint_parser.add_argument(
-        "--ignore",
-        metavar="CODES",
-        default=None,
-        help="comma-separated rule codes to skip",
-    )
-    lint_parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the rule codes and what they check, then exit",
@@ -195,12 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scale_flags(tournament_parser, "the leaderboard is byte-identical to serial")
     tournament_parser.add_argument(
         "--out",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         default=None,
         help="write the leaderboard artifact JSON to PATH",
     )
     tournament_parser.add_argument(
         "--markdown",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         default=None,
         help="write the leaderboard as markdown to PATH",
@@ -248,13 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics_parser.add_argument(
         "--csv",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the metric table to PATH as CSV",
-    )
-    metrics_parser.add_argument(
-        "--trace-csv",
-        metavar="PATH",
-        help="also write the retained trace events to PATH as CSV",
     )
 
     flows_parser = subparsers.add_parser(
@@ -273,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     flows_parser.add_argument(
         "--jsonl",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the flow records to PATH as JSON Lines",
     )
@@ -307,17 +311,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--out",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the report JSON to PATH",
     )
     report_parser.add_argument(
         "--spans",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the lifecycle spans to PATH as Chrome trace JSON "
         "(loadable in Perfetto / chrome://tracing)",
     )
     report_parser.add_argument(
         "--timeline-csv",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the sampled time series to PATH as CSV",
     )
@@ -352,11 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     alerts_parser.add_argument(
         "--out",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the alert report JSON to PATH",
     )
     alerts_parser.add_argument(
         "--markdown",
+        type=_ARTIFACT_PATH,
         metavar="PATH",
         help="also write the alert report as markdown to PATH",
     )
@@ -377,13 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_flags(watch_parser, "the frames are byte-identical to serial")
     watch_parser.add_argument(
-        "--interval",
-        type=_POSITIVE,
-        default=None,
-        metavar="SECONDS",
-        help="frame width in sim seconds (default: the SLO window, 5)",
-    )
-    watch_parser.add_argument(
         "--json",
         action="store_true",
         help="emit the frames as JSON instead of the watch transcript",
@@ -393,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_NON_NEGATIVE,
         default=0.0,
         metavar="R",
-        help="replay pacing: sleep interval/R wall seconds between frames "
-        "(0, the default, prints everything at once)",
+        help="replay pacing: sleep 5/R wall seconds (one SLO window) between "
+        "frames (0, the default, prints everything at once)",
     )
 
     return parser
@@ -577,17 +579,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
         paths = ["src"]
-    def split(value: str | None) -> list[str] | None:
-        if not value:
-            return None
-        return [code.strip().upper() for code in value.split(",") if code.strip()]
-
+    select = None
+    if args.select:
+        select = [code.strip().upper() for code in args.select.split(",") if code.strip()]
     try:
-        result = run_lint(
-            paths,
-            select=split(args.select),
-            ignore=split(args.ignore),
-        )
+        result = run_lint(paths, select=select)
     except LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -668,7 +664,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         metrics_to_csv,
         metrics_to_json,
         metrics_to_prometheus,
-        trace_to_csv,
         trace_to_json,
     )
 
@@ -705,9 +700,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
     _write_artifact(
         args.csv, "metrics CSV", lambda: metrics_to_csv(instrumentation.metrics)
-    )
-    _write_artifact(
-        args.trace_csv, "trace CSV", lambda: trace_to_csv(instrumentation.trace)
     )
     return 0
 
@@ -865,12 +857,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     )
     from repro.obs.slo import DEFAULT_SLO_WINDOW
 
-    width = args.interval if args.interval is not None else DEFAULT_SLO_WINDOW
     exp, instrumentation, elapsed = _run_captured(
         args.experiment_id, args.fast, args.workers, what="watch"
     )
     experiment_id = exp.experiment_id
-    frames = build_watch_frames(instrumentation, interval=width)
+    frames = build_watch_frames(instrumentation)
     if args.json:
         print(watch_frames_to_json(frames, experiment=experiment_id))
     elif args.speed > 0.0:
@@ -878,7 +869,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(f"== watch: {experiment_id} ({len(frames)} frames) ==")
         for frame in frames:
             print(render_frame(frame), flush=True)
-            time.sleep(width / args.speed)
+            time.sleep(DEFAULT_SLO_WINDOW / args.speed)
     else:
         print(render_watch(frames, experiment=experiment_id))
     print(f"\n[{experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
@@ -886,7 +877,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    since, until = getattr(args, "since", None), getattr(args, "until", None)
+    if since is not None and until is not None and since > until:
+        parser.error(f"argument --since: must be <= --until, got {since:g} > {until:g}")
     try:
         return args.handler(args)
     except KeyError as error:

@@ -28,7 +28,7 @@ from repro.core.advisory import Advisory, AdvisoryController
 from repro.core.combiners import Observation
 from repro.core.config import RiptideConfig
 from repro.core.granularity import DestinationGrouper
-from repro.core.guard import PathHealth, SafetyGuard
+from repro.core.guard import HOLD_SECONDS, PathHealth, SafetyGuard
 from repro.core.observed import LearnedTable
 from repro.linux.errors import ToolError
 from repro.linux.host import Host
@@ -568,7 +568,7 @@ class RiptideAgent:
             destination=str(destination),
             reason=reason,
             window=entry.window if entry is not None else None,
-            hold=self._guard.hold,
+            hold=HOLD_SECONDS,
         )
         if self._obs_on:
             self._spans.end(self._guard_spans.pop(destination, None), now)
@@ -581,7 +581,7 @@ class RiptideAgent:
                 destination=str(destination),
                 reason=reason,
                 window=entry.window if entry is not None else None,
-                hold=self._guard.hold,
+                hold=HOLD_SECONDS,
             )
             if span is not None:
                 self._guard_spans[destination] = span

@@ -12,7 +12,7 @@ degraded path with a burst sized for the old one.
 polls.  Per destination it judges two signals:
 
 * **loss** — the fraction of segments retransmitted, accumulated across
-  poll windows until at least ``min_segments`` segments have flowed (a
+  poll windows until at least ``MIN_SEGMENTS`` segments have flowed (a
   path collapsed by the very loss being hunted may trickle only a
   segment or two per poll, so single-window judgement would never fire);
 * **RTT** — each poll window's mean smoothed RTT against an EWMA
@@ -20,7 +20,7 @@ polls.  Per destination it judges two signals:
 
 Either signal past its threshold *trips* the guard: the agent withdraws
 the learned route (new connections fall back to the kernel default
-IW10) and holds the destination at the default for ``hold`` seconds
+IW10) and holds the destination at the default for ``HOLD_SECONDS``
 before allowing relearning.  State is plain per-destination bookkeeping;
 everything is deterministic.
 """
@@ -31,13 +31,25 @@ from dataclasses import dataclass
 
 from repro.net.addresses import Prefix
 
+#: Retransmitted fraction of the accumulated segments that trips the guard.
+LOSS_THRESHOLD = 0.15
+
+#: A poll window's mean RTT above this multiple of the baseline trips it.
+RTT_FACTOR = 3.0
+
+#: Segments that must have flowed before the loss fraction is judged.
+MIN_SEGMENTS = 20
+
+#: Seconds a tripped destination stays pinned at the kernel default.
+HOLD_SECONDS = 30.0
+
 #: Weight of the existing baseline when folding in a new healthy RTT.
 _RTT_BASELINE_ALPHA = 0.8
 
 #: Samples above this multiple of the baseline are *elevated*: not yet a
 #: trip, but not folded into the baseline either.  Without this gate a
 #: slow-building storm ratchets the baseline upward poll by poll and the
-#: spike never clears ``rtt_factor`` times the (creeping) baseline.
+#: spike never clears ``RTT_FACTOR`` times the (creeping) baseline.
 _RTT_HEALTHY_FACTOR = 1.5
 
 
@@ -68,7 +80,7 @@ class PathHealth:
 class _DestinationState:
     prev_sent: int = 0
     prev_retransmitted: int = 0
-    #: Deltas accumulated across polls until ``min_segments`` is reached
+    #: Deltas accumulated across polls until ``MIN_SEGMENTS`` is reached
     #: — a collapsed path trickles so few segments per poll that a
     #: single-window judgement would never fire.
     acc_sent: int = 0
@@ -97,27 +109,7 @@ class GuardStats:
 class SafetyGuard:
     """Per-destination loss/RTT watchdog over the agent's poll stream."""
 
-    def __init__(
-        self,
-        loss_threshold: float = 0.15,
-        rtt_factor: float = 3.0,
-        min_segments: int = 20,
-        hold: float = 30.0,
-    ) -> None:
-        if not 0.0 < loss_threshold < 1.0:
-            raise ValueError(
-                f"loss_threshold must be in (0, 1), got {loss_threshold}"
-            )
-        if rtt_factor <= 1.0:
-            raise ValueError(f"rtt_factor must be > 1, got {rtt_factor}")
-        if min_segments < 1:
-            raise ValueError(f"min_segments must be >= 1, got {min_segments}")
-        if hold <= 0:
-            raise ValueError(f"hold must be positive, got {hold}")
-        self.loss_threshold = float(loss_threshold)
-        self.rtt_factor = float(rtt_factor)
-        self.min_segments = int(min_segments)
-        self.hold = float(hold)
+    def __init__(self) -> None:
         self.stats = GuardStats()
         self._state: dict[Prefix, _DestinationState] = {}
 
@@ -192,11 +184,11 @@ class SafetyGuard:
         # a segment or two per poll.
         state.acc_sent += delta_sent
         state.acc_retransmitted += delta_rexmit
-        if state.acc_sent >= self.min_segments:
+        if state.acc_sent >= MIN_SEGMENTS:
             loss = state.acc_retransmitted / state.acc_sent
             state.reset_accumulators()
-            if loss > self.loss_threshold:
-                state.held_until = now + self.hold
+            if loss > LOSS_THRESHOLD:
+                state.held_until = now + HOLD_SECONDS
                 self.stats.trips_loss += 1
                 return "loss_spike"
 
@@ -205,8 +197,8 @@ class SafetyGuard:
             baseline = state.rtt_baseline
             if baseline is None:
                 state.rtt_baseline = srtt
-            elif srtt > self.rtt_factor * baseline:
-                state.held_until = now + self.hold
+            elif srtt > RTT_FACTOR * baseline:
+                state.held_until = now + HOLD_SECONDS
                 self.stats.trips_rtt += 1
                 return "rtt_spike"
             elif srtt <= _RTT_HEALTHY_FACTOR * baseline:

@@ -21,6 +21,10 @@ from repro.experiments.scenarios import (
 
 PROBE_BYTES = 100_000
 
+#: A best case that moved by at most this fraction counts as unchanged
+#: (the paper's "within ±5 %").
+MIN_CHANGE_TOLERANCE = 0.05
+
 
 @dataclass
 class DestinationExtremes:
@@ -53,12 +57,13 @@ class EdgeCasesResult:
     source_pop: str
     destinations: list[DestinationExtremes]
 
-    def fraction_min_within(self, tolerance: float = 0.05) -> float:
-        """Fraction of destinations whose best case changed <= tolerance."""
+    def fraction_min_within(self) -> float:
+        """Fraction of destinations whose best case changed by at most
+        ``MIN_CHANGE_TOLERANCE``."""
         if not self.destinations:
             return 0.0
         within = sum(
-            1 for d in self.destinations if abs(d.min_change) <= tolerance
+            1 for d in self.destinations if abs(d.min_change) <= MIN_CHANGE_TOLERANCE
         )
         return within / len(self.destinations)
 
@@ -86,17 +91,14 @@ class EdgeCasesResult:
         return table + anchor
 
 
-def build_result(
-    control: ProbeStudyArm,
-    riptide: ProbeStudyArm,
-    source_pop: str = EU_SOURCE,
-    size_bytes: int = PROBE_BYTES,
-) -> EdgeCasesResult:
+def build_result(control: ProbeStudyArm, riptide: ProbeStudyArm) -> EdgeCasesResult:
+    """Per-destination extremes of the ``PROBE_BYTES`` probes from the EU
+    source PoP."""
     destinations = sorted(
         {
             probe.destination_pop
             for probe in control.fleet.completed_results(
-                size_bytes=size_bytes, source_pop=source_pop
+                size_bytes=PROBE_BYTES, source_pop=EU_SOURCE
             )
         }
     )
@@ -105,14 +107,14 @@ def build_result(
         control_times = [
             p.total_time
             for p in control.fleet.completed_results(
-                size_bytes=size_bytes, source_pop=source_pop
+                size_bytes=PROBE_BYTES, source_pop=EU_SOURCE
             )
             if p.destination_pop == destination
         ]
         riptide_times = [
             p.total_time
             for p in riptide.fleet.completed_results(
-                size_bytes=size_bytes, source_pop=source_pop
+                size_bytes=PROBE_BYTES, source_pop=EU_SOURCE
             )
             if p.destination_pop == destination
         ]
@@ -127,7 +129,7 @@ def build_result(
                 riptide_max=max(riptide_times),
             )
         )
-    return EdgeCasesResult(source_pop=source_pop, destinations=extremes)
+    return EdgeCasesResult(source_pop=EU_SOURCE, destinations=extremes)
 
 
 def run(config: ProbeStudyConfig | None = None, workers: int = 1) -> EdgeCasesResult:

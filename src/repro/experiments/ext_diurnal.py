@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.diurnal import OnOffProfile

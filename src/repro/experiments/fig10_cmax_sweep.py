@@ -31,6 +31,9 @@ PAPER_CMAX_VALUES = (50, 100, 150, 200, 250)
 #: Key used for the no-Riptide control series.
 CONTROL = 0
 
+#: Simulated seconds between window samples of one arm.
+SAMPLE_INTERVAL = 5.0
+
 
 @dataclass
 class Fig10Result:
@@ -72,7 +75,6 @@ def run_single(
     topology: Topology,
     duration: float = 60.0,
     warmup: float = 10.0,
-    sample_interval: float = 5.0,
     organic_rate: float = 3.0,
     seed: int = 42,
 ) -> EmpiricalCdf:
@@ -92,7 +94,7 @@ def run_single(
         started = cluster.sim.now
     cluster.run(warmup)
     sampler = cluster.make_cwnd_sampler(
-        interval=sample_interval, created_after=started
+        interval=SAMPLE_INTERVAL, created_after=started
     )
     sampler.start()
     cluster.run(duration)

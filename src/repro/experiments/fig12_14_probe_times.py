@@ -24,6 +24,10 @@ from repro.experiments.scenarios import (
 
 BUCKET_LABELS = tuple(label for label, _ in RTT_BUCKETS)
 
+#: Riptide must be faster by more than this fraction at a CDF level for
+#: the level to count as improved.
+IMPROVED_TOLERANCE = 0.02
+
 
 @dataclass
 class BucketComparison:
@@ -45,7 +49,7 @@ class BucketComparison:
             return 0.0
         return 1.0 - self.riptide.median / self.control.median
 
-    def fraction_improved(self, tolerance: float = 0.02) -> float:
+    def fraction_improved(self) -> float:
         """Fraction of CDF levels where Riptide is meaningfully faster.
 
         Compares the two CDFs at every 2nd percentile — the visual
@@ -59,7 +63,9 @@ class BucketComparison:
         for level in levels:
             control_value = self.control.quantile(level)
             riptide_value = self.riptide.quantile(level)
-            if control_value > 0 and riptide_value < control_value * (1 - tolerance):
+            if control_value > 0 and riptide_value < control_value * (
+                1 - IMPROVED_TOLERANCE
+            ):
                 improved += 1
         return improved / len(levels)
 

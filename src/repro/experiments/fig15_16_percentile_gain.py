@@ -22,6 +22,7 @@ from repro.experiments.scenarios import (
 )
 
 PROFILE_SIZES = (50_000, 100_000)
+PROFILE_SOURCES = (EU_SOURCE, NA_SOURCE)
 
 
 @dataclass
@@ -70,21 +71,17 @@ def build_result(
     control: ProbeStudyArm,
     riptide: ProbeStudyArm,
     sizes: tuple[int, ...] = PROFILE_SIZES,
-    source_pops: tuple[str, ...] = (EU_SOURCE, NA_SOURCE),
-    step: float = 5.0,
 ) -> Fig1516Result:
     profiles = {}
     for size in sizes:
-        for pop in source_pops:
+        for pop in PROFILE_SOURCES:
             baseline = control.fleet.completion_times(
                 size_bytes=size, source_pop=pop
             )
             treatment = riptide.fleet.completion_times(
                 size_bytes=size, source_pop=pop
             )
-            profiles[(size, pop)] = percentile_gain_profile(
-                baseline, treatment, step=step
-            )
+            profiles[(size, pop)] = percentile_gain_profile(baseline, treatment)
     return Fig1516Result(profiles=profiles)
 
 

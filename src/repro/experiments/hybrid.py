@@ -69,23 +69,22 @@ DIFFERENTIAL_POP_CODES = ("LHR", "JFK", "NRT")
 # ----------------------------------------------------------------------
 
 
-def mean_object_segments(
-    sizes: FileSizeDistribution,
-    max_object_bytes: int,
-    mss: int = DEFAULT_MSS,
-    resolution: int = 200,
-) -> float:
+#: Quantiles :func:`mean_object_segments` integrates the size distribution at.
+SIZE_QUANTILES = 200
+
+
+def mean_object_segments(sizes: FileSizeDistribution, max_object_bytes: int) -> float:
     """Expected segments per fetched object, capped like the workload.
 
     Deterministic mid-quantile integration of the size distribution —
     no sampling, so both differential arms derive the same value.
     """
     total = 0.0
-    for i in range(resolution):
-        q = (i + 0.5) / resolution
+    for i in range(SIZE_QUANTILES):
+        q = (i + 0.5) / SIZE_QUANTILES
         size = min(sizes.quantile(q), float(max_object_bytes))
-        total += math.ceil(size / mss)
-    return total / resolution
+        total += math.ceil(size / DEFAULT_MSS)
+    return total / SIZE_QUANTILES
 
 
 # ----------------------------------------------------------------------
@@ -303,20 +302,13 @@ class HybridDifferentialResult:
         return "\n".join(lines)
 
 
-def run_differential(
-    config: HybridStudyConfig | None = None,
-    workers: int = 1,
-) -> HybridDifferentialResult:
-    """Run the packet and hybrid arms and compare; ``(packet, hybrid)``.
-
-    The two arms are independent simulations, so ``workers > 1`` runs
-    them in forked workers (bit-identical results, same order).
-    """
+def run_differential(config: HybridStudyConfig | None = None) -> HybridDifferentialResult:
+    """Run the packet and hybrid arms, one after the other, and compare;
+    ``(packet, hybrid)``."""
     config = config if config is not None else HybridStudyConfig()
     packet, hybrid = run_arm_pair(
         "hybrid-study",
         (differential_arm(config, "packet"), differential_arm(config, "hybrid")),
-        workers,
     )
     return HybridDifferentialResult(packet=packet, hybrid=hybrid)
 

@@ -65,10 +65,7 @@ def sub_topology(codes: tuple[str, ...] = EVALUATION_POP_CODES) -> Topology:
     missing = wanted - {pop.code for pop in full.pops}
     if missing:
         raise KeyError(f"unknown PoP codes: {sorted(missing)}")
-    return Topology(
-        pops=tuple(pop for pop in full.pops if pop.code in wanted),
-        path_inflation=full.path_inflation,
-    )
+    return Topology(pops=tuple(pop for pop in full.pops if pop.code in wanted))
 
 
 def add_organic_mesh(

@@ -34,7 +34,7 @@ from repro.faults.spec import (
 )
 from repro.net.errors import NetworkError
 from repro.net.link import DuplexLink
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
+from repro.net.loss import GilbertElliottLoss, LossModel
 from repro.obs.trace import EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Trace-event source name for injector events.
 _SOURCE = "fault-injector"
 
-#: Gilbert-Elliott channel used by bursty storms: the bad state is
+#: Gilbert-Elliott channel used by loss storms: the bad state is
 #: entered with p=0.05 and left with p=0.25 per packet, so the channel
 #: spends 1/6 of packets in bursts; ``loss_bad`` is then scaled so the
 #: stationary loss rate matches the spec's ``loss_probability``.
@@ -54,9 +54,7 @@ _STORM_BAD_SHARE = _STORM_P_GOOD_TO_BAD / (
 )
 
 
-def _storm_model(loss_probability: float, bursty: bool) -> LossModel:
-    if not bursty:
-        return BernoulliLoss(loss_probability)
+def _storm_model(loss_probability: float) -> LossModel:
     return GilbertElliottLoss(
         p_good_to_bad=_STORM_P_GOOD_TO_BAD,
         p_bad_to_good=_STORM_P_BAD_TO_GOOD,
@@ -182,32 +180,32 @@ class FaultInjector:
             )
         if isinstance(spec, LossStorm):
             trunks = self._trunks_touching(spec.pop)
-            model = _storm_model(spec.loss_probability, spec.bursty)
+            model = _storm_model(spec.loss_probability)
             return (
                 lambda: self._loss_override(trunks, model),
                 lambda: self._loss_override(trunks, None),
             )
         if isinstance(spec, SsFault):
-            agents = self._agents(spec.pop)
+            agents = self.cluster.agents(spec.pop)
             return (
                 lambda: self._ss_fault(agents, spec.mode),
                 lambda: self._ss_clear(agents),
             )
         if isinstance(spec, IpToolFault):
-            agents = self._agents(spec.pop)
+            agents = self.cluster.agents(spec.pop)
             return (
                 lambda: self._ip_fault(agents),
                 lambda: self._ip_clear(agents),
             )
         if isinstance(spec, AgentCrash):
-            agents = self._agents(spec.pop, spec.host_index)
+            agents = self.cluster.agents(spec.pop)
             crashed: list[RiptideAgent] = []
-            deactivate = None
-            if spec.restart_after is not None:
-                deactivate = lambda: self._restart(crashed)  # noqa: E731
-            return (lambda: self._crash(agents, crashed), deactivate)
+            return (
+                lambda: self._crash(agents, crashed),
+                lambda: self._restart(crashed),
+            )
         if isinstance(spec, PollJitter):
-            agents = self._agents(spec.pop)
+            agents = self.cluster.agents(spec.pop)
             rng = self.cluster.streams.stream(
                 f"fault:poll_jitter:{spec.pop}:{index}"
             )
@@ -232,18 +230,6 @@ class FaultInjector:
         if not trunks:
             raise NetworkError(f"PoP {pop} has no trunks to fault")
         return trunks
-
-    def _agents(
-        self, pop: str, host_index: int | None = None
-    ) -> list[RiptideAgent]:
-        agents = self.cluster.agents(pop)
-        if host_index is None:
-            return agents
-        if host_index >= len(agents):
-            raise IndexError(
-                f"PoP {pop} has {len(agents)} hosts; no host {host_index}"
-            )
-        return [agents[host_index]]
 
     # ------------------------------------------------------------------
     # fault actions (each returns trace detail)

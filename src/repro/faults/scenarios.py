@@ -33,14 +33,13 @@ class ExpectedAlert:
     """One SLO alert a chaos scenario is contractually expected to raise.
 
     The expectation is against the burn-rate engine's alert log for one
-    arm: ``must_fire`` requires at least one episode of the named SLO to
-    reach firing; ``must_resolve`` additionally requires at least one
-    fired episode to resolve before the run ends (the recovery half of
-    the story — e.g. the guard hold quenching a retransmit storm).
+    arm: at least one episode of the named SLO must reach firing;
+    ``must_resolve`` additionally requires at least one fired episode to
+    resolve before the run ends (the recovery half of the story — e.g.
+    the guard hold quenching a retransmit storm).
     """
 
     slo: str
-    must_fire: bool = True
     must_resolve: bool = False
     arm: str = "riptide"
 
@@ -85,7 +84,6 @@ def _lossy_agent_schedule(duration: float) -> FaultSchedule:
                 at=0.25 * duration,
                 duration=0.35 * duration,
                 loss_probability=0.30,
-                bursty=True,
             ),
             SsFault(
                 pop="LHR",
@@ -93,7 +91,7 @@ def _lossy_agent_schedule(duration: float) -> FaultSchedule:
                 duration=0.10 * duration,
                 mode="error",
             ),
-            AgentCrash(pop="LHR", at=0.70 * duration, restart_after=5.0),
+            AgentCrash(pop="LHR", at=0.70 * duration),
             PollJitter(
                 pop="AMS",
                 at=0.10 * duration,
@@ -195,10 +193,8 @@ CHAOS_SCENARIOS: dict[str, ChaosScenario] = {
             # withdrawals must register), and both must resolve once the
             # storm clears and the hold quenches the path.
             expected_alerts=(
-                ExpectedAlert("retransmit_ratio", must_fire=True, must_resolve=True),
-                ExpectedAlert(
-                    "guard_withdrawal_rate", must_fire=True, must_resolve=True
-                ),
+                ExpectedAlert("retransmit_ratio", must_resolve=True),
+                ExpectedAlert("guard_withdrawal_rate", must_resolve=True),
             ),
         ),
         ChaosScenario(

@@ -16,6 +16,9 @@ from typing import ClassVar
 
 from repro.linux.ss_tool import SS_FAULT_MODES
 
+#: Seconds after an :class:`AgentCrash` that its agents restart.
+AGENT_RESTART_AFTER = 5.0
+
 
 class FaultSpecError(ValueError):
     """A fault specification that cannot be executed."""
@@ -122,9 +125,9 @@ class LinkDegrade(FaultSpec):
 class LossStorm(FaultSpec):
     """Override loss on every trunk touching a PoP for a window.
 
-    ``bursty`` storms drive a :class:`~repro.net.loss.GilbertElliottLoss`
-    channel whose stationary loss rate matches ``loss_probability``
-    (correlated WAN bursts); otherwise a plain Bernoulli override.
+    The storm drives a :class:`~repro.net.loss.GilbertElliottLoss` channel
+    whose stationary loss rate matches ``loss_probability`` (correlated
+    WAN bursts).
     """
 
     kind: ClassVar[str] = "loss_storm"
@@ -134,7 +137,6 @@ class LossStorm(FaultSpec):
     duration: float
     #: Average packet-loss rate during the storm.
     loss_probability: float = 0.25
-    bursty: bool = True
 
     def __post_init__(self) -> None:
         _check_at(self.at)
@@ -145,9 +147,8 @@ class LossStorm(FaultSpec):
             )
 
     def describe(self) -> str:
-        flavour = "bursty" if self.bursty else "uniform"
         return (
-            f"loss_storm at {self.pop} ({flavour} "
+            f"loss_storm at {self.pop} (bursty "
             f"p={self.loss_probability:g}) for {self.duration:g}s"
         )
 
@@ -220,48 +221,28 @@ class IpToolFault(FaultSpec):
 
 @dataclass(frozen=True)
 class AgentCrash(FaultSpec):
-    """Kill the Riptide agents of a PoP; optionally restart them later.
+    """Kill every Riptide agent of a PoP; restart them
+    ``AGENT_RESTART_AFTER`` seconds later.
 
     Only agents *running* at crash time are affected (and later
     restarted), so the schedule is safe to arm on a control arm where no
-    agent was ever started.  ``restart_after`` of ``None`` leaves them
-    dead for the rest of the run.
+    agent was ever started.
     """
 
     kind: ClassVar[str] = "agent_crash"
 
     pop: str
     at: float
-    restart_after: float | None = 5.0
-    #: Crash only this host's agent; None = every agent in the PoP.
-    host_index: int | None = None
 
     def __post_init__(self) -> None:
         _check_at(self.at)
-        if self.restart_after is not None and self.restart_after <= 0:
-            raise FaultSpecError(
-                f"restart_after must be positive, got {self.restart_after}"
-            )
-        if self.host_index is not None and self.host_index < 0:
-            raise FaultSpecError(
-                f"host_index must be >= 0, got {self.host_index}"
-            )
 
     @property
     def clear_at(self) -> float | None:
-        if self.restart_after is None:
-            return None
-        return self.at + self.restart_after
+        return self.at + AGENT_RESTART_AFTER
 
     def describe(self) -> str:
-        who = (
-            f"agent {self.host_index} at {self.pop}"
-            if self.host_index is not None
-            else f"agents at {self.pop}"
-        )
-        if self.restart_after is None:
-            return f"agent_crash {who}, never restarted"
-        return f"agent_crash {who}, restart after {self.restart_after:g}s"
+        return f"agent_crash agents at {self.pop}, restart after {AGENT_RESTART_AFTER:g}s"
 
 
 @dataclass(frozen=True)
@@ -321,8 +302,7 @@ class FaultSchedule:
     def end_time(self) -> float:
         """Relative time after which no fault remains scheduled to fire.
 
-        Faults that never clear (``AgentCrash(restart_after=None)``)
-        contribute their injection time only.
+        Faults that never clear contribute their injection time only.
         """
         end = 0.0
         for spec in self.specs:

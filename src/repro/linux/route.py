@@ -25,7 +25,6 @@ class RouteEntry:
     prefix: Prefix
     initcwnd: int | None = None
     initrwnd: int | None = None
-    proto: str = "static"
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
@@ -36,7 +35,7 @@ class RouteEntry:
 
     def format_linux(self) -> str:
         """Render roughly as ``ip route show`` would."""
-        parts = [str(self.prefix), f"proto {self.proto}"]
+        parts = [str(self.prefix), "proto static"]
         if self.initcwnd is not None:
             parts.append(f"initcwnd {self.initcwnd}")
         if self.initrwnd is not None:

@@ -7,13 +7,11 @@ import math
 from repro.tcp.constants import DEFAULT_MSS
 
 
-def segments_for(size_bytes: int, mss: int = DEFAULT_MSS) -> int:
-    """Number of MSS-sized segments needed to carry ``size_bytes``."""
+def segments_for(size_bytes: int) -> int:
+    """Number of ``DEFAULT_MSS``-sized segments needed to carry ``size_bytes``."""
     if size_bytes < 0:
         raise ValueError(f"size must be >= 0, got {size_bytes}")
-    if mss <= 0:
-        raise ValueError(f"mss must be positive, got {mss}")
-    return math.ceil(size_bytes / mss)
+    return math.ceil(size_bytes / DEFAULT_MSS)
 
 
 def rounds_schedule(initcwnd: int, rounds: int) -> list[int]:
@@ -29,11 +27,7 @@ def rounds_schedule(initcwnd: int, rounds: int) -> list[int]:
     return [initcwnd * (2**i - 1) for i in range(1, rounds + 1)]
 
 
-def rtts_to_complete(
-    size_bytes: int,
-    initcwnd: int,
-    mss: int = DEFAULT_MSS,
-) -> int:
+def rtts_to_complete(size_bytes: int, initcwnd: int) -> int:
     """RTTs needed to deliver ``size_bytes`` under lossless slow start.
 
     A zero-byte transfer needs 0 RTTs; anything that fits in the initial
@@ -42,23 +36,14 @@ def rtts_to_complete(
     """
     if initcwnd < 1:
         raise ValueError(f"initcwnd must be >= 1, got {initcwnd}")
-    n = segments_for(size_bytes, mss)
+    n = segments_for(size_bytes)
     if n == 0:
         return 0
     return math.ceil(math.log2(n / initcwnd + 1.0))
 
 
-def transfer_time(
-    size_bytes: int,
-    initcwnd: int,
-    rtt: float,
-    mss: int = DEFAULT_MSS,
-    handshake: bool = False,
-) -> float:
-    """Model transfer time in seconds (optionally charging the 3WHS RTT)."""
+def transfer_time(size_bytes: int, initcwnd: int, rtt: float) -> float:
+    """Model transfer time in seconds (the handshake not charged)."""
     if rtt < 0:
         raise ValueError(f"rtt must be >= 0, got {rtt}")
-    rounds = rtts_to_complete(size_bytes, initcwnd, mss)
-    if handshake and rounds > 0:
-        rounds += 1
-    return rounds * rtt
+    return rtts_to_complete(size_bytes, initcwnd) * rtt

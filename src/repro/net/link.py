@@ -84,7 +84,6 @@ class Link:
         propagation_delay: float,
         queue_limit_packets: int = 256,
         loss_model: LossModel | None = None,
-        rng: random.Random | None = None,
         name: str = "link",
         streams: RandomStreams | None = None,
     ) -> None:
@@ -99,11 +98,11 @@ class Link:
         self.propagation_delay = float(propagation_delay)
         self.queue_limit_packets = int(queue_limit_packets)
         self._loss = loss_model if loss_model is not None else NoLoss()
-        #: The generator loss draws consume: ``rng`` when one was handed
-        #: in, else the stream ``loss:<name>`` of ``streams``, resolved by
-        #: the first draw.  A stream is a function of ``(master_seed,
-        #: name)`` alone, so when it is resolved moves no draw.
-        self._rng = rng
+        #: The generator loss draws consume: the stream ``loss:<name>`` of
+        #: ``streams``, resolved by the first draw.  A stream is a function
+        #: of ``(master_seed, name)`` alone, so when it is resolved moves
+        #: no draw.
+        self._rng: random.Random | None = None
         self._streams = streams
         self.name = name
         self.stats = LinkStats()
@@ -298,7 +297,7 @@ class DuplexLink:
 
     The loss model is cloned so each direction has independent channel
     state; each direction also gets its own RNG stream (``loss:<name>:fwd``
-    and ``loss:<name>:rev`` of ``streams`` unless generators are given).
+    and ``loss:<name>:rev`` of ``streams``).
     """
 
     __slots__ = ("name", "forward", "reverse")
@@ -310,8 +309,6 @@ class DuplexLink:
         propagation_delay: float,
         queue_limit_packets: int = 256,
         loss_model: LossModel | None = None,
-        rng_forward: random.Random | None = None,
-        rng_reverse: random.Random | None = None,
         name: str = "duplex",
         streams: RandomStreams | None = None,
     ) -> None:
@@ -323,7 +320,6 @@ class DuplexLink:
             propagation_delay,
             queue_limit_packets,
             template.clone(),
-            rng_forward,
             name=f"{name}:fwd",
             streams=streams,
         )
@@ -333,7 +329,6 @@ class DuplexLink:
             propagation_delay,
             queue_limit_packets,
             template.clone(),
-            rng_reverse,
             name=f"{name}:rev",
             streams=streams,
         )

@@ -52,18 +52,14 @@ class PathSpec:
     loss_model: LossModel = field(default_factory=NoLoss)
 
 
+#: Delay for traffic between hosts of the same zone (LAN hop).
+INTRA_ZONE_DELAY = 0.00025
+
+
 class Network:
     """Zones, trunks and hosts wired together over one simulator."""
 
-    #: Delay for traffic between hosts of the same zone (LAN hop).
-    DEFAULT_INTRA_ZONE_DELAY = 0.00025
-
-    def __init__(
-        self,
-        sim: Simulator,
-        streams: RandomStreams | None = None,
-        intra_zone_delay: float = DEFAULT_INTRA_ZONE_DELAY,
-    ) -> None:
+    def __init__(self, sim: Simulator, streams: RandomStreams | None = None) -> None:
         self._sim = sim
         self._streams = streams if streams is not None else RandomStreams(0)
         self._zones: list[Prefix] = []
@@ -76,7 +72,6 @@ class Network:
         #: pair, or None for an intra-zone hop.  Only successful
         #: resolutions are kept; dropped whenever zones or trunks change.
         self._paths: dict[tuple[int, int], Link | None] = {}
-        self._intra_zone_delay = intra_zone_delay
         self.packets_to_unknown_host = 0
 
     @property
@@ -176,9 +171,7 @@ class Network:
             # Raises for an unroutable pair, so a failure is never memoised.
             trunk = self._paths[key] = self._resolve(packet.src, packet.dst)
         if trunk is None:
-            self._sim.schedule_fire(
-                self._intra_zone_delay, self._deliver_local, packet
-            )
+            self._sim.schedule_fire(INTRA_ZONE_DELAY, self._deliver_local, packet)
         else:
             trunk.transmit(packet, self._deliver_local)
 

@@ -156,7 +156,6 @@ class FlowLog(BoundedLog[FlowRecord]):
         self,
         host: str | None = None,
         is_client: bool | None = None,
-        open_only: bool = False,
         since: float | None = None,
         until: float | None = None,
     ) -> list[FlowRecord]:
@@ -171,8 +170,6 @@ class FlowLog(BoundedLog[FlowRecord]):
             if host is not None and record.host != host:
                 continue
             if is_client is not None and record.is_client != is_client:
-                continue
-            if open_only and record.closed_at is not None:
                 continue
             if until is not None and record.opened_at > until:
                 continue

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 #: Canonical form of a label set: sorted ``(key, value)`` pairs.
 LabelSet = tuple[tuple[str, str], ...]
@@ -249,11 +249,8 @@ class MetricsRegistry:
         """Sum of a counter across all of its label sets."""
         return sum(c.value for (n, _), c in self._counters.items() if n == name)
 
-    def snapshot(
-        self, percentiles: Iterable[float] = DEFAULT_PERCENTILES
-    ) -> list[MetricRow]:
+    def snapshot(self) -> list[MetricRow]:
         """All instruments flattened to rows, sorted by kind then key."""
-        levels = tuple(percentiles)
         rows: list[MetricRow] = []
         for counter in self.counters():
             rows.append(
@@ -270,17 +267,15 @@ class MetricsRegistry:
             if histogram.count:
                 fields.append(("mean", histogram.mean))
                 fields.extend(
-                    (f"p{level:g}", histogram.percentile(level)) for level in levels
+                    (f"p{level:g}", histogram.percentile(level)) for level in DEFAULT_PERCENTILES
                 )
                 fields.append(("max", histogram.max))
             rows.append(MetricRow("histogram", histogram.name, histogram.labels, tuple(fields)))
         return rows
 
-    def render_table(
-        self, percentiles: Iterable[float] = DEFAULT_PERCENTILES
-    ) -> str:
+    def render_table(self) -> str:
         """Human-readable fixed-width metric table."""
-        rows = self.snapshot(percentiles)
+        rows = self.snapshot()
         if not rows:
             return "(no metrics registered)"
         rendered = [("KIND", "METRIC", "VALUE")]

@@ -53,10 +53,13 @@ __all__ = [
     "source_matches_arm",
 ]
 
-#: Default aligned-window width (simulated seconds) for SLI derivations.
+#: Aligned-window width (simulated seconds) for SLI derivations.
 DEFAULT_SLO_WINDOW = 5.0
 
 VALID_SIGNAL_KINDS = ("percentile", "last", "sum", "rate", "sum_ratio")
+
+#: Percentile rank a ``percentile`` signal reads from a window.
+SIGNAL_PERCENTILE = 90.0
 
 _INACTIVE = "inactive"
 _PENDING = "pending"
@@ -85,8 +88,6 @@ class SloSignal:
     series: str
     #: Denominator series, ``sum_ratio`` only.
     denominator: str = ""
-    #: Percentile rank, ``percentile`` only.
-    p: float = 90.0
     #: Minimum denominator sum before a ratio window is judged.
     min_count: float = 0.0
 
@@ -99,8 +100,6 @@ class SloSignal:
             raise ValueError("sum_ratio signals need a denominator series")
         if self.kind != "sum_ratio" and self.denominator:
             raise ValueError(f"denominator is only valid for sum_ratio, got {self.kind!r}")
-        if not 0.0 < self.p <= 100.0:
-            raise ValueError(f"p must be in (0, 100], got {self.p}")
         if self.min_count < 0.0:
             raise ValueError(f"min_count must be >= 0, got {self.min_count}")
 
@@ -109,7 +108,7 @@ class SloSignal:
     ) -> float | None:
         """The SLI value of one window; None when there is no signal."""
         if self.kind == "percentile":
-            return tsdb.percentile(source, self.series, index, window, self.p)
+            return tsdb.percentile(source, self.series, index, window, SIGNAL_PERCENTILE)
         if self.kind == "last":
             return tsdb.last(source, self.series, index, window)
         if self.kind == "sum":
@@ -179,7 +178,7 @@ def default_slos() -> tuple[SloSpec, ...]:
         SloSpec(
             name="probe_latency_p90",
             description="Probe completion p90 stays under 1s",
-            signal=SloSignal(kind="percentile", series="probe_latency", p=90.0),
+            signal=SloSignal(kind="percentile", series="probe_latency"),
             threshold=1.0,
             objective=0.25,
         ),
@@ -375,7 +374,6 @@ class SloEngine:
         "_specs",
         "_rules",
         "_arm",
-        "_window",
         "_states",
         "_m_evals",
         "_g_firing",
@@ -391,22 +389,18 @@ class SloEngine:
         spans: SpanLog,
         alerts: AlertLog,
         *,
-        specs: tuple[SloSpec, ...] | None = None,
-        rules: tuple[BurnRateRule, ...] | None = None,
+        specs: tuple[SloSpec, ...],
+        rules: tuple[BurnRateRule, ...],
         arm: str = "",
-        window: float = DEFAULT_SLO_WINDOW,
     ) -> None:
-        if window <= 0.0:
-            raise ValueError(f"window must be > 0, got {window}")
         self._tsdb = tsdb
         self._metrics = metrics
         self._trace = trace
         self._spans = spans
         self._alerts = alerts
-        self._specs = specs if specs is not None else default_slos()
-        self._rules = rules if rules is not None else default_burn_rules()
+        self._specs = specs
+        self._rules = rules
         self._arm = arm
-        self._window = window
         self._states: dict[tuple[str, str, str], _AlertState] = {}
         self._m_evals = metrics.counter("slo_evaluations")
         self._g_firing = metrics.gauge("slo_alerts_firing")
@@ -421,10 +415,6 @@ class SloEngine:
     def rules(self) -> tuple[BurnRateRule, ...]:
         return self._rules
 
-    @property
-    def window(self) -> float:
-        return self._window
-
     def burn_rate(
         self, spec: SloSpec, source: str, now: float, lookback: float
     ) -> float | None:
@@ -434,12 +424,12 @@ class SloEngine:
         sustainable rate; None means no window in the lookback carried
         any signal (no opinion).
         """
-        first = max(0, WindowedStore.window_index(now - lookback, self._window))
-        last = WindowedStore.window_index(now, self._window)
+        first = max(0, WindowedStore.window_index(now - lookback, DEFAULT_SLO_WINDOW))
+        last = WindowedStore.window_index(now, DEFAULT_SLO_WINDOW)
         bad = 0
         judged = 0
         for index in range(first, last + 1):
-            value = spec.signal.value(self._tsdb, source, index, self._window)
+            value = spec.signal.value(self._tsdb, source, index, DEFAULT_SLO_WINDOW)
             if value is None:
                 continue
             judged += 1
@@ -581,17 +571,12 @@ class SloEngine:
 # Alert report artifact (JSON + markdown)
 
 
-def build_alert_report(
-    alerts: AlertLog,
-    specs: tuple[SloSpec, ...] | None = None,
-    experiment: str = "",
-) -> dict[str, object]:
-    """A deterministic, serializable summary of a run's alert activity."""
-    if specs is None:
-        specs = default_slos()
+def build_alert_report(alerts: AlertLog, experiment: str = "") -> dict[str, object]:
+    """A deterministic, serializable summary of a run's alert activity:
+    one row per default SLO, then every episode."""
     episodes = alerts.episodes()
     by_slo: list[dict[str, object]] = []
-    for spec in specs:
+    for spec in default_slos():
         mine = [e for e in episodes if e.slo == spec.name]
         by_slo.append(
             {

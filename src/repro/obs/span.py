@@ -110,7 +110,6 @@ class SpanLog(BoundedLog[Span]):
         self,
         category: str | None = None,
         source: str | None = None,
-        open_only: bool = False,
     ) -> list[Span]:
         """Retained spans, optionally filtered."""
         selected = []
@@ -118,8 +117,6 @@ class SpanLog(BoundedLog[Span]):
             if category is not None and span.category != category:
                 continue
             if source is not None and span.source != source:
-                continue
-            if open_only and span.end is not None:
                 continue
             selected.append(span)
         return selected

@@ -146,7 +146,7 @@ class WindowedStore(PointLog[TsdbPoint]):
 
         None when either series has no samples in the window or the
         denominator sum is below ``min_denominator`` (too little signal
-        to judge — mirrors the SafetyGuard's ``min_segments`` gate).
+        to judge — mirrors the SafetyGuard's ``MIN_SEGMENTS`` gate).
         """
         den = self.window_sum(source, denominator, index, window)
         if den is None or den <= 0.0 or den < min_denominator:

@@ -23,7 +23,7 @@ import os
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.instrument import Instrumentation, active_instrumentation, capture
+from repro.obs.instrument import active_instrumentation, capture
 
 if TYPE_CHECKING:
     import multiprocessing.queues
@@ -74,7 +74,6 @@ def run_tasks(
     tasks: Sequence[Callable[[], Any]],
     workers: int | None = None,
     labels: Sequence[str] | None = None,
-    merge_into: Instrumentation | None = None,
 ) -> list[Any]:
     """Run independent tasks, possibly in parallel, preserving order.
 
@@ -84,8 +83,8 @@ def run_tasks(
     is also the reference semantics the parallel path reproduces.
 
     Each worker runs its tasks under a fresh ``repro.obs`` capture; the
-    parent merges those captures in task order into ``merge_into`` (or,
-    by default, into the innermost active capture, if any).  A failing
+    parent merges those captures in task order into the innermost active
+    capture, if any.  A failing
     task raises :class:`WorkerFailure` for the lowest failing index, and
     only instrumentation of tasks *before* that index is merged — the
     state a serial run stopping at the same failure would have left.
@@ -106,7 +105,7 @@ def run_tasks(
     workers = max(1, min(int(workers), count))
     if workers == 1 or not fork_available():
         return _run_serial(tasks, labels)
-    return _run_forked(tasks, labels, workers, merge_into)
+    return _run_forked(tasks, labels, workers)
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +137,6 @@ def _run_forked(
     tasks: list[Callable[[], Any]],
     labels: list[str],
     workers: int,
-    merge_into: Instrumentation | None,
 ) -> list[Any]:
     import multiprocessing
     import pickle
@@ -177,7 +175,7 @@ def _run_forked(
                 process.join(timeout=5.0)
         result_queue.close()
 
-    return _resolve(outcomes, labels, merge_into)
+    return _resolve(outcomes, labels)
 
 
 def _collect(
@@ -221,10 +219,9 @@ def _collect(
 def _resolve(
     outcomes: dict[int, tuple[Any, ...]],
     labels: list[str],
-    merge_into: Instrumentation | None,
 ) -> list[Any]:
     """Merge instrumentation in task order; return results or raise."""
-    target = merge_into if merge_into is not None else active_instrumentation()
+    target = active_instrumentation()
     results = []
     for index in sorted(outcomes):
         outcome = outcomes[index]

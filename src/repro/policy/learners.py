@@ -57,19 +57,12 @@ class PercentilePolicy(WindowPolicy):
     #: Samples retained per destination (a few polls' worth of sockets).
     SAMPLE_WINDOW = 64
 
-    def __init__(self, percentile: float, sample_window: int | None = None) -> None:
+    def __init__(self, percentile: float) -> None:
         if not 0.0 < percentile <= 100.0:
             raise ValueError(
                 f"percentile must be in (0, 100], got {percentile}"
             )
         self.percentile = percentile
-        self.sample_window = (
-            sample_window if sample_window is not None else self.SAMPLE_WINDOW
-        )
-        if self.sample_window < 1:
-            raise ValueError(
-                f"sample_window must be >= 1, got {self.sample_window}"
-            )
         self.name = f"p{percentile:g}"
         self._samples: dict[Prefix, deque[int]] = {}
 
@@ -78,7 +71,7 @@ class PercentilePolicy(WindowPolicy):
     ) -> float:
         window = self._samples.get(destination)
         if window is None:
-            window = deque(maxlen=self.sample_window)
+            window = deque(maxlen=self.SAMPLE_WINDOW)
             self._samples[destination] = window
         for sample in samples:
             window.append(sample.cwnd)

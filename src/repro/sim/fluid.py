@@ -434,7 +434,6 @@ class FluidPopulation:
         rtt: float,
         target_flows: float,
         entry_window: int,
-        max_window: int = MAX_WINDOW,
         bin_width: int = 1,
         growth_segments_per_sec: float | None = None,
         send_segments_per_flow_per_sec: float | None = None,
@@ -454,7 +453,7 @@ class FluidPopulation:
         self.name = name
         self.rtt = float(rtt)
         self.mss = int(mss)
-        self.distribution = CwndDistribution(max_window, bin_width)
+        self.distribution = CwndDistribution(MAX_WINDOW, bin_width)
         self.target_flows = float(target_flows)
         # Canonical AIMD: one segment per RTT.
         self.growth_segments_per_sec = (

@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from math import isnan
 from typing import Any
 
-from repro.obs.instrument import Instrumentation, instrumentation_for_new_simulator
+from repro.obs.instrument import instrumentation_for_new_simulator
 from repro.sim.errors import SchedulingError
 from repro.sim.events import Event, EventQueue
 
@@ -50,12 +50,8 @@ class Simulator:
     #: per-event updates dominated the inner-loop instrumentation cost.
     QUEUE_DEPTH_SAMPLE_STRIDE = 64
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        instrumentation: Instrumentation | None = None,
-    ) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue = EventQueue()
         #: The queue's entry heap, cached for the schedule fast paths.
         #: Safe to hold across the whole run: compaction rebuilds the
@@ -66,11 +62,7 @@ class Simulator:
         self._events_processed = 0
         #: Metrics registry + trace log.  Inside a ``repro.obs.capture()``
         #: block this is the shared aggregate; otherwise private per run.
-        self.obs = (
-            instrumentation
-            if instrumentation is not None
-            else instrumentation_for_new_simulator()
-        )
+        self.obs = instrumentation_for_new_simulator()
         #: Cached so the run loop and cancel path can skip instrumentation
         #: entirely (a true no-op) when it is disabled for this run.
         self._obs_enabled = self.obs.enabled

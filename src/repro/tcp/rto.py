@@ -14,29 +14,20 @@ _ALPHA = 0.125
 _BETA = 0.25
 _K = 4.0
 
+#: Backoff saturates once ``MIN_RTO * 2**exponent >= MAX_RTO`` (the base
+#: is clamped to at least ``MIN_RTO``, so this bound holds for any base).
+#: Growing the exponent past that point cannot change the RTO but
+#: eventually overflows ``2 ** exp`` to an un-floatable bignum after
+#: ~1024 consecutive timeouts.
+_MAX_BACKOFF_EXPONENT = max(0, math.ceil(math.log2(MAX_RTO / MIN_RTO)))
+
 
 class RttEstimator:
-    """SRTT/RTTVAR tracker producing the current RTO."""
+    """SRTT/RTTVAR tracker producing the current RTO, bounded by
+    :data:`~repro.tcp.constants.MIN_RTO` and ``MAX_RTO`` and starting at
+    ``INITIAL_RTO``."""
 
-    def __init__(
-        self,
-        min_rto: float = MIN_RTO,
-        max_rto: float = MAX_RTO,
-        initial_rto: float = INITIAL_RTO,
-    ) -> None:
-        if not 0 < min_rto <= max_rto:
-            raise ValueError("require 0 < min_rto <= max_rto")
-        self._min_rto = min_rto
-        self._max_rto = max_rto
-        self._initial_rto = initial_rto
-        #: Backoff saturates once ``min_rto * 2**exponent >= max_rto``
-        #: (the base is clamped to at least ``min_rto``, so this bound
-        #: holds for any base).  Growing the exponent past that point
-        #: cannot change the RTO but eventually overflows ``2 ** exp``
-        #: to an un-floatable bignum after ~1024 consecutive timeouts.
-        self._max_backoff_exponent = max(
-            0, math.ceil(math.log2(max_rto / min_rto))
-        )
+    def __init__(self) -> None:
         self._srtt: float | None = None
         self._rttvar: float = 0.0
         self._backoff_exponent = 0
@@ -60,12 +51,12 @@ class RttEstimator:
 
     def _compute_rto(self) -> float:
         if self._srtt is None:
-            base = self._initial_rto
+            base = INITIAL_RTO
         else:
             base = self._srtt + _K * self._rttvar
-        base = min(max(base, self._min_rto), self._max_rto)
+        base = min(max(base, MIN_RTO), MAX_RTO)
         backed_off = base * (2 ** self._backoff_exponent)
-        return min(backed_off, self._max_rto)
+        return min(backed_off, MAX_RTO)
 
     def add_sample(self, rtt: float) -> None:
         """Fold in a fresh RTT measurement and clear any backoff."""
@@ -84,10 +75,10 @@ class RttEstimator:
     def back_off(self) -> None:
         """Double the RTO after a retransmission timeout.
 
-        The exponent is clamped where the RTO saturates ``max_rto``, so
+        The exponent is clamped where the RTO saturates ``MAX_RTO``, so
         arbitrarily long timeout streaks stay overflow-free.
         """
-        if self._backoff_exponent < self._max_backoff_exponent:
+        if self._backoff_exponent < _MAX_BACKOFF_EXPONENT:
             self._backoff_exponent += 1
             self.rto = self._compute_rto()
 

@@ -22,9 +22,14 @@ from repro.sim.rand import RandomStreams
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import TcpSocket
 
+#: The port :meth:`TwoHostTestbed.serve_echo` listens on and
+#: :func:`request_response` connects to.
+ECHO_PORT = 80
+
 
 class TwoHostTestbed:
-    """Two hosts, two zones, one configurable trunk."""
+    """Two hosts, two zones, one configurable trunk (with
+    :class:`~repro.net.network.PathSpec`'s default queue limit)."""
 
     CLIENT_ZONE = Prefix.parse("10.0.0.0/24")
     SERVER_ZONE = Prefix.parse("10.1.0.0/24")
@@ -33,7 +38,6 @@ class TwoHostTestbed:
         self,
         rtt: float = 0.100,
         bandwidth_bps: float = 1e9,
-        queue_limit_packets: int = 1024,
         loss_model: LossModel | None = None,
         client_config: TcpConfig | None = None,
         server_config: TcpConfig | None = None,
@@ -47,7 +51,6 @@ class TwoHostTestbed:
         spec = PathSpec(
             bandwidth_bps=bandwidth_bps,
             propagation_delay=rtt / 2.0,
-            queue_limit_packets=queue_limit_packets,
             loss_model=loss_model if loss_model is not None else _no_loss(),
         )
         self.trunk: DuplexLink = self.network.connect_zones(
@@ -60,8 +63,8 @@ class TwoHostTestbed:
             self.sim, self.network, "10.1.0.1", config=server_config, name="server"
         )
 
-    def serve_echo(self, port: int = 80) -> None:
-        """Listen on the server; respond to ``("get", n)`` with ``n`` bytes."""
+    def serve_echo(self) -> None:
+        """Listen on the server's ``ECHO_PORT``; respond to ``("get", n)`` with ``n`` bytes."""
 
         def on_message(sock: TcpSocket, payload: Any, size: int) -> None:
             if isinstance(payload, tuple) and payload and payload[0] == "get":
@@ -70,7 +73,7 @@ class TwoHostTestbed:
         def on_accept(sock: TcpSocket) -> None:
             sock.on_message = on_message
 
-        self.server.listen(port, on_accept=on_accept)
+        self.server.listen(ECHO_PORT, on_accept=on_accept)
 
 
 @dataclass
@@ -99,7 +102,6 @@ def request_response(
     testbed: TwoHostTestbed,
     response_bytes: int,
     request_bytes: int = 200,
-    port: int = 80,
     deadline: float = 60.0,
 ) -> ExchangeResult:
     """Open a connection, fetch ``response_bytes``, run until complete."""
@@ -120,7 +122,7 @@ def request_response(
 
     sock = testbed.client.connect(
         testbed.server.address,
-        port,
+        ECHO_PORT,
         on_established=on_established,
         on_message=on_message,
     )

@@ -61,16 +61,6 @@ class TestCdfExport:
 
 
 class TestObsExports:
-    def test_trace_to_csv_flattens_details(self):
-        from repro.analysis.export import trace_to_csv
-        from repro.obs import EventType, TraceLog
-
-        log = TraceLog()
-        log.record(1.5, EventType.ROUTE_INSTALLED, "srv", window=40, ttl=600)
-        parsed = parse(trace_to_csv(log))
-        assert parsed[0] == ["time", "type", "source", "details"]
-        assert parsed[1] == ["1.5", "route_installed", "srv", "window=40 ttl=600"]
-
     def test_trace_to_json_carries_drop_counters(self):
         import json
 
@@ -247,7 +237,7 @@ class TestPrometheusExposition:
 # reference; every comparison is ``==`` on the text.
 
 
-def reference_metrics_to_json(registry, percentiles):
+def reference_metrics_to_json(registry):
     import json
 
     payload = [
@@ -257,7 +247,7 @@ def reference_metrics_to_json(registry, percentiles):
             "labels": dict(row.labels),
             **dict(row.fields),
         }
-        for row in registry.snapshot(percentiles)
+        for row in registry.snapshot()
     ]
     return json.dumps(payload, indent=2)
 
@@ -651,15 +641,10 @@ class TestFlowsMatchWholePayload:
 
 
 class TestMetricsJsonMatchesWholePayload:
-    def _check(self, registry, percentiles=None):
+    def _check(self, registry):
         from repro.analysis.export import metrics_to_json
-        from repro.obs.metrics import DEFAULT_PERCENTILES
 
-        if percentiles is None:
-            shipped, percentiles = metrics_to_json(registry), DEFAULT_PERCENTILES
-        else:
-            shipped = metrics_to_json(registry, percentiles)
-        assert shipped == reference_metrics_to_json(registry, percentiles)
+        assert metrics_to_json(registry) == reference_metrics_to_json(registry)
 
     def test_empty_registry(self):
         from repro.analysis.export import metrics_to_json
@@ -691,8 +676,6 @@ class TestMetricsJsonMatchesWholePayload:
             histogram.observe(value)
         registry.histogram("never_observed", bucket="long")
         self._check(registry)
-        self._check(registry, percentiles=(25.0, 99.9))
-        self._check(registry, percentiles=())
 
     @pytest.mark.parametrize("instruments", [63, 64, 65, 128, 129, 300])
     def test_many_instruments(self, instruments):

@@ -40,15 +40,9 @@ def test_select_limits_rules(hazard_file):
     assert run_lint([str(hazard_file)], select=["SLOT001"]).findings == []
 
 
-def test_ignore_removes_rules(hazard_file):
-    assert run_lint([str(hazard_file)], ignore=["DET001"]).findings == []
-
-
 def test_unknown_code_is_a_usage_error(hazard_file):
     with pytest.raises(LintUsageError, match="unknown rule code"):
         run_lint([str(hazard_file)], select=["NOPE001"])
-    with pytest.raises(LintUsageError, match="no rules"):
-        run_lint([str(hazard_file)], ignore=list(RULE_CODES))
 
 
 def test_missing_path_is_a_usage_error(tmp_path):
@@ -147,8 +141,8 @@ def test_cli_survives_broken_pipe(tmp_path):
     assert "BrokenPipeError" not in result.stderr
 
 
-def test_cli_select_and_ignore(hazard_file, capsys):
-    assert main(["lint", str(hazard_file), "--ignore", "DET001"]) == 0
+def test_cli_select(hazard_file, capsys):
+    assert main(["lint", str(hazard_file), "--select", "SLOT001"]) == 0
     assert main(["lint", str(hazard_file), "--select", "DET001,SIM001"]) == 1
     capsys.readouterr()
 
@@ -163,7 +157,6 @@ def test_cli_unknown_code_lists_known_codes(hazard_file, capsys):
 
 def test_cli_codes_are_case_insensitive(hazard_file, capsys):
     assert main(["lint", str(hazard_file), "--select", "det001"]) == 1
-    assert main(["lint", str(hazard_file), "--ignore", "det001"]) == 0
     capsys.readouterr()
 
 

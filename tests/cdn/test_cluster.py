@@ -51,11 +51,6 @@ class TestRiptideControl:
         cluster.start_riptide()
         assert all(agent.running for agent in cluster.all_agents())
 
-    def test_start_riptide_subset(self, cluster):
-        cluster.start_riptide(["LHR"])
-        assert all(agent.running for agent in cluster.agents("LHR"))
-        assert not any(agent.running for agent in cluster.agents("JFK"))
-
     def test_riptide_learns_from_organic_traffic(self, cluster):
         cluster.add_organic_workload("LHR", ["JFK"])
         cluster.start_riptide()

@@ -19,10 +19,12 @@ def make_testbed(bandwidth_bps=100e6, queue=64):
     bed = TwoHostTestbed(
         rtt=0.080,
         bandwidth_bps=bandwidth_bps,
-        queue_limit_packets=queue,
         client_config=TcpConfig(default_initrwnd=300),
         server_config=TcpConfig(default_initrwnd=300),
     )
+    # A shallow trunk queue, so a congested direction drops bursts.
+    for link in (bed.trunk.forward, bed.trunk.reverse):
+        link.queue_limit_packets = queue
     bed.serve_echo()
     return bed
 

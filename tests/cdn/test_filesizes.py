@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cdn.filesizes import FileSizeDistribution
+from repro.cdn.filesizes import MAX_OBJECT_BYTES, MIN_OBJECT_BYTES, FileSizeDistribution
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ class TestSampling:
         rng = random.Random(1)
         for _ in range(2000):
             size = dist.sample(rng)
-            assert dist.min_bytes <= size <= dist.max_bytes
+            assert MIN_OBJECT_BYTES <= size <= MAX_OBJECT_BYTES
 
     def test_sampling_is_reproducible(self, dist):
         assert dist.sample_many(random.Random(7), 50) == dist.sample_many(
@@ -75,12 +75,6 @@ class TestAnalyticForm:
             dist.quantile(0.0)
         with pytest.raises(ValueError):
             dist.quantile(1.0)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            FileSizeDistribution(sigma=0.0)
-        with pytest.raises(ValueError):
-            FileSizeDistribution(min_bytes=100, max_bytes=50)
 
 
 @given(p=st.floats(min_value=0.01, max_value=0.99))

@@ -135,7 +135,7 @@ class TestSsSynthesis:
             host, remote, target_flows=100.0,
             growth_segments_per_sec=40.0, churn_per_flow_per_sec=0.5,
         )
-        cluster.start_riptide(["LHR"])
+        cluster.start_riptide()
         cluster.run(20.0)
         agent = cluster.agents("LHR")[0]
         learned = dict(agent.learned_table().windows())
@@ -379,7 +379,7 @@ class TestObservability:
             cluster.add_fluid_traffic(
                 "LHR", ["JFK"], flows_per_destination=25.0
             )
-            cluster.start_timeline_sampler(interval=1.0)
+            cluster.start_timeline_sampler()
             cluster.run(5.0)
             names = set(cluster.sim.obs.timeline.series_names())
             assert "cluster:fluid_flows_open" in names

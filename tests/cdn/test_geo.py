@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cdn.geo import GeoPoint, haversine_km, rtt_between
+from repro.cdn.geo import (
+    FIBRE_KM_PER_SECOND,
+    PATH_INFLATION,
+    GeoPoint,
+    haversine_km,
+    rtt_between,
+)
 
 LONDON = GeoPoint(51.51, -0.13)
 NEW_YORK = GeoPoint(40.71, -74.01)
@@ -52,13 +58,8 @@ class TestRttSynthesis:
         assert 0.050 < rtt < 0.130
 
     def test_inflation_scales_rtt(self):
-        base = rtt_between(LONDON, SYDNEY, inflation=1.0)
-        double = rtt_between(LONDON, SYDNEY, inflation=2.0)
-        assert double == pytest.approx(2 * base)
-
-    def test_invalid_inflation_rejected(self):
-        with pytest.raises(ValueError):
-            rtt_between(LONDON, NEW_YORK, inflation=0.0)
+        great_circle = 2 * haversine_km(LONDON, SYDNEY) / FIBRE_KM_PER_SECOND
+        assert rtt_between(LONDON, SYDNEY) == pytest.approx(PATH_INFLATION * great_circle)
 
 
 coordinates = st.tuples(

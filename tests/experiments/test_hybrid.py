@@ -12,13 +12,16 @@ import pytest
 
 from repro.experiments.hybrid import (
     DIFFERENTIAL_POP_CODES,
+    HybridDifferentialResult,
     HybridScaleConfig,
     HybridStudyConfig,
+    differential_arm,
     mean_object_segments,
     run_arm,
     run_differential,
     run_scale,
 )
+from repro.experiments.scenarios import run_arm_pair
 
 #: Seeds the agreement tolerances are held across (>= 3 per the issue).
 AGREEMENT_SEEDS = (7, 42, 43)
@@ -88,8 +91,15 @@ class TestDeterminism:
     CONFIG = replace(HybridStudyConfig(), warmup=6.0, duration=15.0)
 
     def test_workers_bit_stable(self):
+        """Both arms summarise identically when forked, as other studies'
+        arms run under ``--workers``."""
         serial = run_differential(self.CONFIG)
-        forked = run_differential(self.CONFIG, workers=2)
+        packet, hybrid = run_arm_pair(
+            "hybrid-study",
+            tuple(differential_arm(self.CONFIG, mode) for mode in ("packet", "hybrid")),
+            workers=2,
+        )
+        forked = HybridDifferentialResult(packet=packet, hybrid=hybrid)
         assert serial.packet.advisories == forked.packet.advisories
         assert serial.hybrid.advisories == forked.hybrid.advisories
         assert (

@@ -16,6 +16,7 @@ from repro.faults import (
     PopPartition,
     SsFault,
 )
+from repro.faults.spec import AGENT_RESTART_AFTER
 from repro.net import IPv4Address, Link, Packet
 from repro.net.errors import NetworkError
 from repro.obs.trace import EventType
@@ -248,14 +249,12 @@ class TestProcessFaults:
     def test_crash_and_restart(self):
         cluster = tiny_cluster()
         cluster.start_riptide()
-        make_injector(
-            cluster, AgentCrash(pop="LHR", at=2.0, restart_after=3.0)
-        )
+        make_injector(cluster, AgentCrash(pop="LHR", at=2.0))
         agents = cluster.agents("LHR")
         cluster.run(3.0)
         assert all(not agent.running for agent in agents)
         assert all(agent.stats.crashes == 1 for agent in agents)
-        cluster.run(3.0)
+        cluster.run(AGENT_RESTART_AFTER)
         assert all(agent.running for agent in agents)
         totals = cluster.instrumentation.trace.totals()
         assert totals[EventType.AGENT_CRASHED] == len(agents)
@@ -263,27 +262,13 @@ class TestProcessFaults:
 
     def test_crash_is_noop_on_control_arm(self):
         cluster = tiny_cluster()  # Riptide never started
-        make_injector(
-            cluster, AgentCrash(pop="LHR", at=2.0, restart_after=3.0)
-        )
+        make_injector(cluster, AgentCrash(pop="LHR", at=2.0))
         cluster.run(10.0)
         # Crash must not *start* agents on an arm where none were running.
         assert all(not agent.running for agent in cluster.agents("LHR"))
         assert all(
             agent.stats.crashes == 0 for agent in cluster.agents("LHR")
         )
-
-    def test_crash_single_host(self):
-        cluster = tiny_cluster()
-        cluster.start_riptide()
-        make_injector(
-            cluster,
-            AgentCrash(pop="LHR", at=2.0, restart_after=None, host_index=0),
-        )
-        cluster.run(5.0)
-        agents = cluster.agents("LHR")
-        assert not agents[0].running
-        assert agents[1].running
 
     def test_poll_jitter_is_deterministic(self):
         def polls_after(seed: int) -> list[int]:

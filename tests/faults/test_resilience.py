@@ -2,6 +2,7 @@
 
 from repro.core import RiptideAgent, RiptideConfig
 from repro.core.agent import TOOL_RETRY_LIMIT
+from repro.core.guard import HOLD_SECONDS
 from repro.net import Prefix
 from repro.net.loss import BernoulliLoss
 from repro.obs.trace import EventType
@@ -156,7 +157,7 @@ class TestSafetyGuard:
         request_response(bed, response_bytes=300_000, deadline=3.0)
         assert agent.learned_window_for(key) is None
         # After the hold lapses the destination can be learned again.
-        bed.sim.run(until=bed.sim.now + agent.safety_guard.hold + 5.0)
+        bed.sim.run(until=bed.sim.now + HOLD_SECONDS + 5.0)
         request_response(bed, response_bytes=500_000)
         bed.sim.run(until=bed.sim.now + 2.0)
         assert agent.learned_window_for(key) is not None

@@ -13,7 +13,7 @@ from repro.faults import (
     PopPartition,
     SsFault,
 )
-from repro.faults.spec import FaultSpecError
+from repro.faults.spec import AGENT_RESTART_AFTER, FaultSpecError
 
 
 class TestSpecValidation:
@@ -65,14 +65,6 @@ class TestSpecValidation:
         for mode in ("error", "empty", "stale", "partial"):
             SsFault(pop="LHR", at=0.0, duration=1.0, mode=mode)
 
-    def test_crash_restart_must_be_positive(self):
-        with pytest.raises(FaultSpecError, match="restart_after"):
-            AgentCrash(pop="LHR", at=0.0, restart_after=0.0)
-
-    def test_crash_host_index_non_negative(self):
-        with pytest.raises(FaultSpecError, match="host_index"):
-            AgentCrash(pop="LHR", at=0.0, host_index=-1)
-
     def test_jitter_amplitude_positive(self):
         with pytest.raises(FaultSpecError, match="amplitude"):
             PollJitter(pop="LHR", at=0.0, duration=1.0, amplitude=0.0)
@@ -92,12 +84,9 @@ class TestSchedule:
         )
         assert schedule.end_time == 22.0
 
-    def test_unrestarted_crash_contributes_injection_time_only(self):
-        schedule = FaultSchedule(
-            specs=(AgentCrash(pop="LHR", at=30.0, restart_after=None),)
-        )
-        assert schedule.end_time == 30.0
-        assert schedule.specs[0].clear_at is None
+    def test_crash_end_time_covers_the_restart(self):
+        schedule = FaultSchedule(specs=(AgentCrash(pop="LHR", at=30.0),))
+        assert schedule.end_time == 30.0 + AGENT_RESTART_AFTER
 
     def test_timeline_sorted_by_injection_time(self):
         late = IpToolFault(pop="LHR", at=9.0, duration=1.0)

@@ -5,7 +5,6 @@ link is either delivered, dropped at the queue tail, dropped in flight,
 or still inside the link when the clock stops.
 """
 
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.net import BernoulliLoss, IPv4Address, Packet
 from repro.net.link import Link
-from repro.sim import Simulator
+from repro.sim import RandomStreams, Simulator
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.1.0.1")
@@ -36,7 +35,7 @@ def test_link_conserves_packets(seed, loss, queue, count):
         propagation_delay=0.01,
         queue_limit_packets=queue,
         loss_model=BernoulliLoss(loss),
-        rng=random.Random(seed),
+        streams=RandomStreams(seed),
     )
     delivered = []
     for _ in range(count):

@@ -1,11 +1,11 @@
 """Unit tests for link serialization, queueing, propagation and loss."""
 
-import random
 
 import pytest
 
 from repro.net import BernoulliLoss, DuplexLink, IPv4Address, Packet
 from repro.net.link import Link
+from repro.sim import RandomStreams
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.1.0.1")
@@ -99,7 +99,7 @@ class TestLoss:
             propagation_delay=0.0,
             queue_limit_packets=2000,
             loss_model=BernoulliLoss(0.5),
-            rng=random.Random(4),
+            streams=RandomStreams(4),
         )
         delivered = []
         for _ in range(1000):
@@ -114,7 +114,7 @@ class TestLoss:
             bandwidth_bps=1e6,
             propagation_delay=0.0,
             loss_model=BernoulliLoss(0.999999),
-            rng=random.Random(1),
+            streams=RandomStreams(1),
         )
         arrivals = []
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
@@ -143,8 +143,6 @@ class TestDuplexLink:
             bandwidth_bps=1e9,
             propagation_delay=0.0,
             loss_model=BernoulliLoss(0.3),
-            rng_forward=random.Random(1),
-            rng_reverse=random.Random(2),
         )
         assert duplex.forward._loss is not duplex.reverse._loss
 

@@ -134,7 +134,7 @@ def _span_view(log: SpanLog) -> dict:
             for s in log.spans()
         ],
         "chrome": list(log.iter_chrome_trace()),
-        "open": [s.span_id for s in log.spans(open_only=True)],
+        "open": [s.span_id for s in log.spans() if s.end is None],
         "total": log.next_id,
     }
 

@@ -28,14 +28,13 @@ class TestBeginAndQuery:
         assert [r.flow_id for r in records] == [0, 1, 2]
         assert log.next_id == 3
 
-    def test_filters_by_host_side_and_openness(self):
+    def test_filters_by_host_and_side(self):
         log = FlowLog()
         server = begin(log, 0, host="srv")
         client = begin(log, 1, host="cli", is_client=True)
         client.closed_at = 5.0
         assert log.records(host="srv") == [server]
         assert log.records(is_client=True) == [client]
-        assert log.records(open_only=True) == [server]
 
     def test_to_dict_has_stable_key_order(self):
         log = FlowLog()

@@ -24,11 +24,6 @@ class TestCapture:
                 assert Simulator().obs is inner
             assert Simulator().obs is outer
 
-    def test_explicit_instrumentation_beats_capture(self):
-        private = Instrumentation()
-        with capture():
-            assert Simulator(instrumentation=private).obs is private
-
 
 class TestTsdbAndAlerts:
     def test_every_instrumentation_bundles_tsdb_and_alert_log(self):

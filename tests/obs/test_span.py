@@ -51,7 +51,6 @@ class TestBeginEnd:
         log.end(probe, 1.0)
         assert log.spans(category="probe") == [probe]
         assert [s.name for s in log.spans(source="srv")] == ["g"]
-        assert [s.name for s in log.spans(open_only=True)] == ["g"]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

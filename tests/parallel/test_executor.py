@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.obs import Instrumentation, capture
+from repro.obs import capture
 from repro.parallel import WorkerFailure, default_workers, fork_available, run_tasks
 
 needs_fork = pytest.mark.skipif(
@@ -126,12 +126,6 @@ class TestObsMerge:
         assert instrumentation.metrics.counter_value("parallel_test_total") == 6
         histogram = instrumentation.metrics.histogram("parallel_test_hist")
         assert histogram.values() == [1.0, 2.0, 3.0]
-
-    @needs_fork
-    def test_merges_into_explicit_target(self):
-        target = Instrumentation()
-        run_tasks([_counting_task(5), _counting_task(7)], workers=2, merge_into=target)
-        assert target.metrics.counter_value("parallel_test_total") == 12
 
     @needs_fork
     def test_merge_matches_serial_run(self):

@@ -119,10 +119,11 @@ class TestPercentilePolicy:
         assert policy.decide(DEST, obs(100), now=2.0) == 100.0
 
     def test_sample_window_bounds_memory(self):
-        policy = PercentilePolicy(100.0, sample_window=4)
-        policy.decide(DEST, obs(500, 500, 500, 500), now=0.0)
-        # Four newer, smaller samples must evict all the 500s.
-        assert policy.decide(DEST, obs(7, 7, 7, 7), now=1.0) == 7.0
+        policy = PercentilePolicy(100.0)
+        window = PercentilePolicy.SAMPLE_WINDOW
+        policy.decide(DEST, obs(*[500] * window), now=0.0)
+        # A window's worth of newer, smaller samples must evict all the 500s.
+        assert policy.decide(DEST, obs(*[7] * window), now=1.0) == 7.0
 
     def test_forget(self):
         policy = PercentilePolicy(90.0)

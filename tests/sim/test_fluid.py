@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.sim.fluid import CwndDistribution, FluidConfig, FluidPopulation
+from repro.sim.fluid import MAX_WINDOW, CwndDistribution, FluidConfig, FluidPopulation
 
 
 class TestFluidConfig:
@@ -176,7 +176,7 @@ class TestFluidPopulation:
         growth, churn, entry = 5.0, 0.5, 10
         pop = FluidPopulation(
             "p", rtt=0.1, target_flows=1000.0, entry_window=entry,
-            max_window=320, growth_segments_per_sec=growth,
+            growth_segments_per_sec=growth,
             churn_per_flow_per_sec=churn,
         )
         for _ in range(1200):
@@ -333,7 +333,7 @@ def test_negative_drift_rejected():
 
 def test_window_total_cache_is_dropped_by_every_mutator():
     population = FluidPopulation(
-        name="p", rtt=0.08, target_flows=300.0, entry_window=10, max_window=200
+        name="p", rtt=0.08, target_flows=300.0, entry_window=10
     )
     dist = population.distribution
 
@@ -646,13 +646,13 @@ def test_cohort_step_matches_five_pass_reference(shape, bin_width):
     rng = random.Random(1000 * shape + bin_width)
     rtt = rng.choice((0.01, 0.08, 0.3))
     shipped = FluidPopulation(
-        "p", rtt=rtt, target_flows=900.0, entry_window=10, max_window=120,
+        "p", rtt=rtt, target_flows=900.0, entry_window=10,
         bin_width=bin_width, growth_segments_per_sec=growth,
         send_segments_per_flow_per_sec=cap, churn_per_flow_per_sec=churn,
         created_at=3.0,
     )
     reference = FivePassPopulation(
-        rtt, 900.0, 10, 120, bin_width, growth, cap, churn, created_at=3.0
+        rtt, 900.0, 10, MAX_WINDOW, bin_width, growth, cap, churn, created_at=3.0
     )
     assert 1.0 - math.exp(-400.0 * 0.25) == 1.0
     now = 3.0
@@ -661,13 +661,13 @@ def test_cohort_step_matches_five_pass_reference(shape, bin_width):
     for step in range(160):
         if step % 40 == 20:
             # A Riptide install (or its expiry) moves the entry window.
-            entry = rng.choice((1, 10, 46, 100, 120, 500))
+            entry = rng.choice((1, 10, 46, 100, MAX_WINDOW, 500))
         # Loss: none, the link model's floor, congestion, the congestion
         # cap, and a downed link, where every bin's ``q`` saturates at 1.
         loss = rng.choice((0.0, 0.0, 1e-4, 1e-4, 0.02, 0.5, 1.0))
         dt = rng.choice((0.25, 0.5, 0.5, 0.0))
         poke = rng.choice(("none",) * 8 + ("sliver", "empty"))
-        sliver_window = rng.choice((1, 60, 120))
+        sliver_window = rng.choice((1, 60, MAX_WINDOW))
         for population in (shipped, reference):
             if poke == "sliver":
                 # Mass that a lossy or drifting step splits into pieces
@@ -695,10 +695,10 @@ def test_cohort_step_matches_five_pass_reference(shape, bin_width):
 def test_departing_everything_then_refilling_matches_reference():
     """``departing >= 1``: the cohort empties and re-enters at the entry window."""
     shipped = FluidPopulation(
-        "p", rtt=0.1, target_flows=50.0, entry_window=10, max_window=100,
+        "p", rtt=0.1, target_flows=50.0, entry_window=10,
         growth_segments_per_sec=8.0, churn_per_flow_per_sec=400.0,
     )
-    reference = FivePassPopulation(0.1, 50.0, 10, 100, 1, 8.0, None, 400.0)
+    reference = FivePassPopulation(0.1, 50.0, 10, MAX_WINDOW, 1, 8.0, None, 400.0)
     for entry in (10, 10, 64, 64, 3):
         for population in (shipped, reference):
             population.step(0.25, 0.01, entry)

@@ -9,9 +9,6 @@ class TestScheduling:
     def test_clock_starts_at_zero(self, sim):
         assert sim.now == 0.0
 
-    def test_clock_starts_at_custom_time(self):
-        assert Simulator(start_time=7.5).now == 7.5
-
     def test_events_fire_in_time_order(self, sim):
         fired = []
         sim.schedule(2.0, fired.append, "b")

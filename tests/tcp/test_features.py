@@ -95,13 +95,11 @@ class TestSlowStartAfterIdle:
 class TestCloseOnPeerFin:
     def test_server_socket_closes_after_client_fin(self):
         bed = TwoHostTestbed(rtt=RTT)
-        bed.serve_echo()
         from repro.cdn.transfer import TransferClient, TransferServer
 
         server_host = bed.server
-        server_host.stop_listening(80)
-        TransferServer(server_host, port=80)
-        client = TransferClient(bed.client, port=80)
+        TransferServer(server_host)
+        client = TransferClient(bed.client)
         client.fetch(server_host.address, 10_000)
         bed.sim.run(until=bed.sim.now + 2.0)
         assert server_host.socket_count() == 1

@@ -118,17 +118,17 @@ class TestRecoveryMechanics:
         assert sender_stats.rtos_fired > 0
 
     def test_queue_overflow_recovered(self):
-        """A burst into a tiny queue loses the tail; TCP must recover."""
+        """A burst past the trunk's default 1024-packet queue loses the
+        tail; TCP must recover."""
         bed = TwoHostTestbed(
             rtt=RTT,
             bandwidth_bps=100e6,
-            queue_limit_packets=8,
-            client_config=TcpConfig(default_initrwnd=256),
-            server_config=TcpConfig(default_initrwnd=256),
+            client_config=TcpConfig(default_initrwnd=1500),
+            server_config=TcpConfig(default_initrwnd=1500),
         )
         bed.serve_echo()
-        bed.server.ip.route_replace("10.0.0.0/24", initcwnd=150)
-        result = request_response(bed, response_bytes=400_000, deadline=300.0)
+        bed.server.ip.route_replace("10.0.0.0/24", initcwnd=1200)
+        result = request_response(bed, response_bytes=2_000_000, deadline=300.0)
         assert result.completed
         assert bed.trunk.reverse.stats.packets_dropped_queue > 0
 

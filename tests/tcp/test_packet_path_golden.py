@@ -114,12 +114,14 @@ def _testbed(params: dict[str, Any], accepted: list[TcpSocket]) -> TwoHostTestbe
     bed = TwoHostTestbed(
         rtt=params["rtt"],
         bandwidth_bps=params["bandwidth_bps"],
-        queue_limit_packets=params["queue_limit_packets"],
         loss_model=_loss_model(params["loss"]),
         client_config=config,
         server_config=config,
         seed=params["seed"],
     )
+    # The testbed's trunk has the fabric's default queue; a cell sets its own.
+    for link in (bed.trunk.forward, bed.trunk.reverse):
+        link.queue_limit_packets = params["queue_limit_packets"]
 
     def on_message(sock: TcpSocket, payload: Any, size: int) -> None:
         sock.send_message(("data", payload[1]), payload[1])

@@ -5,20 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.tcp import RttEstimator
+from repro.tcp.constants import INITIAL_RTO, MAX_RTO, MIN_RTO
 
 
 class TestInitialState:
     def test_initial_rto_before_samples(self):
-        assert RttEstimator(initial_rto=1.0).rto == 1.0
+        assert RttEstimator().rto == INITIAL_RTO
 
     def test_srtt_none_before_samples(self):
         assert RttEstimator().srtt is None
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            RttEstimator(min_rto=0.0)
-        with pytest.raises(ValueError):
-            RttEstimator(min_rto=2.0, max_rto=1.0)
 
 
 class TestSampling:
@@ -29,18 +24,18 @@ class TestSampling:
         assert est.rttvar == pytest.approx(0.050)
 
     def test_rto_after_first_sample(self):
-        est = RttEstimator(min_rto=0.0001)
+        est = RttEstimator()
         est.add_sample(0.100)
         # srtt + 4*rttvar = 0.1 + 0.2
         assert est.rto == pytest.approx(0.300)
 
     def test_min_rto_floor_applies(self):
-        est = RttEstimator(min_rto=0.200)
+        est = RttEstimator()
         est.add_sample(0.010)
-        assert est.rto >= 0.200
+        assert est.rto == MIN_RTO
 
     def test_steady_samples_converge(self):
-        est = RttEstimator(min_rto=0.001)
+        est = RttEstimator()
         for _ in range(100):
             est.add_sample(0.080)
         assert est.srtt == pytest.approx(0.080, rel=1e-3)
@@ -68,7 +63,7 @@ class TestSampling:
 
 class TestBackoff:
     def test_backoff_doubles_rto(self):
-        est = RttEstimator(min_rto=0.2)
+        est = RttEstimator()
         est.add_sample(0.100)
         base = est.rto
         est.back_off()
@@ -77,14 +72,14 @@ class TestBackoff:
         assert est.rto == pytest.approx(4 * base)
 
     def test_backoff_capped_at_max(self):
-        est = RttEstimator(max_rto=5.0)
+        est = RttEstimator()
         est.add_sample(1.0)
         for _ in range(20):
             est.back_off()
-        assert est.rto == 5.0
+        assert est.rto == MAX_RTO
 
     def test_new_sample_clears_backoff(self):
-        est = RttEstimator(min_rto=0.001)
+        est = RttEstimator()
         est.add_sample(0.100)
         base = est.rto
         est.back_off()
@@ -102,10 +97,10 @@ class TestBackoff:
 
 @given(samples=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=50))
 def test_rto_always_within_bounds(samples):
-    est = RttEstimator(min_rto=0.2, max_rto=120.0)
+    est = RttEstimator()
     for sample in samples:
         est.add_sample(sample)
-        assert 0.2 <= est.rto <= 120.0
+        assert MIN_RTO <= est.rto <= MAX_RTO
 
 
 @given(
@@ -113,14 +108,14 @@ def test_rto_always_within_bounds(samples):
     backoffs=st.integers(min_value=0, max_value=30),
 )
 def test_backoff_monotone_and_capped(samples, backoffs):
-    est = RttEstimator(min_rto=0.2, max_rto=120.0)
+    est = RttEstimator()
     for sample in samples:
         est.add_sample(sample)
     previous = est.rto
     for _ in range(backoffs):
         est.back_off()
         assert est.rto >= previous
-        assert est.rto <= 120.0
+        assert est.rto <= MAX_RTO
         previous = est.rto
 
 
@@ -132,26 +127,26 @@ class TestBackoffSaturation:
         est = RttEstimator()
         for _ in range(5000):
             est.back_off()
-        assert est.rto == est._max_rto
+        assert est.rto == MAX_RTO
 
     def test_backoff_saturates_at_max_rto(self):
-        est = RttEstimator(min_rto=0.2, max_rto=60.0, initial_rto=1.0)
+        est = RttEstimator()
         previous = est.rto
         for _ in range(20):
             est.back_off()
             assert est.rto >= previous
             previous = est.rto
-        assert est.rto == 60.0
+        assert est.rto == MAX_RTO
 
     def test_sample_after_saturation_clears_backoff(self):
         est = RttEstimator()
         for _ in range(3000):
             est.back_off()
         est.add_sample(0.050)
-        assert est.rto < est._max_rto
+        assert est.rto < MAX_RTO
 
     def test_clamp_does_not_change_unsaturated_backoff(self):
-        est = RttEstimator(min_rto=1.0, max_rto=64.0, initial_rto=1.0)
+        est = RttEstimator()
         est.back_off()
         est.back_off()
         assert est.rto == pytest.approx(4.0)

@@ -135,12 +135,14 @@ class TestSackedBytesCounter:
         bed = TwoHostTestbed(
             rtt=rng.uniform(0.01, 0.2),
             bandwidth_bps=rng.choice([10e6, 50e6, 1e9]),
-            queue_limit_packets=rng.choice([24, 64, 1024]),
             loss_model=loss,
             seed=seed,
             client_config=config,
             server_config=config,
         )
+        queue_limit = rng.choice([24, 64, 1024])
+        for link in (bed.trunk.forward, bed.trunk.reverse):
+            link.queue_limit_packets = queue_limit
         bed.serve_echo()
         bed.server.ip.route_replace(
             TwoHostTestbed.CLIENT_ZONE, initcwnd=rng.choice([10, 46, 100])
