@@ -50,11 +50,13 @@ forensics:
 # hygiene tests (stdlib only, a serial run loads neither the fork pool nor
 # the experiment registry, and the three reachability invariants: every
 # module reached, every dataclass field and every defaulted parameter set
-# by a shipped entry point, every CLI option used outside the tests), then
-# the 15 largest cumulative rows of `python -X importtime -c "import repro.cli"`
-# in us.
+# by a shipped entry point, every CLI option used outside the tests, and the
+# ceiling on methods `dataclasses` generates for the bench import set), the
+# generated-method and class counts, then the 15 largest cumulative rows of
+# `python -X importtime -c "import repro.cli"` in us.
 cold-start:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k TestImportHygiene
+	PYTHONPATH=src $(PYTHON) tests/test_cli.py
 	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
 		| sort -t'|' -k2 -n -r | head -15
 
