@@ -313,6 +313,16 @@ class TestInjectorBookkeeping:
         assert metrics.counter("fault_injections", kind="ss_fault").value == 1
         assert metrics.gauge("faults_active").value == 0
 
+    def test_a_spec_listed_twice_closes_both_fault_spans(self):
+        cluster = tiny_cluster()
+        storm = LossStorm(pop="JFK", at=1.0, duration=2.0, loss_probability=0.3)
+        injector = make_injector(cluster, storm, storm)
+        cluster.run(4.0)
+        assert injector.injected == injector.cleared == 2
+        assert injector.active_faults() == []
+        spans = cluster.instrumentation.spans.spans(category="fault")
+        assert [(span.begin, span.end) for span in spans] == [(1.0, 3.0), (1.0, 3.0)]
+
     def test_arming_twice_rejected(self):
         cluster = tiny_cluster()
         injector = make_injector(
