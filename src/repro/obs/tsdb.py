@@ -14,15 +14,18 @@ are always recomputed from the retained samples — never maintained
 incrementally — so a parallel merge (which concatenates per-task sample
 runs in task order) derives the exact floats a serial run would have.
 
-Within one ``(source, series)`` key samples are kept in append order.
-Every producer in the tree is single-writer per key (sources are
-arm-qualified), so append order is also time order; ``last``-style
-derivations are defined on append order and documented as such.
+Within one ``(source, series)`` key samples are kept in append order,
+and append order must be time order: a sample older than its key's last
+one raises.  Every producer in the tree is single-writer per key (sources
+are arm-qualified), so it holds by construction; the window readers
+bisect a key's run on it, and ``last``-style derivations are defined on
+append order and documented as such.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from repro.obs.timeline import PointLog, TimelinePoint
 
@@ -61,8 +64,15 @@ class WindowedStore(PointLog[TsdbPoint]):
             self._keep(TsdbPoint(time=time, source=source, series=series, value=value))
 
     def _keep(self, item: TsdbPoint) -> None:
+        key = (item.source, item.series)
+        run = self._by_key.setdefault(key, [])
+        if run and item.time < run[-1].time:
+            raise ValueError(
+                f"sample for {key} at t={item.time!r} is older than its last at "
+                f"t={run[-1].time!r}: per-key samples must arrive in time order"
+            )
         super()._keep(item)
-        self._by_key.setdefault((item.source, item.series), []).append(item)
+        run.append(item)
 
     def sources_for(self, series: str) -> list[str]:
         """Sorted sources that recorded at least one sample of a series."""
@@ -79,11 +89,18 @@ class WindowedStore(PointLog[TsdbPoint]):
     def window_values(
         self, source: str, series: str, index: int, window: float
     ) -> list[float]:
-        """Values recorded in one aligned window, in recorded order."""
+        """Values recorded in one aligned window, in recorded order (a
+        fresh list: :meth:`percentile` sorts it).
+
+        A key's run is in time order, so its window indices never fall and
+        the window is one slice, found by bisection.
+        """
         run = self._by_key.get((source, series))
         if not run:
             return []
-        return [p.value for p in run if p.window(window) == index]
+        lo = bisect_left(run, index, key=lambda p: p.window(window))
+        hi = bisect_right(run, index, lo=lo, key=lambda p: p.window(window))
+        return [p.value for p in run[lo:hi]]
 
     def last(self, source: str, series: str, index: int, window: float) -> float | None:
         """Last recorded value in a window; None when empty."""
