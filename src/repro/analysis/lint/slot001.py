@@ -9,8 +9,11 @@ silent-until-triggered class of bug this rule moves to review time.
 A class is checked only when its full inheritance chain is resolvable
 within the file and every ancestor declares a literal ``__slots__``
 (otherwise instances carry a ``__dict__`` and any attribute is legal).
-Property setters defined on the class are recognized as legitimate
-assignment targets.
+:class:`repro.records.Frozen`, imported under its own name, ends a chain
+the way ``object`` does (it declares no slots), and the
+``object.__setattr__(self, "x", ...)`` stores of a frozen record's
+``__init__`` are checked like ``self.x = ...``.  Property setters defined
+on the class are recognized as legitimate assignment targets.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ class Slot001UndeclaredSlot(Rule):
 
     def visit_file(self, ctx: FileContext) -> list[Finding]:
         classes = _collect_classes(ctx.tree)
+        roots = {"object"} | _frozen_names(ctx.tree)
         findings: list[Finding] = []
         for info in classes.values():
-            allowed = _resolve_allowed(info, classes)
+            allowed = _resolve_allowed(info, classes, roots)
             if allowed is None:
                 continue
             findings.extend(_check_class(ctx, info, allowed))
@@ -82,6 +86,17 @@ def _collect_classes(tree: ast.Module) -> dict[str, _ClassInfo]:
     return classes
 
 
+def _frozen_names(tree: ast.Module) -> set[str]:
+    """``Frozen`` when the module imports it from :mod:`repro.records`."""
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.records"
+        for alias in node.names
+        if alias.name == "Frozen" and alias.asname is None
+    }
+
+
 def _is_dataclass_with_slots(decorator: ast.expr) -> bool:
     if not isinstance(decorator, ast.Call):
         return False
@@ -114,7 +129,7 @@ def _literal_slots(value: ast.expr) -> tuple[str, ...] | None:
 
 
 def _resolve_allowed(
-    info: _ClassInfo, classes: dict[str, _ClassInfo]
+    info: _ClassInfo, classes: dict[str, _ClassInfo], roots: set[str]
 ) -> set[str] | None:
     """All legal ``self.X`` targets, or None when the class is uncheckable."""
     allowed: set[str] = set()
@@ -136,7 +151,7 @@ def _resolve_allowed(
         if len(current.bases) > 1:
             return None   # multiple inheritance: stay conservative
         base_name = current.bases[0]
-        if base_name == "object":
+        if base_name in roots and base_name not in classes:
             break
         current = classes.get(base_name)
         if current is None:
@@ -183,11 +198,19 @@ def _stored_self_attrs(node: ast.AST, self_name: str) -> list[str]:
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]
     elif isinstance(node, ast.Call):
-        # setattr(self, "x", ...) with a literal name
+        # setattr(self, "x", ...) or object.__setattr__(self, "x", ...)
+        # with a literal name
         func = node.func
         if (
-            isinstance(func, ast.Name)
-            and func.id == "setattr"
+            (
+                (isinstance(func, ast.Name) and func.id == "setattr")
+                or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "object"
+                )
+            )
             and len(node.args) >= 2
             and isinstance(node.args[0], ast.Name)
             and node.args[0].id == self_name

@@ -8,19 +8,25 @@ percentile of their respective completion-time distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.analysis.cdf import EmpiricalCdf
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class PercentileGain:
+class PercentileGain(Frozen):
     """Gain at one percentile of the completion-time distribution."""
+
+    __slots__ = ("percentile", "baseline", "treatment")
 
     percentile: float
     baseline: float
     treatment: float
+
+    def __init__(self, percentile: float, baseline: float, treatment: float) -> None:
+        object.__setattr__(self, "percentile", percentile)
+        object.__setattr__(self, "baseline", baseline)
+        object.__setattr__(self, "treatment", treatment)
 
     @property
     def gain(self) -> float:

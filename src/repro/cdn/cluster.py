@@ -32,7 +32,7 @@ from repro.sim.rand import RandomStreams
 from repro.tcp.constants import TcpConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterConfig:
     """Deployment-wide parameters."""
 
@@ -56,13 +56,22 @@ class ClusterConfig:
     riptide: RiptideConfig = field(default_factory=RiptideConfig)
 
 
-@dataclass
 class _PopDeployment:
-    pop: PoP
-    hosts: list[Host]
-    servers: list[TransferServer]
-    clients: list[TransferClient]
-    agents: list[RiptideAgent]
+    __slots__ = ("pop", "hosts", "servers", "clients", "agents")
+
+    def __init__(
+        self,
+        pop: PoP,
+        hosts: list[Host],
+        servers: list[TransferServer],
+        clients: list[TransferClient],
+        agents: list[RiptideAgent],
+    ) -> None:
+        self.pop = pop
+        self.hosts = hosts
+        self.servers = servers
+        self.clients = clients
+        self.agents = agents
 
 
 class CdnCluster:

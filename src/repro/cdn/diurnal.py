@@ -32,7 +32,7 @@ class RateProfile(ABC):
         """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantProfile(RateProfile):
     """No modulation (the default behaviour)."""
 
@@ -50,7 +50,7 @@ class ConstantProfile(RateProfile):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OnOffProfile(RateProfile):
     """A hard valley: full rate for ``on_duration``, silence for
     ``off_duration``, repeating.  The sharpest test of TTL expiry."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from statistics import NormalDist
 
@@ -35,7 +34,6 @@ MIN_OBJECT_BYTES = 100
 MAX_OBJECT_BYTES = 2 * 1024**3
 
 
-@dataclass(frozen=True)
 class FileSizeDistribution:
     """The log-normal of ``PAPER_MU``/``PAPER_SIGMA`` over object sizes in
     bytes, clamped to ``[MIN_OBJECT_BYTES, MAX_OBJECT_BYTES]``."""

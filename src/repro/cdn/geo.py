@@ -11,7 +11,8 @@ great circles; published measurements put inflation around 1.5-2.5x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from repro.records import Frozen
 
 #: Speed of light in fibre, km/s (roughly 2/3 of c).
 FIBRE_KM_PER_SECOND = 200_000.0
@@ -25,18 +26,21 @@ PATH_INFLATION = 1.65
 MIN_RTT_SECONDS = 0.002
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(Frozen):
     """A latitude/longitude pair in degrees."""
+
+    __slots__ = ("latitude", "longitude")
 
     latitude: float
     longitude: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
+    def __init__(self, latitude: float, longitude: float) -> None:
+        if not -90.0 <= latitude <= 90.0:
+            raise ValueError(f"latitude out of range: {latitude}")
+        if not -180.0 <= longitude <= 180.0:
+            raise ValueError(f"longitude out of range: {longitude}")
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "longitude", longitude)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

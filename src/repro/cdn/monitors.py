@@ -21,11 +21,11 @@ perturbs protocol behaviour or the seeded random streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.linux.host import Host
 from repro.obs.slo import SloEngine
+from repro.records import Frozen
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
 
@@ -37,15 +37,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 TIMELINE_SAMPLE_INTERVAL = 2.0
 
 
-@dataclass(frozen=True)
-class CwndSample:
+class CwndSample(Frozen):
     """One sampled congestion window."""
+
+    __slots__ = ("time", "host_name", "remote_address", "cwnd", "bytes_acked")
 
     time: float
     host_name: str
     remote_address: str
     cwnd: int
     bytes_acked: int
+
+    def __init__(
+        self,
+        time: float,
+        host_name: str,
+        remote_address: str,
+        cwnd: int,
+        bytes_acked: int,
+    ) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "host_name", host_name)
+        object.__setattr__(self, "remote_address", remote_address)
+        object.__setattr__(self, "cwnd", cwnd)
+        object.__setattr__(self, "bytes_acked", bytes_acked)
 
 
 class CwndSampler:

@@ -6,10 +6,10 @@ census), an address prefix (its network zone) and a number of servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.cdn.geo import GeoPoint
 from repro.net.addresses import IPv4Address, Prefix
+from repro.records import Frozen
 
 VALID_CONTINENTS = (
     "Europe",
@@ -21,31 +21,46 @@ VALID_CONTINENTS = (
 )
 
 
-@dataclass(frozen=True)
-class PoP:
+class PoP(Frozen):
     """One point of presence in the CDN."""
+
+    __slots__ = ("code", "city", "continent", "location", "prefix", "server_count")
 
     code: str
     city: str
     continent: str
     location: GeoPoint
     prefix: Prefix
-    server_count: int = 2
+    server_count: int
 
-    def __post_init__(self) -> None:
-        if not self.code:
+    def __init__(
+        self,
+        code: str,
+        city: str,
+        continent: str,
+        location: GeoPoint,
+        prefix: Prefix,
+        server_count: int = 2,
+    ) -> None:
+        if not code:
             raise ValueError("PoP code must be non-empty")
-        if self.continent not in VALID_CONTINENTS:
+        if continent not in VALID_CONTINENTS:
             raise ValueError(
-                f"unknown continent {self.continent!r}; expected one of "
+                f"unknown continent {continent!r}; expected one of "
                 f"{', '.join(VALID_CONTINENTS)}"
             )
-        if self.server_count < 1:
-            raise ValueError(f"server_count must be >= 1, got {self.server_count}")
-        if self.prefix.num_addresses < self.server_count + 1:
+        if server_count < 1:
+            raise ValueError(f"server_count must be >= 1, got {server_count}")
+        if prefix.num_addresses < server_count + 1:
             raise ValueError(
-                f"prefix {self.prefix} too small for {self.server_count} servers"
+                f"prefix {prefix} too small for {server_count} servers"
             )
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "city", city)
+        object.__setattr__(self, "continent", continent)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "server_count", server_count)
 
     def server_addresses(self) -> list[IPv4Address]:
         """The addresses of this PoP's servers (network base + 1, +2, ...)."""

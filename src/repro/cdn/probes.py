@@ -10,7 +10,6 @@ per ``interval`` seconds) without affecting per-transfer timings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.cdn.pop import PoP
@@ -38,15 +37,24 @@ __all__ = [
 PAPER_PROBE_SIZES = (10_000, 50_000, 100_000)
 
 
-@dataclass
 class ProbeResult:
     """One probe measurement."""
 
-    source_pop: str
-    destination_pop: str
-    size_bytes: int
-    path_rtt: float
-    transfer: TransferResult
+    __slots__ = ("source_pop", "destination_pop", "size_bytes", "path_rtt", "transfer")
+
+    def __init__(
+        self,
+        source_pop: str,
+        destination_pop: str,
+        size_bytes: int,
+        path_rtt: float,
+        transfer: TransferResult,
+    ) -> None:
+        self.source_pop = source_pop
+        self.destination_pop = destination_pop
+        self.size_bytes = size_bytes
+        self.path_rtt = path_rtt
+        self.transfer = transfer
 
     @property
     def bucket(self) -> str:
@@ -89,7 +97,6 @@ def filter_probe_results(
     return selected
 
 
-@dataclass
 class ProbeResultSet:
     """A detached, picklable batch of probe measurements.
 
@@ -99,8 +106,11 @@ class ProbeResultSet:
     back from a parallel worker process (:mod:`repro.parallel`).
     """
 
-    results: list[ProbeResult]
-    rounds_issued: int = 0
+    __slots__ = ("results", "rounds_issued")
+
+    def __init__(self, results: list[ProbeResult], rounds_issued: int = 0) -> None:
+        self.results = results
+        self.rounds_issued = rounds_issued
 
     def completed_results(self, **filters) -> list[ProbeResult]:
         """Completed probes filtered by size / RTT bucket / source."""
@@ -114,10 +124,12 @@ class ProbeResultSet:
         return len(self.results)
 
 
-@dataclass
 class _ProbeSource:
-    pop: PoP
-    client: TransferClient
+    __slots__ = ("pop", "client")
+
+    def __init__(self, pop: PoP, client: TransferClient) -> None:
+        self.pop = pop
+        self.client = client
 
 
 class ProbeFleet:

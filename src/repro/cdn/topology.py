@@ -58,7 +58,7 @@ PAPER_POP_SITES: tuple[tuple[str, str, str, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """An immutable set of PoPs with derived pairwise RTTs."""
 

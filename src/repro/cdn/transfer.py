@@ -10,7 +10,6 @@ is made."*
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
@@ -44,24 +43,39 @@ def rtt_bucket(rtt: float) -> str:
 _transfer_ids = itertools.count(1)
 
 
-@dataclass
 class TransferResult:
     """Outcome of one transfer (one probe, one organic fetch)."""
 
-    transfer_id: int
-    destination: IPv4Address
-    size_bytes: int
-    started_at: float
-    established_at: float | None = None
-    completed_at: float | None = None
-    failed_reason: str | None = None
-    new_connection: bool = True
-    initial_cwnd: int = 0
-    #: Client-side ephemeral port and initcwnd provenance of the
-    #: connection that carried this transfer — the join keys the
-    #: attribution report uses to find the matching flow records.
-    local_port: int = 0
-    cwnd_source: str = "default"
+    __slots__ = (
+        "transfer_id", "destination", "size_bytes", "started_at", "established_at",
+        "completed_at", "failed_reason", "new_connection", "initial_cwnd", "local_port",
+        "cwnd_source",
+        # A caller may hold a result weakly: the connection-footprint test
+        # checks that a finished transfer is not kept alive by its connection.
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        transfer_id: int,
+        destination: IPv4Address,
+        size_bytes: int,
+        started_at: float,
+    ) -> None:
+        self.transfer_id = transfer_id
+        self.destination = destination
+        self.size_bytes = size_bytes
+        self.started_at = started_at
+        self.established_at: float | None = None
+        self.completed_at: float | None = None
+        self.failed_reason: str | None = None
+        self.new_connection = True
+        self.initial_cwnd = 0
+        #: Client-side ephemeral port and initcwnd provenance of the
+        #: connection that carried this transfer — the join keys the
+        #: attribution report uses to find the matching flow records.
+        self.local_port = 0
+        self.cwnd_source = "default"
 
     @property
     def completed(self) -> bool:
@@ -103,11 +117,13 @@ class TransferServer:
         )
 
 
-@dataclass
 class _PooledConnection:
-    socket: TcpSocket
-    busy: bool = False
-    pending: "list[tuple[TransferResult, Callable | None]]" = field(default_factory=list)
+    __slots__ = ("socket", "busy", "pending")
+
+    def __init__(self, socket: TcpSocket) -> None:
+        self.socket = socket
+        self.busy = False
+        self.pending: list[tuple[TransferResult, Callable | None]] = []
 
 
 class TransferClient:

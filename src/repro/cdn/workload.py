@@ -21,7 +21,7 @@ from repro.net.addresses import IPv4Address
 from repro.sim.kernel import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrganicWorkloadConfig:
     """Parameters of one host's organic traffic toward a destination set."""
 

@@ -15,20 +15,24 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class Advisory:
+class Advisory(Frozen):
     """One active conservatism window."""
+
+    __slots__ = ("scale", "until", "reason")
 
     scale: float
     until: float
-    reason: str = ""
+    reason: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.scale <= 1.0:
-            raise ValueError(f"advisory scale must be in (0, 1], got {self.scale}")
+    def __init__(self, scale: float, until: float, reason: str = "") -> None:
+        if not 0.0 < scale <= 1.0:
+            raise ValueError(f"advisory scale must be in (0, 1], got {scale}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "until", until)
+        object.__setattr__(self, "reason", reason)
 
     def active(self, now: float) -> bool:
         return now < self.until

@@ -20,7 +20,6 @@ their route, restoring the kernel default of 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -48,23 +47,28 @@ TOOL_RETRY_LIMIT = 3
 TOOL_RETRY_BACKOFF = 0.5
 
 
-@dataclass
 class AgentStats:
     """Operational counters for one agent."""
 
-    polls: int = 0
-    connections_observed: int = 0
-    routes_installed: int = 0
-    routes_withdrawn: int = 0
-    routes_expired: int = 0
-    #: Resilience counters: ``ss`` polls that failed outright, ``ip``
-    #: commands that errored, scheduled retries of those commands,
-    #: safety-guard withdrawals and process crashes.
-    poll_failures: int = 0
-    tool_errors: int = 0
-    tool_retries: int = 0
-    guard_trips: int = 0
-    crashes: int = 0
+    __slots__ = (
+        "polls", "connections_observed", "routes_installed", "routes_withdrawn", "routes_expired",
+        "poll_failures", "tool_errors", "tool_retries", "guard_trips", "crashes",
+    )
+
+    def __init__(self) -> None:
+        self.polls = 0
+        self.connections_observed = 0
+        self.routes_installed = 0
+        self.routes_withdrawn = 0
+        self.routes_expired = 0
+        #: Resilience counters: ``ss`` polls that failed outright, ``ip``
+        #: commands that errored, scheduled retries of those commands,
+        #: safety-guard withdrawals and process crashes.
+        self.poll_failures = 0
+        self.tool_errors = 0
+        self.tool_retries = 0
+        self.guard_trips = 0
+        self.crashes = 0
 
 
 class RiptideAgent:

@@ -32,7 +32,7 @@ VALID_POLICIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiptideConfig:
     """Parameters controlling one Riptide agent."""
 

@@ -27,7 +27,6 @@ everything is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.net.addresses import Prefix
 
@@ -53,14 +52,16 @@ _RTT_BASELINE_ALPHA = 0.8
 _RTT_HEALTHY_FACTOR = 1.5
 
 
-@dataclass
 class PathHealth:
     """Per-destination aggregates of one ``ss`` poll."""
 
-    segments_sent: int = 0
-    segments_retransmitted: int = 0
-    srtt_sum: float = 0.0
-    srtt_count: int = 0
+    __slots__ = ("segments_sent", "segments_retransmitted", "srtt_sum", "srtt_count")
+
+    def __init__(self) -> None:
+        self.segments_sent = 0
+        self.segments_retransmitted = 0
+        self.srtt_sum = 0.0
+        self.srtt_count = 0
 
     def add(self, sent: int, retransmitted: int, srtt: float | None) -> None:
         self.segments_sent += sent
@@ -76,30 +77,37 @@ class PathHealth:
         return self.srtt_sum / self.srtt_count
 
 
-@dataclass
 class _DestinationState:
-    prev_sent: int = 0
-    prev_retransmitted: int = 0
-    #: Deltas accumulated across polls until ``MIN_SEGMENTS`` is reached
-    #: — a collapsed path trickles so few segments per poll that a
-    #: single-window judgement would never fire.
-    acc_sent: int = 0
-    acc_retransmitted: int = 0
-    rtt_baseline: float | None = None
-    held_until: float | None = None
+    __slots__ = (
+        "prev_sent", "prev_retransmitted", "acc_sent", "acc_retransmitted", "rtt_baseline",
+        "held_until",
+    )
+
+    def __init__(self) -> None:
+        self.prev_sent = 0
+        self.prev_retransmitted = 0
+        #: Deltas accumulated across polls until ``MIN_SEGMENTS`` is reached
+        #: — a collapsed path trickles so few segments per poll that a
+        #: single-window judgement would never fire.
+        self.acc_sent = 0
+        self.acc_retransmitted = 0
+        self.rtt_baseline: float | None = None
+        self.held_until: float | None = None
 
     def reset_accumulators(self) -> None:
         self.acc_sent = 0
         self.acc_retransmitted = 0
 
 
-@dataclass
 class GuardStats:
     """Counters for one guard instance."""
 
-    trips_loss: int = 0
-    trips_rtt: int = 0
-    releases: int = 0
+    __slots__ = ("trips_loss", "trips_rtt", "releases")
+
+    def __init__(self) -> None:
+        self.trips_loss = 0
+        self.trips_rtt = 0
+        self.releases = 0
 
     @property
     def trips(self) -> int:

@@ -9,19 +9,26 @@ the default initial congestion window."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.net.addresses import Prefix
 
 
-@dataclass
 class LearnedEntry:
     """One destination's learned state."""
 
-    destination: Prefix
-    window: int
-    updated_at: float
-    expires_at: float
+    __slots__ = ("destination", "window", "updated_at", "expires_at")
+
+    def __init__(
+        self,
+        destination: Prefix,
+        window: int,
+        updated_at: float,
+        expires_at: float,
+    ) -> None:
+        self.destination = destination
+        self.window = window
+        self.updated_at = updated_at
+        self.expires_at = expires_at
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at

@@ -37,7 +37,7 @@ from repro.obs.slo import AlertEpisode
 VERDICT_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChaosStudyConfig(StudyConfig):
     """Knobs for a paired chaos study."""
 
@@ -82,14 +82,22 @@ def chaos_study_arms(config: ChaosStudyConfig) -> tuple[StudyArm, StudyArm]:
     )
 
 
-@dataclass
 class ChaosStudyResult:
     """Both arms of one chaos study plus the verdict machinery."""
 
-    scenario: ChaosScenario
-    duration: float
-    control: StudySummary
-    riptide: StudySummary
+    __slots__ = ("scenario", "duration", "control", "riptide")
+
+    def __init__(
+        self,
+        scenario: ChaosScenario,
+        duration: float,
+        control: StudySummary,
+        riptide: StudySummary,
+    ) -> None:
+        self.scenario = scenario
+        self.duration = duration
+        self.control = control
+        self.riptide = riptide
 
     def _times(self, arm: StudySummary, new_only: bool) -> list[float]:
         return arm.fleet.completion_times(new_connections_only=new_only)

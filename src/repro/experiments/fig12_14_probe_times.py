@@ -11,7 +11,6 @@ RTT at a time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
@@ -29,14 +28,22 @@ BUCKET_LABELS = tuple(label for label, _ in RTT_BUCKETS)
 IMPROVED_TOLERANCE = 0.02
 
 
-@dataclass
 class BucketComparison:
     """Control vs Riptide for one (size, bucket) cell."""
 
-    size_bytes: int
-    bucket: str
-    control: EmpiricalCdf | None
-    riptide: EmpiricalCdf | None
+    __slots__ = ("size_bytes", "bucket", "control", "riptide")
+
+    def __init__(
+        self,
+        size_bytes: int,
+        bucket: str,
+        control: EmpiricalCdf | None,
+        riptide: EmpiricalCdf | None,
+    ) -> None:
+        self.size_bytes = size_bytes
+        self.bucket = bucket
+        self.control = control
+        self.riptide = riptide
 
     @property
     def populated(self) -> bool:
@@ -70,11 +77,13 @@ class BucketComparison:
         return improved / len(levels)
 
 
-@dataclass
 class Fig1214Result:
     """All (size, bucket) comparisons."""
 
-    cells: dict[tuple[int, str], BucketComparison]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: dict[tuple[int, str], BucketComparison]) -> None:
+        self.cells = cells
 
     def comparison(self, size_bytes: int, bucket: str) -> BucketComparison:
         return self.cells[(size_bytes, bucket)]

@@ -92,7 +92,7 @@ def mean_object_segments(sizes: FileSizeDistribution, max_object_bytes: int) -> 
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridStudyConfig(StudyConfig):
     """One seeded small-scale scenario, runnable in either mode.
 
@@ -111,7 +111,6 @@ class HybridStudyConfig(StudyConfig):
     max_object_bytes: int = 120_000
 
 
-@dataclass(frozen=True)
 class FluidMirror:
     """Fluid cohorts mirroring the organic mesh the packet arm would run.
 
@@ -192,12 +191,14 @@ def run_arm(config: HybridStudyConfig, mode: str) -> StudySummary:
     return run_study_arm(differential_arm(config, mode)).summary()
 
 
-@dataclass
 class HybridDifferentialResult:
     """Packet vs hybrid agreement on learning and probe anchors."""
 
-    packet: StudySummary
-    hybrid: StudySummary
+    __slots__ = ("packet", "hybrid")
+
+    def __init__(self, packet: StudySummary, hybrid: StudySummary) -> None:
+        self.packet = packet
+        self.hybrid = hybrid
 
     # -- learner agreement ---------------------------------------------
 
@@ -321,7 +322,7 @@ def run_differential(config: HybridStudyConfig | None = None) -> HybridDifferent
 SCALE_FLUID = FluidConfig(cadence=0.5, bin_width=4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridScaleConfig:
     """The headline hybrid run: full paper topology, 10^6 open flows."""
 
@@ -352,23 +353,42 @@ class HybridScaleConfig:
     )
 
 
-@dataclass
 class HybridScaleResult:
     """What the 34-PoP hybrid run sustained."""
 
-    pops: int
-    populations: int
-    #: Open fluid flows observed at each probe window (min/mean/max).
-    flows_min: float
-    flows_mean: float
-    flows_max: float
-    fluid_steps: int
-    mean_cwnd: float
-    offered_gbps: float
-    probes_completed: int
-    learned_routes: int
-    events_processed: int
-    wall_seconds: float
+    __slots__ = (
+        "pops", "populations", "flows_min", "flows_mean", "flows_max", "fluid_steps", "mean_cwnd",
+        "offered_gbps", "probes_completed", "learned_routes", "events_processed", "wall_seconds",
+    )
+
+    def __init__(
+        self,
+        pops: int,
+        populations: int,
+        flows_min: float,
+        flows_mean: float,
+        flows_max: float,
+        fluid_steps: int,
+        mean_cwnd: float,
+        offered_gbps: float,
+        probes_completed: int,
+        learned_routes: int,
+        events_processed: int,
+        wall_seconds: float,
+    ) -> None:
+        self.pops = pops
+        self.populations = populations
+        #: Open fluid flows observed at each probe window (min/mean/max).
+        self.flows_min = flows_min
+        self.flows_mean = flows_mean
+        self.flows_max = flows_max
+        self.fluid_steps = fluid_steps
+        self.mean_cwnd = mean_cwnd
+        self.offered_gbps = offered_gbps
+        self.probes_completed = probes_completed
+        self.learned_routes = learned_routes
+        self.events_processed = events_processed
+        self.wall_seconds = wall_seconds
 
     @property
     def sustained_million_flows(self) -> bool:

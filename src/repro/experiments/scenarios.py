@@ -28,6 +28,7 @@ from repro.faults.engine import FaultInjector
 from repro.faults.scenarios import get_scenario
 from repro.obs.slo import AlertEpisode, source_matches_arm
 from repro.parallel import run_tasks
+from repro.records import Frozen
 from repro.tcp.constants import TcpConfig
 
 #: The two vantage PoPs of Section IV-B: one European, one North American.
@@ -84,7 +85,7 @@ def add_organic_mesh(
         cluster.add_organic_workload(code, codes, workload_config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyConfig:
     """The knobs every paired study shares; each family adds its own."""
 
@@ -122,7 +123,7 @@ class StudyConfig:
         return StudyArm(**shared, **specifics)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeStudyConfig(StudyConfig):
     """Knobs for a paired (control vs Riptide) probe study."""
 
@@ -137,13 +138,17 @@ class Background(Protocol):
         """Attach (and start) the background traffic on a fresh cluster."""
 
 
-@dataclass(frozen=True)
-class PacketMesh:
+class PacketMesh(Frozen):
     """Packet-granular organic fetches between every pair of PoPs."""
+
+    __slots__ = ("fluid_flows_per_pair",)
 
     #: Mean-field flows per PoP pair sharing every trunk with the mesh
     #: (0 = none).
-    fluid_flows_per_pair: float = 0.0
+    fluid_flows_per_pair: float
+
+    def __init__(self, fluid_flows_per_pair: float = 0.0) -> None:
+        object.__setattr__(self, "fluid_flows_per_pair", fluid_flows_per_pair)
 
     def register(self, cluster: CdnCluster, arm: "StudyArm") -> None:
         add_organic_mesh(
@@ -163,7 +168,7 @@ class PacketMesh:
                 )
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class StudyArm(StudyConfig):
     """One arm of a study, fully described: what :func:`run_study_arm` runs.
 
@@ -201,15 +206,23 @@ _AGENT_COUNTERS = (
 )
 
 
-@dataclass
 class StudyRun:
     """One live arm: the cluster it ran on and what was attached to it."""
 
-    arm: StudyArm
-    cluster: CdnCluster
-    fleet: ProbeFleet
-    #: The armed fault schedule (None when the arm names no scenario).
-    injector: FaultInjector | None
+    __slots__ = ("arm", "cluster", "fleet", "injector")
+
+    def __init__(
+        self,
+        arm: StudyArm,
+        cluster: CdnCluster,
+        fleet: ProbeFleet,
+        injector: FaultInjector | None,
+    ) -> None:
+        self.arm = arm
+        self.cluster = cluster
+        self.fleet = fleet
+        #: The armed fault schedule (None when the arm names no scenario).
+        self.injector = injector
 
     @property
     def riptide_enabled(self) -> bool:
@@ -250,7 +263,6 @@ class StudyRun:
         )
 
 
-@dataclass
 class StudySummary:
     """The measurements of one arm, detached from its simulator.
 
@@ -261,25 +273,52 @@ class StudySummary:
     and is discarded with it.
     """
 
-    riptide_enabled: bool
-    fleet: ProbeResultSet
-    learned_routes: int
-    events_processed: int
-    #: (pop_code, destination prefix) -> learned window on host 0's agent.
-    advisories: dict[tuple[str, str], int]
-    #: This arm's SLO alert episodes (begin order, arm-filtered).
-    alerts: tuple[AlertEpisode, ...]
-    faults_injected: int
-    faults_cleared: int
-    fluid_flows: float
-    fluid_steps: int
-    guard_trips: int
-    crashes: int
-    poll_failures: int
-    tool_errors: int
-    tool_retries: int
-    routes_installed: int
-    routes_expired: int
+    __slots__ = (
+        "riptide_enabled", "fleet", "learned_routes", "events_processed", "advisories", "alerts",
+        "faults_injected", "faults_cleared", "fluid_flows", "fluid_steps", "guard_trips",
+        "crashes", "poll_failures", "tool_errors", "tool_retries", "routes_installed",
+        "routes_expired",
+    )
+
+    def __init__(
+        self,
+        riptide_enabled: bool,
+        fleet: ProbeResultSet,
+        learned_routes: int,
+        events_processed: int,
+        advisories: dict[tuple[str, str], int],
+        alerts: tuple[AlertEpisode, ...],
+        faults_injected: int,
+        faults_cleared: int,
+        fluid_flows: float,
+        fluid_steps: int,
+        guard_trips: int,
+        crashes: int,
+        poll_failures: int,
+        tool_errors: int,
+        tool_retries: int,
+        routes_installed: int,
+        routes_expired: int,
+    ) -> None:
+        self.riptide_enabled = riptide_enabled
+        self.fleet = fleet
+        self.learned_routes = learned_routes
+        self.events_processed = events_processed
+        #: (pop_code, destination prefix) -> learned window on host 0's agent.
+        self.advisories = advisories
+        #: This arm's SLO alert episodes (begin order, arm-filtered).
+        self.alerts = alerts
+        self.faults_injected = faults_injected
+        self.faults_cleared = faults_cleared
+        self.fluid_flows = fluid_flows
+        self.fluid_steps = fluid_steps
+        self.guard_trips = guard_trips
+        self.crashes = crashes
+        self.poll_failures = poll_failures
+        self.tool_errors = tool_errors
+        self.tool_retries = tool_retries
+        self.routes_installed = routes_installed
+        self.routes_expired = routes_expired
 
 
 #: What the figure harnesses actually consume: a live arm (serial path)

@@ -12,7 +12,6 @@ than amplifying the damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.faults.spec import (
@@ -26,10 +25,10 @@ from repro.faults.spec import (
     PopPartition,
     SsFault,
 )
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class ExpectedAlert:
+class ExpectedAlert(Frozen):
     """One SLO alert a chaos scenario is contractually expected to raise.
 
     The expectation is against the burn-rate engine's alert log for one
@@ -39,14 +38,25 @@ class ExpectedAlert:
     the guard hold quenching a retransmit storm).
     """
 
+    __slots__ = ("slo", "must_resolve", "arm")
+
     slo: str
-    must_resolve: bool = False
-    arm: str = "riptide"
+    must_resolve: bool
+    arm: str
+
+    def __init__(self, slo: str, must_resolve: bool = False, arm: str = "riptide") -> None:
+        object.__setattr__(self, "slo", slo)
+        object.__setattr__(self, "must_resolve", must_resolve)
+        object.__setattr__(self, "arm", arm)
 
 
-@dataclass(frozen=True)
-class ChaosScenario:
+class ChaosScenario(Frozen):
     """One named chaos recipe."""
+
+    __slots__ = (
+        "name", "description", "pop_codes", "source_pop", "target_pop", "build",
+        "expected_alerts",
+    )
 
     name: str
     description: str
@@ -60,7 +70,25 @@ class ChaosScenario:
     build: Callable[[float], FaultSchedule]
     #: SLO alerts the scenario must raise (checked by the chaos harness
     #: and the ``repro alerts --check`` CI gate).
-    expected_alerts: tuple[ExpectedAlert, ...] = ()
+    expected_alerts: tuple[ExpectedAlert, ...]
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        pop_codes: tuple[str, ...],
+        source_pop: str,
+        target_pop: str,
+        build: Callable[[float], FaultSchedule],
+        expected_alerts: tuple[ExpectedAlert, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "pop_codes", pop_codes)
+        object.__setattr__(self, "source_pop", source_pop)
+        object.__setattr__(self, "target_pop", target_pop)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "expected_alerts", expected_alerts)
 
     def describe(self, duration: float) -> str:
         """The scenario's fault timeline for a given run length."""

@@ -34,7 +34,6 @@ def _check_duration(duration: float) -> None:
         raise FaultSpecError(f"fault duration must be positive, got {duration}")
 
 
-@dataclass(frozen=True)
 class FaultSpec:
     """Base class; concrete specs declare their own fields.
 
@@ -55,7 +54,7 @@ class FaultSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkFlap(FaultSpec):
     """Take the trunk between two PoPs fully down, then back up."""
 
@@ -78,7 +77,7 @@ class LinkFlap(FaultSpec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkDegrade(FaultSpec):
     """Shrink a trunk's bandwidth and/or stretch its latency for a window."""
 
@@ -121,7 +120,7 @@ class LinkDegrade(FaultSpec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossStorm(FaultSpec):
     """Override loss on every trunk touching a PoP for a window.
 
@@ -153,7 +152,7 @@ class LossStorm(FaultSpec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopPartition(FaultSpec):
     """Sever every trunk touching a PoP — the PoP drops off the WAN."""
 
@@ -171,7 +170,7 @@ class PopPartition(FaultSpec):
         return f"pop_partition {self.pop} isolated for {self.duration:g}s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SsFault(FaultSpec):
     """Break the ``ss`` surface of every host in a PoP for a window.
 
@@ -201,7 +200,7 @@ class SsFault(FaultSpec):
         return f"ss_fault {self.mode} at {self.pop} for {self.duration:g}s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IpToolFault(FaultSpec):
     """Make ``ip route`` mutations fail on every host in a PoP."""
 
@@ -219,7 +218,7 @@ class IpToolFault(FaultSpec):
         return f"ip_fault at {self.pop} for {self.duration:g}s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentCrash(FaultSpec):
     """Kill every Riptide agent of a PoP; restart them
     ``AGENT_RESTART_AFTER`` seconds later.
@@ -245,7 +244,7 @@ class AgentCrash(FaultSpec):
         return f"agent_crash agents at {self.pop}, restart after {AGENT_RESTART_AFTER:g}s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PollJitter(FaultSpec):
     """Drift the poll loops of a PoP's agents (a loaded host).
 
@@ -275,7 +274,7 @@ class PollJitter(FaultSpec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaultSchedule:
     """A validated bundle of fault specs, executable by the injector."""
 

@@ -9,29 +9,40 @@ routes beat prefix routes beat the default route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address, Prefix
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(Frozen):
     """One FIB entry.
 
     ``initcwnd``/``initrwnd`` of ``None`` mean "inherit the sysctl
     default", exactly like a route without those attributes on Linux.
     """
 
-    prefix: Prefix
-    initcwnd: int | None = None
-    initrwnd: int | None = None
-    created_at: float = 0.0
+    __slots__ = ("prefix", "initcwnd", "initrwnd", "created_at")
 
-    def __post_init__(self) -> None:
-        if self.initcwnd is not None and self.initcwnd < 1:
-            raise ValueError(f"initcwnd must be >= 1, got {self.initcwnd}")
-        if self.initrwnd is not None and self.initrwnd < 1:
-            raise ValueError(f"initrwnd must be >= 1, got {self.initrwnd}")
+    prefix: Prefix
+    initcwnd: int | None
+    initrwnd: int | None
+    created_at: float
+
+    def __init__(
+        self,
+        prefix: Prefix,
+        initcwnd: int | None = None,
+        initrwnd: int | None = None,
+        created_at: float = 0.0,
+    ) -> None:
+        if initcwnd is not None and initcwnd < 1:
+            raise ValueError(f"initcwnd must be >= 1, got {initcwnd}")
+        if initrwnd is not None and initrwnd < 1:
+            raise ValueError(f"initrwnd must be >= 1, got {initrwnd}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "initcwnd", initcwnd)
+        object.__setattr__(self, "initrwnd", initrwnd)
+        object.__setattr__(self, "created_at", created_at)
 
     def format_linux(self) -> str:
         """Render roughly as ``ip route show`` would."""

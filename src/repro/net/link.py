@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.net.loss import LossModel, NoLoss
@@ -32,18 +31,23 @@ DeliverCallback = Callable[[Packet], None]
 _NO_QUEUE: deque[tuple[Packet, DeliverCallback]] = deque(maxlen=0)
 
 
-@dataclass(slots=True)
 class LinkStats:
     """Counters accumulated over the lifetime of a link direction."""
 
-    packets_offered: int = 0
-    packets_delivered: int = 0
-    packets_dropped_queue: int = 0
-    packets_dropped_loss: int = 0
-    packets_dropped_down: int = 0
-    bytes_offered: int = 0
-    bytes_delivered: int = 0
-    max_queue_depth: int = 0
+    __slots__ = (
+        "packets_offered", "packets_delivered", "packets_dropped_queue", "packets_dropped_loss",
+        "packets_dropped_down", "bytes_offered", "bytes_delivered", "max_queue_depth",
+    )
+
+    def __init__(self) -> None:
+        self.packets_offered = 0
+        self.packets_delivered = 0
+        self.packets_dropped_queue = 0
+        self.packets_dropped_loss = 0
+        self.packets_dropped_down = 0
+        self.bytes_offered = 0
+        self.bytes_delivered = 0
+        self.max_queue_depth = 0
 
     @property
     def packets_dropped(self) -> int:

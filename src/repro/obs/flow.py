@@ -19,12 +19,10 @@ ids, merged byte-identically to a serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.obs.bounded import BoundedLog
 
 
-@dataclass(slots=True)
 class FlowRecord:
     """One TCP connection's life, as a structured record.
 
@@ -35,39 +33,59 @@ class FlowRecord:
     :meth:`~repro.tcp.socket.TcpSocket.sync_flow`).
     """
 
-    flow_id: int
-    #: Host name of the endpoint that owns this record (one record per
-    #: socket, so every connection appears twice — once per side).
-    host: str
-    local: str
-    local_port: int
-    remote: str
-    remote_port: int
-    opened_at: float
-    is_client: bool
-    #: The initial congestion window this side sends with, and where it
-    #: came from: ``"route"`` (a learned/installed route), ``"hook"``
-    #: (an in-kernel resolver) or ``"default"`` (the sysctl default).
-    initial_cwnd: int = 0
-    cwnd_source: str = "default"
-    established_at: float | None = None
-    #: Handshake time: first SYN (socket creation) to ESTABLISHED.
-    syn_rtt: float | None = None
-    #: First exit from slow start (loss or cwnd >= ssthresh), and the
-    #: window in segments at that moment — the paper's "transfers die
-    #: inside slow start" observation made measurable per flow.
-    ss_exit_at: float | None = None
-    ss_exit_cwnd: int | None = None
-    closed_at: float | None = None
-    #: TCP state when the socket tore down; ``"open"`` while alive.
-    final_state: str = "open"
-    error: str | None = None
-    rtos: int = 0
-    fast_retransmits: int = 0
-    bytes_acked: int = 0
-    bytes_received: int = 0
-    segments_sent: int = 0
-    segments_retransmitted: int = 0
+    __slots__ = (
+        "flow_id", "host", "local", "local_port", "remote", "remote_port", "opened_at",
+        "is_client", "initial_cwnd", "cwnd_source", "established_at", "syn_rtt", "ss_exit_at",
+        "ss_exit_cwnd", "closed_at", "final_state", "error", "rtos", "fast_retransmits",
+        "bytes_acked", "bytes_received", "segments_sent", "segments_retransmitted",
+    )
+
+    def __init__(
+        self,
+        flow_id: int,
+        host: str,
+        local: str,
+        local_port: int,
+        remote: str,
+        remote_port: int,
+        opened_at: float,
+        is_client: bool,
+        initial_cwnd: int = 0,
+        cwnd_source: str = "default",
+    ) -> None:
+        self.flow_id = flow_id
+        #: Host name of the endpoint that owns this record (one record per
+        #: socket, so every connection appears twice — once per side).
+        self.host = host
+        self.local = local
+        self.local_port = local_port
+        self.remote = remote
+        self.remote_port = remote_port
+        self.opened_at = opened_at
+        self.is_client = is_client
+        #: The initial congestion window this side sends with, and where it
+        #: came from: ``"route"`` (a learned/installed route), ``"hook"``
+        #: (an in-kernel resolver) or ``"default"`` (the sysctl default).
+        self.initial_cwnd = initial_cwnd
+        self.cwnd_source = cwnd_source
+        self.established_at: float | None = None
+        #: Handshake time: first SYN (socket creation) to ESTABLISHED.
+        self.syn_rtt: float | None = None
+        #: First exit from slow start (loss or cwnd >= ssthresh), and the
+        #: window in segments at that moment — the paper's "transfers die
+        #: inside slow start" observation made measurable per flow.
+        self.ss_exit_at: float | None = None
+        self.ss_exit_cwnd: int | None = None
+        self.closed_at: float | None = None
+        #: TCP state when the socket tore down; ``"open"`` while alive.
+        self.final_state = "open"
+        self.error: str | None = None
+        self.rtos = 0
+        self.fast_retransmits = 0
+        self.bytes_acked = 0
+        self.bytes_received = 0
+        self.segments_sent = 0
+        self.segments_retransmitted = 0
 
     def to_dict(self) -> dict[str, object]:
         """Stable-ordered plain dict (the JSONL/JSON export shape)."""

@@ -79,7 +79,7 @@ def source_matches_arm(source: str, arm: str) -> bool:
     return ":" not in source
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SloSignal:
     """How to read one SLI value for one aligned window from the tsdb."""
 
@@ -120,7 +120,7 @@ class SloSignal:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SloSpec:
     """One service-level objective over a tsdb signal."""
 
@@ -142,7 +142,7 @@ class SloSpec:
         return value > self.threshold
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BurnRateRule:
     """One SRE multi-window multi-burn-rate alert condition."""
 
@@ -228,21 +228,36 @@ def default_burn_rules() -> tuple[BurnRateRule, ...]:
     )
 
 
-@dataclass(slots=True)
 class AlertEpisode:
     """One walk through the alert lifecycle for one (SLO, rule, source)."""
 
-    alert_id: int
-    slo: str
-    severity: str
-    source: str
-    burn_factor: float
-    long_window: float
-    short_window: float
-    pending_at: float
-    firing_at: float | None = None
-    resolved_at: float | None = None
-    peak_burn: float = 0.0
+    __slots__ = (
+        "alert_id", "slo", "severity", "source", "burn_factor", "long_window", "short_window",
+        "pending_at", "firing_at", "resolved_at", "peak_burn",
+    )
+
+    def __init__(
+        self,
+        alert_id: int,
+        slo: str,
+        severity: str,
+        source: str,
+        burn_factor: float,
+        long_window: float,
+        short_window: float,
+        pending_at: float,
+    ) -> None:
+        self.alert_id = alert_id
+        self.slo = slo
+        self.severity = severity
+        self.source = source
+        self.burn_factor = burn_factor
+        self.long_window = long_window
+        self.short_window = short_window
+        self.pending_at = pending_at
+        self.firing_at: float | None = None
+        self.resolved_at: float | None = None
+        self.peak_burn = 0.0
 
     @property
     def fired(self) -> bool:

@@ -15,20 +15,27 @@ id-free points; :class:`PointLog` holds the readers it shares with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TypeVar
 
 from repro.obs.bounded import BoundedLog
+from repro.records import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class TimelinePoint:
+class TimelinePoint(Frozen):
     """One sampled value of one series on one source."""
+
+    __slots__ = ("time", "source", "series", "value")
 
     time: float
     source: str
     series: str
     value: float
+
+    def __init__(self, time: float, source: str, series: str, value: float) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "value", value)
 
 
 P = TypeVar("P", bound=TimelinePoint)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from collections import Counter as TallyCounter
 from collections import deque
-from dataclasses import dataclass, field
+
+from repro.records import Frozen
 
 
 class EventType(enum.Enum):
@@ -43,8 +44,7 @@ class EventType(enum.Enum):
     ALERT_RESOLVED = "alert_resolved"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(Frozen):
     """One recorded event.
 
     ``details`` is the keyword dict the :meth:`TraceLog.record` call
@@ -52,10 +52,24 @@ class TraceEvent:
     it after the call returns.
     """
 
+    __slots__ = ("time", "type", "source", "details")
+
     time: float
     type: EventType
     source: str
-    details: dict[str, object] = field(default_factory=dict)
+    details: dict[str, object]
+
+    def __init__(
+        self,
+        time: float,
+        type: EventType,
+        source: str,
+        details: dict[str, object] | None = None,
+    ) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     def detail(self, key: str, default: object = None) -> object:
         return self.details.get(key, default)
@@ -65,18 +79,17 @@ class TraceEvent:
         return f"[{self.time:.6f}] {self.type.value} {self.source} {detail_text}".rstrip()
 
 
-@dataclass
 class TraceLog:
     """Bounded ring of :class:`TraceEvent` with untruncated type totals."""
 
-    capacity: int = 10_000
-    _events: deque[TraceEvent] = field(default_factory=deque, repr=False)
-    _totals: TallyCounter[EventType] = field(default_factory=TallyCounter, repr=False)
+    __slots__ = ("capacity", "_events", "_totals")
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        self._events = deque(maxlen=self.capacity)
+    def __init__(self, capacity: int = 10_000) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self._totals: TallyCounter[EventType] = TallyCounter()
 
     def record(
         self, time: float, type: EventType, source: str, **details: object

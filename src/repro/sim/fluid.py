@@ -52,7 +52,7 @@ __all__ = [
 MAX_WINDOW = 320
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluidConfig:
     """Discretization and stepping knobs shared by a fluid engine."""
 

@@ -38,7 +38,7 @@ DUPACK_THRESHOLD = 3
 DELAYED_ACK_TIMEOUT = 0.040
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TcpConfig:
     """Host-wide TCP tunables (the simulated sysctl surface).
 

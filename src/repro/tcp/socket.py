@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Any, TYPE_CHECKING
 
@@ -59,54 +58,92 @@ class TcpState(enum.Enum):
     LAST_ACK = "last-ack"
 
 
-@dataclass(slots=True)
 class SocketStats:
     """A point-in-time snapshot of one socket — what ``ss -i`` shows.
 
     Riptide reads ``cwnd`` and ``bytes_acked`` from these snapshots.
 
     Slotted, immutable by convention: a poll builds one per open
-    connection (eight per fluid cohort), so the dataclass is slotted
-    rather than frozen — a frozen ``__init__`` stores each of the sixteen
-    fields through ``object.__setattr__`` — and both row builders pass
-    the fields positionally, in the order declared here.  A stale ``ss``
+    connection (eight per fluid cohort), so the class is slotted rather
+    than frozen — a frozen ``__init__`` stores each of the sixteen fields
+    through ``object.__setattr__`` — and both row builders pass the
+    fields positionally, in the order ``__init__`` takes them.  A stale ``ss``
     hands the same objects out again; nothing may write to one.
     """
 
-    local_port: int
-    remote_address: IPv4Address
-    remote_port: int
-    state: TcpState
-    cwnd: int
-    ssthresh: float
-    initial_cwnd: int
-    srtt: float | None
-    bytes_acked: int
-    bytes_received: int
-    segments_sent: int
-    segments_retransmitted: int
-    created_at: float
-    established_at: float | None
-    last_activity_at: float
-    is_client: bool = False
+    __slots__ = (
+        "local_port", "remote_address", "remote_port", "state", "cwnd", "ssthresh",
+        "initial_cwnd", "srtt", "bytes_acked", "bytes_received", "segments_sent",
+        "segments_retransmitted", "created_at", "established_at", "last_activity_at", "is_client",
+    )
+
+    def __init__(
+        self,
+        local_port: int,
+        remote_address: IPv4Address,
+        remote_port: int,
+        state: TcpState,
+        cwnd: int,
+        ssthresh: float,
+        initial_cwnd: int,
+        srtt: float | None,
+        bytes_acked: int,
+        bytes_received: int,
+        segments_sent: int,
+        segments_retransmitted: int,
+        created_at: float,
+        established_at: float | None,
+        last_activity_at: float,
+        is_client: bool = False,
+    ) -> None:
+        self.local_port = local_port
+        self.remote_address = remote_address
+        self.remote_port = remote_port
+        self.state = state
+        self.cwnd = cwnd
+        self.ssthresh = ssthresh
+        self.initial_cwnd = initial_cwnd
+        self.srtt = srtt
+        self.bytes_acked = bytes_acked
+        self.bytes_received = bytes_received
+        self.segments_sent = segments_sent
+        self.segments_retransmitted = segments_retransmitted
+        self.created_at = created_at
+        self.established_at = established_at
+        self.last_activity_at = last_activity_at
+        self.is_client = is_client
 
 
-@dataclass(slots=True)
 class _SentSegment:
     """Book-keeping for one segment awaiting acknowledgement."""
 
-    seq: int
-    end_seq: int
-    payload_bytes: int
-    syn: bool
-    fin: bool
-    marks: tuple[MessageMark, ...]
-    last_sent_at: float
-    retransmitted: bool = False
-    #: Selectively acknowledged (SACK): delivered but not yet cum-acked.
-    sacked: bool = False
-    #: Already retransmitted during the current recovery episode.
-    rexmit_in_recovery: bool = False
+    __slots__ = (
+        "seq", "end_seq", "payload_bytes", "syn", "fin", "marks", "last_sent_at", "retransmitted",
+        "sacked", "rexmit_in_recovery",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        end_seq: int,
+        payload_bytes: int,
+        syn: bool,
+        fin: bool,
+        marks: tuple[MessageMark, ...],
+        last_sent_at: float,
+    ) -> None:
+        self.seq = seq
+        self.end_seq = end_seq
+        self.payload_bytes = payload_bytes
+        self.syn = syn
+        self.fin = fin
+        self.marks = marks
+        self.last_sent_at = last_sent_at
+        self.retransmitted = False
+        #: Selectively acknowledged (SACK): delivered but not yet cum-acked.
+        self.sacked = False
+        #: Already retransmitted during the current recovery episode.
+        self.rexmit_in_recovery = False
 
 
 #: What every socket's retransmission-queue slot holds while nothing is in

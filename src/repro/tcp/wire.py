@@ -8,21 +8,28 @@ delivered in order — the moment the paper's probes time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from repro.records import Frozen
 
-@dataclass(frozen=True)
-class MessageMark:
+
+class MessageMark(Frozen):
     """Marks the last sequence byte of an application message.
 
     When the receiver's in-order delivery point passes ``end_seq`` the
     message is complete and ``payload`` is handed to the application.
     """
 
+    __slots__ = ("end_seq", "payload", "size_bytes")
+
     end_seq: int
     payload: Any
     size_bytes: int
+
+    def __init__(self, end_seq: int, payload: Any, size_bytes: int) -> None:
+        object.__setattr__(self, "end_seq", end_seq)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "size_bytes", size_bytes)
 
 
 class Segment:

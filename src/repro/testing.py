@@ -9,7 +9,6 @@ measurements are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.linux.host import Host
@@ -76,15 +75,24 @@ class TwoHostTestbed:
         self.server.listen(ECHO_PORT, on_accept=on_accept)
 
 
-@dataclass
 class ExchangeResult:
     """Timing of one request/response exchange."""
 
-    started_at: float
-    established_at: float | None
-    completed_at: float | None
-    response_bytes: int
-    socket: TcpSocket
+    __slots__ = ("started_at", "established_at", "completed_at", "response_bytes", "socket")
+
+    def __init__(
+        self,
+        started_at: float,
+        established_at: float | None,
+        completed_at: float | None,
+        response_bytes: int,
+        socket: TcpSocket,
+    ) -> None:
+        self.started_at = started_at
+        self.established_at = established_at
+        self.completed_at = completed_at
+        self.response_bytes = response_bytes
+        self.socket = socket
 
     @property
     def completed(self) -> bool:

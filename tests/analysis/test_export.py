@@ -464,13 +464,15 @@ class TestTraceEventRecord:
         event = log.record(
             1.5, EventType.ROUTE_INSTALLED, "srv", window=40, why={"a": [1, None]}
         )
+        def fields(event):
+            return event.time, event.type, event.source, event.details
+
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             clone = pickle.loads(pickle.dumps(event, protocol))
-            assert clone == event
-            assert clone.details == event.details
+            assert fields(clone) == fields(event)
             assert clone.type is EventType.ROUTE_INSTALLED
         clones = pickle.loads(pickle.dumps(log))
-        assert clones.events() == log.events()
+        assert [fields(e) for e in clones.events()] == [fields(e) for e in log.events()]
         assert clones.totals() == log.totals()
 
     def test_immutable(self):

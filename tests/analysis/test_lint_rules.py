@@ -350,6 +350,17 @@ SLOT001_POSITIVE = [
         def patch(self):
             setattr(self, "oops", 1)
     """,
+    # a frozen record: Frozen ends the chain, object.__setattr__ stores
+    """
+    from repro.records import Frozen
+
+    class Mark(Frozen):
+        __slots__ = ("end_seq",)
+
+        def __init__(self, end_seq):
+            object.__setattr__(self, "end_seq", end_seq)
+            object.__setattr__(self, "size", 0)
+    """,
 ]
 
 
@@ -384,6 +395,26 @@ SLOT001_NEGATIVE = [
 
         def reset(self):
             self.cwnd = 10
+    """,
+    # a frozen record storing only its slots
+    """
+    from repro.records import Frozen
+
+    class Mark(Frozen):
+        __slots__ = ("end_seq",)
+
+        def __init__(self, end_seq):
+            object.__setattr__(self, "end_seq", end_seq)
+    """,
+    # a Frozen that is not repro.records' stays unresolvable
+    """
+    from elsewhere import Frozen
+
+    class Mark(Frozen):
+        __slots__ = ("end_seq",)
+
+        def __init__(self, end_seq):
+            object.__setattr__(self, "size", 0)
     """,
     # unresolvable base: stay conservative, no finding
     """

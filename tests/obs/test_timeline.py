@@ -70,7 +70,9 @@ class TestCapacityAndMerge:
         target.merge_from(first)
         target.merge_from(second)
 
-        assert target.points() == serial.points()
+        assert [(p.time, p.value) for p in target.points()] == [
+            (p.time, p.value) for p in serial.points()
+        ]
         assert target.recorded == serial.recorded
         assert target.dropped == serial.dropped
 
