@@ -9,7 +9,6 @@ trend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.experiments.scenarios import (
@@ -26,15 +25,24 @@ PROBE_BYTES = 100_000
 MIN_CHANGE_TOLERANCE = 0.05
 
 
-@dataclass
 class DestinationExtremes:
     """Min/max probe times toward one destination, both arms."""
 
-    destination_pop: str
-    control_min: float
-    riptide_min: float
-    control_max: float
-    riptide_max: float
+    __slots__ = ("destination_pop", "control_min", "riptide_min", "control_max", "riptide_max")
+
+    def __init__(
+        self,
+        destination_pop: str,
+        control_min: float,
+        riptide_min: float,
+        control_max: float,
+        riptide_max: float,
+    ) -> None:
+        self.destination_pop = destination_pop
+        self.control_min = control_min
+        self.riptide_min = riptide_min
+        self.control_max = control_max
+        self.riptide_max = riptide_max
 
     @property
     def min_change(self) -> float:
@@ -50,12 +58,14 @@ class DestinationExtremes:
         return self.riptide_max / self.control_max - 1.0
 
 
-@dataclass
 class EdgeCasesResult:
     """Per-destination extremes for one source PoP."""
 
-    source_pop: str
-    destinations: list[DestinationExtremes]
+    __slots__ = ("source_pop", "destinations")
+
+    def __init__(self, source_pop: str, destinations: list[DestinationExtremes]) -> None:
+        self.source_pop = source_pop
+        self.destinations = destinations
 
     def fraction_min_within(self) -> float:
         """Fraction of destinations whose best case changed by at most

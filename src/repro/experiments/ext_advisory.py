@@ -15,7 +15,7 @@ as-is, and Riptide with a conservatism advisory active during the shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
@@ -27,19 +27,23 @@ from repro.experiments.scenarios import add_organic_mesh, sub_topology
 SHIFT_FETCH_BYTES = 150_000
 
 
-@dataclass
 class AdvisoryArm:
     """One policy's outcome for the staged shift."""
 
-    label: str
-    completion_p95: float
-    queue_drops: int
-    completed: int
+    __slots__ = ("label", "completion_p95", "queue_drops", "completed")
+
+    def __init__(self, label: str, completion_p95: float, queue_drops: int, completed: int) -> None:
+        self.label = label
+        self.completion_p95 = completion_p95
+        self.queue_drops = queue_drops
+        self.completed = completed
 
 
-@dataclass
 class AdvisoryResult:
-    arms: dict[str, AdvisoryArm]
+    __slots__ = ("arms",)
+
+    def __init__(self, arms: dict[str, AdvisoryArm]) -> None:
+        self.arms = arms
 
     def report(self) -> str:
         rows = [

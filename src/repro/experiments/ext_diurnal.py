@@ -10,7 +10,7 @@ later in the peak ride freshly relearned windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.analysis.tables import format_table
 from repro.cdn.cluster import CdnCluster, ClusterConfig
@@ -23,14 +23,22 @@ from repro.experiments.scenarios import sub_topology
 FETCH_BYTES = 100_000
 
 
-@dataclass
 class DiurnalResult:
     """Cold-fetch times right after each valley vs later in each peak."""
 
-    post_valley_times: list[float]
-    mid_peak_times: list[float]
-    ttl: float
-    valley: float
+    __slots__ = ("post_valley_times", "mid_peak_times", "ttl", "valley")
+
+    def __init__(
+        self,
+        post_valley_times: list[float],
+        mid_peak_times: list[float],
+        ttl: float,
+        valley: float,
+    ) -> None:
+        self.post_valley_times = post_valley_times
+        self.mid_peak_times = mid_peak_times
+        self.ttl = ttl
+        self.valley = valley
 
     @property
     def post_valley_median(self) -> float:

@@ -6,7 +6,6 @@ in the default window of 10 segments" (10 x 1460 B = 14.6 KB).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
@@ -18,13 +17,20 @@ from repro.tcp.constants import DEFAULT_MSS
 DEFAULT_WINDOW_BYTES = 10 * DEFAULT_MSS
 
 
-@dataclass
 class Fig02Result:
     """Sampled file-size distribution and its paper anchors."""
 
-    cdf: EmpiricalCdf
-    fraction_exceeding_default_window: float
-    analytic_fraction_exceeding: float
+    __slots__ = ("cdf", "fraction_exceeding_default_window", "analytic_fraction_exceeding")
+
+    def __init__(
+        self,
+        cdf: EmpiricalCdf,
+        fraction_exceeding_default_window: float,
+        analytic_fraction_exceeding: float,
+    ) -> None:
+        self.cdf = cdf
+        self.fraction_exceeding_default_window = fraction_exceeding_default_window
+        self.analytic_fraction_exceeding = analytic_fraction_exceeding
 
     def report(self) -> str:
         levels = (10, 25, 50, 75, 90, 99)

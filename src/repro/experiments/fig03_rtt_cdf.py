@@ -10,7 +10,6 @@ in the first RTT."
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.cdn.filesizes import FileSizeDistribution
@@ -20,13 +19,15 @@ from repro.sim.rand import RandomStreams
 PAPER_INITCWNDS = (10, 25, 50, 100)
 
 
-@dataclass
 class Fig03Result:
     """Distribution of RTT counts per initcwnd."""
 
-    samples: int
-    #: initcwnd -> {rtt_count: fraction}
-    rtt_fractions: dict[int, dict[int, float]]
+    __slots__ = ("samples", "rtt_fractions")
+
+    def __init__(self, samples: int, rtt_fractions: dict[int, dict[int, float]]) -> None:
+        self.samples = samples
+        #: initcwnd -> {rtt_count: fraction}
+        self.rtt_fractions = rtt_fractions
 
     def fraction_within(self, initcwnd: int, rtts: int) -> float:
         """Fraction of files completing in at most ``rtts`` round trips."""

@@ -7,7 +7,6 @@ after which the benefits of reducing a single RTT diminish."
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.model.gain import gain_fraction
@@ -15,13 +14,15 @@ from repro.model.gain import gain_fraction
 PAPER_INITCWNDS = (25, 50, 100)
 
 
-@dataclass
 class Fig04Result:
     """Gain curves over a logarithmic size sweep."""
 
-    sizes_bytes: list[int]
-    #: initcwnd -> gain fraction at each size
-    gains: dict[int, list[float]]
+    __slots__ = ("sizes_bytes", "gains")
+
+    def __init__(self, sizes_bytes: list[int], gains: dict[int, list[float]]) -> None:
+        self.sizes_bytes = sizes_bytes
+        #: initcwnd -> gain fraction at each size
+        self.gains = gains
 
     def peak_gain(self, initcwnd: int) -> float:
         return max(self.gains[initcwnd])

@@ -6,19 +6,20 @@ of all PoP pairs are at least that far apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
 from repro.cdn.topology import Topology, build_paper_topology
 
 
-@dataclass
 class Fig05Result:
     """The all-pairs RTT population."""
 
-    cdf: EmpiricalCdf
-    fraction_over_125ms: float
+    __slots__ = ("cdf", "fraction_over_125ms")
+
+    def __init__(self, cdf: EmpiricalCdf, fraction_over_125ms: float) -> None:
+        self.cdf = cdf
+        self.fraction_over_125ms = fraction_over_125ms
 
     def report(self) -> str:
         rows = [

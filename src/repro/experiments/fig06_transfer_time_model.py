@@ -9,7 +9,6 @@ percentile, we see the total transfer time increase by 290ms, about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
@@ -20,12 +19,14 @@ PAPER_INITCWNDS = (10, 25, 50, 100)
 FILE_BYTES = 100_000
 
 
-@dataclass
 class Fig06Result:
     """Transfer-time distributions per initcwnd."""
 
-    file_bytes: int
-    cdfs: dict[int, EmpiricalCdf]
+    __slots__ = ("file_bytes", "cdfs")
+
+    def __init__(self, file_bytes: int, cdfs: dict[int, EmpiricalCdf]) -> None:
+        self.file_bytes = file_bytes
+        self.cdfs = cdfs
 
     def median_penalty_vs_100(self) -> float:
         """Extra IW10 median seconds versus the IW100 case (paper: >280 ms)."""

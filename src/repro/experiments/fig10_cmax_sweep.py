@@ -11,7 +11,7 @@ the knee at 100 motivates the deployed c_max = 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
@@ -35,11 +35,13 @@ CONTROL = 0
 SAMPLE_INTERVAL = 5.0
 
 
-@dataclass
 class Fig10Result:
     """Window CDFs per c_max (key 0 = control)."""
 
-    cdfs: dict[int, EmpiricalCdf]
+    __slots__ = ("cdfs",)
+
+    def __init__(self, cdfs: dict[int, EmpiricalCdf]) -> None:
+        self.cdfs = cdfs
 
     def median_increase_vs_control(self, c_max: int) -> float:
         """Fractional median window increase over the control group."""

@@ -9,7 +9,7 @@ value can only grow as far as the traffic that teaches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
@@ -25,13 +25,15 @@ ORGANIC_POP = "LHR"
 DEFAULT_CODES = ("LHR", "ARN", "JFK", "IAD", "NRT", "SYD")
 
 
-@dataclass
 class Fig11Result:
     """Window CDFs observed at the two vantage PoPs."""
 
-    probe_only: EmpiricalCdf
-    organic: EmpiricalCdf
-    c_max: int
+    __slots__ = ("probe_only", "organic", "c_max")
+
+    def __init__(self, probe_only: EmpiricalCdf, organic: EmpiricalCdf, c_max: int) -> None:
+        self.probe_only = probe_only
+        self.organic = organic
+        self.c_max = c_max
 
     @property
     def organic_fraction_at_cmax(self) -> float:

@@ -9,7 +9,6 @@ reaching ~25 %.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.stats import PercentileGain, percentile_gain_profile
 from repro.analysis.tables import format_table
@@ -25,11 +24,13 @@ PROFILE_SIZES = (50_000, 100_000)
 PROFILE_SOURCES = (EU_SOURCE, NA_SOURCE)
 
 
-@dataclass
 class Fig1516Result:
     """Percentile-gain profiles keyed by (size, source PoP)."""
 
-    profiles: dict[tuple[int, str], list[PercentileGain]]
+    __slots__ = ("profiles",)
+
+    def __init__(self, profiles: dict[tuple[int, str], list[PercentileGain]]) -> None:
+        self.profiles = profiles
 
     def profile(self, size_bytes: int, source_pop: str) -> list[PercentileGain]:
         return self.profiles[(size_bytes, source_pop)]

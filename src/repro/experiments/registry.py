@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.experiments import (
@@ -25,11 +24,16 @@ from repro.experiments import (
     tournament,
 )
 from repro.experiments.scenarios import ProbeStudyConfig
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(Frozen):
     """One registered reproduction experiment."""
+
+    __slots__ = (
+        "experiment_id", "description", "run", "simulation_backed", "supports_workers",
+        "fault_scenario", "fast",
+    )
 
     experiment_id: str
     description: str
@@ -38,13 +42,31 @@ class Experiment:
     #: Whether ``run`` accepts a ``workers=N`` keyword that fans its
     #: independent simulations out across a process pool
     #: (:mod:`repro.parallel`).
-    supports_workers: bool = False
+    supports_workers: bool
     #: Chaos scenario this experiment pairs with (``repro faults``), when
     #: its simulation runs under an injected fault schedule.
-    fault_scenario: str | None = None
+    fault_scenario: str | None
     #: Keyword arguments ``run`` takes for a reduced-scale run
     #: (``--fast``): a smaller topology, fewer samples or a shorter clock.
-    fast: Mapping[str, Any] = field(default_factory=dict)
+    fast: Mapping[str, Any]
+
+    def __init__(
+        self,
+        experiment_id: str,
+        description: str,
+        run: Callable,
+        simulation_backed: bool,
+        supports_workers: bool = False,
+        fault_scenario: str | None = None,
+        fast: Mapping[str, Any] | None = None,
+    ) -> None:
+        object.__setattr__(self, "experiment_id", experiment_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "simulation_backed", simulation_backed)
+        object.__setattr__(self, "supports_workers", supports_workers)
+        object.__setattr__(self, "fault_scenario", fault_scenario)
+        object.__setattr__(self, "fast", {} if fast is None else fast)
 
 
 #: The reduced evaluation footprint: one PoP per RTT bucket from LHR.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.cdn.topology import Topology, build_paper_topology
@@ -16,9 +15,11 @@ PAPER_TABLE2 = {
 }
 
 
-@dataclass
 class Table2Result:
-    counts: dict[str, int]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[str, int]) -> None:
+        self.counts = counts
 
     @property
     def total(self) -> int:

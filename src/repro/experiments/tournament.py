@@ -36,15 +36,17 @@ from repro.obs import capture
 from repro.obs.report import build_report
 from repro.parallel import run_tasks
 from repro.policy import policy_names
+from repro.records import Frozen
 
 #: PoPs for the scenarios without a fault schedule (clean, hybrid):
 #: the same reduced evaluation footprint the fast probe studies use.
 _CLEAN_POP_CODES = ("LHR", "AMS", "JFK", "NRT", "SYD")
 
 
-@dataclass(frozen=True)
-class TournamentScenario:
+class TournamentScenario(Frozen):
     """One column of the tournament matrix."""
+
+    __slots__ = ("name", "description", "pop_codes", "source_pop", "chaos", "fluid_flows_per_pair")
 
     name: str
     description: str
@@ -52,9 +54,25 @@ class TournamentScenario:
     #: PoP whose probe fleet produces the judged completion times.
     source_pop: str
     #: Chaos scenario name whose fault schedule runs during probing.
-    chaos: str | None = None
+    chaos: str | None
     #: Mean-field background flows per PoP pair (0 = none).
-    fluid_flows_per_pair: float = 0.0
+    fluid_flows_per_pair: float
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        pop_codes: tuple[str, ...],
+        source_pop: str,
+        chaos: str | None = None,
+        fluid_flows_per_pair: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "pop_codes", pop_codes)
+        object.__setattr__(self, "source_pop", source_pop)
+        object.__setattr__(self, "chaos", chaos)
+        object.__setattr__(self, "fluid_flows_per_pair", fluid_flows_per_pair)
 
 
 def _chaos_column(name: str) -> TournamentScenario:
@@ -96,7 +114,7 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(TOURNAMENT_SCENARIOS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TournamentConfig:
     """Knobs for one tournament run."""
 
@@ -278,15 +296,24 @@ def build_leaderboard(
     return {"overall": overall, "scenarios": scenario_tables}
 
 
-@dataclass
 class TournamentResult:
     """The full matrix plus its leaderboard."""
 
-    config: TournamentConfig
-    policies: tuple[str, ...]
-    scenarios: tuple[str, ...]
-    cells: list[dict[str, Any]]
-    leaderboard: dict[str, Any]
+    __slots__ = ("config", "policies", "scenarios", "cells", "leaderboard")
+
+    def __init__(
+        self,
+        config: TournamentConfig,
+        policies: tuple[str, ...],
+        scenarios: tuple[str, ...],
+        cells: list[dict[str, Any]],
+        leaderboard: dict[str, Any],
+    ) -> None:
+        self.config = config
+        self.policies = policies
+        self.scenarios = scenarios
+        self.cells = cells
+        self.leaderboard = leaderboard
 
     def artifact(self) -> dict[str, Any]:
         """The deterministic leaderboard artifact (no wall-clock data)."""
