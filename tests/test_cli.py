@@ -648,6 +648,179 @@ print(methods, classes)
 """
 
 
+def _assigns_all(node) -> bool:
+    """Whether an ``ast.Assign`` binds ``__all__``."""
+    return any(getattr(target, "id", None) == "__all__" for target in node.targets)
+
+
+def _identifiers(node):
+    """Every identifier ``node`` names: names, attributes, imported names,
+    call keywords and identifier-shaped strings (``getattr`` targets,
+    ``bench/tracer.py``'s patch tables).
+    """
+    import ast
+
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.split(".")[-1]
+            if sub.asname:
+                yield sub.asname
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            yield sub.arg
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                yield sub.value
+
+
+#: Names a package ``__init__`` re-exports, by package.
+_REEXPORTED_NAMES = {
+    "repro": [
+        "CdnCluster", "ClusterConfig", "FileSizeDistribution", "Host", "Network", "PathSpec",
+        "Prefix", "ProbeFleet", "RandomStreams", "RiptideAgent", "RiptideConfig", "Simulator",
+        "TcpConfig", "Topology", "build_paper_topology",
+    ],
+    "repro.analysis": [
+        "EmpiricalCdf", "PercentileGain", "cdf_to_csv", "cdfs_to_csv", "format_cdf_rows",
+        "format_table", "fraction_below", "metrics_to_csv", "metrics_to_json",
+        "percentile_gain_profile", "rows_to_csv", "summarize", "trace_to_json", "write_csv",
+    ],
+    "repro.analysis.lint": [
+        "ALL_RULES", "FileContext", "Finding", "LINT_SCHEMA_VERSION", "LintResult",
+        "LintUsageError", "ProjectContext", "RULE_CODES", "Rule", "collect_files", "run_lint",
+        "select_rules",
+    ],
+    "repro.cdn": [
+        "CdnCluster", "ClusterConfig", "FileSizeDistribution", "FluidTraffic", "GeoPoint",
+        "OrganicWorkload", "PoP", "ProbeFleet", "ProbeResult", "Topology", "TransferClient",
+        "TransferResult", "TransferServer", "build_paper_topology", "haversine_km",
+        "rtt_between",
+    ],
+    "repro.core": [
+        "Advisory", "AdvisoryController", "AgentStats", "AverageCombiner", "Combiner",
+        "DestinationGrouper", "EwmaHistory", "GuardStats", "HistoryPolicy", "KernelModeAgent",
+        "LearnedEntry", "LearnedTable", "MaxCombiner", "NoHistory", "Observation", "PathHealth",
+        "RiptideAgent", "RiptideConfig", "SafetyGuard", "TrafficWeightedCombiner",
+        "WindowedHistory", "make_combiner", "make_history_policy",
+    ],
+    "repro.faults": [
+        "AgentCrash", "CHAOS_SCENARIOS", "ChaosScenario", "FaultInjector", "FaultSchedule",
+        "FaultSpec", "IpToolFault", "LinkDegrade", "LinkFlap", "LossStorm", "PollJitter",
+        "PopPartition", "SsFault", "get_scenario", "scenario_names",
+    ],
+    "repro.linux": [
+        "Host", "IpRouteTool", "RouteEntry", "RouteTable", "SS_FAULT_MODES", "SsTool",
+        "ToolError",
+    ],
+    "repro.model": [
+        "gain_fraction", "gain_series", "rounds_schedule", "rtts_to_complete", "segments_for",
+        "transfer_time",
+    ],
+    "repro.net": [
+        "AddressError", "BernoulliLoss", "DuplexLink", "GilbertElliottLoss", "IPv4Address",
+        "Link", "LinkStats", "LossModel", "Network", "NetworkError", "NoLoss", "Packet",
+        "PathSpec", "Prefix",
+    ],
+    "repro.obs": [
+        "ATTRIBUTION_CAUSES", "AlertEpisode", "AlertLog", "Auditor", "BurnRateRule", "Counter",
+        "DEFAULT_SLO_WINDOW", "Divergence", "EventType", "FlowLog", "FlowRecord", "Gauge",
+        "Histogram", "Instrumentation", "MetricRow", "MetricsRegistry", "SloEngine",
+        "SloSignal", "SloSpec", "Span", "SpanLog", "Timeline", "TimelinePoint", "TraceEvent",
+        "TraceLog", "TsdbPoint", "WindowedStore", "active_instrumentation",
+        "alert_report_to_json", "alert_report_to_markdown", "build_alert_report",
+        "build_report", "capture", "default_burn_rules", "default_slos", "disabled",
+        "format_labels", "instrumentation_for_new_simulator", "render_report", "report_to_json",
+        "source_matches_arm",
+    ],
+    "repro.parallel": ["WorkerFailure", "default_workers", "fork_available", "run_tasks"],
+    "repro.policy": [
+        "EwmaPolicy", "HOST_CLASS_WINDOWS", "HostClassStaticPolicy", "PercentilePolicy",
+        "RTT_CLASS_CAPS", "RttClassPolicy", "StaticPolicy", "TunablePolicy", "WindowPolicy",
+        "finalize_window", "make_policy", "policy_names",
+    ],
+    "repro.sim": [
+        "CwndDistribution", "Event", "EventQueue", "FluidConfig", "FluidPopulation",
+        "PeriodicProcess", "RandomStreams", "SchedulingError", "SimulationError", "Simulator",
+    ],
+    "repro.tcp": [
+        "CongestionControl", "Cubic", "MessageMark", "Reno", "RttEstimator", "Segment",
+        "SocketStats", "TCP_HEADER_BYTES", "TcpConfig", "TcpError", "TcpListener", "TcpSocket",
+        "TcpState", "TcpStateError", "make_congestion_control",
+    ],
+    "repro.tcp.cc": ["CongestionControl", "Cubic", "Reno"],
+}
+
+#: Functions and methods that no shipped file names.
+_UNNAMED_FUNCTIONS = {
+    "analysis.export.cdf_to_csv",
+    "analysis.export.cdfs_to_csv",
+    "analysis.export.write_csv",
+    "analysis.stats.fraction_below",
+    "cdn.transfer.TransferClient.pool_size",
+    "core.history.EwmaHistory.tracked_keys",
+    "core.history.HistoryPolicy.tracked_keys",
+    "core.history.NoHistory.tracked_keys",
+    "core.history.WindowedHistory.tracked_keys",
+    "experiments.fig12_14_probe_times.Fig1214Result.comparison",
+    "faults.engine.FaultInjector.active_faults",
+    "linux.host.Host.socket_count",
+    "linux.host.Host.stop_listening",
+    "linux.ip_tool.IpRouteTool.route_get",
+    "linux.ss_tool.SsTool.fault_mode",
+    "model.gain.gain_series",
+    "model.slowstart.rounds_schedule",
+    "net.link.LinkStats.drop_rate",
+    "net.loss.GilbertElliottLoss.in_bad_state",
+    "net.network.Network.host_at",
+    "policy.tunable.TunablePolicy.knobs",
+    "policy.tunable.TunablePolicy.set_knob",
+    "sim.events.EventQueue.heap_size",
+    "sim.events.EventQueue.push",
+    "sim.events.EventQueue.push_entry",
+    "sim.fluid.CwndDistribution.remove_fraction",
+    "sim.kernel.Simulator.run_until_idle",
+    "sim.process.PeriodicProcess.ticks",
+    "tcp.rto.RttEstimator.rttvar",
+    "tcp.socket.TcpSocket.abort",
+    "tcp.socket.TcpSocket.is_closed",
+}
+
+#: ``repro`` modules above ``linux`` that ``import repro.tcp.socket`` loads.
+_UPPER_LAYER_MODULES_LOADED = {
+    "repro.cdn",
+    "repro.cdn.cluster",
+    "repro.cdn.diurnal",
+    "repro.cdn.filesizes",
+    "repro.cdn.fluidtraffic",
+    "repro.cdn.geo",
+    "repro.cdn.monitors",
+    "repro.cdn.pop",
+    "repro.cdn.probes",
+    "repro.cdn.topology",
+    "repro.cdn.transfer",
+    "repro.cdn.workload",
+    "repro.core",
+    "repro.core.advisory",
+    "repro.core.agent",
+    "repro.core.combiners",
+    "repro.core.config",
+    "repro.core.granularity",
+    "repro.core.guard",
+    "repro.core.history",
+    "repro.core.kernel_mode",
+    "repro.core.observed",
+    "repro.policy",
+    "repro.policy.base",
+    "repro.policy.learners",
+    "repro.policy.registry",
+    "repro.policy.tunable",
+    "repro.policy.zoo",
+}
+
+
 def _generated_dataclass_methods() -> tuple[int, int]:
     """``(methods, classes)`` of ``_GENERATED_METHODS_PROBE``, run fresh."""
     workloads = os.path.join(os.path.dirname(repro.__file__), "..", "..", "bench", "workloads.py")
@@ -981,6 +1154,106 @@ class TestImportHygiene:
         while newly := {k for k, outer in forwards if outer is None or outer in set_} - set_:
             set_ |= newly
         assert set(defaults) - set_ == set(_NEVER_SET_PARAMETERS)
+
+    def test_package_inits_reexport_nothing(self):
+        """A name has one import path: the module that defines it.
+
+        A package ``__init__`` re-exports a name when it imports it and
+        either lists it in ``__all__`` or never uses it itself.
+        """
+        import ast
+        from pathlib import Path
+
+        package_dir = Path(repro.__file__).parent
+        found = {}
+        for path in sorted(package_dir.rglob("__init__.py")):
+            tree = ast.parse(path.read_text())
+            imported, listed = set(), set()
+            for node in tree.body:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    imported.update(alias.asname or alias.name for alias in node.names)
+                elif isinstance(node, ast.Assign) and _assigns_all(node):
+                    listed.update(ast.literal_eval(node.value))
+            used = {
+                node.id
+                for stmt in tree.body
+                if not (isinstance(stmt, ast.Assign) and _assigns_all(stmt))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+            }
+            names = sorted(name for name in imported if name in listed or name not in used)
+            if names:
+                package = ".".join(path.parent.relative_to(package_dir.parent).parts)
+                found[package] = names
+        assert found == _REEXPORTED_NAMES
+
+    def test_every_function_and_method_is_named_by_a_shipped_file(self):
+        """Every function and method in ``src/repro`` is named by a shipped
+        file: its identifier (a name, an attribute, an import, a keyword or
+        an identifier-shaped string) appears outside its own ``def``, every
+        package ``__init__`` and every ``__all__``.
+
+        Dunder methods and the ``visit_*`` methods of ``ast.NodeVisitor``
+        subclasses are exempt: Python and the visitor call them by name.
+        Matching is by name only, so the check can miss a dead function but
+        never flags one in use.
+        """
+        import ast
+        from collections import Counter
+
+        package_dir, trees = _shipped_trees()
+        named = Counter()
+        defs = []  # (key, def node, counted): counted is False in an __init__
+
+        def visit(node, module, prefix, visitor, counted):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    bases = [ast.unparse(base) for base in child.bases]
+                    is_visitor = any(base.endswith("NodeVisitor") for base in bases)
+                    visit(child, module, f"{prefix}{child.name}.", is_visitor, counted)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = child.name
+                    dunder = name.startswith("__") and name.endswith("__")
+                    if not dunder and not (visitor and name.startswith("visit_")):
+                        defs.append((f"{module}.{prefix}{name}", child, counted))
+                    visit(child, module, f"{prefix}{name}.", False, counted)
+                else:
+                    visit(child, module, prefix, visitor, counted)
+
+        for path, tree in trees.items():
+            counted = path.name != "__init__.py"
+            body = [
+                stmt
+                for stmt in tree.body
+                if not (isinstance(stmt, ast.Assign) and _assigns_all(stmt))
+            ]
+            if counted:
+                named.update(name for stmt in body for name in _identifiers(stmt))
+            if package_dir in path.parents:
+                module = ".".join(path.relative_to(package_dir).with_suffix("").parts)
+                visit(ast.Module(body=body, type_ignores=[]), module, "", False, counted)
+
+        unnamed = set()
+        for key, node, counted in defs:
+            own = sum(name == node.name for name in _identifiers(node)) if counted else 0
+            if named[node.name] - own <= 0:
+                unnamed.add(key)
+        assert unnamed == set(_UNNAMED_FUNCTIONS)
+
+    def test_lower_layers_load_no_upper_layer(self):
+        """``import repro.tcp.socket`` in a fresh interpreter loads no module
+        of a layer above ``linux`` (DESIGN.md §3: sim → net → tcp → linux →
+        cdn → core), nor the policy zoo, the fault injector, the harnesses
+        or the CLI.
+        """
+        upper = ("cdn", "core", "policy", "faults", "experiments", "cli")
+        probe = (
+            "import sys\n"
+            "import repro.tcp.socket\n"
+            "print(' '.join(sorted(name for name in sys.modules\n"
+            f"    if name.split('.')[:2][-1] in {upper!r} and name.startswith('repro.'))))\n"
+        )
+        assert set(_fresh_interpreter(probe).split()) == _UPPER_LAYER_MODULES_LOADED
 
 
 if __name__ == "__main__":
