@@ -7,7 +7,7 @@ use identical slow start) while steady-state growth differs.
 
 import pytest
 
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

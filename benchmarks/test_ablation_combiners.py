@@ -6,9 +6,10 @@ the conservative one.  This ablation runs the same host with synthetic
 connection mixes under each combiner and compares the learned windows.
 """
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -8,7 +8,7 @@ observation sequence and compares stability and responsiveness.
 
 import statistics
 
-from repro.core import make_history_policy
+from repro.core.history import make_history_policy
 
 
 def drive(policy_name: str, sequence: list[float]) -> list[float]:

@@ -6,7 +6,7 @@ avoid this limitation, the initrwnd must be increased to accommodate the
 maximum initial congestion window, c_max."
 """
 
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

@@ -9,8 +9,10 @@ the resulting transfer times (which must be identical — the mechanism
 differs, the policy does not).
 """
 
-from repro.core import KernelModeAgent, RiptideAgent, RiptideConfig
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.core.kernel_mode import KernelModeAgent
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -6,7 +6,7 @@ windows recover in one round trip instead of one round trip per hole.
 """
 
 from repro.net.loss import BernoulliLoss
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

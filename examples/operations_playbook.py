@@ -11,9 +11,10 @@ two-host deployment.
 Run:  python examples/operations_playbook.py
 """
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -10,8 +10,9 @@ transfer completes in a single round trip.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -16,45 +16,11 @@ The package is layered bottom-up:
 
 Quick start::
 
-    from repro import CdnCluster, ClusterConfig, build_paper_topology
+    from repro.cdn.cluster import CdnCluster
+    from repro.cdn.topology import build_paper_topology
 
     cluster = CdnCluster(build_paper_topology())
     cluster.add_organic_workload("LHR", ["JFK", "NRT"])
     cluster.start_riptide()
     cluster.run(60.0)
 """
-
-from repro.cdn import (
-    CdnCluster,
-    ClusterConfig,
-    FileSizeDistribution,
-    ProbeFleet,
-    Topology,
-    build_paper_topology,
-)
-from repro.core import RiptideAgent, RiptideConfig
-from repro.linux import Host
-from repro.net import Network, PathSpec, Prefix
-from repro.sim import RandomStreams, Simulator
-from repro.tcp import TcpConfig
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "CdnCluster",
-    "ClusterConfig",
-    "FileSizeDistribution",
-    "Host",
-    "Network",
-    "PathSpec",
-    "Prefix",
-    "ProbeFleet",
-    "RandomStreams",
-    "RiptideAgent",
-    "RiptideConfig",
-    "Simulator",
-    "TcpConfig",
-    "Topology",
-    "build_paper_topology",
-    "__version__",
-]

@@ -3,8 +3,8 @@
 Each figure harness prints human-readable tables; downstream users who
 want to re-plot with their own tools can dump the underlying series with
 these helpers instead of scraping the text output.  The metric/trace
-exporters serialise a run's :class:`~repro.obs.MetricsRegistry` and
-:class:`~repro.obs.TraceLog` (see ``python -m repro metrics``).
+exporters serialise a run's :class:`~repro.obs.metrics.MetricsRegistry` and
+:class:`~repro.obs.trace.TraceLog` (see ``python -m repro metrics``).
 """
 
 from __future__ import annotations

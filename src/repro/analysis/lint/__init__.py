@@ -22,30 +22,3 @@ which also has a motivating example per rule.  The one suppression
 layer is an inline ``# lint: ignore[CODE]`` comment
 (:mod:`repro.analysis.lint.engine`).
 """
-
-from repro.analysis.lint.base import FileContext, Finding, ProjectContext, Rule
-from repro.analysis.lint.engine import (
-    ALL_RULES,
-    LINT_SCHEMA_VERSION,
-    RULE_CODES,
-    LintResult,
-    LintUsageError,
-    collect_files,
-    run_lint,
-    select_rules,
-)
-
-__all__ = [
-    "ALL_RULES",
-    "FileContext",
-    "Finding",
-    "LINT_SCHEMA_VERSION",
-    "LintResult",
-    "LintUsageError",
-    "ProjectContext",
-    "RULE_CODES",
-    "Rule",
-    "collect_files",
-    "run_lint",
-    "select_rules",
-]

@@ -21,14 +21,8 @@ import json
 from typing import Any
 
 from repro.obs.instrument import Instrumentation
-from repro.obs.slo import DEFAULT_SLO_WINDOW, AlertEpisode
+from repro.obs.slo import AlertEpisode, DEFAULT_SLO_WINDOW
 from repro.obs.tsdb import WindowedStore
-
-__all__ = [
-    "build_watch_frames",
-    "render_watch",
-    "watch_frames_to_json",
-]
 
 
 def _episode_status(episode: AlertEpisode, now: float) -> str | None:

@@ -5,32 +5,3 @@ Synthesises the environment the paper evaluates in — a 34-PoP global CDN
 production-like file-size distribution (Figure 2), diagnostic probes of
 10/50/100 KB (Section IV-A), and organic background traffic.
 """
-
-from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.filesizes import FileSizeDistribution
-from repro.cdn.fluidtraffic import FluidTraffic
-from repro.cdn.geo import GeoPoint, haversine_km, rtt_between
-from repro.cdn.pop import PoP
-from repro.cdn.probes import ProbeFleet, ProbeResult
-from repro.cdn.topology import Topology, build_paper_topology
-from repro.cdn.transfer import TransferClient, TransferServer, TransferResult
-from repro.cdn.workload import OrganicWorkload
-
-__all__ = [
-    "CdnCluster",
-    "ClusterConfig",
-    "FileSizeDistribution",
-    "FluidTraffic",
-    "GeoPoint",
-    "OrganicWorkload",
-    "PoP",
-    "ProbeFleet",
-    "ProbeResult",
-    "Topology",
-    "TransferClient",
-    "TransferResult",
-    "TransferServer",
-    "build_paper_topology",
-    "haversine_km",
-    "rtt_between",
-]

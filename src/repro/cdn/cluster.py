@@ -24,7 +24,8 @@ from repro.linux.host import Host
 from repro.net.addresses import IPv4Address
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.network import Network, PathSpec
-from repro.obs import Auditor, Instrumentation
+from repro.obs.audit import Auditor
+from repro.obs.instrument import Instrumentation
 from repro.obs.slo import SloEngine, default_burn_rules, default_slos
 from repro.sim.fluid import FluidConfig
 from repro.sim.kernel import Simulator

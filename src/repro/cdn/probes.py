@@ -13,25 +13,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.cdn.pop import PoP
-from repro.cdn.transfer import (
-    RTT_BUCKETS,
-    TransferClient,
-    TransferResult,
-    rtt_bucket,
-)
+from repro.cdn.transfer import TransferClient, TransferResult, rtt_bucket
 from repro.net.addresses import IPv4Address
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
-
-__all__ = [
-    "PAPER_PROBE_SIZES",
-    "ProbeFleet",
-    "ProbeResult",
-    "ProbeResultSet",
-    "RTT_BUCKETS",
-    "filter_probe_results",
-    "rtt_bucket",
-]
 
 #: The paper's probe sizes, in bytes.
 PAPER_PROBE_SIZES = (10_000, 50_000, 100_000)

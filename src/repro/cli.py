@@ -49,7 +49,7 @@ from collections.abc import Callable
 from typing import TypeVar
 
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
-from repro.obs import Instrumentation, capture
+from repro.obs.instrument import Instrumentation, capture
 
 
 _T = TypeVar("_T")
@@ -492,7 +492,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.faults import get_scenario
+        from repro.faults.scenarios import get_scenario
 
         # Every scenario is registered as the experiment of the same name.
         experiment_id = get_scenario(args.faults).name
@@ -564,7 +564,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import ALL_RULES, LintUsageError, run_lint
+    from repro.analysis.lint.engine import ALL_RULES, LintUsageError, run_lint
 
     if args.list_rules:
         for rule in ALL_RULES:
@@ -598,7 +598,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """List the chaos scenarios with their fault timelines."""
-    from repro.faults import CHAOS_SCENARIOS
+    from repro.faults.scenarios import CHAOS_SCENARIOS
 
     for scenario in CHAOS_SCENARIOS.values():
         print(scenario.name)
@@ -819,7 +819,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         return 0
 
     from repro.experiments.chaos import check_expected_alert
-    from repro.faults import get_scenario
+    from repro.faults.scenarios import get_scenario
 
     scenario = get_scenario(exp.fault_scenario)
     if not scenario.expected_alerts:

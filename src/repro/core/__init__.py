@@ -14,52 +14,3 @@ The pluggable pieces mirror Section III-B's design discussion:
 * **history policies** — EWMA (paper default), windowed mean, none;
 * **granularity** — per-host ``/32`` routes or broader prefix routes.
 """
-
-from repro.core.advisory import Advisory, AdvisoryController
-from repro.core.agent import AgentStats, RiptideAgent
-from repro.core.combiners import (
-    AverageCombiner,
-    Combiner,
-    MaxCombiner,
-    Observation,
-    TrafficWeightedCombiner,
-    make_combiner,
-)
-from repro.core.config import RiptideConfig
-from repro.core.granularity import DestinationGrouper
-from repro.core.guard import GuardStats, PathHealth, SafetyGuard
-from repro.core.history import (
-    EwmaHistory,
-    HistoryPolicy,
-    NoHistory,
-    WindowedHistory,
-    make_history_policy,
-)
-from repro.core.kernel_mode import KernelModeAgent
-from repro.core.observed import LearnedEntry, LearnedTable
-
-__all__ = [
-    "Advisory",
-    "AdvisoryController",
-    "AgentStats",
-    "AverageCombiner",
-    "Combiner",
-    "DestinationGrouper",
-    "EwmaHistory",
-    "GuardStats",
-    "HistoryPolicy",
-    "KernelModeAgent",
-    "PathHealth",
-    "LearnedEntry",
-    "LearnedTable",
-    "MaxCombiner",
-    "NoHistory",
-    "Observation",
-    "RiptideAgent",
-    "RiptideConfig",
-    "SafetyGuard",
-    "TrafficWeightedCombiner",
-    "WindowedHistory",
-    "make_combiner",
-    "make_history_policy",
-]

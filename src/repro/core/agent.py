@@ -33,8 +33,9 @@ from repro.linux.errors import ToolError
 from repro.linux.host import Host
 from repro.net.addresses import IPv4Address, Prefix
 from repro.obs.span import Span
-from repro.policy import WindowPolicy, finalize_window, make_policy
 from repro.obs.trace import EventType
+from repro.policy.base import WindowPolicy, finalize_window
+from repro.policy.registry import make_policy
 from repro.sim.process import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

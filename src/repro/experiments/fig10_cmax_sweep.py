@@ -19,12 +19,8 @@ from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.topology import Topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import (
-    EVALUATION_POP_CODES,
-    add_organic_mesh,
-    sub_topology,
-)
-from repro.parallel import run_tasks
+from repro.experiments.scenarios import EVALUATION_POP_CODES, add_organic_mesh, sub_topology
+from repro.parallel.executor import run_tasks
 
 PAPER_CMAX_VALUES = (50, 100, 150, 200, 250)
 

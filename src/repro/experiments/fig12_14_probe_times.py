@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
-from repro.cdn.probes import PAPER_PROBE_SIZES, RTT_BUCKETS
-from repro.experiments.scenarios import (
-    ProbeStudyArm,
-    ProbeStudyConfig,
-    run_paired_probe_study,
-)
+from repro.cdn.probes import PAPER_PROBE_SIZES
+from repro.cdn.transfer import RTT_BUCKETS
+from repro.experiments.scenarios import ProbeStudyArm, ProbeStudyConfig, run_paired_probe_study
 
 BUCKET_LABELS = tuple(label for label, _ in RTT_BUCKETS)
 

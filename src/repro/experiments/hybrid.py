@@ -43,8 +43,9 @@ from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.filesizes import FileSizeDistribution
-from repro.cdn.probes import PAPER_PROBE_SIZES, ProbeResultSet, RTT_BUCKETS
+from repro.cdn.probes import PAPER_PROBE_SIZES, ProbeResultSet
 from repro.cdn.topology import build_paper_topology
+from repro.cdn.transfer import RTT_BUCKETS
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
 from repro.experiments.scenarios import (

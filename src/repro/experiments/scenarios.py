@@ -27,7 +27,7 @@ from repro.core.config import RiptideConfig
 from repro.faults.engine import FaultInjector
 from repro.faults.scenarios import get_scenario
 from repro.obs.slo import AlertEpisode, source_matches_arm
-from repro.parallel import run_tasks
+from repro.parallel.executor import run_tasks
 from repro.records import Frozen
 from repro.tcp.constants import TcpConfig
 

@@ -32,10 +32,10 @@ from typing import Any
 from repro.core.config import RiptideConfig
 from repro.experiments.scenarios import PacketMesh, StudyArm, run_study_arm
 from repro.faults.scenarios import get_scenario
-from repro.obs import capture
+from repro.obs.instrument import capture
 from repro.obs.report import build_report
-from repro.parallel import run_tasks
-from repro.policy import policy_names
+from repro.parallel.executor import run_tasks
+from repro.policy.registry import policy_names
 from repro.records import Frozen
 
 #: PoPs for the scenarios without a fault schedule (clean, hybrid):

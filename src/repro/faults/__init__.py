@@ -22,41 +22,3 @@ Chaos scenarios (ready-made schedules over the evaluation topology) live
 in :mod:`repro.faults.scenarios`; the paired control-vs-Riptide chaos
 experiments in :mod:`repro.experiments.chaos`.
 """
-
-from repro.faults.engine import FaultInjector
-from repro.faults.scenarios import (
-    CHAOS_SCENARIOS,
-    ChaosScenario,
-    get_scenario,
-    scenario_names,
-)
-from repro.faults.spec import (
-    AgentCrash,
-    FaultSchedule,
-    FaultSpec,
-    IpToolFault,
-    LinkDegrade,
-    LinkFlap,
-    LossStorm,
-    PollJitter,
-    PopPartition,
-    SsFault,
-)
-
-__all__ = [
-    "AgentCrash",
-    "CHAOS_SCENARIOS",
-    "ChaosScenario",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "IpToolFault",
-    "LinkDegrade",
-    "LinkFlap",
-    "LossStorm",
-    "PollJitter",
-    "PopPartition",
-    "SsFault",
-    "get_scenario",
-    "scenario_names",
-]

@@ -115,6 +115,3 @@ class SsTool:
     def __repr__(self) -> str:
         fault = f" fault={self._fault_mode}" if self._fault_mode else ""
         return f"<SsTool host={self._host.address} polls={self.polls}{fault}>"
-
-
-__all__ = ["SS_FAULT_MODES", "SocketStats", "SsTool", "SyntheticSocketSource"]

@@ -7,20 +7,3 @@ connections experience no loss."  Under those assumptions a transfer of
 are slow-start rounds (W, 2W, 4W, ...) needed to cover ``ceil(S/MSS)``
 segments.  Figures 3, 4 and 6 are direct evaluations of this model.
 """
-
-from repro.model.slowstart import (
-    rounds_schedule,
-    rtts_to_complete,
-    segments_for,
-    transfer_time,
-)
-from repro.model.gain import gain_fraction, gain_series
-
-__all__ = [
-    "gain_fraction",
-    "gain_series",
-    "rounds_schedule",
-    "rtts_to_complete",
-    "segments_for",
-    "transfer_time",
-]

@@ -4,27 +4,3 @@ Models the wide-area paths between CDN PoPs as duplex links with
 configurable bandwidth, propagation delay, finite drop-tail queues and
 stochastic loss.  TCP (in :mod:`repro.tcp`) runs on top of this fabric.
 """
-
-from repro.net.addresses import IPv4Address, Prefix
-from repro.net.errors import AddressError, NetworkError
-from repro.net.link import DuplexLink, Link, LinkStats
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
-from repro.net.network import Network, PathSpec
-from repro.net.packet import Packet
-
-__all__ = [
-    "AddressError",
-    "BernoulliLoss",
-    "DuplexLink",
-    "GilbertElliottLoss",
-    "IPv4Address",
-    "Link",
-    "LinkStats",
-    "LossModel",
-    "Network",
-    "NetworkError",
-    "NoLoss",
-    "Packet",
-    "PathSpec",
-    "Prefix",
-]

@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.net.addresses import AddressError, Prefix
+from repro.net.addresses import Prefix
+from repro.net.errors import AddressError
 from repro.obs.flow import FlowRecord
 from repro.obs.instrument import Instrumentation
 from repro.obs.slo import AlertEpisode, source_matches_arm

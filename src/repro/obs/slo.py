@@ -36,23 +36,6 @@ from repro.obs.span import Span, SpanLog
 from repro.obs.trace import EventType, TraceLog
 from repro.obs.tsdb import WindowedStore
 
-__all__ = [
-    "DEFAULT_SLO_WINDOW",
-    "VALID_SIGNAL_KINDS",
-    "AlertEpisode",
-    "AlertLog",
-    "BurnRateRule",
-    "SloEngine",
-    "SloSignal",
-    "SloSpec",
-    "alert_report_to_json",
-    "alert_report_to_markdown",
-    "build_alert_report",
-    "default_burn_rules",
-    "default_slos",
-    "source_matches_arm",
-]
-
 #: Aligned-window width (simulated seconds) for SLI derivations.
 DEFAULT_SLO_WINDOW = 5.0
 

@@ -29,11 +29,6 @@ from bisect import bisect_left, bisect_right
 
 from repro.obs.timeline import PointLog, TimelinePoint
 
-__all__ = [
-    "TsdbPoint",
-    "WindowedStore",
-]
-
 
 class TsdbPoint(TimelinePoint):
     """One raw sample of one series on one source."""

@@ -23,17 +23,3 @@ the three guarantees the serial path gives:
 See ``docs/ARCHITECTURE.md`` ("Parallel execution") for the merge
 semantics.
 """
-
-from repro.parallel.executor import (
-    WorkerFailure,
-    default_workers,
-    fork_available,
-    run_tasks,
-)
-
-__all__ = [
-    "WorkerFailure",
-    "default_workers",
-    "fork_available",
-    "run_tasks",
-]

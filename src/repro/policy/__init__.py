@@ -6,33 +6,3 @@ CDN configurations measured by Rüth & Hohlfeld, percentile and
 RTT-class learners, and a TCPTuner-style runtime-tunable policy.
 ``repro.experiments.tournament`` races them against each other.
 """
-
-from repro.policy.base import WindowPolicy, finalize_window
-from repro.policy.learners import (
-    EwmaPolicy,
-    PercentilePolicy,
-    RttClassPolicy,
-    RTT_CLASS_CAPS,
-)
-from repro.policy.registry import make_policy, policy_names
-from repro.policy.tunable import TunablePolicy
-from repro.policy.zoo import (
-    HOST_CLASS_WINDOWS,
-    HostClassStaticPolicy,
-    StaticPolicy,
-)
-
-__all__ = [
-    "EwmaPolicy",
-    "HOST_CLASS_WINDOWS",
-    "HostClassStaticPolicy",
-    "PercentilePolicy",
-    "RTT_CLASS_CAPS",
-    "RttClassPolicy",
-    "StaticPolicy",
-    "TunablePolicy",
-    "WindowPolicy",
-    "finalize_window",
-    "make_policy",
-    "policy_names",
-]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 
-__all__ = ["Frozen"]
-
 
 class Frozen:
     """Refuses attribute writes after ``__init__``, as a frozen dataclass does."""

@@ -5,23 +5,3 @@ the reproduction: a simulation clock, an event heap with stable ordering,
 periodic-process helpers, and named seeded random streams so that every
 experiment is reproducible from a single integer seed.
 """
-
-from repro.sim.errors import SchedulingError, SimulationError
-from repro.sim.events import Event, EventQueue
-from repro.sim.fluid import CwndDistribution, FluidConfig, FluidPopulation
-from repro.sim.kernel import Simulator
-from repro.sim.process import PeriodicProcess
-from repro.sim.rand import RandomStreams
-
-__all__ = [
-    "CwndDistribution",
-    "Event",
-    "EventQueue",
-    "FluidConfig",
-    "FluidPopulation",
-    "PeriodicProcess",
-    "RandomStreams",
-    "SchedulingError",
-    "SimulationError",
-    "Simulator",
-]

@@ -41,13 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-__all__ = [
-    "FluidConfig",
-    "CwndDistribution",
-    "FluidPopulation",
-    "MAX_WINDOW",
-]
-
 #: Largest representable congestion window (the receive-window cap).
 MAX_WINDOW = 320
 

@@ -12,32 +12,3 @@ Implements the pieces of Linux TCP that Riptide's behaviour depends on:
   window* (the Section III-C coupling: the receiver must be able to
   absorb the sender's first burst).
 """
-
-from repro.tcp.cc import Cubic, CongestionControl, Reno, make_congestion_control
-from repro.tcp.constants import (
-    TCP_HEADER_BYTES,
-    TcpConfig,
-)
-from repro.tcp.errors import TcpError, TcpStateError
-from repro.tcp.rto import RttEstimator
-from repro.tcp.socket import SocketStats, TcpSocket, TcpState
-from repro.tcp.listener import TcpListener
-from repro.tcp.wire import MessageMark, Segment
-
-__all__ = [
-    "CongestionControl",
-    "Cubic",
-    "MessageMark",
-    "Reno",
-    "RttEstimator",
-    "Segment",
-    "SocketStats",
-    "TCP_HEADER_BYTES",
-    "TcpConfig",
-    "TcpError",
-    "TcpListener",
-    "TcpSocket",
-    "TcpState",
-    "TcpStateError",
-    "make_congestion_control",
-]

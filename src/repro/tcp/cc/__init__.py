@@ -31,10 +31,3 @@ def make_congestion_control(
         raise ValueError(f"unknown congestion control {name!r} (known: {known})") from None
     return cls(initial_cwnd=initial_cwnd, mss=mss)
 
-
-__all__ = [
-    "CongestionControl",
-    "Cubic",
-    "Reno",
-    "make_congestion_control",
-]

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    EmpiricalCdf,
-    format_cdf_rows,
-    format_table,
-    fraction_below,
-    percentile_gain_profile,
-    summarize,
-)
+from repro.analysis.cdf import EmpiricalCdf
+from repro.analysis.stats import fraction_below, percentile_gain_profile, summarize
+from repro.analysis.tables import format_cdf_rows, format_table
 
 
 class TestEmpiricalCdf:

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from repro.analysis import EmpiricalCdf
+from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.export import cdf_to_csv, cdfs_to_csv, rows_to_csv, write_csv
 
 
@@ -65,7 +65,7 @@ class TestObsExports:
         import json
 
         from repro.analysis.export import trace_to_json
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog(capacity=1)
         log.record(0.0, EventType.CONN_OPENED, "a")
@@ -80,7 +80,7 @@ class TestObsExports:
         import json
 
         from repro.analysis.export import flows_to_json, flows_to_jsonl
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         assert flows_to_jsonl(log) == ""
@@ -108,7 +108,7 @@ class TestObsExports:
         import json
 
         from repro.analysis.export import flows_to_json
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         early = log.begin(
@@ -141,7 +141,7 @@ class TestObsExports:
 
     def test_timeline_to_csv(self):
         from repro.analysis.export import timeline_to_csv
-        from repro.obs import Timeline
+        from repro.obs.timeline import Timeline
 
         timeline = Timeline()
         timeline.record(2.0, "srv", "installed_routes", 3)
@@ -389,21 +389,21 @@ class TestTraceJsonMatchesWholePayload:
 
     def test_empty_log(self):
         from repro.analysis.export import trace_to_json
-        from repro.obs import TraceLog
+        from repro.obs.trace import TraceLog
 
         log = TraceLog()
         self._check(log)
         assert trace_to_json(log).endswith('"totals": {},\n  "events": []\n}')
 
     def test_one_event(self):
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog()
         log.record(1.5, EventType.ROUTE_INSTALLED, "srv", window=40, ttl=600)
         self._check(log)
 
     def test_event_without_details(self):
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog()
         log.record(0.0, EventType.CONN_OPENED, "a")
@@ -411,7 +411,7 @@ class TestTraceJsonMatchesWholePayload:
         self._check(log)
 
     def test_ring_that_wrapped(self):
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog(capacity=3)
         for index in range(8):
@@ -421,7 +421,7 @@ class TestTraceJsonMatchesWholePayload:
         self._check(log)
 
     def test_awkward_details(self):
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog()
         log.record(2.0, EventType.TOOL_ERROR, 'src "é"\n', **AWKWARD_DETAILS)
@@ -431,7 +431,7 @@ class TestTraceJsonMatchesWholePayload:
     @pytest.mark.parametrize("events", [63, 64, 65, 128, 129, 300])
     def test_many_events(self, events):
         """However the encoder is fed, the seams between feeds must not show."""
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog()
         types = list(EventType)
@@ -443,7 +443,7 @@ class TestTraceJsonMatchesWholePayload:
         self._check(log)
 
     def test_merged_logs(self):
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         left, right = TraceLog(capacity=4), TraceLog(capacity=4)
         for index in range(3):
@@ -458,7 +458,7 @@ class TestTraceEventRecord:
     def test_pickle_round_trip(self):
         import pickle
 
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         log = TraceLog()
         event = log.record(
@@ -478,7 +478,7 @@ class TestTraceEventRecord:
     def test_immutable(self):
         import dataclasses
 
-        from repro.obs import EventType, TraceLog
+        from repro.obs.trace import EventType, TraceLog
 
         event = TraceLog().record(0.0, EventType.CONN_OPENED, "a")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -494,7 +494,7 @@ class TestSpansJsonMatchesWholePayload:
 
     def test_empty_log(self):
         from repro.analysis.export import spans_to_chrome_json
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         self._check(log)
@@ -503,7 +503,7 @@ class TestSpansJsonMatchesWholePayload:
         )
 
     def test_one_closed_span(self):
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         span = log.begin(1.0, "poll", "agent", "srv", rows=12)
@@ -514,7 +514,7 @@ class TestSpansJsonMatchesWholePayload:
         import json
 
         from repro.analysis.export import spans_to_chrome_json
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         log.begin(1.0, "hold", "guard", "srv")
@@ -524,7 +524,7 @@ class TestSpansJsonMatchesWholePayload:
         assert "dur" not in event
 
     def test_parent_and_tracks(self):
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         tick = log.begin(0.5, "tick", "agent", "zeta")
@@ -535,7 +535,7 @@ class TestSpansJsonMatchesWholePayload:
         self._check(log)
 
     def test_awkward_details_and_a_repeated_key(self):
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         span = log.begin(0.0, 'n"\n', "é", "s\n", **AWKWARD_DETAILS)
@@ -544,7 +544,7 @@ class TestSpansJsonMatchesWholePayload:
 
     @pytest.mark.parametrize("spans", [63, 64, 65, 128, 129, 300])
     def test_many_spans(self, spans):
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog()
         parent = None
@@ -559,7 +559,7 @@ class TestSpansJsonMatchesWholePayload:
         self._check(log)
 
     def test_past_capacity(self):
-        from repro.obs import SpanLog
+        from repro.obs.span import SpanLog
 
         log = SpanLog(capacity=2)
         for index in range(4):
@@ -590,7 +590,7 @@ class TestFlowsMatchWholePayload:
 
     def test_empty_log(self):
         from repro.analysis.export import flows_to_json, flows_to_jsonl
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         self._check(log)
@@ -599,7 +599,7 @@ class TestFlowsMatchWholePayload:
 
     def test_one_open_record(self):
         from repro.analysis.export import flows_to_jsonl
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         _begin_flow(log, 0, opened_at=1.0)
@@ -608,7 +608,7 @@ class TestFlowsMatchWholePayload:
 
     def test_windows_over_several_records(self):
         from repro.analysis.export import flows_to_jsonl
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         _begin_flow(log, 0, opened_at=1.0, closed_at=2.0)
@@ -622,7 +622,7 @@ class TestFlowsMatchWholePayload:
 
     @pytest.mark.parametrize("flows", [63, 64, 65, 128, 129, 300])
     def test_many_records(self, flows):
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog()
         for index in range(flows):
@@ -633,7 +633,7 @@ class TestFlowsMatchWholePayload:
         self._check(log)
 
     def test_past_capacity(self):
-        from repro.obs import FlowLog
+        from repro.obs.flow import FlowLog
 
         log = FlowLog(capacity=2)
         for index in range(5):

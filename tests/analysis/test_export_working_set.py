@@ -51,7 +51,8 @@ from collections.abc import Callable
 import pytest
 
 from repro.analysis.export import spans_to_chrome_json, trace_to_json
-from repro.obs import EventType, SpanLog, TraceLog
+from repro.obs.span import SpanLog
+from repro.obs.trace import EventType, TraceLog
 
 TRACE_EVENTS = 20_000
 SPANS = 5_000

@@ -12,12 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    LINT_SCHEMA_VERSION,
-    RULE_CODES,
-    LintUsageError,
-    run_lint,
-)
+from repro.analysis.lint.engine import LINT_SCHEMA_VERSION, LintUsageError, RULE_CODES, run_lint
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.analysis.lint import run_lint
+from repro.analysis.lint.engine import run_lint
 from repro.analysis.lint.flt001 import Flt001FloatIdentity
 
 

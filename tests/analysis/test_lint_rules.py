@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.lint import run_lint
+from repro.analysis.lint.engine import run_lint
 
 
 def lint_snippet(tmp_path, source: str, **kwargs):
@@ -592,7 +592,7 @@ def test_no_rule_exempts_repro_policy():
     derivation packages (``repro.obs``/``repro.analysis``) whose sums
     feed byte-compared artifacts, so it is pinned separately.
     """
-    from repro.analysis.lint import ALL_RULES
+    from repro.analysis.lint.engine import ALL_RULES
 
     for rule_cls in ALL_RULES:
         rule = rule_cls()

@@ -2,13 +2,10 @@
 
 import json
 
-from repro.analysis.watch import (
-    build_watch_frames,
-    render_watch,
-    watch_frames_to_json,
-)
-from repro.obs import EventType, Instrumentation
+from repro.analysis.watch import build_watch_frames, render_watch, watch_frames_to_json
+from repro.obs.instrument import Instrumentation
 from repro.obs.slo import BurnRateRule
+from repro.obs.trace import EventType
 
 
 def seeded_instrumentation() -> Instrumentation:

@@ -58,7 +58,7 @@ from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.agent import RiptideAgent
 from repro.core.config import RiptideConfig
-from repro.obs import capture, disabled
+from repro.obs.instrument import capture, disabled
 from repro.sim.fluid import FluidConfig
 from repro.tcp.constants import TcpConfig
 

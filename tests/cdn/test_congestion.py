@@ -9,9 +9,10 @@ serialize against the residual capacity and see queueing delay and
 drops exactly as they would under competing packets.
 """
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -52,7 +52,7 @@ import tracemalloc
 
 from repro.cdn.cluster import CdnCluster
 from repro.cdn.topology import build_paper_topology
-from repro.net import Link
+from repro.net.link import Link
 
 #: Ordered PoP pairs of the 34-PoP full mesh.
 DIRECTIONS = 34 * 33

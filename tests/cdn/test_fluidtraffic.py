@@ -9,7 +9,7 @@ link's loss model and outages feed back into the cohort dynamics.
 import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, SS_SAMPLES, FluidTraffic
+from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, FluidTraffic, SS_SAMPLES
 from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
@@ -355,7 +355,7 @@ class TestLinkCoupling:
 
 class TestObservability:
     def test_gauges_and_counters_emitted(self):
-        from repro.obs import capture
+        from repro.obs.instrument import capture
 
         with capture():
             cluster = CdnCluster(
@@ -374,7 +374,7 @@ class TestObservability:
             assert metrics.gauge("fluid_mean_cwnd").value >= 1.0
 
     def test_timeline_sampler_records_fluid_series(self):
-        from repro.obs import capture
+        from repro.obs.instrument import capture
 
         with capture():
             cluster = CdnCluster(topology(), ClusterConfig(seed=3))

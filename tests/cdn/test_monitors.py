@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdn.monitors import CwndSampler
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

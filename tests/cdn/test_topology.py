@@ -5,7 +5,7 @@ import pytest
 from repro.cdn.geo import GeoPoint
 from repro.cdn.pop import PoP
 from repro.cdn.topology import Topology, build_paper_topology
-from repro.net import Prefix
+from repro.net.addresses import Prefix
 
 
 class TestPoP:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cdn.probes import PAPER_PROBE_SIZES, rtt_bucket
-from repro.cdn.topology import build_paper_topology
-from repro.cdn.workload import OrganicWorkload, OrganicWorkloadConfig
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.filesizes import FileSizeDistribution
-from repro.cdn.transfer import TransferClient, TransferServer
+from repro.cdn.probes import PAPER_PROBE_SIZES
+from repro.cdn.topology import build_paper_topology
+from repro.cdn.transfer import TransferClient, TransferServer, rtt_bucket
+from repro.cdn.workload import OrganicWorkload, OrganicWorkloadConfig
 from repro.testing import TwoHostTestbed
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import RandomStreams, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.rand import RandomStreams
 from repro.testing import TwoHostTestbed
 
 

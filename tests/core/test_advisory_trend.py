@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import Advisory, AdvisoryController, RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.advisory import Advisory, AdvisoryController
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

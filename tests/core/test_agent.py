@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core import RiptideAgent, RiptideConfig
+from repro.core.agent import RiptideAgent
 from repro.core.combiners import Observation
+from repro.core.config import RiptideConfig
 from repro.core.guard import PathHealth
-from repro.net import IPv4Address, Prefix
+from repro.net.addresses import IPv4Address, Prefix
 from repro.obs.trace import EventType
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
 from repro.testing import TwoHostTestbed, request_response
 
@@ -226,7 +227,7 @@ class TestGranularityIntegration:
         bed.sim.run(until=bed.sim.now + 2.0)
         # The learned route is 10.0.0.0/24, so any host in the client
         # zone resolves to the learned window.
-        from repro.net import IPv4Address
+        from repro.net.addresses import IPv4Address
 
         other_host = IPv4Address("10.0.0.99")
         assert bed.server.initcwnd_for(other_host) > 10

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core.combiners import (
     AverageCombiner,
     MaxCombiner,
     Observation,

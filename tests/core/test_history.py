@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import EwmaHistory, NoHistory, WindowedHistory, make_history_policy
+from repro.core.history import EwmaHistory, NoHistory, WindowedHistory, make_history_policy
 
 
 class TestEwmaHistory:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import KernelModeAgent, RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.core.kernel_mode import KernelModeAgent
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import DestinationGrouper, LearnedTable
-from repro.net import IPv4Address, Prefix
+from repro.core.granularity import DestinationGrouper
+from repro.core.observed import LearnedTable
+from repro.net.addresses import IPv4Address, Prefix
 
 
 class TestLearnedTable:

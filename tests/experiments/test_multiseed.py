@@ -13,8 +13,9 @@ class TestStabilityOfHeadlineResult:
 
     @staticmethod
     def cold_gain(seed: int) -> float:
-        from repro.core import RiptideAgent, RiptideConfig
-        from repro.tcp import TcpConfig
+        from repro.core.agent import RiptideAgent
+        from repro.core.config import RiptideConfig
+        from repro.tcp.constants import TcpConfig
         from repro.testing import TwoHostTestbed, request_response
 
         bed = TwoHostTestbed(

@@ -35,7 +35,7 @@ class TestSubTopology:
     def test_evaluation_codes_cover_all_buckets(self):
         """The default sub-topology spans every Figure 12-14 RTT bucket
         from the EU vantage point."""
-        from repro.cdn.probes import rtt_bucket
+        from repro.cdn.transfer import rtt_bucket
 
         topo = sub_topology(EVALUATION_POP_CODES)
         origin = next(pop for pop in topo.pops if pop.code == "LHR")

@@ -39,14 +39,10 @@ from repro.experiments.hybrid import (
     run_differential,
     run_scale,
 )
-from repro.obs import (
-    EventType,
-    alert_report_to_json,
-    build_alert_report,
-    build_report,
-    capture,
-    report_to_json,
-)
+from repro.obs.instrument import capture
+from repro.obs.report import build_report, report_to_json
+from repro.obs.slo import alert_report_to_json, build_alert_report
+from repro.obs.trace import EventType
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "study_golden.json"
 

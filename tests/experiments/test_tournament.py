@@ -12,7 +12,7 @@ from repro.experiments.tournament import (
     run_tournament,
     scenario_names,
 )
-from repro.policy import policy_names
+from repro.policy.registry import policy_names
 
 SMOKE_CONFIG = TournamentConfig(
     policies=("iw10", "ewma"),

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.experiments.chaos import (
-    ChaosStudyConfig,
-    check_expected_alert,
-    run_chaos_study,
-)
-from repro.faults import CHAOS_SCENARIOS, get_scenario, scenario_names
-from repro.faults.scenarios import ExpectedAlert
+from repro.experiments.chaos import ChaosStudyConfig, check_expected_alert, run_chaos_study
+from repro.faults.scenarios import CHAOS_SCENARIOS, ExpectedAlert, get_scenario, scenario_names
 from repro.obs.slo import AlertLog, BurnRateRule
 
 FAST = ChaosStudyConfig(warmup=8.0, duration=30.0)

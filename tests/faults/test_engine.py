@@ -4,9 +4,10 @@ import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.experiments.scenarios import sub_topology
-from repro.faults import (
+from repro.faults.engine import FaultInjector
+from repro.faults.spec import (
+    AGENT_RESTART_AFTER,
     AgentCrash,
-    FaultInjector,
     FaultSchedule,
     IpToolFault,
     LinkDegrade,
@@ -16,11 +17,12 @@ from repro.faults import (
     PopPartition,
     SsFault,
 )
-from repro.faults.spec import AGENT_RESTART_AFTER
-from repro.net import IPv4Address, Link, Packet
+from repro.net.addresses import IPv4Address
 from repro.net.errors import NetworkError
+from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.obs.trace import EventType
-from repro.sim import RandomStreams
+from repro.sim.rand import RandomStreams
 
 POPS = ("LHR", "JFK", "NRT")
 

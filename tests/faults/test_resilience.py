@@ -1,12 +1,12 @@
 """Agent-side resilience policies under injected tool and path faults."""
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.core.agent import TOOL_RETRY_LIMIT
+from repro.core.agent import RiptideAgent, TOOL_RETRY_LIMIT
+from repro.core.config import RiptideConfig
 from repro.core.guard import HOLD_SECONDS
-from repro.net import Prefix
+from repro.net.addresses import Prefix
 from repro.net.loss import BernoulliLoss
 from repro.obs.trace import EventType
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.faults import (
+from repro.faults.spec import (
+    AGENT_RESTART_AFTER,
     AgentCrash,
     FaultSchedule,
+    FaultSpecError,
     IpToolFault,
     LinkDegrade,
     LinkFlap,
@@ -13,7 +15,6 @@ from repro.faults import (
     PopPartition,
     SsFault,
 )
-from repro.faults.spec import AGENT_RESTART_AFTER, FaultSpecError
 
 
 class TestSpecValidation:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cdn.cluster import CdnCluster, ClusterConfig, with_riptide_config
 from repro.cdn.topology import Topology, build_paper_topology
-from repro.core import RiptideConfig
-from repro.tcp import TcpConfig
+from repro.core.config import RiptideConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -79,7 +79,7 @@ class TestThirtyPercentTailClaim:
             fleet.start(initial_delay=0.0)
             cluster.run(30.0)
             times[riptide_on] = fleet.completion_times(size_bytes=100_000)
-        from repro.analysis import EmpiricalCdf
+        from repro.analysis.cdf import EmpiricalCdf
 
         control = EmpiricalCdf(times[False])
         riptide = EmpiricalCdf(times[True])
@@ -116,8 +116,8 @@ class TestAdaptivity:
     def test_windows_shrink_when_path_degrades(self):
         """If connections to a destination show smaller windows, Riptide
         responds accordingly, shrinking the initial windows."""
-        from repro.core import RiptideAgent
-        from repro.net import Prefix
+        from repro.core.agent import RiptideAgent
+        from repro.net.addresses import Prefix
 
         bed = TwoHostTestbed(
             rtt=0.080,

@@ -7,9 +7,10 @@ eliminate all information about the node on remote machines."
 
 import pytest
 
-from repro.core import RiptideAgent, RiptideConfig
-from repro.net import Prefix
-from repro.tcp import TcpConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
+from repro.net.addresses import Prefix
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -105,8 +106,9 @@ class TestSocketDemuxIndex:
     """The integer-keyed demux table is dropped with the sockets."""
 
     def test_reboot_leaves_no_stale_socket_reachable(self):
-        from repro.net import Packet
-        from repro.tcp import Segment, TcpError
+        from repro.net.packet import Packet
+        from repro.tcp.errors import TcpError
+        from repro.tcp.wire import Segment
 
         bed = make_testbed()
         client = bed.client.address

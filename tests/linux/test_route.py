@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.linux import RouteEntry, RouteTable
-from repro.net import IPv4Address, Prefix
+from repro.linux.route import RouteEntry, RouteTable
+from repro.net.addresses import IPv4Address, Prefix
 from repro.tcp.constants import DEFAULT_INIT_CWND
 from repro.testing import TwoHostTestbed
 

@@ -4,10 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.linux import Host
-from repro.net import IPv4Address, Prefix
-from repro.tcp import TcpConfig
-from repro.tcp.constants import DEFAULT_INIT_CWND
+from repro.linux.host import Host
+from repro.net.addresses import IPv4Address, Prefix
+from repro.tcp.constants import DEFAULT_INIT_CWND, TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -141,7 +140,7 @@ class TestHost:
         assert testbed.client.initrwnd_for(testbed.server.address) == 200
 
     def test_unmatched_packets_counted(self, testbed):
-        from repro.net import Packet
+        from repro.net.packet import Packet
 
         testbed.network.send(
             Packet(testbed.client.address, testbed.server.address, 100, payload="junk")

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model import (
-    gain_fraction,
-    gain_series,
-    rounds_schedule,
-    rtts_to_complete,
-    segments_for,
-    transfer_time,
-)
+from repro.model.gain import gain_fraction, gain_series
+from repro.model.slowstart import rounds_schedule, rtts_to_complete, segments_for, transfer_time
 
 MSS = 1460
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net import AddressError, IPv4Address, Prefix
+from repro.net.addresses import IPv4Address, Prefix
+from repro.net.errors import AddressError
 
 
 class TestIPv4Address:

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.net import BernoulliLoss, IPv4Address, Packet
+from repro.net.addresses import IPv4Address
 from repro.net.link import Link
-from repro.sim import RandomStreams, Simulator
+from repro.net.loss import BernoulliLoss
+from repro.net.packet import Packet
+from repro.sim.kernel import Simulator
+from repro.sim.rand import RandomStreams
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.1.0.1")

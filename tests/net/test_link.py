@@ -3,9 +3,11 @@
 
 import pytest
 
-from repro.net import BernoulliLoss, DuplexLink, IPv4Address, Packet
-from repro.net.link import Link
-from repro.sim import RandomStreams
+from repro.net.addresses import IPv4Address
+from repro.net.link import DuplexLink, Link
+from repro.net.loss import BernoulliLoss
+from repro.net.packet import Packet
+from repro.sim.rand import RandomStreams
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.1.0.1")
@@ -169,8 +171,8 @@ class TestQueueDepthGauge:
     after a burst drained it stayed stuck at the peak."""
 
     def test_gauge_returns_to_zero_when_queue_empties(self):
-        from repro.obs import capture
-        from repro.sim import Simulator
+        from repro.obs.instrument import capture
+        from repro.sim.kernel import Simulator
 
         with capture() as instrumentation:
             sim = Simulator()
@@ -186,8 +188,8 @@ class TestQueueDepthGauge:
             assert gauge.max_value == 9
 
     def test_gauge_tracks_partial_drain(self):
-        from repro.obs import capture
-        from repro.sim import Simulator
+        from repro.obs.instrument import capture
+        from repro.sim.kernel import Simulator
 
         with capture() as instrumentation:
             sim = Simulator()

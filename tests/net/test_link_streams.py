@@ -23,18 +23,13 @@ import random
 
 import pytest
 
-from repro.net import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    IPv4Address,
-    Link,
-    LossModel,
-    Network,
-    Packet,
-    PathSpec,
-    Prefix,
-)
-from repro.sim import RandomStreams, Simulator
+from repro.net.addresses import IPv4Address, Prefix
+from repro.net.link import Link
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
+from repro.net.network import Network, PathSpec
+from repro.net.packet import Packet
+from repro.sim.kernel import Simulator
+from repro.sim.rand import RandomStreams
 
 SEED = 20_160_627
 ZONES = tuple(Prefix.parse(f"10.{index}.0.0/24") for index in range(3))

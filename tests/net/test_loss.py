@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import BernoulliLoss, GilbertElliottLoss, NoLoss
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 
 
 class TestNoLoss:

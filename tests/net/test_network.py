@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.net import IPv4Address, Network, NetworkError, Packet, PathSpec, Prefix
-from repro.net.errors import NoRouteError
+from repro.net.addresses import IPv4Address, Prefix
+from repro.net.errors import NetworkError, NoRouteError
+from repro.net.network import Network, PathSpec
+from repro.net.packet import Packet
 
 
 class FakeHost:

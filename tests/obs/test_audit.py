@@ -2,12 +2,14 @@
 
 from types import SimpleNamespace
 
-from repro.core import RiptideAgent, RiptideConfig
+from repro.core.agent import RiptideAgent
+from repro.core.config import RiptideConfig
 from repro.core.observed import LearnedTable
-from repro.net import Prefix
-from repro.obs import Auditor, Divergence, EventType
-from repro.sim import Simulator
-from repro.tcp import TcpConfig
+from repro.net.addresses import Prefix
+from repro.obs.audit import Auditor, Divergence
+from repro.obs.trace import EventType
+from repro.sim.kernel import Simulator
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 

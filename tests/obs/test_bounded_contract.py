@@ -15,7 +15,11 @@ from typing import Callable
 
 import pytest
 
-from repro.obs import AlertLog, BurnRateRule, FlowLog, SpanLog, Timeline, WindowedStore
+from repro.obs.flow import FlowLog
+from repro.obs.slo import AlertLog, BurnRateRule
+from repro.obs.span import SpanLog
+from repro.obs.timeline import Timeline
+from repro.obs.tsdb import WindowedStore
 
 STREAM_LENGTH = 24
 CAPACITIES = (1, 7, STREAM_LENGTH - 1, STREAM_LENGTH, STREAM_LENGTH + 1, 10 * STREAM_LENGTH)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import FlowLog
+from repro.obs.flow import FlowLog
 
 
 def begin(log, index=0, **overrides):

@@ -1,7 +1,7 @@
 """Tests for instrumentation wiring: sim.obs, capture() and hot paths."""
 
-from repro.obs import Instrumentation, active_instrumentation, capture
-from repro.sim import Simulator
+from repro.obs.instrument import Instrumentation, active_instrumentation, capture
+from repro.sim.kernel import Simulator
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -66,7 +66,7 @@ class TestInstrumentedRun:
             bed = TwoHostTestbed(rtt=0.050, bandwidth_bps=1e9)
             bed.serve_echo()
             request_response(bed, response_bytes=10_000)
-        from repro.obs import EventType
+        from repro.obs.trace import EventType
 
         opened = instrumentation.trace.events(type=EventType.CONN_OPENED)
         assert opened

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, format_labels
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, format_labels
 
 
 class TestCounter:
@@ -84,7 +84,7 @@ class TestHistogram:
         assert histogram.values() == [0.5, 1.0, 3.0, 4.0, 5.0]
 
     def test_registry_merge_keeps_ordered_reads_correct(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         mine, theirs = MetricsRegistry(), MetricsRegistry()
         mine.histogram("h").observe(5.0)

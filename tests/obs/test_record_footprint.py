@@ -45,8 +45,10 @@ import gc
 import tracemalloc
 from collections.abc import Callable
 
-from repro.net import IPv4Address
-from repro.obs import EventType, Histogram, SpanLog, TraceLog
+from repro.net.addresses import IPv4Address
+from repro.obs.metrics import Histogram
+from repro.obs.span import SpanLog
+from repro.obs.trace import EventType, TraceLog
 
 #: Records per measurement: enough that container growth steps average out.
 COUNT = 4_000

@@ -7,8 +7,9 @@ small real study and checks every above-p90 probe comes back attributed.
 
 import json
 
-from repro.obs import ATTRIBUTION_CAUSES, EventType, Instrumentation
-from repro.obs.report import build_report, render_report, report_to_json
+from repro.obs.instrument import Instrumentation
+from repro.obs.report import ATTRIBUTION_CAUSES, build_report, render_report, report_to_json
+from repro.obs.trace import EventType
 
 ARM = "riptide"
 CLIENT = "10.0.0.2"
@@ -236,11 +237,8 @@ class TestReportShape:
 
 class TestIntegration:
     def test_every_slow_probe_of_a_real_study_is_attributed(self):
-        from repro.experiments.scenarios import (
-            ProbeStudyConfig,
-            run_paired_probe_study,
-        )
-        from repro.obs import capture
+        from repro.experiments.scenarios import ProbeStudyConfig, run_paired_probe_study
+        from repro.obs.instrument import capture
 
         config = ProbeStudyConfig(
             topology_codes=("LHR", "JFK", "NRT"),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import EventType, Instrumentation
+from repro.obs.instrument import Instrumentation
 from repro.obs.slo import (
     AlertLog,
     BurnRateRule,
@@ -18,6 +18,7 @@ from repro.obs.slo import (
     default_slos,
     source_matches_arm,
 )
+from repro.obs.trace import EventType
 
 def make_engine(
     instrumentation: Instrumentation,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import SpanLog
+from repro.obs.span import SpanLog
 
 
 class TestBeginEnd:

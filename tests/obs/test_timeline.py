@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Timeline
+from repro.obs.timeline import Timeline
 
 
 class TestRecordAndQuery:

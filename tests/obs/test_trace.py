@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import EventType, TraceLog
+from repro.obs.trace import EventType, TraceLog
 
 
 class TestRecordAndQuery:

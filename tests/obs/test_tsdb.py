@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.obs import WindowedStore
+from repro.obs.tsdb import WindowedStore
 
 
 class TestRecordAndFilter:

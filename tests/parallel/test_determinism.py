@@ -13,8 +13,8 @@ from repro.experiments.scenarios import (
     StudySummary,
     run_paired_probe_study,
 )
-from repro.obs import capture
-from repro.parallel import WorkerFailure, fork_available, run_tasks
+from repro.obs.instrument import capture
+from repro.parallel.executor import WorkerFailure, fork_available, run_tasks
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
@@ -126,11 +126,7 @@ class TestObservabilityDeterminism:
 
     @needs_fork
     def test_merged_stores_and_report_bit_identical(self):
-        from repro.analysis.export import (
-            flows_to_json,
-            spans_to_chrome_json,
-            timeline_to_csv,
-        )
+        from repro.analysis.export import flows_to_json, spans_to_chrome_json, timeline_to_csv
         from repro.experiments.chaos import ChaosStudyConfig, run_chaos_study
         from repro.obs.report import build_report, report_to_json
 

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.obs import capture
-from repro.parallel import WorkerFailure, default_workers, fork_available, run_tasks
+from repro.obs.instrument import capture
+from repro.parallel.executor import WorkerFailure, default_workers, fork_available, run_tasks
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
@@ -107,7 +107,7 @@ class TestWorkerDeath:
 
 def _counting_task(amount):
     def task():
-        from repro.obs import active_instrumentation
+        from repro.obs.instrument import active_instrumentation
 
         obs = active_instrumentation()
         obs.metrics.counter("parallel_test_total").inc(amount)

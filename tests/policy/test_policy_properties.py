@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.combiners import Observation
 from repro.core.config import RiptideConfig
-from repro.net import Prefix
-from repro.policy import finalize_window, make_policy, policy_names
+from repro.net.addresses import Prefix
+from repro.policy.base import finalize_window
+from repro.policy.registry import make_policy, policy_names
 from repro.sim.rand import RandomStreams
 
 CONFIGS = [

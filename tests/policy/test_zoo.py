@@ -3,21 +3,14 @@
 import pytest
 
 from repro.core.combiners import Observation, make_combiner
-from repro.core.config import VALID_POLICIES, RiptideConfig
+from repro.core.config import RiptideConfig, VALID_POLICIES
 from repro.core.history import EwmaHistory
-from repro.net import Prefix
-from repro.policy import (
-    HOST_CLASS_WINDOWS,
-    EwmaPolicy,
-    HostClassStaticPolicy,
-    PercentilePolicy,
-    RttClassPolicy,
-    StaticPolicy,
-    TunablePolicy,
-    finalize_window,
-    make_policy,
-    policy_names,
-)
+from repro.net.addresses import Prefix
+from repro.policy.base import finalize_window
+from repro.policy.learners import EwmaPolicy, PercentilePolicy, RttClassPolicy
+from repro.policy.registry import make_policy, policy_names
+from repro.policy.tunable import TunablePolicy
+from repro.policy.zoo import HOST_CLASS_WINDOWS, HostClassStaticPolicy, StaticPolicy
 
 DEST = Prefix.parse("10.2.0.0/16")
 OTHER = Prefix.parse("10.3.0.0/16")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import SchedulingError, Simulator
+from repro.sim.errors import SchedulingError
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:
@@ -156,7 +157,7 @@ class TestCancellation:
         assert fired == ["a", "b"]
 
     def test_cancel_after_fire_not_counted_as_cancellation(self, sim):
-        from repro.obs import capture
+        from repro.obs.instrument import capture
 
         with capture() as instrumentation:
             inner = Simulator()
@@ -264,7 +265,7 @@ class TestScheduleFire:
         assert sim.pending_events == 0
 
     def test_negative_delay_rejected(self, sim):
-        from repro.sim import SchedulingError
+        from repro.sim.errors import SchedulingError
 
         with pytest.raises(SchedulingError):
             sim.schedule_fire(-0.5, lambda: None)

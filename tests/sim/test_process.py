@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import PeriodicProcess, SchedulingError
+from repro.sim.errors import SchedulingError
+from repro.sim.process import PeriodicProcess
 
 
 class TestPeriodicProcess:

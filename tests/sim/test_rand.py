@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams
+from repro.sim.rand import RandomStreams
 
 
 class TestRandomStreams:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tcp import Cubic, Reno, make_congestion_control
-from repro.tcp.cc.base import MIN_CWND, CongestionControl
+from repro.tcp.cc import make_congestion_control
+from repro.tcp.cc.base import CongestionControl, MIN_CWND
+from repro.tcp.cc.cubic import Cubic
+from repro.tcp.cc.reno import Reno
 
 MSS = 1460
 

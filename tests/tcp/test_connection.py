@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.tcp import TcpConfig, TcpState
+from repro.tcp.constants import TcpConfig
 from repro.tcp.errors import TcpError, TcpStateError
+from repro.tcp.socket import TcpState
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

@@ -41,7 +41,7 @@ import tracemalloc
 import weakref
 
 from repro.cdn.transfer import TransferClient, TransferServer
-from repro.obs import disabled
+from repro.obs.instrument import disabled
 from repro.testing import TwoHostTestbed
 
 #: Connections per measurement.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tcp import TcpConfig, TcpState
+from repro.tcp.constants import TcpConfig
+from repro.tcp.socket import TcpState
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

@@ -3,7 +3,7 @@ server close-on-FIN."""
 
 import pytest
 
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100
@@ -118,6 +118,6 @@ class TestCloseOnPeerFin:
         sock.close()
         bed.sim.run(until=2.0)
         # Without the flag the server lingers in CLOSE_WAIT.
-        from repro.tcp import TcpState
+        from repro.tcp.socket import TcpState
 
         assert server_sock.state is TcpState.CLOSE_WAIT

@@ -26,8 +26,8 @@ from typing import Any
 
 import pytest
 
-from repro.obs import capture, disabled
-from repro.tcp import TcpConfig
+from repro.obs.instrument import capture, disabled
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RESPONSE_BYTES = 1_000_000

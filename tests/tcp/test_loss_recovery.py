@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.net import BernoulliLoss, GilbertElliottLoss
-from repro.tcp import TcpConfig
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

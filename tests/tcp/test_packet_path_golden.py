@@ -26,11 +26,10 @@ from typing import Any
 from repro.analysis.export import flows_to_jsonl, trace_to_json
 from repro.experiments.chaos import ChaosStudyConfig, chaos_study_arms
 from repro.experiments.scenarios import ProbeStudyConfig, probe_study_arms, run_study_arm
-from repro.net import BernoulliLoss, GilbertElliottLoss
 from repro.net.link import LinkStats
-from repro.net.loss import LossModel
-from repro.obs import capture
-from repro.tcp import TcpConfig
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
+from repro.obs.instrument import capture
+from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import TcpSocket
 from repro.testing import TwoHostTestbed, request_response
 

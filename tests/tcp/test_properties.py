@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.net import BernoulliLoss
-from repro.tcp import TcpConfig
+from repro.net.loss import BernoulliLoss
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 FAST_SETTINGS = settings(

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tcp import RttEstimator
 from repro.tcp.constants import INITIAL_RTO, MAX_RTO, MIN_RTO
+from repro.tcp.rto import RttEstimator
 
 
 class TestInitialState:

@@ -11,9 +11,9 @@ import pytest
 import test_packet_path_golden as golden
 
 from repro.obs.trace import EventType
-from repro.tcp import Segment, TcpConfig
-from repro.tcp.constants import MIN_RTO
+from repro.tcp.constants import MIN_RTO, TcpConfig
 from repro.tcp.socket import TcpSocket
+from repro.tcp.wire import Segment
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.050

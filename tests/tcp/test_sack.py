@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
-from repro.tcp import TcpConfig
+from repro.tcp.constants import TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100

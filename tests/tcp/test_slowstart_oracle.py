@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.slowstart import rtts_to_complete
-from repro.tcp import TcpConfig
-from repro.tcp.constants import DEFAULT_MSS, DELAYED_ACK_TIMEOUT
+from repro.tcp.constants import DEFAULT_MSS, DELAYED_ACK_TIMEOUT, TcpConfig
 from repro.testing import TwoHostTestbed, request_response
 
 BANDWIDTH_BPS = 10e9
