@@ -72,15 +72,6 @@ class EmpiricalCdf:
         """Quantiles at several levels given in percent (e.g. 5, 50, 95)."""
         return [self.quantile(level / 100.0) for level in levels]
 
-    def series(self, points: int = 100) -> list[tuple[float, float]]:
-        """(value, cumulative fraction) pairs for plotting/printing."""
-        if points < 2:
-            raise ValueError(f"need at least 2 points, got {points}")
-        return [
-            (self.quantile(i / (points - 1)), i / (points - 1))
-            for i in range(points)
-        ]
-
     def __repr__(self) -> str:
         return (
             f"<EmpiricalCdf n={len(self)} min={self.min:.4g} "

@@ -16,7 +16,6 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import islice
 
-from repro.analysis.cdf import EmpiricalCdf
 from repro.obs.flow import FlowLog
 from repro.obs.metrics import DEFAULT_PERCENTILES, MetricsRegistry, format_labels
 from repro.obs.span import SpanLog
@@ -77,34 +76,6 @@ def rows_to_csv(
             )
         writer.writerow(row)
     return buffer.getvalue()
-
-
-def cdf_to_csv(cdf: EmpiricalCdf, points: int = 200) -> str:
-    """One CDF as ``(value, cumulative_fraction)`` pairs."""
-    return rows_to_csv(
-        ("value", "cumulative_fraction"),
-        [(f"{value:.9g}", f"{fraction:.6f}") for value, fraction in cdf.series(points)],
-    )
-
-
-def cdfs_to_csv(
-    cdfs: Mapping[str, EmpiricalCdf],
-    points: int = 200,
-) -> str:
-    """Several CDFs in long format: ``series, value, cumulative_fraction``."""
-    if not cdfs:
-        raise ValueError("cdfs_to_csv needs at least one series")
-    rows = []
-    for name, cdf in cdfs.items():
-        for value, fraction in cdf.series(points):
-            rows.append((name, f"{value:.9g}", f"{fraction:.6f}"))
-    return rows_to_csv(("series", "value", "cumulative_fraction"), rows)
-
-
-def write_csv(path: str, content: str) -> None:
-    """Write CSV text to a file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
 
 
 def metrics_to_csv(registry: MetricsRegistry) -> str:

@@ -50,7 +50,7 @@ _KERNEL_MODULES = frozenset({"repro.sim.kernel", "repro.sim.events"})
 #: Fields of the fluid engine's ``CwndDistribution`` that only
 #: ``repro.sim.fluid`` may assign: the histogram and its active range
 #: are kept consistent with the cached ``flows`` total by the stepping
-#: code; writers go through ``add_mass``/``remove_fraction``/``step``.
+#: code; writers go through ``add_mass``/``step``.
 FLUID_PRIVATE_FIELDS = frozenset({"_bin_mass", "_lo_bin", "_hi_bin"})
 
 _FLUID_MODULES = frozenset({"repro.sim.fluid"})

@@ -54,14 +54,6 @@ def percentile_gain_profile(
     ]
 
 
-def fraction_below(samples: Iterable[float], threshold: float) -> float:
-    """Fraction of samples at or below a threshold."""
-    values = list(samples)
-    if not values:
-        raise ValueError("fraction_below needs at least one sample")
-    return sum(1 for v in values if v <= threshold) / len(values)
-
-
 def summarize(samples: Sequence[float]) -> dict[str, float]:
     """Small summary used by experiment reports."""
     cdf = EmpiricalCdf(samples)

@@ -208,9 +208,6 @@ class TransferClient:
                     closed += 1
         return closed
 
-    def pool_size(self, destination: "IPv4Address | str") -> int:
-        return len(self._pool.get(IPv4Address(destination), []))
-
     # ------------------------------------------------------------------
 
     def _idle_connection(self, destination: IPv4Address) -> _PooledConnection | None:

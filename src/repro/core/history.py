@@ -32,10 +32,6 @@ class HistoryPolicy(ABC):
     def forget(self, key: Hashable) -> None:
         """Drop all state for ``key`` (TTL expiry)."""
 
-    @abstractmethod
-    def tracked_keys(self) -> set[Hashable]:
-        """Keys with live history state."""
-
 
 class EwmaHistory(HistoryPolicy):
     """The paper's policy: ``alpha * previous + (1 - alpha) * new``."""
@@ -60,9 +56,6 @@ class EwmaHistory(HistoryPolicy):
     def forget(self, key: Hashable) -> None:
         self._state.pop(key, None)
 
-    def tracked_keys(self) -> set[Hashable]:
-        return set(self._state)
-
 
 class WindowedHistory(HistoryPolicy):
     """Longer-view smoothing: the mean of the last ``window`` values."""
@@ -86,27 +79,17 @@ class WindowedHistory(HistoryPolicy):
     def forget(self, key: Hashable) -> None:
         self._state.pop(key, None)
 
-    def tracked_keys(self) -> set[Hashable]:
-        return set(self._state)
-
 
 class NoHistory(HistoryPolicy):
     """React instantly: the newest observation wins outright."""
 
     name = "none"
 
-    def __init__(self) -> None:
-        self._seen: set[Hashable] = set()
-
     def update(self, key: Hashable, new_value: float) -> float:
-        self._seen.add(key)
         return new_value
 
     def forget(self, key: Hashable) -> None:
-        self._seen.discard(key)
-
-    def tracked_keys(self) -> set[Hashable]:
-        return set(self._seen)
+        """Nothing is kept, so nothing is dropped."""
 
 
 _POLICIES = {

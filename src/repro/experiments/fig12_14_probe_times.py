@@ -82,9 +82,6 @@ class Fig1214Result:
     def __init__(self, cells: dict[tuple[int, str], BucketComparison]) -> None:
         self.cells = cells
 
-    def comparison(self, size_bytes: int, bucket: str) -> BucketComparison:
-        return self.cells[(size_bytes, bucket)]
-
     def fraction_improved_for_size(self, size_bytes: int) -> float:
         """Probe-weighted fraction of the size's CDF mass that improved."""
         total_weight = 0

@@ -101,10 +101,6 @@ class FaultInjector:
                     spec.clear_at, self._clear, index, spec, deactivate
                 )
 
-    def active_faults(self) -> list[FaultSpec]:
-        """Specs injected but not yet cleared, in injection order."""
-        return list(self._active.values())
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------

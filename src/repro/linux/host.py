@@ -179,15 +179,9 @@ class Host:
         self._listeners[port] = listener
         return listener
 
-    def stop_listening(self, port: int) -> None:
-        self._listeners.pop(port, None)
-
     def sockets(self) -> Iterable[TcpSocket]:
         """All live (registered) sockets."""
         return list(self._sockets.values())
-
-    def socket_count(self) -> int:
-        return len(self._sockets)
 
     def socket_closed(self, sock: TcpSocket) -> None:
         """Called by sockets on teardown to deregister themselves."""

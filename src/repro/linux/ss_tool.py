@@ -61,10 +61,6 @@ class SsTool:
     # fault injection
     # ------------------------------------------------------------------
 
-    @property
-    def fault_mode(self) -> str | None:
-        return self._fault_mode
-
     def set_fault(self, mode: str) -> None:
         """Arm a failure mode for subsequent polls."""
         if mode not in SS_FAULT_MODES:

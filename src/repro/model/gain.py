@@ -17,8 +17,3 @@ def gain_fraction(size_bytes: int, initcwnd: int) -> float:
         return 0.0
     improved = rtts_to_complete(size_bytes, initcwnd)
     return 1.0 - improved / baseline
-
-
-def gain_series(sizes_bytes: list[int], initcwnd: int) -> list[float]:
-    """The Figure 4 series: gain over IW10 at each file size."""
-    return [gain_fraction(size, initcwnd) for size in sizes_bytes]

@@ -57,12 +57,6 @@ class LinkStats:
             + self.packets_dropped_down
         )
 
-    @property
-    def drop_rate(self) -> float:
-        if self.packets_offered == 0:
-            return 0.0
-        return self.packets_dropped / self.packets_offered
-
 
 class Link:
     """One unidirectional link."""

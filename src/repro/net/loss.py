@@ -103,10 +103,6 @@ class GilbertElliottLoss(LossModel):
         self.loss_bad = float(loss_bad)
         self._in_bad_state = False
 
-    @property
-    def in_bad_state(self) -> bool:
-        return self._in_bad_state
-
     def should_drop(self, rng: random.Random) -> bool:
         if self._in_bad_state:
             if rng.random() < self.p_bad_to_good:

@@ -148,9 +148,6 @@ class Network:
             raise NetworkError(f"address {host.address} already attached")
         self._hosts[host.address.value] = host
 
-    def host_at(self, address: IPv4Address) -> AttachedHost | None:
-        return self._hosts.get(address.value)
-
     def zone_of(self, address: IPv4Address) -> Prefix | None:
         """The zone containing ``address`` (cached per address)."""
         if address in self._zone_cache:

@@ -49,10 +49,6 @@ class TunablePolicy(WindowPolicy):
 
     # -- the runtime control surface ----------------------------------
 
-    def knobs(self) -> dict[str, float]:
-        """A snapshot of the current knob values."""
-        return dict(self._knobs)
-
     def set_knob(self, name: str, value: float) -> None:
         """Turn one knob while the agent runs."""
         if name not in self._knobs:

@@ -13,11 +13,11 @@ reaches the payload slots), where a heap of ``Event`` objects would call
 ``Event.__lt__`` per comparison and allocate two key tuples per call.
 Carrying ``callback``/``args`` in the entry lets the kernel's run loop
 dispatch without touching the ``Event`` handle at all; the ``event`` slot
-is ``None`` for handle-free entries (:meth:`EventQueue.push_entry`), the
+is ``None`` for handle-free entries (``Simulator.schedule_fire``), the
 fast path used by fire-and-forget timers that are never cancelled.
 
 Cancellation stays lazy — a cancelled event's entry remains in the heap as
-a *tombstone* and is skipped on pop — but the queue now counts tombstones
+a *tombstone* and is skipped when popped — but the queue counts tombstones
 and compacts the heap in place once they pass
 :data:`EventQueue.COMPACT_MIN_TOMBSTONES` **and** outnumber half the heap.
 Cancel-heavy workloads (a TCP socket re-arms its RTO on every ACK) would
@@ -82,9 +82,10 @@ class EventQueue:
     cancellation and tombstone compaction.
 
     ``len(queue)`` counts *live* events only: entries in the heap minus
-    recorded tombstones.  The kernel's run loop reaches into ``_heap`` and
-    ``_tombstones`` directly (they are kernel-private, enforced by lint
-    rule SIM001); everything else goes through the methods below.
+    recorded tombstones.  The kernel schedules into ``_heap`` and its run
+    loop pops from it and uncounts ``_tombstones`` directly (both are
+    kernel-private, enforced by lint rule SIM001); cancellation and the
+    clock's fast-forward go through the methods below.
     """
 
     #: Compact only once this many tombstones have accumulated — below
@@ -103,49 +104,6 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return len(self._heap) > self._tombstones
-
-    def push(self, event: Event) -> None:
-        """Insert an event that has a live, cancellable handle."""
-        heapq.heappush(
-            self._heap, (event.time, event.seq, event, event.callback, event.args)
-        )
-
-    def push_entry(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        """Insert a handle-free entry (fire-and-forget, never cancelled).
-
-        Skips the :class:`Event` allocation entirely — the fast path for
-        hot timers that no caller ever holds onto, such as a link's
-        serialization and propagation timers.
-        """
-        heapq.heappush(self._heap, (time, seq, None, callback, args))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Handle-free entries are materialized into an :class:`Event` on the
-        way out so the return type is uniform; the kernel's run loop
-        bypasses this method and dispatches straight from the entry.
-
-        Raises :class:`IndexError` when no live events remain.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            time, seq, event, callback, args = pop(heap)
-            if event is None:
-                event = Event(time, seq, callback, args)
-            elif event.cancelled:
-                self._tombstones -= 1
-                continue
-            event.fired = True
-            return event
-        raise IndexError("pop from empty event queue")
 
     def peek_time(self) -> float:
         """Return the firing time of the earliest live event.
@@ -192,8 +150,3 @@ class EventQueue:
     def tombstones(self) -> int:
         """Cancelled entries currently awaiting compaction (diagnostic)."""
         return self._tombstones
-
-    @property
-    def heap_size(self) -> int:
-        """Physical heap length including tombstones (diagnostic)."""
-        return len(self._heap)

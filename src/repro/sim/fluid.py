@@ -95,8 +95,7 @@ class CwndDistribution:
     The window total (:meth:`total_window_segments`) is read several
     times between mutations — the step's sent counter, the engine's
     gauges, the next step's offered load — so it is computed once and
-    kept until :meth:`add_mass`, :meth:`remove_fraction` or :meth:`step`
-    next changes the histogram.
+    kept until :meth:`add_mass` or :meth:`step` next changes the histogram.
     """
 
     __slots__ = (
@@ -164,27 +163,6 @@ class CwndDistribution:
             if bin_index > self._hi_bin:
                 self._hi_bin = bin_index
 
-    def remove_fraction(self, fraction: float) -> float:
-        """Remove a uniform fraction of every bin; returns mass removed."""
-        if fraction <= 0.0 or self._hi_bin < 0:
-            return 0.0
-        self._window_total = None
-        if fraction >= 1.0:
-            removed = self.flows
-            mass = self._bin_mass
-            for b in range(self._lo_bin, self._hi_bin + 1):
-                mass[b] = 0.0
-            self._lo_bin, self._hi_bin = 0, -1
-            self.flows = 0.0
-            return removed
-        keep = 1.0 - fraction
-        removed = self.flows * fraction
-        mass = self._bin_mass
-        for b in range(self._lo_bin, self._hi_bin + 1):
-            mass[b] *= keep
-        self.flows *= keep
-        return removed
-
     def step(
         self,
         dt: float,
@@ -203,8 +181,8 @@ class CwndDistribution:
         ``send_rate_cap`` segments/s for request/response flows that sit
         idle between fetches (exposure far below ``w/rtt``).
         ``departing_fraction`` of every bin then leaves (connection
-        churn over the step), exactly as :meth:`remove_fraction` would
-        take it, in the sweep that recomputes the active range.  Returns
+        churn over the step), every bin scaled by the same share, in the
+        sweep that recomputes the active range.  Returns
         the expected number of loss (halving) events this step — the
         retransmission mass the counters track.
         """
@@ -277,9 +255,9 @@ class CwndDistribution:
         ``keep`` is the share of flows churn leaves behind, applied in
         the same sweep: bins are trimmed on their mass before churn,
         each kept bin becomes its mass times ``keep`` and ``flows`` the
-        loop's total times ``keep`` — bit for bit what a
-        :meth:`remove_fraction` pass after the sweep would leave — and a
-        ``keep`` of 1.0 changes nothing.
+        loop's total times ``keep`` — bit for bit what a separate
+        scaling pass after the sweep would leave — and a ``keep`` of 1.0
+        changes nothing.
         """
         mass = self._bin_mass
         lo, hi, total = 0, -1, 0.0

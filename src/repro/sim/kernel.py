@@ -210,7 +210,7 @@ class Simulator:
         until_gauge = stride
         try:
             if until is None:
-                # Unbounded variant (run_until_idle, the common case):
+                # Unbounded variant (``run()``, the common case):
                 # pop straight off the heap with no per-event peek or
                 # time comparison.
                 while heap:
@@ -275,10 +275,6 @@ class Simulator:
             if next_time is None or next_time > until:
                 self._now = until
         return self._now
-
-    def run_until_idle(self) -> float:
-        """Run until no events remain.  Returns the final clock value."""
-        return self.run()
 
     def __repr__(self) -> str:
         return (

@@ -36,7 +36,6 @@ class PeriodicProcess:
         self._callback = callback
         self._name = name
         self._pending: Event | None = None
-        self._ticks = 0
         self._jitter: Callable[[], float] | None = None
 
     @property
@@ -46,11 +45,6 @@ class PeriodicProcess:
     @property
     def running(self) -> bool:
         return self._pending is not None
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
 
     def start(self, initial_delay: float | None = None) -> None:
         """Begin ticking.  No-op if already running."""
@@ -82,7 +76,6 @@ class PeriodicProcess:
         if self._jitter is not None:
             delay = max(0.0, delay + self._jitter())
         self._pending = self._sim.schedule(delay, self._tick)
-        self._ticks += 1
         self._callback()
 
     def __repr__(self) -> str:

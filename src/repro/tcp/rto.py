@@ -42,10 +42,6 @@ class RttEstimator:
         return self._srtt
 
     @property
-    def rttvar(self) -> float:
-        return self._rttvar
-
-    @property
     def samples(self) -> int:
         return self._samples
 

@@ -308,10 +308,6 @@ class TcpSocket:
         return self.state is TcpState.ESTABLISHED
 
     @property
-    def is_closed(self) -> bool:
-        return self.state is TcpState.CLOSED
-
-    @property
     def bytes_unacked(self) -> int:
         """Sequence space in flight (includes SYN/FIN slots)."""
         return self._snd_nxt - self._snd_una

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.stats import fraction_below, percentile_gain_profile, summarize
+from repro.analysis.stats import percentile_gain_profile, summarize
 from repro.analysis.tables import format_cdf_rows, format_table
 
 
@@ -46,15 +46,6 @@ class TestEmpiricalCdf:
         cdf = EmpiricalCdf(range(101))
         assert cdf.percentiles([50]) == [pytest.approx(50.0)]
 
-    def test_series_for_plotting(self):
-        series = EmpiricalCdf([1.0, 2.0, 3.0]).series(points=3)
-        assert series[0] == (1.0, 0.0)
-        assert series[-1] == (3.0, 1.0)
-
-    def test_series_needs_two_points(self):
-        with pytest.raises(ValueError):
-            EmpiricalCdf([1.0]).series(points=1)
-
 
 class TestPercentileGain:
     def test_uniform_speedup(self):
@@ -92,13 +83,6 @@ class TestPercentileGain:
 
 
 class TestHelpers:
-    def test_fraction_below(self):
-        assert fraction_below([1, 2, 3, 4], 2) == 0.5
-
-    def test_fraction_below_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_below([], 1)
-
     def test_summarize_keys(self):
         summary = summarize([1.0, 2.0, 3.0])
         assert summary["n"] == 3

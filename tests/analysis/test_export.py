@@ -5,8 +5,7 @@ import io
 
 import pytest
 
-from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.export import cdf_to_csv, cdfs_to_csv, rows_to_csv, write_csv
+from repro.analysis.export import rows_to_csv
 
 
 def parse(text):
@@ -28,36 +27,6 @@ class TestRowsToCsv:
     def test_quoting_of_commas(self):
         text = rows_to_csv(("x",), [("hello, world",)])
         assert parse(text)[1] == ["hello, world"]
-
-
-class TestCdfExport:
-    def test_cdf_to_csv_endpoints(self):
-        cdf = EmpiricalCdf([1.0, 2.0, 3.0])
-        parsed = parse(cdf_to_csv(cdf, points=3))
-        assert parsed[0] == ["value", "cumulative_fraction"]
-        assert float(parsed[1][0]) == 1.0
-        assert float(parsed[-1][0]) == 3.0
-        assert float(parsed[-1][1]) == 1.0
-
-    def test_cdfs_to_csv_long_format(self):
-        text = cdfs_to_csv(
-            {"a": EmpiricalCdf([1.0, 2.0]), "b": EmpiricalCdf([5.0, 6.0])},
-            points=2,
-        )
-        parsed = parse(text)
-        assert parsed[0] == ["series", "value", "cumulative_fraction"]
-        series = {row[0] for row in parsed[1:]}
-        assert series == {"a", "b"}
-        assert len(parsed) == 1 + 2 * 2
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            cdfs_to_csv({})
-
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(str(path), rows_to_csv(("a",), [(1,)]))
-        assert path.read_text().startswith("a\n")
 
 
 class TestObsExports:

@@ -42,7 +42,6 @@ class TestEwmaHistory:
         history.update("d", 100.0)
         history.forget("d")
         assert history.update("d", 10.0) == 10.0
-        assert history.tracked_keys() == {"d"}
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -80,13 +79,6 @@ class TestNoHistory:
         history = NoHistory()
         history.update("d", 100.0)
         assert history.update("d", 7.0) == 7.0
-
-    def test_tracked_keys(self):
-        history = NoHistory()
-        history.update("a", 1.0)
-        history.update("b", 2.0)
-        history.forget("a")
-        assert history.tracked_keys() == {"b"}
 
 
 class TestFactory:

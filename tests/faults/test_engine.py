@@ -233,9 +233,9 @@ class TestToolFaults:
         )
         host = cluster.hosts("LHR")[0]
         cluster.run(1.5)
-        assert host.ss.fault_mode == "stale"
+        assert host.ss._fault_mode == "stale"
         cluster.run(2.0)
-        assert host.ss.fault_mode is None
+        assert host.ss._fault_mode is None
 
     def test_ip_fault_window(self):
         cluster = tiny_cluster()
@@ -302,11 +302,11 @@ class TestInjectorBookkeeping:
         )
         cluster.run(1.5)
         assert injector.injected == 1
-        assert [spec.kind for spec in injector.active_faults()] == ["link_flap"]
+        assert [spec.kind for spec in list(injector._active.values())] == ["link_flap"]
         cluster.run(4.0)
         assert injector.injected == 2
         assert injector.cleared == 2
-        assert injector.active_faults() == []
+        assert list(injector._active.values()) == []
         totals = cluster.instrumentation.trace.totals()
         assert totals[EventType.FAULT_INJECTED] == 2
         assert totals[EventType.FAULT_CLEARED] == 2
@@ -321,7 +321,7 @@ class TestInjectorBookkeeping:
         injector = make_injector(cluster, storm, storm)
         cluster.run(4.0)
         assert injector.injected == injector.cleared == 2
-        assert injector.active_faults() == []
+        assert list(injector._active.values()) == []
         spans = cluster.instrumentation.spans.spans(category="fault")
         assert [(span.begin, span.end) for span in spans] == [(1.0, 3.0), (1.0, 3.0)]
 

@@ -11,6 +11,7 @@ from repro.core.agent import RiptideAgent
 from repro.core.config import RiptideConfig
 from repro.net.addresses import Prefix
 from repro.tcp.constants import TcpConfig
+from repro.tcp.socket import TcpState
 from repro.testing import TwoHostTestbed, request_response
 
 
@@ -29,9 +30,9 @@ class TestReboot:
         bed = make_testbed()
         request_response(bed, response_bytes=50_000)
         bed.server.ip.route_replace("10.0.0.0/24", initcwnd=50)
-        assert bed.server.socket_count() == 1
+        assert len(bed.server.sockets()) == 1
         bed.server.reboot()
-        assert bed.server.socket_count() == 0
+        assert len(bed.server.sockets()) == 0
         assert len(bed.server.route_table) == 0
         assert bed.server.reboots == 1
 
@@ -54,7 +55,7 @@ class TestReboot:
         # 120 s RTO cap before the tcp_retries2-style limit gives up.
         sock.send_message(("get", 10_000), 200)
         bed.sim.run(until=bed.sim.now + 2000.0)
-        assert sock.is_closed
+        assert sock.state is TcpState.CLOSED
         assert errors and "timeout" in errors[0]
 
     def test_riptide_state_lost_and_relearned(self):
@@ -136,4 +137,4 @@ class TestSocketDemuxIndex:
         bed.client.reboot()
         result = request_response(bed, response_bytes=20_000)
         assert result.completed
-        assert bed.server.socket_count() == 1
+        assert len(bed.server.sockets()) == 1

@@ -145,7 +145,7 @@ class TestHost:
         testbed.network.send(
             Packet(testbed.client.address, testbed.server.address, 100, payload="junk")
         )
-        testbed.sim.run_until_idle()
+        testbed.sim.run()
         assert testbed.server.packets_unmatched == 1
 
     def test_custom_config_respected(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model.gain import gain_fraction, gain_series
+from repro.model.gain import gain_fraction
 from repro.model.slowstart import rounds_schedule, rtts_to_complete, segments_for, transfer_time
 
 MSS = 1460
@@ -89,11 +89,6 @@ class TestGain:
         mid = gain_fraction(100_000, 100)
         huge = gain_fraction(50_000_000, 100)
         assert huge < mid
-
-    def test_series_matches_pointwise(self):
-        sizes = [10_000, 100_000, 1_000_000]
-        series = gain_series(sizes, 50)
-        assert series == [gain_fraction(s, 50) for s in sizes]
 
     def test_zero_byte_gain_is_zero(self):
         assert gain_fraction(0, 100) == 0.0

@@ -43,7 +43,7 @@ def test_link_conserves_packets(seed, loss, queue, count):
     delivered = []
     for _ in range(count):
         link.transmit(Packet(SRC, DST, 1000), lambda p: delivered.append(p))
-    sim.run_until_idle()
+    sim.run()
     stats = link.stats
     assert stats.packets_offered == count
     assert (
@@ -69,7 +69,7 @@ def test_fifo_delivery_order(seed, sizes):
     packets = [Packet(SRC, DST, size) for size in sizes]
     for packet in packets:
         link.transmit(packet, lambda p: order.append(p.packet_id))
-    sim.run_until_idle()
+    sim.run()
     assert order == [p.packet_id for p in packets]
 
 
@@ -82,7 +82,7 @@ def test_throughput_bounded_by_bandwidth(count):
     done = []
     for _ in range(count):
         link.transmit(Packet(SRC, DST, 1000), lambda p: done.append(sim.now))
-    sim.run_until_idle()
+    sim.run()
     assert len(done) == count
     # 1000 B at 8 Mbps = 1 ms per packet.
     assert done[-1] == pytest.approx(count * 0.001)

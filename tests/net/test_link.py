@@ -22,7 +22,7 @@ class TestLinkBasics:
         link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.05)
         arrivals = []
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         # 1250 B at 1 Mbps = 10 ms serialization + 50 ms propagation.
         assert arrivals == pytest.approx([0.06])
 
@@ -31,7 +31,7 @@ class TestLinkBasics:
         arrivals = []
         for _ in range(3):
             link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         assert arrivals == pytest.approx([0.01, 0.02, 0.03])
 
     def test_serialization_time(self, sim):
@@ -41,11 +41,11 @@ class TestLinkBasics:
     def test_stats_track_delivery(self, sim):
         link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.001)
         link.transmit(make_packet(100), lambda p: None)
-        sim.run_until_idle()
+        sim.run()
         assert link.stats.packets_offered == 1
         assert link.stats.packets_delivered == 1
         assert link.stats.bytes_delivered == 100
-        assert link.stats.drop_rate == 0.0
+        assert link.stats.packets_dropped == 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -71,7 +71,7 @@ class TestQueueing:
             link.transmit(make_packet(1250), lambda p: delivered.append(p.packet_id))
             for _ in range(5)
         ]
-        sim.run_until_idle()
+        sim.run()
         # One transmits immediately, two queue, two are tail-dropped.
         assert results == [True, True, True, False, False]
         assert len(delivered) == 3
@@ -83,7 +83,7 @@ class TestQueueing:
         packets = [make_packet(125) for _ in range(4)]
         for packet in packets:
             link.transmit(packet, lambda p: order.append(p.packet_id))
-        sim.run_until_idle()
+        sim.run()
         assert order == [p.packet_id for p in packets]
 
     def test_max_queue_depth_recorded(self, sim):
@@ -106,7 +106,7 @@ class TestLoss:
         delivered = []
         for _ in range(1000):
             link.transmit(make_packet(100), lambda p: delivered.append(1))
-        sim.run_until_idle()
+        sim.run()
         assert 400 < len(delivered) < 600
         assert link.stats.packets_dropped_loss == 1000 - len(delivered)
 
@@ -121,7 +121,7 @@ class TestLoss:
         arrivals = []
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         # Both almost surely lost, but the wire was busy 20 ms total.
         assert sim.now == pytest.approx(0.02)
 
@@ -132,7 +132,7 @@ class TestDuplexLink:
         forward, backward = [], []
         duplex.forward.transmit(make_packet(125), lambda p: forward.append(sim.now))
         duplex.reverse.transmit(make_packet(125), lambda p: backward.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         assert len(forward) == 1 and len(backward) == 1
 
     def test_rtt_is_sum_of_propagation(self, sim):
@@ -160,7 +160,7 @@ class TestDuplexLink:
             duplex.reverse.transmit(
                 make_packet(100), lambda p, i=index: delivered["rev"].append(i)
             )
-        sim.run_until_idle()
+        sim.run()
         for indices in delivered.values():
             assert 1300 < len(indices) < 1500
         assert delivered["fwd"] != delivered["rev"]
@@ -181,7 +181,7 @@ class TestQueueDepthGauge:
                 link.transmit(make_packet(1250), lambda p: None)
             gauge = instrumentation.metrics.gauge("link_queue_depth")
             assert gauge.value > 0
-            sim.run_until_idle()
+            sim.run()
             assert link.queue_depth == 0
             assert gauge.value == 0
             # The high-water mark still records the burst peak.

@@ -128,7 +128,7 @@ def test_connect_and_first_use_order_move_no_draw(model: LossModel) -> None:
         for _ in range(2):
             for src, dst in fabric.directions:
                 fabric.burst(src, dst)
-            fabric.sim.run_until_idle()
+            fabric.sim.run()
     plain, mirrored = (fabric.delivered() for fabric in fabrics)
     assert plain == mirrored
     for src, dst in DIRECTIONS:
@@ -158,11 +158,11 @@ def test_override_set_before_the_first_packet_and_cleared_mid_stream(
         assert trunk.forward.effective_loss_model is not trunk.reverse.effective_loss_model
         for src, dst in fabric.directions:
             fabric.burst(src, dst)
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
         trunk.set_loss_override(None)
         for src, dst in fabric.directions:
             fabric.burst(src, dst)
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
     plain, mirrored = (fabric.delivered() for fabric in fabrics)
     assert plain == mirrored
     for src, dst in ((0, 1), (1, 0)):
@@ -194,12 +194,12 @@ def test_down_and_up_on_a_busy_direction() -> None:
         link.set_down()
         assert link.queue_depth == 0
         assert link.stats.packets_dropped_down == 37
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
         assert link.stats.packets_dropped_down == 38
         assert link.stats.packets_delivered + link.stats.packets_dropped_loss == 12
         link.set_up()
         fabric.burst(1, 2, 50)
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
     plain, mirrored = (fabric.delivered() for fabric in fabrics)
     assert plain == mirrored
     link = fabrics[0].link(1, 2)
@@ -224,14 +224,14 @@ def test_down_and_up_on_a_direction_no_packet_has_crossed() -> None:
         assert link.stats.packets_dropped_down == 0
         assert "q=0" in repr(link)
         fabric.burst(2, 0, 5)
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
         assert link.stats.packets_offered == 5
         assert link.stats.packets_dropped_down == 5
         assert link.queue_depth == 0
         link.set_up()
         for src, dst in fabric.directions:
             fabric.burst(src, dst, 100)
-        fabric.sim.run_until_idle()
+        fabric.sim.run()
     plain, mirrored = (fabric.delivered() for fabric in fabrics)
     assert plain == mirrored
     link = fabrics[0].link(2, 0)

@@ -68,13 +68,13 @@ class TestGilbertElliottLoss:
         model = GilbertElliottLoss(1.0, 0.0)
         rng = random.Random(5)
         model.should_drop(rng)
-        assert model.in_bad_state
+        assert model._in_bad_state
 
     def test_clone_resets_state(self):
         model = GilbertElliottLoss(1.0, 0.0)
         rng = random.Random(5)
         model.should_drop(rng)
-        assert not model.clone().in_bad_state
+        assert not model.clone()._in_bad_state
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_invalid_parameters_rejected(self, bad):
@@ -107,14 +107,14 @@ class TestCloneStateIndependence:
         twin = model.clone()
         rng = random.Random(5)
         model.should_drop(rng)  # drives only the original into bad state
-        assert model.in_bad_state
-        assert not twin.in_bad_state
+        assert model._in_bad_state
+        assert not twin._in_bad_state
         # And the other way round: exercising the clone leaves the
         # original's state untouched.
         fresh = model.clone()
         fresh.should_drop(rng)
-        assert fresh.in_bad_state
-        assert not model.clone().in_bad_state
+        assert fresh._in_bad_state
+        assert not model.clone()._in_bad_state
 
     @pytest.mark.parametrize(
         "model",

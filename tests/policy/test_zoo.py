@@ -174,23 +174,23 @@ class TestTunablePolicy:
     def test_guard_trip_backs_the_cap_off(self):
         policy = TunablePolicy(RiptideConfig())
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
-        assert policy.knobs()["cap"] == 50.0
+        assert policy._knobs["cap"] == 50.0
         policy.on_guard_trip(DEST, "loss_spike", now=1.0)
-        assert policy.knobs()["cap"] == 25.0
+        assert policy._knobs["cap"] == 25.0
 
     def test_cap_floors_at_cmin(self):
         policy = TunablePolicy(RiptideConfig())
         for i in range(10):
             policy.on_guard_trip(DEST, "loss_spike", now=float(i))
-        assert policy.knobs()["cap"] == float(RiptideConfig().c_min)
+        assert policy._knobs["cap"] == float(RiptideConfig().c_min)
 
     def test_trip_free_operation_recovers_the_cap(self):
         policy = TunablePolicy(RiptideConfig())
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
-        assert policy.knobs()["cap"] == 50.0
+        assert policy._knobs["cap"] == 50.0
         policy.decide(DEST, obs(90), now=25.0)
         # Two recovery intervals elapsed -> two additive steps of 4.
-        assert policy.knobs()["cap"] == 58.0
+        assert policy._knobs["cap"] == 58.0
 
     def test_unknown_or_invalid_knob_rejected(self):
         policy = TunablePolicy(RiptideConfig())
@@ -206,8 +206,8 @@ class TestTunablePolicy:
         policy.set_knob("gain", 2.0)
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
         policy.reset()
-        assert policy.knobs()["gain"] == 1.0
-        assert policy.knobs()["cap"] == float(RiptideConfig().c_max)
+        assert policy._knobs["gain"] == 1.0
+        assert policy._knobs["cap"] == float(RiptideConfig().c_max)
 
 
 class TestFinalizeWindow:

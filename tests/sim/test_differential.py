@@ -1,11 +1,15 @@
-"""Differential test: the rewritten event queue vs the original heapq one.
+"""Differential test: the kernel's event heap vs the original heapq queue.
 
 The pre-rewrite queue — a plain ``heapq`` of :class:`Event` objects with
 ``__lt__`` ordering and a live counter — is kept here as a test oracle.
-Randomized schedule/cancel/pop traces (including cancel-heavy mixes and
-same-timestamp bursts) are run through both implementations; pop order
-and ``len()`` must match step for step.  This is what "the rewrite must
-preserve the exact ``(time, seq)`` firing order" means operationally.
+Randomized schedule/cancel/fire traces (including cancel-heavy mixes and
+same-timestamp bursts) are run through the oracle and through the path a
+simulation actually takes: :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_fire` into the kernel's entry heap,
+:meth:`Simulator.cancel`, and :meth:`Simulator.run` dispatching one event
+at a time.  Firing order, the clock and the live-event count must match
+step for step.  This is what "the rewrite must preserve the exact
+``(time, seq)`` firing order" means operationally.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import random
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
+from repro.sim.kernel import Simulator
 
 
 class OracleQueue:
@@ -55,69 +60,88 @@ class OracleQueue:
             self._live -= 1
 
 
+class _Pair:
+    """The oracle and a simulator, fed the same schedule calls."""
+
+    def __init__(self) -> None:
+        self.oracle = OracleQueue()
+        self.sim = Simulator()
+        #: Index i is the same logical event in both; the simulator's
+        #: handle is None for a handle-free ``schedule_fire`` entry.
+        self.handles: list[tuple[Event, Event | None]] = []
+        self.popped_oracle: list[tuple[float, int]] = []
+        self.fired: list[tuple[float, int]] = []
+
+    def schedule(self, delay: float, handle_free: bool = False) -> None:
+        seq = len(self.handles)
+        event = Event(self.sim.now + delay, seq, lambda: None)
+        self.oracle.push(event)
+        if handle_free:
+            self.sim.schedule_fire(delay, self._record, seq)
+            self.handles.append((event, None))
+        else:
+            self.handles.append((event, self.sim.schedule(delay, self._record, seq)))
+
+    def _record(self, seq: int) -> None:
+        self.fired.append((self.sim.now, seq))
+
+    def cancel(self, index: int) -> None:
+        o_event, s_event = self.handles[index]
+        if s_event is None:
+            return  # a handle-free entry cannot be cancelled
+        assert o_event.cancelled == s_event.cancelled
+        assert o_event.fired == s_event.fired
+        if not o_event.cancelled and not o_event.fired:
+            o_event.cancel()
+            self.oracle.note_cancelled()
+            self.sim.cancel(s_event)
+
+    def fire_one(self) -> None:
+        if len(self.oracle):
+            self.popped_oracle.append(_key(self.oracle.pop()))
+        if self.sim.pending_events:
+            self.sim.run(max_events=1)
+
+    def check(self) -> None:
+        assert len(self.oracle) == self.sim.pending_events
+        if len(self.oracle):
+            assert self.oracle.peek_time() == self.sim._queue.peek_time()
+        assert self.popped_oracle == self.fired
+        if self.fired:
+            assert self.sim.now == self.fired[-1][0]
+
+
 def _run_trace(
     seed: int,
     steps: int,
     cancel_weight: float,
     burst_weight: float,
 ) -> None:
-    """Drive both queues through one random trace and compare them."""
+    """Drive the oracle and the simulator through one random trace."""
     rng = random.Random(seed)
-    oracle = OracleQueue()
-    queue = EventQueue()
-    seq = 0
-    # Parallel handle lists: index i is the same logical event in both.
-    oracle_handles: list[Event] = []
-    queue_handles: list[Event] = []
-    popped_oracle: list[tuple[float, int]] = []
-    popped_queue: list[tuple[float, int]] = []
-
-    def push_one(time: float) -> None:
-        nonlocal seq
-        for handles, target in ((oracle_handles, oracle), (queue_handles, queue)):
-            event = Event(time, seq, lambda: None)
-            target.push(event)
-            handles.append(event)
-        seq += 1
-
+    pair = _Pair()
     for _ in range(steps):
         roll = rng.random()
         if roll < burst_weight:
             # Same-timestamp burst: ordering must fall to seq.
-            time = round(rng.uniform(0, 50), 1)
+            delay = round(rng.uniform(0, 50), 1)
             for _ in range(rng.randint(2, 8)):
-                push_one(time)
+                pair.schedule(delay, handle_free=rng.random() < 0.3)
         elif roll < burst_weight + cancel_weight:
-            if oracle_handles:
-                index = rng.randrange(len(oracle_handles))
-                o_event = oracle_handles[index]
-                q_event = queue_handles[index]
-                assert o_event.cancelled == q_event.cancelled
-                assert o_event.fired == q_event.fired
-                if not o_event.cancelled and not o_event.fired:
-                    o_event.cancel()
-                    oracle.note_cancelled()
-                    q_event.cancel()
-                    queue.note_cancelled()
+            if pair.handles:
+                pair.cancel(rng.randrange(len(pair.handles)))
         elif roll < burst_weight + cancel_weight + 0.25:
-            if len(oracle):
-                popped_oracle.append(_key(oracle.pop()))
-            if len(queue):
-                popped_queue.append(_key(queue.pop()))
+            pair.fire_one()
         else:
-            push_one(round(rng.uniform(0, 100), 3))
-        assert len(oracle) == len(queue)
-        if len(oracle):
-            assert oracle.peek_time() == queue.peek_time()
-        assert popped_oracle == popped_queue
+            pair.schedule(round(rng.uniform(0, 100), 3), handle_free=rng.random() < 0.3)
+        pair.check()
 
-    # Drain both completely; total pop order must be identical.
-    while len(oracle):
-        popped_oracle.append(_key(oracle.pop()))
-    while len(queue):
-        popped_queue.append(_key(queue.pop()))
-    assert popped_oracle == popped_queue
-    assert len(oracle) == len(queue) == 0
+    # Drain both completely; total firing order must be identical.
+    while len(pair.oracle):
+        pair.popped_oracle.append(_key(pair.oracle.pop()))
+    pair.sim.run()
+    assert pair.popped_oracle == pair.fired
+    assert len(pair.oracle) == pair.sim.pending_events == 0
 
 
 def _key(event: Event) -> tuple[float, int]:
@@ -144,24 +168,14 @@ def test_differential_same_timestamp_bursts(seed: int) -> None:
 
 
 def test_differential_pop_interleaved_with_compaction() -> None:
-    """Deterministic worst case: cancel a majority, then pop through the
+    """Deterministic worst case: cancel a majority, then fire through the
     compacted heap while the oracle still lazily skips its tombstones."""
-    oracle = OracleQueue()
-    queue = EventQueue()
-    events = []
+    pair = _Pair()
     for seq in range(500):
-        time = float(seq % 7)
-        o = Event(time, seq, lambda: None)
-        q = Event(time, seq, lambda: None)
-        oracle.push(o)
-        queue.push(q)
-        events.append((o, q))
-    for o, q in events[::3] + events[1::5]:
-        if not o.cancelled:
-            o.cancel()
-            oracle.note_cancelled()
-            q.cancel()
-            queue.note_cancelled()
-    order_oracle = [_key(oracle.pop()) for _ in range(len(oracle))]
-    order_queue = [_key(queue.pop()) for _ in range(len(queue))]
-    assert order_oracle == order_queue
+        pair.schedule(float(seq % 7))
+    for index in list(range(0, 500, 3)) + list(range(1, 500, 5)):
+        pair.cancel(index)
+    while len(pair.oracle):
+        pair.fire_one()
+        pair.check()
+    assert pair.sim.pending_events == 0

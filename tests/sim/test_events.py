@@ -1,8 +1,12 @@
-"""Unit tests for the event queue."""
+"""Unit tests for events and the event queue, driven the way the kernel
+drives them: ``Simulator.schedule``/``schedule_fire`` push entries,
+``Simulator.cancel`` leaves tombstones, ``run(max_events=1)`` pops one.
+"""
 
 import pytest
 
 from repro.sim.events import Event, EventQueue
+from repro.sim.kernel import Simulator
 
 
 def _noop() -> None:
@@ -11,6 +15,31 @@ def _noop() -> None:
 
 def make_event(time: float, seq: int) -> Event:
     return Event(time, seq, _noop)
+
+
+class _Fired:
+    """A simulator and the ``(time, tag)`` of every callback it fired."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.log: list[tuple[float, object]] = []
+
+    def schedule(self, delay: float, tag: object = None) -> Event:
+        return self.sim.schedule(delay, self.record, tag)
+
+    def schedule_fire(self, delay: float, tag: object = None) -> None:
+        self.sim.schedule_fire(delay, self.record, tag)
+
+    def record(self, tag: object) -> None:
+        self.log.append((self.sim.now, tag))
+
+    def fire_one(self) -> tuple[float, object]:
+        self.sim.run(max_events=1)
+        return self.log[-1]
+
+    @property
+    def queue(self) -> EventQueue:
+        return self.sim._queue
 
 
 class TestEventOrdering:
@@ -31,65 +60,52 @@ class TestEventOrdering:
 
 class TestEventQueue:
     def test_pop_returns_earliest(self):
-        queue = EventQueue()
-        queue.push(make_event(2.0, 1))
-        queue.push(make_event(1.0, 2))
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 2.0
+        fired = _Fired()
+        fired.schedule(2.0, "late")
+        fired.schedule(1.0, "early")
+        assert fired.fire_one() == (1.0, "early")
+        assert fired.fire_one() == (2.0, "late")
 
     def test_same_time_pops_in_schedule_order(self):
-        queue = EventQueue()
-        events = [make_event(5.0, seq) for seq in range(10)]
-        for event in reversed(events):
-            queue.push(event)
-        popped = [queue.pop().seq for _ in range(10)]
-        assert popped == sorted(popped)
+        fired = _Fired()
+        for tag in range(10):
+            fired.schedule(5.0, tag)
+        assert [fired.fire_one()[1] for _ in range(10)] == list(range(10))
 
     def test_len_counts_live_events(self):
-        queue = EventQueue()
-        event = make_event(1.0, 1)
-        queue.push(event)
-        queue.push(make_event(2.0, 2))
-        assert len(queue) == 2
-        event.cancel()
-        queue.note_cancelled()
-        assert len(queue) == 1
+        fired = _Fired()
+        event = fired.schedule(1.0)
+        fired.schedule(2.0)
+        assert len(fired.queue) == 2
+        fired.sim.cancel(event)
+        assert len(fired.queue) == fired.sim.pending_events == 1
 
     def test_pop_skips_cancelled(self):
-        queue = EventQueue()
-        cancelled = make_event(1.0, 1)
-        queue.push(cancelled)
-        queue.push(make_event(2.0, 2))
-        cancelled.cancel()
-        queue.note_cancelled()
-        assert queue.pop().seq == 2
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+        fired = _Fired()
+        cancelled = fired.schedule(1.0, "cancelled")
+        fired.schedule(2.0, "live")
+        fired.sim.cancel(cancelled)
+        assert fired.fire_one() == (2.0, "live")
+        assert fired.queue.tombstones == 0
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        cancelled = make_event(1.0, 1)
-        queue.push(cancelled)
-        queue.push(make_event(3.0, 2))
-        cancelled.cancel()
-        queue.note_cancelled()
-        assert queue.peek_time() == 3.0
+        fired = _Fired()
+        cancelled = fired.schedule(1.0)
+        fired.schedule(3.0)
+        fired.sim.cancel(cancelled)
+        assert fired.queue.peek_time() == 3.0
 
     def test_peek_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().peek_time()
 
     def test_bool_reflects_liveness(self):
-        queue = EventQueue()
-        assert not queue
-        event = make_event(1.0, 1)
-        queue.push(event)
-        assert queue
-        event.cancel()
-        queue.note_cancelled()
-        assert not queue
+        fired = _Fired()
+        assert not fired.queue
+        event = fired.schedule(1.0)
+        assert fired.queue
+        fired.sim.cancel(event)
+        assert not fired.queue
 
     def test_cancel_is_idempotent(self):
         event = make_event(1.0, 1)
@@ -99,71 +115,64 @@ class TestEventQueue:
 
 
 class TestHandleFreeEntries:
-    def test_push_entry_pop_materializes_event(self):
-        queue = EventQueue()
-        queue.push_entry(1.0, 7, _noop, ())
-        assert len(queue) == 1
-        event = queue.pop()
-        assert (event.time, event.seq) == (1.0, 7)
-        assert event.fired
+    def test_schedule_fire_entry_fires_without_a_handle(self):
+        fired = _Fired()
+        fired.schedule_fire(1.0, "timer")
+        assert len(fired.queue) == 1
+        assert fired.fire_one() == (1.0, "timer")
+        assert not fired.queue
 
     def test_entries_and_events_interleave_by_key(self):
-        queue = EventQueue()
-        queue.push(make_event(2.0, 1))
-        queue.push_entry(1.0, 2, _noop, ())
-        queue.push_entry(2.0, 3, _noop, ())
-        assert queue.peek_time() == 1.0
-        assert [queue.pop().seq for _ in range(3)] == [2, 1, 3]
+        fired = _Fired()
+        fired.schedule(2.0, "event")
+        fired.schedule_fire(1.0, "first entry")
+        fired.schedule_fire(2.0, "second entry")
+        assert fired.queue.peek_time() == 1.0
+        assert [fired.fire_one()[1] for _ in range(3)] == [
+            "first entry", "event", "second entry",
+        ]
 
 
 class TestTombstoneCompaction:
-    def _fill(self, queue: EventQueue, count: int) -> list[Event]:
-        events = [make_event(float(i + 1), i) for i in range(count)]
-        for event in events:
-            queue.push(event)
-        return events
+    def _fill(self, fired: _Fired, count: int) -> list[Event]:
+        return [fired.schedule(float(i + 1), i) for i in range(count)]
 
     def test_compaction_evicts_cancelled_entries(self):
-        queue = EventQueue()
-        events = self._fill(queue, 200)
+        fired = _Fired()
+        events = self._fill(fired, 200)
         # Cancel enough to cross both thresholds (>= 64 tombstones and
         # tombstones making up >= half the heap): compaction fires at the
         # 100th cancel (100 * 2 >= 200), leaving the 50 later cancels as
         # resident tombstones below the minimum.
         for event in events[:150]:
-            event.cancel()
-            queue.note_cancelled()
-        assert queue.tombstones == 50
-        assert queue.heap_size == 100
-        assert len(queue) == 50
+            fired.sim.cancel(event)
+        assert fired.queue.tombstones == 50
+        assert len(fired.sim._qheap) == 100
+        assert len(fired.queue) == 50
 
     def test_no_compaction_below_minimum(self):
-        queue = EventQueue()
-        events = self._fill(queue, 40)
+        fired = _Fired()
+        events = self._fill(fired, 40)
         for event in events[:30]:
-            event.cancel()
-            queue.note_cancelled()
+            fired.sim.cancel(event)
         # 30 < COMPACT_MIN_TOMBSTONES: tombstones stay resident.
-        assert queue.tombstones == 30
-        assert queue.heap_size == 40
-        assert len(queue) == 10
+        assert fired.queue.tombstones == 30
+        assert len(fired.sim._qheap) == 40
+        assert len(fired.queue) == 10
 
     def test_pop_order_preserved_across_compaction(self):
-        queue = EventQueue()
-        events = self._fill(queue, 300)
+        fired = _Fired()
+        events = self._fill(fired, 300)
         for event in events[::2]:
-            event.cancel()
-            queue.note_cancelled()
-        popped = [queue.pop().seq for _ in range(len(queue))]
-        assert popped == [e.seq for e in events[1::2]]
+            fired.sim.cancel(event)
+        order = [fired.fire_one()[1] for _ in range(len(fired.queue))]
+        assert order == list(range(1, 300, 2))
 
     def test_compaction_keeps_handle_free_entries(self):
-        queue = EventQueue()
+        fired = _Fired()
         for i in range(100):
-            queue.push_entry(float(i), i, _noop, ())
-        events = self._fill(queue, 100)
-        for event in events:
-            event.cancel()
-            queue.note_cancelled()
-        assert len(queue) == 100
-        assert queue.tombstones == 0
+            fired.schedule_fire(float(i), i)
+        for event in self._fill(fired, 100):
+            fired.sim.cancel(event)
+        assert len(fired.queue) == 100
+        assert fired.queue.tombstones == 0

@@ -138,15 +138,6 @@ class TestCwndDistribution:
         sample_mean = sum(samples) / len(samples)
         assert sample_mean == pytest.approx(dist.mean(), rel=0.1)
 
-    def test_remove_fraction(self):
-        dist = CwndDistribution(max_window=100)
-        dist.add_mass(10, 8.0)
-        assert dist.remove_fraction(0.25) == pytest.approx(2.0)
-        assert dist.flows == pytest.approx(6.0)
-        assert dist.remove_fraction(1.0) == pytest.approx(6.0)
-        assert dist.flows == 0.0
-        assert dist.sample_windows(3) == [1, 1, 1]
-
     def test_stepping_is_bit_deterministic(self):
         def run():
             dist = CwndDistribution(max_window=320)
@@ -270,6 +261,11 @@ def state_of(dist):
     return list(dist._bin_mass), dist.flows, dist._lo_bin, dist._hi_bin
 
 
+def empty(dist):
+    """Every flow leaves: one churn step that departs them all."""
+    dist.step(0.25, 0.1, 0.0, 0.0, departing_fraction=1.0)
+
+
 def fresh_window_total(dist):
     """``total_window_segments`` recomputed from the bins, no cache."""
     if dist._hi_bin < 0:
@@ -304,8 +300,9 @@ def test_active_range_retighten_matches_full_scan(seed, bin_width):
         results = []
         for dist in (fast, full):
             dist.add_mass(window, mass)
-            dist.remove_fraction(fraction)
-            results.append(dist.step(dt, rtt, loss, drift, send_rate_cap=cap))
+            results.append(
+                dist.step(dt, rtt, loss, drift, send_rate_cap=cap, departing_fraction=fraction)
+            )
         assert results[0] == results[1]
         assert state_of(fast) == state_of(full)
         assert fast.total_window_segments() == fresh_window_total(full)
@@ -346,13 +343,13 @@ def test_window_total_cache_is_dropped_by_every_mutator():
     check()
     dist.add_mass(150, 40.0)
     check()
-    dist.remove_fraction(0.3)
+    dist.step(0.25, population.rtt, 0.0, 0.0, departing_fraction=0.3)
     check()
     dist.step(0.25, population.rtt, 0.01, 12.0)
     check()
     population.step(0.25, loss_rate=0.02, entry_window=30)
     check()
-    dist.remove_fraction(1.0)
+    empty(dist)
     check()
     dist.add_mass(5, 2.0)
     check()
@@ -673,6 +670,8 @@ def test_cohort_step_matches_five_pass_reference(shape, bin_width):
                 # Mass that a lossy or drifting step splits into pieces
                 # below the trim threshold.
                 population.distribution.add_mass(sliver_window, 1.5e-12)
+            elif poke == "empty" and population is shipped:
+                empty(population.distribution)
             elif poke == "empty":
                 population.distribution.remove_fraction(1.0)
             population.step(dt, loss, entry)

@@ -15,20 +15,20 @@ class TestScheduling:
         sim.schedule(2.0, fired.append, "b")
         sim.schedule(1.0, fired.append, "a")
         sim.schedule(3.0, fired.append, "c")
-        sim.run_until_idle()
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_in_schedule_order(self, sim):
         fired = []
         for tag in range(20):
             sim.schedule(1.0, fired.append, tag)
-        sim.run_until_idle()
+        sim.run()
         assert fired == list(range(20))
 
     def test_clock_advances_to_event_time(self, sim):
         seen = []
         sim.schedule(4.25, lambda: seen.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         assert seen == [4.25]
 
     def test_negative_delay_rejected(self, sim):
@@ -37,7 +37,7 @@ class TestScheduling:
 
     def test_schedule_at_past_rejected(self, sim):
         sim.schedule(5.0, lambda: None)
-        sim.run_until_idle()
+        sim.run()
         with pytest.raises(SchedulingError):
             sim.schedule_at(1.0, lambda: None)
 
@@ -48,7 +48,7 @@ class TestScheduling:
         sim.schedule(1.0, fired.append, "a")
         with pytest.raises(SchedulingError):
             getattr(sim, method)(float("nan"), fired.append, "nan")
-        sim.run_until_idle()
+        sim.run()
         assert fired == ["a"]
         assert sim.now == 1.0
 
@@ -61,7 +61,7 @@ class TestScheduling:
                 sim.schedule(1.0, chain, n + 1)
 
         sim.schedule(1.0, chain, 1)
-        sim.run_until_idle()
+        sim.run()
         assert fired == [1, 2, 3, 4, 5]
         assert sim.now == 5.0
 
@@ -117,7 +117,7 @@ class TestRunControl:
 
         sim.schedule(1.0, nested)
         with pytest.raises(SchedulingError):
-            sim.run_until_idle()
+            sim.run()
 
 
 class TestCancellation:
@@ -125,7 +125,7 @@ class TestCancellation:
         fired = []
         handle = sim.schedule(1.0, fired.append, "x")
         sim.cancel(handle)
-        sim.run_until_idle()
+        sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent_on_kernel(self, sim):
@@ -141,7 +141,7 @@ class TestCancellation:
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.cancel(handle)
-        sim.run_until_idle()
+        sim.run()
         assert sim.events_processed == 1
 
     def test_cancel_after_fire_is_a_noop(self, sim):
@@ -153,7 +153,7 @@ class TestCancellation:
         assert fired == ["a"]
         sim.cancel(handle)  # already fired: must not touch the queue
         assert sim.pending_events == 1
-        sim.run_until_idle()
+        sim.run()
         assert fired == ["a", "b"]
 
     def test_cancel_after_fire_not_counted_as_cancellation(self, sim):
@@ -162,7 +162,7 @@ class TestCancellation:
         with capture() as instrumentation:
             inner = Simulator()
             handle = inner.schedule(1.0, lambda: None)
-            inner.run_until_idle()
+            inner.run()
             inner.cancel(handle)
         assert instrumentation.metrics.counter_value("sim_events_cancelled") == 0
 
@@ -254,13 +254,13 @@ class TestScheduleFire:
         sim.schedule_fire(1.0, fired.append, "fire-1")
         sim.schedule_fire(2.0, fired.append, "fire-2")
         sim.schedule(2.0, fired.append, "handle-2b")
-        sim.run_until_idle()
+        sim.run()
         assert fired == ["fire-1", "handle-2", "fire-2", "handle-2b"]
 
     def test_fire_counts_as_pending_and_processed(self, sim):
         sim.schedule_fire(1.0, lambda: None)
         assert sim.pending_events == 1
-        sim.run_until_idle()
+        sim.run()
         assert sim.events_processed == 1
         assert sim.pending_events == 0
 
@@ -278,5 +278,5 @@ class TestScheduleFire:
                 sim.schedule(1.0, fired.append, i)
             else:
                 sim.schedule_fire(1.0, fired.append, i)
-        sim.run_until_idle()
+        sim.run()
         assert fired == list(range(10))

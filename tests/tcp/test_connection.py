@@ -46,7 +46,7 @@ class TestHandshake:
             bed.server.address, 9999, on_error=lambda s, reason: errors.append(reason)
         )
         bed.sim.run(until=300.0)
-        assert sock.is_closed
+        assert sock.state is TcpState.CLOSED
         assert errors and "timeout" in errors[0]
 
     def test_double_connect_rejected(self, testbed):
@@ -117,7 +117,6 @@ class TestTransfer:
             server_got.append(size)
             sock.send_message("reply", 30_000)
 
-        testbed.server.stop_listening(80)
         testbed.server.listen(
             8080, on_accept=lambda s: setattr(s, "on_message", server_on_message)
         )
@@ -206,10 +205,10 @@ class TestClose:
         testbed.sim.run(until=2.0)
         server_sock.close()
         testbed.sim.run(until=3.0)
-        assert sock.is_closed
-        assert server_sock.is_closed
-        assert testbed.client.socket_count() == 0
-        assert testbed.server.socket_count() == 0
+        assert sock.state is TcpState.CLOSED
+        assert server_sock.state is TcpState.CLOSED
+        assert len(testbed.client.sockets()) == 0
+        assert len(testbed.server.sockets()) == 0
 
     def test_close_flushes_pending_data(self, testbed):
         received = []
@@ -238,14 +237,14 @@ class TestClose:
         server_sock.on_error = lambda s, reason: errors.append(reason)
         sock.abort()
         testbed.sim.run(until=2.0)
-        assert sock.is_closed
-        assert server_sock.is_closed
+        assert sock.state is TcpState.CLOSED
+        assert server_sock.state is TcpState.CLOSED
         assert errors and "reset" in errors[0]
 
     def test_close_before_establish(self, testbed):
         sock = testbed.client.connect(testbed.server.address, 80)
         sock.close()
-        assert sock.is_closed
+        assert sock.state is TcpState.CLOSED
 
     def test_passive_close_states(self, testbed):
         sock = testbed.client.connect(testbed.server.address, 80)

@@ -66,7 +66,7 @@ def pooled_bed() -> tuple[TwoHostTestbed, TransferClient]:
     bed.sim.run(until=bed.sim.now + 2.0)
     client.close_idle_connections()
     bed.sim.run(until=bed.sim.now + 2.0)
-    assert client.pool_size(bed.server.address) == 0
+    assert len(client._pool.get(bed.server.address, [])) == 0
     return bed, client
 
 
@@ -88,7 +88,7 @@ def bytes_per_connection() -> float:
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert client.pool_size(bed.server.address) == COUNT
+    assert len(client._pool.get(bed.server.address, [])) == COUNT
     assert client.transfers_completed == COUNT + 1
     assert all(sock.is_idle for sock in bed.client.sockets())
     return (after - before) / COUNT
@@ -104,7 +104,7 @@ def test_a_finished_first_transfer_is_not_kept_by_its_connection() -> None:
     bed.sim.run(until=bed.sim.now + 2.0)
     gc.collect()
     assert client.transfers_completed == 2
-    assert client.pool_size(bed.server.address) == 1
+    assert len(client._pool.get(bed.server.address, [])) == 1
     assert first() is None
 
 

@@ -18,8 +18,8 @@ class TestSimultaneousAndOddCloses:
         sock.close()
         server_sock.close()
         testbed.sim.run(until=3.0)
-        assert sock.is_closed
-        assert server_sock.is_closed
+        assert sock.state is TcpState.CLOSED
+        assert server_sock.state is TcpState.CLOSED
 
     def test_close_is_idempotent(self, testbed):
         sock = testbed.client.connect(testbed.server.address, 80)
@@ -32,8 +32,8 @@ class TestSimultaneousAndOddCloses:
         server_sock = testbed.server.sockets()[0]
         server_sock.close()
         testbed.sim.run(until=3.0)
-        assert sock.is_closed
-        assert server_sock.is_closed
+        assert sock.state is TcpState.CLOSED
+        assert server_sock.state is TcpState.CLOSED
 
     def test_abort_after_close_is_noop(self, testbed):
         sock = testbed.client.connect(testbed.server.address, 80)
@@ -41,7 +41,7 @@ class TestSimultaneousAndOddCloses:
         sock.close()
         testbed.sim.run(until=2.0)
         sock.abort()
-        assert sock.is_closed
+        assert sock.state is TcpState.CLOSED
 
     def test_vanish_notifies_owner(self, testbed):
         closed = []
@@ -56,7 +56,7 @@ class TestSimultaneousAndOddCloses:
         sock = testbed.client.connect(testbed.server.address, 80)
         sock.close()  # SYN_SENT
         testbed.sim.run(until=5.0)
-        assert testbed.client.socket_count() == 0
+        assert len(testbed.client.sockets()) == 0
 
 
 class TestDuplicateAndStalePackets:
@@ -68,7 +68,7 @@ class TestDuplicateAndStalePackets:
 
         sock = testbed.client.connect(testbed.server.address, 80)
         testbed.sim.run(until=1.0)
-        assert testbed.server.socket_count() == 1
+        assert len(testbed.server.sockets()) == 1
         dup_syn = Segment(
             src_port=sock.local_port,
             dst_port=80,
@@ -81,7 +81,7 @@ class TestDuplicateAndStalePackets:
             Packet(testbed.client.address, testbed.server.address, 40, dup_syn)
         )
         testbed.sim.run(until=2.0)
-        assert testbed.server.socket_count() == 1
+        assert len(testbed.server.sockets()) == 1
         assert sock.is_established
 
     def test_stale_ack_beyond_snd_nxt_ignored(self, testbed):

@@ -102,11 +102,11 @@ class TestCloseOnPeerFin:
         client = TransferClient(bed.client)
         client.fetch(server_host.address, 10_000)
         bed.sim.run(until=bed.sim.now + 2.0)
-        assert server_host.socket_count() == 1
+        assert len(server_host.sockets()) == 1
         client.close_idle_connections()
         bed.sim.run(until=bed.sim.now + 2.0)
-        assert server_host.socket_count() == 0
-        assert bed.client.socket_count() == 0
+        assert len(server_host.sockets()) == 0
+        assert len(bed.client.sockets()) == 0
 
     def test_flag_defaults_off(self):
         bed = TwoHostTestbed(rtt=RTT)

@@ -21,7 +21,7 @@ class TestSampling:
         est = RttEstimator()
         est.add_sample(0.100)
         assert est.srtt == pytest.approx(0.100)
-        assert est.rttvar == pytest.approx(0.050)
+        assert est._rttvar == pytest.approx(0.050)
 
     def test_rto_after_first_sample(self):
         est = RttEstimator()
@@ -39,16 +39,16 @@ class TestSampling:
         for _ in range(100):
             est.add_sample(0.080)
         assert est.srtt == pytest.approx(0.080, rel=1e-3)
-        assert est.rttvar == pytest.approx(0.0, abs=1e-3)
+        assert est._rttvar == pytest.approx(0.0, abs=1e-3)
 
     def test_variance_reacts_to_jitter(self):
         est = RttEstimator()
         est.add_sample(0.100)
         for _ in range(10):
             est.add_sample(0.100)
-        settled = est.rttvar
+        settled = est._rttvar
         est.add_sample(0.500)
-        assert est.rttvar > settled
+        assert est._rttvar > settled
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):

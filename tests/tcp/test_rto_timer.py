@@ -12,7 +12,7 @@ import test_packet_path_golden as golden
 
 from repro.obs.trace import EventType
 from repro.tcp.constants import MIN_RTO, TcpConfig
-from repro.tcp.socket import TcpSocket
+from repro.tcp.socket import TcpSocket, TcpState
 from repro.tcp.wire import Segment
 from repro.testing import TwoHostTestbed, request_response
 
@@ -139,7 +139,7 @@ class TestTeardownLeavesNoTimer:
         getattr(server, how)()
         torn_down_at = bed.sim.now
         bed.sim.run()
-        assert client.is_closed and server.is_closed
+        assert client.state is TcpState.CLOSED and server.state is TcpState.CLOSED
         assert client._rto_event is None and server._rto_event is None
         assert bed.sim.pending_events == 0
         if how != "close":
