@@ -33,6 +33,7 @@ from repro.core.config import RiptideConfig
 from repro.experiments.scenarios import PacketMesh, StudyArm, run_study_arm
 from repro.faults.scenarios import get_scenario
 from repro.obs.instrument import capture
+from repro.obs.metrics import rounded_rank
 from repro.obs.report import build_report
 from repro.parallel.executor import run_tasks
 from repro.policy.registry import policy_names
@@ -152,15 +153,11 @@ class TournamentConfig:
         return tuple(selected)
 
 
-def _nearest_rank_ms(sorted_times: list[float], p: float) -> float | None:
-    """Nearest-rank percentile of completion times, in milliseconds."""
+def _percentile_ms(sorted_times: list[float], p: float) -> float | None:
+    """Percentile ``p`` of completion times (:func:`rounded_rank`), in ms."""
     if not sorted_times:
         return None
-    rank = max(
-        0,
-        min(len(sorted_times) - 1, round(p / 100.0 * (len(sorted_times) - 1))),
-    )
-    return round(sorted_times[rank] * 1000.0, 3)
+    return round(rounded_rank(sorted_times, p) * 1000.0, 3)
 
 
 def run_tournament_cell(
@@ -208,10 +205,10 @@ def run_tournament_cell(
         "probes": report["probes"],
         "completed": len(times),
         "new_completed": len(new_times),
-        "p50_ms": _nearest_rank_ms(times, 50.0),
-        "p90_ms": _nearest_rank_ms(times, 90.0),
-        "new_p50_ms": _nearest_rank_ms(new_times, 50.0),
-        "new_p90_ms": _nearest_rank_ms(new_times, 90.0),
+        "p50_ms": _percentile_ms(times, 50.0),
+        "p90_ms": _percentile_ms(times, 90.0),
+        "new_p50_ms": _percentile_ms(new_times, 50.0),
+        "new_p90_ms": _percentile_ms(new_times, 90.0),
         "causes": report["causes"],
         "faults_injected": summary.faults_injected,
         "faults_cleared": summary.faults_cleared,

@@ -17,15 +17,30 @@ simulation's performance profile.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from typing import TypeVar
 
 from repro.records import Frozen
+
+_T = TypeVar("_T")
 
 #: Canonical form of a label set: sorted ``(key, value)`` pairs.
 LabelSet = tuple[tuple[str, str], ...]
 
 #: Percentiles reported by default in tables and exports.
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
+
+
+def rounded_rank(ordered: Sequence[_T], p: float) -> _T:
+    """Percentile ``p`` of sorted, non-empty ``ordered``: the sample at
+    rank ``round(p / 100 * (n - 1))``, clamped to the ends.
+
+    This is not nearest-rank (``ceil(p / 100 * n) - 1``, what
+    ``WindowedStore.percentile`` uses): for the samples 1..7 it reads
+    p90 as 6, nearest-rank as 7.
+    """
+    rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 def _labelset(labels: Mapping[str, str]) -> LabelSet:
@@ -144,14 +159,12 @@ class Histogram:
         return self._ordered()[-1]
 
     def percentile(self, p: float) -> float:
-        """Exact percentile ``p`` in [0, 100] (nearest-rank)."""
+        """Exact percentile ``p`` in [0, 100] (:func:`rounded_rank`)."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self._samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        ordered = self._ordered()
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return rounded_rank(self._ordered(), p)
 
     def values(self) -> list[float]:
         """All samples, sorted ascending."""

@@ -114,8 +114,11 @@ class WindowedStore(PointLog[TsdbPoint]):
     ) -> float | None:
         """Nearest-rank percentile of a window's values; None when empty.
 
-        Matches :meth:`repro.obs.metrics.Histogram.percentile` rank
-        arithmetic so SLO thresholds and report percentiles agree.
+        Rank ``ceil(p / 100 * n) - 1``.  This is *not* the rank rule of
+        :meth:`repro.obs.metrics.Histogram.percentile` and the report
+        (:func:`repro.obs.metrics.rounded_rank`): for the values 1..7 this
+        reads p90 as 7 where those read 6, so an SLO threshold and a report
+        percentile over the same samples can differ by one rank.
         """
         values = self.window_values(source, series, index, window)
         if not values:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro.core.combiners import Combiner, Observation, make_combiner
 from repro.core.history import EwmaHistory
 from repro.net.addresses import Prefix
+from repro.obs.metrics import rounded_rank
 from repro.policy.base import WindowPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,7 +53,8 @@ class EwmaPolicy(WindowPolicy):
 
 
 class PercentilePolicy(WindowPolicy):
-    """Per-destination nearest-rank percentile of sampled windows."""
+    """Per-destination percentile (:func:`~repro.obs.metrics.rounded_rank`)
+    of sampled windows."""
 
     #: Samples retained per destination (a few polls' worth of sockets).
     SAMPLE_WINDOW = 64
@@ -75,15 +77,7 @@ class PercentilePolicy(WindowPolicy):
             self._samples[destination] = window
         for sample in samples:
             window.append(sample.cwnd)
-        ordered = sorted(window)
-        rank = max(
-            0,
-            min(
-                len(ordered) - 1,
-                round(self.percentile / 100.0 * (len(ordered) - 1)),
-            ),
-        )
-        return float(ordered[rank])
+        return float(rounded_rank(sorted(window), self.percentile))
 
     def forget(self, destination: Prefix) -> None:
         self._samples.pop(destination, None)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.obs.tsdb import WindowedStore
 
 
@@ -150,6 +151,19 @@ class TestWindowDerivations:
         assert store.percentile("s", "x", 0, 5.0, 90.0) == 5.0
         assert store.percentile("s", "x", 0, 5.0, 100.0) == 5.0
         assert store.percentile("s", "x", 1, 5.0, 90.0) is None
+
+    def test_percentile_rank_rule_is_not_the_histograms(self):
+        """Nearest-rank here, ``rounded_rank`` in ``Histogram`` and the
+        report: over the samples 1..7 the p90s are 7 and 6.  Making them
+        agree moves the alert report, so it waits for a governed refresh.
+        """
+        store = WindowedStore()
+        histogram = Histogram("h")
+        for v in range(1, 8):
+            store.record(0.5, "s", "x", float(v))
+            histogram.observe(float(v))
+        assert store.percentile("s", "x", 0, 5.0, 90.0) == 7.0
+        assert histogram.percentile(90.0) == 6.0
 
     def test_delta_needs_both_windows(self):
         store = WindowedStore()
