@@ -175,7 +175,8 @@ class RiptideAgent:
         """Kill the agent process abruptly — no cleanup, no goodbyes.
 
         Everything the *process* held in memory is gone: the learned
-        table, history, advisories and guard holds.  The routes it
+        table, history, advisories, guard holds and the retry ladders of
+        failed ``ip`` commands.  The routes it
         installed SURVIVE — they live in the kernel FIB, not the process
         — so until a restarted agent relearns the paths, new
         connections keep using windows nobody is maintaining.  The
@@ -467,14 +468,30 @@ class RiptideAgent:
         except ToolError as error:
             self._note_tool_error("replace", destination, error)
             self.host.sim.schedule(
-                TOOL_RETRY_BACKOFF, self._retry_install, destination, window, 1
+                TOOL_RETRY_BACKOFF,
+                self._retry_install,
+                destination,
+                window,
+                1,
+                self.stats.crashes,
             )
             return False
 
-    def _retry_install(self, destination: Prefix, window: int, attempt: int) -> None:
-        """One rung of the install retry ladder (backoff doubles)."""
+    def _retry_install(
+        self, destination: Prefix, window: int, attempt: int, crashes: int
+    ) -> None:
+        """One rung of the install retry ladder (backoff doubles).
+
+        ``crashes`` is ``stats.crashes`` when the ladder started: a crash
+        since then killed the process the ladder belonged to.
+        """
         entry = self._learned.get(destination)
-        if entry is None or entry.window != window or not self.running:
+        if (
+            entry is None
+            or entry.window != window
+            or not self.running
+            or crashes != self.stats.crashes
+        ):
             return  # superseded, expired, or the agent is gone
         if self.installed_window(destination) == window:
             return  # a later tick already healed it
@@ -492,6 +509,7 @@ class RiptideAgent:
                     destination,
                     window,
                     attempt + 1,
+                    crashes,
                 )
             return
         self.stats.routes_installed += 1
@@ -505,8 +523,15 @@ class RiptideAgent:
             retry=attempt,
         )
 
-    def _retry_withdraw(self, destination: Prefix, attempt: int) -> None:
-        """One rung of the withdraw retry ladder."""
+    def _retry_withdraw(self, destination: Prefix, attempt: int, crashes: int) -> None:
+        """One rung of the withdraw retry ladder.
+
+        It outlives :meth:`stop` (whose withdrawals it finishes) but not a
+        crash since the ladder started (``crashes``, as for installs): the
+        routes of a crashed process survive it.
+        """
+        if crashes != self.stats.crashes:
+            return  # the process that started the ladder is gone
         if self._learned.get(destination) is not None:
             return  # re-learned meanwhile; the install path owns it again
         now = self.host.sim.now
@@ -524,6 +549,7 @@ class RiptideAgent:
                     self._retry_withdraw,
                     destination,
                     attempt + 1,
+                    crashes,
                 )
             return
         self.stats.routes_withdrawn += 1
@@ -646,7 +672,7 @@ class RiptideAgent:
         except ToolError as error:
             self._note_tool_error("del", destination, error)
             self.host.sim.schedule(
-                TOOL_RETRY_BACKOFF, self._retry_withdraw, destination, 1
+                TOOL_RETRY_BACKOFF, self._retry_withdraw, destination, 1, self.stats.crashes
             )
             return False
         return True

@@ -60,6 +60,45 @@ class TestToolRetry:
         assert bed.server.ip.route_get(bed.client.address) is not None
 
 
+    def _withdraw_failing(self):
+        """A learned route whose TTL lapses while ``ip`` fails: the
+        expiry's withdraw errors and queues a retry."""
+        bed = make_testbed()
+        agent = RiptideAgent(bed.server, RiptideConfig(update_interval=0.5, ttl=2.0))
+        agent.start()
+        request_response(bed, response_bytes=500_000)
+        bed.sim.run(until=bed.sim.now + 1.0)
+        assert bed.server.ip.route_get(bed.client.address) is not None
+        for sock in list(bed.client.sockets()):
+            sock.close()  # nothing left to observe: the TTL runs out
+        bed.server.ip.set_fault()
+        deadline = bed.sim.now + 5.0
+        while agent.stats.tool_errors == 0 and bed.sim.now < deadline:
+            bed.sim.run(until=bed.sim.now + 0.1)
+        assert agent.stats.routes_expired == 1
+        assert agent.stats.tool_errors == 1 and agent.stats.tool_retries == 0
+        return bed, agent
+
+    def test_a_crash_ends_the_withdraw_retries(self):
+        bed, agent = self._withdraw_failing()
+        agent.crash()
+        bed.server.ip.clear_fault()
+        bed.sim.run(until=bed.sim.now + 10.0)
+        # The dead process retries nothing; its route survives it.
+        assert agent.stats.tool_retries == 0
+        assert agent.stats.routes_withdrawn == 0
+        assert bed.server.ip.route_get(bed.client.address) is not None
+
+    def test_a_stopped_agent_keeps_retrying_its_withdrawals(self):
+        bed, agent = self._withdraw_failing()
+        agent.stop(remove_routes=True)
+        bed.server.ip.clear_fault()
+        bed.sim.run(until=bed.sim.now + 10.0)
+        assert agent.stats.tool_retries == 1
+        assert agent.stats.routes_withdrawn == 1
+        assert bed.server.ip.route_get(bed.client.address) is None
+
+
 class TestPollFailures:
     def test_agent_survives_ss_blackout(self):
         bed = make_testbed()
