@@ -48,9 +48,11 @@ forensics:
 
 # What a process pays before it simulates anything (< 5 s): the import
 # hygiene tests (stdlib only, a serial run loads neither the fork pool nor
-# the experiment registry, and the three reachability invariants: every
-# module reached, every dataclass field and every defaulted parameter set
-# by a shipped entry point, every CLI option used outside the tests, and the
+# the experiment registry, a lower layer loads no upper one, package
+# `__init__`s re-export nothing but `repro.obs`'s eight bench names, and the
+# reachability invariants: every module reached, every function and method
+# named, every dataclass field and every defaulted parameter set by a
+# shipped entry point, every CLI option used outside the tests, and the
 # ceiling on methods `dataclasses` generates for the bench import set), the
 # generated-method and class counts, then the 15 largest cumulative rows of
 # `python -X importtime -c "import repro.cli"` in us.

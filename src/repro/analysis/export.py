@@ -1,10 +1,11 @@
-"""CSV/JSON export of experiment data and run metrics.
+"""CSV/JSON export of run metrics and records.
 
-Each figure harness prints human-readable tables; downstream users who
-want to re-plot with their own tools can dump the underlying series with
-these helpers instead of scraping the text output.  The metric/trace
-exporters serialise a run's :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.trace.TraceLog` (see ``python -m repro metrics``).
+Each figure harness prints human-readable tables; users who want to
+re-plot or query a run with their own tools dump it with these helpers
+instead of scraping the text output.  They serialise a run's
+:class:`~repro.obs.metrics.MetricsRegistry`,
+:class:`~repro.obs.trace.TraceLog`, flow records, spans and timeline
+(see ``python -m repro metrics``).
 """
 
 from __future__ import annotations

@@ -60,8 +60,9 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._events_processed = 0
-        #: Metrics registry + trace log.  Inside a ``repro.obs.instrument.capture()``
-        #: block this is the shared aggregate; otherwise private per run.
+        #: Metrics registry + trace log.  Inside a
+        #: ``repro.obs.instrument.capture()`` block this is the shared
+        #: aggregate; otherwise private per run.
         self.obs = instrumentation_for_new_simulator()
         #: Cached so the run loop and cancel path can skip instrumentation
         #: entirely (a true no-op) when it is disabled for this run.
