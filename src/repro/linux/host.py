@@ -129,24 +129,12 @@ class Host:
     ) -> TcpSocket:
         """Actively open a connection and return the client socket."""
         remote = IPv4Address(remote_address)
-        local_port = next(self._ephemeral_ports)
-        initial_cwnd, cwnd_source = self.initcwnd_with_source(remote)
-        sock = TcpSocket(
-            host=self,
-            local_port=local_port,
-            remote_address=remote,
-            remote_port=remote_port,
-            config=self.config,
-            initial_cwnd=initial_cwnd,
-            initial_rwnd_segments=self.initrwnd_for(remote),
-            cwnd_source=cwnd_source,
-        )
+        sock = self._open_socket(next(self._ephemeral_ports), remote, remote_port)
         sock.is_client = True
         sock.on_established = on_established
         sock.on_message = on_message
         sock.on_closed = on_closed
         sock.on_error = on_error
-        self._register(sock)
         sock.connect()
         return sock
 
@@ -157,19 +145,7 @@ class Host:
         remote_port: int,
     ) -> TcpSocket:
         """Build and register the passive-side socket (listener path)."""
-        initial_cwnd, cwnd_source = self.initcwnd_with_source(remote_address)
-        sock = TcpSocket(
-            host=self,
-            local_port=local_port,
-            remote_address=remote_address,
-            remote_port=remote_port,
-            config=self.config,
-            initial_cwnd=initial_cwnd,
-            initial_rwnd_segments=self.initrwnd_for(remote_address),
-            cwnd_source=cwnd_source,
-        )
-        self._register(sock)
-        return sock
+        return self._open_socket(local_port, remote_address, remote_port)
 
     def listen(self, port: int, on_accept: AcceptCallback | None = None) -> TcpListener:
         """Open a listening port."""
@@ -190,14 +166,18 @@ class Host:
         if registered is sock:
             del self._sockets[key]
 
-    def _register(self, sock: TcpSocket) -> None:
-        key = (sock.local_port, sock.remote_address.value, sock.remote_port)
+    def _open_socket(self, local_port: int, remote: IPv4Address, remote_port: int) -> TcpSocket:
+        """Build a socket with the route's initial windows and register it."""
+        initial_cwnd, cwnd_source = self.initcwnd_with_source(remote)
+        sock = TcpSocket(
+            self, local_port, remote, remote_port, self.config,
+            initial_cwnd, self.initrwnd_for(remote), cwnd_source,
+        )
+        key = (local_port, remote.value, remote_port)
         if key in self._sockets:
-            raise TcpError(
-                f"socket collision on {sock.local_port} <- "
-                f"{sock.remote_address}:{sock.remote_port}"
-            )
+            raise TcpError(f"socket collision on {local_port} <- {remote}:{remote_port}")
         self._sockets[key] = sock
+        return sock
 
     def reboot(self) -> None:
         """Simulate a reboot (Section II-A's motivating failure case).

@@ -169,7 +169,7 @@ class TcpSocket:
         "_snd_una", "_snd_nxt", "_snd_buf_end", "_pending_marks",
         "_rtx_queue", "_sacked_bytes", "_peer_rwnd_bytes", "_dupacks",
         "_in_recovery", "_recover_seq", "_recovery_inflation",
-        "_fin_queued", "_fin_sent",
+        "_fin_queued",
         "_rto_event", "_rto_deadline",
         "_rcv_nxt", "_ooo", "_recv_marks", "_adv_wnd_bytes",
         "_peer_fin_received", "_delack_event", "_segments_since_ack",
@@ -227,7 +227,6 @@ class TcpSocket:
         self._recover_seq = 0
         self._recovery_inflation = 0
         self._fin_queued = False
-        self._fin_sent = False
         #: The retransmission timer: a deadline (None = disarmed) beside
         #: at most one pending kernel event.  A restart only moves the
         #: deadline; the event, firing early, re-schedules itself there.
@@ -331,7 +330,7 @@ class TcpSocket:
         if self.state is not TcpState.CLOSED:
             raise TcpStateError(f"connect() in state {self.state}")
         self.state = TcpState.SYN_SENT
-        self._send_control(syn=True, with_ack=False)
+        self._send_control(syn=True)
         self._arm_rto()
 
     def accept_syn(self, segment: Segment) -> None:
@@ -344,7 +343,7 @@ class TcpSocket:
         self._rcv_nxt = segment.end_seq
         if segment.rwnd_bytes > 0:
             self._peer_rwnd_bytes = segment.rwnd_bytes
-        self._send_control(syn=True, with_ack=True)
+        self._send_control(syn=True)
         self._arm_rto()
 
     def send_message(self, payload: Any, size_bytes: int) -> None:
@@ -392,16 +391,7 @@ class TcpSocket:
         """Send a best-effort RST and drop all state immediately."""
         if self.state is TcpState.CLOSED:
             return
-        segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self._snd_nxt,
-            ack=self._rcv_nxt,
-            rst=True,
-            is_ack=True,
-            rwnd_bytes=self._adv_wnd_bytes,
-        )
-        self._emit(segment)
+        self._send_control(rst=True)
         self._teardown(notify=True)
 
     def stats_snapshot(self) -> SocketStats:
@@ -440,7 +430,7 @@ class TcpSocket:
         self.last_activity_at = now
 
         if segment.rst:
-            self._on_reset()
+            self._error("connection reset by peer")
             return
 
         if segment.rwnd_bytes > 0:
@@ -545,8 +535,8 @@ class TcpSocket:
             if self._flow_ss_pending:
                 self._note_ss_exit()
 
-        if self._fin_sent:
-            self._manage_fin_acknowledgement(ack)
+        if self._fin_queued and ack >= self._snd_nxt and not self._rtx_queue:
+            self._close_transition(peer_fin=False)  # our FIN, if sent, is acked
         # Re-read: a callback above may have sent (a queue of its own) or
         # torn the socket down (the shared empty one).
         if self._rtx_queue:
@@ -665,19 +655,6 @@ class TcpSocket:
             entry.rexmit_in_recovery = True
             self._retransmit_entry(entry)
 
-    def _manage_fin_acknowledgement(self, ack: int) -> None:
-        """A new ACK arrived after our FIN went out: did it cover the FIN?"""
-        fin_acked = ack >= self._snd_nxt and not self._rtx_queue
-        if not fin_acked:
-            return
-        if self.state is TcpState.FIN_WAIT_1:
-            if self._peer_fin_received:
-                self._teardown(notify=True)
-            else:
-                self.state = TcpState.FIN_WAIT_2
-        elif self.state is TcpState.LAST_ACK:
-            self._teardown(notify=True)
-
     # ------------------------------------------------------------------
     # data ingress (receiver side)
     # ------------------------------------------------------------------
@@ -698,10 +675,12 @@ class TcpSocket:
         if self._recv_marks:
             self._deliver_completed_messages()
         if self._peer_fin_received:
-            self._maybe_transition_on_fin()
+            self._close_transition(peer_fin=True)
         # Acknowledge now, or hold the ACK for a second segment or the
         # delayed-ACK timer.  ``_ooo`` is read only here, after delivery
         # and the FIN transition: either may have torn the socket down.
+        # A FIN is ACKed here even when the transition already answered
+        # it (from FIN_WAIT_2, or with our own FIN): ROADMAP item 1(c).
         if segment.fin or self._ooo or not self._config.delayed_ack:
             self._send_pure_ack()
             return
@@ -736,19 +715,6 @@ class TcpSocket:
             self.messages_received += 1
             if self.on_message is not None:
                 self.on_message(self, mark.payload, mark.size_bytes)
-
-    def _maybe_transition_on_fin(self) -> None:
-        """The peer's FIN has been absorbed: move the state machine."""
-        if self.state is TcpState.ESTABLISHED:
-            self.state = TcpState.CLOSE_WAIT
-            if self.close_on_peer_fin:
-                self.close()
-        elif self.state is TcpState.FIN_WAIT_2:
-            self._send_pure_ack()
-            self._teardown(notify=True)
-        elif self.state is TcpState.FIN_WAIT_1 and self._fin_sent:
-            # Simultaneous close: wait for our FIN's ACK in _process_ack.
-            pass
 
     # ------------------------------------------------------------------
     # ACK emission
@@ -851,8 +817,11 @@ class TcpSocket:
                 snd_nxt += size
                 room -= size
                 sent_any = True
-        if self._fin_queued and not self._fin_sent and snd_nxt == buf_end:
-            self._send_fin()
+        if self._fin_queued and state is not TcpState.FIN_WAIT_1 and snd_nxt == buf_end:
+            self.state = (
+                TcpState.FIN_WAIT_1 if state is TcpState.ESTABLISHED else TcpState.LAST_ACK
+            )
+            self._send_control(fin=True)
             sent_any = True
         if sent_any and self._rto_deadline is None and self._rtx_queue:
             self._arm_rto()
@@ -898,48 +867,21 @@ class TcpSocket:
             Packet(host.address, self.remote_address, TCP_HEADER_BYTES + size, segment)
         )
 
-    def _send_fin(self) -> None:
+    def _send_control(self, syn: bool = False, fin: bool = False, rst: bool = False) -> None:
+        """Send a SYN, FIN or RST.  A SYN or FIN takes one sequence slot
+        and waits in the retransmission queue; only the opening SYN (from
+        SYN_SENT) carries no ACK."""
         seq = self._snd_nxt
+        with_ack = not (syn and self.state is TcpState.SYN_SENT)
         segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self._rcv_nxt,
-            fin=True,
-            is_ack=True,
-            rwnd_bytes=self._adv_wnd_bytes,
+            self.local_port, self.remote_port, seq, self._rcv_nxt if with_ack else 0,
+            0, syn, fin, rst, with_ack, self._adv_wnd_bytes,
         )
-        self._snd_nxt = seq + 1
-        self._fin_sent = True
-        if self.state in (TcpState.ESTABLISHED,):
-            self.state = TcpState.FIN_WAIT_1
-        elif self.state is TcpState.CLOSE_WAIT:
-            self.state = TcpState.LAST_ACK
-        if self._rtx_queue is _NO_RTX:
-            self._rtx_queue = deque()
-        self._rtx_queue.append(
-            _SentSegment(seq, seq + 1, 0, False, True, (), self._sim.now)
-        )
-        self._emit(segment)
-
-    def _send_control(self, syn: bool, with_ack: bool) -> None:
-        seq = self._snd_nxt
-        segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self._rcv_nxt if with_ack else 0,
-            syn=syn,
-            is_ack=with_ack,
-            rwnd_bytes=self._adv_wnd_bytes,
-        )
-        if syn:
+        if not rst:
             self._snd_nxt = seq + 1
             if self._rtx_queue is _NO_RTX:
                 self._rtx_queue = deque()
-            self._rtx_queue.append(
-                _SentSegment(seq, seq + 1, 0, True, False, (), self._sim.now)
-            )
+            self._rtx_queue.append(_SentSegment(seq, seq + 1, 0, syn, fin, (), self._sim.now))
         self._emit(segment)
 
     def _retransmit_head(self) -> None:
@@ -961,7 +903,7 @@ class TcpSocket:
             payload_bytes=entry.payload_bytes,
             syn=entry.syn,
             fin=entry.fin,
-            is_ack=with_ack or (entry.syn and self.state is TcpState.SYN_RCVD),
+            is_ack=with_ack,
             rwnd_bytes=self._adv_wnd_bytes,
             marks=entry.marks,
         )
@@ -1052,11 +994,46 @@ class TcpSocket:
         self._arm_rto()
 
     # ------------------------------------------------------------------
-    # teardown
+    # close transitions and teardown
     # ------------------------------------------------------------------
 
-    def _on_reset(self) -> None:
-        self._error("connection reset by peer")
+    def _close_transition(self, peer_fin: bool) -> None:
+        """Our FIN was acknowledged (``peer_fin`` False), or the peer's FIN
+        was absorbed in order (True): move the close side of the state
+        machine by RFC 793, with TIME_WAIT collapsed into CLOSED.
+
+        ===========  ========================  ==========================
+        state        our FIN acknowledged      peer's FIN absorbed
+        ===========  ========================  ==========================
+        ESTABLISHED  (FIN not sent yet)        CLOSE_WAIT, then close()
+                                               if ``close_on_peer_fin``
+        FIN_WAIT_1   FIN_WAIT_2, or CLOSED if  stays (simultaneous close,
+                     the peer's FIN is in      RFC 793's CLOSING)
+        FIN_WAIT_2   (cannot happen)           ACK it, CLOSED
+        CLOSE_WAIT   (FIN not sent yet)        (cannot happen)
+        LAST_ACK     CLOSED                    (cannot happen)
+        ===========  ========================  ==========================
+
+        Sending the FIN, once ``close()`` has queued it and the data
+        ahead of it is out, moves ESTABLISHED to FIN_WAIT_1 and
+        CLOSE_WAIT to LAST_ACK (``_try_send``).
+        """
+        state = self.state
+        if peer_fin:
+            if state is TcpState.ESTABLISHED:
+                self.state = TcpState.CLOSE_WAIT
+                if self.close_on_peer_fin:
+                    self.close()
+            elif state is TcpState.FIN_WAIT_2:
+                self._send_pure_ack()
+                self._teardown(notify=True)
+        elif state is TcpState.FIN_WAIT_1:
+            if self._peer_fin_received:
+                self._teardown(notify=True)
+            else:
+                self.state = TcpState.FIN_WAIT_2
+        elif state is TcpState.LAST_ACK:
+            self._teardown(notify=True)
 
     def _error(self, reason: str) -> None:
         if self._flow is not None:
