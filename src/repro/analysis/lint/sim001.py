@@ -1,17 +1,15 @@
 """SIM001 — kernel invariants: no clock/queue poking, no real sleeps.
 
 The :class:`~repro.sim.kernel.Simulator` owns the clock and the event
-queue; every other component interacts with time exclusively through
+heap; every other component interacts with time exclusively through
 ``schedule``/``schedule_at``/``cancel``.  Two violations break that
 contract:
 
-* assigning a kernel-private field (``sim._now = ...``, ``sim._queue =
-  ...``, ``queue._heap = ...``) from outside the kernel modules — the
-  clock silently diverges from the queue and events fire "in the past".
-  Since the event-core rewrite the run loop and :class:`EventQueue`
-  share the entry heap and tombstone counter, so those fields are
-  covered too.  Assignments through ``self`` are exempt: a class
-  managing its *own* ``_running`` flag is not touching the kernel's;
+* assigning a kernel-private field (``sim._now = ...``, ``sim._heap =
+  ...``, ``sim._tombstones -= 1``) from outside the kernel — the clock
+  silently diverges from the heap, events fire "in the past", or the
+  live-event count drifts.  Assignments through ``self`` are exempt: a
+  class managing its *own* ``_running`` flag is not touching the kernel's;
 * calling ``time.sleep`` anywhere in simulation code — an event
   callback that blocks the process stalls every simulated component at
   once and couples results to host scheduling.
@@ -34,18 +32,15 @@ import ast
 
 from repro.analysis.lint.base import FileContext, Finding, Rule
 
-#: Fields of ``Simulator`` and ``EventQueue`` that only the kernel
-#: modules themselves may assign.  ``_heap`` and ``_tombstones`` are the
-#: event queue's entry heap and tombstone count — the run loop pops and
-#: compacts them under invariants an outside writer cannot see.
+#: Fields of ``Simulator`` that only the kernel module may assign.
+#: ``_heap`` and ``_tombstones`` are the entry heap and its tombstone
+#: count — the run loop pops and compacts them under invariants an
+#: outside writer cannot see.
 KERNEL_PRIVATE_FIELDS = frozenset({
-    "_now", "_queue", "_seq", "_running", "_events_processed",
-    "_heap", "_tombstones",
+    "_now", "_seq", "_running", "_events_processed", "_heap", "_tombstones",
 })
 
-#: The modules allowed to assign those fields: the kernel itself and the
-#: event-queue module whose structures it shares.
-_KERNEL_MODULES = frozenset({"repro.sim.kernel", "repro.sim.events"})
+_KERNEL_MODULES = frozenset({"repro.sim.kernel"})
 
 #: Fields of the fluid engine's ``CwndDistribution`` that only
 #: ``repro.sim.fluid`` may assign: the histogram and its active range

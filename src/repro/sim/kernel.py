@@ -1,32 +1,46 @@
 """The simulation kernel.
 
-A :class:`Simulator` owns the clock and the event queue.  All other
+A :class:`Simulator` owns the clock and the event heap.  All other
 components (links, sockets, agents) hold a reference to the simulator and
 interact with time exclusively through :meth:`Simulator.schedule` — nothing
 in the reproduction reads a wall clock, so a run is a pure function of its
 seed and parameters.
 
-The :meth:`Simulator.run` loop is the hottest code in the repository: every
-packet, timer, probe and agent tick passes through it.  It therefore works
-directly on the queue's heap entries — plain ``(time, seq, event, callback,
-args)`` tuples ordered by C-level tuple comparison — peeking at ``heap[0]``
-and dispatching from the entry without intermediate method calls or
-:class:`~repro.sim.events.Event` attribute loads.  Handle-free timers
-(:meth:`schedule_fire`) skip the ``Event`` allocation entirely.  Firing
-order is exactly ``(time, seq)`` with ``seq`` assigned per schedule call,
-so the rewrite is bit-identical to the previous heap-of-events kernel.
+The heap holds *key-based entries* — plain ``(time, seq, event, callback,
+args)`` tuples compared element-wise in C on ``(time, seq)`` (``seq`` is
+unique, so comparison never reaches the payload slots) — rather than
+:class:`~repro.sim.events.Event` objects, whose ``__lt__`` would run per
+comparison.  The :meth:`Simulator.run` loop is the hottest code in the
+repository: every packet, timer, probe and agent tick passes through it,
+peeking at ``heap[0]`` and dispatching ``callback(*args)`` straight from
+the entry.  The ``event`` slot is ``None`` for handle-free timers
+(:meth:`Simulator.schedule_fire`), which skip the ``Event`` allocation and
+the cancellation check.  Firing order is exactly ``(time, seq)`` with
+``seq`` assigned per schedule call.
+
+Cancellation is lazy — a cancelled event's entry stays in the heap as a
+*tombstone* and is skipped when popped — but the simulator counts
+tombstones and compacts the heap in place once they pass
+:attr:`Simulator.COMPACT_MIN_TOMBSTONES` **and** outnumber half the heap.
+Cancel-heavy workloads (a TCP socket re-arms its RTO on every ACK) would
+otherwise grow the heap without bound between pops.  Compaction rebuilds
+the same list object (``heap[:] = ...``), so the run loop's reference to
+the heap stays valid across a mid-callback cancel burst.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import isnan
 from typing import Any
 
 from repro.obs.instrument import instrumentation_for_new_simulator
 from repro.sim.errors import SchedulingError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
+
+#: A heap entry: ``(time, seq, event-or-None, callback, args)``.
+Entry = tuple[float, int, "Event | None", Callable[..., None], tuple[Any, ...]]
 
 #: ``Event.__new__`` bound once: the schedule fast paths allocate the
 #: handle and fill its slots inline, skipping the ``__init__`` frame —
@@ -37,10 +51,10 @@ _new_event = Event.__new__
 class Simulator:
     """Discrete-event simulator with a float-seconds clock."""
 
-    # Dict-free instances: ``_now``/``_seq``/``_qheap`` are touched once
+    # Dict-free instances: ``_now``/``_seq``/``_heap`` are touched once
     # or more per scheduled event, and slot access beats a dict lookup.
     __slots__ = (
-        "_now", "_queue", "_qheap", "_seq", "_running", "_events_processed",
+        "_now", "_heap", "_tombstones", "_seq", "_running", "_events_processed",
         "obs", "_obs_enabled", "_m_processed", "_m_cancelled",
         "_g_queue_depth",
     )
@@ -50,13 +64,17 @@ class Simulator:
     #: per-event updates dominated the inner-loop instrumentation cost.
     QUEUE_DEPTH_SAMPLE_STRIDE = 64
 
+    #: Compact only once this many tombstones have accumulated — below
+    #: this the rebuild costs more than the dead entries do.
+    COMPACT_MIN_TOMBSTONES = 64
+
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue = EventQueue()
-        #: The queue's entry heap, cached for the schedule fast paths.
-        #: Safe to hold across the whole run: compaction rebuilds the
-        #: heap *in place*, so the list identity never changes.
-        self._qheap = self._queue._heap
+        #: The entry heap.  Compaction rebuilds it *in place*, so its
+        #: list identity never changes.
+        self._heap: list[Entry] = []
+        #: Cancelled-but-not-yet-popped entries still sitting in the heap.
+        self._tombstones = 0
         self._seq = 0
         self._running = False
         self._events_processed = 0
@@ -84,7 +102,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events awaiting execution."""
-        return len(self._queue)
+        return len(self._heap) - self._tombstones
 
     def schedule(
         self,
@@ -109,7 +127,7 @@ class Simulator:
         event.args = args
         event.cancelled = False
         event.fired = False
-        heappush(self._qheap, (time, seq, event, callback, args))
+        heappush(self._heap, (time, seq, event, callback, args))
         return event
 
     def schedule_at(
@@ -132,7 +150,7 @@ class Simulator:
         event.args = args
         event.cancelled = False
         event.fired = False
-        heappush(self._qheap, (time, seq, event, callback, args))
+        heappush(self._heap, (time, seq, event, callback, args))
         return event
 
     def schedule_fire(
@@ -154,7 +172,7 @@ class Simulator:
             raise SchedulingError(f"cannot schedule after a delay of {delay}s")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._qheap, (self._now + delay, seq, None, callback, args))
+        heappush(self._heap, (self._now + delay, seq, None, callback, args))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.  Idempotent.
@@ -166,7 +184,15 @@ class Simulator:
         if event.cancelled or event.fired:
             return
         event.cancel()
-        self._queue.note_cancelled()
+        # Its entry stays behind as a tombstone; past the threshold the
+        # heap is rebuilt without them, in place.
+        tombstones = self._tombstones + 1
+        heap = self._heap
+        if tombstones >= self.COMPACT_MIN_TOMBSTONES and tombstones * 2 >= len(heap):
+            heap[:] = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]
+            heapify(heap)
+            tombstones = 0
+        self._tombstones = tombstones
         if self._obs_enabled:
             self._m_cancelled.inc()
 
@@ -192,7 +218,7 @@ class Simulator:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         executed = 0
-        # Hot loop: it works directly on the queue's entry heap — one
+        # Hot loop: it works directly on the entry heap — one
         # ``heap[0]`` peek and one C-level heappop per event, dispatching
         # ``callback(*args)`` straight from the entry tuple.  Tombstones
         # (cancelled handles) are popped and uncounted inline; compaction
@@ -202,8 +228,7 @@ class Simulator:
         # of one per event) and the queue-depth gauge is sampled every
         # QUEUE_DEPTH_SAMPLE_STRIDE events.  With instrumentation disabled
         # the loop does no metric work at all.
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         limit = -1 if max_events is None else max_events
         obs_enabled = self._obs_enabled
         gauge_set = self._g_queue_depth.set
@@ -221,7 +246,7 @@ class Simulator:
                     event = entry[2]
                     if event is not None:
                         if event.cancelled:
-                            queue._tombstones -= 1
+                            self._tombstones -= 1
                             continue
                         event.fired = True
                     self._now = entry[0]
@@ -230,7 +255,7 @@ class Simulator:
                     if obs_enabled:
                         until_gauge -= 1
                         if not until_gauge:
-                            gauge_set(len(queue))
+                            gauge_set(len(heap) - self._tombstones)
                             until_gauge = stride
             else:
                 # Bounded variant: peek before popping so an event past
@@ -242,7 +267,7 @@ class Simulator:
                     event = entry[2]
                     if event is not None and event.cancelled:
                         heappop(heap)
-                        queue._tombstones -= 1
+                        self._tombstones -= 1
                         continue
                     time = entry[0]
                     if time > until:
@@ -256,26 +281,35 @@ class Simulator:
                     if obs_enabled:
                         until_gauge -= 1
                         if not until_gauge:
-                            gauge_set(len(queue))
+                            gauge_set(len(heap) - self._tombstones)
                             until_gauge = stride
         finally:
             self._running = False
             self._events_processed += executed
             if obs_enabled:
                 self._m_processed.inc(executed)
-                gauge_set(len(queue))
+                gauge_set(len(heap) - self._tombstones)
         if until is not None and self._now < until:
             # Fast-forward only when nothing live remains at or before
             # the bound — a max_events stop with earlier events still
             # queued must leave the clock where it is, or the next run()
             # would execute those events with ``now`` past them.
-            try:
-                next_time = queue.peek_time()
-            except IndexError:
-                next_time = None
+            next_time = self._next_live_time()
             if next_time is None or next_time > until:
                 self._now = until
         return self._now
+
+    def _next_live_time(self) -> float | None:
+        """The firing time of the earliest live event (None if none is
+        left); tombstones on top of the heap are popped on the way."""
+        heap = self._heap
+        while heap:
+            event = heap[0][2]
+            if event is None or not event.cancelled:
+                return heap[0][0]
+            heappop(heap)
+            self._tombstones -= 1
+        return None
 
     def __repr__(self) -> str:
         return (

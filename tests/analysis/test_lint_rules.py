@@ -249,7 +249,8 @@ def test_det003_silent(tmp_path, source):
 
 SIM001_POSITIVE = [
     "def warp(sim):\n    sim._now = 99.0\n",
-    "def warp(sim):\n    sim._queue = []\n",
+    "def warp(sim):\n    sim._heap = []\n",
+    "def warp(sim):\n    sim._tombstones -= 1\n",
     "def warp(sim):\n    sim._events_processed += 7\n",
     "def warp(cluster):\n    cluster.sim._now = 0.0\n",
     "import time\n\ndef handler():\n    time.sleep(0.1)\n",

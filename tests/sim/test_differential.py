@@ -105,7 +105,7 @@ class _Pair:
     def check(self) -> None:
         assert len(self.oracle) == self.sim.pending_events
         if len(self.oracle):
-            assert self.oracle.peek_time() == self.sim._queue.peek_time()
+            assert self.oracle.peek_time() == self.sim._next_live_time()
         assert self.popped_oracle == self.fired
         if self.fired:
             assert self.sim.now == self.fired[-1][0]

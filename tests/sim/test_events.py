@@ -1,11 +1,9 @@
-"""Unit tests for events and the event queue, driven the way the kernel
-drives them: ``Simulator.schedule``/``schedule_fire`` push entries,
-``Simulator.cancel`` leaves tombstones, ``run(max_events=1)`` pops one.
+"""Unit tests for events and the simulator's event heap, driven through
+the simulator: ``schedule``/``schedule_fire`` push entries, ``cancel``
+leaves tombstones, ``run(max_events=1)`` pops one.
 """
 
-import pytest
-
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
 
@@ -36,10 +34,6 @@ class _Fired:
     def fire_one(self) -> tuple[float, object]:
         self.sim.run(max_events=1)
         return self.log[-1]
-
-    @property
-    def queue(self) -> EventQueue:
-        return self.sim._queue
 
 
 class TestEventOrdering:
@@ -76,9 +70,9 @@ class TestEventQueue:
         fired = _Fired()
         event = fired.schedule(1.0)
         fired.schedule(2.0)
-        assert len(fired.queue) == 2
+        assert fired.sim.pending_events == 2
         fired.sim.cancel(event)
-        assert len(fired.queue) == fired.sim.pending_events == 1
+        assert fired.sim.pending_events == 1
 
     def test_pop_skips_cancelled(self):
         fired = _Fired()
@@ -86,26 +80,25 @@ class TestEventQueue:
         fired.schedule(2.0, "live")
         fired.sim.cancel(cancelled)
         assert fired.fire_one() == (2.0, "live")
-        assert fired.queue.tombstones == 0
+        assert fired.sim._tombstones == 0
 
     def test_peek_time_skips_cancelled(self):
         fired = _Fired()
         cancelled = fired.schedule(1.0)
         fired.schedule(3.0)
         fired.sim.cancel(cancelled)
-        assert fired.queue.peek_time() == 3.0
+        assert fired.sim._next_live_time() == 3.0
 
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().peek_time()
+    def test_peek_empty_is_none(self):
+        assert Simulator()._next_live_time() is None
 
     def test_bool_reflects_liveness(self):
         fired = _Fired()
-        assert not fired.queue
+        assert not fired.sim.pending_events
         event = fired.schedule(1.0)
-        assert fired.queue
+        assert fired.sim.pending_events
         fired.sim.cancel(event)
-        assert not fired.queue
+        assert not fired.sim.pending_events
 
     def test_cancel_is_idempotent(self):
         event = make_event(1.0, 1)
@@ -118,16 +111,16 @@ class TestHandleFreeEntries:
     def test_schedule_fire_entry_fires_without_a_handle(self):
         fired = _Fired()
         fired.schedule_fire(1.0, "timer")
-        assert len(fired.queue) == 1
+        assert fired.sim.pending_events == 1
         assert fired.fire_one() == (1.0, "timer")
-        assert not fired.queue
+        assert not fired.sim.pending_events
 
     def test_entries_and_events_interleave_by_key(self):
         fired = _Fired()
         fired.schedule(2.0, "event")
         fired.schedule_fire(1.0, "first entry")
         fired.schedule_fire(2.0, "second entry")
-        assert fired.queue.peek_time() == 1.0
+        assert fired.sim._next_live_time() == 1.0
         assert [fired.fire_one()[1] for _ in range(3)] == [
             "first entry", "event", "second entry",
         ]
@@ -146,26 +139,26 @@ class TestTombstoneCompaction:
         # resident tombstones below the minimum.
         for event in events[:150]:
             fired.sim.cancel(event)
-        assert fired.queue.tombstones == 50
-        assert len(fired.sim._qheap) == 100
-        assert len(fired.queue) == 50
+        assert fired.sim._tombstones == 50
+        assert len(fired.sim._heap) == 100
+        assert fired.sim.pending_events == 50
 
     def test_no_compaction_below_minimum(self):
         fired = _Fired()
         events = self._fill(fired, 40)
         for event in events[:30]:
             fired.sim.cancel(event)
-        # 30 < COMPACT_MIN_TOMBSTONES: tombstones stay resident.
-        assert fired.queue.tombstones == 30
-        assert len(fired.sim._qheap) == 40
-        assert len(fired.queue) == 10
+        # 30 < Simulator.COMPACT_MIN_TOMBSTONES: tombstones stay resident.
+        assert fired.sim._tombstones == 30
+        assert len(fired.sim._heap) == 40
+        assert fired.sim.pending_events == 10
 
     def test_pop_order_preserved_across_compaction(self):
         fired = _Fired()
         events = self._fill(fired, 300)
         for event in events[::2]:
             fired.sim.cancel(event)
-        order = [fired.fire_one()[1] for _ in range(len(fired.queue))]
+        order = [fired.fire_one()[1] for _ in range(fired.sim.pending_events)]
         assert order == list(range(1, 300, 2))
 
     def test_compaction_keeps_handle_free_entries(self):
@@ -174,5 +167,5 @@ class TestTombstoneCompaction:
             fired.schedule_fire(float(i), i)
         for event in self._fill(fired, 100):
             fired.sim.cancel(event)
-        assert len(fired.queue) == 100
-        assert fired.queue.tombstones == 0
+        assert fired.sim.pending_events == 100
+        assert fired.sim._tombstones == 0
