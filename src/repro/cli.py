@@ -6,8 +6,7 @@
     python -m repro run fig03            # regenerate one figure/table
     python -m repro run fig10 --fast     # reduced-scale simulation run
     python -m repro run fig10 --workers 4  # fan the sweep across processes
-    python -m repro run --faults chaos_partition  # paired chaos study
-    python -m repro run --list           # runnable experiments + worker/fault surface
+    python -m repro run chaos_partition  # paired chaos study
     python -m repro tournament --workers 4  # policy zoo x scenarios leaderboard
     python -m repro faults               # list chaos scenarios + timelines
     python -m repro describe fig12_14    # what an experiment reproduces
@@ -125,24 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument(
-        "experiment_id",
-        nargs="?",
-        default=None,
-        help="e.g. fig03, table2, fig12_14 (omit when using --faults)",
-    )
-    run_parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_experiments",
-        help="list runnable experiments with their worker support and "
-        "fault-scenario pairing, then exit",
-    )
-    run_parser.add_argument(
-        "--faults",
-        metavar="SCENARIO",
-        default=None,
-        help="run the paired chaos study for a fault scenario "
-        "(see `repro faults` for the list)",
+        "experiment_id", help="e.g. fig03, table2, fig12_14, chaos_partition"
     )
     _add_scale_flags(
         run_parser, "experiments that support it; results are identical to serial"
@@ -420,15 +402,22 @@ def _normalize_experiment_id(experiment_id: str) -> str:
 
     ``fig10`` and ``fig10_cmax_sweep`` both name the Figure 10 sweep: the
     former is the registry id, the latter the module under
-    ``repro.experiments`` that implements it.
+    ``repro.experiments`` that implements it.  A module that implements
+    several experiments (``chaos``) names none of them: KeyError.
     """
     if experiment_id in EXPERIMENTS:
         return experiment_id
-    for exp in EXPERIMENTS.values():
-        module_name = exp.run.__module__.rsplit(".", 1)[-1]
-        if experiment_id == module_name:
-            return exp.experiment_id
-    return experiment_id  # let get_experiment raise its usual error
+    matches = [
+        exp.experiment_id
+        for exp in EXPERIMENTS.values()
+        if exp.run.__module__.rsplit(".", 1)[-1] == experiment_id
+    ]
+    if len(matches) > 1:
+        raise KeyError(
+            f"{experiment_id!r} is a module of {len(matches)} experiments; "
+            f"name one: {', '.join(matches)}"
+        )
+    return matches[0] if matches else experiment_id  # get_experiment raises on none
 
 
 def _lookup(experiment_id: str) -> Experiment:
@@ -461,56 +450,10 @@ def _run_kwargs(exp: Experiment, fast: bool, workers: int) -> dict[str, object]:
     return kwargs
 
 
-def _cmd_run_list() -> int:
-    """``run --list``: runnable experiments with their run-time surface."""
-    print(f"{'experiment':<18} {'kind':<10} {'workers':<8} fault scenario")
-    for exp in list_experiments():
-        kind = "simulation" if exp.simulation_backed else "model"
-        workers = "yes" if exp.supports_workers else "no"
-        faults = exp.fault_scenario if exp.fault_scenario is not None else "-"
-        print(f"{exp.experiment_id:<18} {kind:<10} {workers:<8} {faults}")
-    print(
-        "\nworkers: accepts --workers N (independent simulation arms; "
-        "results identical to serial)"
-    )
-    print(
-        "fault scenario: the chaos schedule the experiment runs under "
-        "(see `repro faults`)"
-    )
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.list_experiments:
-        return _cmd_run_list()
-    experiment_id = args.experiment_id
-    banner = None
-    if args.faults is not None:
-        if experiment_id is not None:
-            print(
-                "error: give either an experiment id or --faults, not both",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.faults.scenarios import get_scenario
-
-        # Every scenario is registered as the experiment of the same name.
-        experiment_id = get_scenario(args.faults).name
-        banner = (
-            f"running chaos scenario {experiment_id} "
-            "(paired control/Riptide simulation; this takes a while)..."
-        )
-    elif experiment_id is None:
-        print(
-            "error: run needs an experiment id (or --faults SCENARIO)",
-            file=sys.stderr,
-        )
-        return 2
-    exp = _lookup(experiment_id)
+    exp = _lookup(args.experiment_id)
     kwargs = _run_kwargs(exp, args.fast, args.workers)
-    if banner is not None:
-        print(banner)
-    elif exp.simulation_backed:
+    if exp.simulation_backed:
         print(f"running {exp.experiment_id} (full simulation; this takes a while)...")
     started = time.perf_counter()
     result = exp.run(**kwargs)
@@ -611,7 +554,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print(f"  timeline over {args.duration:g}s of probing:")
         print(scenario.describe(args.duration))
         print()
-    print("run one with: python -m repro run --faults <scenario>")
+    print("run one with: python -m repro run <scenario>")
     return 0
 
 

@@ -160,7 +160,7 @@ def build_chaos_reports() -> dict[str, Any]:
         _, obs, _ = _run_captured("chaos_lossy_agent", fast=True)
     return {
         "chaos_partition_study_sha256": _sha256(
-            _cli_stdout(["run", "--faults", "chaos_partition", "--fast"])
+            _cli_stdout(["run", "chaos_partition", "--fast"])
         ),
         "chaos_flaky_tools_study_sha256": _sha256(
             _cli_stdout(["run", "chaos_flaky_tools", "--fast"])
