@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.obs.flow import FlowLog
+from repro.obs.flow import FlowLog, FlowRecord
+from repro.tcp.socket import TcpSocket
+from repro.testing import TwoHostTestbed
+
+
+def _close_on_peer_fin(sock: TcpSocket) -> None:
+    sock.close_on_peer_fin = True
 
 
 def begin(log, index=0, **overrides):
@@ -91,3 +97,32 @@ class TestMerge:
         assert target.dropped == 1
         # The retained prefix is what a serial capacity-2 run would keep.
         assert [r.flow_id for r in target.records()] == [0, 1]
+
+
+class TestSocketFlowRecords:
+    """The record a socket opens, read back after its connection ends."""
+
+    def _closed_client_flow(self, listen: bool) -> FlowRecord:
+        """The client's record once its connection is over: closed as soon
+        as it opens, or given up on (connect timeout) when nothing listens."""
+        bed = TwoHostTestbed()
+        if listen:
+            bed.server.listen(80, on_accept=_close_on_peer_fin)
+        bed.client.connect(bed.server.address, 80, on_established=TcpSocket.close)
+        bed.sim.run()
+        (flow,) = bed.sim.obs.flows.records(host="client")
+        assert flow.closed_at is not None
+        return flow
+
+    def test_established_client_flow_is_client_side(self):
+        assert self._closed_client_flow(listen=True).is_client
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1(c): the record opens with is_client=False and only "
+        "_become_established copies the host's stamp into it",
+    )
+    def test_unestablished_client_flow_is_client_side(self):
+        flow = self._closed_client_flow(listen=False)
+        assert flow.error == "connect timeout"
+        assert flow.is_client
