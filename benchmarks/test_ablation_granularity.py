@@ -16,7 +16,7 @@ def run_arm(granularity: str) -> dict:
     cluster = CdnCluster(
         topo,
         with_riptide_config(
-            ClusterConfig(seed=21), granularity=granularity, prefix_length=16
+            ClusterConfig(seed=21), granularity=granularity
         ),
     )
     # Organic traffic teaches JFK's host 0 about LHR's host 0 only.

@@ -22,7 +22,7 @@ def run_arm(granularity: str) -> None:
     cluster = CdnCluster(
         topo,
         with_riptide_config(
-            ClusterConfig(seed=21), granularity=granularity, prefix_length=16
+            ClusterConfig(seed=21), granularity=granularity
         ),
     )
     # Only LHR host 0 talks to JFK; hosts 1 and 2 are silent bystanders.

@@ -11,7 +11,11 @@ Run:  python examples/probe_study.py          (about a minute)
 """
 
 from repro.experiments import fig12_14_probe_times, fig15_16_percentile_gain
-from repro.experiments.scenarios import ProbeStudyConfig, run_paired_probe_study
+from repro.experiments.scenarios import (
+    PROBE_SOURCE_POPS,
+    ProbeStudyConfig,
+    run_paired_probe_study,
+)
 
 
 def main() -> None:
@@ -23,7 +27,7 @@ def main() -> None:
     )
     print("== paired probe study (control vs Riptide) ==")
     print(f"PoPs: {', '.join(config.topology_codes)}")
-    print(f"sources: {', '.join(config.source_pops)}")
+    print(f"sources: {', '.join(PROBE_SOURCE_POPS)}")
     print("running both arms...\n")
 
     control, riptide = run_paired_probe_study(config)

@@ -22,15 +22,18 @@ from repro.core.agent import RiptideAgent
 from repro.core.config import RiptideConfig
 from repro.linux.host import Host
 from repro.net.addresses import IPv4Address
-from repro.net.loss import BernoulliLoss, LossModel, NoLoss
+from repro.net.loss import BernoulliLoss
 from repro.net.network import Network, PathSpec
 from repro.obs.audit import Auditor
-from repro.obs.instrument import Instrumentation
 from repro.obs.slo import SloEngine, default_burn_rules, default_slos
 from repro.sim.fluid import FluidConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rand import RandomStreams
 from repro.tcp.constants import TcpConfig
+
+
+#: Light random WAN loss on every trunk.
+TRUNK_LOSS_PROBABILITY = 0.0001
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +48,6 @@ class ClusterConfig:
     #: Trunk bandwidth between PoPs ("well provisioned links").
     bandwidth_bps: float = 1e9
     queue_limit_packets: int = 2048
-    #: Light random WAN loss on every trunk.
-    loss_probability: float = 0.0001
     #: Host TCP configuration.  The deployment raises the default initial
     #: receive window so it covers Riptide's c_max (Section III-C).
     tcp: TcpConfig = field(
@@ -109,16 +110,11 @@ class CdnCluster:
                     bandwidth_bps=self.config.bandwidth_bps,
                     propagation_delay=rtt / 2.0,
                     queue_limit_packets=self.config.queue_limit_packets,
-                    loss_model=self._loss_model(),
+                    loss_model=BernoulliLoss(TRUNK_LOSS_PROBABILITY),
                 ),
             )
         for pop in self.topology.pops:
             self._deploy_pop(pop)
-
-    def _loss_model(self) -> LossModel:
-        if self.config.loss_probability <= 0.0:
-            return NoLoss()
-        return BernoulliLoss(self.config.loss_probability)
 
     def _deploy_pop(self, pop: PoP) -> None:
         hosts, servers, clients, agents = [], [], [], []
@@ -168,13 +164,8 @@ class CdnCluster:
     def all_agents(self) -> list[RiptideAgent]:
         return [agent for dep in self._pops.values() for agent in dep.agents]
 
-    @property
-    def instrumentation(self) -> Instrumentation:
-        """This deployment's metrics registry and trace log."""
-        return self.sim.obs
-
-    def server_address(self, code: str, index: int = 0) -> IPv4Address:
-        return self._deployment(code).pop.server_addresses()[index]
+    def server_address(self, code: str) -> IPv4Address:
+        return self._deployment(code).pop.server_addresses()[0]
 
     def _deployment(self, code: str) -> _PopDeployment:
         try:
@@ -204,7 +195,6 @@ class CdnCluster:
         source_pop: str,
         destination_pops: list[str],
         workload_config: OrganicWorkloadConfig | None = None,
-        sizes: FileSizeDistribution | None = None,
     ) -> OrganicWorkload:
         """Attach (and start) organic traffic from a PoP's first host."""
         deployment = self._deployment(source_pop)
@@ -219,7 +209,7 @@ class CdnCluster:
             sim=self.sim,
             client=deployment.clients[0],
             destinations=destinations,
-            sizes=sizes if sizes is not None else FileSizeDistribution.production_cdn(),
+            sizes=FileSizeDistribution.production_cdn(),
             rng=self.streams.stream(f"organic:{source_pop}:0"),
             config=workload_config,
             name=f"organic:{source_pop}",
@@ -281,7 +271,6 @@ class CdnCluster:
         self,
         source_pops: list[str],
         interval: float = 10.0,
-        sizes: tuple[int, ...] | None = None,
         host_indices: list[int] | None = None,
         close_before_round: bool = False,
         churn_probability: float = 0.0,
@@ -295,7 +284,6 @@ class CdnCluster:
         def rtt_lookup(src_code: str, dst_code: str) -> float:
             return self.topology.rtt(self.pop(src_code), self.pop(dst_code))
 
-        kwargs = {} if sizes is None else {"sizes": sizes}
         fleet = ProbeFleet(
             self.sim,
             rtt_lookup,
@@ -304,7 +292,6 @@ class CdnCluster:
             churn_probability=churn_probability,
             rng=self.streams.stream("probe-churn"),
             arm=self.config.label,
-            **kwargs,
         )
         for code in source_pops:
             deployment = self._deployment(code)

@@ -32,22 +32,15 @@ class RateProfile(ABC):
         """
 
 
-@dataclass(frozen=True, eq=False)
 class ConstantProfile(RateProfile):
     """No modulation (the default behaviour)."""
 
-    value: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"value must be >= 0, got {self.value}")
-
     def factor(self, now: float) -> float:
-        return self.value
+        return 1.0
 
     @property
     def max_factor(self) -> float:
-        return self.value
+        return 1.0
 
 
 @dataclass(frozen=True, eq=False)

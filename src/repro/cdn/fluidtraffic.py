@@ -94,12 +94,10 @@ class FluidTraffic:
         sim: Simulator,
         network: Network,
         config: FluidConfig | None = None,
-        name: str = "fluid-traffic",
     ) -> None:
         self._sim = sim
         self._network = network
         self.config = config if config is not None else FluidConfig()
-        self.name = name
         self._populations: list[FluidPopulation] = []
         self._pop_host: list[Host] = []
         self._pop_remote: list[IPv4Address] = []
@@ -110,7 +108,7 @@ class FluidTraffic:
         self._link_index: dict[str, _LinkState] = {}
         self._sources: dict[IPv4Address, _HostFluidSource] = {}
         self._process = PeriodicProcess(
-            sim, self.config.cadence, self._step, name=name
+            sim, self.config.cadence, self._step, name="fluid-traffic"
         )
         self.steps = 0
         metrics = sim.obs.metrics

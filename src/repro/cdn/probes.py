@@ -125,14 +125,11 @@ class ProbeFleet:
         sim: Simulator,
         rtt_lookup: Callable[[str, str], float],
         interval: float = 10.0,
-        sizes: tuple[int, ...] = PAPER_PROBE_SIZES,
         close_before_round: bool = False,
         churn_probability: float = 0.0,
         rng=None,
         arm: str = "",
     ) -> None:
-        if not sizes:
-            raise ValueError("probe fleet needs at least one probe size")
         if not 0.0 <= churn_probability <= 1.0:
             raise ValueError(
                 f"churn_probability must be in [0, 1], got {churn_probability}"
@@ -141,7 +138,6 @@ class ProbeFleet:
             raise ValueError("churn_probability requires an rng")
         self._sim = sim
         self._rtt_lookup = rtt_lookup
-        self._sizes = sizes
         #: Fraction of idle probe connections independently closed before
         #: each round.  Models the paper's population mix: most probes
         #: reuse an existing idle connection, the rest open fresh ones —
@@ -174,10 +170,6 @@ class ProbeFleet:
         self._tsdb = sim.obs.tsdb
         #: Arm-qualified tsdb source for the probe_latency SLO signal.
         self._tsdb_source = f"{arm}:probes" if arm else "probes"
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self._sizes
 
     def add_source(self, pop: PoP, client: TransferClient) -> None:
         """Register a probing machine belonging to ``pop``."""
@@ -217,7 +209,7 @@ class ProbeFleet:
                 if target_pop.code == source.pop.code:
                     continue
                 path_rtt = self._rtt_lookup(source.pop.code, target_pop.code)
-                for size in self._sizes:
+                for size in PAPER_PROBE_SIZES:
                     self._issue(source, target_pop, address, path_rtt, size)
 
     def _issue(

@@ -778,12 +778,12 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         arm_episodes = tuple(
             episode
             for episode in episodes
-            if source_matches_arm(episode.source, expectation.arm)
+            if source_matches_arm(episode.source, "riptide")
         )
         ok, detail = check_expected_alert(expectation, arm_episodes)
         verdict = "ok" if ok else "FAILED"
         print(
-            f"alert check [{expectation.arm}]: {detail} -- {verdict}",
+            f"alert check [riptide]: {detail} -- {verdict}",
             file=sys.stderr,
         )
         if not ok:

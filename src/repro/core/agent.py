@@ -79,9 +79,7 @@ class RiptideAgent:
         self.host = host
         self.config = config if config is not None else RiptideConfig()
         self._policy: WindowPolicy = make_policy(self.config.policy, self.config)
-        self._grouper = DestinationGrouper(
-            self.config.granularity, self.config.prefix_length
-        )
+        self._grouper = DestinationGrouper(self.config.granularity)
         self._learned = LearnedTable(self.config.ttl)
         self._advisories = AdvisoryController()
         self._guard = SafetyGuard() if self.config.safety_guard else None

@@ -50,10 +50,8 @@ class RiptideConfig:
     policy: str = "ewma"
     #: How simultaneous observations to one destination are combined.
     combiner: str = "average"
-    #: Route granularity: per-host /32 routes or broader prefixes.
+    #: Route granularity: per-host /32 routes or per-PoP /16 prefixes.
     granularity: str = "host"
-    #: Prefix length used when granularity is "prefix".
-    prefix_length: int = 16
     #: Resilience: the safety guard withdraws the learned route of any
     #: destination whose observed loss or RTT spikes, restoring the
     #: kernel default IW10 until the path looks healthy again.
@@ -88,10 +86,6 @@ class RiptideConfig:
             raise ValueError(
                 f"unknown granularity {self.granularity!r}; expected one of "
                 f"{', '.join(VALID_GRANULARITY)}"
-            )
-        if not 0 <= self.prefix_length <= 32:
-            raise ValueError(
-                f"prefix_length out of range: {self.prefix_length}"
             )
 
     def clamp(self, window: float) -> int:

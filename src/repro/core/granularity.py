@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from repro.net.addresses import IPv4Address, Prefix
 
+#: The prefix granularity's route length: one route per remote PoP /16.
+PREFIX_LENGTH = 16
+
 
 class DestinationGrouper:
     """Maps remote addresses to route-table destination prefixes."""
 
-    def __init__(self, granularity: str = "host", prefix_length: int = 16) -> None:
+    def __init__(self, granularity: str = "host") -> None:
         if granularity not in ("host", "prefix"):
             raise ValueError(
                 f"granularity must be 'host' or 'prefix', got {granularity!r}"
             )
-        if not 0 <= prefix_length <= 32:
-            raise ValueError(f"prefix_length out of range: {prefix_length}")
         self.granularity = granularity
-        self.prefix_length = prefix_length
         #: Address integer -> its key.  Every poll asks again for every
         #: open connection; the table grows to one entry per distinct
         #: remote this agent has seen.
@@ -36,11 +36,11 @@ class DestinationGrouper:
             if self.granularity == "host":
                 key = Prefix.host(remote)
             else:
-                key = Prefix.containing(remote, self.prefix_length)
+                key = Prefix.containing(remote, PREFIX_LENGTH)
             self._keys[value] = key
         return key
 
     def __repr__(self) -> str:
         if self.granularity == "host":
             return "<DestinationGrouper /32 host routes>"
-        return f"<DestinationGrouper /{self.prefix_length} prefix routes>"
+        return f"<DestinationGrouper /{PREFIX_LENGTH} prefix routes>"

@@ -47,7 +47,7 @@ class ChaosStudyConfig(StudyConfig):
     #: policy under test — on top of the evaluation's prefix granularity.
     riptide: RiptideConfig = field(
         default_factory=lambda: RiptideConfig(
-            granularity="prefix", prefix_length=16, safety_guard=True
+            granularity="prefix", safety_guard=True
         )
     )
 
@@ -129,11 +129,10 @@ class ChaosStudyResult:
         return gain >= -VERDICT_TOLERANCE
 
     def alert_assertion_results(self) -> list[tuple[ExpectedAlert, bool, str]]:
-        """Each scenario expectation judged against the matching arm."""
+        """Each scenario expectation judged against the Riptide arm."""
         results = []
         for expectation in self.scenario.expected_alerts:
-            arm = self.riptide if expectation.arm == "riptide" else self.control
-            ok, detail = check_expected_alert(expectation, arm.alerts)
+            ok, detail = check_expected_alert(expectation, self.riptide.alerts)
             results.append((expectation, ok, detail))
         return results
 
@@ -195,7 +194,7 @@ class ChaosStudyResult:
         for expectation, ok, detail in self.alert_assertion_results():
             status = "ok" if ok else "FAILED"
             alert_lines.append(
-                f"  expected [{expectation.arm}] {detail} -- {status}"
+                f"  expected [riptide] {detail} -- {status}"
             )
         alerts_text = "\n".join(alert_lines)
         verdict = (

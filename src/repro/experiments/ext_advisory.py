@@ -25,6 +25,8 @@ from repro.core.config import RiptideConfig
 from repro.experiments.scenarios import add_organic_mesh, sub_topology
 
 SHIFT_FETCH_BYTES = 150_000
+#: Fetches the load shift opens at the same instant.
+SHIFT_FETCHES = 40
 
 
 class AdvisoryArm:
@@ -72,16 +74,11 @@ class AdvisoryResult:
         )
 
 
-def _run_arm(
-    riptide_on: bool,
-    advisory_scale: float | None,
-    parallel_fetches: int,
-    seed: int,
-) -> AdvisoryArm:
+def _run_arm(riptide_on: bool, advisory_scale: float | None) -> AdvisoryArm:
     topology = sub_topology(("LHR", "JFK"))
     cluster_config = replace(
-        ClusterConfig(seed=seed, queue_limit_packets=64, bandwidth_bps=200e6),
-        riptide=RiptideConfig(granularity="prefix", prefix_length=16),
+        ClusterConfig(queue_limit_packets=64, bandwidth_bps=200e6),
+        riptide=RiptideConfig(granularity="prefix"),
     )
     cluster = CdnCluster(topology, cluster_config)
     add_organic_mesh(cluster, OrganicWorkloadConfig(rate_per_second=4.0))
@@ -104,7 +101,7 @@ def _run_arm(
     client = cluster.client("LHR", 1)
     results = [
         client.fetch(cluster.server_address("JFK"), SHIFT_FETCH_BYTES)
-        for _ in range(parallel_fetches)
+        for _ in range(SHIFT_FETCHES)
     ]
     cluster.run(30.0)
     drops = trunk.reverse.stats.packets_dropped_queue - drops_before
@@ -125,12 +122,12 @@ def _run_arm(
     )
 
 
-def run(parallel_fetches: int = 40, seed: int = 42) -> AdvisoryResult:
+def run() -> AdvisoryResult:
     arms = {}
     for key, (riptide_on, scale) in {
         "control": (False, None),
         "riptide": (True, None),
         "advisory": (True, 0.4),
     }.items():
-        arms[key] = _run_arm(riptide_on, scale, parallel_fetches, seed)
+        arms[key] = _run_arm(riptide_on, scale)
     return AdvisoryResult(arms=arms)

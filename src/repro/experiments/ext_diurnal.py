@@ -10,8 +10,6 @@ later in the peak ride freshly relearned windows.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.analysis.tables import format_table
 from repro.cdn.cluster import CdnCluster, ClusterConfig
 from repro.cdn.diurnal import OnOffProfile
@@ -22,23 +20,22 @@ from repro.experiments.scenarios import sub_topology
 
 FETCH_BYTES = 100_000
 
+#: Riptide's TTL, and the on/off load: each valley outlasts the TTL, so
+#: it expires every learned entry.
+TTL = 8.0
+VALLEY = 15.0
+PEAK = 25.0
+CYCLES = 4
+
 
 class DiurnalResult:
     """Cold-fetch times right after each valley vs later in each peak."""
 
-    __slots__ = ("post_valley_times", "mid_peak_times", "ttl", "valley")
+    __slots__ = ("post_valley_times", "mid_peak_times")
 
-    def __init__(
-        self,
-        post_valley_times: list[float],
-        mid_peak_times: list[float],
-        ttl: float,
-        valley: float,
-    ) -> None:
+    def __init__(self, post_valley_times: list[float], mid_peak_times: list[float]) -> None:
         self.post_valley_times = post_valley_times
         self.mid_peak_times = mid_peak_times
-        self.ttl = ttl
-        self.valley = valley
 
     @property
     def post_valley_median(self) -> float:
@@ -69,7 +66,7 @@ class DiurnalResult:
             rows,
             title=(
                 f"Extension: {FETCH_BYTES // 1000} KB cold fetches under "
-                f"on/off load (valley {self.valley:.0f}s > ttl {self.ttl:.0f}s)"
+                f"on/off load (valley {VALLEY:.0f}s > ttl {TTL:.0f}s)"
             ),
         )
         return table + (
@@ -78,25 +75,15 @@ class DiurnalResult:
         )
 
 
-def run(
-    ttl: float = 8.0,
-    valley: float = 15.0,
-    peak: float = 25.0,
-    cycles: int = 4,
-    seed: int = 42,
-) -> DiurnalResult:
-    if valley <= ttl:
-        raise ValueError("the valley must outlast the ttl to expire entries")
+def run() -> DiurnalResult:
     topology = sub_topology(("LHR", "JFK"))
     riptide_config = RiptideConfig(
-        granularity="prefix", prefix_length=16, ttl=ttl, update_interval=0.5
+        granularity="prefix", ttl=TTL, update_interval=0.5
     )
-    cluster = CdnCluster(
-        topology, replace(ClusterConfig(seed=seed), riptide=riptide_config)
-    )
+    cluster = CdnCluster(topology, ClusterConfig(riptide=riptide_config))
     # On/off organic traffic between the PoPs drives learning during
     # peaks; valleys drain connections so the TTL can lapse.
-    profile = OnOffProfile(on_duration=peak, off_duration=valley)
+    profile = OnOffProfile(on_duration=PEAK, off_duration=VALLEY)
     for source, destination in (("LHR", "JFK"), ("JFK", "LHR")):
         deployment_client = cluster.client(source, 0)
         workload = OrganicWorkload(
@@ -115,7 +102,7 @@ def run(
     target = cluster.server_address("JFK")
     post_valley_times: list[float] = []
     mid_peak_times: list[float] = []
-    cycle = peak + valley
+    cycle = PEAK + VALLEY
 
     def fetch_into(bucket: list[float]) -> None:
         result = probe_client.fetch(target, FETCH_BYTES)
@@ -125,7 +112,7 @@ def run(
         if result.completed:
             bucket.append(result.total_time)
 
-    for index in range(cycles):
+    for index in range(CYCLES):
         cycle_start = index * cycle
         # Just after the valley ends (start of the next peak): run up to
         # the boundary, then fetch immediately.
@@ -133,13 +120,8 @@ def run(
         if index > 0:
             fetch_into(post_valley_times)
         # Mid-peak: entries are warm from the organic traffic.
-        cluster.run(max(0.0, cycle_start + peak * 0.8 - cluster.sim.now))
+        cluster.run(max(0.0, cycle_start + PEAK * 0.8 - cluster.sim.now))
         fetch_into(mid_peak_times)
         cluster.run(max(0.0, cycle_start + cycle - cluster.sim.now))
 
-    return DiurnalResult(
-        post_valley_times=post_valley_times,
-        mid_peak_times=mid_peak_times,
-        ttl=ttl,
-        valley=valley,
-    )
+    return DiurnalResult(post_valley_times=post_valley_times, mid_peak_times=mid_peak_times)

@@ -52,10 +52,10 @@ class Fig02Result:
         )
 
 
-def run(samples: int = 200_000, seed: int = 42) -> Fig02Result:
+def run(samples: int = 200_000) -> Fig02Result:
     """Sample the calibrated distribution and measure the anchors."""
     distribution = FileSizeDistribution.production_cdn()
-    rng = RandomStreams(seed).stream("fig02")
+    rng = RandomStreams(42).stream("fig02")
     sizes = distribution.sample_many(rng, samples)
     cdf = EmpiricalCdf(sizes)
     return Fig02Result(

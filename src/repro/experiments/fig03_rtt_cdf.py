@@ -67,16 +67,12 @@ class Fig03Result:
         return table + anchors
 
 
-def run(
-    samples: int = 100_000,
-    seed: int = 42,
-    initcwnds: tuple[int, ...] = PAPER_INITCWNDS,
-) -> Fig03Result:
+def run(samples: int = 100_000) -> Fig03Result:
     distribution = FileSizeDistribution.production_cdn()
-    rng = RandomStreams(seed).stream("fig03")
+    rng = RandomStreams(42).stream("fig03")
     sizes = distribution.sample_many(rng, samples)
     fractions: dict[int, dict[int, float]] = {}
-    for iw in initcwnds:
+    for iw in PAPER_INITCWNDS:
         counts = Counter(rtts_to_complete(size, iw) for size in sizes)
         fractions[iw] = {
             rtts: count / samples for rtts, count in sorted(counts.items())

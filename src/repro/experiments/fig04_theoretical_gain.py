@@ -12,6 +12,9 @@ from repro.analysis.tables import format_table
 from repro.model.gain import gain_fraction
 
 PAPER_INITCWNDS = (25, 50, 100)
+#: The swept file sizes, log-spaced.
+MIN_BYTES = 1_000
+MAX_BYTES = 50_000_000
 
 
 class Fig04Result:
@@ -51,19 +54,14 @@ class Fig04Result:
         )
 
 
-def run(
-    min_bytes: int = 1_000,
-    max_bytes: int = 50_000_000,
-    points: int = 400,
-    initcwnds: tuple[int, ...] = PAPER_INITCWNDS,
-) -> Fig04Result:
+def run(points: int = 400) -> Fig04Result:
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
-    ratio = math.log(max_bytes / min_bytes)
+    ratio = math.log(MAX_BYTES / MIN_BYTES)
     sizes = [
-        int(min_bytes * math.exp(ratio * i / (points - 1))) for i in range(points)
+        int(MIN_BYTES * math.exp(ratio * i / (points - 1))) for i in range(points)
     ]
     gains = {
-        iw: [gain_fraction(size, iw) for size in sizes] for iw in initcwnds
+        iw: [gain_fraction(size, iw) for size in sizes] for iw in PAPER_INITCWNDS
     }
     return Fig04Result(sizes_bytes=sizes, gains=gains)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_table
-from repro.cdn.topology import Topology, build_paper_topology
+from repro.cdn.topology import build_paper_topology
 
 
 class Fig05Result:
@@ -34,9 +34,8 @@ class Fig05Result:
         )
 
 
-def run(topology: Topology | None = None) -> Fig05Result:
-    topology = topology if topology is not None else build_paper_topology()
-    rtts = topology.all_pair_rtts()
+def run() -> Fig05Result:
+    rtts = build_paper_topology().all_pair_rtts()
     cdf = EmpiricalCdf(rtts)
     return Fig05Result(
         cdf=cdf,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
-from repro.cdn.topology import Topology, build_paper_topology
+from repro.cdn.topology import build_paper_topology
 from repro.model.slowstart import transfer_time
 
 PAPER_INITCWNDS = (10, 25, 50, 100)
@@ -50,15 +50,10 @@ class Fig06Result:
         return table + anchors
 
 
-def run(
-    topology: Topology | None = None,
-    file_bytes: int = FILE_BYTES,
-    initcwnds: tuple[int, ...] = PAPER_INITCWNDS,
-) -> Fig06Result:
-    topology = topology if topology is not None else build_paper_topology()
-    rtts = topology.all_pair_rtts()
+def run() -> Fig06Result:
+    rtts = build_paper_topology().all_pair_rtts()
     cdfs = {
-        iw: EmpiricalCdf([transfer_time(file_bytes, iw, rtt) for rtt in rtts])
-        for iw in initcwnds
+        iw: EmpiricalCdf([transfer_time(FILE_BYTES, iw, rtt) for rtt in rtts])
+        for iw in PAPER_INITCWNDS
     }
-    return Fig06Result(file_bytes=file_bytes, cdfs=cdfs)
+    return Fig06Result(file_bytes=FILE_BYTES, cdfs=cdfs)

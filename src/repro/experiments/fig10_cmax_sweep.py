@@ -11,7 +11,6 @@ the knee at 100 motivates the deployed c_max = 100.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
@@ -69,23 +68,15 @@ class Fig10Result:
 
 
 def run_single(
-    c_max: int | None,
-    topology: Topology,
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    organic_rate: float = 3.0,
-    seed: int = 42,
+    c_max: int | None, topology: Topology, duration: float, warmup: float
 ) -> EmpiricalCdf:
     """One arm of the sweep; ``c_max=None`` runs the control group."""
     riptide_config = RiptideConfig(
         granularity="prefix",
-        prefix_length=16,
         c_max=c_max if c_max is not None else 100,
     )
-    cluster = CdnCluster(
-        topology, replace(ClusterConfig(seed=seed), riptide=riptide_config)
-    )
-    add_organic_mesh(cluster, OrganicWorkloadConfig(rate_per_second=organic_rate))
+    cluster = CdnCluster(topology, ClusterConfig(riptide=riptide_config))
+    add_organic_mesh(cluster, OrganicWorkloadConfig(rate_per_second=3.0))
     if c_max is not None:
         started = cluster.start_riptide()
     else:
@@ -104,8 +95,6 @@ def run(
     topology_codes: tuple[str, ...] = EVALUATION_POP_CODES,
     duration: float = 60.0,
     warmup: float = 10.0,
-    organic_rate: float = 3.0,
-    seed: int = 42,
     workers: int = 1,
 ) -> Fig10Result:
     """Run the control group plus one deployment per ``c_max`` value.
@@ -119,10 +108,7 @@ def run(
     arms: list[int | None] = [None, *c_max_values]
 
     def make_task(c_max: int | None):
-        return lambda: run_single(
-            c_max, topology, duration=duration, warmup=warmup,
-            organic_rate=organic_rate, seed=seed,
-        )
+        return lambda: run_single(c_max, topology, duration, warmup)
 
     results = run_tasks(
         [make_task(c_max) for c_max in arms],

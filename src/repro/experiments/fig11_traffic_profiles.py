@@ -9,8 +9,6 @@ value can only grow as far as the traffic that teaches it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.tables import format_cdf_rows
 from repro.cdn.cluster import CdnCluster, ClusterConfig
@@ -23,6 +21,17 @@ PROBE_ONLY_POP = "ARN"
 ORGANIC_POP = "LHR"
 
 DEFAULT_CODES = ("LHR", "ARN", "JFK", "IAD", "NRT", "SYD")
+
+WARMUP = 10.0
+ORGANIC_RATE = 6.0
+C_MAX = 100
+UPDATE_INTERVAL = 0.5
+#: A learned route outlives neither a probe round's gap nor a probe
+#: connection's idle close: ``TTL < PROBE_INTERVAL`` is the paper's
+#: expiry-between-probe-rounds regime.
+TTL = 6.0
+PROBE_INTERVAL = 12.0
+IDLE_CLOSE_DELAY = 4.0
 
 
 class Fig11Result:
@@ -59,62 +68,43 @@ class Fig11Result:
         return table + anchors
 
 
-def run(
-    topology_codes: tuple[str, ...] = DEFAULT_CODES,
-    duration: float = 90.0,
-    warmup: float = 10.0,
-    probe_interval: float = 12.0,
-    organic_rate: float = 6.0,
-    c_max: int = 100,
-    ttl: float = 6.0,
-    update_interval: float = 0.5,
-    idle_close_delay: float = 4.0,
-    seed: int = 42,
-) -> Fig11Result:
+def run(duration: float = 90.0) -> Fig11Result:
     """Run the two-profile comparison.
 
     The paper's probes are hourly while Riptide's TTL is 90 s, so on a
     probe-only PoP every learned route *expires between rounds* and each
     probe starts from the kernel default — capping its windows at what a
     single transfer can grow.  We preserve that regime under time
-    compression by keeping ``ttl`` below ``probe_interval`` (while the
+    compression by keeping ``TTL`` below ``PROBE_INTERVAL`` (while the
     organic PoP's continuous traffic keeps its entries alive).
     """
-    if ttl >= probe_interval:
-        raise ValueError(
-            "fig11 requires ttl < probe_interval to reproduce the paper's "
-            "expiry-between-probe-rounds regime"
-        )
-    topology = sub_topology(topology_codes)
+    topology = sub_topology(DEFAULT_CODES)
     riptide_config = RiptideConfig(
         granularity="prefix",
-        prefix_length=16,
-        c_max=c_max,
-        ttl=ttl,
-        update_interval=update_interval,
+        c_max=C_MAX,
+        ttl=TTL,
+        update_interval=UPDATE_INTERVAL,
     )
-    cluster = CdnCluster(
-        topology, replace(ClusterConfig(seed=seed), riptide=riptide_config)
-    )
+    cluster = CdnCluster(topology, ClusterConfig(riptide=riptide_config))
     codes = cluster.pop_codes
     # Organic traffic everywhere except the probe-only PoP (and nobody
     # fetches *from* it either, so its links see only probe traffic).
     add_organic_mesh(
         cluster,
-        OrganicWorkloadConfig(rate_per_second=organic_rate),
+        OrganicWorkloadConfig(rate_per_second=ORGANIC_RATE),
         codes=[c for c in codes if c != PROBE_ONLY_POP],
     )
     started = cluster.start_riptide()
-    cluster.run(warmup)
+    cluster.run(WARMUP)
     # Every PoP probes every other (Section IV-A), so the probe-only PoP
     # both sends probes and *serves* probe responses — the only traffic
     # that can teach its peers' (and its own) Riptide agents about it.
     fleet = cluster.make_probe_fleet(
-        codes, interval=probe_interval, host_indices=[1], close_before_round=True
+        codes, interval=PROBE_INTERVAL, host_indices=[1], close_before_round=True
     )
     # Probe connections idle-close soon after each round, so on the
     # probe-only PoP the learned routes expire before the next round.
-    fleet.idle_close_delay = idle_close_delay
+    fleet.idle_close_delay = IDLE_CLOSE_DELAY
     fleet.start(initial_delay=0.0)
     probe_sampler = cluster.make_cwnd_sampler(
         interval=1.0,
@@ -132,5 +122,5 @@ def run(
     return Fig11Result(
         probe_only=EmpiricalCdf(probe_sampler.cwnd_values()),
         organic=EmpiricalCdf(organic_sampler.cwnd_values()),
-        c_max=c_max,
+        c_max=C_MAX,
     )

@@ -127,14 +127,10 @@ class Fig1214Result:
         return table + anchors
 
 
-def build_result(
-    control: ProbeStudyArm,
-    riptide: ProbeStudyArm,
-    sizes: tuple[int, ...] = PAPER_PROBE_SIZES,
-) -> Fig1214Result:
+def build_result(control: ProbeStudyArm, riptide: ProbeStudyArm) -> Fig1214Result:
     """Assemble the per-(size, bucket) comparisons from a paired study."""
     cells = {}
-    for size in sizes:
+    for size in PAPER_PROBE_SIZES:
         for bucket in BUCKET_LABELS:
             control_times = control.fleet.completion_times(
                 size_bytes=size, bucket=bucket

@@ -68,13 +68,9 @@ class Fig1516Result:
         return table + anchors
 
 
-def build_result(
-    control: ProbeStudyArm,
-    riptide: ProbeStudyArm,
-    sizes: tuple[int, ...] = PROFILE_SIZES,
-) -> Fig1516Result:
+def build_result(control: ProbeStudyArm, riptide: ProbeStudyArm) -> Fig1516Result:
     profiles = {}
-    for size in sizes:
+    for size in PROFILE_SIZES:
         for pop in PROFILE_SOURCES:
             baseline = control.fleet.completion_times(
                 size_bytes=size, source_pop=pop

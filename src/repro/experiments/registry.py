@@ -173,12 +173,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "hybrid",
             "Mean-field hybrid: 34 PoPs, 10^6 open background flows per window",
-            hybrid.run,
+            hybrid.run_scale,
             simulation_backed=True,
             # Keep the full 34-PoP topology but shrink the population and
             # clock: the study golden digests this shape to pin the whole
             # fluid path.
-            fast={"flows_per_pair": 100.0, "warmup": 3.0, "duration": 10.0},
+            fast={
+                "config": hybrid.HybridScaleConfig(
+                    flows_per_pair=100.0, warmup=3.0, duration=10.0
+                )
+            },
         ),
         Experiment(
             "ext_diurnal",

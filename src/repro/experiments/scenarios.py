@@ -34,6 +34,13 @@ from repro.tcp.constants import TcpConfig
 #: The two vantage PoPs of Section IV-B: one European, one North American.
 EU_SOURCE = "LHR"
 NA_SOURCE = "JFK"
+#: The probe study's probing PoPs.
+PROBE_SOURCE_POPS = (EU_SOURCE, NA_SOURCE)
+
+#: Organic traffic rate per source host (fetches/second) in every study.
+ORGANIC_RATE = 3.0
+#: Probability a study's organic connection closes after a fetch (churn).
+CLOSE_PROBABILITY = 0.35
 
 #: A sub-topology that spans every Figure 12-14 RTT bucket from both
 #: vantage points: metro-close (AMS/IAD), mid (ARN/ORD/DFW), far
@@ -96,16 +103,12 @@ class StudyConfig:
     duration: float = 60.0
     #: Seconds between probe rounds (the paper's "hourly", compressed).
     probe_interval: float = 6.0
-    #: Organic traffic rate per source host (fetches/second).
-    organic_rate: float = 3.0
-    #: Probability a connection closes after a fetch (churn).
-    close_probability: float = 0.35
     #: The evaluation uses prefix granularity — one learned route per
     #: remote PoP /16 — so organic traffic between any pair of machines
     #: teaches the initcwnd used for probe responses to that PoP
     #: (Section III-B, "Destinations as Routes").
     riptide: RiptideConfig = field(
-        default_factory=lambda: RiptideConfig(granularity="prefix", prefix_length=16)
+        default_factory=lambda: RiptideConfig(granularity="prefix")
     )
     #: The evaluation hosts disable slow-start-after-idle (a common CDN
     #: tuning), so a *reused* connection keeps its grown window: reused
@@ -128,7 +131,6 @@ class ProbeStudyConfig(StudyConfig):
     """Knobs for a paired (control vs Riptide) probe study."""
 
     topology_codes: tuple[str, ...] = EVALUATION_POP_CODES
-    source_pops: tuple[str, ...] = (EU_SOURCE, NA_SOURCE)
 
 
 class Background(Protocol):
@@ -154,8 +156,8 @@ class PacketMesh(Frozen):
         add_organic_mesh(
             cluster,
             OrganicWorkloadConfig(
-                rate_per_second=arm.organic_rate,
-                close_probability=arm.close_probability,
+                rate_per_second=ORGANIC_RATE,
+                close_probability=CLOSE_PROBABILITY,
                 max_object_bytes=arm.max_object_bytes,
             ),
         )
@@ -407,7 +409,7 @@ def control_and_riptide(
 def probe_study_arms(config: ProbeStudyConfig) -> tuple[StudyArm, StudyArm]:
     """The ``(control, riptide)`` arms of the Figure 12-16 probe study."""
     return control_and_riptide(
-        config, pop_codes=config.topology_codes, source_pops=config.source_pops
+        config, pop_codes=config.topology_codes, source_pops=PROBE_SOURCE_POPS
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro.analysis.tables import format_table
-from repro.cdn.topology import Topology, build_paper_topology
+from repro.cdn.topology import build_paper_topology
 
 PAPER_TABLE2 = {
     "Europe": 10,
@@ -42,6 +42,5 @@ class Table2Result:
         )
 
 
-def run(topology: Topology | None = None) -> Table2Result:
-    topology = topology if topology is not None else build_paper_topology()
-    return Table2Result(counts=topology.continent_counts())
+def run() -> Table2Result:
+    return Table2Result(counts=build_paper_topology().continent_counts())

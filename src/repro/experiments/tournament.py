@@ -115,6 +115,10 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(TOURNAMENT_SCENARIOS)
 
 
+#: Every cell's seed: the cells of a column differ only by policy.
+SEED = 42
+
+
 @dataclass(frozen=True, eq=False)
 class TournamentConfig:
     """Knobs for one tournament run."""
@@ -123,14 +127,11 @@ class TournamentConfig:
     policies: tuple[str, ...] = ()
     #: Scenario columns; empty means the full matrix.
     scenarios: tuple[str, ...] = ()
-    seed: int = 42
     #: Simulated seconds of organic traffic before probing and faults.
     warmup: float = 6.0
     #: Simulated seconds of probing; fault schedules are scaled to it.
     duration: float = 24.0
     probe_interval: float = 3.0
-    organic_rate: float = 3.0
-    close_probability: float = 0.35
 
     def resolved_policies(self) -> tuple[str, ...]:
         selected = self.policies if self.policies else policy_names()
@@ -172,16 +173,13 @@ def run_tournament_cell(
     """
     scenario = TOURNAMENT_SCENARIOS[scenario_name]
     arm = StudyArm(
-        seed=config.seed,
+        seed=SEED,
         warmup=config.warmup,
         duration=config.duration,
         probe_interval=config.probe_interval,
-        organic_rate=config.organic_rate,
-        close_probability=config.close_probability,
         riptide=RiptideConfig(
             policy=policy,
             granularity="prefix",
-            prefix_length=16,
             safety_guard=True,
         ),
         pop_codes=scenario.pop_codes,
@@ -318,7 +316,7 @@ class TournamentResult:
             "tournament": {
                 "policies": list(self.policies),
                 "scenarios": list(self.scenarios),
-                "seed": self.config.seed,
+                "seed": SEED,
                 "warmup": self.config.warmup,
                 "duration": self.config.duration,
                 "probe_interval": self.config.probe_interval,
@@ -339,7 +337,7 @@ class TournamentResult:
         lines = ["# Initial-window policy tournament", ""]
         lines.append(
             f"{len(self.policies)} policies x {len(self.scenarios)} scenarios, "
-            f"seed {self.config.seed}, {self.config.duration:g}s probing per "
+            f"seed {SEED}, {self.config.duration:g}s probing per "
             f"cell after {self.config.warmup:g}s warmup."
         )
         lines.append("")

@@ -31,23 +31,21 @@ from repro.records import Frozen
 class ExpectedAlert(Frozen):
     """One SLO alert a chaos scenario is contractually expected to raise.
 
-    The expectation is against the burn-rate engine's alert log for one
-    arm: at least one episode of the named SLO must reach firing;
+    The expectation is against the burn-rate engine's alert log for the
+    ``riptide`` arm: at least one episode of the named SLO must reach firing;
     ``must_resolve`` additionally requires at least one fired episode to
     resolve before the run ends (the recovery half of the story — e.g.
     the guard hold quenching a retransmit storm).
     """
 
-    __slots__ = ("slo", "must_resolve", "arm")
+    __slots__ = ("slo", "must_resolve")
 
     slo: str
     must_resolve: bool
-    arm: str
 
-    def __init__(self, slo: str, must_resolve: bool = False, arm: str = "riptide") -> None:
+    def __init__(self, slo: str, must_resolve: bool = False) -> None:
         object.__setattr__(self, "slo", slo)
         object.__setattr__(self, "must_resolve", must_resolve)
-        object.__setattr__(self, "arm", arm)
 
 
 class ChaosScenario(Frozen):

@@ -39,10 +39,6 @@ class IpRouteTool:
     # fault injection
     # ------------------------------------------------------------------
 
-    @property
-    def failing(self) -> bool:
-        return self._failing
-
     def set_fault(self) -> None:
         """Arm the failure mode: mutating verbs raise until cleared."""
         self._failing = True

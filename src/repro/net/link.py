@@ -49,14 +49,6 @@ class LinkStats:
         self.bytes_delivered = 0
         self.max_queue_depth = 0
 
-    @property
-    def packets_dropped(self) -> int:
-        return (
-            self.packets_dropped_queue
-            + self.packets_dropped_loss
-            + self.packets_dropped_down
-        )
-
 
 class Link:
     """One unidirectional link."""

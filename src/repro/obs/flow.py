@@ -124,9 +124,6 @@ class FlowLog(BoundedLog[FlowRecord]):
     begun.
     """
 
-    def __init__(self, capacity: int = 100_000) -> None:
-        super().__init__(capacity)
-
     def begin(
         self,
         host: str,
@@ -172,7 +169,6 @@ class FlowLog(BoundedLog[FlowRecord]):
 
     def records(
         self,
-        host: str | None = None,
         is_client: bool | None = None,
         since: float | None = None,
         until: float | None = None,
@@ -185,8 +181,6 @@ class FlowLog(BoundedLog[FlowRecord]):
         """
         selected = []
         for record in self._items:
-            if host is not None and record.host != host:
-                continue
             if is_client is not None and record.is_client != is_client:
                 continue
             if until is not None and record.opened_at > until:

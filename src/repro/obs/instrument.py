@@ -41,26 +41,27 @@ from repro.obs.trace import TraceLog
 from repro.obs.tsdb import WindowedStore
 
 
+#: Records each store keeps per run: the trace ring keeps the newest, the
+#: other stores the oldest.  Only the trace ring's is set per capture.
+TRACE_CAPACITY = 10_000
+FLOW_CAPACITY = 100_000
+SPAN_CAPACITY = 200_000
+TIMELINE_CAPACITY = 200_000
+TSDB_CAPACITY = 500_000
+ALERT_CAPACITY = 50_000
+
+
 class Instrumentation:
     """The metrics, traces, flows, spans, timeline, tsdb and alerts of one run."""
 
-    def __init__(
-        self,
-        trace_capacity: int = 10_000,
-        enabled: bool = True,
-        flow_capacity: int = 100_000,
-        span_capacity: int = 200_000,
-        timeline_capacity: int = 200_000,
-        tsdb_capacity: int = 500_000,
-        alert_capacity: int = 50_000,
-    ) -> None:
+    def __init__(self, trace_capacity: int = TRACE_CAPACITY, enabled: bool = True) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = TraceLog(capacity=trace_capacity)
-        self.flows = FlowLog(capacity=flow_capacity)
-        self.spans = SpanLog(capacity=span_capacity)
-        self.timeline = Timeline(capacity=timeline_capacity)
-        self.tsdb = WindowedStore(capacity=tsdb_capacity)
-        self.alerts = AlertLog(capacity=alert_capacity)
+        self.trace = TraceLog(trace_capacity)
+        self.flows = FlowLog(FLOW_CAPACITY)
+        self.spans = SpanLog(SPAN_CAPACITY)
+        self.timeline = Timeline(TIMELINE_CAPACITY)
+        self.tsdb = WindowedStore(TSDB_CAPACITY)
+        self.alerts = AlertLog(ALERT_CAPACITY)
         #: When False, components skip instrumentation on their hot paths.
         #: The registry still works (handles can be created and read) so
         #: nothing needs to special-case a disabled run.
@@ -116,9 +117,9 @@ def instrumentation_for_new_simulator() -> Instrumentation:
 
 
 @contextmanager
-def capture(trace_capacity: int = 10_000, **capacities: int) -> Iterator[Instrumentation]:
+def capture(trace_capacity: int = TRACE_CAPACITY) -> Iterator[Instrumentation]:
     """Aggregate all simulators created in the block into one instrumentation."""
-    instrumentation = Instrumentation(trace_capacity=trace_capacity, **capacities)
+    instrumentation = Instrumentation(trace_capacity=trace_capacity)
     _active.append(instrumentation)
     try:
         yield instrumentation

@@ -63,9 +63,6 @@ class Span:
 class SpanLog(BoundedLog[Span]):
     """All spans of one run, bounded drop-newest with dense ids."""
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        super().__init__(capacity)
-
     def begin(
         self,
         time: float,
@@ -117,20 +114,9 @@ class SpanLog(BoundedLog[Span]):
         """Total spans ever begun."""
         return self._recorded
 
-    def spans(
-        self,
-        category: str | None = None,
-        source: str | None = None,
-    ) -> list[Span]:
-        """Retained spans, optionally filtered."""
-        selected = []
-        for span in self._items:
-            if category is not None and span.category != category:
-                continue
-            if source is not None and span.source != source:
-                continue
-            selected.append(span)
-        return selected
+    def spans(self, category: str | None = None) -> list[Span]:
+        """Retained spans, optionally of one category."""
+        return [span for span in self._items if category is None or span.category == category]
 
     def iter_chrome_trace(self) -> Iterator[dict[str, object]]:
         """Spans as Chrome trace-event objects (``ts``/``dur`` in µs).

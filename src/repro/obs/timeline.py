@@ -46,30 +46,9 @@ class PointLog(BoundedLog[P]):
 
     __slots__ = ()
 
-    def points(
-        self,
-        series: str | None = None,
-        source: str | None = None,
-        since: float | None = None,
-        until: float | None = None,
-    ) -> list[P]:
-        """Retained points in recorded order, optionally filtered.
-
-        ``since``/``until`` bound the sampled time, both inclusive, so a
-        point exactly on either edge is kept.
-        """
-        selected = []
-        for point in self._items:
-            if series is not None and point.series != series:
-                continue
-            if source is not None and point.source != source:
-                continue
-            if since is not None and point.time < since:
-                continue
-            if until is not None and point.time > until:
-                continue
-            selected.append(point)
-        return selected
+    def points(self) -> list[P]:
+        """Retained points in recorded order."""
+        return list(self._items)
 
     def series_names(self) -> list[str]:
         """Distinct ``source:series`` names with at least one point, sorted."""
@@ -78,9 +57,6 @@ class PointLog(BoundedLog[P]):
 
 class Timeline(PointLog[TimelinePoint]):
     """All timeline points of one run, bounded drop-newest."""
-
-    def __init__(self, capacity: int = 200_000) -> None:
-        super().__init__(capacity)
 
     def record(self, time: float, source: str, series: str, value: float) -> None:
         """Append one sample (counted but not stored past capacity)."""

@@ -84,7 +84,7 @@ class TraceLog:
 
     __slots__ = ("capacity", "_events", "_totals")
 
-    def __init__(self, capacity: int = 10_000) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -110,23 +110,9 @@ class TraceLog:
         self._events.extend(other._events)
         self._totals.update(other._totals)
 
-    def events(
-        self,
-        type: EventType | None = None,
-        source: str | None = None,
-        since: float | None = None,
-    ) -> list[TraceEvent]:
-        """Retained events, optionally filtered by type/source/time."""
-        selected = []
-        for event in self._events:
-            if type is not None and event.type is not type:
-                continue
-            if source is not None and event.source != source:
-                continue
-            if since is not None and event.time < since:
-                continue
-            selected.append(event)
-        return selected
+    def events(self) -> list[TraceEvent]:
+        """Retained events in recorded order."""
+        return list(self._events)
 
     def count(self, type: EventType) -> int:
         """Total events of one type ever recorded (not ring-limited)."""

@@ -49,7 +49,7 @@ class WindowedStore(PointLog[TsdbPoint]):
 
     __slots__ = ("_by_key",)
 
-    def __init__(self, capacity: int = 500_000) -> None:
+    def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
         self._by_key: dict[tuple[str, str], list[TsdbPoint]] = {}
 
@@ -126,20 +126,6 @@ class WindowedStore(PointLog[TsdbPoint]):
         values.sort()
         rank = max(0, math.ceil(p / 100.0 * len(values)) - 1)
         return values[min(rank, len(values) - 1)]
-
-    def delta(self, source: str, series: str, index: int, window: float) -> float | None:
-        """Change of a cumulative series across one window.
-
-        ``last(index) - last(index - 1)``; None when either window holds
-        no sample (no opinion rather than a fabricated zero).
-        """
-        current = self.last(source, series, index, window)
-        if current is None:
-            return None
-        previous = self.last(source, series, index - 1, window)
-        if previous is None:
-            return None
-        return current - previous
 
     def rate(self, source: str, series: str, index: int, window: float) -> float | None:
         """Per-second event rate of a window: sum of samples / width."""

@@ -25,17 +25,11 @@ class Event:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-    ) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable[..., None]) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
-        self.args = args
+        self.args: tuple[Any, ...] = ()
         self.cancelled = False
         self.fired = False
 

@@ -139,10 +139,6 @@ class CwndDistribution:
     def bin_to_window(self, bin_index: int) -> int:
         return bin_index * self.bin_width + 1
 
-    @property
-    def max_window(self) -> int:
-        return self.bin_to_window(self.nbins - 1)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -39,10 +39,6 @@ class PeriodicProcess:
         self._jitter: Callable[[], float] | None = None
 
     @property
-    def interval(self) -> float:
-        return self._interval
-
-    @property
     def running(self) -> bool:
         return self._pending is not None
 

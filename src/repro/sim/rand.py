@@ -24,10 +24,6 @@ class RandomStreams:
         self._master_seed = int(master_seed)
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use.
 
@@ -41,14 +37,6 @@ class RandomStreams:
         stream = random.Random(derived)
         self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Return a new :class:`RandomStreams` rooted at a derived seed.
-
-        Useful when a subsystem (e.g. one host among hundreds) wants its
-        own namespace of streams.
-        """
-        return RandomStreams(self._derive_seed(name))
 
     def _derive_seed(self, name: str) -> int:
         tag = zlib.crc32(name.encode("utf-8"))

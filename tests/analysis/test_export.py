@@ -51,7 +51,7 @@ class TestObsExports:
         from repro.analysis.export import flows_to_json, flows_to_jsonl
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         assert flows_to_jsonl(log) == ""
         for index in range(2):
             log.begin(
@@ -79,7 +79,7 @@ class TestObsExports:
         from repro.analysis.export import flows_to_json
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         early = log.begin(
             host="srv",
             local="10.0.0.1",
@@ -112,7 +112,7 @@ class TestObsExports:
         from repro.analysis.export import timeline_to_csv
         from repro.obs.timeline import Timeline
 
-        timeline = Timeline()
+        timeline = Timeline(200_000)
         timeline.record(2.0, "srv", "installed_routes", 3)
         parsed = parse(timeline_to_csv(timeline))
         assert parsed[0] == ["time", "source", "series", "value"]
@@ -360,21 +360,21 @@ class TestTraceJsonMatchesWholePayload:
         from repro.analysis.export import trace_to_json
         from repro.obs.trace import TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         self._check(log)
         assert trace_to_json(log).endswith('"totals": {},\n  "events": []\n}')
 
     def test_one_event(self):
         from repro.obs.trace import EventType, TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         log.record(1.5, EventType.ROUTE_INSTALLED, "srv", window=40, ttl=600)
         self._check(log)
 
     def test_event_without_details(self):
         from repro.obs.trace import EventType, TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         log.record(0.0, EventType.CONN_OPENED, "a")
         log.record(0.25, EventType.RTO_FIRED, "b")
         self._check(log)
@@ -392,7 +392,7 @@ class TestTraceJsonMatchesWholePayload:
     def test_awkward_details(self):
         from repro.obs.trace import EventType, TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         log.record(2.0, EventType.TOOL_ERROR, 'src "é"\n', **AWKWARD_DETAILS)
         log.record(1e-9, EventType.FAULT_INJECTED, "", **AWKWARD_DETAILS)
         self._check(log)
@@ -402,7 +402,7 @@ class TestTraceJsonMatchesWholePayload:
         """However the encoder is fed, the seams between feeds must not show."""
         from repro.obs.trace import EventType, TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         types = list(EventType)
         for index in range(events):
             details = AWKWARD_DETAILS if index % 50 == 7 else {"n": index}
@@ -429,7 +429,7 @@ class TestTraceEventRecord:
 
         from repro.obs.trace import EventType, TraceLog
 
-        log = TraceLog()
+        log = TraceLog(10_000)
         event = log.record(
             1.5, EventType.ROUTE_INSTALLED, "srv", window=40, why={"a": [1, None]}
         )
@@ -449,7 +449,7 @@ class TestTraceEventRecord:
 
         from repro.obs.trace import EventType, TraceLog
 
-        event = TraceLog().record(0.0, EventType.CONN_OPENED, "a")
+        event = TraceLog(10_000).record(0.0, EventType.CONN_OPENED, "a")
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.time = 1.0
 
@@ -465,7 +465,7 @@ class TestSpansJsonMatchesWholePayload:
         from repro.analysis.export import spans_to_chrome_json
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         self._check(log)
         assert spans_to_chrome_json(log) == (
             '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}'
@@ -474,7 +474,7 @@ class TestSpansJsonMatchesWholePayload:
     def test_one_closed_span(self):
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         span = log.begin(1.0, "poll", "agent", "srv", rows=12)
         log.end(span, 1.25, installed=3)
         self._check(log)
@@ -485,7 +485,7 @@ class TestSpansJsonMatchesWholePayload:
         from repro.analysis.export import spans_to_chrome_json
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         log.begin(1.0, "hold", "guard", "srv")
         self._check(log)
         (event,) = json.loads(spans_to_chrome_json(log))["traceEvents"]
@@ -495,7 +495,7 @@ class TestSpansJsonMatchesWholePayload:
     def test_parent_and_tracks(self):
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         tick = log.begin(0.5, "tick", "agent", "zeta")
         trip = log.begin(0.6, "trip", "guard", "alpha", parent=tick, loss=0.25)
         log.end(trip, 0.7)
@@ -506,7 +506,7 @@ class TestSpansJsonMatchesWholePayload:
     def test_awkward_details_and_a_repeated_key(self):
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         span = log.begin(0.0, 'n"\n', "é", "s\n", **AWKWARD_DETAILS)
         log.end(span, float("inf"), nested="overwritten at end", span_id="shadow")
         self._check(log)
@@ -515,7 +515,7 @@ class TestSpansJsonMatchesWholePayload:
     def test_many_spans(self, spans):
         from repro.obs.span import SpanLog
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         parent = None
         for index in range(spans):
             span = log.begin(
@@ -561,7 +561,7 @@ class TestFlowsMatchWholePayload:
         from repro.analysis.export import flows_to_json, flows_to_jsonl
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         self._check(log)
         assert flows_to_jsonl(log) == ""
         assert flows_to_json(log).endswith('"selected": 0,\n  "flows": []\n}')
@@ -570,7 +570,7 @@ class TestFlowsMatchWholePayload:
         from repro.analysis.export import flows_to_jsonl
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         _begin_flow(log, 0, opened_at=1.0)
         self._check(log)
         assert flows_to_jsonl(log).count("\n") == 1
@@ -579,7 +579,7 @@ class TestFlowsMatchWholePayload:
         from repro.analysis.export import flows_to_jsonl
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         _begin_flow(log, 0, opened_at=1.0, closed_at=2.0)
         _begin_flow(log, 1, opened_at=2.0, closed_at=6.0)
         _begin_flow(log, 2, opened_at=3.0, closed_at=3.5)
@@ -593,7 +593,7 @@ class TestFlowsMatchWholePayload:
     def test_many_records(self, flows):
         from repro.obs.flow import FlowLog
 
-        log = FlowLog()
+        log = FlowLog(100_000)
         for index in range(flows):
             _begin_flow(
                 log, index, opened_at=index * 0.05,

@@ -102,7 +102,7 @@ def full_trace_log() -> TraceLog:
 
 def full_span_log() -> SpanLog:
     """Poll ticks with a probe or guard child each, one in fifty left open."""
-    log = SpanLog()
+    log = SpanLog(200_000)
     for index in range(SPANS // 2):
         begin = index * 0.01
         host = f"edge-{index % 34:02d}-srv{index % 3}"

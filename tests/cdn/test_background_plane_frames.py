@@ -122,7 +122,7 @@ def small_hybrid_cluster() -> CdnCluster:
             seed=42,
             tcp=TcpConfig(default_initrwnd=300, slow_start_after_idle=False),
             riptide=RiptideConfig(
-                granularity="prefix", prefix_length=16, update_interval=2.0
+                granularity="prefix", update_interval=2.0
             ),
         ),
     )

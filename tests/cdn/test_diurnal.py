@@ -2,23 +2,33 @@
 
 import pytest
 
-from repro.cdn.diurnal import ConstantProfile, OnOffProfile
+from repro.cdn.diurnal import ConstantProfile, OnOffProfile, RateProfile
 from repro.cdn.filesizes import FileSizeDistribution
 from repro.cdn.transfer import TransferClient, TransferServer
 from repro.cdn.workload import OrganicWorkload, OrganicWorkloadConfig
 from repro.testing import TwoHostTestbed
 
 
+class _Scaled(RateProfile):
+    """A constant rate multiplier other than 1."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def factor(self, now: float) -> float:
+        return self.value
+
+    @property
+    def max_factor(self) -> float:
+        return self.value
+
+
 class TestProfiles:
     def test_constant_profile(self):
-        profile = ConstantProfile(0.7)
-        assert profile.factor(0.0) == 0.7
-        assert profile.factor(1e6) == 0.7
-        assert profile.max_factor == 0.7
-
-    def test_constant_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantProfile(-0.1)
+        profile = ConstantProfile()
+        assert profile.factor(0.0) == 1.0
+        assert profile.factor(1e6) == 1.0
+        assert profile.max_factor == 1.0
 
     def test_on_off_cycles(self):
         profile = OnOffProfile(on_duration=10.0, off_duration=5.0)
@@ -63,12 +73,12 @@ class TestWorkloadModulation:
         assert workload.transfers_issued > at_peak_end  # next peak resumes
 
     def test_half_rate_profile_halves_arrivals(self):
-        _, full_workload = self.make_workload(ConstantProfile(1.0), rate=50.0)
+        _, full_workload = self.make_workload(ConstantProfile(), rate=50.0)
         bed_full = full_workload._sim
         full_workload.start()
         bed_full.run(until=20.0)
 
-        _, half_workload = self.make_workload(ConstantProfile(0.5), rate=50.0)
+        _, half_workload = self.make_workload(_Scaled(0.5), rate=50.0)
         bed_half = half_workload._sim
         half_workload.start()
         bed_half.run(until=20.0)
@@ -77,7 +87,7 @@ class TestWorkloadModulation:
         assert 0.35 < ratio < 0.65
 
     def test_zero_profile_generates_nothing(self):
-        bed, workload = self.make_workload(ConstantProfile(0.0))
+        bed, workload = self.make_workload(_Scaled(0.0))
         workload.start()
         bed.sim.run(until=20.0)
         assert workload.transfers_issued == 0

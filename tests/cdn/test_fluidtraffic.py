@@ -260,7 +260,7 @@ def test_ss_rows_match_keyword_reference_under_every_filter(cluster):
     )
     engine.add_population(host, cluster.server_address("NRT"), target_flows=40.0)
     engine.add_population(
-        host, cluster.server_address("NRT", 1), target_flows=2.0,
+        host, cluster.pop("NRT").server_addresses()[1], target_flows=2.0,
         churn_per_flow_per_sec=0.02, is_client=True,
     )
     workload = OrganicWorkloadConfig(

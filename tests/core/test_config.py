@@ -30,11 +30,11 @@ class TestValidation:
             {"c_max": 5, "c_min": 10},
             {"combiner": "median"},
             {"granularity": "asn"},
-            {"prefix_length": 40},
+            {"alpha": float("nan")},
             {"update_interval": float("nan")},
             {"ttl": float("nan")},
             {"policy": "magic"},
-            {"prefix_length": -1},
+            {"c_min": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

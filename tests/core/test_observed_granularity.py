@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.granularity import DestinationGrouper
+from repro.core.granularity import PREFIX_LENGTH, DestinationGrouper
 from repro.core.observed import LearnedTable
 from repro.net.addresses import IPv4Address, Prefix
 
@@ -73,21 +73,21 @@ class TestDestinationGrouper:
         assert key == Prefix.parse("10.5.6.7/32")
 
     def test_prefix_granularity_masks(self):
-        grouper = DestinationGrouper("prefix", prefix_length=16)
+        grouper = DestinationGrouper("prefix")
         key = grouper.key_for(IPv4Address("10.5.6.7"))
         assert key == Prefix.parse("10.5.0.0/16")
 
     def test_hosts_in_same_prefix_share_key(self):
-        grouper = DestinationGrouper("prefix", prefix_length=24)
+        grouper = DestinationGrouper("prefix")
         a = grouper.key_for(IPv4Address("10.5.6.7"))
-        b = grouper.key_for(IPv4Address("10.5.6.200"))
+        b = grouper.key_for(IPv4Address("10.5.200.200"))
         assert a == b
 
     @pytest.mark.parametrize("granularity", ["host", "prefix"])
     def test_equal_addresses_get_equal_keys(self, granularity):
         """Keys are remembered per address; a repeat must not drift."""
-        grouper = DestinationGrouper(granularity, prefix_length=16)
-        fresh = DestinationGrouper(granularity, prefix_length=16)
+        grouper = DestinationGrouper(granularity)
+        fresh = DestinationGrouper(granularity)
         for text in ("10.5.6.7", "10.5.9.9", "10.6.0.1", "10.5.6.7"):
             first = grouper.key_for(IPv4Address(text))
             again = grouper.key_for(IPv4Address(text))
@@ -99,17 +99,11 @@ class TestDestinationGrouper:
         with pytest.raises(ValueError):
             DestinationGrouper("asn")
 
-    def test_invalid_prefix_length_rejected(self):
-        with pytest.raises(ValueError):
-            DestinationGrouper("prefix", prefix_length=33)
 
 
-@given(
-    address=st.integers(min_value=0, max_value=2**32 - 1),
-    length=st.integers(min_value=0, max_value=32),
-)
-def test_prefix_key_always_contains_address(address, length):
-    grouper = DestinationGrouper("prefix", prefix_length=length)
+@given(address=st.integers(min_value=0, max_value=2**32 - 1))
+def test_prefix_key_always_contains_address(address):
+    grouper = DestinationGrouper("prefix")
     key = grouper.key_for(IPv4Address(address))
     assert key.contains(IPv4Address(address))
-    assert key.length == length
+    assert key.length == PREFIX_LENGTH

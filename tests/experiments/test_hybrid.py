@@ -153,9 +153,7 @@ class TestParameterDerivation:
 
 class TestScaleScenario:
     #: Tiny scale config: full 34-PoP topology, miniature population.
-    CONFIG = HybridScaleConfig(
-        flows_per_pair=50.0, warmup=2.0, duration=6.0, probe_interval=3.0
-    )
+    CONFIG = HybridScaleConfig(flows_per_pair=50.0, warmup=2.0, duration=6.0)
 
     def test_reduced_run_carries_every_pair(self):
         result = run_scale(self.CONFIG)
@@ -169,13 +167,13 @@ class TestScaleScenario:
         report = result.report()
         assert "34" in report and ">= 10^6 open flows" in report
 
-    def test_run_entry_point_applies_overrides(self):
-        from repro.experiments.hybrid import run
+    def test_fast_entry_runs_run_scale_on_a_reduced_config(self):
+        from repro.experiments.registry import get_experiment
 
-        result = run(
-            config=self.CONFIG, flows_per_pair=25.0, duration=6.0, seed=7
-        )
-        assert result.flows_min == pytest.approx(34 * 33 * 25.0, rel=1e-6)
+        experiment = get_experiment("hybrid")
+        assert experiment.run is run_scale
+        config = experiment.fast["config"]
+        assert (config.flows_per_pair, config.warmup, config.duration) == (100.0, 3.0, 10.0)
 
     def test_registered_in_the_experiment_registry(self):
         from repro.experiments.registry import get_experiment

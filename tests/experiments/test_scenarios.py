@@ -13,11 +13,9 @@ from repro.experiments.scenarios import (
 def small_config(**overrides) -> ProbeStudyConfig:
     defaults = dict(
         topology_codes=("LHR", "JFK", "NRT"),
-        source_pops=("LHR",),
         warmup=10.0,
         duration=20.0,
         probe_interval=5.0,
-        organic_rate=2.0,
     )
     defaults.update(overrides)
     return ProbeStudyConfig(**defaults)

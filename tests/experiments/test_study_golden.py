@@ -134,7 +134,9 @@ def build_hybrid_scale() -> dict[str, Any]:
         result = run_scale(SCALE_CONFIG)
     assert obs.trace.dropped == 0
     learned: dict[str, dict[str, int]] = {}
-    for event in obs.trace.events(type=EventType.ROUTE_INSTALLED):
+    for event in obs.trace.events():
+        if event.type is not EventType.ROUTE_INSTALLED:
+            continue
         details = dict(event.details)
         learned.setdefault(event.source, {})[details["destination"]] = details["window"]
     stable = [line for line in result.report().splitlines() if "wall time" not in line]

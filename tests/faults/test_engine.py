@@ -242,9 +242,9 @@ class TestToolFaults:
         make_injector(cluster, IpToolFault(pop="JFK", at=1.0, duration=2.0))
         host = cluster.hosts("JFK")[0]
         cluster.run(1.5)
-        assert host.ip.failing
+        assert host.ip._failing
         cluster.run(2.0)
-        assert not host.ip.failing
+        assert not host.ip._failing
 
 
 class TestProcessFaults:
@@ -258,7 +258,7 @@ class TestProcessFaults:
         assert all(agent.stats.crashes == 1 for agent in agents)
         cluster.run(AGENT_RESTART_AFTER)
         assert all(agent.running for agent in agents)
-        totals = cluster.instrumentation.trace.totals()
+        totals = cluster.sim.obs.trace.totals()
         assert totals[EventType.AGENT_CRASHED] == len(agents)
         assert totals[EventType.AGENT_RESTARTED] == len(agents)
 
@@ -307,10 +307,10 @@ class TestInjectorBookkeeping:
         assert injector.injected == 2
         assert injector.cleared == 2
         assert list(injector._active.values()) == []
-        totals = cluster.instrumentation.trace.totals()
+        totals = cluster.sim.obs.trace.totals()
         assert totals[EventType.FAULT_INJECTED] == 2
         assert totals[EventType.FAULT_CLEARED] == 2
-        metrics = cluster.instrumentation.metrics
+        metrics = cluster.sim.obs.metrics
         assert metrics.counter("fault_injections", kind="link_flap").value == 1
         assert metrics.counter("fault_injections", kind="ss_fault").value == 1
         assert metrics.gauge("faults_active").value == 0
@@ -322,7 +322,7 @@ class TestInjectorBookkeeping:
         cluster.run(4.0)
         assert injector.injected == injector.cleared == 2
         assert list(injector._active.values()) == []
-        spans = cluster.instrumentation.spans.spans(category="fault")
+        spans = cluster.sim.obs.spans.spans(category="fault")
         assert [(span.begin, span.end) for span in spans] == [(1.0, 3.0), (1.0, 3.0)]
 
     def test_arming_twice_rejected(self):

@@ -28,7 +28,7 @@ class TestRiptideImprovesColdTransfers:
             cluster = CdnCluster(
                 topology(),
                 with_riptide_config(
-                    ClusterConfig(seed=11), granularity="prefix", prefix_length=16
+                    ClusterConfig(seed=11), granularity="prefix"
                 ),
             )
             cluster.add_organic_workload("JFK", ["LHR"])
@@ -63,7 +63,7 @@ class TestThirtyPercentTailClaim:
             cluster = CdnCluster(
                 topology(),
                 with_riptide_config(
-                    ClusterConfig(seed=5), granularity="prefix", prefix_length=16
+                    ClusterConfig(seed=5), granularity="prefix"
                 ),
             )
             for code in cluster.pop_codes:

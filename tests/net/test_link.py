@@ -45,7 +45,8 @@ class TestLinkBasics:
         assert link.stats.packets_offered == 1
         assert link.stats.packets_delivered == 1
         assert link.stats.bytes_delivered == 100
-        assert link.stats.packets_dropped == 0
+        assert link.stats.packets_dropped_queue == link.stats.packets_dropped_loss == 0
+        assert link.stats.packets_dropped_down == 0
 
     @pytest.mark.parametrize(
         "kwargs",

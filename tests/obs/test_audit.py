@@ -59,7 +59,7 @@ class TestAuditorUnit:
         assert auditor.divergences_found == 2
         assert auditor.last_divergences == divergences
         assert sim.obs.metrics.counter_value("auditor_divergences") == 2
-        traced = sim.obs.trace.events(type=EventType.AUDIT_DIVERGENCE)
+        traced = [e for e in sim.obs.trace.events() if e.type is EventType.AUDIT_DIVERGENCE]
         assert len(traced) == 2
         assert traced[0].source == "auditor:stub"
 
@@ -111,7 +111,7 @@ class TestAuditorOnAgent:
 
         assert auditor.divergences_found >= 1
         assert bed.sim.obs.metrics.counter_value("auditor_divergences") >= 1
-        traced = bed.sim.obs.trace.events(type=EventType.AUDIT_DIVERGENCE)
+        traced = [e for e in bed.sim.obs.trace.events() if e.type is EventType.AUDIT_DIVERGENCE]
         assert traced
         assert traced[0].detail("installed") is None
 

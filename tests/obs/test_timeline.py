@@ -7,40 +7,14 @@ from repro.obs.timeline import Timeline
 
 class TestRecordAndQuery:
     def test_points_keep_record_order(self):
-        timeline = Timeline()
+        timeline = Timeline(200_000)
         timeline.record(0.0, "srv", "installed_routes", 2)
         timeline.record(2.0, "srv", "installed_routes", 3)
-        values = [p.value for p in timeline.points(series="installed_routes")]
+        values = [p.value for p in timeline.points()]
         assert values == [2.0, 3.0]
 
-    def test_filters_by_series_and_source(self):
-        timeline = Timeline()
-        timeline.record(0.0, "a", "x", 1.0)
-        timeline.record(0.0, "b", "x", 2.0)
-        timeline.record(0.0, "a", "y", 3.0)
-        assert len(timeline.points(series="x")) == 2
-        assert len(timeline.points(source="a")) == 2
-        assert len(timeline.points(series="y", source="b")) == 0
-
-    def test_since_until_are_inclusive(self):
-        timeline = Timeline()
-        for t in (0.0, 2.0, 4.0, 6.0):
-            timeline.record(t, "s", "x", t)
-        assert [p.time for p in timeline.points(since=2.0, until=4.0)] == [2.0, 4.0]
-        assert [p.time for p in timeline.points(since=6.0)] == [6.0]
-        assert [p.time for p in timeline.points(until=0.0)] == [0.0]
-        assert timeline.points(since=7.0) == []
-
-    def test_time_filters_compose_with_series_and_source(self):
-        timeline = Timeline()
-        timeline.record(1.0, "a", "x", 1.0)
-        timeline.record(3.0, "a", "x", 2.0)
-        timeline.record(3.0, "b", "x", 3.0)
-        points = timeline.points(series="x", source="a", since=2.0)
-        assert [p.value for p in points] == [2.0]
-
     def test_series_names_are_sorted_pairs(self):
-        timeline = Timeline()
+        timeline = Timeline(200_000)
         timeline.record(0.0, "b", "x", 1.0)
         timeline.record(0.0, "a", "y", 1.0)
         assert timeline.series_names() == ["a:y", "b:x"]
@@ -61,7 +35,7 @@ class TestCapacityAndMerge:
         for i in range(4):
             serial.record(float(i), "s", "x", i)
 
-        first, second = Timeline(), Timeline()
+        first, second = Timeline(200_000), Timeline(200_000)
         first.record(0.0, "s", "x", 0)
         first.record(1.0, "s", "x", 1)
         second.record(2.0, "s", "x", 2)

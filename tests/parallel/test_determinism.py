@@ -23,11 +23,9 @@ needs_fork = pytest.mark.skipif(
 #: Small but real: 3 PoPs spanning near/far RTTs, seconds of traffic.
 TINY_STUDY = ProbeStudyConfig(
     topology_codes=("LHR", "JFK", "NRT"),
-    source_pops=("LHR",),
     warmup=2.0,
     duration=8.0,
     probe_interval=4.0,
-    organic_rate=1.0,
 )
 
 
@@ -186,7 +184,6 @@ class TestFig10Sweep:
             topology_codes=("LHR", "JFK", "NRT"),
             duration=8.0,
             warmup=2.0,
-            organic_rate=1.0,
         )
         serial = fig10_cmax_sweep.run(**kwargs)
         parallel = fig10_cmax_sweep.run(workers=3, **kwargs)
@@ -197,7 +194,7 @@ class TestFig10Sweep:
     def test_failing_arm_is_named_on_the_serial_path(self, monkeypatch):
         from repro.experiments import fig10_cmax_sweep
 
-        def run_single(c_max, topology, **kwargs):
+        def run_single(c_max, topology, duration, warmup):
             if c_max == 100:
                 raise RuntimeError("arm exploded")
 

@@ -82,7 +82,7 @@ class TestCwndDistribution:
         dist.add_mass(95, 10.0)
         for _ in range(20):
             dist.step(0.25, rtt=0.1, loss_rate=0.0, drift_segments_per_sec=50.0)
-        assert dist.mean() == pytest.approx(dist.max_window)
+        assert dist.mean() == pytest.approx(dist.bin_to_window(dist.nbins - 1))
         assert dist.flows == pytest.approx(10.0)
 
     def test_lossy_equilibrium_is_stationary(self):

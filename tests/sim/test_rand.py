@@ -27,17 +27,6 @@ class TestRandomStreams:
         b = RandomStreams(2).stream("x").random()
         assert a != b
 
-    def test_fork_is_deterministic(self):
-        fork_a = RandomStreams(5).fork("host1").stream("s").random()
-        fork_b = RandomStreams(5).fork("host1").stream("s").random()
-        assert fork_a == fork_b
-
-    def test_fork_namespaces_do_not_collide(self):
-        root = RandomStreams(5)
-        a = root.fork("host1").stream("s").random()
-        b = root.fork("host2").stream("s").random()
-        assert a != b
-
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1), name=st.text(max_size=30))
 def test_derivation_is_stable(seed, name):

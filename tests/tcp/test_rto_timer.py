@@ -63,7 +63,10 @@ class TestDeadlineMovesEarlier:
         expected = client.last_activity_at + client._rtt.rto
         assert client._rto_deadline == expected
         bed.sim.run(until=expected + 0.001)
-        fired = bed.sim.obs.trace.events(type=EventType.RTO_FIRED, source="client")
+        fired = [
+            e for e in bed.sim.obs.trace.events()
+            if e.type is EventType.RTO_FIRED and e.source == "client"
+        ]
         assert [repr(event.time) for event in fired] == [repr(1.0), repr(expected)]
 
     def test_backoff_reset_replaces_a_far_pending_event(self):

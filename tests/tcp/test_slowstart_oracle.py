@@ -67,8 +67,9 @@ def exchange_time(
     exchange = request_response(bed, size)
     assert exchange.completed
     assert exchange.socket.bytes_received == size
-    assert bed.trunk.forward.stats.packets_dropped == 0
-    assert bed.trunk.reverse.stats.packets_dropped == 0
+    for stats in (bed.trunk.forward.stats, bed.trunk.reverse.stats):
+        assert stats.packets_dropped_queue + stats.packets_dropped_loss == 0
+        assert stats.packets_dropped_down == 0
     return exchange.total_time
 
 
