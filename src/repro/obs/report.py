@@ -36,6 +36,7 @@ between a serial run and a merged parallel run of the same experiment.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.net.addresses import Prefix
@@ -60,18 +61,6 @@ ATTRIBUTION_CAUSES = (
 TAIL_PERCENTILE = 90.0
 
 
-def _host_in_arm(host: str, arm: str) -> bool:
-    """Does a host name belong to the given experiment arm?
-
-    Paired studies prefix host names with their cluster label
-    (``riptide:LHR-0``); single-cluster runs use bare names and an
-    empty arm tag.
-    """
-    if arm:
-        return host.startswith(arm + ":")
-    return ":" not in host
-
-
 def _host_pop(host: str) -> str:
     """The PoP code of a (possibly arm-prefixed) ``CODE-index`` host name."""
     bare = host.rsplit(":", 1)[-1]
@@ -91,9 +80,9 @@ def build_report(
     """Join probe spans, flow records and traces into the attribution report.
 
     ``since``/``until`` restrict the attribution to probes whose span
-    overlaps the closed sim-time window ``[since, until]`` — the tail
-    thresholds, cause counts and slow-probe list are all computed over
-    the window's probes only.  Store-level counts (flows/trace/timeline/
+    overlaps the closed sim-time window ``[since, until]`` — the probe
+    counts, tail thresholds, cause counts and slow-probe list are all
+    computed over the window's probes only.  Store-level counts (flows/trace/timeline/
     alerts) always describe the whole run.
     """
     spans = instrumentation.spans
@@ -102,17 +91,20 @@ def build_report(
     timeline = instrumentation.timeline
     alerts = instrumentation.alerts
 
-    probe_spans = spans.spans(category="probe")
+    probe_spans = [
+        span
+        for span in spans.spans(category="probe")
+        if _overlaps(
+            span, -math.inf if since is None else since, math.inf if until is None else until
+        )
+    ]
     guard_spans = spans.spans(category="guard")
     fault_spans = spans.spans(category="fault")
 
     completed = [
         span
         for span in probe_spans
-        if span.end is not None
-        and span.detail("completed") is True
-        and (until is None or span.begin <= until)
-        and (since is None or span.end >= since)
+        if span.end is not None and span.detail("completed") is True
     ]
     failed = sum(
         1
@@ -242,7 +234,7 @@ def _attribute(
 
     server_flow = None
     for record in flow_index.get((dest, client, client_port), []):
-        if _host_in_arm(record.host, arm) and record.opened_at <= end:
+        if source_matches_arm(record.host, arm) and record.opened_at <= end:
             server_flow = record
 
     cause = "genuinely_fast_path"
@@ -329,7 +321,7 @@ def _covering_guard(
     for guard in guard_spans:
         if not _overlaps(guard, begin, end):
             continue
-        if not _host_in_arm(guard.source, arm):
+        if not source_matches_arm(guard.source, arm):
             continue
         if _host_pop(guard.source) != dst_pop:
             continue
