@@ -52,8 +52,10 @@ forensics:
 # `__init__`s re-export nothing but `repro.obs`'s eight bench names, and the
 # reachability invariants: every module reached, every function and method
 # named, every dataclass field and every defaulted parameter set by a
-# shipped entry point, every CLI option used outside the tests, and the
-# ceiling on methods `dataclasses` generates for the bench import set), the
+# shipped entry point, each with callees resolved before names count (an
+# unresolved call still matches by name), every CLI option used outside the
+# tests, and the ceiling on methods `dataclasses` generates for the bench
+# import set), the
 # generated-method and class counts, then the 15 largest cumulative rows of
 # `python -X importtime -c "import repro.cli"` in us.
 cold-start:
