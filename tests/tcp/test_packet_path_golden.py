@@ -10,14 +10,15 @@ both on and off, idle restarts, and an RTO streak that runs into the
 retry limit.
 
 This module is both the test and the generator.  When behaviour is
-*meant* to change, refresh the fixture and commit it with the change::
+*meant* to change, refresh the fixture from the repository root; the
+refresh prints what moved (``tests/golden.py``), and the commit that
+changes the fixture carries that diff with a cause per field class::
 
-    PYTHONPATH=src python tests/tcp/test_packet_path_golden.py
+    PYTHONPATH=src python -m tests.tcp.test_packet_path_golden
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from pathlib import Path
@@ -32,6 +33,7 @@ from repro.obs.instrument import capture
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import TcpSocket
 from repro.testing import TwoHostTestbed, request_response
+from tests.golden import assert_canonical, assert_matches, load, refresh, sha256
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "packet_path_golden.json"
 
@@ -215,10 +217,6 @@ def build_cells() -> dict[str, Any]:
     return {"cells": cells, "blackholes": blackholes}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _study_digest(arms: list[Any], obs: Any) -> dict[str, Any]:
     routes = sorted(
         [arm.cluster.config.label, agent.host.name, str(entry.destination), entry.window]
@@ -227,9 +225,9 @@ def _study_digest(arms: list[Any], obs: Any) -> dict[str, Any]:
         for entry in agent.learned_table().entries()
     )
     return {
-        "flows_sha256": _sha256(flows_to_jsonl(obs.flows)),
-        "trace_sha256": _sha256(trace_to_json(obs.trace)),
-        "learned_routes_sha256": _sha256(json.dumps(routes)),
+        "flows_sha256": sha256(flows_to_jsonl(obs.flows)),
+        "trace_sha256": sha256(trace_to_json(obs.trace)),
+        "learned_routes_sha256": sha256(json.dumps(routes)),
         "learned_routes": len(routes),
         "flows": len(obs.flows.records()),
     }
@@ -260,24 +258,12 @@ SECTIONS = {
 }
 
 
-def render(section: Any) -> str:
-    return json.dumps(section, indent=1, sort_keys=True)
-
-
-def _golden() -> dict[str, Any]:
-    return json.loads(GOLDEN_PATH.read_text())
-
-
 def test_testbed_cells_match_golden():
-    built = build_cells()
-    golden = _golden()["testbed"]
-    for kind in ("cells", "blackholes"):
-        for index, (mine, theirs) in enumerate(zip(built[kind], golden[kind], strict=True)):
-            assert mine == theirs, f"{kind}[{index}] diverged: {mine['params']}"
+    assert_matches(GOLDEN_PATH, "testbed", build_cells())
 
 
 def test_cells_cover_the_paths_no_benchmark_reaches():
-    cells = _golden()["testbed"]["cells"]
+    cells = load(GOLDEN_PATH)["testbed"]["cells"]
     assert len(cells) >= 32
     for flag in ("sack", "delayed_ack"):
         assert {cell["params"][flag] for cell in cells} == {True, False}
@@ -287,26 +273,22 @@ def test_cells_cover_the_paths_no_benchmark_reaches():
                for cell in cells)
     assert any(counters["rtos_fired"] for cell in cells for counters in cell["server"])
     assert any(counters["fast_retransmits"] for cell in cells for counters in cell["server"])
-    for cell in _golden()["testbed"]["blackholes"]:
+    for cell in load(GOLDEN_PATH)["testbed"]["blackholes"]:
         assert ["transfer timeout"] == sorted({reason for _, reason, _ in cell["errors"]})
         assert cell["pending_events"] == 0
 
 
 def test_probe_study_matches_golden():
-    assert build_probe_study() == _golden()["probe_study_fast"]
+    assert_matches(GOLDEN_PATH, "probe_study_fast", build_probe_study())
 
 
 def test_chaos_study_matches_golden():
-    assert build_chaos_study() == _golden()["chaos_lossy_agent_fast"]
+    assert_matches(GOLDEN_PATH, "chaos_lossy_agent_fast", build_chaos_study())
 
 
 def test_fixture_file_is_canonical():
-    """The committed bytes are exactly what the generator would write."""
-    assert set(_golden()) == set(SECTIONS)
-    assert GOLDEN_PATH.read_text() == render(_golden()) + "\n"
+    assert_canonical(GOLDEN_PATH, SECTIONS)
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(render({name: build() for name, build in SECTIONS.items()}) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    refresh(GOLDEN_PATH, SECTIONS)
