@@ -298,10 +298,8 @@ class HybridDifferentialResult:
             f"probe median max delta: {self.anchor_max_rel_delta():.1%}",
             f"first-RTT fraction max delta: "
             f"{self.first_window_fraction_delta():.2f}",
-            f"events: packet={self.packet.events_processed:,} "
-            f"hybrid={self.hybrid.events_processed:,} "
-            f"(hybrid background flows: {self.hybrid.fluid_flows:.0f} fluid, "
-            f"{self.hybrid.fluid_steps} steps)",
+            f"hybrid background flows: {self.hybrid.fluid_flows:.0f} fluid, "
+            f"{self.hybrid.fluid_steps} steps",
         ]
         return "\n".join(lines)
 
@@ -411,7 +409,6 @@ class HybridScaleResult:
             ("background offered load", f"{self.offered_gbps:.1f} Gbps"),
             ("probes completed", f"{self.probes_completed:,}"),
             ("learned routes", f"{self.learned_routes:,}"),
-            ("kernel events", f"{self.events_processed:,}"),
             ("wall time", f"{self.wall_seconds:.1f}s"),
         ]
         table = format_table(

@@ -210,7 +210,6 @@ def run_tournament_cell(
         "causes": report["causes"],
         "faults_injected": summary.faults_injected,
         "faults_cleared": summary.faults_cleared,
-        "events_processed": summary.events_processed,
         # Burn-rate SLO judgement: episodes that reached firing in this
         # cell's capture (the cell owns exactly one cluster, so the whole
         # alert log is its own).

@@ -54,15 +54,8 @@ class Simulator:
     # Dict-free instances: ``_now``/``_seq``/``_heap`` are touched once
     # or more per scheduled event, and slot access beats a dict lookup.
     __slots__ = (
-        "_now", "_heap", "_tombstones", "_seq", "_running", "_events_processed",
-        "obs", "_obs_enabled", "_m_processed", "_m_cancelled",
-        "_g_queue_depth",
+        "_now", "_heap", "_tombstones", "_seq", "_running", "_events_processed", "obs",
     )
-
-    #: The queue-depth gauge is sampled every N executed events (plus once
-    #: at loop exit) rather than per event — the gauge is diagnostic, and
-    #: per-event updates dominated the inner-loop instrumentation cost.
-    QUEUE_DEPTH_SAMPLE_STRIDE = 64
 
     #: Compact only once this many tombstones have accumulated — below
     #: this the rebuild costs more than the dead entries do.
@@ -78,16 +71,11 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._events_processed = 0
-        #: Metrics registry + trace log.  Inside a
+        #: Metrics registry + trace log for the components built on this
+        #: simulator (the kernel itself records nothing).  Inside a
         #: ``repro.obs.instrument.capture()`` block this is the shared
         #: aggregate; otherwise private per run.
         self.obs = instrumentation_for_new_simulator()
-        #: Cached so the run loop and cancel path can skip instrumentation
-        #: entirely (a true no-op) when it is disabled for this run.
-        self._obs_enabled = self.obs.enabled
-        self._m_processed = self.obs.metrics.counter("sim_events_processed")
-        self._m_cancelled = self.obs.metrics.counter("sim_events_cancelled")
-        self._g_queue_depth = self.obs.metrics.gauge("sim_queue_depth")
 
     @property
     def now(self) -> float:
@@ -193,8 +181,6 @@ class Simulator:
             heapify(heap)
             tombstones = 0
         self._tombstones = tombstones
-        if self._obs_enabled:
-            self._m_cancelled.inc()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Execute events in time order.
@@ -224,16 +210,9 @@ class Simulator:
         # (cancelled handles) are popped and uncounted inline; compaction
         # (triggered from cancel()) rebuilds the heap *in place*, so the
         # ``heap`` local stays coherent across mid-callback cancel bursts.
-        # The processed counter is batched (one add per run() call instead
-        # of one per event) and the queue-depth gauge is sampled every
-        # QUEUE_DEPTH_SAMPLE_STRIDE events.  With instrumentation disabled
-        # the loop does no metric work at all.
+        # The processed count is added once per run() call.
         heap = self._heap
         limit = -1 if max_events is None else max_events
-        obs_enabled = self._obs_enabled
-        gauge_set = self._g_queue_depth.set
-        stride = self.QUEUE_DEPTH_SAMPLE_STRIDE
-        until_gauge = stride
         try:
             if until is None:
                 # Unbounded variant (``run()``, the common case):
@@ -252,11 +231,6 @@ class Simulator:
                     self._now = entry[0]
                     entry[3](*entry[4])
                     executed += 1
-                    if obs_enabled:
-                        until_gauge -= 1
-                        if not until_gauge:
-                            gauge_set(len(heap) - self._tombstones)
-                            until_gauge = stride
             else:
                 # Bounded variant: peek before popping so an event past
                 # the bound stays queued for the next run() call.
@@ -278,17 +252,9 @@ class Simulator:
                     self._now = time
                     entry[3](*entry[4])
                     executed += 1
-                    if obs_enabled:
-                        until_gauge -= 1
-                        if not until_gauge:
-                            gauge_set(len(heap) - self._tombstones)
-                            until_gauge = stride
         finally:
             self._running = False
             self._events_processed += executed
-            if obs_enabled:
-                self._m_processed.inc(executed)
-                gauge_set(len(heap) - self._tombstones)
         if until is not None and self._now < until:
             # Fast-forward only when nothing live remains at or before
             # the bound — a max_events stop with earlier events still

@@ -124,7 +124,6 @@ class TestEndToEnd:
         for cell in artifact["cells"]:
             assert cell["probes"]["total"] > 0
             assert cell["completed"] > 0
-            assert cell["events_processed"] > 0
             assert cell["slo_violations"] >= cell["slo_resolved"] >= 0
         ranks = [row["rank"] for row in artifact["leaderboard"]["overall"]]
         assert ranks == sorted(ranks)

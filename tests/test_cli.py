@@ -137,7 +137,7 @@ class TestMetrics:
         assert main(["metrics", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "tcp_connections_opened" in out
-        assert "sim_events_processed" in out
+        assert "link_packets_delivered" in out
         assert "trace event totals" in out
         assert "conn_opened" in out
 
