@@ -29,7 +29,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.tcp.constants import DEFAULT_INIT_CWND, TcpConfig
+from repro.tcp.constants import DEFAULT_INIT_CWND, TCP_HEADER_BYTES, TcpConfig
 from repro.tcp.errors import TcpError
 from repro.tcp.listener import AcceptCallback, TcpListener
 from repro.tcp.socket import TcpSocket
@@ -130,7 +130,6 @@ class Host:
         """Actively open a connection and return the client socket."""
         remote = IPv4Address(remote_address)
         sock = self._open_socket(next(self._ephemeral_ports), remote, remote_port)
-        sock.is_client = True
         sock.on_established = on_established
         sock.on_message = on_message
         sock.on_closed = on_closed
@@ -182,9 +181,10 @@ class Host:
     def reboot(self) -> None:
         """Simulate a reboot (Section II-A's motivating failure case).
 
-        All sockets vanish without so much as a FIN (peers discover the
-        loss through their own timers), the route table — including every
-        Riptide-installed entry — is wiped, and any kernel hook is gone.
+        All sockets vanish without so much as a FIN (a peer that sends is
+        reset; one that only waits finds out through its own timers), the
+        route table — including every Riptide-installed entry — is wiped,
+        and any kernel hook is gone.
         Listeners persist: services restart with the machine.  Everything
         Riptide had learned, locally *and about this node on remote
         machines*, must be re-learned.
@@ -222,6 +222,20 @@ class Host:
                 listener.handle_syn(segment, packet.src)
                 return
         self.packets_unmatched += 1
+        if not segment.rst:
+            self._reset(packet.src, segment)
+
+    def _reset(self, remote: IPv4Address, segment: Segment) -> None:
+        """RFC 793's answer to a segment no socket takes: a RST at the
+        sequence number it acknowledged, or, when it carries no ACK, a
+        RST|ACK of everything it occupied.  A RST is never answered."""
+        if segment.is_ack:
+            reply = Segment(segment.dst_port, segment.src_port, segment.ack, 0, rst=True)
+        else:
+            reply = Segment(
+                segment.dst_port, segment.src_port, 0, segment.end_seq, rst=True, is_ack=True
+            )
+        self.send_packet(Packet(self.address, remote, TCP_HEADER_BYTES, reply))
 
     def __repr__(self) -> str:
         return (

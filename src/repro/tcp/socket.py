@@ -201,7 +201,7 @@ class TcpSocket:
         self.remote_address = remote_address
         self.remote_port = remote_port
         self.state = TcpState.CLOSED
-        #: True for actively opened (outgoing) connections; set by the host.
+        #: True for actively opened (outgoing) connections; set by connect().
         self.is_client = False
         #: When True, the socket closes itself as soon as the peer's FIN
         #: arrives (typical request/response server behaviour on EOF).
@@ -275,8 +275,6 @@ class TcpSocket:
         self._m_fast_rexmit = obs.metrics.counter("tcp_fast_retransmits")
         self._m_opened = obs.metrics.counter("tcp_connections_opened")
         self._h_cwnd_at_close = obs.metrics.histogram("tcp_cwnd_at_close")
-        # is_client is stamped by the host after construction; the flow
-        # record catches up in _become_established.
         self._flow = obs.flows.begin(
             host=host.name,
             local=str(host.address),
@@ -329,6 +327,9 @@ class TcpSocket:
         """Actively open: send the SYN (consumes one RTT before data)."""
         if self.state is not TcpState.CLOSED:
             raise TcpStateError(f"connect() in state {self.state}")
+        self.is_client = True
+        if self._flow is not None:
+            self._flow.is_client = True
         self.state = TcpState.SYN_SENT
         self._send_control(syn=True)
         self._arm_rto()
@@ -381,7 +382,8 @@ class TcpSocket:
     def vanish(self) -> None:
         """Drop all state without sending anything (power loss / reboot).
 
-        The peer is left to discover the death through its own timers.
+        The peer's next segment draws a RST from the host; a peer that
+        sends nothing finds out through its own timers.
         """
         if self.state is TcpState.CLOSED:
             return
@@ -479,7 +481,6 @@ class TcpSocket:
         self.established_at = now
         self._m_opened.inc()
         if self._flow is not None:
-            self._flow.is_client = self.is_client
             self._flow.established_at = now
             self._flow.syn_rtt = now - self.created_at
         if self._obs_on:
@@ -676,11 +677,14 @@ class TcpSocket:
             self._deliver_completed_messages()
         if self._peer_fin_received:
             self._close_transition(peer_fin=True)
+            if self.state is TcpState.CLOSED or self.state is TcpState.LAST_ACK:
+                # The transition answered the FIN: with an ACK before the
+                # teardown (FIN_WAIT_2), or with our own FIN.
+                self._cancel_delack()
+                return
         # Acknowledge now, or hold the ACK for a second segment or the
-        # delayed-ACK timer.  ``_ooo`` is read only here, after delivery
-        # and the FIN transition: either may have torn the socket down.
-        # A FIN is ACKed here even when the transition already answered
-        # it (from FIN_WAIT_2, or with our own FIN): ROADMAP item 1(c).
+        # delayed-ACK timer.  ``_ooo`` is read only here, after delivery,
+        # which may have torn the socket down.
         if segment.fin or self._ooo or not self._config.delayed_ack:
             self._send_pure_ack()
             return
@@ -1017,6 +1021,12 @@ class TcpSocket:
         Sending the FIN, once ``close()`` has queued it and the data
         ahead of it is out, moves ESTABLISHED to FIN_WAIT_1 and
         CLOSE_WAIT to LAST_ACK (``_try_send``).
+
+        There is no TIME_WAIT and no CLOSING state: no close ordering here
+        needs port reuse modelled.  A segment that arrives after teardown
+        finds no socket, and the host answers it with RFC 793's reset
+        (``Host.receive_packet``), so a peer whose FIN's ACK was lost is
+        reset by its retransmitted FIN instead of re-ACKed from TIME_WAIT.
         """
         state = self.state
         if peer_fin:

@@ -43,7 +43,9 @@ class TestReboot:
         result = request_response(bed, response_bytes=10_000)
         assert result.completed
 
-    def test_peer_discovers_death_via_timers(self):
+    def test_peer_that_sends_is_reset(self):
+        """The rebooted host has no socket for the client's request, so it
+        answers with a RST: the client learns of the death in one RTT."""
         bed = make_testbed()
         errors = []
         sock = bed.client.connect(
@@ -51,6 +53,22 @@ class TestReboot:
         )
         bed.sim.run(until=1.0)
         bed.server.reboot()
+        sock.send_message(("get", 10_000), 200)
+        bed.sim.run(until=bed.sim.now + 1.5 * 0.080)
+        assert sock.state is TcpState.CLOSED
+        assert errors == ["connection reset by peer"]
+
+    def test_peer_discovers_death_via_timers(self):
+        """Where nothing reaches the rebooted host (its trunk is down too),
+        only the client's own timers can tell it."""
+        bed = make_testbed()
+        errors = []
+        sock = bed.client.connect(
+            bed.server.address, 80, on_error=lambda s, reason: errors.append(reason)
+        )
+        bed.sim.run(until=1.0)
+        bed.server.reboot()
+        bed.trunk.set_down()
         # The client sends into the void; retransmissions back off to the
         # 120 s RTO cap before the tcp_retries2-style limit gives up.
         sock.send_message(("get", 10_000), 200)

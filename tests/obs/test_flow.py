@@ -104,10 +104,13 @@ class TestSocketFlowRecords:
 
     def _closed_client_flow(self, listen: bool) -> FlowRecord:
         """The client's record once its connection is over: closed as soon
-        as it opens, or given up on (connect timeout) when nothing listens."""
+        as it opens, or given up on (connect timeout) when the trunk is
+        down and no SYN arrives."""
         bed = TwoHostTestbed()
         if listen:
             bed.server.listen(80, on_accept=_close_on_peer_fin)
+        else:
+            bed.trunk.set_down()
         bed.client.connect(bed.server.address, 80, on_established=TcpSocket.close)
         bed.sim.run()
         (flow,) = [r for r in bed.sim.obs.flows.records() if r.host == "client"]
@@ -117,11 +120,6 @@ class TestSocketFlowRecords:
     def test_established_client_flow_is_client_side(self):
         assert self._closed_client_flow(listen=True).is_client
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1(c): the record opens with is_client=False and only "
-        "_become_established copies the host's stamp into it",
-    )
     def test_unestablished_client_flow_is_client_side(self):
         flow = self._closed_client_flow(listen=False)
         assert flow.error == "connect timeout"

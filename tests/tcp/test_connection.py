@@ -39,15 +39,17 @@ class TestHandshake:
         server_sock = testbed.server.sockets()[0]
         assert not server_sock.is_client
 
-    def test_syn_to_closed_port_times_out(self):
+    def test_syn_to_closed_port_is_reset(self):
+        """RFC 793: the server's host answers with RST|ACK, within one RTT."""
         bed = TwoHostTestbed(rtt=RTT)
         errors = []
         sock = bed.client.connect(
             bed.server.address, 9999, on_error=lambda s, reason: errors.append(reason)
         )
-        bed.sim.run(until=300.0)
+        bed.sim.run(until=1.5 * RTT)
         assert sock.state is TcpState.CLOSED
-        assert errors and "timeout" in errors[0]
+        assert errors == ["connection reset by peer"]
+        assert (bed.server.packets_unmatched, bed.client.packets_unmatched) == (1, 0)
 
     def test_double_connect_rejected(self, testbed):
         sock = testbed.client.connect(testbed.server.address, 80)
