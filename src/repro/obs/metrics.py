@@ -35,9 +35,9 @@ def rounded_rank(ordered: Sequence[_T], p: float) -> _T:
     """Percentile ``p`` of sorted, non-empty ``ordered``: the sample at
     rank ``round(p / 100 * (n - 1))``, clamped to the ends.
 
-    This is not nearest-rank (``ceil(p / 100 * n) - 1``, what
-    ``WindowedStore.percentile`` uses): for the samples 1..7 it reads
-    p90 as 6, nearest-rank as 7.
+    The one rank rule of every percentile here: histograms, the report,
+    the tournament, ``PercentilePolicy`` and the SLO engine's windows
+    (``WindowedStore.percentile``).  For the samples 1..7, p90 is 6.
     """
     rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
     return ordered[rank]

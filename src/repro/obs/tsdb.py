@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
+from repro.obs.metrics import rounded_rank
 from repro.obs.timeline import PointLog, TimelinePoint
 
 
@@ -112,20 +113,13 @@ class WindowedStore(PointLog[TsdbPoint]):
     def percentile(
         self, source: str, series: str, index: int, window: float, p: float
     ) -> float | None:
-        """Nearest-rank percentile of a window's values; None when empty.
-
-        Rank ``ceil(p / 100 * n) - 1``.  This is *not* the rank rule of
-        :meth:`repro.obs.metrics.Histogram.percentile` and the report
-        (:func:`repro.obs.metrics.rounded_rank`): for the values 1..7 this
-        reads p90 as 7 where those read 6, so an SLO threshold and a report
-        percentile over the same samples can differ by one rank.
-        """
+        """Percentile ``p`` of a window's values by
+        :func:`~repro.obs.metrics.rounded_rank`; None when empty."""
         values = self.window_values(source, series, index, window)
         if not values:
             return None
         values.sort()
-        rank = max(0, math.ceil(p / 100.0 * len(values)) - 1)
-        return values[min(rank, len(values) - 1)]
+        return rounded_rank(values, p)
 
     def rate(self, source: str, series: str, index: int, window: float) -> float | None:
         """Per-second event rate of a window: sum of samples / width."""

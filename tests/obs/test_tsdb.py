@@ -125,27 +125,27 @@ class TestWindowDerivations:
         assert store.last("s", "x", 1, 5.0) == 9.0
         assert store.last("s", "x", 2, 5.0) is None
 
-    def test_percentile_nearest_rank(self):
+    def test_percentile_rounded_rank(self):
         store = WindowedStore(500_000)
         for v in (5.0, 1.0, 3.0, 2.0, 4.0):
             store.record(0.5, "s", "x", v)
         assert store.percentile("s", "x", 0, 5.0, 50.0) == 3.0
-        assert store.percentile("s", "x", 0, 5.0, 90.0) == 5.0
+        assert store.percentile("s", "x", 0, 5.0, 90.0) == 5.0  # rank round(3.6)
+        assert store.percentile("s", "x", 0, 5.0, 80.0) == 4.0  # rank round(3.2)
         assert store.percentile("s", "x", 0, 5.0, 100.0) == 5.0
         assert store.percentile("s", "x", 1, 5.0, 90.0) is None
 
-    def test_percentile_rank_rule_is_not_the_histograms(self):
-        """Nearest-rank here, ``rounded_rank`` in ``Histogram`` and the
-        report: over the samples 1..7 the p90s are 7 and 6.  Making them
-        agree moves the alert report, so it waits for a governed refresh.
-        """
+    def test_percentile_rank_rule_is_the_histograms(self):
+        """One rank rule: an SLO threshold and a report percentile over the
+        same samples agree (over 1..7, p90 is 6 for both)."""
         store = WindowedStore(500_000)
         histogram = Histogram("h")
         for v in range(1, 8):
             store.record(0.5, "s", "x", float(v))
             histogram.observe(float(v))
-        assert store.percentile("s", "x", 0, 5.0, 90.0) == 7.0
-        assert histogram.percentile(90.0) == 6.0
+        for p in (0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0):
+            assert store.percentile("s", "x", 0, 5.0, p) == histogram.percentile(p)
+        assert store.percentile("s", "x", 0, 5.0, 90.0) == 6.0
 
     def test_rate_is_sum_over_width(self):
         store = WindowedStore(500_000)

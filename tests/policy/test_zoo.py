@@ -102,7 +102,7 @@ class TestPercentilePolicy:
         policy = PercentilePolicy(90.0)
         assert policy.name == "p90"
         value = policy.decide(DEST, obs(*range(1, 11)), now=0.0)
-        # Nearest rank over 1..10 at p90: index round(.9*9)=8 -> 9.
+        # rounded_rank over 1..10 at p90: index round(.9*9)=8 -> 9.
         assert value == 9.0
 
     def test_keeps_per_destination_samples(self):
