@@ -114,10 +114,6 @@ class TraceLog:
         """Retained events in recorded order."""
         return list(self._events)
 
-    def count(self, type: EventType) -> int:
-        """Total events of one type ever recorded (not ring-limited)."""
-        return self._totals[type]
-
     def totals(self) -> dict[EventType, int]:
         """Total events per type ever recorded (not ring-limited)."""
         return dict(self._totals)
@@ -136,15 +132,6 @@ class TraceLog:
         whole story — ``repro metrics`` warns when that happens.
         """
         return self.recorded - len(self._events)
-
-    def last(self, type: EventType | None = None) -> TraceEvent | None:
-        """Most recent retained event (of one type, when given)."""
-        if type is None:
-            return self._events[-1] if self._events else None
-        for event in reversed(self._events):
-            if event.type is type:
-                return event
-        return None
 
     def __len__(self) -> int:
         return len(self._events)

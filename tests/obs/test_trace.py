@@ -14,15 +14,6 @@ class TestRecordAndQuery:
         assert event.detail("window") == 40
         assert event.detail("absent", default="d") == "d"
 
-    def test_last_overall_and_per_type(self):
-        log = TraceLog(10_000)
-        assert log.last() is None
-        log.record(0.0, EventType.CONN_OPENED, "a")
-        log.record(1.0, EventType.RTO_FIRED, "a")
-        assert log.last().type is EventType.RTO_FIRED
-        assert log.last(EventType.CONN_OPENED).time == 0.0
-        assert log.last(EventType.ROUTE_EXPIRED) is None
-
     def test_format_is_readable(self):
         log = TraceLog(10_000)
         event = log.record(2.0, EventType.ROUTE_EXPIRED, "srv", destination="10.0.0.1/32")
@@ -37,7 +28,6 @@ class TestRingAndTotals:
             log.record(float(i), EventType.CONN_OPENED, "a")
         assert len(log) == 3
         assert [e.time for e in log.events()] == [2.0, 3.0, 4.0]
-        assert log.count(EventType.CONN_OPENED) == 5
         assert log.totals() == {EventType.CONN_OPENED: 5}
 
     def test_recorded_and_dropped_counters(self):
@@ -47,9 +37,6 @@ class TestRingAndTotals:
             log.record(float(i), EventType.CONN_OPENED, "a")
         assert log.recorded == 5
         assert log.dropped == 2
-
-    def test_count_of_unseen_type_is_zero(self):
-        assert TraceLog(10_000).count(EventType.RTO_FIRED) == 0
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
