@@ -101,7 +101,7 @@ class LinkDegrade(FaultSpec):
             raise FaultSpecError(
                 f"bandwidth_scale must be in (0, 1], got {self.bandwidth_scale}"
             )
-        if self.extra_delay < 0:
+        if not self.extra_delay >= 0:
             raise FaultSpecError(
                 f"extra_delay must be >= 0, got {self.extra_delay}"
             )

@@ -28,7 +28,10 @@ DeliverCallback = Callable[[Packet], None]
 #: What every direction's queue slot holds until ``transmit`` accepts a
 #: packet there and puts a deque of the direction's own in its place:
 #: empty to every reader, and nothing is ever appended to it.
-_NO_QUEUE: deque[tuple[Packet, DeliverCallback]] = deque(maxlen=0)
+_NO_QUEUE: deque[tuple[float, Packet | None]] = deque(maxlen=0)
+
+#: A direction's ``set_down`` catch while none of it is left to arrive.
+_NO_DOWNED: frozenset[Packet] = frozenset()
 
 
 class LinkStats:
@@ -51,17 +54,24 @@ class LinkStats:
 
 
 class Link:
-    """One unidirectional link."""
+    """One unidirectional link.
 
-    # One Link object per path direction, two timers per packet
-    # (serialization, then propagation): keep instances dict-free and the
-    # counter handles one load away.  A full mesh builds a thousand
-    # directions and a scale run sends packets over a tenth of them, so
-    # what only a packet needs — the loss generator (2.5 KB of Mersenne
-    # state) and the queue — is built by the first packet that needs it.
+    A packet's passage is fixed when the link accepts it: it starts now or
+    when the last accepted packet finishes, and the state in force then
+    sets its finish, its loss draw and its one arrival event.  Same-instant
+    rule: a serialization completion at *t* frees its queue slot before any
+    offer at *t* is judged against ``queue_limit_packets``, which bounds
+    the packets waiting (not the one on the wire).
+    """
+
+    # One Link object per path direction, one timer per packet: keep
+    # instances dict-free and the counter handles one load away.  A full
+    # mesh builds a thousand directions and a scale run sends packets over
+    # a tenth of them, so what only a packet needs — the loss generator
+    # (2.5 KB of Mersenne state) and the queue — is built by the first one.
     __slots__ = (
         "_sim", "bandwidth_bps", "propagation_delay", "queue_limit_packets",
-        "_loss", "_rng", "_streams", "name", "stats", "_queue", "_transmitting",
+        "_loss", "_rng", "_streams", "name", "stats", "_queue", "_downed",
         "_obs_on", "_m_delivered", "_m_dropped_queue", "_m_dropped_loss",
         "_g_queue_depth", "up", "bandwidth_scale", "extra_delay",
         "_loss_override", "_m_dropped_down", "fluid_bps",
@@ -77,9 +87,9 @@ class Link:
         name: str = "link",
         streams: RandomStreams | None = None,
     ) -> None:
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:  # also true for NaN, unlike `<= 0`
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if propagation_delay < 0:
+        if not propagation_delay >= 0:
             raise ValueError(f"propagation delay must be >= 0, got {propagation_delay}")
         if queue_limit_packets < 1:
             raise ValueError(f"queue limit must be >= 1, got {queue_limit_packets}")
@@ -96,9 +106,11 @@ class Link:
         self._streams = streams
         self.name = name
         self.stats = LinkStats()
-        #: Waiting ``(packet, deliver)`` pairs, later the timers' arguments.
+        #: ``(finish, packet)`` per accepted packet not yet serialized (None
+        #: for one the loss draw took); the head is on the wire.
         self._queue = _NO_QUEUE
-        self._transmitting = False
+        #: Packets ``set_down`` caught, whose arrival events deliver nothing.
+        self._downed = _NO_DOWNED
         #: Fault-injection state (see repro.faults): an administratively
         #: "down" link drops every packet; degradation scales the usable
         #: bandwidth and adds propagation delay; a loss override replaces
@@ -125,7 +137,8 @@ class Link:
     @property
     def queue_depth(self) -> int:
         """Packets waiting (not counting the one on the wire)."""
-        return len(self._queue)
+        now = self._sim.now
+        return max(sum(1 for finish, _ in self._queue if finish > now) - 1, 0)
 
     def serialization_time(self, size_bytes: int) -> float:
         """Seconds to clock ``size_bytes`` onto the wire.
@@ -145,63 +158,43 @@ class Link:
     def transmit(self, packet: Packet, deliver: DeliverCallback) -> bool:
         """Offer a packet to the link.
 
-        Returns False when the queue is full and the packet was dropped at
-        the tail; True when it was accepted (acceptance does not guarantee
-        delivery — in-flight loss may still eat it).
+        Returns False when the link is down or the queue is full and the
+        packet was dropped; True when it was accepted (acceptance does not
+        guarantee delivery — in-flight loss may still eat it).
         """
         stats = self.stats
-        queue = self._queue
         stats.packets_offered += 1
         stats.bytes_offered += packet.size_bytes
         if not self.up:
             stats.packets_dropped_down += 1
             self._m_dropped_down.inc()
             return False
-        if len(queue) >= self.queue_limit_packets:
+        now = self._sim._now  # no property frame: here and in _deliver, per packet
+        queue = self._queue
+        while queue and queue[0][0] <= now:
+            queue.popleft()
+        # Waiting packets number len(queue) - 1: the head is on the wire.
+        if len(queue) > self.queue_limit_packets:
             stats.packets_dropped_queue += 1
             self._m_dropped_queue.inc()
             return False
         if queue is _NO_QUEUE:
             queue = self._queue = deque()
-        queue.append((packet, deliver))
-        depth = len(queue)
+        finish = (queue[-1][0] if queue else now) + self.serialization_time(packet.size_bytes)
+        if (self._loss_override or self._loss).should_drop(self._rng or self._loss_stream()):
+            stats.packets_dropped_loss += 1
+            self._m_dropped_loss.inc()
+            queue.append((finish, None))
+        else:
+            queue.append((finish, packet))
+            arrival = finish + (self.propagation_delay + self.extra_delay)
+            self._sim.schedule_fire(arrival, self._deliver, packet, deliver)
+        depth = len(queue) - 1
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if self._obs_on:
             self._g_queue_depth.set(depth)
-        if not self._transmitting:
-            self._transmitting = True
-            self._start_next_transmission()
         return True
-
-    def _start_next_transmission(self) -> None:
-        """Put the head of the (non-empty) queue on the wire."""
-        queue = self._queue
-        packet, deliver = queue.popleft()
-        if self._obs_on:
-            self._g_queue_depth.set(len(queue))
-        tx_time = self.serialization_time(packet.size_bytes)
-        self._sim.schedule_fire(tx_time, self._finish_transmission, packet, deliver)
-
-    def _finish_transmission(self, packet: Packet, deliver: DeliverCallback) -> None:
-        if not self.up:
-            # The link failed while this packet was on the wire.
-            self.stats.packets_dropped_down += 1
-            self._m_dropped_down.inc()
-        elif (self._loss_override or self._loss).should_drop(
-            self._rng or self._loss_stream()
-        ):
-            self.stats.packets_dropped_loss += 1
-            self._m_dropped_loss.inc()
-        else:
-            delay = self.propagation_delay + self.extra_delay
-            self._sim.schedule_fire(delay, self._deliver, packet, deliver)
-        if self._queue:
-            self._start_next_transmission()
-        else:
-            self._transmitting = False
-            if self._obs_on:
-                self._g_queue_depth.set(0)
 
     def _loss_stream(self) -> random.Random:
         """Resolve the generator of this direction's first loss draw."""
@@ -210,6 +203,16 @@ class Link:
         return rng
 
     def _deliver(self, packet: Packet, deliver: DeliverCallback) -> None:
+        downed = self._downed
+        if downed and packet in downed:
+            self._downed = downed - {packet} or _NO_DOWNED
+            return
+        queue = self._queue
+        now = self._sim._now
+        while queue and queue[0][0] <= now:
+            queue.popleft()
+        if self._obs_on:
+            self._g_queue_depth.set(len(queue) - 1 if queue else 0)
         stats = self.stats
         stats.packets_delivered += 1
         stats.bytes_delivered += packet.size_bytes
@@ -221,20 +224,24 @@ class Link:
     # ------------------------------------------------------------------
 
     def set_down(self) -> None:
-        """Fail the link: the queue is purged and every subsequent offer
-        (and any packet still on the wire) is dropped until :meth:`set_up`.
-
-        Packets already past serialization (in propagation flight) still
-        arrive — they left the link before the failure.
+        """Fail the link until :meth:`set_up`: every offer is dropped, and so
+        is every accepted packet not yet serialized (the one on the wire
+        included; one the loss draw took stays lost), counted now.  Packets
+        in propagation flight still arrive: they left before the failure.
         """
         self.up = False
-        purged = len(self._queue)
-        if purged:
-            self.stats.packets_dropped_down += purged
-            self._m_dropped_down.inc(purged)
-            self._queue.clear()
-            if self._obs_on:
-                self._g_queue_depth.set(0)
+        queue = self._queue
+        now = self._sim.now
+        if not queue or queue[-1][0] <= now:
+            return  # nothing left unfinished
+        caught = [packet for finish, packet in queue if finish > now and packet is not None]
+        queue.clear()
+        if self._obs_on:
+            self._g_queue_depth.set(0)
+        if caught:
+            self._downed = self._downed.union(caught)
+            self.stats.packets_dropped_down += len(caught)
+            self._m_dropped_down.inc(len(caught))
 
     def set_up(self) -> None:
         """Restore a failed link."""
@@ -243,14 +250,14 @@ class Link:
     def degrade(self, bandwidth_scale: float = 1.0, extra_delay: float = 0.0) -> None:
         """Degrade the link: scale usable bandwidth, add one-way delay.
 
-        Applies to packets serialized from now on; :meth:`restore` undoes
+        Applies to packets accepted from now on; :meth:`restore` undoes
         both knobs.
         """
         if not 0.0 < bandwidth_scale <= 1.0:
             raise ValueError(
                 f"bandwidth_scale must be in (0, 1], got {bandwidth_scale}"
             )
-        if extra_delay < 0:
+        if not extra_delay >= 0:
             raise ValueError(f"extra_delay must be >= 0, got {extra_delay}")
         self.bandwidth_scale = float(bandwidth_scale)
         self.extra_delay = float(extra_delay)
@@ -266,7 +273,7 @@ class Link:
 
     def set_fluid_load(self, bps: float) -> None:
         """Record the aggregate fluid-cohort send rate crossing this link."""
-        if bps < 0:
+        if not bps >= 0:
             raise ValueError(f"fluid load must be >= 0, got {bps}")
         self.fluid_bps = float(bps)
 
@@ -304,23 +311,12 @@ class DuplexLink:
     ) -> None:
         template = loss_model if loss_model is not None else NoLoss()
         self.name = name
-        self.forward = Link(
-            sim,
-            bandwidth_bps,
-            propagation_delay,
-            queue_limit_packets,
-            template.clone(),
-            name=f"{name}:fwd",
-            streams=streams,
-        )
-        self.reverse = Link(
-            sim,
-            bandwidth_bps,
-            propagation_delay,
-            queue_limit_packets,
-            template.clone(),
-            name=f"{name}:rev",
-            streams=streams,
+        self.forward, self.reverse = (
+            Link(
+                sim, bandwidth_bps, propagation_delay, queue_limit_packets,
+                template.clone(), name=f"{name}:{end}", streams=streams,
+            )
+            for end in ("fwd", "rev")
         )
 
     @property

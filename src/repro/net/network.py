@@ -169,7 +169,7 @@ class Network:
             # Raises for an unroutable pair, so a failure is never memoised.
             trunk = self._paths[key] = self._resolve(packet.src, packet.dst)
         if trunk is None:
-            self._sim.schedule_fire(INTRA_ZONE_DELAY, self._deliver_local, packet)
+            self._sim.schedule_fire(self._sim.now + INTRA_ZONE_DELAY, self._deliver_local, packet)
         else:
             trunk.transmit(packet, self._deliver_local)
 

@@ -143,24 +143,23 @@ class Simulator:
 
     def schedule_fire(
         self,
-        delay: float,
+        time: float,
         callback: Callable[..., None],
         *args: Any,
     ) -> None:
-        """Schedule a fire-and-forget ``callback(*args)`` with no handle.
+        """Schedule a fire-and-forget ``callback(*args)`` at absolute ``time``.
 
-        Identical firing order to :meth:`schedule` (one ``seq`` is
+        The handle-free twin of :meth:`schedule_at` (one ``seq`` is
         consumed per call, whichever path scheduled it), but no
         :class:`Event` is allocated, so the timer cannot be cancelled.
-        Use for hot-path timers no caller ever cancels — a link's
-        serialization and propagation timers fire twice per packet and
-        never need a handle.
+        Use for hot-path timers no caller ever cancels — a link's one
+        arrival timer per packet, set when the link accepts it.
         """
-        if not delay >= 0:
-            raise SchedulingError(f"cannot schedule after a delay of {delay}s")
+        if not time >= self._now:
+            raise SchedulingError(f"cannot schedule at t={time} before now={self._now:.6f}")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (self._now + delay, seq, None, callback, args))
+        heappush(self._heap, (time, seq, None, callback, args))
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.  Idempotent.

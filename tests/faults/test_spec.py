@@ -52,6 +52,16 @@ class TestSpecValidation:
                 bandwidth_scale=0.0,
             )
 
+    def test_degrade_extra_delay_nan_rejected(self):
+        with pytest.raises(FaultSpecError, match="extra_delay"):
+            LinkDegrade(
+                pop_a="LHR",
+                pop_b="JFK",
+                at=0.0,
+                duration=1.0,
+                extra_delay=float("nan"),
+            )
+
     def test_storm_probability_range(self):
         with pytest.raises(FaultSpecError, match="loss_probability"):
             LossStorm(pop="JFK", at=0.0, duration=1.0, loss_probability=0.0)

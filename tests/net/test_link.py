@@ -1,11 +1,13 @@
 """Unit tests for link serialization, queueing, propagation and loss."""
 
 
+import random
+
 import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.net.link import DuplexLink, Link
-from repro.net.loss import BernoulliLoss
+from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.packet import Packet
 from repro.sim.rand import RandomStreams
 
@@ -15,6 +17,16 @@ DST = IPv4Address("10.1.0.1")
 
 def make_packet(size: int = 1500) -> Packet:
     return Packet(SRC, DST, size)
+
+
+class DropAll(LossModel):
+    """A wire that eats every packet, without touching the generator."""
+
+    def should_drop(self, rng: random.Random) -> bool:
+        return True
+
+    def clone(self) -> "DropAll":
+        return DropAll()
 
 
 class TestLinkBasics:
@@ -53,7 +65,9 @@ class TestLinkBasics:
         [
             {"bandwidth_bps": 0},
             {"bandwidth_bps": -1},
+            {"bandwidth_bps": float("nan")},
             {"propagation_delay": -0.1},
+            {"propagation_delay": float("nan")},
             {"queue_limit_packets": 0},
         ],
     )
@@ -112,19 +126,159 @@ class TestLoss:
         assert link.stats.packets_dropped_loss == 1000 - len(delivered)
 
     def test_lost_packet_still_occupies_transmitter(self, sim):
-        link = Link(
-            sim,
-            bandwidth_bps=1e6,
-            propagation_delay=0.0,
-            loss_model=BernoulliLoss(0.999999),
-            streams=RandomStreams(1),
-        )
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
         arrivals = []
+        link.set_loss_override(DropAll())
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
+        link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
+        link.set_loss_override(None)
         link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
         sim.run()
-        # Both almost surely lost, but the wire was busy 20 ms total.
-        assert sim.now == pytest.approx(0.02)
+        # Both lost packets held the wire 10 ms each before the third's turn.
+        assert arrivals == pytest.approx([0.03])
+        assert link.stats.packets_dropped_loss == 2
+
+
+class TestSameInstant:
+    """A serialization completion at t frees its queue slot before any
+    offer at t is judged against ``queue_limit_packets``."""
+
+    def _offer_at(self, sim, link, time, accepted, arrivals):
+        def offer():
+            accepted.append(link.transmit(make_packet(1500), arrivals.append))
+
+        sim.schedule_at(time, offer)
+
+    def test_offer_at_a_completion_takes_the_freed_slot(self, sim):
+        # 1500 B at 1 Gbit/s: 12 us on the wire.  A is on the wire, B
+        # waits and fills the one-packet queue; C arrives the instant A
+        # finishes, from an event scheduled before either transmit.
+        link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0, queue_limit_packets=1)
+        tx = link.serialization_time(1500)
+        assert tx == 12e-6
+        accepted, arrivals = [], []
+        self._offer_at(sim, link, tx, accepted, arrivals)
+        assert link.transmit(make_packet(1500), arrivals.append)
+        assert link.transmit(make_packet(1500), arrivals.append)
+        sim.run()
+        assert accepted == [True]
+        assert len(arrivals) == 3
+        assert link.stats.packets_dropped_queue == 0
+        assert sim.now == 3 * tx
+
+    def test_offer_before_the_completion_is_dropped(self, sim):
+        link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0, queue_limit_packets=1)
+        tx = link.serialization_time(1500)
+        accepted, arrivals = [], []
+        self._offer_at(sim, link, tx * 0.999, accepted, arrivals)
+        link.transmit(make_packet(1500), arrivals.append)
+        link.transmit(make_packet(1500), arrivals.append)
+        sim.run()
+        assert accepted == [False]
+        assert link.stats.packets_dropped_queue == 1
+
+
+class TestFaultsReadAtAcceptance:
+    """Link state is read when a packet is accepted, never later."""
+
+    def _pair(self, sim, change):
+        """Accept A, apply ``change``, accept B; the two arrival times."""
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        arrivals: dict[str, float] = {}
+        link.transmit(make_packet(1250), lambda p: arrivals.setdefault("A", sim.now))
+        change(link)
+        link.transmit(make_packet(1250), lambda p: arrivals.setdefault("B", sim.now))
+        sim.run()
+        return link, arrivals
+
+    def test_degrade_applies_to_packets_accepted_after_it(self, sim):
+        link, arrivals = self._pair(
+            sim, lambda link: link.degrade(bandwidth_scale=0.5, extra_delay=0.1)
+        )
+        # A: 10 ms at 1 Mbit/s.  B: 20 ms at half that, then 100 ms more.
+        assert arrivals == pytest.approx({"A": 0.01, "B": 0.13})
+
+    def test_restore_does_not_reach_an_accepted_packet(self, sim):
+        def degrade_then_restore(link):
+            link.degrade(bandwidth_scale=0.5, extra_delay=0.1)
+            link.transmit(make_packet(1250), lambda p: None)
+            link.restore()
+
+        link, arrivals = self._pair(sim, degrade_then_restore)
+        # The middle packet keeps its 20 ms + 100 ms; B follows at full rate.
+        assert arrivals == pytest.approx({"A": 0.01, "B": 0.04})
+
+    def test_fluid_load_applies_to_packets_accepted_after_it(self, sim):
+        link, arrivals = self._pair(sim, lambda link: link.set_fluid_load(0.5e6))
+        assert arrivals == pytest.approx({"A": 0.01, "B": 0.03})
+
+    def test_loss_override_applies_to_packets_accepted_after_it(self, sim):
+        link, arrivals = self._pair(sim, lambda link: link.set_loss_override(DropAll()))
+        assert list(arrivals) == ["A"]
+        assert link.stats.packets_dropped_loss == 1
+
+    def test_clearing_the_override_does_not_save_an_accepted_packet(self, sim):
+        def storm_for_one_packet(link):
+            link.set_loss_override(DropAll())
+            link.transmit(make_packet(1250), lambda p: None)
+            link.set_loss_override(None)
+
+        link, arrivals = self._pair(sim, storm_for_one_packet)
+        assert list(arrivals) == ["A", "B"]
+        assert link.stats.packets_dropped_loss == 1
+
+
+class TestSetDown:
+    def test_busy_direction_drops_the_queue_and_the_wire_at_the_call(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.05)
+        arrivals = []
+        for _ in range(4):
+            link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
+        # At 15 ms the first packet is in propagation, the second on the
+        # wire and two wait.
+        sim.run(until=0.015)
+        assert link.queue_depth == 2
+        link.set_down()
+        assert link.stats.packets_dropped_down == 3
+        assert link.queue_depth == 0
+        sim.run()
+        assert arrivals == pytest.approx([0.06])
+        assert link.stats.packets_dropped_down == 3
+        assert link.stats.packets_delivered == 1
+
+    def test_a_packet_the_draw_took_stays_lost(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        link.transmit(make_packet(1250), lambda p: None)
+        link.set_loss_override(DropAll())
+        link.transmit(make_packet(1250), lambda p: None)
+        link.set_down()
+        sim.run()
+        stats = link.stats
+        assert (stats.packets_dropped_down, stats.packets_dropped_loss) == (1, 1)
+
+    def test_the_link_is_free_again_after_set_up(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        arrivals = []
+        link.transmit(make_packet(1250), lambda p: arrivals.append(("old", sim.now)))
+        link.set_down()
+        link.set_up()
+        link.transmit(make_packet(1250), lambda p: arrivals.append(("new", sim.now)))
+        sim.run()
+        assert arrivals == [("new", pytest.approx(0.01))]
+
+
+class TestNanRejected:
+    def test_degrade_extra_delay(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        with pytest.raises(ValueError):
+            link.degrade(extra_delay=float("nan"))
+        assert link.extra_delay == 0.0
+
+    def test_fluid_load(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        with pytest.raises(ValueError):
+            link.set_fluid_load(float("nan"))
+        assert link.fluid_bps == 0.0
 
 
 class TestDuplexLink:

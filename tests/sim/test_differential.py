@@ -77,7 +77,7 @@ class _Pair:
         event = Event(self.sim.now + delay, seq, lambda: None)
         self.oracle.push(event)
         if handle_free:
-            self.sim.schedule_fire(delay, self._record, seq)
+            self.sim.schedule_fire(self.sim.now + delay, self._record, seq)
             self.handles.append((event, None))
         else:
             self.handles.append((event, self.sim.schedule(delay, self._record, seq)))

@@ -25,8 +25,8 @@ class _Fired:
     def schedule(self, delay: float, tag: object = None) -> Event:
         return self.sim.schedule(delay, self.record, tag)
 
-    def schedule_fire(self, delay: float, tag: object = None) -> None:
-        self.sim.schedule_fire(delay, self.record, tag)
+    def schedule_fire(self, time: float, tag: object = None) -> None:
+        self.sim.schedule_fire(time, self.record, tag)
 
     def record(self, tag: object) -> None:
         self.log.append((self.sim.now, tag))

@@ -261,11 +261,28 @@ class TestScheduleFire:
         assert sim.events_processed == 1
         assert sim.pending_events == 0
 
+    def test_time_is_absolute(self, sim):
+        fired = []
+        sim.schedule(2.0, lambda: sim.schedule_fire(3.0, fired.append, sim.now))
+        sim.run()
+        assert fired == [2.0]
+        assert sim.now == 3.0
+
     def test_negative_delay_rejected(self, sim):
         from repro.sim.errors import SchedulingError
 
         with pytest.raises(SchedulingError):
             sim.schedule_fire(-0.5, lambda: None)
+
+    def test_time_before_now_rejected(self, sim):
+        from repro.sim.errors import SchedulingError
+
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SchedulingError):
+            sim.schedule_fire(4.999, lambda: None)
+        sim.schedule_fire(5.0, lambda: None)  # now itself is not the past
+        assert sim.pending_events == 1
 
     def test_fire_consumes_sequence_numbers(self, sim):
         """Interleaving fire/handle paths preserves schedule order."""
