@@ -18,12 +18,14 @@ test-output:
 # pinned byte for byte (packet-path golden), the lossless slow-start
 # oracle, the frames-per-packet ceiling, the link/fabric tests (the
 # link-stream order oracle among them), the close matrix (it pins
-# leftover events), the kernel tests, the bytes-per-trunk-direction
-# ceiling and the bytes-per-idle-pooled-connection ceiling.
+# leftover events), the kernel tests, the cyclic-garbage census (the run
+# loop keeps the collector off, so a new cycle on the hot path fails it by
+# name), the bytes-per-trunk-direction ceiling and the
+# bytes-per-idle-pooled-connection ceiling.
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
-		tests/tcp/test_close_matrix.py tests/sim \
+		tests/tcp/test_close_matrix.py tests/sim tests/experiments/test_gc_census.py \
 		tests/cdn/test_fabric_footprint.py tests/tcp/test_connection_footprint.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,

@@ -19,6 +19,7 @@ is imported by the first forked run; a serial run never loads it.
 
 from __future__ import annotations
 
+import gc
 import os
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
@@ -125,6 +126,11 @@ def _run_serial(tasks: list[Callable[[], Any]], labels: list[str]) -> list[Any]:
                 str(error),
                 original_type=type(error).__name__,
             ) from error
+        # A finished task's simulation is cyclic garbage (hosts, links and
+        # sockets point back at their simulator), and ``Simulator.run``
+        # keeps the collector off for the next task's whole run: free it
+        # here, at the boundary.
+        gc.collect()
     return results
 
 

@@ -21,15 +21,27 @@ the cancellation check.  Firing order is exactly ``(time, seq)`` with
 Cancellation is lazy — a cancelled event's entry stays in the heap as a
 *tombstone* and is skipped when popped — but the simulator counts
 tombstones and compacts the heap in place once they pass
-:attr:`Simulator.COMPACT_MIN_TOMBSTONES` **and** outnumber half the heap.
-Cancel-heavy workloads (a TCP socket re-arms its RTO on every ACK) would
-otherwise grow the heap without bound between pops.  Compaction rebuilds
-the same list object (``heap[:] = ...``), so the run loop's reference to
-the heap stays valid across a mid-callback cancel burst.
+:attr:`Simulator.COMPACT_MIN_TOMBSTONES` **and** outnumber half the heap,
+so a cancel-heavy workload cannot grow it without bound.  Compaction
+rebuilds the same list object (``heap[:] = ...``), so the run loop's
+reference to the heap stays valid across a mid-callback cancel burst.
+
+CPython's automatic cyclic collector is off inside :meth:`Simulator.run`:
+the call turns it off if it was on and back on in its ``finally``, so a
+collector already off stays off.  The run loop makes no garbage cycles —
+packets, segments and heap entries die by reference count, and
+``tests/experiments/test_gc_census.py`` holds that for the probe, chaos
+and hybrid studies and a two-host testbed — so a collection there would
+only re-walk the in-flight set.
+What does form cycles is a finished simulation (hosts, links and sockets
+point back at their simulator).  The serial task path of
+:mod:`repro.parallel.executor` collects at each task boundary; any other
+simulation dropped between runs goes to the collector, on again there.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from math import isnan
@@ -203,6 +215,11 @@ class Simulator:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         executed = 0
+        # No cyclic garbage is made in here (see the module docstring):
+        # the collector stays off for the call.
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         # Hot loop: it works directly on the entry heap — one
         # ``heap[0]`` peek and one C-level heappop per event, dispatching
         # ``callback(*args)`` straight from the entry tuple.  Tombstones
@@ -252,6 +269,8 @@ class Simulator:
                     entry[3](*entry[4])
                     executed += 1
         finally:
+            if collecting:
+                gc.enable()
             self._running = False
             self._events_processed += executed
         if until is not None and self._now < until:

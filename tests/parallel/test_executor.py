@@ -1,9 +1,12 @@
 """Tests for the forked task executor."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
+from repro.experiments.scenarios import ProbeStudyConfig, probe_study_arms, run_study_arm
 from repro.obs.instrument import capture
 from repro.parallel.executor import WorkerFailure, default_workers, fork_available, run_tasks
 
@@ -151,3 +154,31 @@ class TestObsMerge:
                 run_tasks(tasks, workers=2)
         # Task 0's capture merged; task 2's (after the failing index) did not.
         assert instrumentation.metrics.counter_value("parallel_test_total") == 1
+
+
+class TestSerialRelease:
+    def test_finished_clusters_freed_with_the_collector_off(self):
+        """``Simulator.run`` keeps the collector off, so a finished task's
+        cluster (a web of cycles) would outlive the next task's run; the
+        serial path frees it at the task boundary."""
+        arms = probe_study_arms(
+            ProbeStudyConfig(topology_codes=("LHR", "JFK"), warmup=1.0, duration=2.0)
+        )
+        clusters = []
+
+        def arm_task(arm):
+            run = run_study_arm(arm)
+            clusters.append(weakref.ref(run.cluster))
+            return run.summary()
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            summaries = run_tasks([lambda arm=arm: arm_task(arm) for arm in arms], workers=1)
+            alive = [ref() for ref in clusters if ref() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(summaries) == 2
+        assert len(clusters) == 2
+        assert alive == []

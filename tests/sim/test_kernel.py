@@ -1,5 +1,7 @@
 """Unit tests for the simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim.errors import SchedulingError
@@ -294,3 +296,75 @@ class TestScheduleFire:
                 sim.schedule_fire(1.0, fired.append, i)
         sim.run()
         assert fired == list(range(10))
+
+
+class TestCollector:
+    """``run()`` suspends automatic cyclic collection for the call only."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_off_inside_a_callback_and_on_after_run(self, sim):
+        gc.enable()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_off_inside_a_bounded_run_too(self, sim):
+        gc.enable()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.schedule(5.0, lambda: seen.append(gc.isenabled()))
+        sim.run(until=2.0)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_before_the_call_stays_disabled(self, sim):
+        gc.disable()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_restored_when_a_callback_raises(self, sim):
+        gc.enable()
+
+        def boom() -> None:
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_rejected_runs_leave_it_untouched(self, sim, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        seen = []
+
+        def nested() -> None:
+            # The outer run has it off; the refused inner call must not
+            # turn it back on.
+            with pytest.raises(SchedulingError):
+                sim.run()
+            seen.append(gc.isenabled())
+
+        sim.schedule(1.0, nested)
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchedulingError):
+            sim.run(until=float("nan"))
+        assert gc.isenabled() is enabled
