@@ -17,7 +17,8 @@ test-output:
 # Inner loop for a change to tcp/, net/ or the kernel (< 20 s): behaviour
 # pinned byte for byte (packet-path golden), the lossless slow-start
 # oracle, the frames-per-packet ceiling, the link/fabric tests (the
-# link-stream order oracle among them), the close matrix (it pins
+# link-stream order oracle among them), the host tests (demux, resets,
+# reboot), the close matrix (it pins
 # leftover events), the kernel tests, the cyclic-garbage census (the run
 # loop keeps the collector off, so a new cycle on the hot path fails it by
 # name), the bytes-per-trunk-direction ceiling and the
@@ -25,8 +26,9 @@ test-output:
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
-		tests/tcp/test_close_matrix.py tests/sim tests/experiments/test_gc_census.py \
-		tests/cdn/test_fabric_footprint.py tests/tcp/test_connection_footprint.py
+		tests/linux tests/tcp/test_close_matrix.py tests/sim \
+		tests/experiments/test_gc_census.py tests/cdn/test_fabric_footprint.py \
+		tests/tcp/test_connection_footprint.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,
 # cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the

@@ -1,6 +1,6 @@
 """SLOT001 — attribute assigned on ``self`` but not declared in ``__slots__``.
 
-The hot-path classes (``TcpSocket``, ``Link``, ``Packet``, ``Event``)
+The hot-path classes (``TcpSocket``, ``Link``, ``Segment``, ``Event``)
 use ``__slots__`` for heap compactness.  Assigning an undeclared
 attribute on an instance of such a class raises ``AttributeError`` *at
 runtime*, on whichever code path first reaches the assignment — the

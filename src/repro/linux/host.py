@@ -26,10 +26,10 @@ from repro.linux.ip_tool import IpRouteTool
 from repro.linux.route import RouteTable
 from repro.linux.ss_tool import SsTool, SyntheticSocketSource
 from repro.net.addresses import IPv4Address
-from repro.net.network import Network
+from repro.net.network import Hop, Network
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.tcp.constants import DEFAULT_INIT_CWND, TCP_HEADER_BYTES, TcpConfig
+from repro.tcp.constants import DEFAULT_INIT_CWND, TcpConfig
 from repro.tcp.errors import TcpError
 from repro.tcp.listener import AcceptCallback, TcpListener
 from repro.tcp.socket import TcpSocket
@@ -64,6 +64,9 @@ class Host:
         self._sockets: dict[ConnKey, TcpSocket] = {}
         self._listeners: dict[int, TcpListener] = {}
         self._ephemeral_ports = itertools.count(_EPHEMERAL_PORT_START)
+        #: Destination address integer -> the hop that carries this host's
+        #: packets there, as ``Network.send`` resolved it for the first.
+        self._hops: dict[int, Hop] = {}
         #: Optional in-kernel initial-window resolver, consulted before
         #: the route table (the Section V "Kernel Implementation" path).
         #: Returning None falls through to the normal FIB lookup.
@@ -201,41 +204,54 @@ class Host:
     # ------------------------------------------------------------------
 
     def send_packet(self, packet: Packet) -> None:
-        self.network.send(packet)
+        """Put a packet on the hop to its destination.
+
+        Keyed by destination alone: every packet a host sends carries its
+        own address.  The first packet to a destination goes through
+        ``Network.send``, which resolves the path and returns the hop; an
+        unroutable destination raises there and is never remembered.
+        """
+        try:
+            hop = self._hops[packet.dst.value]
+        except KeyError:
+            self._hops[packet.dst.value] = self.network.send(packet)
+            return
+        hop.transmit(packet, self.network.deliver)
 
     def receive_packet(self, packet: Packet) -> None:
         """Demultiplex an incoming packet to a socket or listener."""
         self.packets_received += 1
-        segment = packet.payload
-        if not isinstance(segment, Segment):
+        if not isinstance(packet, Segment):
             self.packets_unmatched += 1
             return
-        sock = self._sockets.get(
-            (segment.dst_port, packet.src.value, segment.src_port)
-        )
+        sock = self._sockets.get((packet.dst_port, packet.src.value, packet.src_port))
         if sock is not None:
-            sock.handle_segment(segment)
+            sock.handle_segment(packet)
             return
-        if segment.syn and not segment.is_ack:
-            listener = self._listeners.get(segment.dst_port)
+        if packet.syn and not packet.is_ack:
+            listener = self._listeners.get(packet.dst_port)
             if listener is not None:
-                listener.handle_syn(segment, packet.src)
+                listener.handle_syn(packet)
                 return
         self.packets_unmatched += 1
-        if not segment.rst:
-            self._reset(packet.src, segment)
+        if not packet.rst:
+            self._reset(packet)
 
-    def _reset(self, remote: IPv4Address, segment: Segment) -> None:
+    def _reset(self, segment: Segment) -> None:
         """RFC 793's answer to a segment no socket takes: a RST at the
         sequence number it acknowledged, or, when it carries no ACK, a
         RST|ACK of everything it occupied.  A RST is never answered."""
         if segment.is_ack:
-            reply = Segment(segment.dst_port, segment.src_port, segment.ack, 0, rst=True)
+            reply = Segment(
+                self.address, segment.src, segment.dst_port, segment.src_port,
+                segment.ack, 0, rst=True,
+            )
         else:
             reply = Segment(
-                segment.dst_port, segment.src_port, 0, segment.end_seq, rst=True, is_ack=True
+                self.address, segment.src, segment.dst_port, segment.src_port,
+                0, segment.end_seq, rst=True, is_ack=True,
             )
-        self.send_packet(Packet(self.address, remote, TCP_HEADER_BYTES, reply))
+        self.send_packet(reply)
 
     def __repr__(self) -> str:
         return (

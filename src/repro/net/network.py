@@ -7,14 +7,17 @@ connections between two PoPs therefore share one bottleneck, which is what
 makes the congestion windows of *existing* connections informative about
 the path — the observation Riptide exploits.
 
-Hosts attach by address.  ``send`` resolves ``(src, dst)`` to the trunk
-between their zones (intra-zone traffic takes a fast local path) and the
-trunk delivers to the destination host's ``receive_packet``.
+Hosts attach by address.  ``send`` resolves ``(src, dst)`` to the hop
+that carries the pair — the trunk :class:`~repro.net.link.Link` between
+their zones, or the fast intra-zone hop — puts the packet on it and
+returns the hop; the hop delivers to the destination host's
+``receive_packet``.
 
-The resolution is remembered per address pair, keyed (like the host
-table) by address *integers* so per-packet lookups hash in C.  The memo
-only points at a :class:`~repro.net.link.Link`: what faults change is
-read from the link at each packet's own time.
+``send`` is the only resolver and keeps no memo: a host keeps the hop
+per destination (:meth:`repro.linux.host.Host.send_packet`), so only a
+host's first packet to each destination comes through here.  A resolved
+hop cannot go stale: zones cannot overlap and a trunk cannot be replaced.
+What faults change is read from the link at each packet's own time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Protocol
 
 from repro.net.addresses import IPv4Address, Prefix
 from repro.net.errors import NetworkError, NoRouteError
-from repro.net.link import DuplexLink, Link
+from repro.net.link import DeliverCallback, DuplexLink, Link
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
@@ -56,6 +59,26 @@ class PathSpec:
 INTRA_ZONE_DELAY = 0.00025
 
 
+class IntraZoneHop:
+    """The hop between two hosts of one zone: a fixed LAN delay, no queue
+    and no loss.  Its ``transmit`` has :class:`Link`'s signature, so a host
+    puts a packet on either alike."""
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+
+    def transmit(self, packet: Packet, deliver: DeliverCallback) -> bool:
+        sim = self._sim
+        sim.schedule_fire(sim.now + INTRA_ZONE_DELAY, deliver, packet)
+        return True
+
+
+#: What carries one (source, destination) pair's packets.
+Hop = Link | IntraZoneHop
+
+
 class Network:
     """Zones, trunks and hosts wired together over one simulator."""
 
@@ -69,10 +92,7 @@ class Network:
         #: Attached hosts by address integer.
         self._hosts: dict[int, AttachedHost] = {}
         self._zone_cache: dict[IPv4Address, Prefix | None] = {}
-        #: ``(src, dst)`` address integers -> the link that carries the
-        #: pair, or None for an intra-zone hop.  Only successful
-        #: resolutions are kept; dropped whenever zones or trunks change.
-        self._paths: dict[tuple[int, int], Link | None] = {}
+        self._intra_zone = IntraZoneHop(sim)
         self.packets_to_unknown_host = 0
 
     @property
@@ -86,7 +106,6 @@ class Network:
                 raise NetworkError(f"zone {prefix} overlaps existing zone {existing}")
         self._zones[prefix] = None
         self._zone_cache.clear()
-        self._paths.clear()
 
     def connect_zones(
         self,
@@ -115,7 +134,6 @@ class Network:
         self._duplexes[key] = duplex
         self._trunks[(zone_a, zone_b)] = duplex.forward
         self._trunks[(zone_b, zone_a)] = duplex.reverse
-        self._paths.clear()
         return duplex
 
     def trunk_between(self, zone_a: Prefix, zone_b: Prefix) -> DuplexLink | None:
@@ -160,33 +178,32 @@ class Network:
         self._zone_cache[address] = found
         return found
 
-    def send(self, packet: Packet) -> None:
-        """Inject a packet; it is delivered (or dropped) asynchronously."""
-        key = (packet.src.value, packet.dst.value)
-        try:
-            trunk = self._paths[key]
-        except KeyError:
-            # Raises for an unroutable pair, so a failure is never memoised.
-            trunk = self._paths[key] = self._resolve(packet.src, packet.dst)
-        if trunk is None:
-            self._sim.schedule_fire(self._sim.now + INTRA_ZONE_DELAY, self._deliver_local, packet)
-        else:
-            trunk.transmit(packet, self._deliver_local)
+    def send(self, packet: Packet) -> Hop:
+        """Resolve the packet's path, put the packet on it and return the hop.
 
-    def _resolve(self, src: IPv4Address, dst: IPv4Address) -> Link | None:
-        """The link carrying ``src`` → ``dst``; None within one zone."""
+        The hop carries every later packet of the same ``(src, dst)``
+        pair too.  An unroutable pair raises :class:`NoRouteError` before
+        anything is sent, so a failure leaves nothing to remember.
+        """
+        hop = self._resolve(packet.src, packet.dst)
+        hop.transmit(packet, self.deliver)
+        return hop
+
+    def _resolve(self, src: IPv4Address, dst: IPv4Address) -> Hop:
+        """The hop carrying ``src`` → ``dst``."""
         src_zone = self.zone_of(src)
         dst_zone = self.zone_of(dst)
         if src_zone is None or dst_zone is None:
             raise NoRouteError(f"no zone for {src if src_zone is None else dst}")
         if src_zone == dst_zone:
-            return None
+            return self._intra_zone
         trunk = self._trunks.get((src_zone, dst_zone))
         if trunk is None:
             raise NoRouteError(f"no trunk from zone {src_zone} to zone {dst_zone}")
         return trunk
 
-    def _deliver_local(self, packet: Packet) -> None:
+    def deliver(self, packet: Packet) -> None:
+        """Hand an arrived packet to the host at its destination address."""
         host = self._hosts.get(packet.dst.value)
         if host is None:
             self.packets_to_unknown_host += 1

@@ -144,9 +144,12 @@ class CwndDistribution:
     # ------------------------------------------------------------------
 
     def add_mass(self, window: int, mass: float) -> None:
-        """Inject ``mass`` flows whose window is ``window``."""
-        if mass <= 0.0:
-            return
+        """Inject ``mass`` flows whose window is ``window`` (none for a
+        mass <= 0; NaN raises)."""
+        if not mass > 0.0:
+            if mass <= 0.0:
+                return
+            raise ValueError(f"mass must be a number, got {mass}")
         bin_index = self.window_to_bin(window)
         self._bin_mass[bin_index] += mass
         self.flows += mass
@@ -182,7 +185,7 @@ class CwndDistribution:
         the expected number of loss (halving) events this step — the
         retransmission mass the counters track.
         """
-        if drift_segments_per_sec < 0.0:
+        if not drift_segments_per_sec >= 0.0:
             raise ValueError(
                 f"drift must be >= 0, got {drift_segments_per_sec}"
             )
@@ -409,11 +412,11 @@ class FluidPopulation:
         created_at: float = 0.0,
         is_client: bool = False,
     ) -> None:
-        if rtt <= 0:
+        if not rtt > 0:
             raise ValueError(f"rtt must be positive, got {rtt}")
-        if target_flows <= 0:
+        if not target_flows > 0:
             raise ValueError(f"target_flows must be positive, got {target_flows}")
-        if churn_per_flow_per_sec < 0:
+        if not churn_per_flow_per_sec >= 0:
             raise ValueError(
                 f"churn must be >= 0, got {churn_per_flow_per_sec}"
             )

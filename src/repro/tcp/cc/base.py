@@ -38,19 +38,19 @@ class CongestionControl(ABC):
         """Usable window in whole segments (>= 1)."""
         return max(1, math.floor(self.cwnd))
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
     def on_ack(self, now: float, acked_bytes: int, rtt: float | None) -> None:
         """Grow the window for ``acked_bytes`` of newly acknowledged data."""
         acked_segments = acked_bytes / self.mss
         if acked_segments <= 0:
             return
-        if self.in_slow_start:
-            # Appropriate byte counting: one segment of growth per
-            # segment-worth of acked data, capped at the slow-start exit.
-            self.cwnd = min(self.cwnd + acked_segments, max(self.ssthresh, self.cwnd))
+        cwnd = self.cwnd
+        ssthresh = self.ssthresh
+        if cwnd < ssthresh:
+            # Slow start, with appropriate byte counting: one segment of
+            # growth per segment-worth of acked data, capped at the
+            # slow-start exit.  Compared, not min()'d: once per ACK.
+            grown = cwnd + acked_segments
+            self.cwnd = ssthresh if ssthresh < grown else grown
         else:
             self._avoid_congestion(now, acked_segments, rtt)
 

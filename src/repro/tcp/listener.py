@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.net.addresses import IPv4Address
 from repro.tcp.errors import TcpError
 from repro.tcp.wire import Segment
 
@@ -37,13 +36,13 @@ class TcpListener:
         self.on_accept = on_accept
         self.connections_accepted = 0
 
-    def handle_syn(self, segment: Segment, remote_address: IPv4Address) -> "TcpSocket":
+    def handle_syn(self, segment: Segment) -> "TcpSocket":
         """Create and register the server-side socket for a new SYN."""
         if not segment.syn or segment.is_ack:
             raise TcpError("listener can only handle bare SYN segments")
         sock = self._host.create_server_socket(
             local_port=self.port,
-            remote_address=remote_address,
+            remote_address=segment.src,
             remote_port=segment.src_port,
         )
         self.connections_accepted += 1

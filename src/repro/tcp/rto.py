@@ -46,24 +46,31 @@ class RttEstimator:
         return self._samples
 
     def _compute_rto(self) -> float:
-        if self._srtt is None:
-            base = INITIAL_RTO
-        else:
-            base = self._srtt + _K * self._rttvar
-        base = min(max(base, MIN_RTO), MAX_RTO)
-        backed_off = base * (2 ** self._backoff_exponent)
-        return min(backed_off, MAX_RTO)
+        # Clamped by comparison, not min()/max(): this runs on every RTT
+        # sample, and either form yields the same float.
+        srtt = self._srtt
+        rto = INITIAL_RTO if srtt is None else srtt + _K * self._rttvar
+        if rto < MIN_RTO:
+            rto = MIN_RTO
+        exponent = self._backoff_exponent
+        if exponent:
+            rto *= 2 ** exponent
+        return MAX_RTO if rto > MAX_RTO else rto
 
     def add_sample(self, rtt: float) -> None:
         """Fold in a fresh RTT measurement and clear any backoff."""
-        if rtt < 0:
-            raise ValueError(f"negative RTT sample: {rtt}")
-        if self._srtt is None:
+        if not rtt >= 0:
+            raise ValueError(f"RTT sample must be >= 0, got {rtt}")
+        srtt = self._srtt
+        if srtt is None:
             self._srtt = rtt
             self._rttvar = rtt / 2.0
         else:
-            self._rttvar = (1 - _BETA) * self._rttvar + _BETA * abs(self._srtt - rtt)
-            self._srtt = (1 - _ALPHA) * self._srtt + _ALPHA * rtt
+            deviation = srtt - rtt
+            if deviation < 0:
+                deviation = -deviation
+            self._rttvar = (1 - _BETA) * self._rttvar + _BETA * deviation
+            self._srtt = (1 - _ALPHA) * srtt + _ALPHA * rtt
         self._samples += 1
         self._backoff_exponent = 0
         self.rto = self._compute_rto()

@@ -27,14 +27,12 @@ from collections.abc import Callable
 from typing import Any, TYPE_CHECKING
 
 from repro.net.addresses import IPv4Address
-from repro.net.packet import Packet
 from repro.obs.trace import EventType
 from repro.sim.events import Event
 from repro.tcp.cc import make_congestion_control
 from repro.tcp.constants import (
     DELAYED_ACK_TIMEOUT,
     DUPACK_THRESHOLD,
-    TCP_HEADER_BYTES,
     TcpConfig,
 )
 from repro.tcp.errors import TcpStateError
@@ -735,19 +733,18 @@ class TcpSocket:
             self._cancel_delack()
         # One per received data segment: built positionally (a keyword
         # call costs a name match per field) and sent without the
-        # ``_emit`` hop.  Fields in order: ports, seq, ack, payload_bytes,
-        # syn, fin, rst, is_ack, rwnd_bytes, marks, sack_blocks.
+        # ``_emit`` hop.  Fields in order: addresses, ports, seq, ack,
+        # payload_bytes, syn, fin, rst, is_ack, rwnd_bytes, marks,
+        # sack_blocks.
+        host = self._host
         segment = Segment(
-            self.local_port, self.remote_port, self._snd_nxt, self._rcv_nxt,
-            0, False, False, False, True, self._adv_wnd_bytes, (),
-            self._current_sack_blocks() if self._ooo else (),
+            host.address, self.remote_address, self.local_port, self.remote_port,
+            self._snd_nxt, self._rcv_nxt, 0, False, False, False, True,
+            self._adv_wnd_bytes, (), self._current_sack_blocks() if self._ooo else (),
         )
         self.segments_sent += 1
         self.last_activity_at = self.last_send_at = self._sim.now
-        host = self._host
-        host.send_packet(
-            Packet(host.address, self.remote_address, TCP_HEADER_BYTES, segment)
-        )
+        host.send_packet(segment)
 
     #: RFC 2018 caps the option at 3-4 blocks; we use 4.
     MAX_SACK_BLOCKS = 4
@@ -860,16 +857,15 @@ class TcpSocket:
             rtx_queue = self._rtx_queue = deque()
         rtx_queue.append(_SentSegment(seq, end, size, False, False, marks, now))
         # Positional and without the ``_emit`` hop, like ``_send_pure_ack``.
+        host = self._host
         segment = Segment(
-            self.local_port, self.remote_port, seq, self._rcv_nxt,
-            size, False, False, False, True, self._adv_wnd_bytes, marks,
+            host.address, self.remote_address, self.local_port, self.remote_port,
+            seq, self._rcv_nxt, size, False, False, False, True, self._adv_wnd_bytes,
+            marks,
         )
         self.segments_sent += 1
         self.last_activity_at = self.last_send_at = now
-        host = self._host
-        host.send_packet(
-            Packet(host.address, self.remote_address, TCP_HEADER_BYTES + size, segment)
-        )
+        host.send_packet(segment)
 
     def _send_control(self, syn: bool = False, fin: bool = False, rst: bool = False) -> None:
         """Send a SYN, FIN or RST.  A SYN or FIN takes one sequence slot
@@ -878,8 +874,9 @@ class TcpSocket:
         seq = self._snd_nxt
         with_ack = not (syn and self.state is TcpState.SYN_SENT)
         segment = Segment(
-            self.local_port, self.remote_port, seq, self._rcv_nxt if with_ack else 0,
-            0, syn, fin, rst, with_ack, self._adv_wnd_bytes,
+            self._host.address, self.remote_address, self.local_port, self.remote_port,
+            seq, self._rcv_nxt if with_ack else 0, 0, syn, fin, rst, with_ack,
+            self._adv_wnd_bytes,
         )
         if not rst:
             self._snd_nxt = seq + 1
@@ -900,6 +897,8 @@ class TcpSocket:
         self._m_retransmitted.inc()
         with_ack = self.state is not TcpState.SYN_SENT
         segment = Segment(
+            src=self._host.address,
+            dst=self.remote_address,
             src_port=self.local_port,
             dst_port=self.remote_port,
             seq=entry.seq,
@@ -917,15 +916,9 @@ class TcpSocket:
         """Send a control segment or a retransmission (the per-packet
         senders, ``_send_data_segment`` and ``_send_pure_ack``, do this
         inline)."""
-        packet = Packet(
-            src=self._host.address,
-            dst=self.remote_address,
-            size_bytes=TCP_HEADER_BYTES + segment.payload_bytes,
-            payload=segment,
-        )
         self.segments_sent += 1
         self.last_activity_at = self.last_send_at = self._sim.now
-        self._host.send_packet(packet)
+        self._host.send_packet(segment)
 
     # ------------------------------------------------------------------
     # RTO timer

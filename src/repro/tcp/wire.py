@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.net.addresses import IPv4Address
 from repro.records import Frozen
+from repro.tcp.constants import TCP_HEADER_BYTES
 
 
 class MessageMark(Frozen):
@@ -33,8 +35,11 @@ class MessageMark(Frozen):
 
 
 class Segment:
-    """One TCP segment.
+    """One TCP segment, and the packet that carries it.
 
+    ``src`` and ``dst`` are the hosts' addresses and ``size_bytes`` the
+    wire size, header included: the three fields the fabric reads
+    (:class:`~repro.net.packet.Packet`), so a segment travels as itself.
     ``seq`` numbers the first payload byte (or the SYN/FIN itself);
     ``ack`` is the cumulative acknowledgement, valid when ``is_ack``.
     ``rwnd_bytes`` is the advertised receive window.  ``sack_blocks`` are
@@ -43,18 +48,22 @@ class Segment:
     *after* this segment.
 
     Immutable by convention: one is built per packet, so this is a
-    slotted plain class, not a frozen dataclass.  Nothing mutates,
-    compares or copies a segment after construction, and nothing may
-    start to — the receiver is handed the very object the sender built.
+    slotted plain class, not a frozen dataclass, and a standalone one
+    (SLOT001 checks only classes whose bases it can resolve).  Nothing
+    mutates, compares or copies a segment after construction, and nothing
+    may start to — the receiver is handed the very object the sender built.
     """
 
     __slots__ = (
-        "src_port", "dst_port", "seq", "ack", "payload_bytes", "syn", "fin",
-        "rst", "is_ack", "rwnd_bytes", "marks", "sack_blocks", "end_seq",
+        "src", "dst", "size_bytes", "src_port", "dst_port", "seq", "ack",
+        "payload_bytes", "syn", "fin", "rst", "is_ack", "rwnd_bytes", "marks",
+        "sack_blocks", "end_seq",
     )
 
     def __init__(
         self,
+        src: IPv4Address,
+        dst: IPv4Address,
         src_port: int,
         dst_port: int,
         seq: int,
@@ -68,6 +77,9 @@ class Segment:
         marks: tuple[MessageMark, ...] = (),
         sack_blocks: tuple[tuple[int, int], ...] = (),
     ) -> None:
+        self.src = src
+        self.dst = dst
+        self.size_bytes = TCP_HEADER_BYTES + payload_bytes
         self.src_port = src_port
         self.dst_port = dst_port
         self.seq = seq

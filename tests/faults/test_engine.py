@@ -23,6 +23,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.obs.trace import EventType
 from repro.sim.rand import RandomStreams
+from tests.datagram import Datagram
 
 POPS = ("LHR", "JFK", "NRT")
 
@@ -129,7 +130,7 @@ class Sink:
         self.received: list[int] = []
 
     def receive_packet(self, packet: Packet) -> None:
-        self.received.append(packet.payload)
+        self.received.append(packet.tag)
 
 
 class TestFaultsOnColdTrunks:
@@ -186,7 +187,7 @@ class TestFaultsOnColdTrunks:
         def burst(indices: range) -> None:
             for index in indices:
                 cluster.network.send(
-                    Packet(source.address, sink.address, 1000, payload=index)
+                    Datagram(source.address, sink.address, 1000, tag=index)
                 )
 
         burst(range(300))

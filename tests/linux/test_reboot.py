@@ -125,26 +125,26 @@ class TestSocketDemuxIndex:
     """The integer-keyed demux table is dropped with the sockets."""
 
     def test_reboot_leaves_no_stale_socket_reachable(self):
-        from repro.net.packet import Packet
         from repro.tcp.errors import TcpError
         from repro.tcp.wire import Segment
 
         bed = make_testbed()
         client = bed.client.address
-        syn = Segment(src_port=40000, dst_port=80, seq=0, ack=0, syn=True)
+        server = bed.server.address
+        syn = Segment(client, server, src_port=40000, dst_port=80, seq=0, ack=0, syn=True)
         bed.server.create_server_socket(80, client, 40000).accept_syn(syn)
         with pytest.raises(TcpError, match="socket collision"):
             bed.server.create_server_socket(80, client, 40000)
-        stray = Segment(src_port=40000, dst_port=80, seq=1, ack=1, is_ack=True)
+        stray = Segment(client, server, src_port=40000, dst_port=80, seq=1, ack=1, is_ack=True)
         bed.server.reboot()
-        bed.server.receive_packet(Packet(client, bed.server.address, 40, stray))
+        bed.server.receive_packet(stray)
         assert bed.server.packets_unmatched == 1
 
         # The same (port, peer, peer port) registers again and is the one
         # the demux now finds.
         fresh = bed.server.create_server_socket(80, client, 40000)
         fresh.accept_syn(syn)
-        bed.server.receive_packet(Packet(client, bed.server.address, 40, stray))
+        bed.server.receive_packet(stray)
         assert fresh.segments_received == 1
         assert bed.server.packets_unmatched == 1
 

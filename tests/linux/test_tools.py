@@ -140,10 +140,10 @@ class TestHost:
         assert testbed.client.initrwnd_for(testbed.server.address) == 200
 
     def test_unmatched_packets_counted(self, testbed):
-        from repro.net.packet import Packet
+        from tests.datagram import Datagram
 
         testbed.network.send(
-            Packet(testbed.client.address, testbed.server.address, 100, payload="junk")
+            Datagram(testbed.client.address, testbed.server.address, 100, tag="junk")
         )
         testbed.sim.run()
         assert testbed.server.packets_unmatched == 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.net.addresses import IPv4Address
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss
-from repro.net.packet import Packet
+from tests.datagram import Datagram
 from repro.sim.kernel import Simulator
 from repro.sim.rand import RandomStreams
 
@@ -42,7 +42,7 @@ def test_link_conserves_packets(seed, loss, queue, count):
     )
     delivered = []
     for _ in range(count):
-        link.transmit(Packet(SRC, DST, 1000), lambda p: delivered.append(p))
+        link.transmit(Datagram(SRC, DST, 1000), lambda p: delivered.append(p))
     sim.run()
     stats = link.stats
     assert stats.packets_offered == count
@@ -66,11 +66,11 @@ def test_fifo_delivery_order(seed, sizes):
     sim = Simulator()
     link = Link(sim, bandwidth_bps=5e6, propagation_delay=0.005)
     order = []
-    packets = [Packet(SRC, DST, size) for size in sizes]
+    packets = [Datagram(SRC, DST, size) for size in sizes]
     for packet in packets:
-        link.transmit(packet, lambda p: order.append(p.packet_id))
+        link.transmit(packet, order.append)
     sim.run()
-    assert order == [p.packet_id for p in packets]
+    assert [id(p) for p in order] == [id(p) for p in packets]
 
 
 @FAST
@@ -81,7 +81,7 @@ def test_throughput_bounded_by_bandwidth(count):
     link = Link(sim, bandwidth_bps=8e6, propagation_delay=0.0)
     done = []
     for _ in range(count):
-        link.transmit(Packet(SRC, DST, 1000), lambda p: done.append(sim.now))
+        link.transmit(Datagram(SRC, DST, 1000), lambda p: done.append(sim.now))
     sim.run()
     assert len(done) == count
     # 1000 B at 8 Mbps = 1 ms per packet.

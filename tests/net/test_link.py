@@ -8,15 +8,15 @@ import pytest
 from repro.net.addresses import IPv4Address
 from repro.net.link import DuplexLink, Link
 from repro.net.loss import BernoulliLoss, LossModel
-from repro.net.packet import Packet
+from tests.datagram import Datagram
 from repro.sim.rand import RandomStreams
 
 SRC = IPv4Address("10.0.0.1")
 DST = IPv4Address("10.1.0.1")
 
 
-def make_packet(size: int = 1500) -> Packet:
-    return Packet(SRC, DST, size)
+def make_packet(size: int = 1500) -> Datagram:
+    return Datagram(SRC, DST, size)
 
 
 class DropAll(LossModel):
@@ -83,7 +83,7 @@ class TestQueueing:
         link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0, queue_limit_packets=2)
         delivered = []
         results = [
-            link.transmit(make_packet(1250), lambda p: delivered.append(p.packet_id))
+            link.transmit(make_packet(1250), delivered.append)
             for _ in range(5)
         ]
         sim.run()
@@ -97,9 +97,9 @@ class TestQueueing:
         order = []
         packets = [make_packet(125) for _ in range(4)]
         for packet in packets:
-            link.transmit(packet, lambda p: order.append(p.packet_id))
+            link.transmit(packet, order.append)
         sim.run()
-        assert order == [p.packet_id for p in packets]
+        assert [id(p) for p in order] == [id(p) for p in packets]
 
     def test_max_queue_depth_recorded(self, sim):
         link = Link(sim, bandwidth_bps=1e3, propagation_delay=0.0, queue_limit_packets=10)

@@ -28,6 +28,7 @@ from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.net.network import Network, PathSpec
 from repro.net.packet import Packet
+from tests.datagram import Datagram
 from repro.sim.kernel import Simulator
 from repro.sim.rand import RandomStreams
 
@@ -53,7 +54,7 @@ class Sink:
         self.received: list[tuple[str, int]] = []
 
     def receive_packet(self, packet: Packet) -> None:
-        self.received.append(packet.payload)
+        self.received.append(packet.tag)
 
 
 class Fabric:
@@ -89,9 +90,9 @@ class Fabric:
         self._offered[name] = first + count
         for index in range(first, first + count):
             self.network.send(
-                Packet(
+                Datagram(
                     self.hosts[src].address, self.hosts[dst].address, 1000,
-                    payload=(name, index),
+                    tag=(name, index),
                 )
             )
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.linux.host import Host
 from repro.net.addresses import IPv4Address, Prefix
 from repro.net.errors import NetworkError, NoRouteError
-from repro.net.network import Network, PathSpec
+from repro.net.network import INTRA_ZONE_DELAY, IntraZoneHop, Network, PathSpec
 from repro.net.packet import Packet
+from repro.tcp.wire import Segment
+from tests.datagram import Datagram
 
 
 class FakeHost:
@@ -70,7 +73,7 @@ class TestDelivery:
         b = FakeHost("10.1.0.1")
         fabric.attach(a)
         fabric.attach(b)
-        fabric.send(Packet(a.address, b.address, 100))
+        fabric.send(Datagram(a.address, b.address, 100))
         sim.run()
         assert len(b.received) == 1
         assert sim.now >= 0.025
@@ -80,7 +83,7 @@ class TestDelivery:
         b = FakeHost("10.1.0.1")
         fabric.attach(a)
         fabric.attach(b)
-        fabric.send(Packet(b.address, a.address, 100))
+        fabric.send(Datagram(b.address, a.address, 100))
         sim.run()
         assert len(a.received) == 1
 
@@ -89,7 +92,7 @@ class TestDelivery:
         a2 = FakeHost("10.0.0.2")
         fabric.attach(a1)
         fabric.attach(a2)
-        fabric.send(Packet(a1.address, a2.address, 100))
+        fabric.send(Datagram(a1.address, a2.address, 100))
         sim.run()
         assert len(a2.received) == 1
         assert sim.now < 0.001
@@ -98,7 +101,7 @@ class TestDelivery:
         a = FakeHost("10.0.0.1")
         fabric.attach(a)
         with pytest.raises(NoRouteError):
-            fabric.send(Packet(a.address, IPv4Address("192.168.0.1"), 100))
+            fabric.send(Datagram(a.address, IPv4Address("192.168.0.1"), 100))
 
     def test_unconnected_zones_raise(self, sim, streams):
         network = Network(sim, streams)
@@ -107,12 +110,12 @@ class TestDelivery:
         a = FakeHost("10.0.0.1")
         network.attach(a)
         with pytest.raises(NoRouteError):
-            network.send(Packet(a.address, IPv4Address("10.1.0.1"), 100))
+            network.send(Datagram(a.address, IPv4Address("10.1.0.1"), 100))
 
     def test_packet_to_missing_host_counted(self, sim, fabric):
         a = FakeHost("10.0.0.1")
         fabric.attach(a)
-        fabric.send(Packet(a.address, IPv4Address("10.1.0.200"), 100))
+        fabric.send(Datagram(a.address, IPv4Address("10.1.0.200"), 100))
         sim.run()
         assert fabric.packets_to_unknown_host == 1
 
@@ -128,7 +131,7 @@ ZONE_C = Prefix.parse("10.2.0.0/24")
 
 
 class TestPathMemo:
-    """The integer-keyed path memo and host index follow the fabric."""
+    """``Network.send`` resolves every call afresh and follows the fabric."""
 
     def test_trunk_added_after_traffic_is_used_by_next_send(self, sim, fabric):
         a = FakeHost("10.0.0.1")
@@ -136,15 +139,15 @@ class TestPathMemo:
         c = FakeHost("10.2.0.1")
         for host in (a, b, c):
             fabric.attach(host)
-        fabric.send(Packet(a.address, b.address, 100))
+        fabric.send(Datagram(a.address, b.address, 100))
         with pytest.raises(NoRouteError, match="no zone for 10.2.0.1"):
-            fabric.send(Packet(a.address, c.address, 100))
+            fabric.send(Datagram(a.address, c.address, 100))
         fabric.add_zone(ZONE_C)
         with pytest.raises(NoRouteError, match="no trunk from zone 10.0.0.0/24"):
-            fabric.send(Packet(a.address, c.address, 100))
+            fabric.send(Datagram(a.address, c.address, 100))
         fabric.connect_zones(ZONE_A, ZONE_C, PathSpec(propagation_delay=0.010))
-        fabric.send(Packet(a.address, c.address, 100))
-        fabric.send(Packet(c.address, a.address, 100))
+        fabric.send(Datagram(a.address, c.address, 100))
+        fabric.send(Datagram(c.address, a.address, 100))
         sim.run()
         assert (len(a.received), len(b.received), len(c.received)) == (1, 1, 1)
 
@@ -156,11 +159,11 @@ class TestPathMemo:
         network.attach(a)
         for _ in range(3):
             with pytest.raises(NoRouteError, match="no zone for 192.168.0.1"):
-                network.send(Packet(a.address, IPv4Address("192.168.0.1"), 100))
+                network.send(Datagram(a.address, IPv4Address("192.168.0.1"), 100))
             with pytest.raises(NoRouteError, match="no zone for 192.168.0.1"):
-                network.send(Packet(IPv4Address("192.168.0.1"), a.address, 100))
+                network.send(Datagram(IPv4Address("192.168.0.1"), a.address, 100))
             with pytest.raises(NoRouteError, match="no trunk from zone"):
-                network.send(Packet(a.address, IPv4Address("10.1.0.1"), 100))
+                network.send(Datagram(a.address, IPv4Address("10.1.0.1"), 100))
         assert sim.pending_events == 0
 
     def test_link_state_is_read_from_the_link_not_the_memo(self, sim, fabric):
@@ -168,14 +171,80 @@ class TestPathMemo:
         b = FakeHost("10.1.0.1")
         fabric.attach(a)
         fabric.attach(b)
-        fabric.send(Packet(a.address, b.address, 100))
+        fabric.send(Datagram(a.address, b.address, 100))
         sim.run()
         trunk = fabric.trunk_between(ZONE_A, ZONE_B)
         trunk.set_down()
-        fabric.send(Packet(a.address, b.address, 100))
+        fabric.send(Datagram(a.address, b.address, 100))
         sim.run()
         assert trunk.forward.stats.packets_dropped_down == 1
         trunk.set_up()
-        fabric.send(Packet(a.address, b.address, 100))
+        fabric.send(Datagram(a.address, b.address, 100))
         sim.run()
         assert len(b.received) == 2
+
+
+def _segment(src: Host, dst: IPv4Address) -> Segment:
+    return Segment(src.address, dst, 40000, 80, 0, 0, rst=True)
+
+
+class Arrivals:
+    """A bare host that notes when each packet reaches it."""
+
+    def __init__(self, sim, address: str) -> None:
+        self.sim = sim
+        self.address = IPv4Address(address)
+        self.arrived: list[tuple[Packet, float]] = []
+
+    def receive_packet(self, packet: Packet) -> None:
+        self.arrived.append((packet, self.sim.now))
+
+
+class TestHostHops:
+    """A host keeps, per destination, the hop ``Network.send`` resolved."""
+
+    def test_intra_zone_hop_arrives_one_lan_delay_later(self, sim, fabric):
+        sender = Host(sim, fabric, "10.0.0.1")
+        sink = Arrivals(sim, "10.0.0.2")
+        fabric.attach(sink)
+        sim.run(until=0.3)
+        first = _segment(sender, sink.address)
+        sender.send_packet(first)
+        hop = sender._hops[sink.address.value]
+        assert isinstance(hop, IntraZoneHop)
+        sim.run(until=0.7)
+        second = _segment(sender, sink.address)
+        sender.send_packet(second)  # on the remembered hop
+        sim.run()
+        assert sink.arrived == [
+            (first, 0.3 + INTRA_ZONE_DELAY),
+            (second, 0.7 + INTRA_ZONE_DELAY),
+        ]
+
+    def test_trunk_hop_is_the_directions_link(self, sim, fabric):
+        sender = Host(sim, fabric, "10.0.0.1")
+        sink = Arrivals(sim, "10.1.0.1")
+        fabric.attach(sink)
+        for _ in range(3):
+            sender.send_packet(_segment(sender, sink.address))
+        sim.run()
+        forward = fabric.link_from(ZONE_A, ZONE_B)
+        assert sender._hops == {sink.address.value: forward}
+        assert forward.stats.packets_delivered == len(sink.arrived) == 3
+
+    def test_unroutable_send_is_not_remembered(self, sim, streams):
+        network = Network(sim, streams)
+        network.add_zone(ZONE_A)
+        network.add_zone(ZONE_B)
+        sender = Host(sim, network, "10.0.0.1")
+        sink = Arrivals(sim, "10.1.0.1")
+        network.attach(sink)
+        for _ in range(2):
+            with pytest.raises(NoRouteError, match="no trunk from zone"):
+                sender.send_packet(_segment(sender, sink.address))
+            assert sender._hops == {}
+        network.connect_zones(ZONE_A, ZONE_B, PathSpec(propagation_delay=0.010))
+        sender.send_packet(_segment(sender, sink.address))
+        sim.run()
+        assert len(sink.arrived) == 1
+        assert sender._hops == {sink.address.value: network.link_from(ZONE_A, ZONE_B)}

@@ -244,6 +244,13 @@ class TestFluidPopulation:
         with pytest.raises(ValueError):
             FluidPopulation(**defaults)
 
+    @pytest.mark.parametrize("field", ["rtt", "target_flows", "churn_per_flow_per_sec"])
+    def test_nan_rejected(self, field):
+        defaults = dict(name="p", rtt=0.1, target_flows=10.0, entry_window=10)
+        defaults[field] = float("nan")
+        with pytest.raises(ValueError, match="nan"):
+            FluidPopulation(**defaults)
+
 
 # ----------------------------------------------------------------------
 # the active-range retighten and the window-total cache, differentially
@@ -326,6 +333,24 @@ def test_negative_drift_rejected():
     dist.add_mass(50, 10.0)
     with pytest.raises(ValueError):
         dist.step(0.25, rtt=0.1, loss_rate=0.0, drift_segments_per_sec=-1.0)
+
+
+def test_nan_drift_rejected():
+    dist = CwndDistribution(max_window=100)
+    dist.add_mass(50, 10.0)
+    with pytest.raises(ValueError, match="drift must be >= 0, got nan"):
+        dist.step(0.25, rtt=0.1, loss_rate=0.0, drift_segments_per_sec=float("nan"))
+    assert state_of(dist) == ([0.0] * 49 + [10.0] + [0.0] * 50, 10.0, 49, 49)
+
+
+def test_nan_mass_rejected():
+    dist = CwndDistribution(max_window=100)
+    dist.add_mass(50, 10.0)
+    dist.add_mass(20, 0.0)
+    dist.add_mass(20, -1.0)
+    with pytest.raises(ValueError, match="nan"):
+        dist.add_mass(20, float("nan"))
+    assert dist.flows == 10.0
 
 
 def test_window_total_cache_is_dropped_by_every_mutator():

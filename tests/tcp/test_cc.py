@@ -37,7 +37,8 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize("algo", ["reno", "cubic"])
     def test_starts_in_slow_start(self, algo):
-        assert make_congestion_control(algo, 10, MSS).in_slow_start
+        cc = make_congestion_control(algo, 10, MSS)
+        assert cc.cwnd < cc.ssthresh
 
     @pytest.mark.parametrize("algo", ["reno", "cubic"])
     def test_slow_start_doubles_per_window(self, algo):
@@ -96,7 +97,7 @@ class TestReno:
         cc.ssthresh = 15.0
         cc.on_ack(now=0.0, acked_bytes=10 * MSS, rtt=0.1)
         assert cc.cwnd == pytest.approx(15.0)
-        assert not cc.in_slow_start
+        assert not cc.cwnd < cc.ssthresh
 
 
 class TestCubic:

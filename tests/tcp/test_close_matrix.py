@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.net.packet import Packet
 from repro.tcp.constants import MIN_RTO, TcpConfig
 from repro.tcp.socket import TcpSocket, TcpState
 from repro.tcp.wire import Segment
@@ -98,14 +97,14 @@ class _Run:
         host = getattr(self.bed, name)
         receive, send = host.receive_packet, host.send_packet
 
-        def tapped_receive(packet: Packet) -> None:
+        def tapped_receive(packet: Segment) -> None:
             before = host.packets_unmatched
             receive(packet)
             unmatched = "!" if host.packets_unmatched > before else ""
-            self.received[name].append(_flags(packet.payload) + unmatched)
+            self.received[name].append(_flags(packet) + unmatched)
 
-        def tapped_send(packet: Packet) -> None:
-            if self._drop_fin_from == name and packet.payload.fin:
+        def tapped_send(packet: Segment) -> None:
+            if self._drop_fin_from == name and packet.fin:
                 self._drop_fin_from = None  # lose this one FIN only
                 return
             send(packet)

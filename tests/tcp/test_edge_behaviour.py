@@ -63,13 +63,14 @@ class TestDuplicateAndStalePackets:
     def test_duplicate_syn_is_reacknowledged(self, testbed):
         """A retransmitted SYN against an established server socket must
         not create a second connection."""
-        from repro.net.packet import Packet
         from repro.tcp.wire import Segment
 
         sock = testbed.client.connect(testbed.server.address, 80)
         testbed.sim.run(until=1.0)
         assert len(testbed.server.sockets()) == 1
         dup_syn = Segment(
+            src=testbed.client.address,
+            dst=testbed.server.address,
             src_port=sock.local_port,
             dst_port=80,
             seq=0,
@@ -77,20 +78,19 @@ class TestDuplicateAndStalePackets:
             syn=True,
             rwnd_bytes=29200,
         )
-        testbed.network.send(
-            Packet(testbed.client.address, testbed.server.address, 40, dup_syn)
-        )
+        testbed.network.send(dup_syn)
         testbed.sim.run(until=2.0)
         assert len(testbed.server.sockets()) == 1
         assert sock.is_established
 
     def test_stale_ack_beyond_snd_nxt_ignored(self, testbed):
-        from repro.net.packet import Packet
         from repro.tcp.wire import Segment
 
         sock = testbed.client.connect(testbed.server.address, 80)
         testbed.sim.run(until=1.0)
         crazy_ack = Segment(
+            src=testbed.server.address,
+            dst=testbed.client.address,
             src_port=80,
             dst_port=sock.local_port,
             seq=1,
@@ -98,9 +98,7 @@ class TestDuplicateAndStalePackets:
             is_ack=True,
             rwnd_bytes=29200,
         )
-        testbed.network.send(
-            Packet(testbed.server.address, testbed.client.address, 40, crazy_ack)
-        )
+        testbed.network.send(crazy_ack)
         testbed.sim.run(until=2.0)
         assert sock.is_established
         assert sock.bytes_unacked == 0

@@ -54,6 +54,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             RttEstimator().add_sample(-0.1)
 
+    def test_nan_sample_rejected(self):
+        est = RttEstimator()
+        est.add_sample(0.1)
+        rto = est.rto
+        with pytest.raises(ValueError, match="nan"):
+            est.add_sample(float("nan"))
+        assert est.rto == rto
+        assert est.samples == 1
+
     def test_sample_count(self):
         est = RttEstimator()
         est.add_sample(0.1)

@@ -118,6 +118,8 @@ class TestHeapTrafficPerAck:
         for index in range(1, 41):
             server.handle_segment(
                 Segment(
+                    src=bed.client.address,
+                    dst=bed.server.address,
                     src_port=client.local_port,
                     dst_port=80,
                     seq=client._snd_nxt,
