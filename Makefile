@@ -21,14 +21,16 @@ test-output:
 # reboot), the close matrix (it pins
 # leftover events), the kernel tests, the cyclic-garbage census (the run
 # loop keeps the collector off, so a new cycle on the hot path fails it by
-# name), the bytes-per-trunk-direction ceiling and the
-# bytes-per-idle-pooled-connection ceiling.
+# name), the bytes-per-trunk-direction ceiling, the
+# bytes-per-idle-pooled-connection ceiling, the RTT estimator and RTO
+# timer tests, and the lint rules (SIM001 guards writes to the clock).
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
 		tests/linux tests/tcp/test_close_matrix.py tests/sim \
 		tests/experiments/test_gc_census.py tests/cdn/test_fabric_footprint.py \
-		tests/tcp/test_connection_footprint.py
+		tests/tcp/test_connection_footprint.py tests/tcp/test_rto.py \
+		tests/tcp/test_rto_timer.py tests/analysis/test_lint_rules.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,
 # cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the

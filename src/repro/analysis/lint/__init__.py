@@ -8,7 +8,7 @@ DET001    wall-clock / global-RNG reads in simulation code
 DET002    set/dict iteration feeding order-sensitive sinks
 DET003    ordering by object identity (``id()`` keys, ``is`` tie-breaks)
 FLT001    bare ``sum()``/``+=`` float accumulation (use ``math.fsum``)
-SIM001    kernel-private field pokes and ``time.sleep`` in sim code
+SIM001    kernel-owned field writes and ``time.sleep`` in sim code
 SLOT001   ``self`` attributes missing from a class's ``__slots__``
 OBS001    metric/trace/span taxonomy drift against ARCHITECTURE.md
 ========  ==============================================================

@@ -5,11 +5,13 @@ heap; every other component interacts with time exclusively through
 ``schedule``/``schedule_at``/``cancel``.  Two violations break that
 contract:
 
-* assigning a kernel-private field (``sim._now = ...``, ``sim._heap =
+* assigning a kernel-owned field (``sim.now = ...``, ``sim._heap =
   ...``, ``sim._tombstones -= 1``) from outside the kernel — the clock
   silently diverges from the heap, events fire "in the past", or the
-  live-event count drifts.  Assignments through ``self`` are exempt: a
-  class managing its *own* ``_running`` flag is not touching the kernel's;
+  live-event count drifts.  ``now`` is a plain slot every component
+  reads, so only the write is the hazard.  Assignments through ``self``
+  are exempt: a class managing its *own* ``_running`` flag or ``now``
+  clock is not touching the kernel's;
 * calling ``time.sleep`` anywhere in simulation code — an event
   callback that blocks the process stalls every simulated component at
   once and couples results to host scheduling.
@@ -33,11 +35,12 @@ import ast
 from repro.analysis.lint.base import FileContext, Finding, Rule
 
 #: Fields of ``Simulator`` that only the kernel module may assign.
-#: ``_heap`` and ``_tombstones`` are the entry heap and its tombstone
-#: count — the run loop pops and compacts them under invariants an
-#: outside writer cannot see.
+#: ``now`` is the clock (a public slot, read everywhere), and ``_heap``
+#: and ``_tombstones`` are the entry heap and its tombstone count — the
+#: run loop pops and compacts them under invariants an outside writer
+#: cannot see.
 KERNEL_PRIVATE_FIELDS = frozenset({
-    "_now", "_seq", "_running", "_events_processed", "_heap", "_tombstones",
+    "now", "_seq", "_running", "_events_processed", "_heap", "_tombstones",
 })
 
 _KERNEL_MODULES = frozenset({"repro.sim.kernel"})
@@ -67,7 +70,7 @@ _PROTECTED_FIELDS: dict[str, tuple[frozenset[str], str]] = {
 class Sim001KernelInvariants(Rule):
     code = "SIM001"
     summary = (
-        "kernel- or fluid-private field assigned outside its owning "
+        "kernel- or fluid-owned field assigned outside its owning "
         "module, or time.sleep in simulation code"
     )
     exempt_modules = (
@@ -131,7 +134,7 @@ class _Visitor(ast.NodeVisitor):
             self.ctx.finding(
                 "SIM001",
                 target,
-                f"assignment to private field `{target.attr}` outside "
+                f"assignment to field `{target.attr}` outside its owner "
                 f"{owner}; go through the owning class's methods instead",
             )
         )

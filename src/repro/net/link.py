@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Callable
+from math import inf
 
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Packet
@@ -32,6 +33,10 @@ _NO_QUEUE: deque[tuple[float, Packet | None]] = deque(maxlen=0)
 
 #: A direction's ``set_down`` catch while none of it is left to arrive.
 _NO_DOWNED: frozenset[Packet] = frozenset()
+
+#: What ``effective_loss_model`` reports for a lossless direction, which
+#: holds no model of its own.
+_NO_LOSS = NoLoss()
 
 
 class LinkStats:
@@ -62,19 +67,26 @@ class Link:
     rule: a serialization completion at *t* frees its queue slot before any
     offer at *t* is judged against ``queue_limit_packets``, which bounds
     the packets waiting (not the one on the wire).
+
+    What ``transmit`` reads per packet is stored, not derived there: the
+    rate packets serialize against is the slot :attr:`capacity_bps`,
+    refreshed by every method that changes one of its inputs, and a
+    lossless direction holds no loss model at all, so its packets make
+    no loss call and resolve no loss stream.
     """
 
     # One Link object per path direction, one timer per packet: keep
     # instances dict-free and the counter handles one load away.  A full
     # mesh builds a thousand directions and a scale run sends packets over
     # a tenth of them, so what only a packet needs — the loss generator
-    # (2.5 KB of Mersenne state) and the queue — is built by the first one.
+    # (2.5 KB of Mersenne state) and the queue — is built by the first one
+    # that needs it.
     __slots__ = (
         "_sim", "bandwidth_bps", "propagation_delay", "queue_limit_packets",
         "_loss", "_rng", "_streams", "name", "stats", "_queue", "_downed",
         "_obs_on", "_m_delivered", "_m_dropped_queue", "_m_dropped_loss",
         "_g_queue_depth", "up", "bandwidth_scale", "extra_delay",
-        "_loss_override", "_m_dropped_down", "fluid_bps",
+        "_loss_override", "_m_dropped_down", "fluid_bps", "capacity_bps",
     )
 
     def __init__(
@@ -87,21 +99,27 @@ class Link:
         name: str = "link",
         streams: RandomStreams | None = None,
     ) -> None:
-        if not bandwidth_bps > 0:  # also true for NaN, unlike `<= 0`
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if not propagation_delay >= 0:
-            raise ValueError(f"propagation delay must be >= 0, got {propagation_delay}")
+        # Each check is also false for NaN.  An infinite delay would carry
+        # the clock to +inf, and an infinite bandwidth is no link.
+        if not 0 < bandwidth_bps < inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_bps}")
+        if not 0 <= propagation_delay < inf:
+            raise ValueError(
+                f"propagation delay must be finite and >= 0, got {propagation_delay}"
+            )
         if queue_limit_packets < 1:
             raise ValueError(f"queue limit must be >= 1, got {queue_limit_packets}")
         self._sim = sim
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay = float(propagation_delay)
         self.queue_limit_packets = int(queue_limit_packets)
-        self._loss = loss_model if loss_model is not None else NoLoss()
+        #: The configured loss model; None for a perfect wire (no model, or
+        #: a ``NoLoss``), on which ``transmit`` makes no loss call.
+        self._loss = None if loss_model is None or type(loss_model) is NoLoss else loss_model
         #: The generator loss draws consume: the stream ``loss:<name>`` of
-        #: ``streams``, resolved by the first draw.  A stream is a function
-        #: of ``(master_seed, name)`` alone, so when it is resolved moves
-        #: no draw.
+        #: ``streams``, resolved by the first packet a loss model is in
+        #: force for.  A stream is a function of ``(master_seed, name)``
+        #: alone, so when it is resolved moves no draw.
         self._rng: random.Random | None = None
         self._streams = streams
         self.name = name
@@ -123,6 +141,10 @@ class Link:
         #: cohorts (see repro.cdn.fluidtraffic).  Subtracted from the
         #: capacity available to packet-granular traffic.
         self.fluid_bps = 0.0
+        #: ``capacity_bps``, the rate (bits/s) packet traffic serializes
+        #: against: the degraded bandwidth less the fluid load, floored at
+        #: 5% of it.  Read on every packet, so stored; read-only.
+        self._refresh_capacity()
         # Aggregate (label-free) fabric counters; per-link detail stays in
         # ``self.stats``.  Handles are cached — these sit on the per-packet
         # hot path.
@@ -140,8 +162,8 @@ class Link:
         now = self._sim.now
         return max(sum(1 for finish, _ in self._queue if finish > now) - 1, 0)
 
-    def serialization_time(self, size_bytes: int) -> float:
-        """Seconds to clock ``size_bytes`` onto the wire.
+    def _refresh_capacity(self) -> None:
+        """Recompute :attr:`capacity_bps` after one of its inputs changed.
 
         Fluid background load (``fluid_bps``) occupies a share of the
         link, so packet-granular traffic serializes against the residual
@@ -153,7 +175,7 @@ class Link:
             residual = capacity - self.fluid_bps
             floor = capacity * 0.05
             capacity = residual if residual > floor else floor
-        return size_bytes * 8.0 / capacity
+        self.capacity_bps = capacity
 
     def transmit(self, packet: Packet, deliver: DeliverCallback) -> bool:
         """Offer a packet to the link.
@@ -169,7 +191,7 @@ class Link:
             stats.packets_dropped_down += 1
             self._m_dropped_down.inc()
             return False
-        now = self._sim._now  # no property frame: here and in _deliver, per packet
+        now = self._sim.now
         queue = self._queue
         while queue and queue[0][0] <= now:
             queue.popleft()
@@ -180,8 +202,9 @@ class Link:
             return False
         if queue is _NO_QUEUE:
             queue = self._queue = deque()
-        finish = (queue[-1][0] if queue else now) + self.serialization_time(packet.size_bytes)
-        if (self._loss_override or self._loss).should_drop(self._rng or self._loss_stream()):
+        finish = (queue[-1][0] if queue else now) + packet.size_bytes * 8.0 / self.capacity_bps
+        loss = self._loss_override or self._loss
+        if loss is not None and loss.should_drop(self._rng or self._loss_stream()):
             stats.packets_dropped_loss += 1
             self._m_dropped_loss.inc()
             queue.append((finish, None))
@@ -208,7 +231,7 @@ class Link:
             self._downed = downed - {packet} or _NO_DOWNED
             return
         queue = self._queue
-        now = self._sim._now
+        now = self._sim.now
         while queue and queue[0][0] <= now:
             queue.popleft()
         if self._obs_on:
@@ -216,7 +239,9 @@ class Link:
         stats = self.stats
         stats.packets_delivered += 1
         stats.bytes_delivered += packet.size_bytes
-        self._m_delivered.inc()
+        # In place, not ``inc()``: the amount is the literal 1, which the
+        # negative-increment check could never refuse.
+        self._m_delivered.value += 1
         deliver(packet)
 
     # ------------------------------------------------------------------
@@ -257,15 +282,17 @@ class Link:
             raise ValueError(
                 f"bandwidth_scale must be in (0, 1], got {bandwidth_scale}"
             )
-        if not extra_delay >= 0:
-            raise ValueError(f"extra_delay must be >= 0, got {extra_delay}")
+        if not 0 <= extra_delay < inf:
+            raise ValueError(f"extra_delay must be finite and >= 0, got {extra_delay}")
         self.bandwidth_scale = float(bandwidth_scale)
         self.extra_delay = float(extra_delay)
+        self._refresh_capacity()
 
     def restore(self) -> None:
         """Undo :meth:`degrade`."""
         self.bandwidth_scale = 1.0
         self.extra_delay = 0.0
+        self._refresh_capacity()
 
     def set_loss_override(self, model: LossModel | None) -> None:
         """Replace the configured loss model until cleared with ``None``."""
@@ -276,11 +303,12 @@ class Link:
         if not bps >= 0:
             raise ValueError(f"fluid load must be >= 0, got {bps}")
         self.fluid_bps = float(bps)
+        self._refresh_capacity()
 
     @property
     def effective_loss_model(self) -> LossModel:
         """The loss model currently in force (override wins)."""
-        return self._loss_override or self._loss
+        return self._loss_override or self._loss or _NO_LOSS
 
     def __repr__(self) -> str:
         return (
@@ -309,12 +337,12 @@ class DuplexLink:
         name: str = "duplex",
         streams: RandomStreams | None = None,
     ) -> None:
-        template = loss_model if loss_model is not None else NoLoss()
         self.name = name
         self.forward, self.reverse = (
             Link(
                 sim, bandwidth_bps, propagation_delay, queue_limit_packets,
-                template.clone(), name=f"{name}:{end}", streams=streams,
+                loss_model.clone() if loss_model is not None else None,
+                name=f"{name}:{end}", streams=streams,
             )
             for end in ("fwd", "rev")
         )

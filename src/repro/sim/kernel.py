@@ -4,7 +4,10 @@ A :class:`Simulator` owns the clock and the event heap.  All other
 components (links, sockets, agents) hold a reference to the simulator and
 interact with time exclusively through :meth:`Simulator.schedule` — nothing
 in the reproduction reads a wall clock, so a run is a pure function of its
-seed and parameters.
+seed and parameters.  The clock is the plain slot :attr:`Simulator.now`:
+every packet reads it, and a slot read enters no frame where a property
+would.  Only this module writes it; lint rule SIM001 flags a write from
+anywhere else.
 
 The heap holds *key-based entries* — plain ``(time, seq, event, callback,
 args)`` tuples compared element-wise in C on ``(time, seq)`` (``seq`` is
@@ -44,7 +47,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
-from math import isnan
+from math import inf, isnan
 from typing import Any
 
 from repro.obs.instrument import instrumentation_for_new_simulator
@@ -63,10 +66,12 @@ _new_event = Event.__new__
 class Simulator:
     """Discrete-event simulator with a float-seconds clock."""
 
-    # Dict-free instances: ``_now``/``_seq``/``_heap`` are touched once
+    # Dict-free instances: ``now``/``_seq``/``_heap`` are touched once
     # or more per scheduled event, and slot access beats a dict lookup.
+    # ``now`` is the clock itself, not a property over a private slot
+    # (see the module docstring).
     __slots__ = (
-        "_now", "_heap", "_tombstones", "_seq", "_running", "_events_processed", "obs",
+        "now", "_heap", "_tombstones", "_seq", "_running", "_events_processed", "obs",
     )
 
     #: Compact only once this many tombstones have accumulated — below
@@ -74,7 +79,8 @@ class Simulator:
     COMPACT_MIN_TOMBSTONES = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  Read-only outside the kernel.
+        self.now = 0.0
         #: The entry heap.  Compaction rebuilds it *in place*, so its
         #: list identity never changes.
         self._heap: list[Entry] = []
@@ -88,11 +94,6 @@ class Simulator:
         #: ``repro.obs.instrument.capture()`` block this is the shared
         #: aggregate; otherwise private per run.
         self.obs = instrumentation_for_new_simulator()
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -113,13 +114,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns an :class:`Event` handle whose ``cancel()`` prevents the
-        callback from firing.  ``delay`` must be non-negative (not NaN).
+        callback from firing.  ``delay`` must be finite and non-negative:
+        an event at +inf would move the clock to +inf when it fires, and
+        every later event with it.
         """
-        if not delay >= 0:  # also false for NaN, which `delay < 0` lets through
+        if not 0 <= delay < inf:  # also false for NaN, which `delay < 0` lets through
             raise SchedulingError(f"cannot schedule after a delay of {delay}s")
         seq = self._seq
         self._seq = seq + 1
-        time = self._now + delay
+        time = self.now + delay
         event = _new_event(Event)
         event.time = time
         event.seq = seq
@@ -136,10 +139,11 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if not time >= self._now:
+        """Schedule ``callback(*args)`` at absolute simulation ``time``,
+        which must be finite and not before now."""
+        if not self.now <= time < inf:
             raise SchedulingError(
-                f"cannot schedule at t={time} before now={self._now:.6f}"
+                f"cannot schedule at t={time}: now={self.now:.6f}, and the time must be finite"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -167,8 +171,8 @@ class Simulator:
         Use for hot-path timers no caller ever cancels — a link's one
         arrival timer per packet, set when the link accepts it.
         """
-        if not time >= self._now:
-            raise SchedulingError(f"cannot schedule at t={time} before now={self._now:.6f}")
+        if not time >= self.now:
+            raise SchedulingError(f"cannot schedule at t={time} before now={self.now:.6f}")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, seq, None, callback, args))
@@ -244,7 +248,7 @@ class Simulator:
                             self._tombstones -= 1
                             continue
                         event.fired = True
-                    self._now = entry[0]
+                    self.now = entry[0]
                     entry[3](*entry[4])
                     executed += 1
             else:
@@ -265,7 +269,7 @@ class Simulator:
                     heappop(heap)
                     if event is not None:
                         event.fired = True
-                    self._now = time
+                    self.now = time
                     entry[3](*entry[4])
                     executed += 1
         finally:
@@ -273,15 +277,15 @@ class Simulator:
                 gc.enable()
             self._running = False
             self._events_processed += executed
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             # Fast-forward only when nothing live remains at or before
             # the bound — a max_events stop with earlier events still
             # queued must leave the clock where it is, or the next run()
             # would execute those events with ``now`` past them.
             next_time = self._next_live_time()
             if next_time is None or next_time > until:
-                self._now = until
-        return self._now
+                self.now = until
+        return self.now
 
     def _next_live_time(self) -> float | None:
         """The firing time of the earliest live event (None if none is
@@ -297,6 +301,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"<Simulator t={self._now:.6f} pending={self.pending_events} "
+            f"<Simulator t={self.now:.6f} pending={self.pending_events} "
             f"processed={self._events_processed}>"
         )

@@ -248,11 +248,11 @@ def test_det003_silent(tmp_path, source):
 
 
 SIM001_POSITIVE = [
-    "def warp(sim):\n    sim._now = 99.0\n",
+    "def warp(sim):\n    sim.now = 99.0\n",
     "def warp(sim):\n    sim._heap = []\n",
     "def warp(sim):\n    sim._tombstones -= 1\n",
     "def warp(sim):\n    sim._events_processed += 7\n",
-    "def warp(cluster):\n    cluster.sim._now = 0.0\n",
+    "def warp(cluster):\n    cluster.sim.now = 0.0\n",
     "import time\n\ndef handler():\n    time.sleep(0.1)\n",
     "from time import sleep\n\ndef handler():\n    sleep(1)\n",
 ]
@@ -266,8 +266,10 @@ def test_sim001_fires(tmp_path, source):
 SIM001_NEGATIVE = [
     # a class managing its own flag of the same name
     "class Gen:\n    def start(self):\n        self._running = True\n",
+    # ... or its own clock
+    "class FakeClock:\n    def advance(self, seconds):\n        self.now += seconds\n",
     # reading kernel fields is fine
-    "def probe(sim):\n    return sim._now\n",
+    "def probe(sim):\n    return sim.now\n",
     # scheduling through the API is the sanctioned path
     "def arm(sim, cb):\n    sim.schedule(1.0, cb)\n",
 ]
@@ -284,7 +286,7 @@ def test_sim001_allows_the_kernel_itself(tmp_path):
     kernel.write_text(
         "class Simulator:\n"
         "    def run(self, event):\n"
-        "        self._now = event.time\n"
+        "        self.now = event.time\n"
     )
     assert codes(run_lint([str(kernel)])) == []
 

@@ -299,10 +299,9 @@ class TestLinkCoupling:
         trunk = cluster.network.link_from(
             cluster.pop("LHR").prefix, cluster.pop("JFK").prefix
         )
-        loaded = trunk.serialization_time(1460)
+        loaded = trunk.capacity_bps
         trunk.set_fluid_load(0.0)
-        clean = trunk.serialization_time(1460)
-        assert loaded > clean
+        assert trunk.capacity_bps == trunk.bandwidth_bps > loaded
 
     def test_serialization_floor_protects_packet_slice(self, sim):
         from repro.net.link import Link
@@ -310,9 +309,7 @@ class TestLinkCoupling:
         link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.01)
         link.set_fluid_load(1e12)  # absurd overload
         # Residual capacity floors at 5% of the link.
-        assert link.serialization_time(1460) == pytest.approx(
-            1460 * 8 / (1e9 * 0.05)
-        )
+        assert link.capacity_bps == pytest.approx(1e9 * 0.05)
         with pytest.raises(ValueError):
             link.set_fluid_load(-1.0)
 

@@ -1,13 +1,14 @@
 """Unit tests for link serialization, queueing, propagation and loss."""
 
 
+import itertools
 import random
 
 import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.net.link import DuplexLink, Link
-from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from tests.datagram import Datagram
 from repro.sim.rand import RandomStreams
 
@@ -48,7 +49,11 @@ class TestLinkBasics:
 
     def test_serialization_time(self, sim):
         link = Link(sim, bandwidth_bps=8e6, propagation_delay=0.0)
-        assert link.serialization_time(1000) == pytest.approx(0.001)
+        arrivals = []
+        link.transmit(make_packet(1000), lambda p: arrivals.append(sim.now))
+        sim.run()
+        assert link.capacity_bps == 8e6
+        assert arrivals == [1000 * 8.0 / 8e6]
 
     def test_stats_track_delivery(self, sim):
         link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.001)
@@ -66,8 +71,10 @@ class TestLinkBasics:
             {"bandwidth_bps": 0},
             {"bandwidth_bps": -1},
             {"bandwidth_bps": float("nan")},
+            {"bandwidth_bps": float("inf")},
             {"propagation_delay": -0.1},
             {"propagation_delay": float("nan")},
+            {"propagation_delay": float("inf")},
             {"queue_limit_packets": 0},
         ],
     )
@@ -154,7 +161,7 @@ class TestSameInstant:
         # waits and fills the one-packet queue; C arrives the instant A
         # finishes, from an event scheduled before either transmit.
         link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0, queue_limit_packets=1)
-        tx = link.serialization_time(1500)
+        tx = 1500 * 8.0 / link.capacity_bps
         assert tx == 12e-6
         accepted, arrivals = [], []
         self._offer_at(sim, link, tx, accepted, arrivals)
@@ -168,7 +175,7 @@ class TestSameInstant:
 
     def test_offer_before_the_completion_is_dropped(self, sim):
         link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0, queue_limit_packets=1)
-        tx = link.serialization_time(1500)
+        tx = 1500 * 8.0 / link.capacity_bps
         accepted, arrivals = [], []
         self._offer_at(sim, link, tx * 0.999, accepted, arrivals)
         link.transmit(make_packet(1500), arrivals.append)
@@ -267,6 +274,105 @@ class TestSetDown:
         assert arrivals == [("new", pytest.approx(0.01))]
 
 
+def derived_capacity(link: Link) -> float:
+    """The serialization rate as the link derived it per packet before it
+    was stored: the degraded bandwidth less the fluid load, floored at 5%."""
+    capacity = link.bandwidth_bps * link.bandwidth_scale
+    if link.fluid_bps:
+        residual = capacity - link.fluid_bps
+        floor = capacity * 0.05
+        capacity = residual if residual > floor else floor
+    return capacity
+
+
+class TestStoredCapacity:
+    """``capacity_bps`` is refreshed by every writer of its inputs, to the
+    float the per-packet derivation gave."""
+
+    STEPS = {
+        "degrade": lambda link: link.degrade(bandwidth_scale=0.37, extra_delay=0.01),
+        "degrade_hard": lambda link: link.degrade(bandwidth_scale=0.1),
+        "restore": lambda link: link.restore(),
+        "fluid": lambda link: link.set_fluid_load(0.3e9 / 7),
+        # Above 95% of even the undegraded capacity: the 5% floor holds.
+        "fluid_overload": lambda link: link.set_fluid_load(0.97e9),
+        "fluid_clear": lambda link: link.set_fluid_load(0.0),
+    }
+
+    def test_fresh_link(self, sim):
+        link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0)
+        assert link.capacity_bps == derived_capacity(link) == 1e9
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(STEPS, 3)), ids="-".join)
+    def test_every_order_of_writers(self, sim, order):
+        link = Link(sim, bandwidth_bps=1e9 / 3, propagation_delay=0.0)
+        for name in order:
+            self.STEPS[name](link)
+            assert link.capacity_bps == derived_capacity(link)
+
+    def test_floor_under_overload(self, sim):
+        link = Link(sim, bandwidth_bps=1e9, propagation_delay=0.0)
+        link.degrade(bandwidth_scale=0.5)
+        link.set_fluid_load(0.96 * 0.5e9)
+        assert link.capacity_bps == 0.5e9 * 0.05
+        arrivals = []
+        link.transmit(make_packet(1250), lambda p: arrivals.append(sim.now))
+        sim.run()
+        assert arrivals == [1250 * 8.0 / (0.5e9 * 0.05)]
+
+
+class TestLosslessWire:
+    """A direction with no loss model draws nothing and resolves no stream;
+    one that a storm makes lossy draws what it always drew."""
+
+    #: Packets lost on a lossless ``trunk:fwd`` over ``RandomStreams(SEED)``
+    #: through the storms below, as the link lost them while every lossless
+    #: direction held a ``NoLoss`` and resolved its stream at its first
+    #: packet.  A stream is a function of ``(master_seed, name)`` alone.
+    STORM_DROPS = [
+        100, 107, 109, 110, 112, 114, 119, 120, 125, 126, 127, 130, 135, 138,
+        139, 143, 155, 156, 200, 201, 211, 212, 213, 266, 273,
+    ]
+    SEED = 20_160_627
+
+    @pytest.mark.parametrize("model", [None, NoLoss()], ids=["none", "noloss"])
+    def test_no_stream_over_a_thousand_packets(self, sim, model):
+        streams = RandomStreams(self.SEED)
+        link = Link(sim, 1e9, 0.0, 2000, model, name="trunk:fwd", streams=streams)
+        delivered = []
+        for _ in range(1000):
+            link.transmit(make_packet(100), delivered.append)
+        sim.run()
+        assert len(delivered) == 1000
+        assert link._rng is None
+        assert "loss:trunk:fwd" not in repr(streams)
+        assert isinstance(link.effective_loss_model, NoLoss)
+
+    @pytest.mark.parametrize("model", [None, NoLoss()], ids=["none", "noloss"])
+    def test_storm_on_a_lossless_link_drops_what_it_always_dropped(self, sim, model):
+        streams = RandomStreams(self.SEED)
+        link = Link(sim, 1e9, 0.0, 5000, model, name="trunk:fwd", streams=streams)
+        delivered: list[int] = []
+
+        def send(first: int, end: int) -> None:
+            for index in range(first, end):
+                link.transmit(make_packet(100), lambda p, i=index: delivered.append(i))
+
+        send(0, 100)
+        link.set_loss_override(BernoulliLoss(0.3))
+        send(100, 160)
+        link.set_loss_override(None)
+        send(160, 200)
+        link.set_loss_override(
+            GilbertElliottLoss(0.05, 0.25, loss_good=0.01, loss_bad=0.6)
+        )
+        send(200, 300)
+        link.set_loss_override(None)
+        sim.run()
+        assert sorted(set(range(300)) - set(delivered)) == self.STORM_DROPS
+        assert link.stats.packets_dropped_loss == len(self.STORM_DROPS)
+
+
 class TestNanRejected:
     def test_degrade_extra_delay(self, sim):
         link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
@@ -279,6 +385,17 @@ class TestNanRejected:
         with pytest.raises(ValueError):
             link.set_fluid_load(float("nan"))
         assert link.fluid_bps == 0.0
+
+
+class TestInfinityRejected:
+    """+inf passes a NaN-safe ``>= 0`` check; let in, it carries the clock
+    (and every later arrival) to +inf."""
+
+    def test_degrade_extra_delay(self, sim):
+        link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.0)
+        with pytest.raises(ValueError):
+            link.degrade(extra_delay=float("inf"))
+        assert link.extra_delay == 0.0
 
 
 class TestDuplexLink:

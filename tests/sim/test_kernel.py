@@ -54,6 +54,18 @@ class TestScheduling:
         assert fired == ["a"]
         assert sim.now == 1.0
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_infinite_time_rejected(self, sim, method):
+        """+inf passes a NaN-safe check; let in, it fires last and carries
+        the clock, and every event scheduled after it, to +inf."""
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(ValueError):
+            getattr(sim, method)(float("inf"), fired.append, "inf")
+        sim.run()
+        assert fired == ["a"]
+        assert sim.now == 1.0
+
     def test_handlers_can_schedule_more_events(self, sim):
         fired = []
 

@@ -11,7 +11,10 @@ instead of as a slower benchmark three PRs later.
 The kernel event count is pinned beside it: a frame saving must never be
 an event change in disguise.  So is how often each hop the benchmark's
 tracer bills per packet is entered: once per packet, while path
-resolution (``Network.send``) runs once per host and destination.
+resolution (``Network.send``) runs once per host and destination.  And
+so is how often the frames that left the path are entered: the lossless
+wire's loss call never, the counter method and the RTO clamp only while
+each endpoint sets its connection up.
 
 Re-measure (prints both figures)::
 
@@ -30,9 +33,12 @@ import pytest
 
 from repro.linux.host import Host
 from repro.net.link import Link
+from repro.net.loss import NoLoss
 from repro.net.network import Network
 from repro.obs.instrument import capture, disabled
+from repro.obs.metrics import Counter
 from repro.tcp.constants import TcpConfig
+from repro.tcp.rto import RttEstimator
 from repro.tcp.socket import TcpSocket
 from repro.testing import TwoHostTestbed, request_response
 
@@ -41,15 +47,18 @@ RESPONSE_BYTES = 1_000_000
 DELIVERED_PACKETS = 1_375
 KERNEL_EVENTS = 1_378
 
-#: Frames per delivered packet, by instrumentation mode.  Measured 19.11
-#: (disabled) and 21.63 (capture) on CPython 3.11 — 21.61 and 24.13 while
-#: each packet was a segment wrapped in a packet object and the fabric
-#: resolved its path per packet, 24.62 and 27.71 while a link spent two
+#: Frames per delivered packet, by instrumentation mode.  Measured 13.34
+#: (disabled) and 15.86 (capture) on CPython 3.11 — 19.11 and 21.63 while
+#: the clock, the smoothed RTT and the link's rate were read through
+#: frames, every RTT sample entered the RTO clamp, a lossless link called
+#: its loss model and the delivered counter went through ``inc()``; 21.61
+#: and 24.13 while each packet was a segment wrapped in a packet object
+#: and the fabric resolved its path per packet, 24.62 and 27.71 while a link spent two
 #: timers per packet, 36.87 and 39.96 before the path was flattened to one
 #: frame per step.  The margin is for interpreter versions (the path has
 #: no comprehension that 3.12 would inline), not for new helper hops: a
 #: hop costs 0.5-1.0.
-CEILINGS = {"disabled": 22.5, "capture": 25.0}
+CEILINGS = {"disabled": 16.75, "capture": 19.25}
 
 #: The hops the benchmark's tracer bills per packet.  Each is entered once
 #: per packet: every packet is sent, crosses the trunk and is received.
@@ -63,15 +72,28 @@ PER_PACKET = {
     Network.send: 2,
 }
 
+#: Frames off the per-packet path, with instrumentation off: a lossless
+#: link holds no loss model, the delivered counter is bumped in place and
+#: an RTT sample refreshes the RTO in line.  What is left is setup: each
+#: endpoint counts its opened connection once and clamps its initial RTO
+#: once.  A frame that creeps back onto the path reads ~1,375 here.
+OFF_PATH = {
+    NoLoss.should_drop: 0,
+    Counter.inc: 2,
+    RttEstimator._compute_rto: 2,
+}
+
+WATCHED = (*PER_PACKET, *OFF_PATH)
+
 
 def profile_exchange(
     mode: Callable[[], AbstractContextManager[Any]],
 ) -> tuple[float, dict[Callable[..., Any], int]]:
     """Python frames entered per delivered packet over the exchange, and
-    how often each function of :data:`PER_PACKET` was entered."""
+    how often each function of :data:`WATCHED` was entered."""
     frames = 0
-    watched = {function.__code__: function for function in PER_PACKET}
-    calls = dict.fromkeys(PER_PACKET, 0)
+    watched = {function.__code__: function for function in WATCHED}
+    calls = dict.fromkeys(WATCHED, 0)
 
     def count(frame: FrameType, event: str, arg: object) -> None:
         nonlocal frames
@@ -110,12 +132,25 @@ def test_frames_per_delivered_packet(mode):
     assert profile_exchange(mode)[0] <= CEILINGS[mode.__name__]
 
 
-def test_one_entry_per_packet_per_billed_hop():
+@pytest.fixture(scope="module")
+def calls():
+    """Entries per watched function over one exchange, instrumentation off."""
+    return profile_exchange(disabled)[1]
+
+
+def test_one_entry_per_packet_per_billed_hop(calls):
     """No hop the tracer bills per packet is entered twice for one packet,
     and path resolution stays off the per-packet path."""
-    calls = profile_exchange(disabled)[1]
-    assert {function.__qualname__: count for function, count in calls.items()} == {
+    assert {function.__qualname__: calls[function] for function in PER_PACKET} == {
         function.__qualname__: count for function, count in PER_PACKET.items()
+    }
+
+
+def test_frames_off_the_path_stay_off(calls):
+    """The lossless wire makes no loss call, the delivered counter and an
+    RTT sample enter no helper frame: nothing here scales with packets."""
+    assert {function.__qualname__: calls[function] for function in OFF_PATH} == {
+        function.__qualname__: count for function, count in OFF_PATH.items()
     }
 
 

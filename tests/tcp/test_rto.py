@@ -63,6 +63,25 @@ class TestSampling:
         assert est.rto == rto
         assert est.samples == 1
 
+    def test_infinite_sample_rejected(self):
+        """Let in, one +inf sample pins srtt at +inf for good."""
+        est = RttEstimator()
+        est.add_sample(0.1)
+        with pytest.raises(ValueError, match="inf"):
+            est.add_sample(float("inf"))
+        assert est.srtt == 0.1
+        assert est.samples == 1
+
+    @pytest.mark.parametrize("rtt", [0.0, 0.001, 0.1, 0.35, 2.0, 500.0])
+    def test_sample_refreshes_rto_as_compute_rto_does(self, rtt):
+        """``add_sample`` refreshes ``rto`` in line; the float must be the
+        one ``_compute_rto`` returns, at both clamps and between."""
+        est = RttEstimator()
+        for sample in (0.1, rtt, rtt / 3, 0.05):
+            est.back_off()
+            est.add_sample(sample)
+            assert est.rto == est._compute_rto()
+
     def test_sample_count(self):
         est = RttEstimator()
         est.add_sample(0.1)
