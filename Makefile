@@ -36,11 +36,13 @@ hot-path:
 # cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the
 # five-pass cohort oracle, the keyword ss-row and per-row grouping
 # references, the ss tool tests, the frames-per-row / per-cohort-step
-# ceiling, and the 34-PoP run_scale cell of the study golden.
+# ceiling, the shared-step exactness test, and the 34-PoP run_scale cell
+# of the study golden.
 background-plane:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_fluid.py \
 		tests/cdn/test_fluidtraffic.py tests/core/test_agent.py \
 		tests/linux/test_tools.py tests/cdn/test_background_plane_frames.py \
+		tests/cdn/test_fluid_sharing.py \
 		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden"
 
 # Inner loop for a change to the forensic plane — obs/ stores and records,

@@ -26,7 +26,12 @@ it jump-starts real connections.
 
 The engine steps on a coarse cadence (default 250 ms) as one sim event
 per step, independent of flow count — a million open flows cost the
-same handful of histogram updates as a thousand.
+same handful of histogram updates as a thousand.  Within a tick each
+distinct cohort is stepped once: a cohort whose
+:meth:`~repro.sim.fluid.FluidPopulation.step_key` equals that of one
+already stepped (the A->B and B->A cohorts of a symmetric mesh, until
+load, a fault or a route splits them) copies that cohort's result, which
+is bit for bit what its own step would have left.
 """
 
 from __future__ import annotations
@@ -267,7 +272,7 @@ class FluidTraffic:
             state.last_bytes_offered = offered
             fluid_bps: float = 0
             for population in state.populations:
-                fluid_bps += population.offered_bps()
+                fluid_bps += population.offered
             total_bps = packet_bps + fluid_bps
             congestion = 0.0
             if total_bps > capacity:
@@ -281,20 +286,40 @@ class FluidTraffic:
             link.set_fluid_load(fluid_bps)
         # Pass 2: advance every cohort against its link's loss rate,
         # refilling churned-out flows at the currently-routed initial
-        # window (the Riptide feedback edge).
+        # window (the Riptide feedback edge).  A cohort whose step key
+        # matches one already stepped this tick copies that result: same
+        # key, same bits.  The memo holds one entry per distinct cohort
+        # and dies with the tick.  The gauge totals accumulate in
+        # population order, as the aggregates' own loops would.
+        stepped: dict[tuple, FluidPopulation] = {}
+        gauges = self._sim.obs.enabled
+        flows: float = 0
+        offered: float = 0
+        weighted: float = 0
         for index, population in enumerate(self._populations):
             link_state = self._pop_link[index]
             loss = (
                 link_state.smoothed_loss if link_state is not None else 0.0
             )
             entry = self._pop_host[index].initcwnd_for(self._pop_remote[index])
-            population.step(dt, loss, entry)
+            key = population.step_key(dt, loss, entry)
+            twin = stepped.get(key)
+            if twin is None:
+                population.step(dt, loss, entry)
+                stepped[key] = population
+            else:
+                population.adopt_step(twin)
+            if gauges:
+                dist = population.distribution
+                flows += dist.flows
+                offered += population.offered
+                weighted += dist.total_window_segments()
         self.steps += 1
         self._m_steps.inc()
-        if self._sim.obs.enabled:
-            self._g_flows.set(self.total_flows())
-            self._g_offered.set(self.total_offered_bps())
-            self._g_mean_cwnd.set(self.mean_window())
+        if gauges:
+            self._g_flows.set(flows)
+            self._g_offered.set(offered)
+            self._g_mean_cwnd.set(weighted / flows if flows > 0.0 else 0.0)
 
     # ------------------------------------------------------------------
     # ss synthesis

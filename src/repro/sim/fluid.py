@@ -31,7 +31,10 @@ layer turns into socket snapshots.
 Everything here is closed-form float arithmetic: no random streams, no
 wall clock.  Two populations stepped with the same inputs produce
 bit-identical state, which is what keeps hybrid runs reproducible under
-``--workers N``.
+``--workers N``.  :meth:`FluidPopulation.step_key` names those inputs
+(parameters, step inputs and full state) as one value, so an engine can
+step one cohort and hand the result to every other cohort whose key is
+equal (:meth:`FluidPopulation.adopt_step`) without moving a bit.
 """
 
 from __future__ import annotations
@@ -92,10 +95,10 @@ class CwndDistribution:
     step is two sweeps of that range: the scatter, then one that trims,
     totals and applies churn together.
 
-    The window total (:meth:`total_window_segments`) is read several
-    times between mutations — the step's sent counter, the engine's
-    gauges, the next step's offered load — so it is computed once and
-    kept until :meth:`add_mass` or :meth:`step` next changes the histogram.
+    The window total (:meth:`total_window_segments`) is read more than
+    once between mutations — the step's send rate, the engine's mean
+    window gauge — so it is computed once and kept until
+    :meth:`add_mass` or :meth:`step` next changes the histogram.
     """
 
     __slots__ = (
@@ -184,10 +187,23 @@ class CwndDistribution:
         sweep that recomputes the active range.  Returns
         the expected number of loss (halving) events this step — the
         retransmission mass the counters track.
+
+        A NaN or negative drift, loss or departing share, and an ``rtt``
+        that is not positive and finite, raise :class:`ValueError`
+        instead of turning loss or churn off; the checks run once per
+        step, never per bin.
         """
         if not drift_segments_per_sec >= 0.0:
             raise ValueError(
                 f"drift must be >= 0, got {drift_segments_per_sec}"
+            )
+        if not loss_rate >= 0.0:
+            raise ValueError(f"loss_rate must be >= 0, got {loss_rate}")
+        if not 0.0 < rtt < math.inf:
+            raise ValueError(f"rtt must be positive and finite, got {rtt}")
+        if not departing_fraction >= 0.0:
+            raise ValueError(
+                f"departing_fraction must be >= 0, got {departing_fraction}"
             )
         if dt <= 0.0 or self._hi_bin < 0:
             return 0.0
@@ -235,43 +251,31 @@ class CwndDistribution:
             self._lo_bin, self._hi_bin = 0, -1
             self.flows = 0.0
             return loss_events
-        # The step wrote no bin below the halving target of ``lo`` and
-        # none above the drift target of ``hi``; every other bin of the
-        # fresh histogram is exactly 0.0.
-        highest = min(top, self._hi_bin + whole + 1)
-        self._bin_mass = new
-        self._retighten(
-            half_bins[self._lo_bin],
-            highest,
-            1.0 - departing_fraction if departing_fraction > 0.0 else 1.0,
-        )
-        return loss_events
-
-    def _retighten(self, first: int, last: int, keep: float = 1.0) -> None:
-        """Recompute the active range and total over bins ``[first, last]``.
-
-        The caller guarantees every bin outside that range is 0.0.
-        ``keep`` is the share of flows churn leaves behind, applied in
-        the same sweep: bins are trimmed on their mass before churn,
-        each kept bin becomes its mass times ``keep`` and ``flows`` the
-        loop's total times ``keep`` — bit for bit what a separate
-        scaling pass after the sweep would leave — and a ``keep`` of 1.0
-        changes nothing.
-        """
-        mass = self._bin_mass
+        # The second sweep.  The scatter wrote no bin below the halving
+        # target of ``lo`` and none above the drift target of ``hi``, so
+        # every bin outside that stretch of the fresh histogram is 0.0.
+        # Over the stretch it recomputes the active range, trims
+        # slivers, totals the flows and applies churn: a bin is trimmed
+        # on its mass before churn and kept as ``m * keep``, and
+        # ``flows`` is the total times ``keep`` -- bit for bit what a
+        # separate scaling pass after the sweep would leave, and a
+        # ``keep`` of 1.0 changes nothing.
+        keep = 1.0 - departing_fraction if departing_fraction > 0.0 else 1.0
         lo, hi, total = 0, -1, 0.0
-        for b in range(first, last + 1):
-            m = mass[b]
+        for b in range(half_bins[self._lo_bin], min(top, self._hi_bin + whole + 1) + 1):
+            m = new[b]
             if m > _MASS_EPSILON:
                 if hi < 0:
                     lo = b
                 hi = b
                 total += m
-                mass[b] = m * keep
+                new[b] = m * keep
             elif m > 0.0:
-                mass[b] = 0.0
+                new[b] = 0.0
+        self._bin_mass = new
         self._lo_bin, self._hi_bin = lo, hi
         self.flows = total * keep
+        return loss_events
 
     # ------------------------------------------------------------------
     # read-out
@@ -377,7 +381,13 @@ class FluidPopulation:
     flow, ``segments_retx_total`` from the halving events, and
     ``bytes_acked_total`` from delivered segments.  They only ever grow,
     so consumers that difference successive polls (the safety guard's
-    retransmit ratio) see the right marginal rates.
+    retransmit ratio) see the right marginal rates.  ``offered`` is the
+    aggregate send rate in bits/s as the last step (or construction)
+    left it: what :meth:`offered_bps` returns until the histogram is
+    next changed from outside :meth:`step`.
+
+    The parameters, the state and the inputs of a step make up its
+    :meth:`step_key`.
     """
 
     __slots__ = (
@@ -396,6 +406,10 @@ class FluidPopulation:
         "bytes_acked_total",
         "loss_events_total",
         "steps",
+        "offered",
+        "_departing",
+        "_departing_dt",
+        "_departing_churn",
     )
 
     def __init__(
@@ -412,14 +426,22 @@ class FluidPopulation:
         created_at: float = 0.0,
         is_client: bool = False,
     ) -> None:
-        if not rtt > 0:
-            raise ValueError(f"rtt must be positive, got {rtt}")
-        if not target_flows > 0:
-            raise ValueError(f"target_flows must be positive, got {target_flows}")
-        if not churn_per_flow_per_sec >= 0:
+        if not 0 < rtt < math.inf:
+            raise ValueError(f"rtt must be positive and finite, got {rtt}")
+        if not 0 < target_flows < math.inf:
             raise ValueError(
-                f"churn must be >= 0, got {churn_per_flow_per_sec}"
+                f"target_flows must be positive and finite, got {target_flows}"
             )
+        if not 0 <= churn_per_flow_per_sec < math.inf:
+            raise ValueError(
+                f"churn must be >= 0 and finite, got {churn_per_flow_per_sec}"
+            )
+        for label, rate in (
+            ("growth", growth_segments_per_sec),
+            ("send cap", send_segments_per_flow_per_sec),
+        ):
+            if rate is not None and not 0 <= rate < math.inf:
+                raise ValueError(f"{label} must be >= 0 and finite, got {rate}")
         self.name = name
         self.rtt = float(rtt)
         self.mss = int(mss)
@@ -447,7 +469,13 @@ class FluidPopulation:
         self.bytes_acked_total = 0.0
         self.loss_events_total = 0.0
         self.steps = 0
+        # The share churn takes per step, for the last ``dt`` and churn
+        # rate the step saw.
+        self._departing = 0.0
+        self._departing_dt: float | None = None
+        self._departing_churn: float | None = None
         self.distribution.add_mass(entry_window, self.target_flows)
+        self.offered = self.offered_bps()
 
     @property
     def flows(self) -> float:
@@ -463,33 +491,86 @@ class FluidPopulation:
         )
         return rate * self.mss * 8.0
 
+    def step_key(self, dt: float, loss_rate: float, entry_window: int) -> tuple:
+        """Everything :meth:`step` reads, as one hashable value.
+
+        The parameters, the step's inputs and the full state: the
+        range, the flows, the four cumulative counters, ``steps`` and,
+        last, the active bins (every other bin is 0.0; the range fixes
+        how many there are).  The step is closed-form float arithmetic
+        over exactly these, so two cohorts whose keys are equal leave it
+        with bit-identical state, and the second may take the first's
+        result (:meth:`adopt_step`) instead of stepping.  The key is one
+        flat tuple, 20 or more long for a non-empty cohort: CPython keeps
+        freed tuples of up to 19 items on free lists, so a dropped memo of
+        these keys returns its memory instead of holding it.
+        """
+        dist = self.distribution
+        lo, hi = dist._lo_bin, dist._hi_bin
+        return (
+            self.rtt,
+            self.target_flows,
+            self.growth_segments_per_sec,
+            self.send_segments_per_flow_per_sec,
+            self.churn_per_flow_per_sec,
+            self.mss,
+            dist.bin_width,
+            dist.nbins,
+            dt,
+            loss_rate,
+            entry_window,
+            lo,
+            hi,
+            dist.flows,
+            self.segments_sent_total,
+            self.segments_retx_total,
+            self.bytes_acked_total,
+            self.loss_events_total,
+            self.steps,
+            *dist._bin_mass[lo : hi + 1],
+        )
+
     def step(self, dt: float, loss_rate: float, entry_window: int) -> None:
         """Advance the cohort: drift/halve, churn out, refill at entry."""
         dist = self.distribution
+        rtt = self.rtt
+        cap = self.send_segments_per_flow_per_sec
         churn = self.churn_per_flow_per_sec
+        if dt != self._departing_dt or churn != self._departing_churn:
+            self._departing = 1.0 - math.exp(-churn * dt) if churn > 0.0 else 0.0
+            self._departing_dt = dt
+            self._departing_churn = churn
         loss_events = dist.step(
-            dt,
-            self.rtt,
-            loss_rate,
-            self.growth_segments_per_sec,
-            self.send_segments_per_flow_per_sec,
-            1.0 - math.exp(-churn * dt) if churn > 0.0 else 0.0,
+            dt, rtt, loss_rate, self.growth_segments_per_sec, cap, self._departing
         )
         deficit = self.target_flows - dist.flows
         if deficit > 0.0:
             dist.add_mass(entry_window, deficit)
-        sent = (
-            dist.total_send_segments_per_sec(
-                self.rtt, self.send_segments_per_flow_per_sec
-            )
-            * dt
-        )
+        rate = dist.total_send_segments_per_sec(rtt, cap)
+        sent = rate * dt
         retx = loss_events
         self.segments_sent_total += sent + retx
         self.segments_retx_total += retx
         self.loss_events_total += loss_events
         self.bytes_acked_total += sent * self.mss
+        self.offered = rate * self.mss * 8.0
         self.steps += 1
+
+    def adopt_step(self, twin: FluidPopulation) -> None:
+        """Take the state ``twin`` was left in by the step this cohort
+        would have taken (both had the same :meth:`step_key`)."""
+        mine, theirs = self.distribution, twin.distribution
+        mine._bin_mass = theirs._bin_mass[:]
+        mine._lo_bin = theirs._lo_bin
+        mine._hi_bin = theirs._hi_bin
+        mine.flows = theirs.flows
+        mine._window_total = theirs._window_total
+        self.segments_sent_total = twin.segments_sent_total
+        self.segments_retx_total = twin.segments_retx_total
+        self.bytes_acked_total = twin.bytes_acked_total
+        self.loss_events_total = twin.loss_events_total
+        self.offered = twin.offered
+        self.steps = twin.steps
 
     def sample_ages(self, count: int, now: float) -> list[float]:
         """Deterministic flow ages at mid-quantiles of the churn process.

@@ -15,10 +15,14 @@ file never enters.  A generator expression costs a frame per item, so a
 ``sum(... for ...)`` over bins or populations shows up here at once.
 
 The row, tick and cohort-step counts are pinned beside the ratios: a
-frame saving must never be a row or a step dropped in disguise.
+frame saving must never be a row or a step dropped in disguise.  So is
+the number of cohort steps the engine *computed*: a cohort whose step
+key matches one already stepped in the tick copies that result instead
+(``tests/cdn/test_fluid_sharing.py`` holds the copy exact).
 
 Re-measure (prints the figures for this cluster and for the 34-PoP
-``run_scale`` at seed 42 the benchmark's ``fluid_hybrid`` runs)::
+``run_scale`` at seeds 42 and 7, as the benchmark's ``fluid_hybrid``
+runs it, with computed and total cohort steps)::
 
     PYTHONPATH=src python tests/cdn/test_background_plane_frames.py
 
@@ -33,12 +37,20 @@ two-sweep cohort step,     11.51 / 18.07   11.79 / 28.43   10.00 / 28.01
 one group lookup per run
 the engine's four float    11.51 / 16.07   11.79 / 22.30   10.00 / 22.01
 sums as explicit loops
+one step call per cohort,  10.13 / 11.94   10.36 / 13.04    8.76 / 12.70
+twins share one step
 =========================  ==============  ==============  ==============
 
-The last row took the per-link load sum and the three gauge totals of
+The third row took the per-link load sum and the three gauge totals of
 ``cdn/fluidtraffic.py`` from generator expressions (a frame per item)
 to left-to-right loops, which also pins their bits across interpreters
-(3.12's ``sum`` is compensated).
+(3.12's ``sum`` is compensated).  Before the fourth row the parent read
+10.13 / 17.07, 10.36 / 23.30 and 8.76 / 23.01: the agent side had lost
+frames since, the engine side had gained one per cohort step.  The
+fourth row computes a step once per distinct step key and copies it to the
+matching cohorts, and the link loads and gauges read the load the step
+stored instead of re-deriving it: 414 of the 720 steps here, and 24,182
+of 44,880 in ``run_scale`` at seed 42 (24,151 at seed 7), are computed.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.agent import RiptideAgent
 from repro.core.config import RiptideConfig
 from repro.obs.instrument import capture, disabled
-from repro.sim.fluid import FluidConfig
+from repro.sim.fluid import FluidConfig, FluidPopulation
 from repro.tcp.constants import TcpConfig
 
 POPS = ("LHR", "JFK", "NRT", "SYD", "FRA", "GRU")
@@ -69,11 +81,13 @@ SIMULATED_SECONDS = 12.0
 AGENT_TICKS = 72
 OBSERVED_ROWS = 1_494
 COHORT_STEPS = 720
+#: Of those, the steps computed; the rest are copies of a twin's step.
+COMPUTED_COHORT_STEPS = 414
 
 #: (frames per observed row, frames per cohort step) by instrumentation
 #: mode; see the table above.  The margin is for interpreter versions
 #: (3.12 inlines comprehensions), not for new helper hops.
-CEILINGS = {"disabled": (12.8, 18.0), "capture": (13.1, 25.0)}
+CEILINGS = {"disabled": (12.8, 14.0), "capture": (13.1, 15.5)}
 
 
 @dataclass
@@ -85,6 +99,7 @@ class Frames:
     ticks: int
     rows: int
     cohort_steps: int
+    computed_steps: int
 
     @property
     def per_row(self) -> float:
@@ -96,15 +111,20 @@ class Frames:
 
 
 class RegionCounter:
-    """Counts Python frames entered while a frame of a watched code object is open."""
+    """Counts Python frames entered while a frame of a watched code object
+    is open, and the calls of the ``counted`` code object."""
 
-    def __init__(self, *regions: CodeType) -> None:
+    def __init__(self, *regions: CodeType, counted: CodeType) -> None:
         self.frames = dict.fromkeys(regions, 0)
+        self.counted = counted
+        self.calls = 0
         self._region: CodeType | None = None
         self._root: FrameType | None = None
 
     def __call__(self, frame: FrameType, event: str, arg: object) -> None:
         if event == "call":
+            if frame.f_code is self.counted:
+                self.calls += 1
             if self._region is None and frame.f_code in self.frames:
                 self._region, self._root = frame.f_code, frame
             if self._region is not None:
@@ -147,14 +167,17 @@ def small_hybrid_cluster() -> CdnCluster:
 def count_frames(run: Callable[[], tuple[int, int, int]]) -> Frames:
     """Run ``run`` (returns ticks, rows, cohort steps) under the counter."""
     tick, step = RiptideAgent._tick.__code__, FluidTraffic._step.__code__
-    counter = RegionCounter(tick, step)
+    counter = RegionCounter(tick, step, counted=FluidPopulation.step.__code__)
     previous = sys.getprofile()
     sys.setprofile(counter)
     try:
         ticks, rows, cohort_steps = run()
     finally:
         sys.setprofile(previous)
-    return Frames(counter.frames[tick], counter.frames[step], ticks, rows, cohort_steps)
+    return Frames(
+        counter.frames[tick], counter.frames[step], ticks, rows, cohort_steps,
+        counter.calls,
+    )
 
 
 def run_small_cluster() -> tuple[int, int, int]:
@@ -170,12 +193,12 @@ def run_small_cluster() -> tuple[int, int, int]:
     )
 
 
-def run_scale_seed_42() -> tuple[int, int, int]:
+def run_scale_at(seed: int) -> tuple[int, int, int]:
     """What one repeat of the benchmark's ``fluid_hybrid`` runs."""
     from repro.experiments import hybrid
 
     with capture() as obs:
-        result = hybrid.run_scale(hybrid.HybridScaleConfig(seed=42, duration=15.0))
+        result = hybrid.run_scale(hybrid.HybridScaleConfig(seed=seed, duration=15.0))
     return (
         obs.metrics.total("riptide_polls"),
         obs.metrics.total("riptide_connections_observed"),
@@ -189,9 +212,9 @@ def test_frames_per_row_and_per_cohort_step(
 ) -> None:
     with mode():
         frames = count_frames(run_small_cluster)
-    assert (frames.ticks, frames.rows, frames.cohort_steps) == (
-        AGENT_TICKS, OBSERVED_ROWS, COHORT_STEPS,
-    )
+    assert (
+        frames.ticks, frames.rows, frames.cohort_steps, frames.computed_steps
+    ) == (AGENT_TICKS, OBSERVED_ROWS, COHORT_STEPS, COMPUTED_COHORT_STEPS)
     per_row, per_cohort_step = CEILINGS[mode.__name__]
     assert frames.per_row <= per_row
     assert frames.per_cohort_step <= per_cohort_step
@@ -201,7 +224,8 @@ def _describe(label: str, frames: Frames) -> str:
     return (
         f"{label}: {frames.per_row:.2f} frames/row, "
         f"{frames.per_cohort_step:.2f} frames/cohort step ({frames.ticks} ticks, "
-        f"{frames.rows} rows, {frames.cohort_steps} cohort steps)"
+        f"{frames.rows} rows, {frames.computed_steps} of {frames.cohort_steps} "
+        "cohort steps computed)"
     )
 
 
@@ -209,4 +233,6 @@ if __name__ == "__main__":
     for context in (disabled, capture):
         with context():
             print(_describe(context.__name__, count_frames(run_small_cluster)))
-    print(_describe("run_scale seed 42 (capture)", count_frames(run_scale_seed_42)))
+    for seed in (42, 7):
+        frames = count_frames(lambda seed=seed: run_scale_at(seed))
+        print(_describe(f"run_scale seed {seed} (capture)", frames))

@@ -257,13 +257,6 @@ class TestFluidPopulation:
 # ----------------------------------------------------------------------
 
 
-class FullScanDistribution(CwndDistribution):
-    """The reference: retighten over every bin, whatever the step wrote."""
-
-    def _retighten(self, first, last, keep=1.0):
-        super()._retighten(0, self.nbins - 1, keep)
-
-
 def state_of(dist):
     return list(dist._bin_mass), dist.flows, dist._lo_bin, dist._hi_bin
 
@@ -351,6 +344,46 @@ def test_nan_mass_rejected():
     with pytest.raises(ValueError, match="nan"):
         dist.add_mass(20, float("nan"))
     assert dist.flows == 10.0
+
+
+#: Inputs the model once took silently: a negative send cap offered
+#: negative load, infinite flows made the mean NaN, an infinite growth
+#: overflowed only at the first step, and the step's NaN or negative
+#: loss, NaN rtt and NaN churn turned loss or churn off.
+BAD_INPUTS = [
+    ("population", "send_segments_per_flow_per_sec", -1.0),
+    ("population", "send_segments_per_flow_per_sec", math.nan),
+    ("population", "target_flows", math.inf),
+    ("population", "rtt", math.inf),
+    ("population", "growth_segments_per_sec", math.inf),
+    ("step", "loss_rate", math.nan),
+    ("step", "loss_rate", -0.01),
+    ("step", "rtt", math.nan),
+    ("step", "departing_fraction", math.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field, value", BAD_INPUTS, ids=lambda v: str(v)
+)
+def test_bad_fluid_inputs_raise(where, field, value):
+    if where == "population":
+        kwargs = dict(name="p", rtt=0.1, target_flows=10.0, entry_window=10)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=str(value)):
+            FluidPopulation(**kwargs)
+        return
+    dist = CwndDistribution(max_window=100)
+    dist.add_mass(50, 10.0)
+    kwargs = dict(
+        dt=0.25, rtt=0.1, loss_rate=0.01, drift_segments_per_sec=4.0,
+        departing_fraction=0.1,
+    )
+    kwargs[field] = value
+    before = state_of(dist)
+    with pytest.raises(ValueError, match=str(value)):
+        dist.step(**kwargs)
+    assert state_of(dist) == before
 
 
 def test_window_total_cache_is_dropped_by_every_mutator():
@@ -567,6 +600,26 @@ class FivePassDistribution:
                 cum += mass[b]
             samples.append(self.bin_to_window(b))
         return samples
+
+
+class FullScanDistribution(FivePassDistribution):
+    """The reference for the shipped step's second sweep: the five-pass
+    scatter, a retighten over every bin whatever the step wrote, then
+    churn as a pass of its own."""
+
+    def step(
+        self, dt, rtt, loss_rate, drift_segments_per_sec,
+        send_rate_cap=None, departing_fraction=0.0,
+    ):
+        loss_events = super().step(
+            dt, rtt, loss_rate, drift_segments_per_sec, send_rate_cap
+        )
+        if dt > 0.0:
+            self.remove_fraction(departing_fraction)
+        return loss_events
+
+    def _retighten(self, first, last):
+        super()._retighten(0, self.nbins - 1)
 
 
 class FivePassPopulation:
