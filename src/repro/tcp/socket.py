@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from operator import attrgetter
 from typing import Any, TYPE_CHECKING
 
 from repro.net.addresses import IPv4Address
@@ -76,23 +78,10 @@ class SocketStats:
     )
 
     def __init__(
-        self,
-        local_port: int,
-        remote_address: IPv4Address,
-        remote_port: int,
-        state: TcpState,
-        cwnd: int,
-        ssthresh: float,
-        initial_cwnd: int,
-        srtt: float | None,
-        bytes_acked: int,
-        bytes_received: int,
-        segments_sent: int,
-        segments_retransmitted: int,
-        created_at: float,
-        established_at: float | None,
-        last_activity_at: float,
-        is_client: bool = False,
+        self, local_port: int, remote_address: IPv4Address, remote_port: int, state: TcpState,
+        cwnd: int, ssthresh: float, initial_cwnd: int, srtt: float | None, bytes_acked: int,
+        bytes_received: int, segments_sent: int, segments_retransmitted: int, created_at: float,
+        established_at: float | None, last_activity_at: float, is_client: bool = False,
     ) -> None:
         self.local_port = local_port
         self.remote_address = remote_address
@@ -117,7 +106,6 @@ class _SentSegment:
 
     __slots__ = (
         "seq", "end_seq", "payload_bytes", "syn", "fin", "marks", "last_sent_at", "retransmitted",
-        "sacked", "rexmit_in_recovery",
     )
 
     def __init__(
@@ -138,10 +126,6 @@ class _SentSegment:
         self.marks = marks
         self.last_sent_at = last_sent_at
         self.retransmitted = False
-        #: Selectively acknowledged (SACK): delivered but not yet cum-acked.
-        self.sacked = False
-        #: Already retransmitted during the current recovery episode.
-        self.rexmit_in_recovery = False
 
 
 #: What every socket's retransmission-queue slot holds while nothing is in
@@ -151,6 +135,24 @@ class _SentSegment:
 #: pooled connection, the common state of a back-office connection, then
 #: holds no 760-byte empty deque on either side.
 _NO_RTX: deque[_SentSegment] = deque(maxlen=0)
+
+_SEQ = attrgetter("seq")
+
+#: SACK blocks as they ride on a segment: ``(start, end)`` pairs.
+_Blocks = tuple[tuple[int, int], ...]
+
+
+def _merge(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``(start, end)`` spans, sorted, with overlapping or touching ones
+    joined: the receiver's SACK blocks and the sender's scoreboard."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 class TcpSocket:
@@ -165,8 +167,8 @@ class TcpSocket:
         "state", "is_client", "close_on_peer_fin",
         "cc", "_rtt",
         "_snd_una", "_snd_nxt", "_snd_buf_end", "_pending_marks",
-        "_rtx_queue", "_sacked_bytes", "_peer_rwnd_bytes", "_dupacks",
-        "_in_recovery", "_recover_seq", "_recovery_inflation",
+        "_rtx_queue", "_sacked", "_lost_edge", "_high_rxt", "_peer_rwnd_bytes", "_dupacks",
+        "_in_recovery", "_recover_seq",
         "_fin_queued",
         "_rto_event", "_rto_deadline",
         "_rcv_nxt", "_ooo", "_recv_marks", "_adv_wnd_bytes",
@@ -216,14 +218,18 @@ class TcpSocket:
         self._snd_buf_end = 1  # data begins after the SYN's sequence slot
         self._pending_marks: list[MessageMark] = []
         self._rtx_queue = _NO_RTX
-        #: Sequence space of the queued entries marked ``sacked`` — the
-        #: part of the flight that no longer occupies the pipe.
-        self._sacked_bytes = 0
+        # The scoreboard (RFC 6675): the ranges the peer has SACKed,
+        # merged and ascending; every unSACKed byte below ``_lost_edge`` is
+        # lost, and every one below ``_high_rxt`` (HighRxt) was resent in
+        # this recovery.
+        self._sacked: list[tuple[int, int]] | _Blocks = ()
+        self._lost_edge = 0
+        self._high_rxt = 0
         self._peer_rwnd_bytes = config.mss  # until the peer advertises
         self._dupacks = 0
         self._in_recovery = False
+        #: RecoveryPoint: no new recovery until the cumulative ACK reaches it.
         self._recover_seq = 0
-        self._recovery_inflation = 0
         self._fin_queued = False
         #: The retransmission timer: a deadline (None = disarmed) beside
         #: at most one pending kernel event.  A restart only moves the
@@ -308,17 +314,10 @@ class TcpSocket:
         return self._snd_nxt - self._snd_una
 
     @property
-    def send_buffer_bytes(self) -> int:
-        """Bytes written by the application but not yet transmitted."""
-        return self._snd_buf_end - max(self._snd_nxt, 1)
-
-    @property
     def is_idle(self) -> bool:
         """Established with nothing queued or in flight in either role."""
-        return (
-            self.state is TcpState.ESTABLISHED
-            and self.bytes_unacked == 0
-            and self.send_buffer_bytes == 0
+        return self.state is TcpState.ESTABLISHED and self.bytes_unacked == 0 and (
+            self._snd_buf_end == self._snd_nxt
         )
 
     def connect(self) -> None:
@@ -399,22 +398,10 @@ class TcpSocket:
         cc = self.cc
         # Positional, in SocketStats field order, like the fluid rows.
         return SocketStats(
-            self.local_port,
-            self.remote_address,
-            self.remote_port,
-            self.state,
-            cc.cwnd_segments,
-            cc.ssthresh,
-            cc.initial_cwnd,
-            self._rtt.srtt,
-            self.bytes_acked,
-            self.bytes_received,
-            self.segments_sent,
-            self.segments_retransmitted,
-            self.created_at,
-            self.established_at,
-            self.last_activity_at,
-            self.is_client,
+            self.local_port, self.remote_address, self.remote_port, self.state,
+            cc.cwnd_segments, cc.ssthresh, cc.initial_cwnd, self._rtt.srtt, self.bytes_acked,
+            self.bytes_received, self.segments_sent, self.segments_retransmitted,
+            self.created_at, self.established_at, self.last_activity_at, self.is_client,
         )
 
     # ------------------------------------------------------------------
@@ -441,11 +428,10 @@ class TcpSocket:
             return
 
         if segment.is_ack:
-            if segment.sack_blocks and self._config.sack:
-                self._process_sack_blocks(segment.sack_blocks)
+            blocks = segment.sack_blocks if self._config.sack else ()
             ack = segment.ack
             if self._snd_una < ack <= self._snd_nxt:
-                self._on_new_ack(ack, now)
+                self._on_new_ack(ack, now, blocks)
             elif (
                 ack == self._snd_una
                 and ack < self._snd_nxt
@@ -453,7 +439,7 @@ class TcpSocket:
                 in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.CLOSE_WAIT,
                     TcpState.LAST_ACK)
             ):
-                self._on_duplicate_ack()
+                self._on_duplicate_ack(blocks)
             # Anything else acks data never sent, or is stale: ignored.
 
         if segment.payload_bytes > 0 or segment.fin:
@@ -501,7 +487,7 @@ class TcpSocket:
     # ACK processing (sender side)
     # ------------------------------------------------------------------
 
-    def _on_new_ack(self, ack: int, now: float) -> None:
+    def _on_new_ack(self, ack: int, now: float, blocks: _Blocks = ()) -> None:
         """``snd_una < ack <= snd_nxt``: the cumulative ACK moved forward."""
         acked_bytes = 0
         rtt_sample: float | None = None
@@ -511,8 +497,6 @@ class TcpSocket:
             acked_bytes += entry.payload_bytes
             if not entry.retransmitted:
                 rtt_sample = now - entry.last_sent_at
-            if entry.sacked:
-                self._sacked_bytes -= entry.end_seq - entry.seq
         if not rtx_queue:
             self._rtx_queue = _NO_RTX  # everything acked: give the deque back
         self._snd_una = ack
@@ -520,14 +504,19 @@ class TcpSocket:
         if rtt_sample is not None:
             self._rtt.add_sample(rtt_sample)
         self.bytes_acked += acked_bytes
+        # The cumulative ACK first, then the SACK blocks above it.
+        if blocks or self._sacked:
+            self._update_scoreboard(blocks)
 
         if self.state is TcpState.SYN_RCVD and ack >= 1:
             self._become_established()
         if self._in_recovery:
             if ack >= self._recover_seq:
                 self._exit_recovery()
-            else:
-                self._on_partial_ack()
+            else:  # a partial ACK: without SACK, the next hole starts here
+                if not self._config.sack:
+                    self._retransmit_head()  # RFC 6582 §3.2 step 5
+                self._arm_rto()
         else:
             self._dupacks = 0
             self.cc.on_ack(now, acked_bytes, self._rtt.srtt)
@@ -554,20 +543,21 @@ class TcpSocket:
             self._cancel_rto()
         self._try_send()
 
-    def _on_duplicate_ack(self) -> None:
+    def _on_duplicate_ack(self, blocks: _Blocks) -> None:
+        if blocks:
+            self._update_scoreboard(blocks)
         self._dupacks += 1
         if self._in_recovery:
-            self._recovery_inflation += 1
             self._try_send()
-        elif self._dupacks >= DUPACK_THRESHOLD:
+        elif self._dupacks >= DUPACK_THRESHOLD and self._snd_una >= self._recover_seq:
             self._enter_recovery()
 
     def _enter_recovery(self) -> None:
+        """Fast retransmit (RFC 5681 §3.2, RFC 6675 §5 step 4)."""
         self._in_recovery = True
         self._recover_seq = self._snd_nxt
         self.cc.on_loss_event(self._sim.now)
         self.cc.cwnd = max(self.cc.ssthresh, 1.0)
-        self._recovery_inflation = DUPACK_THRESHOLD
         self.fast_retransmits += 1
         self._m_fast_rexmit.inc()
         if self._flow_ss_pending:
@@ -582,77 +572,57 @@ class TcpSocket:
                 remote_port=self.remote_port,
                 cwnd=self.cc.cwnd_segments,
             )
-        if self._config.sack:
-            self._retransmit_sack_holes()
-        else:
-            self._retransmit_head()
-        self._arm_rto()
-
-    def _on_partial_ack(self) -> None:
-        # NewReno: the next hole starts at the new snd_una; retransmit it.
-        # With SACK, fill every known hole the window allows instead.
-        if self._config.sack:
-            self._retransmit_sack_holes()
-        else:
-            self._retransmit_head()
+        self._high_rxt = self._snd_una
+        if self._sacked:
+            self._update_scoreboard(())
+        self._retransmit_head()
         self._arm_rto()
 
     def _exit_recovery(self) -> None:
         self._in_recovery = False
-        self._recovery_inflation = 0
         self._dupacks = 0
-        for entry in self._rtx_queue:
-            entry.rexmit_in_recovery = False
+        # Losses the scoreboard saw above the recovery point wait for a
+        # recovery of their own.
+        self._lost_edge = self._snd_una
         self.cc.after_recovery()
 
     # ------------------------------------------------------------------
-    # SACK processing (sender side)
+    # the scoreboard (sender side)
     # ------------------------------------------------------------------
 
-    def _process_sack_blocks(
-        self, blocks: tuple[tuple[int, int], ...]
-    ) -> None:
-        for entry in self._rtx_queue:
-            if entry.sacked:
-                continue
-            for start, end in blocks:
-                if start <= entry.seq and entry.end_seq <= end:
-                    entry.sacked = True
-                    self._sacked_bytes += entry.end_seq - entry.seq
-                    break
+    def _update_scoreboard(self, blocks: _Blocks) -> None:
+        """Merge SACK blocks into the SACKed ranges, dropping what the
+        cumulative ACK now covers.  In recovery, move the lost edge up to
+        where RFC 6675's ``IsLost`` holds: below the lowest range with more
+        than ``(DupThresh - 1) * SMSS`` bytes, or ``DupThresh`` ranges,
+        SACKed above it."""
+        una, nxt = self._snd_una, self._snd_nxt
+        spans = [(max(lo, una), min(hi, nxt)) for lo, hi in (*self._sacked, *blocks)]
+        ranges = _merge(span for span in spans if span[0] < span[1])
+        self._sacked = ranges or ()
         if self._in_recovery:
-            self._retransmit_sack_holes()
+            limit, sacked = (DUPACK_THRESHOLD - 1) * self._config.mss, 0
+            for count, (lo, hi) in enumerate(reversed(ranges), 1):
+                sacked += hi - lo
+                if sacked > limit or count >= DUPACK_THRESHOLD:
+                    self._lost_edge = max(self._lost_edge, lo)
+                    break
 
-    def _retransmit_sack_holes(self) -> None:
-        """Retransmit segments deemed lost (simplified RFC 6675).
-
-        A segment is lost when at least DUPACK_THRESHOLD SACKed segments
-        lie above it, or when it heads the retransmission queue during
-        recovery (the cumulative ACK is stuck on it).  Retransmissions
-        respect the usable window via the pipe estimate.
-        """
-        window = self._effective_window_bytes()
-        entries = list(self._rtx_queue)
-        sacked_above = [0] * len(entries)
-        count = 0
-        for index in range(len(entries) - 1, -1, -1):
-            sacked_above[index] = count
-            if entries[index].sacked:
-                count += 1
-        for index, entry in enumerate(entries):
-            if entry.seq >= self._recover_seq:
-                break
-            if entry.sacked or entry.rexmit_in_recovery:
-                continue
-            deemed_lost = (
-                sacked_above[index] >= DUPACK_THRESHOLD or index == 0
-            )
-            if not deemed_lost:
-                continue
-            if self._bytes_in_flight() >= window:
-                break
-            entry.rexmit_in_recovery = True
-            self._retransmit_entry(entry)
+    def _pipe(self) -> int:
+        """RFC 6675 SetPipe: each unSACKed byte in flight counts once
+        unless lost and once more if resent.  Without SACK, each dupACK in
+        recovery says one segment has left the network (RFC 5681 §3.2)."""
+        una = self._snd_una
+        pipe = self._snd_nxt - una
+        if self._in_recovery and not self._config.sack:
+            pipe -= self._dupacks * self._config.mss
+        lost, resent = self._lost_edge, self._high_rxt
+        if lost > una or resent > una or self._sacked:
+            lost, resent = max(lost, una), max(resent, una)
+            pipe += resent - lost
+            for lo, hi in self._sacked:
+                pipe -= max(0, hi - max(lo, lost)) + max(0, min(hi, resent) - lo)
+        return pipe
 
     # ------------------------------------------------------------------
     # data ingress (receiver side)
@@ -666,7 +636,7 @@ class TcpSocket:
         if segment.seq > self._rcv_nxt:
             # A hole precedes this segment: buffer it, emit a dup ACK.
             self._ooo.setdefault(segment.seq, segment)
-            self._send_pure_ack()
+            self._send_pure_ack(segment.seq)
             return
         self._absorb_in_order(segment)
         while self._rcv_nxt in self._ooo:
@@ -727,7 +697,7 @@ class TcpSocket:
         if self._segments_since_ack > 0:
             self._send_pure_ack()
 
-    def _send_pure_ack(self) -> None:
+    def _send_pure_ack(self, trigger: int = 0) -> None:
         self._segments_since_ack = 0
         if self._delack_event is not None:
             self._cancel_delack()
@@ -740,7 +710,7 @@ class TcpSocket:
         segment = Segment(
             host.address, self.remote_address, self.local_port, self.remote_port,
             self._snd_nxt, self._rcv_nxt, 0, False, False, False, True,
-            self._adv_wnd_bytes, (), self._current_sack_blocks() if self._ooo else (),
+            self._adv_wnd_bytes, (), self._current_sack_blocks(trigger) if self._ooo else (),
         )
         self.segments_sent += 1
         self.last_activity_at = self.last_send_at = self._sim.now
@@ -749,20 +719,15 @@ class TcpSocket:
     #: RFC 2018 caps the option at 3-4 blocks; we use 4.
     MAX_SACK_BLOCKS = 4
 
-    def _current_sack_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Merge the out-of-order store into SACK ranges."""
-        if not self._config.sack or not self._ooo:
+    def _current_sack_blocks(self, trigger: int) -> _Blocks:
+        """The out-of-order store as SACK blocks: first the one holding
+        ``trigger``, the segment this ACK answers (RFC 2018 §4), then the
+        highest, capped."""
+        if not self._config.sack:
             return ()
-        ranges: list[list[int]] = []
-        for seq in sorted(self._ooo):
-            end = self._ooo[seq].end_seq
-            if ranges and seq <= ranges[-1][1]:
-                ranges[-1][1] = max(ranges[-1][1], end)
-            else:
-                ranges.append([seq, end])
-        # Most recently useful (highest) blocks first, capped.
-        blocks = [(start, end) for start, end in reversed(ranges)]
-        return tuple(blocks[: self.MAX_SACK_BLOCKS])
+        ranges = _merge((seq, segment.end_seq) for seq, segment in self._ooo.items())
+        ranges.sort(key=lambda block: (not block[0] <= trigger < block[1], -block[0]))
+        return tuple(ranges[: self.MAX_SACK_BLOCKS])
 
     def _cancel_delack(self) -> None:
         self._segments_since_ack = 0
@@ -774,15 +739,30 @@ class TcpSocket:
     # transmission
     # ------------------------------------------------------------------
 
-    def _effective_window_bytes(self) -> int:
-        cwnd_segments = self.cc.cwnd_segments + self._recovery_inflation
-        return min(cwnd_segments * self._config.mss, self._peer_rwnd_bytes)
-
-    def _bytes_in_flight(self) -> int:
-        """Outstanding bytes; SACKed data no longer occupies the pipe."""
-        return self._snd_nxt - self._snd_una - self._sacked_bytes
-
     def _try_send(self) -> None:
+        """The send rule, for new data and resent data alike: put a segment
+        out only while ``cwnd - pipe`` holds it.  Lost data goes first,
+        lowest first and once per recovery (RFC 6675 NextSeg rule 1); new
+        data must also fit under the receive window's right edge (rule 2)."""
+        mss = self._config.mss
+        resend = self._high_rxt
+        if resend < self._snd_una:
+            resend = self._snd_una
+        lost = self._lost_edge
+        if resend < lost:
+            room = self.cc.cwnd_segments * mss - self._pipe()
+            queue, sacked, index = self._rtx_queue, self._sacked, 0
+            while resend < lost:
+                if index < len(sacked) and sacked[index][0] <= resend:
+                    resend = max(resend, sacked[index][1])  # skip what is SACKed
+                    index += 1
+                    continue
+                if room < mss:
+                    break
+                entry = queue[bisect_right(queue, resend, key=_SEQ) - 1]
+                self._retransmit_entry(entry)
+                room -= entry.end_seq - entry.seq
+                resend = self._high_rxt = entry.end_seq
         state = self.state
         if (
             state is not TcpState.ESTABLISHED
@@ -803,11 +783,12 @@ class TcpSocket:
                 and self._config.slow_start_after_idle
             ):
                 self._restart_after_idle(now)
-            # The window and pipe estimate only change on ACK/loss events,
-            # never on our own transmissions, so compute them once and
-            # track the remaining room locally.
-            room = self._effective_window_bytes() - self._bytes_in_flight()
-            mss = self._config.mss
+            # The room only changes on ACK/loss events, never on our own
+            # transmissions, so compute it once and track it locally.
+            room = self.cc.cwnd_segments * mss - self._pipe()
+            right_edge = self._snd_una + self._peer_rwnd_bytes - snd_nxt
+            if right_edge < room:
+                room = right_edge
             while snd_nxt < buf_end:
                 size = buf_end - snd_nxt
                 if size > mss:
@@ -886,9 +867,14 @@ class TcpSocket:
         self._emit(segment)
 
     def _retransmit_head(self) -> None:
-        if not self._rtx_queue:
-            return
-        self._retransmit_entry(self._rtx_queue[0])
+        """Presume the first unacknowledged segment lost and resend it now,
+        whatever the window: a fast retransmit, NewReno's partial ACK, a
+        timeout."""
+        head = self._rtx_queue[0]
+        if self._lost_edge < head.end_seq:
+            self._lost_edge = head.end_seq
+        self._high_rxt = head.end_seq
+        self._retransmit_entry(head)
 
     def _retransmit_entry(self, entry: _SentSegment) -> None:
         entry.retransmitted = True
@@ -896,21 +882,11 @@ class TcpSocket:
         self.segments_retransmitted += 1
         self._m_retransmitted.inc()
         with_ack = self.state is not TcpState.SYN_SENT
-        segment = Segment(
-            src=self._host.address,
-            dst=self.remote_address,
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=entry.seq,
-            ack=self._rcv_nxt if with_ack else 0,
-            payload_bytes=entry.payload_bytes,
-            syn=entry.syn,
-            fin=entry.fin,
-            is_ack=with_ack,
-            rwnd_bytes=self._adv_wnd_bytes,
-            marks=entry.marks,
-        )
-        self._emit(segment)
+        self._emit(Segment(
+            self._host.address, self.remote_address, self.local_port, self.remote_port,
+            entry.seq, self._rcv_nxt if with_ack else 0, entry.payload_bytes, entry.syn,
+            entry.fin, False, with_ack, self._adv_wnd_bytes, entry.marks,
+        ))
 
     def _emit(self, segment: Segment) -> None:
         """Send a control segment or a retransmission (the per-packet
@@ -985,8 +961,19 @@ class TcpSocket:
             return
         self.cc.on_retransmit_timeout(now)
         self._in_recovery = False
-        self._recovery_inflation = 0
         self._dupacks = 0
+        self._high_rxt = self._snd_una
+        if self._config.sack:
+            # RFC 2018 §8: the peer may have reneged, so the SACKed marks
+            # go; everything outstanding is lost and resent as the window
+            # reopens, and no fast retransmit starts below the recovery
+            # point (RFC 6675 §5.1).
+            self._sacked = ()
+            self._lost_edge = self._recover_seq = self._snd_nxt
+        else:
+            # Two NewReno gaps, kept for now: only the head is resent, and
+            # ``recover`` is forgotten (RFC 6582 §4).
+            self._recover_seq = self._snd_una
         self._retransmit_head()
         self._arm_rto()
 
@@ -1059,7 +1046,8 @@ class TcpSocket:
         self._cancel_rto()
         self._cancel_delack()
         self._rtx_queue = _NO_RTX
-        self._sacked_bytes = 0
+        self._sacked = ()
+        self._lost_edge = self._high_rxt = 0
         self._ooo.clear()
         self._host.socket_closed(self)
         if notify and self.on_closed is not None:

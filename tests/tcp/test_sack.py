@@ -1,11 +1,14 @@
 """Tests for selective acknowledgements (RFC 2018-style)."""
 
+import math
 import random
 
 import pytest
 
+import repro.tcp.socket as socket_module
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.tcp.constants import TcpConfig
+from repro.tcp.wire import Segment
 from repro.testing import TwoHostTestbed, request_response
 
 RTT = 0.100
@@ -57,6 +60,28 @@ class TestSackBlocks:
         sender = bed.server.sockets()[0]
         assert sender.fast_retransmits >= 1
         assert sender.rtos_fired == 0
+
+
+    def test_first_block_holds_the_segment_that_triggered_the_ack(self):
+        """RFC 2018 §4: a segment that lands below the highest block is
+        reported first, not after it."""
+        bed = sack_bed(sack=True)
+        client = bed.client.connect(bed.server.address, 80)
+        bed.sim.run(until=1.0)
+        sent: list[Segment] = []
+        bed.client.send_packet = sent.append
+        server = bed.server.sockets()[0]
+        mss, base = client.config.mss, client._rcv_nxt
+        for offset in (2, 6, 3):  # holes at 0-1 and 4-5: two blocks, then the lower grows
+            seq = base + offset * mss
+            client.handle_segment(Segment(
+                bed.server.address, bed.client.address,
+                server.local_port, client.local_port, seq, client._snd_nxt, mss,
+                is_ack=True, rwnd_bytes=65535,
+            ))
+        assert sent[-1].sack_blocks == (
+            (base + 2 * mss, base + 4 * mss), (base + 6 * mss, base + 7 * mss),
+        )
 
 
 class TestSackRecovery:
@@ -118,8 +143,42 @@ class TestSackRecovery:
         assert run(True) <= run(False) * 1.25
 
 
+def recount_scoreboard(sock) -> int:
+    """Recount, entry by entry, what the socket keeps as ranges and edges:
+    the SACKed ranges (on entry boundaries, inside the flight), the lost
+    edge (below it: every entry RFC 6675's ``IsLost`` holds lost), HighRxt
+    (below it: every unSACKed entry was resent) and SetPipe.  Returns the
+    SACKed bytes."""
+    una, nxt, mss = sock._snd_una, sock._snd_nxt, sock.config.mss
+    ranges = list(sock._sacked)
+    assert ranges == sorted(ranges)
+    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+        assert hi < lo  # merged: disjoint, not even adjacent
+    queue = list(sock._rtx_queue)
+    edges = {entry.seq for entry in queue} | {entry.end_seq for entry in queue}
+    assert all(una <= lo < hi <= nxt and lo in edges and hi in edges for lo, hi in ranges)
+    sacked = [any(lo <= entry.seq < hi for lo, hi in ranges) for entry in queue]
+    lost_edge, high_rxt = sock._lost_edge, sock._high_rxt
+    pipe = 0
+    for index, entry in enumerate(queue):
+        size = entry.end_seq - entry.seq
+        if sacked[index]:
+            continue
+        above = [other for other, mark in zip(queue[index + 1:], sacked[index + 1:]) if mark]
+        runs = sum(1 for lo, _ in ranges if lo >= entry.end_seq)
+        is_lost = sum(o.end_seq - o.seq for o in above) > 2 * mss or runs >= 3
+        if sock._in_recovery and is_lost:
+            assert entry.end_seq <= lost_edge
+        if entry.end_seq <= high_rxt:
+            assert entry.retransmitted
+        pipe += size * ((entry.end_seq > lost_edge) + (entry.end_seq <= high_rxt))
+    assert sock._pipe() == pipe
+    return sum(hi - lo for lo, hi in ranges)
+
+
 class TestSackedBytesCounter:
-    """The running pipe discount always equals a recount of the queue."""
+    """The scoreboard the socket keeps incrementally always equals a
+    recount of its retransmission queue."""
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize(
@@ -155,19 +214,56 @@ class TestSackedBytesCounter:
             on_established=lambda sock: sock.send_message(("get", size), 200),
             on_message=lambda sock, payload, n: received.append(n),
         )
-        largest = 0
+        largest = resent = 0
         while not received and bed.sim.pending_events:
             bed.sim.run(max_events=50)
             for sock in (client, *bed.server.sockets()):
-                recount = sum(
-                    entry.end_seq - entry.seq
-                    for entry in sock._rtx_queue
-                    if entry.sacked
-                )
-                assert sock._sacked_bytes == recount
-                largest = max(largest, recount)
+                largest = max(largest, recount_scoreboard(sock))
+                resent = max(resent, sock._high_rxt - sock._snd_una)
         assert received == [size]
         assert largest > 0  # the cell did exercise selective acknowledgement
+        assert resent > 0  # and resent data from the scoreboard
+
+
+class TestScoreboardWork:
+    def test_entries_touched_per_ack_follow_what_the_ack_changed(self, monkeypatch):
+        """In SACK recovery at IW 100, an ACK reads the queue entries it
+        acknowledges cumulatively (and the head that stops that loop), and
+        the ones it resends, each found by bisection: never the flight."""
+        touched: set[int] = set()
+
+        class Counted(socket_module._SentSegment):
+            def __getattribute__(self, name):
+                touched.add(id(self))
+                return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(socket_module, "_SentSegment", Counted)
+        bed = sack_bed(sack=True, reverse_drops={60, 70, 75, 130})
+        bed.server.ip.route_replace(TwoHostTestbed.CLIENT_ZONE, initcwnd=100)
+        receive = bed.server.receive_packet
+        checked = []
+
+        def counted_receive(segment):
+            socks = bed.server.sockets()
+            if not socks or not socks[0]._in_recovery:
+                receive(segment)
+                return
+            sender = socks[0]
+            before = list(sender._rtx_queue)  # held, so no id is reused
+            resent = sender.segments_retransmitted
+            touched.clear()
+            receive(segment)
+            after = {id(entry) for entry in sender._rtx_queue}
+            acked = sum(1 for entry in before if id(entry) not in after)
+            resent = sender.segments_retransmitted - resent
+            probes = math.ceil(math.log2(len(before) + 1))
+            assert len(touched) <= acked + 1 + resent * (1 + probes), (len(before), acked, resent)
+            checked.append(len(before))
+
+        bed.server.receive_packet = counted_receive
+        result = request_response(bed, response_bytes=1_000_000, deadline=60.0)
+        assert result.completed
+        assert len(checked) > 50 and max(checked) > 100  # many ACKs, a wide flight
 
 
 class TestSackWithRiptide:
