@@ -404,7 +404,6 @@ class FluidPopulation:
         "segments_sent_total",
         "segments_retx_total",
         "bytes_acked_total",
-        "loss_events_total",
         "steps",
         "offered",
         "_departing",
@@ -467,7 +466,6 @@ class FluidPopulation:
         self.segments_sent_total = 0.0
         self.segments_retx_total = 0.0
         self.bytes_acked_total = 0.0
-        self.loss_events_total = 0.0
         self.steps = 0
         # The share churn takes per step, for the last ``dt`` and churn
         # rate the step saw.
@@ -525,7 +523,6 @@ class FluidPopulation:
             self.segments_sent_total,
             self.segments_retx_total,
             self.bytes_acked_total,
-            self.loss_events_total,
             self.steps,
             *dist._bin_mass[lo : hi + 1],
         )
@@ -551,7 +548,6 @@ class FluidPopulation:
         retx = loss_events
         self.segments_sent_total += sent + retx
         self.segments_retx_total += retx
-        self.loss_events_total += loss_events
         self.bytes_acked_total += sent * self.mss
         self.offered = rate * self.mss * 8.0
         self.steps += 1
@@ -568,7 +564,6 @@ class FluidPopulation:
         self.segments_sent_total = twin.segments_sent_total
         self.segments_retx_total = twin.segments_retx_total
         self.bytes_acked_total = twin.bytes_acked_total
-        self.loss_events_total = twin.loss_events_total
         self.offered = twin.offered
         self.steps = twin.steps
 

@@ -233,45 +233,30 @@ class Simulator:
         # The processed count is added once per run() call.
         heap = self._heap
         limit = -1 if max_events is None else max_events
+        # Without a bound, no event is past it; the clock is then never
+        # fast-forwarded (below).
+        bound = inf if until is None else until
         try:
-            if until is None:
-                # Unbounded variant (``run()``, the common case):
-                # pop straight off the heap with no per-event peek or
-                # time comparison.
-                while heap:
-                    if executed == limit:
-                        break
-                    entry = heappop(heap)
-                    event = entry[2]
-                    if event is not None:
-                        if event.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        event.fired = True
-                    self.now = entry[0]
-                    entry[3](*entry[4])
-                    executed += 1
-            else:
-                # Bounded variant: peek before popping so an event past
-                # the bound stays queued for the next run() call.
-                while heap:
-                    if executed == limit:
-                        break
-                    entry = heap[0]
-                    event = entry[2]
-                    if event is not None and event.cancelled:
-                        heappop(heap)
-                        self._tombstones -= 1
-                        continue
-                    time = entry[0]
-                    if time > until:
-                        break
+            # Peek before popping so an event past the bound stays queued
+            # for the next run() call.
+            while heap:
+                if executed == limit:
+                    break
+                entry = heap[0]
+                event = entry[2]
+                if event is not None and event.cancelled:
                     heappop(heap)
-                    if event is not None:
-                        event.fired = True
-                    self.now = time
-                    entry[3](*entry[4])
-                    executed += 1
+                    self._tombstones -= 1
+                    continue
+                time = entry[0]
+                if time > bound:
+                    break
+                heappop(heap)
+                if event is not None:
+                    event.fired = True
+                self.now = time
+                entry[3](*entry[4])
+                executed += 1
         finally:
             if collecting:
                 gc.enable()

@@ -71,7 +71,6 @@ def state(population):
         population.segments_sent_total,
         population.segments_retx_total,
         population.bytes_acked_total,
-        population.loss_events_total,
         population.steps,
         population.offered,
     )
@@ -206,7 +205,6 @@ PERTURBATIONS = {
     "segments_sent_total": nudge("segments_sent_total", 1.0),
     "segments_retx_total": nudge("segments_retx_total", 1.0),
     "bytes_acked_total": nudge("bytes_acked_total", 1.0),
-    "loss_events_total": nudge("loss_events_total", 1.0),
     "steps": nudge("steps", 1),
 }
 

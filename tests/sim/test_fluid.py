@@ -640,7 +640,6 @@ class FivePassPopulation:
         self.segments_sent_total = 0.0
         self.segments_retx_total = 0.0
         self.bytes_acked_total = 0.0
-        self.loss_events_total = 0.0
         self.steps = 0
         self.distribution.add_mass(entry_window, self.target_flows)
 
@@ -674,7 +673,6 @@ class FivePassPopulation:
         retx = loss_events
         self.segments_sent_total += sent + retx
         self.segments_retx_total += retx
-        self.loss_events_total += loss_events
         self.bytes_acked_total += sent * self.mss
         self.steps += 1
 
@@ -695,7 +693,6 @@ def counters_of(population):
         population.segments_sent_total,
         population.segments_retx_total,
         population.bytes_acked_total,
-        population.loss_events_total,
         population.steps,
     )
 
