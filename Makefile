@@ -18,16 +18,17 @@ test-output:
 # pinned byte for byte (packet-path golden), the lossless slow-start
 # oracle, the frames-per-packet ceiling, the link/fabric tests (the
 # link-stream order oracle among them), the host tests (demux, resets,
-# reboot), the close matrix (it pins
-# leftover events), the kernel tests, the cyclic-garbage census (the run
-# loop keeps the collector off, so a new cycle on the hot path fails it by
-# name), the bytes-per-trunk-direction ceiling, the
+# reboot), the close matrix (it pins leftover events), the recovery
+# matrix (loss recovery against its RFCs, ACK by ACK; run it as a script
+# to print each cell's walk), the kernel tests, the cyclic-garbage census
+# (the run loop keeps the collector off, so a new cycle on the hot path
+# fails it by name), the bytes-per-trunk-direction ceiling, the
 # bytes-per-idle-pooled-connection ceiling, the RTT estimator and RTO
 # timer tests, and the lint rules (SIM001 guards writes to the clock).
 hot-path:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/tcp/test_packet_path_golden.py \
 		tests/tcp/test_slowstart_oracle.py tests/tcp/test_hot_path_frames.py tests/net \
-		tests/linux tests/tcp/test_close_matrix.py tests/sim \
+		tests/linux tests/tcp/test_close_matrix.py tests/tcp/test_recovery_matrix.py tests/sim \
 		tests/experiments/test_gc_census.py tests/cdn/test_fabric_footprint.py \
 		tests/tcp/test_connection_footprint.py tests/tcp/test_rto.py \
 		tests/tcp/test_rto_timer.py tests/analysis/test_lint_rules.py
