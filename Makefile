@@ -34,17 +34,22 @@ hot-path:
 		tests/tcp/test_rto_timer.py tests/analysis/test_lint_rules.py
 
 # Inner loop for a change to the background plane — sim/fluid.py,
-# cdn/fluidtraffic.py, linux/ss_tool.py, core/agent.py (< 5 s): the
-# five-pass cohort oracle, the keyword ss-row and per-row grouping
-# references, the ss tool tests, the frames-per-row / per-cohort-step
-# ceiling, the shared-step exactness test, and the 34-PoP run_scale cell
-# of the study golden.
+# cdn/fluidtraffic.py, linux/ss_tool.py, linux/route.py, core/agent.py
+# (~5 s): the five-pass cohort oracle, the keyword ss-row and per-row
+# grouping references, the entry-window cache against an engine that
+# resolves every tick, the ss tool and route-table tests (the version the
+# cache watches), the frames-per-row / per-cohort-step ceiling, the
+# shared-step exactness test, the lint rules (SIM001 guards every field a
+# cohort's state id names), and the 34-PoP run_scale cell of the study
+# golden, also under 3.12's compensated sum.
 background-plane:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_fluid.py \
 		tests/cdn/test_fluidtraffic.py tests/core/test_agent.py \
-		tests/linux/test_tools.py tests/cdn/test_background_plane_frames.py \
-		tests/cdn/test_fluid_sharing.py \
-		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden"
+		tests/linux/test_tools.py tests/linux/test_route.py \
+		tests/cdn/test_background_plane_frames.py \
+		tests/cdn/test_fluid_sharing.py tests/analysis/test_lint_rules.py \
+		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden" \
+		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden_under_compensated_sum"
 
 # Inner loop for a change to the forensic plane — obs/ stores and records,
 # analysis/export.py, the metrics/flows/report verbs (< 15 s): every

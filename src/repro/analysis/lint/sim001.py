@@ -17,11 +17,17 @@ contract:
   once and couples results to host scheduling.
 
 The mean-field engine (:mod:`repro.sim.fluid`) has the same shape of
-invariant: :class:`CwndDistribution` keeps its histogram (``_bin_mass``)
-and active range (``_lo_bin``/``_hi_bin``) consistent with the cached
-``flows`` total, so an outside writer desynchronizes mass accounting
-just like poking the kernel heap desynchronizes the clock.  Those
-fields get the same protection, scoped to their own owning module.
+invariant, twice over.  :class:`CwndDistribution` keeps its histogram
+(``_bin_mass``) and active range (``_lo_bin``/``_hi_bin``) consistent
+with the cached ``flows`` total, so an outside writer desynchronizes
+mass accounting just like poking the kernel heap desynchronizes the
+clock.  And a :class:`FluidPopulation`'s ``state_id`` names the values
+of every field its step reads: the engine steps one cohort per id and
+copies the result to the others, so a write that changes one of those
+fields without minting a new id hands a twin a step it did not take.
+Those fields get the same protection, scoped to their own owning module;
+an item write into a protected container (``dist._bin_mass[b] += m``)
+counts as a write to the field.
 
 ``repro.parallel`` may block on real time (it coordinates worker
 processes, not simulated ones) and is exempt from the sleep check via
@@ -45,11 +51,24 @@ KERNEL_PRIVATE_FIELDS = frozenset({
 
 _KERNEL_MODULES = frozenset({"repro.sim.kernel"})
 
-#: Fields of the fluid engine's ``CwndDistribution`` that only
-#: ``repro.sim.fluid`` may assign: the histogram and its active range
-#: are kept consistent with the cached ``flows`` total by the stepping
-#: code; writers go through ``add_mass``/``step``.
-FLUID_PRIVATE_FIELDS = frozenset({"_bin_mass", "_lo_bin", "_hi_bin"})
+#: Fields of the fluid engine that only ``repro.sim.fluid`` may assign:
+#: every field ``FluidPopulation.step`` reads, and the state id that
+#: names their values.  ``CwndDistribution``'s histogram, active range
+#: and ``flows`` total are kept consistent by the stepping code (writers
+#: go through ``add_mass``/``step``), its geometry is fixed at
+#: construction; a population's parameters, counters and ``steps`` move
+#: only in a step, which mints a new ``state_id``.
+FLUID_PRIVATE_FIELDS = frozenset({
+    # CwndDistribution: histogram, range, total, geometry
+    "_bin_mass", "_lo_bin", "_hi_bin", "flows",
+    "bin_width", "nbins", "_windows", "_half_bins",
+    # FluidPopulation: parameters (the distribution carries the geometry)
+    "rtt", "mss", "target_flows", "growth_segments_per_sec",
+    "send_segments_per_flow_per_sec", "churn_per_flow_per_sec", "distribution",
+    # FluidPopulation: state, the step's churn cache, and the id naming them
+    "segments_sent_total", "segments_retx_total", "bytes_acked_total", "steps",
+    "_departing", "_departing_dt", "_departing_churn", "state_id",
+})
 
 _FLUID_MODULES = frozenset({"repro.sim.fluid"})
 
@@ -114,6 +133,9 @@ class _Visitor(ast.NodeVisitor):
             for element in target.elts:
                 self._check_store_target(element)
             return
+        if isinstance(target, ast.Subscript):
+            # ``holder.field[i] = ...`` writes into the field's value.
+            target = target.value
         if not isinstance(target, ast.Attribute):
             return
         protected = _PROTECTED_FIELDS.get(target.attr)

@@ -27,16 +27,28 @@ it jump-starts real connections.
 The engine steps on a coarse cadence (default 250 ms) as one sim event
 per step, independent of flow count — a million open flows cost the
 same handful of histogram updates as a thousand.  Within a tick each
-distinct cohort is stepped once: a cohort whose
-:meth:`~repro.sim.fluid.FluidPopulation.step_key` equals that of one
-already stepped (the A->B and B->A cohorts of a symmetric mesh, until
-load, a fault or a route splits them) copies that cohort's result, which
-is bit for bit what its own step would have left.
+distinct cohort state is stepped once.  Every cohort carries a
+:attr:`~repro.sim.fluid.FluidPopulation.state_id` naming its parameters
+and state — cohorts registered alike share one from the start — and a
+cohort whose ``(state id, loss rate, entry-window bin)`` equals that of
+one already stepped this tick (the A->B and B->A cohorts of a symmetric
+mesh, until load, a fault or a route splits them) copies that cohort's
+result and id, bit for bit what its own step would have left.  The step
+reads the entry window only through its histogram bin, so twins whose
+routes differ inside one bin keep sharing.
+
+The per-tick work outside the steps is kept to what changed: a cohort's
+entry window is re-resolved only when its host's route table object or
+:attr:`~repro.linux.route.RouteTable.version` moved, or while the host
+has an ``initcwnd_hook`` (a hook answers from state the engine cannot
+watch); ``ss`` synthesis samples windows once per ``(state id, count)``
+per tick and ages once per ``(count, created_at, churn)`` per poll.
 """
 
 from __future__ import annotations
 
 from repro.linux.host import Host
+from repro.linux.route import RouteTable
 from repro.net.addresses import IPv4Address
 from repro.net.link import Link
 from repro.net.network import INTRA_ZONE_DELAY, Network
@@ -65,13 +77,19 @@ SS_SAMPLES = 8
 
 
 class _HostFluidSource:
-    """Adapter presenting one host's populations as an ``ss`` source."""
+    """Adapter presenting one host's populations as an ``ss`` source.
 
-    __slots__ = ("_engine", "_host")
+    It also stamps the host's routing the cohorts' cached entry windows
+    were resolved under: the route table object and its version.
+    """
+
+    __slots__ = ("_engine", "_host", "route_table", "route_version")
 
     def __init__(self, engine: "FluidTraffic", host: Host) -> None:
         self._engine = engine
         self._host = host
+        self.route_table: RouteTable | None = None
+        self.route_version = -1
 
     def socket_stats(self) -> list[SocketStats]:
         return self._engine.socket_stats_for(self._host)
@@ -108,6 +126,15 @@ class FluidTraffic:
         self._pop_remote: list[IPv4Address] = []
         self._pop_link: list[_LinkState | None] = []
         self._pop_port_base: list[int] = []
+        # Each cohort's entry window and its histogram bin, as last
+        # resolved (see ``_resolve_entries``).
+        self._pop_entry: list[int] = []
+        self._pop_entry_bin: list[int] = []
+        # step_key -> state id for the cohorts registered since the last
+        # tick; a tick re-mints every id, so it starts afresh.
+        self._interned: dict[tuple[object, ...], int] = {}
+        # (state id, sample count) -> sampled windows, for this tick.
+        self._sampled: dict[tuple[int, int], list[int]] = {}
         self._by_host: dict[IPv4Address, list[int]] = {}
         self._link_states: list[_LinkState] = []
         self._link_index: dict[str, _LinkState] = {}
@@ -179,10 +206,15 @@ class FluidTraffic:
             created_at=self._sim.now,
             is_client=is_client,
         )
+        population.intern_state(self._interned)
         self._populations.append(population)
         self._pop_host.append(host)
         self._pop_remote.append(remote)
         self._pop_port_base.append(_FLUID_PORT_BASE + index * SS_SAMPLES)
+        self._pop_entry.append(entry_window)
+        self._pop_entry_bin.append(
+            population.distribution.window_to_bin(entry_window)
+        )
         link_state: _LinkState | None = None
         if link is not None:
             link_state = self._link_index.get(link.name)
@@ -246,8 +278,41 @@ class FluidTraffic:
             return 0.0
         weighted: float = 0
         for population in self._populations:
-            weighted += population.distribution.total_window_segments()
+            weighted += population.window_total
         return weighted / flows
+
+    # ------------------------------------------------------------------
+    # entry windows
+    # ------------------------------------------------------------------
+
+    def _refresh_entries(self, source: _HostFluidSource) -> None:
+        """Re-resolve the entry windows of ``source``'s cohorts if its
+        host's routing may have changed since they were resolved."""
+        host = source._host
+        table = host.route_table
+        if (
+            host.initcwnd_hook is not None
+            or table is not source.route_table
+            or table.version != source.route_version
+        ):
+            self._resolve_entries(source)
+
+    def _resolve_entries(self, source: _HostFluidSource) -> None:
+        """Resolve the entry windows of ``source``'s cohorts and stamp
+        the routing they were resolved under.  A hook's answers leave no
+        stamp: once it is removed, the route table's must be read again."""
+        host = source._host
+        table = host.route_table if host.initcwnd_hook is None else None
+        entries = self._pop_entry
+        bins = self._pop_entry_bin
+        populations = self._populations
+        remotes = self._pop_remote
+        for index in self._by_host[host.address]:
+            entry = host.initcwnd_for(remotes[index])
+            entries[index] = entry
+            bins[index] = populations[index].distribution.window_to_bin(entry)
+        source.route_table = table
+        source.route_version = host.route_table.version
 
     # ------------------------------------------------------------------
     # stepping
@@ -286,26 +351,33 @@ class FluidTraffic:
             link.set_fluid_load(fluid_bps)
         # Pass 2: advance every cohort against its link's loss rate,
         # refilling churned-out flows at the currently-routed initial
-        # window (the Riptide feedback edge).  A cohort whose step key
-        # matches one already stepped this tick copies that result: same
-        # key, same bits.  The memo holds one entry per distinct cohort
-        # and dies with the tick.  The gauge totals accumulate in
-        # population order, as the aggregates' own loops would.
-        stepped: dict[tuple, FluidPopulation] = {}
+        # window (the Riptide feedback edge).  A cohort whose state id,
+        # loss and entry bin match one already stepped this tick copies
+        # that result: same state and inputs, same bits.  The memo holds
+        # one entry per distinct cohort state and dies with the tick.
+        # The gauge totals accumulate in population order, as the
+        # aggregates' own loops would, over the totals the steps stored.
+        for source in self._sources.values():
+            self._refresh_entries(source)
+        self._interned = {}
+        self._sampled = {}
+        entries = self._pop_entry
+        entry_bins = self._pop_entry_bin
+        pop_link = self._pop_link
+        stepped: dict[tuple[int, float, int], FluidPopulation] = {}
         gauges = self._sim.obs.enabled
         flows: float = 0
         offered: float = 0
         weighted: float = 0
         for index, population in enumerate(self._populations):
-            link_state = self._pop_link[index]
+            link_state = pop_link[index]
             loss = (
                 link_state.smoothed_loss if link_state is not None else 0.0
             )
-            entry = self._pop_host[index].initcwnd_for(self._pop_remote[index])
-            key = population.step_key(dt, loss, entry)
+            key = (population.state_id, loss, entry_bins[index])
             twin = stepped.get(key)
             if twin is None:
-                population.step(dt, loss, entry)
+                population.step(dt, loss, entries[index])
                 stepped[key] = population
             else:
                 population.adopt_step(twin)
@@ -313,7 +385,7 @@ class FluidTraffic:
                 dist = population.distribution
                 flows += dist.flows
                 offered += population.offered
-                weighted += dist.total_window_segments()
+                weighted += population.window_total
         self.steps += 1
         self._m_steps.inc()
         if gauges:
@@ -336,11 +408,17 @@ class FluidTraffic:
         Cumulative sent/retransmitted counters split evenly across the
         samples so the safety guard's per-poll deltas reflect the
         cohort's true loss rate.  Deterministic: same state, same
-        snapshots.
+        snapshots, so windows are sampled once per state id and sample
+        count in a tick, and ages once per count, creation time and
+        churn rate in a poll.
         """
         indices = self._by_host.get(host.address)
         if not indices:
             return []
+        self._refresh_entries(self._sources[host.address])
+        entries = self._pop_entry
+        sampled = self._sampled
+        aged: dict[tuple[int, float, float], list[float]] = {}
         now = self._sim.now
         max_samples = SS_SAMPLES
         ssthresh = float(MAX_WINDOW)
@@ -353,12 +431,22 @@ class FluidTraffic:
             count = min(max_samples, max(1, round(population.flows)))
             remote = self._pop_remote[index]
             port_base = self._pop_port_base[index]
-            windows = population.distribution.sample_windows(count)
-            ages = population.sample_ages(count, now)
+            windows_key = (population.state_id, count)
+            windows = sampled.get(windows_key)
+            if windows is None:
+                windows = sampled[windows_key] = (
+                    population.distribution.sample_windows(count)
+                )
+            ages_key = (
+                count, population.created_at, population.churn_per_flow_per_sec
+            )
+            ages = aged.get(ages_key)
+            if ages is None:
+                ages = aged[ages_key] = population.sample_ages(count, now)
             sent_share = int(population.segments_sent_total / count)
             retx_share = int(population.segments_retx_total / count)
             acked_share = int(population.bytes_acked_total / count) + 1
-            entry = self._pop_host[index].initcwnd_for(remote)
+            entry = entries[index]
             rtt = population.rtt
             is_client = population.is_client
             for i in range(count):

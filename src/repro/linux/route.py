@@ -63,12 +63,16 @@ class RouteTable:
     bucket holding ``destination & mask`` is the longest match and a
     lookup costs one dict probe per distinct length, not one comparison
     per route.  Every mutator goes through :meth:`_store` or
-    :meth:`delete`, which keep the two structures in step.
+    :meth:`delete`, which keep the two structures in step and bump
+    :attr:`version`: a reader that cached a lookup holds it valid while
+    the table object and its version are the ones it read it under.
     """
 
     def __init__(self) -> None:
         self._routes: dict[Prefix, RouteEntry] = {}
         self._index: list[tuple[int, int, dict[int, RouteEntry]]] = []
+        #: Count of successful mutations; a failed add or delete leaves it.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -86,6 +90,7 @@ class RouteTable:
             self._index.append((length, prefix.mask, bucket))
             self._index.sort(key=lambda level: -level[0])
         bucket[prefix.network.value] = entry
+        self.version += 1
 
     def add(self, entry: RouteEntry) -> None:
         """Add a route; fails if the exact prefix already exists."""
@@ -110,6 +115,7 @@ class RouteTable:
                 if not bucket:
                     del self._index[position]
                 break
+        self.version += 1
         return entry
 
     def get(self, prefix: Prefix) -> RouteEntry | None:

@@ -31,14 +31,19 @@ layer turns into socket snapshots.
 Everything here is closed-form float arithmetic: no random streams, no
 wall clock.  Two populations stepped with the same inputs produce
 bit-identical state, which is what keeps hybrid runs reproducible under
-``--workers N``.  :meth:`FluidPopulation.step_key` names those inputs
-(parameters, step inputs and full state) as one value, so an engine can
-step one cohort and hand the result to every other cohort whose key is
-equal (:meth:`FluidPopulation.adopt_step`) without moving a bit.
+``--workers N``.  Each population carries a :attr:`~FluidPopulation.state_id`
+that names its parameters and full state: equal ids mean bit-identical
+cohorts.  :meth:`FluidPopulation.intern_state` gives cohorts built alike
+one id by value (:meth:`FluidPopulation.step_key`), a computed step mints
+a fresh id, and :meth:`FluidPopulation.adopt_step` hands a step's result
+and id to a twin.  An engine can so step one cohort per distinct
+``(state id, loss, entry bin)`` and copy the result to the others without
+moving a bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +51,9 @@ from operator import mul
 
 #: Largest representable congestion window (the receive-window cap).
 MAX_WINDOW = 320
+
+#: Source of fresh state ids: never reused, so an id names one state.
+_state_ids = itertools.count(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +103,10 @@ class CwndDistribution:
     step is two sweeps of that range: the scatter, then one that trims,
     totals and applies churn together.
 
-    The window total (:meth:`total_window_segments`) is read more than
-    once between mutations — the step's send rate, the engine's mean
-    window gauge — so it is computed once and kept until
-    :meth:`add_mass` or :meth:`step` next changes the histogram.
+    The window total and send rate a stepped cohort needs are read out
+    once, by :meth:`FluidPopulation.step`, and stored on the population;
+    :meth:`total_window_segments` and :meth:`total_send_segments_per_sec`
+    compute them afresh for every other reader.
     """
 
     __slots__ = (
@@ -108,7 +116,6 @@ class CwndDistribution:
         "_lo_bin",
         "_hi_bin",
         "flows",
-        "_window_total",
         "_windows",
         "_half_bins",
     )
@@ -124,7 +131,6 @@ class CwndDistribution:
         self._lo_bin = 0
         self._hi_bin = -1  # empty
         self.flows = 0.0
-        self._window_total: float | None = None
         self._windows, self._half_bins = _bin_tables(self.nbins, bin_width)
 
     # ------------------------------------------------------------------
@@ -156,7 +162,6 @@ class CwndDistribution:
         bin_index = self.window_to_bin(window)
         self._bin_mass[bin_index] += mass
         self.flows += mass
-        self._window_total = None
         if self._hi_bin < 0:
             self._lo_bin = self._hi_bin = bin_index
         else:
@@ -244,7 +249,6 @@ class CwndDistribution:
             else:
                 new[target] += m * stay
                 new[target + 1] += m * frac
-        self._window_total = None
         if departing_fraction >= 1.0:
             # Everyone leaves: the scatter only counted the loss events.
             self._bin_mass = [0.0] * nbins
@@ -285,13 +289,8 @@ class CwndDistribution:
         """Sum of every flow's window — the cohort's one-RTT footprint."""
         if self._hi_bin < 0:
             return 0.0
-        total = self._window_total
-        if total is None:
-            lo, stop = self._lo_bin, self._hi_bin + 1
-            total = self._window_total = sum(
-                map(mul, self._bin_mass[lo:stop], self._windows[lo:stop])
-            )
-        return total
+        lo, stop = self._lo_bin, self._hi_bin + 1
+        return sum(map(mul, self._bin_mass[lo:stop], self._windows[lo:stop]))
 
     def total_send_segments_per_sec(
         self, rtt: float, send_rate_cap: float | None = None
@@ -382,12 +381,17 @@ class FluidPopulation:
     ``bytes_acked_total`` from delivered segments.  They only ever grow,
     so consumers that difference successive polls (the safety guard's
     retransmit ratio) see the right marginal rates.  ``offered`` is the
-    aggregate send rate in bits/s as the last step (or construction)
-    left it: what :meth:`offered_bps` returns until the histogram is
-    next changed from outside :meth:`step`.
+    aggregate send rate in bits/s and ``window_total`` the sum of every
+    flow's window, as the last step (or construction) left them: what
+    :meth:`offered_bps` and ``distribution.total_window_segments()``
+    return until the histogram is next changed from outside :meth:`step`.
 
-    The parameters, the state and the inputs of a step make up its
-    :meth:`step_key`.
+    ``state_id`` names the parameters and the state: two cohorts with
+    equal ids hold bit-identical values in every field :meth:`step`
+    reads.  Only this module writes those fields (lint rule SIM001), and
+    every write here either mints a fresh id (construction, :meth:`step`)
+    or takes the id of the cohort whose values it copies
+    (:meth:`intern_state`, :meth:`adopt_step`).
     """
 
     __slots__ = (
@@ -406,6 +410,8 @@ class FluidPopulation:
         "bytes_acked_total",
         "steps",
         "offered",
+        "window_total",
+        "state_id",
         "_departing",
         "_departing_dt",
         "_departing_churn",
@@ -474,6 +480,8 @@ class FluidPopulation:
         self._departing_churn: float | None = None
         self.distribution.add_mass(entry_window, self.target_flows)
         self.offered = self.offered_bps()
+        self.window_total = self.distribution.total_window_segments()
+        self.state_id = next(_state_ids)
 
     @property
     def flows(self) -> float:
@@ -489,19 +497,19 @@ class FluidPopulation:
         )
         return rate * self.mss * 8.0
 
-    def step_key(self, dt: float, loss_rate: float, entry_window: int) -> tuple:
-        """Everything :meth:`step` reads, as one hashable value.
+    def step_key(self) -> tuple[object, ...]:
+        """Everything :meth:`step` reads besides its inputs, as one value.
 
-        The parameters, the step's inputs and the full state: the
-        range, the flows, the four cumulative counters, ``steps`` and,
-        last, the active bins (every other bin is 0.0; the range fixes
-        how many there are).  The step is closed-form float arithmetic
-        over exactly these, so two cohorts whose keys are equal leave it
-        with bit-identical state, and the second may take the first's
-        result (:meth:`adopt_step`) instead of stepping.  The key is one
-        flat tuple, 20 or more long for a non-empty cohort: CPython keeps
-        freed tuples of up to 19 items on free lists, so a dropped memo of
-        these keys returns its memory instead of holding it.
+        The parameters and the full state: the range, the flows, the
+        three cumulative counters, ``steps`` and, last, the active bins
+        (every other bin is 0.0; the range fixes how many there are).
+        The step is closed-form float arithmetic over exactly these and
+        its inputs -- ``dt``, the loss rate and the *bin* of the entry
+        window, which it reads only through :meth:`CwndDistribution.add_mass`
+        -- so two cohorts with equal keys stepped with equal inputs leave
+        with bit-identical state.  An engine builds the key once per new
+        cohort (:meth:`intern_state`); from then on ``state_id`` stands
+        for it.
         """
         dist = self.distribution
         lo, hi = dist._lo_bin, dist._hi_bin
@@ -514,9 +522,6 @@ class FluidPopulation:
             self.mss,
             dist.bin_width,
             dist.nbins,
-            dt,
-            loss_rate,
-            entry_window,
             lo,
             hi,
             dist.flows,
@@ -526,6 +531,15 @@ class FluidPopulation:
             self.steps,
             *dist._bin_mass[lo : hi + 1],
         )
+
+    def intern_state(self, ids: dict[tuple[object, ...], int]) -> None:
+        """Take the state id of the cohort interned in ``ids`` under an
+        equal :meth:`step_key`, or enter this cohort's own.
+
+        ``ids`` is valid while every id it holds still names the state it
+        was entered with: until the next step of the cohorts entered.
+        """
+        self.state_id = ids.setdefault(self.step_key(), self.state_id)
 
     def step(self, dt: float, loss_rate: float, entry_window: int) -> None:
         """Advance the cohort: drift/halve, churn out, refill at entry."""
@@ -543,7 +557,29 @@ class FluidPopulation:
         deficit = self.target_flows - dist.flows
         if deficit > 0.0:
             dist.add_mass(entry_window, deficit)
-        rate = dist.total_send_segments_per_sec(rtt, cap)
+        # One read-out pass over the refilled histogram: the window total
+        # (stored for the engine's gauges) and the send rate, each an
+        # explicit left-to-right loop -- the bits ``sum`` gives through
+        # 3.11 (3.12's is compensated) and the capped-rate loop of
+        # ``total_send_segments_per_sec``.
+        mass = dist._bin_mass
+        windows = dist._windows
+        window_total = 0.0
+        if cap is None:
+            for b in range(dist._lo_bin, dist._hi_bin + 1):
+                window_total += mass[b] * windows[b]
+            rate = window_total / rtt
+        else:
+            rate = 0.0
+            for b in range(dist._lo_bin, dist._hi_bin + 1):
+                m = mass[b]
+                w = windows[b]
+                window_total += m * w
+                flow_rate = w / rtt
+                if flow_rate > cap:
+                    flow_rate = cap
+                rate += m * flow_rate
+        self.window_total = window_total
         sent = rate * dt
         retx = loss_events
         self.segments_sent_total += sent + retx
@@ -551,21 +587,24 @@ class FluidPopulation:
         self.bytes_acked_total += sent * self.mss
         self.offered = rate * self.mss * 8.0
         self.steps += 1
+        self.state_id = next(_state_ids)
 
     def adopt_step(self, twin: FluidPopulation) -> None:
-        """Take the state ``twin`` was left in by the step this cohort
-        would have taken (both had the same :meth:`step_key`)."""
+        """Take the state (and state id) ``twin`` was left in by the step
+        this cohort would have taken: both had one state id and stepped
+        with equal inputs."""
         mine, theirs = self.distribution, twin.distribution
         mine._bin_mass = theirs._bin_mass[:]
         mine._lo_bin = theirs._lo_bin
         mine._hi_bin = theirs._hi_bin
         mine.flows = theirs.flows
-        mine._window_total = theirs._window_total
+        self.window_total = twin.window_total
         self.segments_sent_total = twin.segments_sent_total
         self.segments_retx_total = twin.segments_retx_total
         self.bytes_acked_total = twin.bytes_acked_total
         self.offered = twin.offered
         self.steps = twin.steps
+        self.state_id = twin.state_id
 
     def sample_ages(self, count: int, now: float) -> list[float]:
         """Deterministic flow ages at mid-quantiles of the churn process.

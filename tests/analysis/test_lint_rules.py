@@ -296,6 +296,18 @@ SIM001_FLUID_POSITIVE = [
     "def cheat(dist):\n    dist._bin_mass = [1.0]\n",
     "def cheat(dist):\n    dist._lo_bin = 0\n",
     "def cheat(pop):\n    pop.distribution._hi_bin = 5\n",
+    # an item write into the histogram is a write to it
+    "def cheat(dist):\n    dist._bin_mass[3] += 1.0\n",
+    "def cheat(pop):\n    pop.distribution.flows += 1e-6\n",
+    # every field a population's step reads is named by its state id: a
+    # write that mints no new id hands a twin a step it did not take
+    "def cheat(pop):\n    pop.rtt = 0.2\n",
+    "def cheat(pop):\n    pop.mss -= 100\n",
+    "def cheat(pop):\n    pop.churn_per_flow_per_sec = 0.5\n",
+    "def cheat(pop, other):\n    pop.distribution = other.distribution\n",
+    "def cheat(pop):\n    pop.bytes_acked_total += 1.0\n",
+    "def cheat(pop):\n    pop.steps += 1\n",
+    "def cheat(pop, twin):\n    pop.state_id = twin.state_id\n",
 ]
 
 
@@ -319,6 +331,40 @@ def test_sim001_fluid_fields_allowed_in_owning_module(tmp_path):
 def test_sim001_fluid_reads_are_fine(tmp_path):
     source = "def spread(dist):\n    return dist._hi_bin - dist._lo_bin\n"
     assert codes(lint_snippet(tmp_path, source)) == []
+
+
+SIM001_FLUID_NEGATIVE = [
+    # reading a population's step inputs is fine
+    "def exposure(pop):\n    return pop.rtt * pop.steps + pop.state_id\n",
+    # an engine counting its own ticks under the same name
+    "class Engine:\n    def tick(self):\n        self.steps += 1\n",
+    # locals named like protected fields are not fields
+    "def rows(pop):\n    rtt, flows = pop.rtt, pop.flows\n    return rtt * flows\n",
+    # an item write into an unprotected container holding a field's value
+    "def copy(pop, out):\n    out[0] = pop.distribution._bin_mass[0]\n",
+]
+
+
+@pytest.mark.parametrize("source", SIM001_FLUID_NEGATIVE)
+def test_sim001_fluid_population_reads_silent(tmp_path, source):
+    assert codes(lint_snippet(tmp_path, source)) == []
+
+
+def test_sim001_population_fields_allowed_in_owning_module(tmp_path):
+    fluid = tmp_path / "repro" / "sim" / "fluid.py"
+    fluid.parent.mkdir(parents=True)
+    fluid.write_text(
+        "class FluidPopulation:\n"
+        "    def adopt_step(self, pop, twin):\n"
+        "        pop.distribution._bin_mass[0] += 1.0\n"
+        "        pop.steps = twin.steps\n"
+        "        pop.state_id = twin.state_id\n"
+    )
+    assert codes(run_lint([str(fluid)])) == []
+    elsewhere = tmp_path / "repro" / "cdn" / "fluidtraffic.py"
+    elsewhere.parent.mkdir(parents=True)
+    elsewhere.write_text(fluid.read_text())
+    assert codes(run_lint([str(elsewhere)])) == ["SIM001"] * 3
 
 
 # -- SLOT001: undeclared slot attributes ----------------------------------

@@ -13,6 +13,7 @@ from repro.cdn.fluidtraffic import FLUID_REMOTE_PORT, FluidTraffic, SS_SAMPLES
 from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
+from repro.core.kernel_mode import KernelModeAgent
 from repro.sim.fluid import MAX_WINDOW
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
@@ -290,6 +291,129 @@ def test_ss_rows_match_keyword_reference_under_every_filter(cluster):
                     dropped.add((created_after is not None, kind))
     # Fluid rows are always established; a recent-only poll drops both kinds.
     assert dropped == {(False, "socket"), (True, "socket"), (True, "fluid")}
+
+
+# ----------------------------------------------------------------------
+# entry windows: resolved when routing changed, against every tick
+# ----------------------------------------------------------------------
+
+
+def entry_pair():
+    """One cluster twice: the shipped engine, which re-resolves a cohort's
+    entry window only when its host's routing changed, and one that
+    re-resolves every cohort on every tick.  LHR's first host carries
+    churning cohorts toward JFK and NRT, so every tick refills at the
+    entry window."""
+    pair = []
+    for every_tick in (False, True):
+        cluster = CdnCluster(
+            topology(),
+            ClusterConfig(
+                seed=3,
+                tcp=TcpConfig(default_initrwnd=300),
+                riptide=RiptideConfig(update_interval=0.5, ttl=2.0),
+            ),
+        )
+        engine = cluster.add_fluid_traffic(
+            "LHR", ["JFK", "NRT"], flows_per_destination=100.0,
+            growth_segments_per_sec=40.0, churn_per_flow_per_sec=0.5,
+        )
+        if every_tick:
+            engine._refresh_entries = engine._resolve_entries
+        pair.append(cluster)
+    return pair
+
+
+def cohort_state(population):
+    dist = population.distribution
+    return (
+        list(dist._bin_mass), dist.flows, population.segments_sent_total,
+        population.bytes_acked_total, population.offered,
+    )
+
+
+def advance(pair, change=None, ticks=1):
+    """Apply ``change`` to both clusters, run ``ticks`` fluid ticks, and
+    hold the two engines' entry windows, cohort states and LHR ``ss``
+    rows equal after each.  Returns the shipped engine's entry windows."""
+    for cluster in pair:
+        if change is not None:
+            change(cluster)
+    for _ in range(ticks):
+        for cluster in pair:
+            cluster.run(0.25)
+        cached, reference = (cluster.fluid for cluster in pair)
+        assert cached._pop_entry == reference._pop_entry
+        assert [cohort_state(p) for p in cached.populations] == [
+            cohort_state(p) for p in reference.populations
+        ]
+        rows = [as_tuples(cluster.hosts("LHR")[0].ss.tcp_info()) for cluster in pair]
+        assert rows[0] == rows[1]
+    return pair[0].fluid._pop_entry
+
+
+def jfk_route(initcwnd):
+    def change(cluster):
+        cluster.hosts("LHR")[0].ip.route_replace(
+            f"{cluster.server_address('JFK')}/32", initcwnd=initcwnd
+        )
+
+    return change
+
+
+class TestEntryWindows:
+    def test_route_replace_reaches_the_next_tick(self):
+        pair = entry_pair()
+        assert advance(pair, ticks=2) == [10, 10]
+        assert advance(pair, jfk_route(40)) == [40, 10]
+        assert advance(pair, jfk_route(41)) == [41, 10]
+
+    def test_route_expiry_reaches_the_next_tick(self):
+        pair = entry_pair()
+        for cluster in pair:
+            cluster.start_riptide()
+        learned = advance(pair, ticks=8)
+        assert learned != [10, 10]
+        assert advance(pair, lambda cluster: cluster.hosts("LHR")[0].ss.set_fault("empty")) == learned
+        expired = False
+        for _ in range(12):
+            entries = advance(pair)
+            agent = pair[0].agents("LHR")[0]
+            if agent.stats.routes_expired:
+                expired = True
+                assert entries == [10, 10]
+                break
+            assert entries == learned
+        assert expired
+
+    def test_reboot_reaches_the_next_tick(self):
+        pair = entry_pair()
+        assert advance(pair, jfk_route(40)) == [40, 10]
+        # The fresh table's first route gives it the version the old
+        # table had: only the table's identity tells them apart.
+        def reboot_and_route(cluster):
+            cluster.hosts("LHR")[0].reboot()
+            jfk_route(30)(cluster)
+
+        assert advance(pair, reboot_and_route) == [30, 10]
+        assert advance(pair, lambda cluster: cluster.hosts("LHR")[0].reboot()) == [10, 10]
+
+    def test_kernel_hook_install_and_removal_reach_the_next_tick(self):
+        pair = entry_pair()
+        assert advance(pair, ticks=2) == [10, 10]
+        agents = [
+            KernelModeAgent(cluster.hosts("LHR")[0], RiptideConfig(update_interval=0.5))
+            for cluster in pair
+        ]
+        starts = iter(agents)
+        advance(pair, lambda cluster: next(starts).start())
+        # The hook answers from the agent's window map, which changes
+        # with no route-table version to watch.
+        hooked = advance(pair, ticks=8)
+        assert hooked != [10, 10]
+        assert pair[0].hosts("LHR")[0].route_table.version == 0
+        stops = iter(agents)
+        assert advance(pair, lambda cluster: next(stops).stop()) == [10, 10]
 
 
 class TestLinkCoupling:

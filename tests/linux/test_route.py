@@ -232,3 +232,37 @@ def test_reboot_wipes_the_index_with_the_table():
     assert host.initcwnd_for(client) == DEFAULT_INIT_CWND
     host.ip.route_replace("0.0.0.0/0", initcwnd=30)
     assert host.initcwnd_for(client) == 30
+
+
+def test_version_counts_successful_mutations_only():
+    """A reader that cached a lookup under a version holds it until the
+    table next changes; a failed command changes nothing."""
+    table = RouteTable()
+    assert table.version == 0
+    table.add(entry("10.0.0.0/8", initcwnd=20))
+    assert table.version == 1
+    with pytest.raises(KeyError):
+        table.add(entry("10.0.0.0/8", initcwnd=30))
+    assert table.version == 1
+    table.replace(entry("10.0.0.0/8", initcwnd=30))
+    table.replace(entry("10.1.0.0/16", initcwnd=40))
+    assert table.version == 3
+    table.delete(Prefix.parse("10.1.0.0/16"))
+    assert table.version == 4
+    with pytest.raises(KeyError):
+        table.delete(Prefix.parse("10.1.0.0/16"))
+    assert table.version == 4
+    assert table.lookup(IPv4Address("10.1.2.3")).initcwnd == 30
+
+
+def test_reboot_installs_a_fresh_table():
+    """A new table object, not a cleared one: its version starts over, so
+    a cache must key on the table's identity as well as its version."""
+    bed = TwoHostTestbed(rtt=0.080)
+    host = bed.server
+    host.ip.route_replace(f"{bed.client.address}/32", initcwnd=50)
+    before = host.route_table
+    host.reboot()
+    assert host.route_table is not before
+    assert len(host.route_table) == 0 and host.route_table.version == 0
+    assert before.version == 1 and len(before) == 1

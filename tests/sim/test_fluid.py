@@ -664,17 +664,31 @@ class FivePassPopulation:
         deficit = self.target_flows - dist.flows
         if deficit > 0.0:
             dist.add_mass(entry_window, deficit)
-        sent = (
-            dist.total_send_segments_per_sec(
-                self.rtt, self.send_segments_per_flow_per_sec
-            )
-            * dt
-        )
+        self.window_total, rate = self.read_out()
+        sent = rate * dt
         retx = loss_events
         self.segments_sent_total += sent + retx
         self.segments_retx_total += retx
         self.bytes_acked_total += sent * self.mss
+        self.offered = rate * self.mss * 8.0
         self.steps += 1
+
+    def read_out(self):
+        """The refilled histogram's window total and send rate.
+
+        PR 14 took the total with ``sum`` over the bins; the shipped step
+        adds the same products left to right in a loop of its own, the
+        bits that ``sum`` gave through 3.11, on every interpreter (3.12's
+        ``sum`` is compensated).  The capped rate was a loop already.
+        """
+        dist = self.distribution
+        total = 0.0
+        for b in range(dist._lo_bin, dist._hi_bin + 1):
+            total += dist._bin_mass[b] * dist.bin_to_window(b)
+        cap = self.send_segments_per_flow_per_sec
+        if cap is None:
+            return total, total / self.rtt
+        return total, dist.total_send_segments_per_sec(self.rtt, cap)
 
     def sample_ages(self, count, now):
         lifetime = max(0.0, now - self.created_at)
@@ -757,6 +771,9 @@ def test_cohort_step_matches_five_pass_reference(shape, bin_width):
         assert state_of(shipped.distribution) == state_of(reference.distribution)
         assert counters_of(shipped) == counters_of(reference)
         assert shipped.offered_bps() == reference.offered_bps()
+        assert (shipped.window_total, shipped.offered) == (
+            reference.window_total, reference.offered
+        )
         assert (
             shipped.distribution.sample_windows(8)
             == reference.distribution.sample_windows(8)
