@@ -26,6 +26,7 @@ from repro.linux.ip_tool import IpRouteTool
 from repro.linux.route import RouteTable
 from repro.linux.ss_tool import SsTool, SyntheticSocketSource
 from repro.net.addresses import IPv4Address
+from repro.net.link import DeliverCallback
 from repro.net.network import Hop, Network
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
@@ -65,8 +66,9 @@ class Host:
         self._listeners: dict[int, TcpListener] = {}
         self._ephemeral_ports = itertools.count(_EPHEMERAL_PORT_START)
         #: Destination address integer -> the hop that carries this host's
-        #: packets there, as ``Network.send`` resolved it for the first.
-        self._hops: dict[int, Hop] = {}
+        #: packets there and the receiver they arrive at, as
+        #: ``Network.send`` resolved them for the first.
+        self._hops: dict[int, tuple[Hop, DeliverCallback]] = {}
         #: Optional in-kernel initial-window resolver, consulted before
         #: the route table (the Section V "Kernel Implementation" path).
         #: Returning None falls through to the normal FIB lookup.
@@ -208,18 +210,26 @@ class Host:
 
         Keyed by destination alone: every packet a host sends carries its
         own address.  The first packet to a destination goes through
-        ``Network.send``, which resolves the path and returns the hop; an
-        unroutable destination raises there and is never remembered.
+        ``Network.send``, which resolves the path and the receiver and
+        returns both; an unroutable destination raises there and is never
+        remembered.
         """
         try:
-            hop = self._hops[packet.dst.value]
+            hop, receiver = self._hops[packet.dst.value]
         except KeyError:
             self._hops[packet.dst.value] = self.network.send(packet)
             return
-        hop.transmit(packet, self.network.deliver)
+        hop.transmit(packet, receiver)
 
     def receive_packet(self, packet: Packet) -> None:
-        """Demultiplex an incoming packet to a socket or listener."""
+        """Demultiplex an incoming packet to a socket or listener.
+
+        A sender's first packet here binds this method into the sender's
+        hop memo (:meth:`send_packet`), and every later packet of the pair
+        arrives through that bound method.  A tap replacing it on the
+        instance or the class must therefore be in place before the first
+        packet to this host; one installed later never sees that pair.
+        """
         self.packets_received += 1
         if not isinstance(packet, Segment):
             self.packets_unmatched += 1

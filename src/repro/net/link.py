@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Callable
 from math import inf
 
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.rand import RandomStreams
@@ -204,7 +204,17 @@ class Link:
             queue = self._queue = deque()
         finish = (queue[-1][0] if queue else now) + packet.size_bytes * 8.0 / self.capacity_bps
         loss = self._loss_override or self._loss
-        if loss is not None and loss.should_drop(self._rng or self._loss_stream()):
+        if loss is None:
+            dropped = False
+        elif type(loss) is BernoulliLoss:
+            # ``BernoulliLoss.should_drop`` in line, ``probability`` read
+            # live; a subclass keeps its own method.
+            p = loss.probability
+            rng = self._rng or self._loss_stream()
+            dropped = p != 0.0 and rng.random() < p
+        else:
+            dropped = loss.should_drop(self._rng or self._loss_stream())
+        if dropped:
             stats.packets_dropped_loss += 1
             self._m_dropped_loss.inc()
             queue.append((finish, None))
@@ -216,7 +226,13 @@ class Link:
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if self._obs_on:
-            self._g_queue_depth.set(depth)
+            # ``Gauge.set(depth)`` in line, the first write included: an
+            # int depth replaces the ``0.0`` initial high-water mark.
+            gauge = self._g_queue_depth
+            gauge.value = depth
+            if depth > gauge.max_value or not gauge.written:
+                gauge.max_value = depth
+                gauge.written = True
         return True
 
     def _loss_stream(self) -> random.Random:
@@ -230,12 +246,17 @@ class Link:
         if downed and packet in downed:
             self._downed = downed - {packet} or _NO_DOWNED
             return
+        # Popped here, not left to the next ``transmit``: a finished entry
+        # holds its delivered packet, and a link with a wide flight and
+        # no packet to send for a while would hold them all.
         queue = self._queue
         now = self._sim.now
         while queue and queue[0][0] <= now:
             queue.popleft()
         if self._obs_on:
-            self._g_queue_depth.set(len(queue) - 1 if queue else 0)
+            # The value only: this packet's ``transmit`` wrote the gauge
+            # with a depth no smaller than what is left after the pops.
+            self._g_queue_depth.value = len(queue) - 1 if queue else 0
         stats = self.stats
         stats.packets_delivered += 1
         stats.bytes_delivered += packet.size_bytes

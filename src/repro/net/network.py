@@ -9,15 +9,19 @@ the path — the observation Riptide exploits.
 
 Hosts attach by address.  ``send`` resolves ``(src, dst)`` to the hop
 that carries the pair — the trunk :class:`~repro.net.link.Link` between
-their zones, or the fast intra-zone hop — puts the packet on it and
-returns the hop; the hop delivers to the destination host's
-``receive_packet``.
+their zones, or the fast intra-zone hop — and to the receiver its
+packets arrive at: the ``receive_packet`` of the host attached at ``dst``,
+or :meth:`Network.deliver` while none is.  It puts the packet on the hop
+and returns both.
 
-``send`` is the only resolver and keeps no memo: a host keeps the hop
+``send`` is the only resolver and keeps no memo: a host keeps the pair
 per destination (:meth:`repro.linux.host.Host.send_packet`), so only a
 host's first packet to each destination comes through here.  A resolved
-hop cannot go stale: zones cannot overlap and a trunk cannot be replaced.
-What faults change is read from the link at each packet's own time.
+pair cannot go stale: zones cannot overlap, a trunk cannot be replaced
+and an attached host is never detached (a reboot keeps the object).  A
+host attached at ``dst`` after the pair was resolved is found by
+``deliver``, per packet.  What faults change is read from the link at
+each packet's own time.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ INTRA_ZONE_DELAY = 0.00025
 class IntraZoneHop:
     """The hop between two hosts of one zone: a fixed LAN delay, no queue
     and no loss.  Its ``transmit`` has :class:`Link`'s signature, so a host
-    puts a packet on either alike."""
+    puts a packet on either alike; the arrival event is the receiver's own
+    call."""
 
     __slots__ = ("_sim",)
 
@@ -178,16 +183,19 @@ class Network:
         self._zone_cache[address] = found
         return found
 
-    def send(self, packet: Packet) -> Hop:
-        """Resolve the packet's path, put the packet on it and return the hop.
+    def send(self, packet: Packet) -> tuple[Hop, DeliverCallback]:
+        """Resolve the packet's path and receiver, put the packet on the
+        path and return both.
 
-        The hop carries every later packet of the same ``(src, dst)``
-        pair too.  An unroutable pair raises :class:`NoRouteError` before
+        The pair carries every later packet of the same ``(src, dst)``
+        too.  An unroutable pair raises :class:`NoRouteError` before
         anything is sent, so a failure leaves nothing to remember.
         """
         hop = self._resolve(packet.src, packet.dst)
-        hop.transmit(packet, self.deliver)
-        return hop
+        host = self._hosts.get(packet.dst.value)
+        receiver = self.deliver if host is None else host.receive_packet
+        hop.transmit(packet, receiver)
+        return hop, receiver
 
     def _resolve(self, src: IPv4Address, dst: IPv4Address) -> Hop:
         """The hop carrying ``src`` → ``dst``."""
@@ -203,7 +211,8 @@ class Network:
         return trunk
 
     def deliver(self, packet: Packet) -> None:
-        """Hand an arrived packet to the host at its destination address."""
+        """Hand an arrived packet to the host at its destination address:
+        the receiver of a pair resolved while no host was attached there."""
         host = self._hosts.get(packet.dst.value)
         if host is None:
             self.packets_to_unknown_host += 1

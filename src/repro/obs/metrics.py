@@ -71,9 +71,15 @@ class Counter:
 
 
 class Gauge:
-    """A last-written value with a high-water mark."""
+    """A last-written value with a high-water mark.
 
-    __slots__ = ("name", "labels", "value", "max_value", "_written")
+    ``written`` says whether anything was set yet: the first write replaces
+    the initial ``max_value`` whatever its size.  Code that writes ``value``
+    and ``max_value`` directly instead of calling :meth:`set` (a per-packet
+    path) keeps ``written`` by the same rule.
+    """
+
+    __slots__ = ("name", "labels", "value", "max_value", "written")
 
     def __init__(
         self,
@@ -81,19 +87,19 @@ class Gauge:
         labels: LabelSet = (),
         value: float = 0.0,
         max_value: float = 0.0,
-        _written: bool = False,
+        written: bool = False,
     ) -> None:
         self.name = name
         self.labels = labels
         self.value = value
         self.max_value = max_value
-        self._written = _written
+        self.written = written
 
     def set(self, value: float) -> None:
         self.value = value
-        if not self._written or value > self.max_value:
+        if not self.written or value > self.max_value:
             self.max_value = value
-        self._written = True
+        self.written = True
 
 
 class Histogram:
@@ -255,13 +261,13 @@ class MetricsRegistry:
             mine = self._gauges.get(key)
             if mine is None:
                 self._gauges[key] = Gauge(
-                    gauge.name, key[1], gauge.value, gauge.max_value, gauge._written
+                    gauge.name, key[1], gauge.value, gauge.max_value, gauge.written
                 )
-            elif gauge._written:
+            elif gauge.written:
                 mine.value = gauge.value
-                if not mine._written or gauge.max_value > mine.max_value:
+                if not mine.written or gauge.max_value > mine.max_value:
                     mine.max_value = gauge.max_value
-                mine._written = True
+                mine.written = True
         for key, histogram in other._histograms.items():
             mine = self._histograms.get(key)
             if mine is None:

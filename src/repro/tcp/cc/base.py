@@ -3,7 +3,9 @@
 Windows are held in *segments* (as Linux does).  ``cwnd`` is kept as a
 float internally so sub-segment growth in congestion avoidance accumulates;
 the socket uses :attr:`cwnd_segments` (the floor, never below 1) when
-deciding whether it may transmit.
+deciding whether it may transmit.  The new-data branch of
+``TcpSocket._try_send`` reads it in line as ``int(cwnd) or 1``, since it
+runs on every ACK.
 """
 
 from __future__ import annotations

@@ -519,8 +519,9 @@ class TcpSocket:
                 self._arm_rto()
         else:
             self._dupacks = 0
-            self.cc.on_ack(now, acked_bytes, self._rtt.srtt)
-            if self._flow_ss_pending:
+            cc = self.cc
+            cc.on_ack(now, acked_bytes, self._rtt.srtt)
+            if self._flow_ss_pending and cc.cwnd >= cc.ssthresh:
                 self._note_ss_exit()
 
         if self._fin_queued and ack >= self._snd_nxt and not self._rtx_queue:
@@ -784,9 +785,17 @@ class TcpSocket:
             ):
                 self._restart_after_idle(now)
             # The room only changes on ACK/loss events, never on our own
-            # transmissions, so compute it once and track it locally.
-            room = self.cc.cwnd_segments * mss - self._pipe()
-            right_edge = self._snd_una + self._peer_rwnd_bytes - snd_nxt
+            # transmissions, so compute it once and track it locally.  The
+            # window is ``cwnd_segments`` in line (``cwnd`` is never
+            # negative), and pipe is the flight while ``_pipe`` would find
+            # nothing SACKed, lost or resent to count.
+            una = self._snd_una
+            if self._in_recovery or self._sacked or self._lost_edge > una or self._high_rxt > una:
+                pipe = self._pipe()
+            else:
+                pipe = snd_nxt - una
+            room = (int(self.cc.cwnd) or 1) * mss - pipe
+            right_edge = una + self._peer_rwnd_bytes - snd_nxt
             if right_edge < room:
                 room = right_edge
             while snd_nxt < buf_end:
@@ -1058,9 +1067,8 @@ class TcpSocket:
     # ------------------------------------------------------------------
 
     def _note_ss_exit(self) -> None:
-        """Stamp the flow record the first time the socket leaves slow start."""
-        if self.cc.cwnd < self.cc.ssthresh:
-            return
+        """Stamp the flow record the first time the socket leaves slow
+        start: the caller has seen ``cwnd >= ssthresh``."""
         flow = self._flow
         if flow is not None:
             flow.ss_exit_at = self._sim.now

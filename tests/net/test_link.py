@@ -146,6 +146,99 @@ class TestLoss:
         assert link.stats.packets_dropped_loss == 2
 
 
+def lost_indices(sim, link: Link, indices: range) -> list[int]:
+    """The indices of ``indices`` the link loses, one packet each."""
+    delivered: set[int] = set()
+    for index in indices:
+        link.transmit(make_packet(100), lambda p, i=index: delivered.add(i))
+    sim.run()
+    return [index for index in indices if index not in delivered]
+
+
+def dropped_by(stream: random.Random, model: LossModel, indices: range) -> list[int]:
+    """The indices ``model.should_drop`` drops, drawing from ``stream``."""
+    return [index for index in indices if model.should_drop(stream)]
+
+
+class CountedBernoulli(BernoulliLoss):
+    """A ``BernoulliLoss`` subclass: the link must call its method."""
+
+    def __init__(self, probability: float) -> None:
+        super().__init__(probability)
+        self.calls = 0
+
+    def should_drop(self, rng: random.Random) -> bool:
+        self.calls += 1
+        return super().should_drop(rng)
+
+
+class TestInLineBernoulliDraw:
+    """``transmit`` draws an exact ``BernoulliLoss`` in line.  Per packet
+    index, what it drops, and where it leaves the direction's generator,
+    must be what ``should_drop`` drops and leaves."""
+
+    SEED = 20_160_627
+    PACKETS = 3000
+
+    def link(self, sim, model: LossModel) -> tuple[Link, random.Random]:
+        """A link over ``model`` and a fresh generator of its stream's name."""
+        link = Link(
+            sim, 1e9, 0.0, self.PACKETS, model, name="trunk:fwd",
+            streams=RandomStreams(self.SEED),
+        )
+        return link, RandomStreams(self.SEED).stream("loss:trunk:fwd")
+
+    @pytest.mark.parametrize("probability", [0.0, 0.01, 0.3])
+    def test_drops_and_stream_state_match_should_drop(self, sim, probability):
+        link, stream = self.link(sim, BernoulliLoss(probability))
+        packets = range(self.PACKETS)
+        assert lost_indices(sim, link, packets) == dropped_by(
+            stream, BernoulliLoss(probability), packets
+        )
+        assert link._rng.getstate() == stream.getstate()
+
+    def test_probability_is_read_live(self, sim):
+        model, twin = BernoulliLoss(0.01), BernoulliLoss(0.01)
+        link, stream = self.link(sim, model)
+        lost, expected = [], []
+        for first, probability in ((0, 0.3), (1000, 0.0), (2000, 0.01)):
+            packets = range(first, first + 1000)
+            lost += lost_indices(sim, link, packets)
+            expected += dropped_by(stream, twin, packets)
+            model.probability = twin.probability = probability
+        assert lost == expected
+        assert link._rng.getstate() == stream.getstate()
+
+    def test_gilbert_elliott_override_set_and_cleared(self, sim):
+        def storm() -> GilbertElliottLoss:
+            return GilbertElliottLoss(0.05, 0.25, loss_good=0.01, loss_bad=0.6)
+
+        link, stream = self.link(sim, BernoulliLoss(0.01))
+        calm, stormy, after = range(0, 1000), range(1000, 2000), range(2000, 3000)
+        lost = lost_indices(sim, link, calm)
+        link.set_loss_override(storm())
+        lost += lost_indices(sim, link, stormy)
+        link.set_loss_override(None)
+        lost += lost_indices(sim, link, after)
+        expected = dropped_by(stream, BernoulliLoss(0.01), calm)
+        expected += dropped_by(stream, storm(), stormy)
+        expected += dropped_by(stream, BernoulliLoss(0.01), after)
+        assert lost == expected
+        assert link._rng.getstate() == stream.getstate()
+
+    @pytest.mark.parametrize("as_override", [False, True], ids=["configured", "override"])
+    def test_a_subclass_keeps_its_method(self, sim, as_override):
+        model = CountedBernoulli(0.3)
+        link, stream = self.link(sim, BernoulliLoss(0.01) if as_override else model)
+        if as_override:
+            link.set_loss_override(model)
+        packets = range(self.PACKETS)
+        assert lost_indices(sim, link, packets) == dropped_by(
+            stream, BernoulliLoss(0.3), packets
+        )
+        assert model.calls == self.PACKETS
+
+
 class TestSameInstant:
     """A serialization completion at t frees its queue slot before any
     offer at t is judged against ``queue_limit_packets``."""
@@ -473,3 +566,52 @@ class TestQueueDepthGauge:
             # wire (at 0, 10 and 20 ms), so two still wait in the queue.
             sim.run(until=0.025)
             assert gauge.value == link.queue_depth == 2
+
+    def test_in_line_writes_match_gauge_set(self):
+        """Value, high-water mark and their types as ``Gauge.set`` leaves
+        them after every write the link makes: on each accepted offer, on
+        each arrival, and when ``set_down`` catches unfinished packets.
+        The first write is an int depth of 0, which replaces the float
+        initial mark."""
+        from repro.obs.instrument import capture
+        from repro.obs.metrics import Gauge
+        from repro.sim.kernel import Simulator
+
+        def shape(gauge):
+            return (gauge.value, type(gauge.value), gauge.max_value, type(gauge.max_value))
+
+        with capture() as instrumentation:
+            sim = Simulator()
+            # 10 ms per packet on the wire, 1 ms of propagation.
+            link = Link(sim, bandwidth_bps=1e6, propagation_delay=0.001, queue_limit_packets=3)
+            gauge = instrumentation.metrics.gauge("link_queue_depth")
+            reference = Gauge("reference")
+            assert shape(gauge) == shape(reference)
+            checked = []
+
+            def arrived(packet):
+                reference.set(link.queue_depth)
+                assert shape(gauge) == shape(reference)
+                checked.append(sim.now)
+
+            def offer(count):
+                for _ in range(count):
+                    if link.transmit(make_packet(1250), arrived):
+                        reference.set(link.queue_depth)
+                    assert shape(gauge) == shape(reference)
+
+            offer(1)
+            assert shape(gauge) == (0, int, 0, int)
+            offer(6)  # three wait, the rest overflow the queue
+            sim.run(until=0.025)
+            assert checked == pytest.approx([0.011, 0.021])
+            link.set_down()
+            reference.set(0)
+            assert shape(gauge) == shape(reference)
+            offer(2)  # dropped as down: no write
+            link.set_up()
+            sim.run(until=0.2)
+            offer(3)
+            sim.run()
+        assert len(checked) == 5
+        assert shape(gauge) == (0, int, 3, int)

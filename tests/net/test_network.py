@@ -201,7 +201,8 @@ class Arrivals:
 
 
 class TestHostHops:
-    """A host keeps, per destination, the hop ``Network.send`` resolved."""
+    """A host keeps, per destination, the hop and the receiver
+    ``Network.send`` resolved."""
 
     def test_intra_zone_hop_arrives_one_lan_delay_later(self, sim, fabric):
         sender = Host(sim, fabric, "10.0.0.1")
@@ -210,8 +211,9 @@ class TestHostHops:
         sim.run(until=0.3)
         first = _segment(sender, sink.address)
         sender.send_packet(first)
-        hop = sender._hops[sink.address.value]
+        hop, receiver = sender._hops[sink.address.value]
         assert isinstance(hop, IntraZoneHop)
+        assert receiver == sink.receive_packet
         sim.run(until=0.7)
         second = _segment(sender, sink.address)
         sender.send_packet(second)  # on the remembered hop
@@ -229,7 +231,7 @@ class TestHostHops:
             sender.send_packet(_segment(sender, sink.address))
         sim.run()
         forward = fabric.link_from(ZONE_A, ZONE_B)
-        assert sender._hops == {sink.address.value: forward}
+        assert sender._hops == {sink.address.value: (forward, sink.receive_packet)}
         assert forward.stats.packets_delivered == len(sink.arrived) == 3
 
     def test_unroutable_send_is_not_remembered(self, sim, streams):
@@ -247,4 +249,68 @@ class TestHostHops:
         sender.send_packet(_segment(sender, sink.address))
         sim.run()
         assert len(sink.arrived) == 1
-        assert sender._hops == {sink.address.value: network.link_from(ZONE_A, ZONE_B)}
+        assert sender._hops == {
+            sink.address.value: (network.link_from(ZONE_A, ZONE_B), sink.receive_packet)
+        }
+
+    @pytest.mark.parametrize("address", ["10.0.0.2", "10.1.0.1"], ids=["intra", "trunk"])
+    def test_arrivals_bypass_the_fabric(self, sim, fabric, address):
+        """Both kinds of hop hand an arrival straight to the receiving host."""
+        sender = Host(sim, fabric, "10.0.0.1")
+        sink = Arrivals(sim, address)
+        fabric.attach(sink)
+        looked_up = []
+        fabric.deliver = looked_up.append
+        for _ in range(3):
+            sender.send_packet(_segment(sender, sink.address))
+        sim.run()
+        assert len(sink.arrived) == 3
+        assert looked_up == []
+
+    def test_host_attached_after_the_first_packet_receives_later_ones(self, sim, fabric):
+        sender = Host(sim, fabric, "10.0.0.1")
+        address = IPv4Address("10.1.0.7")
+        sender.send_packet(_segment(sender, address))
+        sim.run()
+        assert sender._hops[address.value][1] == fabric.deliver
+        sink = Arrivals(sim, str(address))
+        fabric.attach(sink)
+        second = _segment(sender, address)
+        sender.send_packet(second)  # on the remembered pair
+        sim.run()
+        assert [packet for packet, _ in sink.arrived] == [second]
+        assert fabric.packets_to_unknown_host == 1
+
+    def test_packets_to_an_unattached_address_are_counted(self, sim, fabric):
+        sender = Host(sim, fabric, "10.0.0.1")
+        for address in ("10.0.0.9", "10.1.0.9"):
+            for _ in range(2):
+                sender.send_packet(_segment(sender, IPv4Address(address)))
+        sim.run()
+        assert fabric.packets_to_unknown_host == 4
+
+    def test_rebooted_host_keeps_receiving(self, sim, fabric):
+        sender = Host(sim, fabric, "10.0.0.1")
+        receiver = Host(sim, fabric, "10.1.0.1")
+        sender.send_packet(_segment(sender, receiver.address))
+        sim.run()
+        receiver.reboot()
+        sender.send_packet(_segment(sender, receiver.address))
+        sim.run()
+        assert receiver.packets_received == 2
+        assert fabric.packets_to_unknown_host == 0
+
+    def test_tap_installed_after_the_first_packet_is_not_seen(self, sim, fabric, monkeypatch):
+        """The pinned contract: a tap on ``receive_packet`` must be in place
+        before the first packet to the host; later, the memo bypasses it."""
+        sender = Host(sim, fabric, "10.0.0.1")
+        receiver = Host(sim, fabric, "10.1.0.1")
+        sender.send_packet(_segment(sender, receiver.address))
+        sim.run()
+        tapped = []
+        receiver.receive_packet = tapped.append
+        monkeypatch.setattr(Host, "receive_packet", lambda host, packet: tapped.append(packet))
+        sender.send_packet(_segment(sender, receiver.address))
+        sim.run()
+        assert tapped == []
+        assert receiver.packets_received == 2

@@ -12,9 +12,11 @@ The kernel event count is pinned beside it: a frame saving must never be
 an event change in disguise.  So is how often each hop the benchmark's
 tracer bills per packet is entered: once per packet, while path
 resolution (``Network.send``) runs once per host and destination.  And
-so is how often the frames that left the path are entered: the lossless
-wire's loss call never, the counter method and the RTO clamp only while
-each endpoint sets its connection up.
+so is how often the frames that left the path are entered, in both
+instrumentation modes: the fabric's arrival lookup, the loss calls of a
+lossless and of a Bernoulli wire, the queue gauge's ``set``, the window
+and pipe reads and the slow-start-exit stamp never; the counter method
+and the RTO clamp only while each endpoint sets its connection up.
 
 Re-measure (prints both figures)::
 
@@ -33,10 +35,11 @@ import pytest
 
 from repro.linux.host import Host
 from repro.net.link import Link
-from repro.net.loss import NoLoss
+from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.network import Network
 from repro.obs.instrument import capture, disabled
-from repro.obs.metrics import Counter
+from repro.obs.metrics import Counter, Gauge
+from repro.tcp.cc.base import CongestionControl
 from repro.tcp.constants import TcpConfig
 from repro.tcp.rto import RttEstimator
 from repro.tcp.socket import TcpSocket
@@ -47,18 +50,21 @@ RESPONSE_BYTES = 1_000_000
 DELIVERED_PACKETS = 1_375
 KERNEL_EVENTS = 1_378
 
-#: Frames per delivered packet, by instrumentation mode.  Measured 13.34
-#: (disabled) and 15.86 (capture) on CPython 3.11 — 19.11 and 21.63 while
-#: the clock, the smoothed RTT and the link's rate were read through
-#: frames, every RTT sample entered the RTO clamp, a lossless link called
-#: its loss model and the delivered counter went through ``inc()``; 21.61
-#: and 24.13 while each packet was a segment wrapped in a packet object
-#: and the fabric resolved its path per packet, 24.62 and 27.71 while a link spent two
-#: timers per packet, 36.87 and 39.96 before the path was flattened to one
-#: frame per step.  The margin is for interpreter versions (the path has
-#: no comprehension that 3.12 would inline), not for new helper hops: a
-#: hop costs 0.5-1.0.
-CEILINGS = {"disabled": 16.75, "capture": 19.25}
+#: Frames per delivered packet, by instrumentation mode.  Measured 11.60
+#: (disabled) and 11.62 (capture) on CPython 3.11 — 13.09 and 15.61 while
+#: each arrival went through the fabric's host lookup, the queue gauge
+#: and the Bernoulli loss draw were calls, and every ACK read the window
+#: through a property, and pipe and the slow-start exit through helpers;
+#: 19.11 and 21.63 while the clock, the smoothed RTT and the link's rate
+#: were read through frames, every RTT sample entered the RTO clamp, a
+#: lossless link called its loss model and the delivered counter went
+#: through ``inc()``; 21.61 and 24.13 while each packet was a segment
+#: wrapped in a packet object and the fabric resolved its path per
+#: packet, 24.62 and 27.71 while a link spent two timers per packet, 36.87
+#: and 39.96 before the path was flattened to one frame per step.  The
+#: margin is for interpreter versions (the path has no comprehension that
+#: 3.12 would inline), not for new helper hops: a hop costs 0.5-1.0.
+CEILINGS = {"disabled": 15.0, "capture": 15.0}
 
 #: The hops the benchmark's tracer bills per packet.  Each is entered once
 #: per packet: every packet is sent, crosses the trunk and is received.
@@ -72,25 +78,54 @@ PER_PACKET = {
     Network.send: 2,
 }
 
-#: Frames off the per-packet path, with instrumentation off: a lossless
-#: link holds no loss model, the delivered counter is bumped in place and
-#: an RTT sample refreshes the RTO in line.  What is left is setup: each
-#: endpoint counts its opened connection once and clamps its initial RTO
-#: once.  A frame that creeps back onto the path reads ~1,375 here.
+#: Frames off the per-packet path, in either instrumentation mode: an
+#: arrival goes straight to its host, a lossless link holds no loss model,
+#: the delivered counter is bumped in place, the queue gauge is written in
+#: line, an ACK reads the window and (outside recovery) pipe in line and
+#: stamps the slow-start exit only once it happens, and an RTT sample
+#: refreshes the RTO in line.  What is left is setup: each endpoint counts
+#: its opened connection once and clamps its initial RTO once.  A frame
+#: that creeps back onto the path reads ~1,375 here (~340 for a per-ACK one).
 OFF_PATH = {
+    Network.deliver: 0,
     NoLoss.should_drop: 0,
+    Gauge.set: 0,
+    CongestionControl.cwnd_segments.fget: 0,
+    TcpSocket._pipe: 0,
+    TcpSocket._note_ss_exit: 0,
     Counter.inc: 2,
     RttEstimator._compute_rto: 2,
 }
 
-WATCHED = (*PER_PACKET, *OFF_PATH)
+#: A lossy exchange: the same one over a Bernoulli wire, which the link
+#: draws in line.  How many packets it loses at the testbed's seed.
+LOSSY_WIRE = BernoulliLoss(0.01)
+LOSSY_WIRE_LOST = 8
+
+WATCHED = (*PER_PACKET, *OFF_PATH, BernoulliLoss.should_drop)
+
+MODES = {mode.__name__: mode for mode in (disabled, capture)}
+
+
+class Profile:
+    """What one profiled exchange cost and amounted to."""
+
+    def __init__(
+        self, frames: int, calls: dict[Callable[..., Any], int], bed: TwoHostTestbed
+    ) -> None:
+        forward, reverse = bed.trunk.forward.stats, bed.trunk.reverse.stats
+        self.delivered = forward.packets_delivered + reverse.packets_delivered
+        self.lost = forward.packets_dropped_loss + reverse.packets_dropped_loss
+        self.frames_per_packet = frames / self.delivered
+        self.calls = calls
+        self.events = bed.sim.events_processed
 
 
 def profile_exchange(
-    mode: Callable[[], AbstractContextManager[Any]],
-) -> tuple[float, dict[Callable[..., Any], int]]:
-    """Python frames entered per delivered packet over the exchange, and
-    how often each function of :data:`WATCHED` was entered."""
+    mode: Callable[[], AbstractContextManager[Any]], loss_model: LossModel | None = None
+) -> Profile:
+    """Python frames entered over the exchange, and how often each
+    function of :data:`WATCHED` was entered."""
     frames = 0
     watched = {function.__code__: function for function in WATCHED}
     calls = dict.fromkeys(WATCHED, 0)
@@ -107,6 +142,7 @@ def profile_exchange(
         bed = TwoHostTestbed(
             rtt=0.1,
             bandwidth_bps=10e9,
+            loss_model=loss_model,
             client_config=TcpConfig(default_initrwnd=300),
         )
         bed.serve_echo()
@@ -118,42 +154,55 @@ def profile_exchange(
         finally:
             sys.setprofile(previous)
     assert exchange.completed
-    delivered = (
-        bed.trunk.forward.stats.packets_delivered
-        + bed.trunk.reverse.stats.packets_delivered
-    )
-    assert delivered == DELIVERED_PACKETS
-    assert bed.sim.events_processed == KERNEL_EVENTS
-    return frames / delivered, calls
-
-
-@pytest.mark.parametrize("mode", [disabled, capture], ids=lambda mode: mode.__name__)
-def test_frames_per_delivered_packet(mode):
-    assert profile_exchange(mode)[0] <= CEILINGS[mode.__name__]
+    return Profile(frames, calls, bed)
 
 
 @pytest.fixture(scope="module")
-def calls():
-    """Entries per watched function over one exchange, instrumentation off."""
-    return profile_exchange(disabled)[1]
+def profiles() -> dict[str, Profile]:
+    """One lossless exchange per instrumentation mode."""
+    return {name: profile_exchange(mode) for name, mode in MODES.items()}
 
 
-def test_one_entry_per_packet_per_billed_hop(calls):
+@pytest.mark.parametrize("mode", MODES)
+def test_frames_per_delivered_packet(profiles, mode):
+    profile = profiles[mode]
+    assert (profile.delivered, profile.events) == (DELIVERED_PACKETS, KERNEL_EVENTS)
+    assert profile.frames_per_packet <= CEILINGS[mode]
+
+
+def entries(
+    profiles: dict[str, Profile], expected: dict[Callable[..., Any], int]
+) -> tuple[dict[str, dict[str, int]], dict[str, dict[str, int]]]:
+    """Per mode, the entries of each function of ``expected`` by name:
+    as counted, and as ``expected`` says."""
+    counted = {
+        mode: {function.__qualname__: profile.calls[function] for function in expected}
+        for mode, profile in profiles.items()
+    }
+    named = {function.__qualname__: count for function, count in expected.items()}
+    return counted, dict.fromkeys(profiles, named)
+
+
+def test_one_entry_per_packet_per_billed_hop(profiles):
     """No hop the tracer bills per packet is entered twice for one packet,
-    and path resolution stays off the per-packet path."""
-    assert {function.__qualname__: calls[function] for function in PER_PACKET} == {
-        function.__qualname__: count for function, count in PER_PACKET.items()
-    }
+    and path resolution stays off the per-packet path, in either mode."""
+    counted, expected = entries(profiles, PER_PACKET)
+    assert counted == expected
 
 
-def test_frames_off_the_path_stay_off(calls):
-    """The lossless wire makes no loss call, the delivered counter and an
-    RTT sample enter no helper frame: nothing here scales with packets."""
-    assert {function.__qualname__: calls[function] for function in OFF_PATH} == {
-        function.__qualname__: count for function, count in OFF_PATH.items()
-    }
+def test_frames_off_the_path_stay_off(profiles):
+    """Nothing here scales with packets, with instrumentation on or off."""
+    counted, expected = entries(profiles, OFF_PATH)
+    assert counted == expected
+
+
+def test_a_bernoulli_wire_draws_in_line():
+    """A lossy trunk loses packets without one call to its loss model."""
+    profile = profile_exchange(disabled, LOSSY_WIRE)
+    assert profile.lost == LOSSY_WIRE_LOST
+    assert profile.calls[BernoulliLoss.should_drop] == 0
 
 
 if __name__ == "__main__":
-    for context in (disabled, capture):
-        print(f"{context.__name__}: {profile_exchange(context)[0]:.2f} frames/packet")
+    for name, context in MODES.items():
+        print(f"{name}: {profile_exchange(context).frames_per_packet:.2f} frames/packet")
