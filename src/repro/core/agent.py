@@ -15,7 +15,8 @@ per server:
         wait for i_u seconds
 
 plus the TTL sweep: entries that go unrefreshed for ``t`` seconds lose
-their route, restoring the kernel default of 10.
+their route, restoring the kernel default of 10.  ``tests/core/
+test_algorithm1_spec.py`` states this loop as one pure function.
 """
 
 from __future__ import annotations
@@ -149,64 +150,56 @@ class RiptideAgent:
         """
         self._process.stop()
         if remove_routes:
-            now = self.host.sim.now
             for entry in self._learned.entries():
-                if self._withdraw(entry.destination):
-                    self.stats.routes_withdrawn += 1
-                    self._m_withdrawn.inc()
-                    self._trace.record(
-                        now,
+                if self._route_command(entry.destination, None):
+                    self._record(
                         EventType.ROUTE_WITHDRAWN,
-                        self.host.name,
-                        destination=str(entry.destination),
+                        entry.destination,
                         window=entry.window,
                         reason="stop",
                     )
-            self._policy.reset()
-            self._learned.clear()
-            if self._guard is not None:
-                self._guard.reset()
-            self._close_guard_spans(now, "stop")
-            self._g_learned.set(0)
+            self._reset("stop")
 
     def crash(self) -> None:
         """Kill the agent process abruptly — no cleanup, no goodbyes.
 
         Everything the *process* held in memory is gone: the learned
         table, history, advisories, guard holds and the retry ladders of
-        failed ``ip`` commands.  The routes it
-        installed SURVIVE — they live in the kernel FIB, not the process
-        — so until a restarted agent relearns the paths, new
-        connections keep using windows nobody is maintaining.  The
-        restarted agent self-heals: :meth:`_install` reinstalls whenever
-        the actual route diverges from what it computes, and the TTL
-        sweep eventually collects destinations that never reappear.
+        failed ``ip`` commands.  The routes it installed SURVIVE — they
+        live in the kernel FIB, not the process — so until a restarted
+        agent relearns the paths, new connections keep using windows
+        nobody is maintaining.  The restarted agent self-heals: a tick
+        reinstalls whenever the actual route diverges from what it
+        computes, and the TTL sweep collects destinations that never
+        reappear.
         """
         was_running = self.running
         self._process.stop()
-        now = self.host.sim.now
         self.stats.crashes += 1
         self._m_crashes.inc()
         self._trace.record(
-            now,
+            self.host.sim.now,
             EventType.AGENT_CRASHED,
             self.host.name,
             learned=len(self._learned),
             was_running=was_running,
         )
-        self._learned.clear()
-        self._policy.reset()
         self._advisories = AdvisoryController()
         self._last_advisory_scale = 1.0
+        self._reset("crash")
+
+    def _reset(self, ended_by: str) -> None:
+        """Forget what a stop with route removal and a crash both lose:
+        learned windows, policy history, guard holds and their spans."""
+        now = self.host.sim.now
+        self._learned.clear()
+        self._policy.reset()
         if self._guard is not None:
             self._guard.reset()
-        self._close_guard_spans(now, "crash")
-        self._g_learned.set(0)
-
-    def _close_guard_spans(self, now: float, ended_by: str) -> None:
         for span in self._guard_spans.values():
             self._spans.end(span, now, released=False, ended_by=ended_by)
         self._guard_spans.clear()
+        self._g_learned.set(0)
 
     def set_poll_jitter(self, jitter: Callable[[], float] | None) -> None:
         """Fault injection: add per-tick drift to the poll loop."""
@@ -299,7 +292,7 @@ class RiptideAgent:
                 self._spans.end(
                     self._guard_spans.pop(destination, None), now, released=True
                 )
-        routes_touched_before = self.stats.routes_installed
+        installed_before = self.stats.routes_installed
         grouped, health = self._observe_and_group()
         observed = sum(map(len, grouped.values()))
         if self._obs_on and health:
@@ -325,21 +318,34 @@ class RiptideAgent:
             elif bound == "c_min":
                 self._m_clamp_min.inc()
             self._m_policy_decisions.inc()
-            self._install(destination, window, now)
+            previous = self._learned.get(destination)
+            self._learned.record(destination, window, now)
+            # Apply when the window changed — or when the remembered window
+            # does not match what is actually installed (a route deleted out
+            # from under us, a host reboot): trusting the learned table alone
+            # would strand the divergence forever, since an unchanged window
+            # skips this branch on every subsequent tick.
+            if (
+                previous is None
+                or previous.window != window
+                or self.installed_window(destination) != window
+            ) and self._route_command(destination, window):
+                self._record(
+                    EventType.ROUTE_INSTALLED,
+                    destination,
+                    window=window,
+                    previous=previous.window if previous is not None else None,
+                )
         self._expire(now)
         self._g_learned.set(len(self._learned))
         # Poll cost: the work this tick performed — connections scanned
         # plus route commands issued — the in-simulation analogue of the
         # paper's "external program monitoring all open connections" load.
-        self._h_poll_cost.observe(
-            observed + (self.stats.routes_installed - routes_touched_before)
-        )
+        installed = self.stats.routes_installed - installed_before
+        self._h_poll_cost.observe(observed + installed)
         if self._poll_span is not None:
             self._spans.end(
-                self._poll_span,
-                self.host.sim.now,
-                observed=observed,
-                installed=self.stats.routes_installed - routes_touched_before,
+                self._poll_span, self.host.sim.now, observed=observed, installed=installed
             )
             self._poll_span = None
 
@@ -429,156 +435,6 @@ class RiptideAgent:
         self._m_observed.inc(len(snapshots))
         return grouped, health
 
-    def _install(self, destination: Prefix, window: int, now: float) -> None:
-        previous = self._learned.get(destination)
-        self._learned.record(destination, window, now)
-        # Apply when the window changed — or when the remembered window
-        # does not match what is actually installed (a route deleted out
-        # from under us, a host reboot): trusting the learned table alone
-        # would strand the divergence forever, since an unchanged window
-        # skips this branch on every subsequent tick.
-        if (
-            previous is None
-            or previous.window != window
-            or self.installed_window(destination) != window
-        ):
-            if self._attempt_apply(destination, window):
-                self.stats.routes_installed += 1
-                self._m_installed.inc()
-                self._trace.record(
-                    now,
-                    EventType.ROUTE_INSTALLED,
-                    self.host.name,
-                    destination=str(destination),
-                    window=window,
-                    previous=previous.window if previous is not None else None,
-                )
-
-    # ------------------------------------------------------------------
-    # resilience: bounded retry-with-backoff on tool errors
-    # ------------------------------------------------------------------
-
-    def _attempt_apply(self, destination: Prefix, window: int) -> bool:
-        """Apply a window; on tool failure, start the retry ladder."""
-        try:
-            self._apply_window(destination, window)
-            return True
-        except ToolError as error:
-            self._note_tool_error("replace", destination, error)
-            self.host.sim.schedule(
-                TOOL_RETRY_BACKOFF,
-                self._retry_install,
-                destination,
-                window,
-                1,
-                self.stats.crashes,
-            )
-            return False
-
-    def _retry_install(
-        self, destination: Prefix, window: int, attempt: int, crashes: int
-    ) -> None:
-        """One rung of the install retry ladder (backoff doubles).
-
-        ``crashes`` is ``stats.crashes`` when the ladder started: a crash
-        since then killed the process the ladder belonged to.
-        """
-        entry = self._learned.get(destination)
-        if (
-            entry is None
-            or entry.window != window
-            or not self.running
-            or crashes != self.stats.crashes
-        ):
-            return  # superseded, expired, or the agent is gone
-        if self.installed_window(destination) == window:
-            return  # a later tick already healed it
-        now = self.host.sim.now
-        self.stats.tool_retries += 1
-        self._m_tool_retries.inc()
-        try:
-            self._apply_window(destination, window)
-        except ToolError as error:
-            self._note_tool_error("replace", destination, error)
-            if attempt < TOOL_RETRY_LIMIT:
-                self.host.sim.schedule(
-                    TOOL_RETRY_BACKOFF * (2.0 ** attempt),
-                    self._retry_install,
-                    destination,
-                    window,
-                    attempt + 1,
-                    crashes,
-                )
-            return
-        self.stats.routes_installed += 1
-        self._m_installed.inc()
-        self._trace.record(
-            now,
-            EventType.ROUTE_INSTALLED,
-            self.host.name,
-            destination=str(destination),
-            window=window,
-            retry=attempt,
-        )
-
-    def _retry_withdraw(self, destination: Prefix, attempt: int, crashes: int) -> None:
-        """One rung of the withdraw retry ladder.
-
-        It outlives :meth:`stop` (whose withdrawals it finishes) but not a
-        crash since the ladder started (``crashes``, as for installs): the
-        routes of a crashed process survive it.
-        """
-        if crashes != self.stats.crashes:
-            return  # the process that started the ladder is gone
-        if self._learned.get(destination) is not None:
-            return  # re-learned meanwhile; the install path owns it again
-        now = self.host.sim.now
-        self.stats.tool_retries += 1
-        self._m_tool_retries.inc()
-        try:
-            self.host.ip.route_del(destination)
-        except KeyError:
-            return  # nothing left to withdraw
-        except ToolError as error:
-            self._note_tool_error("del", destination, error)
-            if attempt < TOOL_RETRY_LIMIT:
-                self.host.sim.schedule(
-                    TOOL_RETRY_BACKOFF * (2.0 ** attempt),
-                    self._retry_withdraw,
-                    destination,
-                    attempt + 1,
-                    crashes,
-                )
-            return
-        self.stats.routes_withdrawn += 1
-        self._m_withdrawn.inc()
-        self._trace.record(
-            now,
-            EventType.ROUTE_WITHDRAWN,
-            self.host.name,
-            destination=str(destination),
-            reason="retry",
-        )
-
-    def _note_tool_error(
-        self, verb: str, destination: Prefix, error: ToolError
-    ) -> None:
-        self.stats.tool_errors += 1
-        self._m_tool_errors.inc()
-        self._trace.record(
-            self.host.sim.now,
-            EventType.TOOL_ERROR,
-            self.host.name,
-            tool="ip",
-            verb=verb,
-            destination=str(destination),
-            error=str(error),
-        )
-
-    # ------------------------------------------------------------------
-    # resilience: the safety guard
-    # ------------------------------------------------------------------
-
     def _guard_trip(self, destination: Prefix, reason: str, now: float) -> None:
         """Revert a hostile destination to the kernel default (IW10)."""
         assert self._guard is not None
@@ -589,6 +445,7 @@ class RiptideAgent:
             # the guard_withdrawal_rate signal.
             self._tsdb.record(now, self.host.name, "guard_trips", 1.0)
         entry = self._learned.remove(destination)
+        window = entry.window if entry is not None else None
         self._policy.on_guard_trip(destination, reason, now)
         self._trace.record(
             now,
@@ -596,7 +453,7 @@ class RiptideAgent:
             self.host.name,
             destination=str(destination),
             reason=reason,
-            window=entry.window if entry is not None else None,
+            window=window,
             hold=HOLD_SECONDS,
         )
         if self._obs_on:
@@ -609,7 +466,7 @@ class RiptideAgent:
                 parent=self._poll_span,
                 destination=str(destination),
                 reason=reason,
-                window=entry.window if entry is not None else None,
+                window=window,
                 hold=HOLD_SECONDS,
             )
             if span is not None:
@@ -617,31 +474,16 @@ class RiptideAgent:
         # Withdraw whatever is actually installed — the learned entry
         # when there is one, but also a stale post-crash route the agent
         # no longer remembers learning.
-        if entry is not None or self.installed_window(destination) is not None:
-            if self._withdraw(destination):
-                self.stats.routes_withdrawn += 1
-                self._m_withdrawn.inc()
-                self._trace.record(
-                    now,
-                    EventType.ROUTE_WITHDRAWN,
-                    self.host.name,
-                    destination=str(destination),
-                    window=entry.window if entry is not None else None,
-                    reason="guard",
-                )
-
-    def _apply_window(self, destination: Prefix, window: int) -> None:
-        """Make ``window`` effective for new connections to ``destination``.
-
-        The user-space implementation (this class) programs a route, the
-        mechanism the paper deploys; :class:`~repro.core.kernel_mode.
-        KernelModeAgent` overrides this with an in-kernel hook.
-        """
-        self.host.ip.route_replace(destination, initcwnd=window)
+        if (
+            entry is not None or self.installed_window(destination) is not None
+        ) and self._route_command(destination, None):
+            self._record(
+                EventType.ROUTE_WITHDRAWN, destination, window=window, reason="guard"
+            )
 
     def _expire(self, now: float) -> None:
         for entry in self._learned.pop_expired(now):
-            self._withdraw(entry.destination)
+            self._route_command(entry.destination, None)
             self._policy.forget(entry.destination)
             if self._guard is not None:
                 self._guard.forget(entry.destination)
@@ -655,25 +497,107 @@ class RiptideAgent:
                 window=entry.window,
             )
 
-    def _withdraw(self, destination: Prefix) -> bool:
-        """Remove the effect of :meth:`_apply_window` (TTL expiry).
+    # ------------------------------------------------------------------
+    # the effect side: one command path for both ``ip`` verbs
+    # ------------------------------------------------------------------
 
-        Returns True when the route is gone (deleted, or already absent);
-        False when the tool failed and a retry ladder was started.
+    def _apply_window(self, destination: Prefix, window: int | None) -> None:
+        """Make ``window`` effective for new connections to ``destination``;
+        ``None`` withdraws it, restoring the kernel default.
+
+        The user-space implementation (this class) programs a route, the
+        mechanism the paper deploys; a withdrawal of a route that is gone
+        raises :class:`KeyError`.  :class:`~repro.core.kernel_mode.
+        KernelModeAgent` overrides this with an in-kernel hook.
+        """
+        if window is None:
+            self.host.ip.route_del(destination)
+        else:
+            self.host.ip.route_replace(destination, initcwnd=window)
+
+    def _route_command(
+        self, destination: Prefix, window: int | None, attempt: int = 0
+    ) -> bool:
+        """Issue one install (``window``) or withdrawal (``None``).
+
+        Returns True when it took effect.  A withdrawal that finds no
+        route (removed out from under us) has nothing left to do: a first
+        command counts that as done, a retry does not.  A tool error
+        climbs the retry ladder: rung ``attempt + 1`` runs after
+        ``TOOL_RETRY_BACKOFF * 2**attempt`` seconds, for at most
+        ``TOOL_RETRY_LIMIT`` retries; the next poll tick still self-heals.
         """
         try:
-            self.host.ip.route_del(destination)
+            self._apply_window(destination, window)
         except KeyError:
-            # The route was removed out from under us (e.g. an operator
-            # cleaned the table); nothing left to withdraw.
-            pass
+            return attempt == 0
         except ToolError as error:
-            self._note_tool_error("del", destination, error)
-            self.host.sim.schedule(
-                TOOL_RETRY_BACKOFF, self._retry_withdraw, destination, 1, self.stats.crashes
+            self.stats.tool_errors += 1
+            self._m_tool_errors.inc()
+            self._trace.record(
+                self.host.sim.now,
+                EventType.TOOL_ERROR,
+                self.host.name,
+                tool="ip",
+                verb="del" if window is None else "replace",
+                destination=str(destination),
+                error=str(error),
             )
+            if attempt < TOOL_RETRY_LIMIT:
+                self.host.sim.schedule(
+                    TOOL_RETRY_BACKOFF * (2.0 ** attempt),
+                    self._retry,
+                    destination,
+                    window,
+                    attempt + 1,
+                    self.stats.crashes,
+                )
             return False
         return True
+
+    def _retry(
+        self, destination: Prefix, window: int | None, attempt: int, crashes: int
+    ) -> None:
+        """Rung ``attempt`` of a failed command's retry ladder.
+
+        ``crashes`` is ``stats.crashes`` when the ladder started: a crash
+        since then killed the process the ladder belonged to.  An install
+        ladder also ends once its window was superseded or expired, the
+        agent stopped, or a later tick healed the route.  A withdraw
+        ladder outlives :meth:`stop` (whose withdrawals it finishes) and
+        ends once the destination is learned again.
+        """
+        entry = self._learned.get(destination)
+        if window is None:
+            ended = entry is not None
+        else:
+            ended = (
+                entry is None or entry.window != window or not self.running
+                or self.installed_window(destination) == window
+            )
+        if ended or crashes != self.stats.crashes:
+            return
+        self.stats.tool_retries += 1
+        self._m_tool_retries.inc()
+        if not self._route_command(destination, window, attempt):
+            return
+        if window is None:
+            self._record(EventType.ROUTE_WITHDRAWN, destination, reason="retry")
+        else:
+            self._record(EventType.ROUTE_INSTALLED, destination, window=window, retry=attempt)
+
+    def _record(self, event: EventType, destination: Prefix, **fields: object) -> None:
+        """Count and trace a route installed (by a tick or a retry) or
+        withdrawn (by :meth:`stop`, a guard trip or a retry)."""
+        if event is EventType.ROUTE_INSTALLED:
+            self.stats.routes_installed += 1
+            self._m_installed.inc()
+        else:
+            self.stats.routes_withdrawn += 1
+            self._m_withdrawn.inc()
+        self._trace.record(
+            self.host.sim.now, event, self.host.name, destination=str(destination), **fields
+        )
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

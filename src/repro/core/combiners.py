@@ -101,7 +101,7 @@ class TrafficWeightedCombiner(Combiner):
         return weighted_sum / total_weight
 
 
-_COMBINERS = {
+COMBINERS = {
     AverageCombiner.name: AverageCombiner,
     MaxCombiner.name: MaxCombiner,
     TrafficWeightedCombiner.name: TrafficWeightedCombiner,
@@ -111,9 +111,9 @@ _COMBINERS = {
 def make_combiner(name: str) -> Combiner:
     """Instantiate a combiner by its registered name."""
     try:
-        return _COMBINERS[name]()
+        return COMBINERS[name]()
     except KeyError:
         # A config typo is a plain ValueError; the internal KeyError is
         # an implementation detail and would only muddy the traceback.
-        known = ", ".join(sorted(_COMBINERS))
+        known = ", ".join(sorted(COMBINERS))
         raise ValueError(f"unknown combiner {name!r} (known: {known})") from None

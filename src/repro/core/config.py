@@ -13,23 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-VALID_COMBINERS = ("average", "max", "traffic_weighted")
+from repro.core.combiners import COMBINERS
+from repro.policy.registry import policy_names
+
 VALID_GRANULARITY = ("host", "prefix")
-#: Window-decision policies (the zoo in ``repro.policy``).  Duplicated
-#: from ``repro.policy.registry`` — importing it here would be a cycle;
-#: a test pins the two lists together.
-VALID_POLICIES = (
-    "ewma",
-    "hostclass",
-    "iw10",
-    "iw16",
-    "iw32",
-    "iw46",
-    "p75",
-    "p90",
-    "rtt_cmax",
-    "tunable",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +59,15 @@ class RiptideConfig:
             raise ValueError(
                 f"c_max ({self.c_max}) must be >= c_min ({self.c_min})"
             )
-        if self.policy not in VALID_POLICIES:
+        if self.policy not in policy_names():
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of "
-                f"{', '.join(VALID_POLICIES)}"
+                f"{', '.join(policy_names())}"
             )
-        if self.combiner not in VALID_COMBINERS:
+        if self.combiner not in COMBINERS:
             raise ValueError(
                 f"unknown combiner {self.combiner!r}; expected one of "
-                f"{', '.join(VALID_COMBINERS)}"
+                f"{', '.join(sorted(COMBINERS))}"
             )
         if self.granularity not in VALID_GRANULARITY:
             raise ValueError(

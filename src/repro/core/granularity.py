@@ -8,6 +8,7 @@ remote PoP prefix costs fewer routes and pools more observations.
 
 from __future__ import annotations
 
+from repro.core.config import VALID_GRANULARITY
 from repro.net.addresses import IPv4Address, Prefix
 
 #: The prefix granularity's route length: one route per remote PoP /16.
@@ -18,7 +19,7 @@ class DestinationGrouper:
     """Maps remote addresses to route-table destination prefixes."""
 
     def __init__(self, granularity: str = "host") -> None:
-        if granularity not in ("host", "prefix"):
+        if granularity not in VALID_GRANULARITY:
             raise ValueError(
                 f"granularity must be 'host' or 'prefix', got {granularity!r}"
             )

@@ -99,26 +99,10 @@ class _DestinationState:
         self.acc_retransmitted = 0
 
 
-class GuardStats:
-    """Counters for one guard instance."""
-
-    __slots__ = ("trips_loss", "trips_rtt", "releases")
-
-    def __init__(self) -> None:
-        self.trips_loss = 0
-        self.trips_rtt = 0
-        self.releases = 0
-
-    @property
-    def trips(self) -> int:
-        return self.trips_loss + self.trips_rtt
-
-
 class SafetyGuard:
     """Per-destination loss/RTT watchdog over the agent's poll stream."""
 
     def __init__(self) -> None:
-        self.stats = GuardStats()
         self._state: dict[Prefix, _DestinationState] = {}
 
     # ------------------------------------------------------------------
@@ -145,16 +129,8 @@ class SafetyGuard:
                 # and judge loss on post-hold traffic only.
                 state.rtt_baseline = None
                 state.reset_accumulators()
-                self.stats.releases += 1
                 released.append(destination)
         return released
-
-    def held_destinations(self) -> list[Prefix]:
-        return [
-            destination
-            for destination, state in self._state.items()
-            if state.held_until is not None
-        ]
 
     # ------------------------------------------------------------------
     # the verdict
@@ -197,7 +173,6 @@ class SafetyGuard:
             state.reset_accumulators()
             if loss > LOSS_THRESHOLD:
                 state.held_until = now + HOLD_SECONDS
-                self.stats.trips_loss += 1
                 return "loss_spike"
 
         srtt = health.srtt_mean
@@ -207,7 +182,6 @@ class SafetyGuard:
                 state.rtt_baseline = srtt
             elif srtt > RTT_FACTOR * baseline:
                 state.held_until = now + HOLD_SECONDS
-                self.stats.trips_rtt += 1
                 return "rtt_spike"
             elif srtt <= _RTT_HEALTHY_FACTOR * baseline:
                 state.rtt_baseline = (
@@ -232,7 +206,4 @@ class SafetyGuard:
         self._state.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"<SafetyGuard tracked={len(self._state)} "
-            f"held={len(self.held_destinations())} trips={self.stats.trips}>"
-        )
+        return f"<SafetyGuard tracked={len(self._state)}>"

@@ -63,15 +63,17 @@ class KernelModeAgent(RiptideAgent):
         key = self._grouper.key_for(destination)
         return self._windows.get(key)
 
-    def _apply_window(self, destination: Prefix, window: int) -> None:
-        self._windows[destination] = window
-
-    def _withdraw(self, destination: Prefix) -> bool:
-        self._windows.pop(destination, None)
-        return True
+    def _apply_window(self, destination: Prefix, window: int | None) -> None:
+        if window is None:
+            self._windows.pop(destination, None)
+        else:
+            self._windows[destination] = window
 
     def installed_window(self, destination: Prefix) -> int | None:
-        """Kernel mode installs into the hook map, not the route table."""
+        """Kernel mode installs into the hook map, not the route table;
+        none of it is in effect while the hook is not this agent's."""
+        if self.host.initcwnd_hook is not self._hook:
+            return None
         return self._windows.get(destination)
 
     def __repr__(self) -> str:

@@ -1,10 +1,8 @@
 """The policy registry: name -> factory over a :class:`RiptideConfig`.
 
 Every zoo member registers here; ``RiptideConfig.policy`` selects by
-name and :func:`make_policy` instantiates at agent construction.  The
-name list is duplicated as ``repro.core.config.VALID_POLICIES`` (the
-config module cannot import this one without a cycle); a test pins the
-two lists together.
+name and :func:`make_policy` instantiates at agent construction;
+the config validates names against :func:`policy_names`.
 """
 
 from __future__ import annotations

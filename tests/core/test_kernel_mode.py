@@ -81,6 +81,25 @@ class TestHookLifecycle:
         agent.stop()
         assert bed.server.initcwnd_hook is None
 
+    def test_stop_keeping_windows_reports_none_in_effect(self):
+        bed = make_testbed()
+        agent = KernelModeAgent(bed.server, RiptideConfig(update_interval=0.5))
+        agent.start()
+        request_response(bed, response_bytes=500_000)
+        bed.sim.run(until=bed.sim.now + 2.0)
+        key = Prefix.host(bed.client.address)
+        learned = agent.learned_window_for(key)
+        assert learned > 10 and agent.installed_window(key) == learned
+        agent.stop(remove_routes=False)
+        # The hook is released: a new connection gets the kernel default,
+        # and the agent must not claim its kept window is in effect.
+        assert bed.server.initcwnd_with_source(bed.client.address) == (10, "default")
+        assert agent.installed_window(key) is None
+        # A restart reclaims the hook with the windows it kept.
+        agent.start()
+        assert agent.installed_window(key) == learned
+        assert bed.server.initcwnd_with_source(bed.client.address) == (learned, "hook")
+
     def test_double_agent_rejected(self):
         bed = make_testbed()
         first = KernelModeAgent(bed.server, RiptideConfig())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.combiners import Observation, make_combiner
-from repro.core.config import RiptideConfig, VALID_POLICIES
+from repro.core.config import RiptideConfig
 from repro.core.history import EwmaHistory
 from repro.net.addresses import Prefix
 from repro.policy.base import finalize_window
@@ -21,11 +21,6 @@ def obs(*cwnds, srtt=None):
 
 
 class TestRegistry:
-    def test_config_pins_registry_names(self):
-        # ``VALID_POLICIES`` is the config-side duplicate of the
-        # registry keys (the import would be a cycle); keep them equal.
-        assert VALID_POLICIES == policy_names()
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             make_policy("nope", RiptideConfig())
