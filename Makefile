@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output hot-path background-plane forensics cold-start lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output hot-path agent background-plane forensics cold-start lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,6 +32,19 @@ hot-path:
 		tests/experiments/test_gc_census.py tests/cdn/test_fabric_footprint.py \
 		tests/tcp/test_connection_footprint.py tests/tcp/test_rto.py \
 		tests/tcp/test_rto_timer.py tests/analysis/test_lint_rules.py
+
+# Inner loop for a change to core/ or policy/ (~15 s): Algorithm 1 as an
+# executable spec, checked against every agent tick of the shipped studies
+# and against scripted adversarial ss rows (run it as a script to print
+# the ticks checked per study), the core and policy tests (the kernel-mode
+# agent, the guard, the grouping reference), the resilience tests (retry
+# ladders, crash and restart), and the chaos-report and hybrid-scale cells
+# of the study golden.
+agent:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/core/test_algorithm1_spec.py tests/core \
+		tests/policy tests/faults/test_resilience.py \
+		"tests/experiments/test_study_golden.py::test_chaos_reports_match_golden" \
+		"tests/experiments/test_study_golden.py::test_hybrid_scale_matches_golden"
 
 # Inner loop for a change to the background plane — sim/fluid.py,
 # cdn/fluidtraffic.py, linux/ss_tool.py, linux/route.py, core/agent.py
