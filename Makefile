@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output hot-path agent background-plane forensics cold-start lint typecheck bench bench-figs bench-fast examples clean
+.PHONY: install test test-output hot-path agent background-plane forensics cold-start reach lint typecheck bench bench-figs bench-fast examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -92,6 +92,15 @@ cold-start:
 	PYTHONPATH=src $(PYTHON) tests/test_cli.py
 	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
 		| sort -t'|' -k2 -n -r | head -15
+
+# Line-level reachability (minutes, not in tier-1): every shipped command
+# -- each CLI verb and option, every registry experiment under --fast, the
+# examples, benchmarks/ and bench's workloads -- under a line collector;
+# fails on a function whose never-run lines have no entry in
+# tests/hygiene/census.py, or more than its entry allows, and on a stale
+# entry.
+reach:
+	PYTHONPATH=src $(PYTHON) tests/hygiene/census.py
 
 # Generic style (ruff) plus the codebase-specific determinism /
 # observability rules (`repro lint`, see docs/ARCHITECTURE.md).
