@@ -84,12 +84,13 @@ forensics:
 # shipped entry point, each with callees resolved before names count (an
 # unresolved call still matches by name), every CLI option used outside the
 # tests, and the ceiling on methods `dataclasses` generates for the bench
-# import set), the
-# generated-method and class counts, then the 15 largest cumulative rows of
-# `python -X importtime -c "import repro.cli"` in us.
+# import set; each in its own file under tests/hygiene/, collected by
+# tests/test_cli.py), the generated-method and class counts, then the 15
+# largest cumulative rows of `python -X importtime -c "import repro.cli"`
+# in us.
 cold-start:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -k TestImportHygiene
-	PYTHONPATH=src $(PYTHON) tests/test_cli.py
+	PYTHONPATH=src $(PYTHON) -m tests.hygiene.generated_methods
 	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
 		| sort -t'|' -k2 -n -r | head -15
 
