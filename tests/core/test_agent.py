@@ -5,8 +5,9 @@ import pytest
 from repro.core.agent import RiptideAgent
 from repro.core.combiners import Observation
 from repro.core.config import RiptideConfig
-from repro.core.guard import PathHealth
+from repro.core.guard import PathHealth, SafetyGuard
 from repro.net.addresses import IPv4Address, Prefix
+from repro.net.loss import BernoulliLoss
 from repro.obs.trace import EventType
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
@@ -215,6 +216,69 @@ class TestAgentLifecycle:
         assert times == sorted(times)
         route = bed.server.ip.route_get(bed.client.address)
         assert route.initcwnd == installs[-1].detail("window")
+
+
+class TestGuardedAgent:
+    """The guard's withdraw and forget paths that no shipped study takes."""
+
+    CONFIG = RiptideConfig(update_interval=0.5, ttl=3.0, safety_guard=True)
+
+    def test_a_trip_after_a_crash_withdraws_the_stale_route(self):
+        """A crash forgets the learned window but leaves its route in the
+        FIB.  When the restarted agent trips the guard on that destination
+        before relearning it, the trip still withdraws what is installed.
+        """
+        bed = make_testbed()
+        agent = RiptideAgent(bed.server, self.CONFIG)
+        agent.start()
+        learning = request_response(bed, response_bytes=500_000, deadline=2.0)
+        key = Prefix.host(bed.client.address)
+        window = agent.learned_window_for(key)
+        assert window is not None and window > 10
+        learning.socket.abort()
+        agent.crash()
+        assert bed.server.ip.route_get(bed.client.address).initcwnd == window
+
+        # The path turns hostile while no agent runs.
+        bed.trunk.set_loss_override(BernoulliLoss(0.3))
+        for _ in range(4):
+            request_response(bed, response_bytes=60_000, deadline=10.0)
+        agent.start()
+        bed.sim.run(until=bed.sim.now + 0.6)
+
+        assert agent.stats.guard_trips == 1
+        assert agent.learned_window_for(key) is None
+        assert bed.server.ip.route_get(bed.client.address) is None
+        assert bed.server.initcwnd_for(bed.client.address) == 10
+        (withdrawn,) = [
+            event
+            for event in bed.sim.obs.trace.events()
+            if event.type is EventType.ROUTE_WITHDRAWN
+        ]
+        assert withdrawn.detail("reason") == "guard"
+        assert withdrawn.detail("window") is None
+
+    def test_expiry_forgets_the_guard_state(self, monkeypatch):
+        forgotten = []
+        forget = SafetyGuard.forget
+
+        def spy(guard, destination):
+            forgotten.append(destination)
+            forget(guard, destination)
+
+        monkeypatch.setattr(SafetyGuard, "forget", spy)
+        bed = make_testbed()
+        agent = RiptideAgent(bed.server, self.CONFIG)
+        agent.start()
+        exchange = request_response(bed, response_bytes=300_000, deadline=1.0)
+        key = Prefix.host(bed.client.address)
+        assert agent.learned_window_for(key) is not None
+        exchange.socket.abort()
+        bed.sim.run(until=bed.sim.now + 5.0)
+
+        assert agent.stats.routes_expired == 1
+        assert forgotten == [key]
+        assert bed.server.ip.route_get(bed.client.address) is None
 
 
 class TestGranularityIntegration:
