@@ -7,7 +7,6 @@ representation the experiment harnesses share.
 from __future__ import annotations
 
 import bisect
-import math
 from collections.abc import Iterable, Sequence
 
 
@@ -26,20 +25,6 @@ class EmpiricalCdf:
     @property
     def values(self) -> Sequence[float]:
         return tuple(self._values)
-
-    @property
-    def min(self) -> float:
-        return self._values[0]
-
-    @property
-    def max(self) -> float:
-        return self._values[-1]
-
-    @property
-    def mean(self) -> float:
-        # fsum: the mean must not depend on how the samples were grouped
-        # before they reached this CDF (serial vs merged collection).
-        return math.fsum(self._values) / len(self._values)
 
     @property
     def median(self) -> float:
@@ -74,6 +59,6 @@ class EmpiricalCdf:
 
     def __repr__(self) -> str:
         return (
-            f"<EmpiricalCdf n={len(self)} min={self.min:.4g} "
-            f"median={self.median:.4g} max={self.max:.4g}>"
+            f"<EmpiricalCdf n={len(self)} min={self._values[0]:.4g} "
+            f"median={self.median:.4g} max={self._values[-1]:.4g}>"
         )

@@ -8,7 +8,7 @@ percentile of their respective completion-time distributions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.records import Frozen
@@ -52,18 +52,3 @@ def percentile_gain_profile(
         )
         for level in range(5, 100, 5)
     ]
-
-
-def summarize(samples: Sequence[float]) -> dict[str, float]:
-    """Small summary used by experiment reports."""
-    cdf = EmpiricalCdf(samples)
-    return {
-        "n": float(len(cdf)),
-        "min": cdf.min,
-        "p25": cdf.quantile(0.25),
-        "median": cdf.median,
-        "p75": cdf.quantile(0.75),
-        "p90": cdf.quantile(0.90),
-        "max": cdf.max,
-        "mean": cdf.mean,
-    }

@@ -237,10 +237,6 @@ class FluidTraffic:
     def populations(self) -> list[FluidPopulation]:
         return list(self._populations)
 
-    @property
-    def running(self) -> bool:
-        return self._process.running
-
     def start(self, initial_delay: float | None = None) -> None:
         self._process.start(initial_delay=initial_delay)
 
@@ -479,5 +475,5 @@ class FluidTraffic:
         return (
             f"<FluidTraffic populations={len(self._populations)} "
             f"flows={self.total_flows():.0f} steps={self.steps} "
-            f"running={self.running}>"
+            f"running={self._process.running}>"
         )

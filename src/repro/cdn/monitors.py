@@ -81,10 +81,6 @@ class CwndSampler:
         self._process = PeriodicProcess(sim, interval, self._sample, name="cwnd-sampler")
         self.samples: list[CwndSample] = []
 
-    @property
-    def running(self) -> bool:
-        return self._process.running
-
     def start(self, initial_delay: float | None = None) -> None:
         self._process.start(initial_delay=initial_delay)
 
@@ -138,15 +134,8 @@ class TimelineSampler:
             cluster.sim, TIMELINE_SAMPLE_INTERVAL, self._sample, name="timeline-sampler"
         )
 
-    @property
-    def running(self) -> bool:
-        return self._process.running
-
     def start(self, initial_delay: float | None = None) -> None:
         self._process.start(initial_delay=initial_delay)
-
-    def stop(self) -> None:
-        self._process.stop()
 
     def _sample(self) -> None:
         now = self._sim.now
@@ -184,7 +173,7 @@ class TimelineSampler:
     def __repr__(self) -> str:
         return (
             f"<TimelineSampler hosts={len(self._cluster.all_hosts())} "
-            f"running={self.running}>"
+            f"running={self._process.running}>"
         )
 
 
@@ -205,21 +194,13 @@ class SloEvaluator:
             cluster.sim, TIMELINE_SAMPLE_INTERVAL, self._evaluate, name="slo-evaluator"
         )
 
-    @property
-    def running(self) -> bool:
-        return self._process.running
-
     def start(self, initial_delay: float | None = None) -> None:
         self._process.start(initial_delay=initial_delay)
-
-    def stop(self) -> None:
-        self._process.stop()
 
     def _evaluate(self) -> None:
         self.engine.evaluate(self._sim.now)
 
     def __repr__(self) -> str:
         return (
-            f"<SloEvaluator running={self.running} "
-            f"specs={len(self.engine.specs)} rules={len(self.engine.rules)}>"
+            f"<SloEvaluator running={self._process.running}>"
         )

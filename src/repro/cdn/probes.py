@@ -189,9 +189,6 @@ class ProbeFleet:
             raise ValueError("probe fleet needs sources and targets before starting")
         self._process.start(initial_delay=initial_delay)
 
-    def stop(self) -> None:
-        self._process.stop()
-
     def _round(self) -> None:
         self.rounds_issued += 1
         if self.close_before_round:

@@ -69,14 +69,6 @@ class OrganicWorkload:
         self.transfers_completed = 0
         self.bytes_fetched = 0
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
-    def config(self) -> OrganicWorkloadConfig:
-        return self._config
-
     def start(self) -> None:
         if self._running:
             return

@@ -231,10 +231,6 @@ class RiptideAgent:
         """Run ``auditor.check()`` at the start of every poll tick."""
         self.auditor = auditor
 
-    @property
-    def safety_guard(self) -> SafetyGuard | None:
-        return self._guard
-
     # ------------------------------------------------------------------
     # operational advisories (Section V)
     # ------------------------------------------------------------------

@@ -38,12 +38,6 @@ class Fig1516Result:
     def max_gain(self, size_bytes: int, source_pop: str) -> float:
         return max(g.gain for g in self.profile(size_bytes, source_pop))
 
-    def gain_at(self, size_bytes: int, source_pop: str, percentile: float) -> float:
-        for gain in self.profile(size_bytes, source_pop):
-            if abs(gain.percentile - percentile) < 1e-6:
-                return gain.gain
-        raise KeyError(f"no percentile {percentile} in profile")
-
     def report(self) -> str:
         headers = ["percentile"] + [
             f"{size // 1000}KB/{pop}" for (size, pop) in sorted(self.profiles)

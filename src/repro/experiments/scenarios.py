@@ -226,10 +226,6 @@ class StudyRun:
         #: The armed fault schedule (None when the arm names no scenario).
         self.injector = injector
 
-    @property
-    def riptide_enabled(self) -> bool:
-        return self.arm.riptide_enabled
-
     def summary(self) -> "StudySummary":
         """Detach the picklable measurements from the live cluster."""
         cluster = self.cluster

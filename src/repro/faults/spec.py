@@ -10,6 +10,7 @@ any arm of a paired experiment.
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import ClassVar
@@ -50,8 +51,9 @@ class FaultSpec:
         at = getattr(self, "at", 0.0)
         return None if duration is None else at + duration
 
-    def describe(self) -> str:  # pragma: no cover - overridden
-        return self.kind
+    @abstractmethod
+    def describe(self) -> str:
+        """One line for the timeline: the fault, where, and for how long."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,18 +299,6 @@ class FaultSchedule:
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.specs)
 
-    @property
-    def end_time(self) -> float:
-        """Relative time after which no fault remains scheduled to fire.
-
-        Faults that never clear contribute their injection time only.
-        """
-        end = 0.0
-        for spec in self.specs:
-            clear = spec.clear_at
-            end = max(end, spec.at if clear is None else clear)
-        return end
-
     def timeline(self) -> list[FaultSpec]:
         """Specs ordered by injection time (ties keep schedule order)."""
         return sorted(self.specs, key=lambda spec: spec.at)
@@ -321,4 +311,4 @@ class FaultSchedule:
         return "\n".join(lines) if lines else "  (no faults)"
 
     def __repr__(self) -> str:
-        return f"<FaultSchedule specs={len(self.specs)} end={self.end_time:g}s>"
+        return f"<FaultSchedule specs={len(self.specs)}>"

@@ -64,9 +64,6 @@ class IPv4Address:
         else:
             raise AddressError(f"cannot build address from {type(value).__name__}")
 
-    def __int__(self) -> int:
-        return self.value
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
             return self.value == other.value

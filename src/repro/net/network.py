@@ -100,10 +100,6 @@ class Network:
         self._intra_zone = IntraZoneHop(sim)
         self.packets_to_unknown_host = 0
 
-    @property
-    def sim(self) -> Simulator:
-        return self._sim
-
     def add_zone(self, prefix: Prefix) -> None:
         """Register an address zone (a PoP's prefix)."""
         for existing in self._zones:

@@ -51,15 +51,6 @@ class Divergence(Frozen):
         object.__setattr__(self, "learned_window", learned_window)
         object.__setattr__(self, "installed_window", installed_window)
 
-    def describe(self) -> str:
-        installed = (
-            "missing" if self.installed_window is None else str(self.installed_window)
-        )
-        return (
-            f"{self.destination}: learned window {self.learned_window}, "
-            f"installed {installed}"
-        )
-
 
 class Auditor:
     """Cross-checks one agent's learned table against installed state."""

@@ -106,7 +106,7 @@ class Histogram:
     """A sample distribution with exact percentile readout.
 
     Observation is O(1) append; the sample list is sorted lazily on the
-    first ordered read (percentile/min/max/values) after new samples
+    first ordered read (percentile/max/values) after new samples
     arrive, so quantiles stay exact rather than bucket-approximated
     without hot paths paying an O(n) insertion per sample.  A sample is
     its value alone: one float and its list slot.
@@ -151,12 +151,6 @@ class Histogram:
         if not self._samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
         return self.sum / len(self._samples)
-
-    @property
-    def min(self) -> float:
-        if not self._samples:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        return self._ordered()[0]
 
     @property
     def max(self) -> float:

@@ -386,14 +386,6 @@ class SloEngine:
         self._burn_gauges: dict[tuple[str, str, str], Gauge] = {}
         self._firing = 0
 
-    @property
-    def specs(self) -> tuple[SloSpec, ...]:
-        return self._specs
-
-    @property
-    def rules(self) -> tuple[BurnRateRule, ...]:
-        return self._rules
-
     def burn_rate(
         self, spec: SloSpec, source: str, now: float, lookback: float
     ) -> float | None:

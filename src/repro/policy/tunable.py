@@ -1,13 +1,12 @@
-"""A TCPTuner-style runtime-tunable window policy.
+"""A TCPTuner-style window policy whose cap the safety guard turns.
 
 TCPTuner (Miller & Hsiao) exposed the kernel's congestion-control
-parameters as live knobs an operator (or controller loop) can turn
-while traffic flows.  This policy does the same for the initial-window
-decision: an EWMA learner whose gain and cap are runtime-settable via
-:meth:`TunablePolicy.set_knob`, with the cap wired into the safety
-guard as an AIMD control surface — every guard trip multiplicatively
-backs the cap off toward ``c_min``, and sustained clean operation
-additively recovers it toward ``c_max``.
+parameters as live knobs a controller loop can turn while traffic
+flows.  This policy turns one for the initial-window decision: an EWMA
+learner under a cap wired into the safety guard as an AIMD control
+surface — every guard trip multiplicatively backs the cap off toward
+``c_min``, and sustained clean operation additively recovers it toward
+``c_max``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class TunablePolicy(WindowPolicy):
-    """EWMA learning behind runtime-tunable gain and an AIMD cap."""
+    """EWMA learning behind an AIMD cap."""
 
     name = "tunable"
 
@@ -38,41 +37,8 @@ class TunablePolicy(WindowPolicy):
     def __init__(self, config: "RiptideConfig") -> None:
         self._config = config
         self._learner = EwmaPolicy(config)
-        self._knobs: dict[str, float] = {
-            "gain": 1.0,
-            "cap": float(config.c_max),
-            "backoff": self.BACKOFF,
-            "recovery_step": self.RECOVERY_STEP,
-            "recovery_interval": self.RECOVERY_INTERVAL,
-        }
+        self._cap = float(config.c_max)
         self._last_adjust: float | None = None
-
-    # -- the runtime control surface ----------------------------------
-
-    def set_knob(self, name: str, value: float) -> None:
-        """Turn one knob while the agent runs."""
-        if name not in self._knobs:
-            known = ", ".join(sorted(self._knobs))
-            raise ValueError(f"unknown knob {name!r} (known: {known})")
-        value = float(value)
-        if name == "gain" and value <= 0.0:
-            raise ValueError(f"gain must be positive, got {value}")
-        if name == "cap" and not (
-            self._config.c_min <= value <= self._config.c_max
-        ):
-            raise ValueError(
-                f"cap must be in [{self._config.c_min}, "
-                f"{self._config.c_max}], got {value}"
-            )
-        if name == "backoff" and not 0.0 < value < 1.0:
-            raise ValueError(f"backoff must be in (0, 1), got {value}")
-        if name == "recovery_step" and value <= 0.0:
-            raise ValueError(f"recovery_step must be positive, got {value}")
-        if name == "recovery_interval" and value <= 0.0:
-            raise ValueError(
-                f"recovery_interval must be positive, got {value}"
-            )
-        self._knobs[name] = value
 
     # -- the decision step --------------------------------------------
 
@@ -81,24 +47,18 @@ class TunablePolicy(WindowPolicy):
     ) -> float:
         self._recover(now)
         learned = self._learner.decide(destination, samples, now)
-        return min(learned * self._knobs["gain"], self._knobs["cap"])
+        return min(learned, self._cap)
 
     def _recover(self, now: float) -> None:
         """Additive increase: walk the cap back up while trips stay away."""
         if self._last_adjust is None:
             self._last_adjust = now
             return
-        interval = self._knobs["recovery_interval"]
-        while (
-            now - self._last_adjust >= interval
-            and self._knobs["cap"] < self._config.c_max
-        ):
-            self._knobs["cap"] = min(
-                float(self._config.c_max),
-                self._knobs["cap"] + self._knobs["recovery_step"],
-            )
+        interval = self.RECOVERY_INTERVAL
+        while now - self._last_adjust >= interval and self._cap < self._config.c_max:
+            self._cap = min(float(self._config.c_max), self._cap + self.RECOVERY_STEP)
             self._last_adjust += interval
-        if self._knobs["cap"] >= self._config.c_max:
+        if self._cap >= self._config.c_max:
             self._last_adjust = now
 
     # -- lifecycle ----------------------------------------------------
@@ -106,10 +66,7 @@ class TunablePolicy(WindowPolicy):
     def on_guard_trip(self, destination: Prefix, reason: str, now: float) -> None:
         """Multiplicative decrease: a trip anywhere backs the cap off."""
         self._learner.forget(destination)
-        self._knobs["cap"] = max(
-            float(self._config.c_min),
-            self._knobs["cap"] * self._knobs["backoff"],
-        )
+        self._cap = max(float(self._config.c_min), self._cap * self.BACKOFF)
         self._last_adjust = now
 
     def forget(self, destination: Prefix) -> None:
@@ -117,6 +74,5 @@ class TunablePolicy(WindowPolicy):
 
     def reset(self) -> None:
         self._learner.reset()
-        self._knobs["gain"] = 1.0
-        self._knobs["cap"] = float(self._config.c_max)
+        self._cap = float(self._config.c_max)
         self._last_adjust = None

@@ -95,7 +95,7 @@ class Segment:
         # SYN and FIN each consume one sequence number (bools add as 0/1).
         self.end_seq = seq + payload_bytes + syn + fin
 
-    def describe(self) -> str:
+    def __repr__(self) -> str:
         flags = "".join(
             token
             for token, present in (
@@ -110,5 +110,3 @@ class Segment:
             f"[{flags or '.'} seq={self.seq} ack={self.ack} "
             f"len={self.payload_bytes} rwnd={self.rwnd_bytes}]"
         )
-
-    __repr__ = describe

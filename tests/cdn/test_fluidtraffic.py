@@ -14,6 +14,7 @@ from repro.cdn.topology import Topology, build_paper_topology
 from repro.cdn.workload import OrganicWorkloadConfig
 from repro.core.config import RiptideConfig
 from repro.core.kernel_mode import KernelModeAgent
+from repro.net.loss import GilbertElliottLoss
 from repro.sim.fluid import MAX_WINDOW
 from repro.tcp.constants import TcpConfig
 from repro.tcp.socket import SocketStats, TcpState
@@ -46,7 +47,6 @@ class TestRegistration:
     def test_population_registers_and_steps(self, cluster):
         engine, pop = add_population(cluster)
         cluster.run(2.0)
-        assert engine.running
         assert engine.steps > 0
         assert pop.steps == engine.steps
         assert engine.total_flows() == pytest.approx(50.0, rel=1e-6)
@@ -74,9 +74,11 @@ class TestRegistration:
             cluster.pop("LHR").prefix, cluster.pop("JFK").prefix
         )
         assert trunk.fluid_bps > 0.0
+        steps = engine.steps
         engine.stop()
         assert trunk.fluid_bps == 0.0
-        assert not engine.running
+        cluster.run(2.0)
+        assert engine.steps == steps
 
     def test_cluster_helper_adds_per_destination(self, cluster):
         engine = cluster.add_fluid_traffic(
@@ -445,6 +447,23 @@ class TestLinkCoupling:
         # Congestion holds the cohort's windows down (1.0 here; 130 for an
         # uncongested 50-flow cohort).
         assert pop.mean_window() < 50
+
+    def test_bursty_loss_feeds_its_stationary_rate(self, cluster):
+        """A trunk losing in Gilbert-Elliott bursts: the cohorts over it
+        halve at the chain's stationary loss rate, not at a sampled one."""
+        trunk = cluster.network.link_from(
+            cluster.pop("LHR").prefix, cluster.pop("JFK").prefix
+        )
+        storm = GilbertElliottLoss(0.1, 0.4, loss_good=0.0, loss_bad=0.5)
+        trunk.set_loss_override(storm)
+        engine, lossy = add_population(cluster, flows=50.0)
+        _, clean = add_population(cluster, source="JFK", dest="LHR", flows=50.0)
+        cluster.run(5.0)
+        # pi_bad = 0.1 / (0.1 + 0.4), times the bad state's 0.5.
+        assert storm.mean_loss_rate() == pytest.approx(0.1)
+        stormy = [state for state in engine._link_states if state.link is trunk]
+        assert [state.smoothed_loss for state in stormy] == [pytest.approx(0.1)]
+        assert lossy.mean_window() < clean.mean_window()
 
     def test_link_down_collapses_cohort(self, cluster):
         _, pop = add_population(

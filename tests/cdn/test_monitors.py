@@ -40,11 +40,10 @@ class TestBasics:
         sampler = CwndSampler(bed.sim, [bed.server], interval=1.0)
         sampler.start()
         bed.sim.run(until=bed.sim.now + 2.5)
-        assert sampler.running
         sampler.stop()
         count = len(sampler.samples)
+        assert count > 0
         bed.sim.run(until=bed.sim.now + 3.0)
-        assert not sampler.running
         assert len(sampler.samples) == count
 
 

@@ -55,8 +55,8 @@ class TestPairedStudy:
 
     def test_arms_differ_only_in_riptide(self, pair):
         control, riptide = pair
-        assert not control.riptide_enabled
-        assert riptide.riptide_enabled
+        assert not control.arm.riptide_enabled
+        assert riptide.arm.riptide_enabled
         assert not any(a.running for a in control.cluster.all_agents())
         assert all(a.running for a in riptide.cluster.all_agents())
 

@@ -144,7 +144,7 @@ class TestFaultsOnColdTrunks:
     def sinks(cluster: CdnCluster, *codes: str) -> list[Sink]:
         found = []
         for code in codes:
-            sink = Sink(IPv4Address(int(cluster.pop(code).prefix.network) + 200))
+            sink = Sink(IPv4Address(cluster.pop(code).prefix.network.value + 200))
             cluster.network.attach(sink)
             found.append(sink)
         return found

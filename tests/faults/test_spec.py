@@ -86,18 +86,8 @@ class TestSchedule:
         with pytest.raises(FaultSpecError, match="FaultSpec"):
             FaultSchedule(specs=("not a fault",))
 
-    def test_end_time_covers_clearing(self):
-        schedule = FaultSchedule(
-            specs=(
-                PopPartition(pop="LHR", at=10.0, duration=5.0),
-                SsFault(pop="JFK", at=2.0, duration=20.0),
-            )
-        )
-        assert schedule.end_time == 22.0
-
     def test_crash_end_time_covers_the_restart(self):
-        schedule = FaultSchedule(specs=(AgentCrash(pop="LHR", at=30.0),))
-        assert schedule.end_time == 30.0 + AGENT_RESTART_AFTER
+        assert AgentCrash(pop="LHR", at=30.0).clear_at == 30.0 + AGENT_RESTART_AFTER
 
     def test_timeline_sorted_by_injection_time(self):
         late = IpToolFault(pop="LHR", at=9.0, duration=1.0)

@@ -128,240 +128,310 @@ COMMANDS: list[tuple[str, tuple[str, ...]]] = [
 #: Functions that run only in a forked worker, out of the parent's sight.
 _FORKED = {"repro.parallel.executor:_run_forked.<locals>.worker_main"}
 
-_UNTRIAGED = "measured when the census landed, not yet triaged"
+#: Why a never-run line stays, by kind.  An entry names one of these, or
+#: says more in its own words.
+_LINT = (
+    "a lint rule's finding or parse path: it runs on code that breaks the rule, "
+    "and the shipped tree is clean; tests/analysis/test_lint_*.py feed it hazards"
+)
+_ERROR = (
+    "error handling: a failure no shipped run meets (an unknown name, a bad "
+    "argument, a failed tool, socket or worker); kept, and tested where it can be"
+)
+_CLI = "the CLI refusing or warning about input that no shipped command line gives"
+_EDGE = (
+    "an edge of the function's input (empty, zero, a bound, a repeat call) that "
+    "no shipped run reaches; kept as part of its contract"
+)
+_COMBINATION = (
+    "reached by dispatch in a combination no shipped run builds; the tests build it"
+)
+_LIFECYCLE = (
+    "stopping or restarting a component, which no shipped run does before it "
+    "ends; the tests drive the lifecycle"
+)
+_OBSERVE = "a read-only view the tests observe the model through"
+_DUNDER = "Python calls it (==, <, len, in) for the tests; no shipped run does"
+_ORACLE = "a reference the tests compare against"
+_DELAYED_ACK = (
+    "TcpConfig.delayed_ack's path; the packet-path golden, the slow-start oracle "
+    "and the close matrix set it (_NEVER_SET_FIELDS)"
+)
+_HYBRID = (
+    "the hybrid differential's comparisons, a reference tests/experiments/"
+    "test_hybrid.py holds the fluid engine to"
+)
 
 #: ``"module:qualname": (never-run lines, reason)``.
 ENTRIES: dict[str, tuple[int, str]] = {
-    "repro.__main__:<module>": (4, _UNTRIAGED),
-    "repro.analysis.cdf:EmpiricalCdf.max": (1, _UNTRIAGED),
-    "repro.analysis.cdf:EmpiricalCdf.mean": (1, _UNTRIAGED),
-    "repro.analysis.cdf:EmpiricalCdf.min": (1, _UNTRIAGED),
-    "repro.analysis.cdf:EmpiricalCdf.quantile": (3, _UNTRIAGED),
-    "repro.analysis.export:_prom_value": (1, _UNTRIAGED),
-    "repro.analysis.lint.base:Finding.render": (1, _UNTRIAGED),
-    "repro.analysis.lint.base:Rule.applies_to": (1, _UNTRIAGED),
-    "repro.analysis.lint.base:module_name_for": (2, _UNTRIAGED),
-    "repro.analysis.lint.det001:_Visitor._check_attribute_call": (7, _UNTRIAGED),
-    "repro.analysis.lint.det001:_Visitor.visit_Call": (1, _UNTRIAGED),
-    "repro.analysis.lint.det001:_Visitor.visit_Import": (1, _UNTRIAGED),
-    "repro.analysis.lint.det001:_Visitor.visit_ImportFrom": (12, _UNTRIAGED),
-    "repro.analysis.lint.det002:_Visitor._visit_comprehension": (1, _UNTRIAGED),
-    "repro.analysis.lint.det002:_Visitor.visit_AsyncFunctionDef": (1, _UNTRIAGED),
-    "repro.analysis.lint.det002:_classify": (2, _UNTRIAGED),
-    "repro.analysis.lint.det003:_Visitor._report": (5, _UNTRIAGED),
-    "repro.analysis.lint.det003:_Visitor.visit_Call": (4, _UNTRIAGED),
-    "repro.analysis.lint.det003:_Visitor.visit_Compare": (3, _UNTRIAGED),
-    "repro.analysis.lint.det003:_contains": (1, _UNTRIAGED),
-    "repro.analysis.lint.det003:_is_id_call": (1, _UNTRIAGED),
-    "repro.analysis.lint.engine:LintResult.counts": (1, _UNTRIAGED),
-    "repro.analysis.lint.engine:LintResult.render_github": (2, _UNTRIAGED),
-    "repro.analysis.lint.engine:LintResult.render_text": (1, _UNTRIAGED),
-    "repro.analysis.lint.engine:LintResult.to_json": (6, _UNTRIAGED),
-    "repro.analysis.lint.engine:_display_path": (1, _UNTRIAGED),
-    "repro.analysis.lint.engine:_inline_suppressed": (3, _UNTRIAGED),
-    "repro.analysis.lint.engine:collect_files": (2, _UNTRIAGED),
-    "repro.analysis.lint.engine:find_project_root": (1, _UNTRIAGED),
-    "repro.analysis.lint.engine:run_lint": (10, _UNTRIAGED),
-    "repro.analysis.lint.engine:select_rules": (1, _UNTRIAGED),
-    "repro.analysis.lint.flt001:Flt001FloatIdentity.applies_to": (1, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_ClassFacts.is_float": (1, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_ClassFacts.is_float_seq": (4, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_Visitor._is_float_element": (3, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_Visitor._is_float_sequence": (5, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_Visitor.visit_AugAssign": (5, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_Visitor.visit_Call": (5, _UNTRIAGED),
-    "repro.analysis.lint.flt001:_statements": (1, _UNTRIAGED),
-    "repro.analysis.lint.obs001:Obs001TaxonomyDrift.finalize": (17, _UNTRIAGED),
-    "repro.analysis.lint.obs001:_receiver_mentions_span": (3, _UNTRIAGED),
-    "repro.analysis.lint.sim001:_Visitor._check_store_target": (6, _UNTRIAGED),
-    "repro.analysis.lint.sim001:_Visitor.visit_Call": (7, _UNTRIAGED),
-    "repro.analysis.lint.sim001:_Visitor.visit_ImportFrom": (3, _UNTRIAGED),
-    "repro.analysis.lint.slot001:_check_class": (7, _UNTRIAGED),
-    "repro.analysis.lint.slot001:_collect_classes": (3, _UNTRIAGED),
-    "repro.analysis.lint.slot001:_is_dataclass_with_slots": (1, _UNTRIAGED),
-    "repro.analysis.lint.slot001:_literal_slots": (4, _UNTRIAGED),
-    "repro.analysis.lint.slot001:_resolve_allowed": (2, _UNTRIAGED),
-    "repro.analysis.stats:PercentileGain.gain": (1, _UNTRIAGED),
-    "repro.analysis.stats:summarize": (10, _UNTRIAGED),
-    "repro.analysis.watch:build_watch_frames": (1, _UNTRIAGED),
-    "repro.cdn.cluster:CdnCluster._deployment": (1, _UNTRIAGED),
-    "repro.cdn.cluster:CdnCluster.start_slo": (1, _UNTRIAGED),
-    "repro.cdn.cluster:CdnCluster.start_timeline_sampler": (1, _UNTRIAGED),
-    "repro.cdn.filesizes:FileSizeDistribution.cdf": (1, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic._step": (4, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic.add_population": (2, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic.mean_window": (1, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic.running": (1, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic.socket_stats_for": (2, _UNTRIAGED),
-    "repro.cdn.fluidtraffic:FluidTraffic.stop": (3, _UNTRIAGED),
-    "repro.cdn.monitors:CwndSampler.running": (1, _UNTRIAGED),
-    "repro.cdn.monitors:CwndSampler.stop": (1, _UNTRIAGED),
-    "repro.cdn.monitors:SloEvaluator.running": (1, _UNTRIAGED),
-    "repro.cdn.monitors:SloEvaluator.stop": (1, _UNTRIAGED),
-    "repro.cdn.monitors:TimelineSampler.running": (1, _UNTRIAGED),
-    "repro.cdn.monitors:TimelineSampler.stop": (1, _UNTRIAGED),
-    "repro.cdn.probes:ProbeFleet._issue.<locals>.on_complete": (2, _UNTRIAGED),
-    "repro.cdn.probes:ProbeFleet.stop": (1, _UNTRIAGED),
-    "repro.cdn.probes:ProbeResultSet.__len__": (1, _UNTRIAGED),
-    "repro.cdn.transfer:TransferClient._drop_socket": (6, _UNTRIAGED),
-    "repro.cdn.transfer:TransferClient._on_error": (1, _UNTRIAGED),
-    "repro.cdn.transfer:TransferClient._on_message": (2, _UNTRIAGED),
-    "repro.cdn.transfer:TransferServer._on_message": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload._arrival": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload._schedule_next_arrival": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload.config": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload.running": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload.start": (1, _UNTRIAGED),
-    "repro.cdn.workload:OrganicWorkload.stop": (1, _UNTRIAGED),
-    "repro.cli:_checked.<locals>.parse": (2, _UNTRIAGED),
-    "repro.cli:_cmd_alerts": (10, _UNTRIAGED),
-    "repro.cli:_cmd_lint": (7, _UNTRIAGED),
-    "repro.cli:_cmd_metrics": (2, _UNTRIAGED),
-    "repro.cli:_cmd_tournament": (3, _UNTRIAGED),
-    "repro.cli:_run_kwargs": (3, _UNTRIAGED),
-    "repro.cli:_warn_truncation": (5, _UNTRIAGED),
-    "repro.cli:main": (4, _UNTRIAGED),
-    "repro.core.agent:RiptideAgent._expire": (1, _UNTRIAGED),
-    "repro.core.agent:RiptideAgent._retry": (2, _UNTRIAGED),
-    "repro.core.agent:RiptideAgent._route_command": (1, _UNTRIAGED),
-    "repro.core.agent:RiptideAgent.safety_guard": (1, _UNTRIAGED),
-    "repro.core.agent:RiptideAgent.stop": (8, _UNTRIAGED),
-    "repro.core.combiners:make_combiner": (2, _UNTRIAGED),
-    "repro.core.guard:SafetyGuard.forget": (1, _UNTRIAGED),
-    "repro.core.history:WindowedHistory.forget": (1, _UNTRIAGED),
-    "repro.core.history:make_history_policy": (2, _UNTRIAGED),
-    "repro.core.kernel_mode:KernelModeAgent._apply_window": (1, _UNTRIAGED),
-    "repro.core.kernel_mode:KernelModeAgent.installed_window": (1, _UNTRIAGED),
-    "repro.core.kernel_mode:KernelModeAgent.start": (1, _UNTRIAGED),
-    "repro.core.kernel_mode:KernelModeAgent.stop": (3, _UNTRIAGED),
-    "repro.core.observed:LearnedTable.__contains__": (1, _UNTRIAGED),
-    "repro.experiments.chaos:ChaosStudyResult.median_gain": (2, _UNTRIAGED),
-    "repro.experiments.chaos:ChaosStudyResult.report": (6, _UNTRIAGED),
-    "repro.experiments.chaos:ChaosStudyResult.riptide_holds_up": (1, _UNTRIAGED),
-    "repro.experiments.chaos:check_expected_alert": (2, _UNTRIAGED),
-    "repro.experiments.edge_cases:DestinationExtremes.max_change": (1, _UNTRIAGED),
-    "repro.experiments.edge_cases:DestinationExtremes.min_change": (1, _UNTRIAGED),
-    "repro.experiments.edge_cases:EdgeCasesResult.fraction_min_within": (1, _UNTRIAGED),
-    "repro.experiments.edge_cases:build_result": (1, _UNTRIAGED),
-    "repro.experiments.ext_diurnal:DiurnalResult.relearning_penalty": (1, _UNTRIAGED),
-    "repro.experiments.fig10_cmax_sweep:Fig10Result.median_increase_vs_control": (1, _UNTRIAGED),
-    "repro.experiments.fig12_14_probe_times:BucketComparison.fraction_improved": (1, _UNTRIAGED),
-    "repro.experiments.fig12_14_probe_times:BucketComparison.median_gain": (1, _UNTRIAGED),
-    "repro.experiments.fig15_16_percentile_gain:Fig1516Result.gain_at": (3, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.advisory_max_rel_delta": (7, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.advisory_pairs": (6, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.anchor_max_rel_delta": (2, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.anchor_median_deltas": (15, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.first_window_fractions.<locals>.fraction": (1, _UNTRIAGED),
-    "repro.experiments.hybrid:HybridDifferentialResult.report": (18, _UNTRIAGED),
-    "repro.experiments.hybrid:run_arm": (1, _UNTRIAGED),
-    "repro.experiments.registry:get_experiment": (2, _UNTRIAGED),
-    "repro.experiments.scenarios:StudyRun.riptide_enabled": (1, _UNTRIAGED),
-    "repro.experiments.tournament:_percentile_ms": (1, _UNTRIAGED),
-    "repro.experiments.tournament:build_leaderboard": (1, _UNTRIAGED),
-    "repro.faults.scenarios:get_scenario": (1, _UNTRIAGED),
-    "repro.faults.scenarios:scenario_names": (1, _UNTRIAGED),
-    "repro.faults.spec:FaultSchedule.__len__": (1, _UNTRIAGED),
-    "repro.faults.spec:FaultSchedule.end_time": (5, _UNTRIAGED),
-    "repro.faults.spec:FaultSpec.describe": (1, _UNTRIAGED),
-    "repro.linux.host:Host._reset": (3, _UNTRIAGED),
-    "repro.linux.host:Host.initrwnd_for": (1, _UNTRIAGED),
-    "repro.linux.host:Host.receive_packet": (2, _UNTRIAGED),
-    "repro.linux.ip_tool:IpRouteTool._as_prefix": (1, _UNTRIAGED),
-    "repro.linux.ip_tool:IpRouteTool.route_add": (5, _UNTRIAGED),
-    "repro.linux.ip_tool:IpRouteTool.route_get": (1, _UNTRIAGED),
-    "repro.linux.route:RouteEntry.format_linux": (1, _UNTRIAGED),
-    "repro.linux.route:RouteTable.add": (2, _UNTRIAGED),
-    "repro.linux.ss_tool:SsTool.tcp_info": (3, _UNTRIAGED),
-    "repro.model.gain:gain_fraction": (1, _UNTRIAGED),
-    "repro.model.slowstart:rounds_schedule": (3, _UNTRIAGED),
-    "repro.model.slowstart:rtts_to_complete": (1, _UNTRIAGED),
-    "repro.net.addresses:IPv4Address.__eq__": (1, _UNTRIAGED),
-    "repro.net.addresses:IPv4Address.__int__": (1, _UNTRIAGED),
-    "repro.net.addresses:IPv4Address.__lt__": (1, _UNTRIAGED),
-    "repro.net.addresses:Prefix.__eq__": (1, _UNTRIAGED),
-    "repro.net.addresses:Prefix.parse": (1, _UNTRIAGED),
-    "repro.net.addresses:_mask_for": (1, _UNTRIAGED),
-    "repro.net.link:DuplexLink.up": (1, _UNTRIAGED),
-    "repro.net.link:Link._deliver": (2, _UNTRIAGED),
-    "repro.net.link:Link.queue_depth": (2, _UNTRIAGED),
-    "repro.net.link:Link.set_down": (8, _UNTRIAGED),
-    "repro.net.loss:BernoulliLoss.should_drop": (3, _UNTRIAGED),
-    "repro.net.loss:GilbertElliottLoss.mean_loss_rate": (5, _UNTRIAGED),
-    "repro.net.loss:LossModel.mean_loss_rate": (1, _UNTRIAGED),
-    "repro.net.loss:NoLoss.should_drop": (1, _UNTRIAGED),
-    "repro.net.network:IntraZoneHop.transmit": (3, _UNTRIAGED),
-    "repro.net.network:Network._resolve": (1, _UNTRIAGED),
-    "repro.net.network:Network.deliver": (5, _UNTRIAGED),
-    "repro.net.network:Network.sim": (1, _UNTRIAGED),
-    "repro.obs.audit:Auditor.check": (1, _UNTRIAGED),
-    "repro.obs.audit:Divergence.describe": (5, _UNTRIAGED),
-    "repro.obs.flow:FlowLog.begin": (1, _UNTRIAGED),
-    "repro.obs.flow:FlowLog.records": (1, _UNTRIAGED),
-    "repro.obs.metrics:Histogram.min": (2, _UNTRIAGED),
-    "repro.obs.metrics:MetricsRegistry.__len__": (1, _UNTRIAGED),
-    "repro.obs.metrics:MetricsRegistry.render_table": (1, _UNTRIAGED),
-    "repro.obs.report:_attribute": (4, _UNTRIAGED),
-    "repro.obs.report:_covering_guard": (3, _UNTRIAGED),
-    "repro.obs.report:build_report": (1, _UNTRIAGED),
-    "repro.obs.report:render_report": (9, _UNTRIAGED),
-    "repro.obs.slo:AlertLog.begin": (1, _UNTRIAGED),
-    "repro.obs.slo:SloEngine.rules": (1, _UNTRIAGED),
-    "repro.obs.slo:SloEngine.specs": (1, _UNTRIAGED),
-    "repro.obs.slo:source_matches_arm": (1, _UNTRIAGED),
-    "repro.obs.span:SpanLog.begin": (1, _UNTRIAGED),
-    "repro.obs.trace:TraceEvent.format": (2, _UNTRIAGED),
-    "repro.obs.tsdb:WindowedStore.sum_ratio": (1, _UNTRIAGED),
-    "repro.obs.tsdb:WindowedStore.window_values": (1, _UNTRIAGED),
-    "repro.parallel.executor:WorkerFailure.__init__": (8, _UNTRIAGED),
-    "repro.parallel.executor:_collect": (6, _UNTRIAGED),
-    "repro.parallel.executor:_resolve": (1, _UNTRIAGED),
-    "repro.parallel.executor:_run_forked": (2, _UNTRIAGED),
-    "repro.parallel.executor:_run_serial": (1, _UNTRIAGED),
-    "repro.parallel.executor:default_workers": (1, _UNTRIAGED),
-    "repro.parallel.executor:run_tasks": (3, _UNTRIAGED),
-    "repro.policy.learners:RttClassPolicy.cap_for": (1, _UNTRIAGED),
-    "repro.policy.registry:make_policy": (2, _UNTRIAGED),
-    "repro.policy.tunable:TunablePolicy._recover": (5, _UNTRIAGED),
-    "repro.policy.tunable:TunablePolicy.forget": (1, _UNTRIAGED),
-    "repro.policy.tunable:TunablePolicy.set_knob": (10, _UNTRIAGED),
-    "repro.sim.events:Event.__init__": (6, _UNTRIAGED),
-    "repro.sim.events:Event.__lt__": (1, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.add_mass": (3, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.bin_to_window": (1, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.mean": (3, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.quantile": (11, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.sample_windows": (1, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.step": (5, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.total_send_segments_per_sec": (1, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.total_window_segments": (1, _UNTRIAGED),
-    "repro.sim.fluid:CwndDistribution.window_to_bin": (2, _UNTRIAGED),
-    "repro.sim.fluid:FluidPopulation.mean_window": (1, _UNTRIAGED),
-    "repro.sim.kernel:Simulator._next_live_time": (2, _UNTRIAGED),
-    "repro.sim.kernel:Simulator.cancel": (1, _UNTRIAGED),
-    "repro.sim.kernel:Simulator.pending_events": (1, _UNTRIAGED),
-    "repro.sim.kernel:Simulator.run": (1, _UNTRIAGED),
-    "repro.sim.process:PeriodicProcess.start": (1, _UNTRIAGED),
-    "repro.sim.rand:RandomStreams.stream": (1, _UNTRIAGED),
-    "repro.tcp.cc.cubic:Cubic._begin_epoch": (1, _UNTRIAGED),
-    "repro.tcp.cc.reno:Reno._avoid_congestion": (1, _UNTRIAGED),
-    "repro.tcp.cc.reno:Reno.on_loss_event": (1, _UNTRIAGED),
-    "repro.tcp.cc:make_congestion_control": (2, _UNTRIAGED),
-    "repro.tcp.rto:RttEstimator.samples": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._cancel_delack": (2, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._close_transition": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._error": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._on_delayed_ack_timer": (3, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._on_rto": (3, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._process_incoming_data": (6, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket._send_pure_ack": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.abort": (4, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.close": (3, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.config": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.handle_segment": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.sync_flow": (1, _UNTRIAGED),
-    "repro.tcp.socket:TcpSocket.vanish": (1, _UNTRIAGED),
-    "repro.tcp.wire:Segment.describe": (11, _UNTRIAGED),
+    "repro.__main__:<module>": (
+        4,
+        "the exit for a closed stdout pipe (`repro lint src/ | head`); "
+        "tests/analysis/test_lint_engine.py drives it",
+    ),
+    "repro.analysis.cdf:EmpiricalCdf.quantile": (3, _EDGE),
+    "repro.analysis.export:_prom_value": (1, _EDGE),
+    "repro.analysis.lint.base:Finding.render": (1, _LINT),
+    "repro.analysis.lint.base:Rule.applies_to": (1, _LINT),
+    "repro.analysis.lint.base:module_name_for": (2, _LINT),
+    "repro.analysis.lint.det001:_Visitor._check_attribute_call": (7, _LINT),
+    "repro.analysis.lint.det001:_Visitor.visit_Call": (1, _LINT),
+    "repro.analysis.lint.det001:_Visitor.visit_Import": (1, _LINT),
+    "repro.analysis.lint.det001:_Visitor.visit_ImportFrom": (12, _LINT),
+    "repro.analysis.lint.det002:_Visitor._visit_comprehension": (1, _LINT),
+    "repro.analysis.lint.det002:_Visitor.visit_AsyncFunctionDef": (1, _LINT),
+    "repro.analysis.lint.det002:_classify": (2, _LINT),
+    "repro.analysis.lint.det003:_Visitor._report": (5, _LINT),
+    "repro.analysis.lint.det003:_Visitor.visit_Call": (4, _LINT),
+    "repro.analysis.lint.det003:_Visitor.visit_Compare": (3, _LINT),
+    "repro.analysis.lint.det003:_contains": (1, _LINT),
+    "repro.analysis.lint.det003:_is_id_call": (1, _LINT),
+    "repro.analysis.lint.engine:LintResult.counts": (1, _LINT),
+    "repro.analysis.lint.engine:LintResult.render_github": (2, _LINT),
+    "repro.analysis.lint.engine:LintResult.render_text": (1, _LINT),
+    "repro.analysis.lint.engine:LintResult.to_json": (6, _LINT),
+    "repro.analysis.lint.engine:_display_path": (1, _LINT),
+    "repro.analysis.lint.engine:_inline_suppressed": (3, _LINT),
+    "repro.analysis.lint.engine:collect_files": (2, _LINT),
+    "repro.analysis.lint.engine:find_project_root": (1, _LINT),
+    "repro.analysis.lint.engine:run_lint": (10, _LINT),
+    "repro.analysis.lint.engine:select_rules": (1, _LINT),
+    "repro.analysis.lint.flt001:Flt001FloatIdentity.applies_to": (1, _LINT),
+    "repro.analysis.lint.flt001:_ClassFacts.is_float": (1, _LINT),
+    "repro.analysis.lint.flt001:_ClassFacts.is_float_seq": (4, _LINT),
+    "repro.analysis.lint.flt001:_Visitor._is_float_element": (3, _LINT),
+    "repro.analysis.lint.flt001:_Visitor._is_float_sequence": (5, _LINT),
+    "repro.analysis.lint.flt001:_Visitor.visit_AugAssign": (5, _LINT),
+    "repro.analysis.lint.flt001:_Visitor.visit_Call": (5, _LINT),
+    "repro.analysis.lint.flt001:_statements": (1, _LINT),
+    "repro.analysis.lint.obs001:Obs001TaxonomyDrift.finalize": (17, _LINT),
+    "repro.analysis.lint.obs001:_receiver_mentions_span": (3, _LINT),
+    "repro.analysis.lint.sim001:_Visitor._check_store_target": (6, _LINT),
+    "repro.analysis.lint.sim001:_Visitor.visit_Call": (7, _LINT),
+    "repro.analysis.lint.sim001:_Visitor.visit_ImportFrom": (3, _LINT),
+    "repro.analysis.lint.slot001:_check_class": (7, _LINT),
+    "repro.analysis.lint.slot001:_collect_classes": (3, _LINT),
+    "repro.analysis.lint.slot001:_is_dataclass_with_slots": (1, _LINT),
+    "repro.analysis.lint.slot001:_literal_slots": (4, _LINT),
+    "repro.analysis.lint.slot001:_resolve_allowed": (2, _LINT),
+    "repro.analysis.stats:PercentileGain.gain": (1, _EDGE),
+    "repro.analysis.watch:build_watch_frames": (1, _EDGE),
+    "repro.cdn.cluster:CdnCluster._deployment": (1, _ERROR),
+    "repro.cdn.cluster:CdnCluster.start_slo": (1, _EDGE),
+    "repro.cdn.cluster:CdnCluster.start_timeline_sampler": (1, _EDGE),
+    "repro.cdn.filesizes:FileSizeDistribution.cdf": (1, _EDGE),
+    "repro.cdn.fluidtraffic:FluidTraffic._step": (
+        4,
+        "fluid cohorts over a downed trunk; tests/cdn/test_fluidtraffic.py downs one",
+    ),
+    "repro.cdn.fluidtraffic:FluidTraffic.add_population": (2, _COMBINATION),
+    "repro.cdn.fluidtraffic:FluidTraffic.mean_window": (1, _EDGE),
+    "repro.cdn.fluidtraffic:FluidTraffic.socket_stats_for": (2, _EDGE),
+    "repro.cdn.fluidtraffic:FluidTraffic.stop": (3, _LIFECYCLE),
+    "repro.cdn.monitors:CwndSampler.stop": (1, _LIFECYCLE),
+    "repro.cdn.probes:ProbeFleet._issue.<locals>.on_complete": (2, _ERROR),
+    "repro.cdn.probes:ProbeResultSet.__len__": (1, _DUNDER),
+    "repro.cdn.transfer:TransferClient._drop_socket": (6, _ERROR),
+    "repro.cdn.transfer:TransferClient._on_error": (1, _ERROR),
+    "repro.cdn.transfer:TransferClient._on_message": (2, _ERROR),
+    "repro.cdn.transfer:TransferServer._on_message": (1, _ERROR),
+    "repro.cdn.workload:OrganicWorkload._arrival": (1, _EDGE),
+    "repro.cdn.workload:OrganicWorkload._schedule_next_arrival": (1, _EDGE),
+    "repro.cdn.workload:OrganicWorkload.start": (1, _EDGE),
+    "repro.cdn.workload:OrganicWorkload.stop": (1, _LIFECYCLE),
+    "repro.cli:_checked.<locals>.parse": (2, _CLI),
+    "repro.cli:_cmd_alerts": (10, _CLI),
+    "repro.cli:_cmd_lint": (7, _CLI),
+    "repro.cli:_cmd_metrics": (2, _CLI),
+    "repro.cli:_cmd_tournament": (3, _CLI),
+    "repro.cli:_run_kwargs": (3, _CLI),
+    "repro.cli:_warn_truncation": (5, _CLI),
+    "repro.cli:main": (4, _CLI),
+    "repro.core.agent:RiptideAgent._expire": (
+        1,
+        "an expiry on a guarded agent; tests/core/test_agent.py TestGuardedAgent "
+        "covers it",
+    ),
+    "repro.core.agent:RiptideAgent._retry": (
+        2,
+        "the withdraw rung: no shipped run fails an `ip route del`; "
+        "tests/faults/test_resilience.py drives it",
+    ),
+    "repro.core.agent:RiptideAgent._route_command": (1, _ERROR),
+    "repro.core.agent:RiptideAgent.stop": (8, _LIFECYCLE),
+    "repro.core.combiners:make_combiner": (2, _ERROR),
+    "repro.core.guard:SafetyGuard.forget": (
+        1,
+        "an expiry on a guarded agent; tests/core/test_agent.py TestGuardedAgent "
+        "covers it",
+    ),
+    "repro.core.history:WindowedHistory.forget": (1, _COMBINATION),
+    "repro.core.history:make_history_policy": (2, _ERROR),
+    "repro.core.kernel_mode:KernelModeAgent._apply_window": (1, _EDGE),
+    "repro.core.kernel_mode:KernelModeAgent.installed_window": (1, _EDGE),
+    "repro.core.kernel_mode:KernelModeAgent.start": (1, _EDGE),
+    "repro.core.kernel_mode:KernelModeAgent.stop": (3, _LIFECYCLE),
+    "repro.core.observed:LearnedTable.__contains__": (1, _DUNDER),
+    "repro.experiments.chaos:ChaosStudyResult.median_gain": (2, _EDGE),
+    "repro.experiments.chaos:ChaosStudyResult.report": (6, _EDGE),
+    "repro.experiments.chaos:ChaosStudyResult.riptide_holds_up": (1, _EDGE),
+    "repro.experiments.chaos:check_expected_alert": (2, _ERROR),
+    "repro.experiments.edge_cases:DestinationExtremes.max_change": (1, _EDGE),
+    "repro.experiments.edge_cases:DestinationExtremes.min_change": (1, _EDGE),
+    "repro.experiments.edge_cases:EdgeCasesResult.fraction_min_within": (1, _EDGE),
+    "repro.experiments.edge_cases:build_result": (1, _EDGE),
+    "repro.experiments.ext_diurnal:DiurnalResult.relearning_penalty": (1, _EDGE),
+    "repro.experiments.fig10_cmax_sweep:Fig10Result.median_increase_vs_control": (1, _EDGE),
+    "repro.experiments.fig12_14_probe_times:BucketComparison.fraction_improved": (1, _EDGE),
+    "repro.experiments.fig12_14_probe_times:BucketComparison.median_gain": (1, _EDGE),
+    "repro.experiments.hybrid:HybridDifferentialResult.advisory_max_rel_delta": (7, _HYBRID),
+    "repro.experiments.hybrid:HybridDifferentialResult.advisory_pairs": (6, _HYBRID),
+    "repro.experiments.hybrid:HybridDifferentialResult.anchor_max_rel_delta": (2, _HYBRID),
+    "repro.experiments.hybrid:HybridDifferentialResult.anchor_median_deltas": (15, _HYBRID),
+    "repro.experiments.hybrid:HybridDifferentialResult.first_window_fractions.<locals>.fraction": (1, _EDGE),
+    "repro.experiments.hybrid:HybridDifferentialResult.report": (18, _HYBRID),
+    "repro.experiments.hybrid:run_arm": (1, _HYBRID),
+    "repro.experiments.registry:get_experiment": (2, _ERROR),
+    "repro.experiments.tournament:_percentile_ms": (1, _EDGE),
+    "repro.experiments.tournament:build_leaderboard": (1, _EDGE),
+    "repro.faults.scenarios:get_scenario": (1, _ERROR),
+    "repro.faults.scenarios:scenario_names": (
+        1,
+        "lists the known scenarios in get_scenario's error; tests read it",
+    ),
+    "repro.faults.spec:FaultSchedule.__len__": (1, _DUNDER),
+    "repro.linux.host:Host._reset": (
+        3,
+        "an RST for a segment no socket owns: no shipped run sends one; "
+        "tests/linux/test_reboot.py covers it",
+    ),
+    "repro.linux.host:Host.initrwnd_for": (1, _COMBINATION),
+    "repro.linux.host:Host.receive_packet": (2, _EDGE),
+    "repro.linux.ip_tool:IpRouteTool._as_prefix": (1, _EDGE),
+    "repro.linux.ip_tool:IpRouteTool.route_add": (
+        5,
+        "the `ip route add` row of PAPER.md's mechanism table; bench/tracer.py's "
+        "PATCH_TARGETS patch it",
+    ),
+    "repro.linux.ip_tool:IpRouteTool.route_get": (
+        1,
+        "tests in 5 files assert routes through it (_UNNAMED_FUNCTIONS)",
+    ),
+    "repro.linux.route:RouteEntry.format_linux": (1, _COMBINATION),
+    "repro.linux.route:RouteTable.add": (2, "`ip route add`'s path (IpRouteTool.route_add)"),
+    "repro.linux.ss_tool:SsTool.tcp_info": (3, _COMBINATION),
+    "repro.model.gain:gain_fraction": (1, _EDGE),
+    "repro.model.slowstart:rounds_schedule": (3, _ORACLE),
+    "repro.model.slowstart:rtts_to_complete": (1, _EDGE),
+    "repro.net.addresses:IPv4Address.__eq__": (1, _DUNDER),
+    "repro.net.addresses:IPv4Address.__lt__": (1, _DUNDER),
+    "repro.net.addresses:Prefix.__eq__": (1, _DUNDER),
+    "repro.net.addresses:Prefix.parse": (1, _EDGE),
+    "repro.net.addresses:_mask_for": (1, _EDGE),
+    "repro.net.link:DuplexLink.up": (1, _OBSERVE),
+    "repro.net.link:Link._deliver": (2, _COMBINATION),
+    "repro.net.link:Link.queue_depth": (2, _OBSERVE),
+    "repro.net.link:Link.set_down": (8, _COMBINATION),
+    "repro.net.loss:BernoulliLoss.should_drop": (
+        3,
+        "the LossModel draw that Link.transmit inlines for an exact BernoulliLoss; "
+        "tests/net/test_loss.py holds it",
+    ),
+    "repro.net.loss:GilbertElliottLoss.mean_loss_rate": (
+        5,
+        "fluid cohorts over a trunk that loses in bursts; "
+        "tests/cdn/test_fluidtraffic.py builds one",
+    ),
+    "repro.net.loss:LossModel.mean_loss_rate": (
+        1,
+        "the default for a loss model with no stationary mean; the tests' scripted "
+        "loss models inherit it",
+    ),
+    "repro.net.loss:NoLoss.should_drop": (1, _COMBINATION),
+    "repro.net.network:IntraZoneHop.transmit": (3, _COMBINATION),
+    "repro.net.network:Network._resolve": (1, _COMBINATION),
+    "repro.net.network:Network.deliver": (5, _COMBINATION),
+    "repro.obs.audit:Auditor.check": (1, _EDGE),
+    "repro.obs.flow:FlowLog.begin": (1, _EDGE),
+    "repro.obs.flow:FlowLog.records": (1, _EDGE),
+    "repro.obs.metrics:MetricsRegistry.__len__": (1, _DUNDER),
+    "repro.obs.metrics:MetricsRegistry.render_table": (1, _EDGE),
+    "repro.obs.report:_attribute": (4, _COMBINATION),
+    "repro.obs.report:_covering_guard": (3, _EDGE),
+    "repro.obs.report:build_report": (1, _EDGE),
+    "repro.obs.report:render_report": (9, _COMBINATION),
+    "repro.obs.slo:AlertLog.begin": (1, _EDGE),
+    "repro.obs.slo:source_matches_arm": (1, _EDGE),
+    "repro.obs.span:SpanLog.begin": (1, _EDGE),
+    "repro.obs.trace:TraceEvent.format": (2, _OBSERVE),
+    "repro.obs.tsdb:WindowedStore.sum_ratio": (1, _EDGE),
+    "repro.obs.tsdb:WindowedStore.window_values": (1, _EDGE),
+    "repro.parallel.executor:WorkerFailure.__init__": (8, _ERROR),
+    "repro.parallel.executor:_collect": (6, _ERROR),
+    "repro.parallel.executor:_resolve": (1, _ERROR),
+    "repro.parallel.executor:_run_forked": (2, _ERROR),
+    "repro.parallel.executor:_run_serial": (1, _ERROR),
+    "repro.parallel.executor:default_workers": (1, _EDGE),
+    "repro.parallel.executor:run_tasks": (3, _EDGE),
+    "repro.policy.learners:RttClassPolicy.cap_for": (1, _EDGE),
+    "repro.policy.registry:make_policy": (2, _ERROR),
+    "repro.policy.tunable:TunablePolicy._recover": (
+        2,
+        "AIMD recovery after a guard trip: no shipped tunable arm trips the guard; "
+        "tests/policy/test_zoo.py drives it",
+    ),
+    "repro.policy.tunable:TunablePolicy.forget": (1, _COMBINATION),
+    "repro.sim.events:Event.__init__": (
+        6,
+        "the kernel allocates handles with Event.__new__; tests/sim/test_events.py "
+        "builds them directly",
+    ),
+    "repro.sim.events:Event.__lt__": (
+        1,
+        "the kernel's heap orders entry tuples, not handles; tests/sim/test_events.py "
+        "orders handles",
+    ),
+    "repro.sim.fluid:CwndDistribution.add_mass": (3, _EDGE),
+    "repro.sim.fluid:CwndDistribution.bin_to_window": (1, _OBSERVE),
+    "repro.sim.fluid:CwndDistribution.mean": (3, _OBSERVE),
+    "repro.sim.fluid:CwndDistribution.quantile": (11, _OBSERVE),
+    "repro.sim.fluid:CwndDistribution.sample_windows": (1, _EDGE),
+    "repro.sim.fluid:CwndDistribution.step": (5, _EDGE),
+    "repro.sim.fluid:CwndDistribution.total_send_segments_per_sec": (1, _EDGE),
+    "repro.sim.fluid:CwndDistribution.total_window_segments": (1, _EDGE),
+    "repro.sim.fluid:CwndDistribution.window_to_bin": (2, _EDGE),
+    "repro.sim.fluid:FluidPopulation.mean_window": (1, _OBSERVE),
+    "repro.sim.kernel:Simulator._next_live_time": (2, _EDGE),
+    "repro.sim.kernel:Simulator.cancel": (1, _EDGE),
+    "repro.sim.kernel:Simulator.pending_events": (
+        1,
+        "bench/tracer.py reads it in a traced repeat, and tests count live events "
+        "with it",
+    ),
+    "repro.sim.kernel:Simulator.run": (1, _EDGE),
+    "repro.sim.process:PeriodicProcess.start": (1, _EDGE),
+    "repro.sim.rand:RandomStreams.stream": (1, _EDGE),
+    "repro.tcp.cc.cubic:Cubic._begin_epoch": (1, _EDGE),
+    "repro.tcp.cc.reno:Reno._avoid_congestion": (1, _COMBINATION),
+    "repro.tcp.cc.reno:Reno.on_loss_event": (1, _COMBINATION),
+    "repro.tcp.cc:make_congestion_control": (2, _ERROR),
+    "repro.tcp.rto:RttEstimator.samples": (1, _OBSERVE),
+    "repro.tcp.socket:TcpSocket._cancel_delack": (2, _DELAYED_ACK),
+    "repro.tcp.socket:TcpSocket._close_transition": (1, _EDGE),
+    "repro.tcp.socket:TcpSocket._error": (1, _ERROR),
+    "repro.tcp.socket:TcpSocket._on_delayed_ack_timer": (3, _DELAYED_ACK),
+    "repro.tcp.socket:TcpSocket._on_rto": (3, _ERROR),
+    "repro.tcp.socket:TcpSocket._process_incoming_data": (6, _DELAYED_ACK),
+    "repro.tcp.socket:TcpSocket._send_pure_ack": (1, _DELAYED_ACK),
+    "repro.tcp.socket:TcpSocket.abort": (
+        4,
+        "tests/tcp/test_close_matrix.py drives abort() (_UNNAMED_FUNCTIONS)",
+    ),
+    "repro.tcp.socket:TcpSocket.close": (3, _EDGE),
+    "repro.tcp.socket:TcpSocket.config": (1, _OBSERVE),
+    "repro.tcp.socket:TcpSocket.handle_segment": (1, _EDGE),
+    "repro.tcp.socket:TcpSocket.sync_flow": (1, _EDGE),
+    "repro.tcp.socket:TcpSocket.vanish": (1, _EDGE),
 }
 
 

@@ -54,8 +54,6 @@ _UNNAMED_FUNCTIONS = {
     "tests/model/test_slowstart.py checks rtts_to_complete against",
     "linux.ip_tool.IpRouteTool.route_get": "kept by the reachability pass "
     "(EXPERIMENTS.md): 18 tests in 5 files assert routes through it",
-    "policy.tunable.TunablePolicy.set_knob": "kept by the reachability pass "
-    "(EXPERIMENTS.md): the surface deferred TCPTuner-style tuning calls",
     "tcp.socket.TcpSocket.abort": "tests/tcp/test_close_matrix.py drives `abort()` "
     "in ESTABLISHED, FIN_WAIT_2 and CLOSE_WAIT",
 }

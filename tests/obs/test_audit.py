@@ -6,7 +6,7 @@ from repro.core.agent import RiptideAgent
 from repro.core.config import RiptideConfig
 from repro.core.observed import LearnedTable
 from repro.net.addresses import Prefix
-from repro.obs.audit import Auditor, Divergence
+from repro.obs.audit import Auditor
 from repro.obs.trace import EventType
 from repro.sim.kernel import Simulator
 from repro.tcp.constants import TcpConfig
@@ -63,11 +63,6 @@ class TestAuditorUnit:
         assert len(traced) == 2
         assert traced[0].source == "auditor:stub"
 
-    def test_divergence_description(self):
-        missing = Divergence(P1, learned_window=40, installed_window=None)
-        wrong = Divergence(P1, learned_window=40, installed_window=12)
-        assert "missing" in missing.describe()
-        assert "installed 12" in wrong.describe()
 
 
 def make_testbed():

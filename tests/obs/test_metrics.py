@@ -44,7 +44,6 @@ class TestHistogram:
         assert histogram.count == 4
         assert histogram.sum == 10.0
         assert histogram.mean == 2.5
-        assert histogram.min == 1.0
         assert histogram.max == 4.0
         assert histogram.values() == [1.0, 2.0, 3.0, 4.0]
 
@@ -75,11 +74,11 @@ class TestHistogram:
         histogram = Histogram("h")
         for value in (5.0, 1.0, 3.0):
             histogram.observe(value)
-        assert histogram.min == 1.0
+        assert histogram.percentile(0.0) == 1.0
         assert histogram.values() == [1.0, 3.0, 5.0]
         histogram.observe(0.5)
         histogram.observe(4.0)
-        assert histogram.min == 0.5
+        assert histogram.percentile(0.0) == 0.5
         assert histogram.percentile(100.0) == 5.0
         assert histogram.values() == [0.5, 1.0, 3.0, 4.0, 5.0]
 

@@ -20,20 +20,23 @@ from repro.obs.slo import (
 )
 from repro.obs.trace import EventType
 
+#: One 'last'-signal spec with a whole-budget objective.
+SPEC = SloSpec(
+    name="sig_high",
+    description="signal stays at or under 1",
+    signal=SloSignal(kind="last", series="sig"),
+    threshold=1.0,
+    objective=1.0,
+)
+
+
 def make_engine(
     instrumentation: Instrumentation,
     *,
     rules: tuple[BurnRateRule, ...] | None = None,
     arm: str = "",
 ) -> SloEngine:
-    """An engine over one 'last'-signal spec with a whole-budget objective."""
-    spec = SloSpec(
-        name="sig_high",
-        description="signal stays at or under 1",
-        signal=SloSignal(kind="last", series="sig"),
-        threshold=1.0,
-        objective=1.0,
-    )
+    """An engine over ``SPEC``."""
     if rules is None:
         rules = (
             BurnRateRule(
@@ -46,7 +49,7 @@ def make_engine(
         instrumentation.trace,
         instrumentation.spans,
         instrumentation.alerts,
-        specs=(spec,),
+        specs=(SPEC,),
         rules=rules,
         arm=arm,
     )
@@ -113,7 +116,7 @@ class TestBurnRate:
     def test_bad_fraction_over_objective(self):
         obs = Instrumentation()
         engine = make_engine(obs)
-        spec = engine.specs[0]
+        spec = SPEC
         obs.tsdb.record(1.0, "h", "sig", 2.0)  # window 0: bad
         obs.tsdb.record(6.0, "h", "sig", 0.5)  # window 1: good
         obs.tsdb.record(11.0, "h", "sig", 2.0)  # window 2: bad
@@ -123,13 +126,13 @@ class TestBurnRate:
     def test_empty_lookback_has_no_opinion(self):
         obs = Instrumentation()
         engine = make_engine(obs)
-        assert engine.burn_rate(engine.specs[0], "h", 11.0, 10.0) is None
+        assert engine.burn_rate(SPEC, "h", 11.0, 10.0) is None
 
     def test_windows_without_signal_are_skipped(self):
         obs = Instrumentation()
         engine = make_engine(obs)
         obs.tsdb.record(1.0, "h", "sig", 2.0)  # window 0 bad; 1-2 empty
-        assert engine.burn_rate(engine.specs[0], "h", 11.0, 10.0) == pytest.approx(1.0)
+        assert engine.burn_rate(SPEC, "h", 11.0, 10.0) == pytest.approx(1.0)
 
 
 def drive_bad(obs: Instrumentation, times: tuple[float, ...]) -> None:

@@ -155,54 +155,38 @@ class TestRttClassPolicy:
 
 
 class TestTunablePolicy:
-    def test_gain_knob_scales_decisions(self):
-        policy = TunablePolicy(RiptideConfig())
-        assert policy.decide(DEST, obs(40), now=0.0) == 40.0
-        policy.set_knob("gain", 1.5)
-        assert policy.decide(OTHER, obs(40), now=0.0) == 60.0
-
     def test_cap_knob_bounds_decisions(self):
         policy = TunablePolicy(RiptideConfig())
-        policy.set_knob("cap", 20.0)
-        assert policy.decide(DEST, obs(90), now=0.0) == 20.0
+        for i in range(3):
+            policy.on_guard_trip(DEST, "loss_spike", now=0.0)
+        assert policy.decide(DEST, obs(90), now=0.0) == 12.5
 
     def test_guard_trip_backs_the_cap_off(self):
         policy = TunablePolicy(RiptideConfig())
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
-        assert policy._knobs["cap"] == 50.0
+        assert policy._cap == 50.0
         policy.on_guard_trip(DEST, "loss_spike", now=1.0)
-        assert policy._knobs["cap"] == 25.0
+        assert policy._cap == 25.0
 
     def test_cap_floors_at_cmin(self):
         policy = TunablePolicy(RiptideConfig())
         for i in range(10):
             policy.on_guard_trip(DEST, "loss_spike", now=float(i))
-        assert policy._knobs["cap"] == float(RiptideConfig().c_min)
+        assert policy._cap == float(RiptideConfig().c_min)
 
     def test_trip_free_operation_recovers_the_cap(self):
         policy = TunablePolicy(RiptideConfig())
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
-        assert policy._knobs["cap"] == 50.0
+        assert policy._cap == 50.0
         policy.decide(DEST, obs(90), now=25.0)
         # Two recovery intervals elapsed -> two additive steps of 4.
-        assert policy._knobs["cap"] == 58.0
-
-    def test_unknown_or_invalid_knob_rejected(self):
-        policy = TunablePolicy(RiptideConfig())
-        with pytest.raises(ValueError, match="unknown knob"):
-            policy.set_knob("beta", 1.0)
-        with pytest.raises(ValueError):
-            policy.set_knob("gain", 0.0)
-        with pytest.raises(ValueError):
-            policy.set_knob("cap", 5000.0)
+        assert policy._cap == 58.0
 
     def test_reset_restores_defaults(self):
         policy = TunablePolicy(RiptideConfig())
-        policy.set_knob("gain", 2.0)
         policy.on_guard_trip(DEST, "loss_spike", now=0.0)
         policy.reset()
-        assert policy._knobs["gain"] == 1.0
-        assert policy._knobs["cap"] == float(RiptideConfig().c_max)
+        assert policy._cap == float(RiptideConfig().c_max)
 
 
 class TestFinalizeWindow:
