@@ -185,7 +185,13 @@ class TestSafetyGuard:
             request_response(bed, response_bytes=120_000, deadline=5.0)
             for _ in range(4)
         ]
-        assert agent.stats.guard_trips >= 1
+        tripped = [
+            event
+            for event in bed.sim.obs.trace.events()
+            if event.type is EventType.GUARD_TRIPPED
+            and event.detail("destination") == str(key)
+        ]
+        assert tripped and bed.sim.now < tripped[-1].time + HOLD_SECONDS
         # Healthy path again, but the hold pins the destination: no
         # relearning while it lasts, even with traffic flowing.  The
         # abandoned storm exchanges are torn down the way a probe client

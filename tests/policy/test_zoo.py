@@ -157,7 +157,7 @@ class TestRttClassPolicy:
 class TestTunablePolicy:
     def test_cap_knob_bounds_decisions(self):
         policy = TunablePolicy(RiptideConfig())
-        for i in range(3):
+        for _ in range(3):
             policy.on_guard_trip(DEST, "loss_spike", now=0.0)
         assert policy.decide(DEST, obs(90), now=0.0) == 12.5
 
