@@ -422,9 +422,12 @@ class FluidTraffic:
         snapshots: list[SocketStats] = []
         for index in indices:
             population = self._populations[index]
-            if population.flows <= 0.0:
+            # The distribution's field, not the ``flows`` property: no
+            # frame per cohort per poll.
+            flows = population.distribution.flows
+            if flows <= 0.0:
                 continue
-            count = min(max_samples, max(1, round(population.flows)))
+            count = min(max_samples, max(1, round(flows)))
             remote = self._pop_remote[index]
             port_base = self._pop_port_base[index]
             windows_key = (population.state_id, count)

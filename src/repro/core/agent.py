@@ -381,6 +381,11 @@ class RiptideAgent:
     ) -> tuple[dict[Prefix, list[Observation]], dict[Prefix, PathHealth]]:
         """Poll ``ss``; group windows and path health by destination key.
 
+        The groups hold the ``ss`` rows themselves (each satisfies
+        :class:`~repro.core.combiners.Observation`); a row with ``cwnd``
+        below 1 or a negative ``bytes_acked`` or ``srtt`` raises
+        :class:`ValueError`.
+
         Resilience: a failed poll (``ss`` erroring outright) yields an
         empty observation set and the agent carries on — learned entries
         are simply not refreshed this tick, and the TTL sweep remains
@@ -424,7 +429,13 @@ class RiptideAgent:
                 elif track_health:
                     path = health[key]
             srtt = info.srtt
-            observations.append(Observation(info.cwnd, info.bytes_acked, srtt))
+            if info.cwnd < 1:
+                raise ValueError(f"cwnd must be >= 1, got {info.cwnd}")
+            if info.bytes_acked < 0:
+                raise ValueError(f"bytes_acked must be >= 0, got {info.bytes_acked}")
+            if srtt is not None and srtt < 0:
+                raise ValueError(f"srtt must be >= 0, got {srtt}")
+            observations.append(info)
             if track_health:
                 path.add(info.segments_sent, info.segments_retransmitted, srtt)
         self.stats.connections_observed += len(snapshots)

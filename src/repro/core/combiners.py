@@ -17,31 +17,25 @@ destination; a combiner reduces them to a single candidate window.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
+from typing import Protocol
+
+_cwnd = attrgetter("cwnd")
 
 
-class Observation:
+class Observation(Protocol):
     """One connection's contribution to a destination group.
 
-    Slotted, immutable by convention, like the
-    :class:`~repro.tcp.socket.SocketStats` row it is read from: the agent
-    builds one per row per poll, and a frozen ``__init__`` stores each
-    field through ``object.__setattr__``.  Nothing may write to one.
+    What a combiner or a policy reads of an ``ss`` row: the agent groups
+    the :class:`~repro.tcp.socket.SocketStats` rows themselves, and checks
+    each one's values as it groups it.  Nothing may write to one.
     """
 
-    __slots__ = ("cwnd", "bytes_acked", "srtt")
-
-    def __init__(self, cwnd: int, bytes_acked: int = 0, srtt: float | None = None) -> None:
-        if cwnd < 1:
-            raise ValueError(f"cwnd must be >= 1, got {cwnd}")
-        if bytes_acked < 0:
-            raise ValueError(f"bytes_acked must be >= 0, got {bytes_acked}")
-        if srtt is not None and srtt < 0:
-            raise ValueError(f"srtt must be >= 0, got {srtt}")
-        self.cwnd = cwnd
-        self.bytes_acked = bytes_acked
-        #: Smoothed RTT of the connection, when the snapshot carried one.
-        #: Combiners ignore it; RTT-aware policies (``repro.policy``) read it.
-        self.srtt = srtt
+    cwnd: int
+    bytes_acked: int
+    #: Smoothed RTT of the connection, when the snapshot carried one.
+    #: Combiners ignore it; RTT-aware policies (``repro.policy``) read it.
+    srtt: float | None
 
 
 class Combiner(ABC):
@@ -53,10 +47,6 @@ class Combiner(ABC):
     def combine(self, observations: list[Observation]) -> float:
         """Return the combined window.  ``observations`` is non-empty."""
 
-    def _require_observations(self, observations: list[Observation]) -> None:
-        if not observations:
-            raise ValueError("combine() requires at least one observation")
-
 
 class AverageCombiner(Combiner):
     """The paper's deployed combiner: plain mean of current windows."""
@@ -64,8 +54,10 @@ class AverageCombiner(Combiner):
     name = "average"
 
     def combine(self, observations: list[Observation]) -> float:
-        self._require_observations(observations)
-        return sum(obs.cwnd for obs in observations) / len(observations)
+        if not observations:
+            raise ValueError("combine() requires at least one observation")
+        # The cwnds are ints, so the sum is exact in any order.
+        return sum(map(_cwnd, observations)) / len(observations)
 
 
 class MaxCombiner(Combiner):
@@ -74,8 +66,9 @@ class MaxCombiner(Combiner):
     name = "max"
 
     def combine(self, observations: list[Observation]) -> float:
-        self._require_observations(observations)
-        return float(max(obs.cwnd for obs in observations))
+        if not observations:
+            raise ValueError("combine() requires at least one observation")
+        return float(max(map(_cwnd, observations)))
 
 
 class TrafficWeightedCombiner(Combiner):
@@ -91,7 +84,8 @@ class TrafficWeightedCombiner(Combiner):
     IDLE_FLOOR_BYTES = 1.0
 
     def combine(self, observations: list[Observation]) -> float:
-        self._require_observations(observations)
+        if not observations:
+            raise ValueError("combine() requires at least one observation")
         total_weight = 0.0
         weighted_sum = 0.0
         for obs in observations:

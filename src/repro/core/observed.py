@@ -9,8 +9,11 @@ the default initial congestion window."
 
 from __future__ import annotations
 
+from operator import attrgetter
 
 from repro.net.addresses import Prefix
+
+_updated_at = attrgetter("updated_at")
 
 
 class LearnedEntry:
@@ -29,9 +32,6 @@ class LearnedEntry:
         self.window = window
         self.updated_at = updated_at
         self.expires_at = expires_at
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at
 
 
 class LearnedTable:
@@ -75,16 +75,14 @@ class LearnedTable:
 
     def pop_expired(self, now: float) -> list[LearnedEntry]:
         """Remove and return every entry whose TTL has lapsed."""
-        expired = [e for e in self._entries.values() if e.expired(now)]
+        expired = [e for e in self._entries.values() if now >= e.expires_at]
         for entry in expired:
             del self._entries[entry.destination]
         return expired
 
     def entries(self) -> list[LearnedEntry]:
         """All live entries, most recently updated first."""
-        return sorted(
-            self._entries.values(), key=lambda e: e.updated_at, reverse=True
-        )
+        return sorted(self._entries.values(), key=_updated_at, reverse=True)
 
     def windows(self) -> dict[Prefix, int]:
         """Destination -> learned window, for quick inspection."""

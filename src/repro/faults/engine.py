@@ -4,7 +4,9 @@
 to a live :class:`~repro.cdn.cluster.CdnCluster`.  :meth:`arm` resolves
 every spec's targets (failing fast on unknown PoPs) and schedules plain
 simulator events for each injection and clearing — no background magic,
-no wall clock.  Randomness (bursty storm channels, poll jitter) comes
+no wall clock.  Resolving a stale ``ss`` fault also tells its PoP's agent
+hosts to keep each good poll for the fault to replay; no other host
+stores one.  Randomness (bursty storm channels, poll jitter) comes
 from the cluster's named seeded streams, so a run with faults is as
 reproducible as one without.
 
@@ -184,6 +186,10 @@ class FaultInjector:
             )
         if isinstance(spec, SsFault):
             agents = self.cluster.agents(spec.pop)
+            if spec.mode == "stale":
+                # Only these hosts keep a poll for the fault to replay.
+                for agent in agents:
+                    agent.host.ss.keep_replay()
             return (
                 lambda: self._ss_fault(agents, spec.mode),
                 lambda: self._ss_clear(agents),

@@ -178,7 +178,8 @@ class SsFault(FaultSpec):
 
     ``mode`` picks the failure flavour (see
     :data:`repro.linux.ss_tool.SS_FAULT_MODES`): ``error`` raises,
-    ``empty`` returns nothing, ``stale`` replays the last good snapshot,
+    ``empty`` returns nothing, ``stale`` replays the last good snapshot
+    taken since the schedule was armed (``[]`` when there is none),
     ``partial`` drops half the sockets.
     """
 

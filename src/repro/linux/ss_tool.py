@@ -15,6 +15,13 @@ modelling how ``ss`` actually misbehaves on a loaded box:
   cached data; it never serves one caller another caller's filter);
 * ``"partial"`` — only every other socket makes it into the output
   (truncated output, the paper agent's skip-and-continue case).
+
+Only a tool told to :meth:`~SsTool.keep_replay` stores the snapshots a
+``stale`` poll re-serves.  The fault injector tells the agent hosts of
+each stale ``ss`` fault when it arms a schedule; no other host keeps a
+poll alive past the caller that asked for it.  A stale poll under a
+filter with no good poll since the schedule was armed serves ``[]``,
+like a filter that was never polled.
 """
 
 from __future__ import annotations
@@ -54,8 +61,9 @@ class SsTool:
         self.faulted_polls = 0
         self._fault_mode: str | None = None
         #: Last successful snapshot per ``created_after``: what a ``stale``
-        #: poll with that filter re-serves.
-        self._last_good: dict[float | None, list[SocketStats]] = {}
+        #: poll with that filter re-serves.  ``None`` until
+        #: :meth:`keep_replay`: nothing is stored.
+        self._last_good: dict[float | None, list[SocketStats]] | None = None
 
     # ------------------------------------------------------------------
     # fault injection
@@ -73,6 +81,11 @@ class SsTool:
     def clear_fault(self) -> None:
         self._fault_mode = None
 
+    def keep_replay(self) -> None:
+        """Store each good poll from now on, for a ``stale`` poll to re-serve."""
+        if self._last_good is None:
+            self._last_good = {}
+
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------
@@ -89,6 +102,8 @@ class SsTool:
             if mode == "empty":
                 return []
             if mode == "stale":
+                if self._last_good is None:
+                    return []
                 return list(self._last_good.get(created_after, ()))
         established = TcpState.ESTABLISHED
         snapshots = []
@@ -105,7 +120,8 @@ class SsTool:
             snapshots.extend(rows)
         if mode == "partial":
             return snapshots[::2]
-        self._last_good[created_after] = snapshots
+        if self._last_good is not None:
+            self._last_good[created_after] = snapshots
         return snapshots
 
     def __repr__(self) -> str:

@@ -61,7 +61,9 @@ class TcpState(enum.Enum):
 class SocketStats:
     """A point-in-time snapshot of one socket — what ``ss -i`` shows.
 
-    Riptide reads ``cwnd`` and ``bytes_acked`` from these snapshots.
+    Riptide reads ``cwnd``, ``bytes_acked`` and ``srtt`` from these
+    snapshots: the agent groups the rows themselves and hands them to its
+    policy (:class:`repro.core.combiners.Observation`).
 
     Slotted, immutable by convention: a poll builds one per open
     connection (eight per fluid cohort), so the class is slotted rather

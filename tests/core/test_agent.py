@@ -3,15 +3,14 @@
 import pytest
 
 from repro.core.agent import RiptideAgent
-from repro.core.combiners import Observation
 from repro.core.config import RiptideConfig
 from repro.core.guard import PathHealth, SafetyGuard
 from repro.net.addresses import IPv4Address, Prefix
 from repro.net.loss import BernoulliLoss
 from repro.obs.trace import EventType
 from repro.tcp.constants import TcpConfig
-from repro.tcp.socket import SocketStats, TcpState
 from repro.testing import TwoHostTestbed, request_response
+from tests.rows import ss_row
 
 RTT = 0.100
 
@@ -321,21 +320,12 @@ class TestGranularityIntegration:
 # ----------------------------------------------------------------------
 
 
-def ss_row(remote, cwnd, port, sent=100, retransmitted=3, srtt=0.05, acked=5000):
-    return SocketStats(
-        port, remote, 8080, TcpState.ESTABLISHED, cwnd, 320.0, 10, srtt,
-        acked, 0, sent, retransmitted, 0.0, 0.0, 1.0, True,
-    )
-
-
 def group_per_row(agent, rows):
     """The reference: one ``key_for`` and one ``setdefault`` per row."""
     grouped, health = {}, {}
     for info in rows:
         key = agent._grouper.key_for(info.remote_address)
-        grouped.setdefault(key, []).append(
-            Observation(cwnd=info.cwnd, bytes_acked=info.bytes_acked, srtt=info.srtt)
-        )
+        grouped.setdefault(key, []).append(info)
         health.setdefault(key, PathHealth()).add(
             info.segments_sent, info.segments_retransmitted, info.srtt
         )
@@ -344,10 +334,6 @@ def group_per_row(agent, rows):
 
 def fields(record):
     return tuple(getattr(record, name) for name in type(record).__slots__)
-
-
-def grouped_fields(grouped):
-    return {key: [fields(o) for o in group] for key, group in grouped.items()}
 
 
 @pytest.mark.parametrize("safety_guard", [True, False])
@@ -371,9 +357,8 @@ def test_observe_and_group_matches_per_row_grouping(granularity, safety_guard):
     remotes = [a, a, a, b, b, a, a_again, a_neighbour, a_neighbour, c, b, a]
     rows = [
         ss_row(
-            remote, cwnd=10 + 3 * i, port=50000 + i, sent=100 + 7 * i,
-            retransmitted=i % 4, srtt=None if i == 9 else 0.01 * (i + 1),
-            acked=1000 * i,
+            10 + 3 * i, 1000 * i, None if i == 9 else 0.01 * (i + 1),
+            remote=remote, port=50000 + i, sent=100 + 7 * i, retransmitted=i % 4,
         )
         for i, remote in enumerate(remotes)
     ]
@@ -383,7 +368,9 @@ def test_observe_and_group_matches_per_row_grouping(granularity, safety_guard):
     if not safety_guard:
         expected_health = {}
     assert list(grouped) == list(expected_grouped)  # same keys, same order
-    assert grouped_fields(grouped) == grouped_fields(expected_grouped)
+    # The rows themselves, in snapshot order: ``SocketStats`` has no
+    # ``__eq__``, so list equality here is identity.
+    assert grouped == expected_grouped
     assert list(health) == list(expected_health)
     assert [fields(h) for h in health.values()] == [fields(h) for h in expected_health.values()]
     distinct = 3 if granularity["granularity"] == "prefix" else 4
@@ -391,4 +378,32 @@ def test_observe_and_group_matches_per_row_grouping(granularity, safety_guard):
     assert sum(len(group) for group in grouped.values()) == len(rows)
     assert agent.stats.connections_observed == len(rows)
     # and again, warm
-    assert grouped_fields(agent._observe_and_group()[0]) == grouped_fields(expected_grouped)
+    assert agent._observe_and_group()[0] == expected_grouped
+
+
+class TestRowChecks:
+    """The agent checks each row's values as it groups it, with the errors
+    the per-row ``Observation`` copy used to raise."""
+
+    @staticmethod
+    def observe(row):
+        bed = make_testbed()
+        agent = RiptideAgent(bed.server, RiptideConfig())
+        bed.server.ss.tcp_info = lambda **filters: [ss_row(20), row]
+        return agent._observe_and_group()
+
+    def test_invalid_cwnd_rejected(self):
+        with pytest.raises(ValueError, match=r"cwnd must be >= 1, got 0"):
+            self.observe(ss_row(0))
+
+    def test_negative_bytes_rejected(self):
+        with pytest.raises(ValueError, match=r"bytes_acked must be >= 0, got -1"):
+            self.observe(ss_row(10, bytes_acked=-1))
+
+    def test_negative_srtt_rejected(self):
+        with pytest.raises(ValueError, match=r"srtt must be >= 0, got -0.5"):
+            self.observe(ss_row(10, srtt=-0.5))
+
+    def test_edge_values_accepted(self):
+        grouped, _ = self.observe(ss_row(1, bytes_acked=0, srtt=0.0))
+        assert [row.cwnd for group in grouped.values() for row in group] == [20, 1]

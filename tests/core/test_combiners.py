@@ -7,24 +7,14 @@ from hypothesis import strategies as st
 from repro.core.combiners import (
     AverageCombiner,
     MaxCombiner,
-    Observation,
     TrafficWeightedCombiner,
     make_combiner,
 )
+from tests.rows import ss_row
 
 
 def obs(*pairs):
-    return [Observation(cwnd=c, bytes_acked=b) for c, b in pairs]
-
-
-class TestObservation:
-    def test_invalid_cwnd_rejected(self):
-        with pytest.raises(ValueError):
-            Observation(cwnd=0)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            Observation(cwnd=10, bytes_acked=-1)
+    return [ss_row(c, b) for c, b in pairs]
 
 
 class TestAverageCombiner:
@@ -104,7 +94,7 @@ class TestFactory:
 
 observation_lists = st.lists(
     st.builds(
-        Observation,
+        ss_row,
         cwnd=st.integers(min_value=1, max_value=500),
         bytes_acked=st.integers(min_value=0, max_value=10**9),
     ),

@@ -238,6 +238,38 @@ class TestToolFaults:
         cluster.run(2.0)
         assert host.ss._fault_mode is None
 
+    def test_stale_fault_keeps_a_replay_on_its_pop_alone(self):
+        cluster = tiny_cluster()
+        make_injector(
+            cluster,
+            SsFault(pop="LHR", at=1.0, duration=2.0, mode="stale"),
+            SsFault(pop="JFK", at=1.0, duration=2.0, mode="partial"),
+        )
+        keeping = [
+            host for code in POPS for host in cluster.hosts(code)
+            if host.ss._last_good is not None
+        ]
+        assert keeping == [agent.host for agent in cluster.agents("LHR")]
+        assert keeping
+
+    def test_stale_poll_with_no_good_poll_since_arm_serves_nothing(self):
+        cluster = tiny_cluster()
+        cluster.add_fluid_traffic("LHR", ["JFK"], flows_per_destination=10.0)
+        host = cluster.hosts("LHR")[0]
+        cluster.run(1.0)
+        assert host.ss.tcp_info()  # rows a replay kept before arming would hold
+        make_injector(
+            cluster, SsFault(pop="LHR", at=0.0, duration=2.0, mode="stale")
+        )
+        cluster.run(0.5)
+        assert host.ss._fault_mode == "stale"
+        assert host.ss.tcp_info() == []
+        cluster.run(2.0)
+        good = host.ss.tcp_info()
+        assert good
+        host.ss.set_fault("stale")
+        assert host.ss.tcp_info() == good
+
     def test_ip_fault_window(self):
         cluster = tiny_cluster()
         make_injector(cluster, IpToolFault(pop="JFK", at=1.0, duration=2.0))

@@ -319,7 +319,7 @@ ENTRIES: dict[str, tuple[int, str]] = {
     ),
     "repro.linux.route:RouteEntry.format_linux": (1, _COMBINATION),
     "repro.linux.route:RouteTable.add": (2, "`ip route add`'s path (IpRouteTool.route_add)"),
-    "repro.linux.ss_tool:SsTool.tcp_info": (3, _COMBINATION),
+    "repro.linux.ss_tool:SsTool.tcp_info": (4, _COMBINATION),
     "repro.model.gain:gain_fraction": (1, _EDGE),
     "repro.model.slowstart:rounds_schedule": (3, _ORACLE),
     "repro.model.slowstart:rtts_to_complete": (1, _EDGE),

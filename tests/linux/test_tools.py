@@ -89,6 +89,7 @@ class TestSsTool:
         used to be handed the sampler's snapshot)."""
         request_response(testbed, response_bytes=5000)
         ss = testbed.server.ss
+        ss.keep_replay()
         everything = ss.tcp_info()
         assert len(everything) == 1
         later = testbed.sim.now + 1.0
@@ -100,6 +101,25 @@ class TestSsTool:
         # A filter never polled successfully has nothing to re-serve.
         assert ss.tcp_info(created_after=0.0) == []
         assert ss.faulted_polls == 4
+
+    def test_no_replay_kept_unless_asked(self, testbed):
+        """Only a tool told to keep a replay holds a poll past its caller,
+        and only polls from then on: a stale poll with no good poll since
+        serves ``[]``."""
+        request_response(testbed, response_bytes=5000)
+        ss = testbed.server.ss
+        assert len(ss.tcp_info()) == 1
+        assert len(ss.tcp_info(created_after=0.0)) == 1
+        assert ss._last_good is None
+        ss.set_fault("stale")
+        assert ss.tcp_info() == []
+        ss.keep_replay()
+        assert ss.tcp_info() == []
+        ss.clear_fault()
+        everything = ss.tcp_info()
+        ss.keep_replay()  # a second call keeps what is kept
+        ss.set_fault("stale")
+        assert ss.tcp_info() == everything
 
     def test_poll_counter(self, testbed):
         testbed.client.ss.tcp_info()

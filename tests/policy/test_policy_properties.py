@@ -8,12 +8,12 @@ and the post-clamp advisory scaling.
 
 import pytest
 
-from repro.core.combiners import Observation
 from repro.core.config import RiptideConfig
 from repro.net.addresses import Prefix
 from repro.policy.base import finalize_window
 from repro.policy.registry import make_policy, policy_names
 from repro.sim.rand import RandomStreams
+from tests.rows import ss_row
 
 CONFIGS = [
     RiptideConfig(),
@@ -34,7 +34,7 @@ def _sample_stream(rng, ticks):
     for _ in range(ticks):
         destination = DESTINATIONS[rng.randrange(len(DESTINATIONS))]
         samples = [
-            Observation(
+            ss_row(
                 cwnd=rng.randint(1, 400),
                 srtt=rng.uniform(0.001, 0.4) if rng.random() < 0.5 else None,
             )

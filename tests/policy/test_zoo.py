@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.combiners import Observation, make_combiner
+from repro.core.combiners import make_combiner
 from repro.core.config import RiptideConfig
 from repro.core.history import EwmaHistory
 from repro.net.addresses import Prefix
@@ -11,13 +11,14 @@ from repro.policy.learners import EwmaPolicy, PercentilePolicy, RttClassPolicy
 from repro.policy.registry import make_policy, policy_names
 from repro.policy.tunable import TunablePolicy
 from repro.policy.zoo import HOST_CLASS_WINDOWS, HostClassStaticPolicy, StaticPolicy
+from tests.rows import ss_row
 
 DEST = Prefix.parse("10.2.0.0/16")
 OTHER = Prefix.parse("10.3.0.0/16")
 
 
 def obs(*cwnds, srtt=None):
-    return [Observation(cwnd=c, srtt=srtt) for c in cwnds]
+    return [ss_row(c, srtt=srtt) for c in cwnds]
 
 
 class TestRegistry:
